@@ -11,15 +11,9 @@ import dataclasses
 import numpy as np
 
 from hyqa.corpus import Document, chunk_retrieval_passages
-from hyqa.dense_index import build_dense_index, dense_search
-from hyqa.encoder import (
-    DualEncoder,
-    IRTrainInstance,
-    TrainConfig,
-    encode_passage,
-    encode_query,
-    train,
-)
+from hyqa.dense_index import dense_search
+from hyqa.encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_query, train
+from hyqa.pipeline import index_dense
 
 TOPICS = {
     "tides": "Tides follow the moon and reshape the shoreline sand daily.",
@@ -60,8 +54,7 @@ def main():
     print("per-epoch loss:", " ".join(f"{x:.3f}" for x in trace[::5]))
 
     for label, enc in (("random", base), ("trained", trained)):
-        matrix = np.stack([encode_passage(enc, p.text) for p in passages.values()])
-        index = build_dense_index(list(passages), matrix)
+        index = index_dense(enc, list(passages.values()))
         hits = 0
         for name in names:
             query = f"tell me about {name}"

@@ -8,20 +8,10 @@ can answer from the source passage.
 
 import dataclasses
 
-import numpy as np
-
 from hyqa.corpus import Document, chunk_generation_passages
 from hyqa.mrc import LexicalScorer
 from hyqa.sparse import build_sparse_index
-from hyqa.syngen import (
-    FilterConfig,
-    NgramLM,
-    SamplerConfig,
-    candidate_targets,
-    generate_examples,
-    mine_negative,
-    roundtrip_filter,
-)
+from hyqa.syngen import FilterConfig, SamplerConfig, generate_corpus, mine_negative, roundtrip_filter
 
 TEXTS = {
     "reef": (
@@ -49,13 +39,11 @@ def main():
     passages = {pid: passage(pid, text) for pid, text in TEXTS.items()}
     index = build_sparse_index(list(passages.values()))
 
-    generated = []
-    for i, p in enumerate(passages.values()):
-        rng = np.random.default_rng(i)
-        lm = NgramLM(order=3).fit(candidate_targets(p, rng))
-        result = generate_examples(p, lm, n=6, config=SamplerConfig(seed=i))
-        print(f"{p.id}: {len(result.examples)} examples, discards {result.discards}")
-        generated.extend(result.examples)
+    result = generate_corpus(list(passages.values()), n=6, sampler=SamplerConfig(), seed=0)
+    generated = result.examples
+    for pid in passages:
+        print(f"{pid}: {sum(ex.passage_id == pid for ex in generated)} examples")
+    print(f"discards {result.discards}")
 
     kept = roundtrip_filter(
         generated, LexicalScorer(), FilterConfig(threshold=1.0), TEXTS

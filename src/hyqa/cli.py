@@ -2,8 +2,10 @@
 
 Every subcommand reads and writes the documented JSONL/binary artifacts so
 stages can be chained: ingest -> chunk -> index-sparse / train-encoder ->
-index-dense -> retrieve / answer / evaluate. Exit code 0 on success;
-failures print a stage-tagged diagnostic and exit nonzero.
+index-dense -> retrieve / answer / evaluate. The adaptation subcommands
+call the same stage functions as `pipeline.run_adaptation` (listed in the
+`pipeline` docstring). Exit code 0 on success; failures print a
+stage-tagged diagnostic and exit nonzero.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import (
     chunk_generation_passages,
     chunk_retrieval_passages,
@@ -23,15 +23,8 @@ from .corpus import (
     passage_from_record,
     passage_to_record,
 )
-from .dense_index import DenseIndex, build_dense_index
-from .encoder import (
-    DualEncoder,
-    IRTrainInstance,
-    TrainConfig,
-    encode_passage,
-    export_embeddings,
-    train,
-)
+from .dense_index import DenseIndex
+from .encoder import DualEncoder, IRTrainInstance, TrainConfig, export_embeddings, train
 from .evalkit import load_gold_jsonl, paired_t_test
 from .fusion import FusionConfig, tune_weight
 from .mrc import ExternalLogits, LexicalScorer, ScorerConfig
@@ -39,19 +32,21 @@ from .pipeline import (
     PipelineConfig,
     answer_question,
     evaluate_run,
+    index_dense,
     make_dense_retriever,
     make_hybrid_retriever,
     make_sparse_retriever,
+    write_jsonl,
 )
 from .sparse import BM25Params, SparseIndex, build_sparse_index
 from .syngen import (
     FilterConfig,
-    NgramLM,
-    QAExample,
     SamplerConfig,
     build_ir_training_set,
-    candidate_targets,
-    generate_examples,
+    example_from_record,
+    example_to_record,
+    filtered_records,
+    generate_corpus,
     roundtrip_filter,
 )
 
@@ -63,38 +58,12 @@ def _read_lines(path):
         return f.readlines()
 
 
+def _load_jsonl(path, from_record):
+    return [from_record(json.loads(line)) for line in _read_lines(path) if line.strip()]
+
+
 def _load_passages(path):
-    return [passage_from_record(json.loads(line)) for line in _read_lines(path) if line.strip()]
-
-
-def _load_examples(path):
-    examples = []
-    for line in _read_lines(path):
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        examples.append(
-            QAExample(
-                passage_id=rec["passage_id"],
-                question=rec["question"],
-                answer=rec["answer"],
-                answer_span=(rec["span_start"], rec["span_end"]),
-            )
-        )
-    return examples
-
-
-def _dump_example(ex: QAExample, extra=None) -> str:
-    rec = {
-        "passage_id": ex.passage_id,
-        "question": ex.question,
-        "answer": ex.answer,
-        "span_start": ex.answer_span[0],
-        "span_end": ex.answer_span[1],
-    }
-    if extra:
-        rec.update(extra)
-    return json.dumps(rec, sort_keys=True)
+    return _load_jsonl(path, passage_from_record)
 
 
 def _out_path(args, name: str) -> Path:
@@ -140,9 +109,7 @@ def _retriever(args):
 def cmd_ingest(args):
     docs = list(ingest_documents(_read_lines(args.input)))
     path = _out_path(args, "documents.jsonl")
-    with open(path, "w") as f:
-        for d in docs:
-            f.write(json.dumps({"id": d.id, "title": d.title, "text": d.body, **d.meta}, sort_keys=True) + "\n")
+    write_jsonl(path, ({"id": d.id, "title": d.title, "text": d.body, **d.meta} for d in docs))
     print(f"ingested {len(docs)} documents -> {path}")
 
 
@@ -153,14 +120,10 @@ def cmd_chunk(args):
     if args.max_units:
         key = "max_words" if args.mode == "retrieval" else "max_tokens"
         kwargs[key] = args.max_units
+    passages = [p for doc in docs for p in chunker(doc, **kwargs)]
     path = _out_path(args, f"passages_{args.mode}.jsonl")
-    count = 0
-    with open(path, "w") as f:
-        for doc in docs:
-            for p in chunker(doc, **kwargs):
-                f.write(json.dumps(passage_to_record(p), sort_keys=True) + "\n")
-                count += 1
-    print(f"chunked {len(docs)} documents into {count} {args.mode} passages -> {path}")
+    write_jsonl(path, map(passage_to_record, passages))
+    print(f"chunked {len(docs)} documents into {len(passages)} {args.mode} passages -> {path}")
 
 
 def cmd_index_sparse(args):
@@ -172,10 +135,7 @@ def cmd_index_sparse(args):
 
 
 def cmd_index_dense(args):
-    passages = _load_passages(args.passages)
-    enc = DualEncoder.load(args.encoder)
-    embeddings = np.stack([encode_passage(enc, p.text) for p in passages])
-    index = build_dense_index([p.id for p in passages], embeddings)
+    index = index_dense(DualEncoder.load(args.encoder), _load_passages(args.passages))
     path = _out_path(args, "dense.hyqa")
     index.save(path)
     print(f"embedded {index.n} passages at d={index.d} -> {path}")
@@ -221,66 +181,37 @@ def cmd_train_encoder(args):
 
 def cmd_generate(args):
     passages = _load_passages(args.passages)
+    result = generate_corpus(passages, args.n, SamplerConfig(p=args.p, k=args.k), args.seed)
     path = _out_path(args, "synthetic_raw.jsonl")
-    discards: dict[str, int] = {}
-    count = 0
-    with open(path, "w") as f:
-        for i, passage in enumerate(passages):
-            rng = np.random.default_rng(args.seed ^ (i + 1))
-            targets = candidate_targets(passage, rng)
-            if not targets:
-                continue
-            lm = NgramLM(order=3).fit(targets)
-            result = generate_examples(
-                passage,
-                lm,
-                n=args.n,
-                config=SamplerConfig(p=args.p, k=args.k, seed=int(rng.integers(0, 2**31))),
-            )
-            for ex in result.examples:
-                f.write(_dump_example(ex) + "\n")
-                count += 1
-            for reason, c in result.discards.items():
-                discards[reason] = discards.get(reason, 0) + c
+    write_jsonl(path, map(example_to_record, result.examples))
     summary = _out_path(args, "generation_summary.json")
     with open(summary, "w") as f:
-        json.dump({"generated": count, "discards": discards}, f, sort_keys=True, indent=2)
-    print(f"generated {count} examples ({sum(discards.values())} discarded) -> {path}")
+        json.dump({"generated": len(result.examples), "discards": result.discards}, f, sort_keys=True, indent=2)
+    print(f"generated {len(result.examples)} examples ({sum(result.discards.values())} discarded) -> {path}")
 
 
 def cmd_filter(args):
     passages = {p.id: p.text for p in _load_passages(args.passages)}
-    examples = _load_examples(args.examples)
+    examples = _load_jsonl(args.examples, example_from_record)
     result = roundtrip_filter(examples, _scorer(args), FilterConfig(threshold=args.threshold), passages)
     path = _out_path(args, "synthetic_filtered.jsonl")
-    score_by_idx = dict(zip(range(len(examples)), result.scores))
-    kept_ids = {id(ex) for ex in result.kept}
-    with open(path, "w") as f:
-        for i, ex in enumerate(examples):
-            if id(ex) in kept_ids:
-                f.write(_dump_example(ex, {"answerability": score_by_idx[i]}) + "\n")
+    write_jsonl(path, filtered_records(examples, result))
     print(f"kept {len(result.kept)}/{len(examples)} at t={args.threshold} ({result.missing} missing logits) -> {path}")
 
 
 def cmd_mine_negatives(args):
     passages = {p.id: p for p in _load_passages(args.passages)}
     index = SparseIndex.load(args.index)
-    examples = _load_examples(args.examples)
+    examples = _load_jsonl(args.examples, example_from_record)
     result = build_ir_training_set(examples, index, passages, depth=args.depth)
     path = _out_path(args, "train_instances.jsonl")
-    with open(path, "w") as f:
-        for inst in result.instances:
-            f.write(
-                json.dumps(
-                    {
-                        "question": inst.question,
-                        "positive_id": inst.positive.id,
-                        "negative_ids": [n.id for n in inst.hard_negatives],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {"question": inst.question, "positive_id": inst.positive.id, "negative_ids": [n.id for n in inst.hard_negatives]}
+            for inst in result.instances
+        ),
+    )
     print(f"built {len(result.instances)} instances ({result.dropped} dropped) -> {path}")
 
 
@@ -499,21 +430,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _config_defaults(parser: argparse.ArgumentParser, values: dict) -> None:
+    """Make the config values that name one of `parser`'s options its
+    defaults, so an explicit flag still wins."""
+    dests = {action.dest for action in parser._actions}
+    parser.set_defaults(**{key: value for key, value in values.items() if key in dests})
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line. A --config file supplies defaults for the
+    global flags and the chosen subcommand's flags; --seed falls back to
+    $HYQA_SEED."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        # Config values act as defaults: anything passed explicitly on the
-        # command line wins.
-        explicit = set(argv if argv is not None else sys.argv[1:])
-        defaults = json.loads(Path(args.config).read_text())
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            flag = f"--{key}" if len(key) > 1 else f"-{key}"
-            if hasattr(args, attr) and flag not in explicit:
-                setattr(args, attr, value)
+        values = {key.replace("-", "_"): value for key, value in json.loads(Path(args.config).read_text()).items()}
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        _config_defaults(parser, values)
+        _config_defaults(subparsers.choices[args.command], values)
+        args = parser.parse_args(argv)
     if args.seed is None:
         args.seed = int(os.environ.get(SEED_ENV, "0"))
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         args.func(args)
     except Exception as e:

@@ -59,33 +59,39 @@ def save(path, kind: str, meta: dict[str, Any], arrays: dict[str, np.ndarray]) -
             f.write(arr.tobytes())
 
 
+def _read(f, n: int, path, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ContainerError(f"{path}: truncated {what}")
+    return data
+
+
+def _unpack(f, fmt: str, path, what: str) -> int:
+    (value,) = struct.unpack(fmt, _read(f, struct.calcsize(fmt), path, what))
+    return value
+
+
 def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise ContainerError(f"{path}: bad magic, not a HYQA container")
-        (version,) = struct.unpack("<H", f.read(2))
+        version = _unpack(f, "<H", path, "version")
         if version != VERSION:
             raise ContainerError(f"{path}: unsupported container version {version}")
-        (klen,) = struct.unpack("<B", f.read(1))
-        file_kind = f.read(klen).decode("ascii")
+        file_kind = _read(f, _unpack(f, "<B", path, "kind"), path, "kind").decode("ascii")
         if kind is not None and file_kind != kind:
             raise ContainerError(f"{path}: expected kind {kind!r}, found {file_kind!r}")
-        (mlen,) = struct.unpack("<I", f.read(4))
-        meta = json.loads(f.read(mlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", f.read(4))
+        meta = json.loads(_read(f, _unpack(f, "<I", path, "meta"), path, "meta").decode("utf-8"))
+        count = _unpack(f, "<I", path, "array count")
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("ascii")
-            (dlen,) = struct.unpack("<H", f.read(2))
-            dtype = np.dtype("<" + f.read(dlen).decode("ascii"))
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(ndim))
+            name = _read(f, _unpack(f, "<H", path, "array name"), path, "array name").decode("ascii")
+            what = f"array {name!r}"
+            dtype = np.dtype("<" + _read(f, _unpack(f, "<H", path, what), path, what).decode("ascii"))
+            ndim = _unpack(f, "<B", path, what)
+            shape = tuple(_unpack(f, "<Q", path, what) for _ in range(ndim))
             nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-            data = f.read(nbytes)
-            if len(data) != nbytes:
-                raise ContainerError(f"{path}: truncated array {name!r}")
-            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape)
+            arrays[name] = np.frombuffer(_read(f, nbytes, path, what), dtype=dtype).reshape(shape)
     return file_kind, meta, arrays
 
 

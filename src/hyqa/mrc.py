@@ -9,9 +9,10 @@ produced offline by an external model.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .corpus import tokenize
@@ -75,25 +76,24 @@ def span_score(logits: SpanLogits, s: int, e: int) -> float:
 def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> list[SpanScore]:
     """All spans of length <= max_answer_len scored; top_n by descending
     score, ties by (ascending s, ascending e)."""
-    candidates = []
-    for s in range(1, logits.n + 1):
-        for e in range(s, min(s + config.max_answer_len - 1, logits.n) + 1):
-            candidates.append(SpanScore(s, e, span_score(logits, s, e)))
-    candidates.sort(key=lambda sp: (-sp.score, sp.s, sp.e))
-    return candidates[: config.top_n]
+    n, max_len = logits.n, config.max_answer_len
+    start, end = logits.start, logits.end
+    null_start, null_end = start[0], end[0]
+    ranked = heapq.nsmallest(
+        config.top_n,
+        (
+            (-(start[s] + end[e] - null_start - null_end), s, e)
+            for s in range(1, n + 1)
+            for e in range(s, min(s + max_len - 1, n) + 1)
+        ),
+    )
+    return [SpanScore(s, e, -neg) for neg, s, e in ranked]
 
 
 def answerability(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> float:
     """Highest span score over all candidates; -inf for an empty passage."""
-    if logits.n == 0:
-        return float("-inf")
-    best = float("-inf")
-    for s in range(1, logits.n + 1):
-        for e in range(s, min(s + config.max_answer_len - 1, logits.n) + 1):
-            sc = span_score(logits, s, e)
-            if sc > best:
-                best = sc
-    return best
+    spans = best_spans(logits, replace(config, top_n=1))
+    return spans[0].score if spans else float("-inf")
 
 
 class LexicalScorer:

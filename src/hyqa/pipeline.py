@@ -4,6 +4,17 @@ and the full domain-adaptation run (generate -> filter -> mine -> train).
 Every run is a deterministic function of its inputs and one seed; the
 adaptation run writes a JSON manifest recording config and stage counts so
 results can be reproduced and audited.
+
+Each adaptation stage is one function, called both by `run_adaptation`
+and by the CLI subcommand of the same name:
+
+    chunk           corpus.chunk_retrieval_passages, corpus.chunk_generation_passages
+    index-sparse    sparse.build_sparse_index
+    generate        syngen.generate_corpus
+    filter          syngen.roundtrip_filter
+    mine-negatives  syngen.build_ir_training_set
+    train-encoder   encoder.train
+    index-dense     pipeline.index_dense
 """
 
 from __future__ import annotations
@@ -31,12 +42,12 @@ from .scored import ScoredPassage
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search
 from .syngen import (
     FilterConfig,
-    NgramLM,
+    FilterResult,
     QAExample,
     SamplerConfig,
     build_ir_training_set,
-    candidate_targets,
-    generate_examples,
+    filtered_records,
+    generate_corpus,
     roundtrip_filter,
 )
 
@@ -48,7 +59,9 @@ __all__ = [
     "evaluate_run",
     "AdaptationConfig",
     "AdaptationResult",
+    "index_dense",
     "run_adaptation",
+    "write_jsonl",
 ]
 
 K_SPARSE_ONLY = 100  # retrieval depth that works best for BM25 alone
@@ -188,6 +201,19 @@ def make_hybrid_retriever(
     return retrieve
 
 
+def index_dense(encoder: DualEncoder, passages: Sequence[Passage]) -> DenseIndex:
+    """Index-dense stage: embed each passage and build the exact index."""
+    embeddings = np.stack([encode_passage(encoder, p.text) for p in passages])
+    return build_dense_index([p.id for p in passages], embeddings)
+
+
+def write_jsonl(path: Path, records) -> None:
+    """One sorted-key JSON object per line."""
+    with open(path, "w") as f:
+        for rec in records:
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 @dataclass(frozen=True)
 class AdaptationConfig:
     seed: int = 0
@@ -241,24 +267,8 @@ def run_adaptation(
         gen_index = build_sparse_index(generation_passages, config.bm25)
 
         stage = "generate"
-        examples: list[QAExample] = []
-        discards: dict[str, int] = {}
-        for i, passage in enumerate(generation_passages):
-            rng = np.random.default_rng(config.seed ^ (i + 1))
-            targets = candidate_targets(passage, rng)
-            if not targets:
-                continue
-            lm = NgramLM(order=3).fit(targets)
-            per_seq_seed = int(rng.integers(0, 2**31))
-            result = generate_examples(
-                passage,
-                lm,
-                n=config.examples_per_passage,
-                config=SamplerConfig(p=config.sampler.p, k=config.sampler.k, seed=per_seq_seed),
-            )
-            examples.extend(result.examples)
-            for reason, count in result.discards.items():
-                discards[reason] = discards.get(reason, 0) + count
+        generated = generate_corpus(generation_passages, config.examples_per_passage, config.sampler, config.seed)
+        examples = generated.examples
 
         stage = "filter"
         gen_texts = {p.id: p.text for p in generation_passages}
@@ -286,8 +296,7 @@ def run_adaptation(
         trained, trace = train(base, training_set.instances, train_config)
 
         stage = "index-dense"
-        embeddings = np.stack([encode_passage(trained, p.text) for p in retrieval_passages])
-        dense = build_dense_index([p.id for p in retrieval_passages], embeddings)
+        dense = index_dense(trained, retrieval_passages)
     except Exception as e:
         raise RuntimeError(f"adaptation failed at stage {stage!r}: {e}") from e
 
@@ -309,7 +318,7 @@ def run_adaptation(
             "retrieval_passages": len(retrieval_passages),
             "generation_passages": len(generation_passages),
             "generated_examples": len(examples),
-            "generation_discards": dict(sorted(discards.items())),
+            "generation_discards": dict(sorted(generated.discards.items())),
             "kept_after_filter": len(filtered.kept),
             "filter_missing_logits": filtered.missing,
             "train_instances": len(training_set.instances),
@@ -331,39 +340,15 @@ def run_adaptation(
         manifest=manifest,
     )
     if output_dir is not None:
-        _persist(result, filtered.scores, Path(output_dir))
+        _persist(result, filtered, Path(output_dir))
     return result
 
 
-def _persist(result: AdaptationResult, scores, out: Path) -> None:
+def _persist(result: AdaptationResult, filtered: FilterResult, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "retrieval_passages.jsonl", "w") as f:
-        for p in result.retrieval_passages:
-            f.write(json.dumps(passage_to_record(p), sort_keys=True) + "\n")
-    with open(out / "generation_passages.jsonl", "w") as f:
-        for p in result.generation_passages:
-            f.write(json.dumps(passage_to_record(p), sort_keys=True) + "\n")
-    score_by_example = {
-        (ex.passage_id, ex.question, ex.answer): s
-        for ex, s in zip(result.examples, scores)
-    }
-    with open(out / "synthetic_examples.jsonl", "w") as f:
-        for ex in result.filtered:
-            s = score_by_example.get((ex.passage_id, ex.question, ex.answer))
-            f.write(
-                json.dumps(
-                    {
-                        "passage_id": ex.passage_id,
-                        "question": ex.question,
-                        "answer": ex.answer,
-                        "span_start": ex.answer_span[0],
-                        "span_end": ex.answer_span[1],
-                        "answerability": s,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(out / "retrieval_passages.jsonl", map(passage_to_record, result.retrieval_passages))
+    write_jsonl(out / "generation_passages.jsonl", map(passage_to_record, result.generation_passages))
+    write_jsonl(out / "synthetic_examples.jsonl", filtered_records(result.examples, filtered))
     result.sparse_index.save(out / "sparse.hyqa")
     result.dense_index.save(out / "dense.hyqa")
     result.encoder.save(out / "encoder.hyqa")

@@ -17,7 +17,7 @@ from . import container
 from .corpus import Passage, tokenize
 from .scored import ScoredPassage
 
-__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "bm25_score", "sparse_search"]
+__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_search"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class SparseIndex:
         self.postings = postings  # term -> [(doc index, tf)], doc index ascending
         self.N = len(doc_ids)
         self.avg_len = (sum(doc_lengths) / self.N) if self.N else 0.0
-        self._id_to_idx = {pid: i for i, pid in enumerate(doc_ids)}
 
     def idf(self, term: str) -> float:
         df = len(self.postings.get(term, ()))
@@ -127,22 +126,6 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
         for term, tf in counts.items():
             postings.setdefault(term, []).append((doc_idx, tf))
     return SparseIndex(params, doc_ids, doc_lengths, postings)
-
-
-def bm25_score(index: SparseIndex, query_terms: Sequence[str], passage_id: str) -> float:
-    if passage_id not in index._id_to_idx:
-        raise KeyError(f"unknown passage id {passage_id!r}")
-    doc_idx = index._id_to_idx[passage_id]
-    score = 0.0
-    for term in query_terms:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        for d, tf in plist:
-            if d == doc_idx:
-                score += index.idf(term) * index._weight(tf, doc_idx)
-                break
-    return score
 
 
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> list[ScoredPassage]:

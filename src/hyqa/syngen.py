@@ -11,7 +11,7 @@ inverse-cloze-task baseline pair generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -38,7 +38,11 @@ __all__ = [
     "decode_generation_target",
     "sample_top_p_top_k",
     "generate_examples",
+    "generate_corpus",
+    "example_to_record",
+    "example_from_record",
     "roundtrip_filter",
+    "filtered_records",
     "mine_negative",
     "build_ir_training_set",
     "ict_examples",
@@ -56,6 +60,28 @@ class QAExample:
     question: str
     answer: str
     answer_span: tuple[int, int]  # character offsets into the passage text
+
+
+def example_to_record(ex: QAExample, **extra) -> dict:
+    """JSONL record of an example; `extra` adds fields such as its
+    answerability score."""
+    return {
+        "passage_id": ex.passage_id,
+        "question": ex.question,
+        "answer": ex.answer,
+        "span_start": ex.answer_span[0],
+        "span_end": ex.answer_span[1],
+        **extra,
+    }
+
+
+def example_from_record(record: dict) -> QAExample:
+    return QAExample(
+        passage_id=record["passage_id"],
+        question=record["question"],
+        answer=record["answer"],
+        answer_span=(record["span_start"], record["span_end"]),
+    )
 
 
 @dataclass(frozen=True)
@@ -252,6 +278,33 @@ def generate_examples(
     return result
 
 
+def generate_corpus(
+    passages: Sequence[Passage],
+    n: int,
+    sampler: SamplerConfig,
+    seed: int,
+) -> GenerationResult:
+    """Generation stage over a passage list: fit the bundled n-gram model on
+    each passage's candidate targets and sample n sequences from it.
+
+    Passage i draws from its own RNG seeded with seed ^ (i + 1); the
+    sampler's own seed is ignored. Passages without targets are skipped;
+    discards are summed over all passages.
+    """
+    total = GenerationResult(examples=[])
+    for i, passage in enumerate(passages):
+        rng = np.random.default_rng(seed ^ (i + 1))
+        targets = candidate_targets(passage, rng)
+        if not targets:
+            continue
+        lm = NgramLM(order=3).fit(targets)
+        result = generate_examples(passage, lm, n=n, config=replace(sampler, seed=int(rng.integers(0, 2**31))))
+        total.examples.extend(result.examples)
+        for reason, count in result.discards.items():
+            total.discards[reason] = total.discards.get(reason, 0) + count
+    return total
+
+
 @dataclass
 class FilterResult:
     kept: list[QAExample]
@@ -284,6 +337,17 @@ def roundtrip_filter(
         if score >= config.threshold:
             result.kept.append(ex)
     return result
+
+
+def filtered_records(examples: Sequence[QAExample], result: FilterResult) -> list[dict]:
+    """Records of the examples `result` kept, in input order, each with its
+    answerability score."""
+    kept = {id(ex) for ex in result.kept}
+    return [
+        example_to_record(ex, answerability=score)
+        for ex, score in zip(examples, result.scores)
+        if id(ex) in kept
+    ]
 
 
 def mine_negative(

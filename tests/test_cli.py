@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from hyqa.cli import main
+from hyqa.cli import main, parse_args
+from hyqa.corpus import ingest_documents
+from hyqa.encoder import TrainConfig
+from hyqa.pipeline import AdaptationConfig, run_adaptation
+from hyqa.syngen import example_to_record
 
 
 def write_documents(path):
@@ -231,3 +235,56 @@ class TestErrorHandling:
         index = SparseIndex.load(out / "cfg" / "sparse.hyqa")
         assert index.params.k1 == 2.0
         assert index.params.b == 0.5
+
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_explicit_flag_beats_config(self, tmp_path, joined):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pool_size": 5, "seed": 4}))
+
+        def flag(name, value):
+            return [f"{name}={value}"] if joined else [name, value]
+
+        args = parse_args(["--config", str(config), "retrieve", "--query", "x"])
+        assert (args.pool_size, args.seed) == (5, 4)
+        argv = ["--config", str(config), *flag("--seed", "9"), "retrieve", "--query", "x", *flag("--pool-size", "77")]
+        args = parse_args(argv)
+        assert (args.pool_size, args.seed) == (77, 9)
+
+    def test_config_keys_of_other_subcommands_ignored(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k1": 2.0, "pool-size": 6}))
+        args = parse_args(["--config", str(config), "retrieve", "--query", "x"])
+        assert args.pool_size == 6
+        assert not hasattr(args, "k1")
+
+
+class TestStageEquivalence:
+    def test_generate_and_filter_match_run_adaptation(self, tmp_path):
+        docs = tmp_path / "documents.jsonl"
+        write_documents(docs)
+        config = AdaptationConfig(
+            seed=3,
+            train=TrainConfig(learning_rate=0.05, epochs=1, batch_size=4, warmup_steps=0, seed=3),
+            embedding_dim=8,
+        )
+        with open(docs) as f:
+            result = run_adaptation(list(ingest_documents(f)), config, output_dir=tmp_path / "adapt")
+        assert result.examples and result.filtered
+
+        out = tmp_path / "cli"
+        gen = out / "passages_generation.jsonl"
+        assert run(["--output-dir", out, "chunk", "--input", docs, "--mode", "generation"]) == 0
+        assert gen.read_bytes() == (tmp_path / "adapt" / "generation_passages.jsonl").read_bytes()
+        assert run(["--seed", 3, "--output-dir", out, "generate", "--passages", gen]) == 0
+        raw = (out / "synthetic_raw.jsonl").read_text().splitlines()
+        assert raw == [json.dumps(example_to_record(ex), sort_keys=True) for ex in result.examples]
+        assert run([
+            "--output-dir", out, "filter",
+            "--examples", out / "synthetic_raw.jsonl",
+            "--passages", gen,
+            "--threshold", 1.0,
+        ]) == 0
+        filtered = (out / "synthetic_filtered.jsonl").read_bytes()
+        assert filtered == (tmp_path / "adapt" / "synthetic_examples.jsonl").read_bytes()
+        summary = json.loads((out / "generation_summary.json").read_text())
+        assert summary["discards"] == result.manifest["counts"]["generation_discards"]

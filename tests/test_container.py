@@ -77,6 +77,17 @@ class TestValidation:
             load(path)
 
 
+    def test_every_prefix_raises(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        arrays = {"m": np.arange(6, dtype=np.float32).reshape(2, 3), "ids": np.array([4, 5]), "s": np.float64(1.0)}
+        save(path, "dense", {"n": 2}, arrays)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.hyqa"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ContainerError, match="magic" if size < 4 else "truncated"):
+                load(cut)
+
 class TestVarints:
     def test_known_encodings(self):
         assert write_varints([0]) == b"\x00"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyqa.corpus import Document, chunk_retrieval_passages, tokenize
-from hyqa.sparse import BM25Params, SparseIndex, bm25_score, build_sparse_index, sparse_search
+from hyqa.sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search
 
 
 def passage(pid, text):
@@ -75,21 +75,26 @@ class TestBuild:
         assert loaded.params == index.params
 
 
+def search_scores(index, query_text):
+    """Every passage's BM25 score for the query; passages sparse_search
+    does not return score 0."""
+    scores = {pid: 0.0 for pid in index.doc_ids}
+    scores.update((sp.passage_id, sp.score) for sp in sparse_search(index, query_text, max(index.N, 1)))
+    return scores
+
+
 class TestScore:
     def test_no_overlap_scores_zero(self, small_index):
         index, _ = small_index
-        assert bm25_score(index, ["zebra"], "p1") == 0.0
-
-    def test_unknown_passage_errors(self, small_index):
-        index, _ = small_index
-        with pytest.raises(KeyError):
-            bm25_score(index, ["cat"], "nope")
+        assert sparse_search(index, "zebra", 5) == []
+        assert search_scores(index, "zebra")["p1"] == 0.0
 
     def test_equal_tf_equal_length_symmetry(self):
         index = build_sparse_index(
             [passage("a", "virus spreads fast here"), passage("b", "virus grows slow there")]
         )
-        assert bm25_score(index, ["virus"], "a") == bm25_score(index, ["virus"], "b")
+        scores = search_scores(index, "virus")
+        assert scores["a"] == scores["b"] > 0.0
 
     def test_shorter_passage_scores_higher(self):
         # Equal tf, different lengths, b=0.75: length normalization favors
@@ -99,13 +104,14 @@ class TestScore:
             passage("long", "fever chills headache nausea cough fatigue dizziness"),
             passage("other", "unrelated words entirely different content"),
         ]
-        index = build_sparse_index(passages)
-        assert bm25_score(index, ["fever"], "short") > bm25_score(index, ["fever"], "long")
+        scores = search_scores(build_sparse_index(passages), "fever")
+        assert scores["short"] > scores["long"]
 
     def test_scores_non_negative(self, small_index):
         index, passages = small_index
-        for p in passages:
-            assert bm25_score(index, ["the", "cat", "fly"], p.id) >= 0.0
+        scores = search_scores(index, "the cat fly")
+        assert set(scores) == {p.id for p in passages}
+        assert all(score >= 0.0 for score in scores.values())
 
 
 class TestSearch:

@@ -19,6 +19,9 @@ from hyqa.syngen import (
     candidate_targets,
     decode_generation_target,
     encode_generation_target,
+    example_from_record,
+    example_to_record,
+    generate_corpus,
     generate_examples,
     ict_examples,
     mine_negative,
@@ -196,6 +199,51 @@ class TestGenerate:
         for ex in result.examples:
             s, e = ex.answer_span
             assert passage.text[s:e] == ex.answer
+
+
+class TestGenerateCorpus:
+    TEXTS = (
+        "Masks help a lot. Vaccines work well. Distancing slows spread.",
+        "Hi.",
+        "Rivers carry silt to the delta. Farmers plant rice on the silt.",
+    )
+
+    def test_each_passage_draws_from_its_own_seed(self):
+        passages = [make_passage(text, f"p{i}") for i, text in enumerate(self.TEXTS)]
+        result = generate_corpus(passages, 4, SamplerConfig(p=0.9, k=5), seed=11)
+        expected, discards = [], Counter()
+        for i, passage in enumerate(passages):
+            rng = np.random.default_rng(11 ^ (i + 1))
+            targets = candidate_targets(passage, rng)
+            if not targets:
+                continue
+            lm = NgramLM(order=3).fit(targets)
+            one = generate_examples(passage, lm, n=4, config=SamplerConfig(p=0.9, k=5, seed=int(rng.integers(0, 2**31))))
+            expected.extend(one.examples)
+            discards.update(one.discards)
+        assert result.examples == expected
+        assert result.discards == dict(discards)
+        assert len(result.examples) + sum(result.discards.values()) == 4 * 2  # "Hi." has no targets
+
+    def test_sampler_seed_ignored(self):
+        passages = [make_passage(self.TEXTS[0])]
+        a = generate_corpus(passages, 5, SamplerConfig(seed=1), seed=2)
+        b = generate_corpus(passages, 5, SamplerConfig(seed=99), seed=2)
+        assert a.examples == b.examples
+
+
+class TestExampleRecord:
+    def test_roundtrip(self):
+        ex = QAExample(passage_id="p1", question="what helps", answer="masks", answer_span=(0, 5))
+        record = example_to_record(ex)
+        assert record == {"passage_id": "p1", "question": "what helps", "answer": "masks", "span_start": 0, "span_end": 5}
+        assert example_from_record(record) == ex
+
+    def test_extra_fields(self):
+        ex = QAExample(passage_id="p1", question="q", answer="a", answer_span=(0, 1))
+        record = example_to_record(ex, answerability=2.5)
+        assert record["answerability"] == 2.5
+        assert example_from_record(record) == ex
 
 
 class TestRoundtripFilter:
