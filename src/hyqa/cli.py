@@ -437,6 +437,18 @@ def _config_defaults(parser: argparse.ArgumentParser, values: dict) -> None:
     parser.set_defaults(**{key: value for key, value in values.items() if key in dests})
 
 
+def _read_config(path: str) -> dict:
+    try:
+        values = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ValueError(f"{path}: {e.strerror}") from e
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return values
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line. A --config file supplies defaults for the
     global flags and the chosen subcommand's flags; --seed falls back to
@@ -444,18 +456,25 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        values = {key.replace("-", "_"): value for key, value in json.loads(Path(args.config).read_text()).items()}
+        values = {key.replace("-", "_"): value for key, value in _read_config(args.config).items()}
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         _config_defaults(parser, values)
         _config_defaults(subparsers.choices[args.command], values)
         args = parser.parse_args(argv)
     if args.seed is None:
-        args.seed = int(os.environ.get(SEED_ENV, "0"))
+        try:
+            args.seed = int(os.environ.get(SEED_ENV, "0"))
+        except ValueError:
+            raise ValueError(f"${SEED_ENV}={os.environ[SEED_ENV]!r} is not an integer") from None
     return args
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    try:
+        args = parse_args(argv)
+    except ValueError as e:
+        print(f"error [config]: {e}", file=sys.stderr)
+        return 1
     try:
         args.func(args)
     except Exception as e:

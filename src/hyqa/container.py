@@ -92,6 +92,8 @@ def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, 
             shape = tuple(_unpack(f, "<Q", path, what) for _ in range(ndim))
             nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
             arrays[name] = np.frombuffer(_read(f, nbytes, path, what), dtype=dtype).reshape(shape)
+        if f.read(1):
+            raise ContainerError(f"{path}: trailing bytes after the last array")
     return file_kind, meta, arrays
 
 

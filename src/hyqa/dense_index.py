@@ -28,7 +28,7 @@ class DenseIndex:
 
     @property
     def d(self) -> int:
-        return self.matrix.shape[1] if self.matrix.size else 0
+        return self.matrix.shape[1]
 
     def save(self, path) -> None:
         container.save(
@@ -45,7 +45,9 @@ class DenseIndex:
 
 
 def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
-    matrix = np.asarray(embeddings, dtype=np.float64)
+    """Exact index over `embeddings` rounded to the float32 values that
+    `save` stores, so an index ranks the same before and after a reload."""
+    matrix = np.asarray(embeddings, dtype=np.float32).astype(np.float64)
     if matrix.size == 0:
         matrix = matrix.reshape(0, 0 if matrix.ndim < 2 else matrix.shape[1])
     if matrix.ndim != 2:

@@ -182,33 +182,33 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTest
 
 
 def load_gold_jsonl(lines: Iterable[str]) -> list[GoldSet]:
-    """Line-delimited JSON {question, answers: [...], id?}."""
+    """Line-delimited JSON {question, answers: [...], id?}. A malformed
+    record raises ValueError naming its 1-based line."""
     golds = []
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
-        golds.append(
-            GoldSet(
-                query_id=rec.get("id", f"q{i}"),
-                question=rec["question"],
-                answers=tuple(rec["answers"]),
+        try:
+            rec = json.loads(line)
+            golds.append(
+                GoldSet(query_id=rec.get("id", f"q{i}"), question=rec["question"], answers=tuple(rec["answers"]))
             )
-        )
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"malformed gold record on line {i + 1}: {e!r}") from e
     return golds
 
 
 def load_gold_squad(data: dict) -> list[GoldSet]:
-    """SQuAD-style nested JSON: data -> paragraphs -> qas -> answers."""
+    """SQuAD-style nested JSON: data -> paragraphs -> qas -> answers. A
+    malformed qa raises ValueError naming its 0-based index over all qas."""
+    qas = (qa for article in data.get("data", []) for para in article.get("paragraphs", []) for qa in para.get("qas", []))
     golds = []
-    for article in data.get("data", []):
-        for para in article.get("paragraphs", []):
-            for qa in para.get("qas", []):
-                answers = tuple(a["text"] for a in qa.get("answers", []))
-                if not answers:
-                    continue
-                golds.append(
-                    GoldSet(query_id=str(qa.get("id", len(golds))), question=qa["question"], answers=answers)
-                )
+    for i, qa in enumerate(qas):
+        try:
+            answers = tuple(a["text"] for a in qa.get("answers", []))
+            if answers:
+                golds.append(GoldSet(query_id=str(qa.get("id", len(golds))), question=qa["question"], answers=answers))
+        except (AttributeError, KeyError, TypeError) as e:
+            raise ValueError(f"malformed SQuAD qa {i}: {e!r}") from e
     return golds

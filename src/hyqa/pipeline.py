@@ -203,7 +203,7 @@ def make_hybrid_retriever(
 
 def index_dense(encoder: DualEncoder, passages: Sequence[Passage]) -> DenseIndex:
     """Index-dense stage: embed each passage and build the exact index."""
-    embeddings = np.stack([encode_passage(encoder, p.text) for p in passages])
+    embeddings = np.reshape([encode_passage(encoder, p.text) for p in passages], (len(passages), encoder.d))
     return build_dense_index([p.id for p in passages], embeddings)
 
 

@@ -257,6 +257,34 @@ class TestErrorHandling:
         assert args.pool_size == 6
         assert not hasattr(args, "k1")
 
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", None])
+    def test_bad_config_is_one_line_error(self, tmp_path, capsys, content):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content)
+        assert run(["--config", config, "dump", "--index", tmp_path / "x.hyqa"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]: ") and str(config) in err
+        assert err.count("\n") == 1
+
+    def test_bad_seed_env_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HYQA_SEED", "abc")
+        assert run(["dump", "--index", tmp_path / "x.hyqa"]) == 1
+        assert capsys.readouterr().err == "error [config]: $HYQA_SEED='abc' is not an integer\n"
+
+    def test_index_dense_on_empty_passages(self, tmp_path, capsys):
+        from hyqa.dense_index import DenseIndex
+        from hyqa.encoder import DualEncoder
+
+        DualEncoder.create(["alpha", "beta"], d=8).save(tmp_path / "encoder.hyqa")
+        (tmp_path / "empty.jsonl").write_text("")
+        out = tmp_path / "out"
+        assert run(["--output-dir", out, "index-dense", "--passages", tmp_path / "empty.jsonl",
+                    "--encoder", tmp_path / "encoder.hyqa"]) == 0
+        assert "embedded 0 passages at d=8" in capsys.readouterr().out
+        index = DenseIndex.load(out / "dense.hyqa")
+        assert (index.n, index.d) == (0, 8)
+
 
 class TestStageEquivalence:
     def test_generate_and_filter_match_run_adaptation(self, tmp_path):

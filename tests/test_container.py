@@ -88,6 +88,13 @@ class TestValidation:
             with pytest.raises(ContainerError, match="magic" if size < 4 else "truncated"):
                 load(cut)
 
+    def test_trailing_bytes_raise(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {}, {"a": np.arange(3, dtype=np.float64)})
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(ContainerError, match="trailing bytes"):
+            load(path)
+
 class TestVarints:
     def test_known_encodings(self):
         assert write_varints([0]) == b"\x00"

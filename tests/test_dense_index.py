@@ -63,12 +63,26 @@ class TestBuild:
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
-        matrix = rng.normal(size=(10, 4)).astype(np.float32).astype(np.float64)
-        index = build_dense_index([f"p{i}" for i in range(10)], matrix)
+        index = build_dense_index([f"p{i}" for i in range(10)], rng.normal(size=(10, 4)))
         index.save(tmp_path / "idx.hyqa")
         loaded = DenseIndex.load(tmp_path / "idx.hyqa")
         assert loaded.ids == index.ids
         np.testing.assert_array_equal(loaded.matrix, index.matrix)
+
+    def test_reloaded_index_searches_identically(self, tmp_path):
+        rng = np.random.default_rng(5)
+        index = build_dense_index([f"p{i:03d}" for i in range(500)], rng.normal(size=(500, 16)))
+        index.save(tmp_path / "idx.hyqa")
+        loaded = DenseIndex.load(tmp_path / "idx.hyqa")
+        for q in rng.normal(size=(50, 16)):
+            assert dense_search(loaded, q, 10) == dense_search(index, q, 10)
+
+    def test_empty_index_keeps_dimension(self, tmp_path):
+        index = build_dense_index([], np.zeros((0, 8)))
+        index.save(tmp_path / "idx.hyqa")
+        loaded = DenseIndex.load(tmp_path / "idx.hyqa")
+        assert (index.n, index.d) == (loaded.n, loaded.d) == (0, 8)
+        assert dense_search(loaded, np.zeros(8), 3) == []
 
 
 class TestDenseSearch:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hyqa.encoder as encoder_module
 from hyqa.corpus import Document, chunk_retrieval_passages
 from hyqa.encoder import (
     DESK_PRESET,
@@ -70,6 +71,32 @@ class TestEncode:
     def test_towers_differ(self):
         enc = small_encoder()
         assert not np.allclose(encode_query(enc, "alpha"), encode_passage(enc, "alpha"))
+
+    def test_passage_matches_training_forward_row(self, monkeypatch):
+        enc = small_encoder(d=8, seed=2)
+        batch = random_batch(np.random.default_rng(4), enc, size=3, negatives=2)
+        forwards = []
+
+        def recording_embed(encoder, token_ids, side):
+            out = original(encoder, token_ids, side)
+            forwards.append((side, out))
+            return out
+
+        original = encoder_module._embed
+        monkeypatch.setattr(encoder_module, "_embed", recording_embed)
+        loss_gradient(enc, batch)
+        monkeypatch.undo()
+        (_, (_, q_out)), (_, (p_means, p_out)) = forwards
+        candidates = [inst.positive for inst in batch] + [n for inst in batch for n in inst.hard_negatives]
+        for row, p in enumerate(candidates):
+            means, out = encoder_module._embed(enc, [encoder_module._token_ids(enc, p.text)], "p")
+            # Pooling is the same computation; a multi-row GEMM may round
+            # the projection's last bit differently from a one-row one.
+            np.testing.assert_array_equal(means[0], p_means[row])
+            np.testing.assert_array_equal(out[0], encode_passage(enc, p.text))
+            np.testing.assert_allclose(encode_passage(enc, p.text), p_out[row], rtol=1e-12, atol=1e-15)
+        for row, inst in enumerate(batch):
+            np.testing.assert_allclose(encode_query(enc, inst.question), q_out[row], rtol=1e-12, atol=1e-15)
 
 
 class TestSimilarity:
@@ -171,6 +198,38 @@ class TestBatchLoss:
         assert base == pytest.approx(shifted, abs=1e-12)
 
 
+def loop_loss_gradient(enc, batch):
+    """Reference: per-row pooling and a per-token scatter of the embedding
+    gradient, in the same arithmetic order as `loss_gradient`."""
+    vocab, params, d = enc.vocab, enc.params, enc.d
+    cands = list({p.id: p for p in [i.positive for i in batch] + [n for i in batch for n in i.hard_negatives]}.values())
+    pos_idx = [[p.id for p in cands].index(inst.positive.id) for inst in batch]
+    toks = {
+        "q": [[vocab[w] for w in inst.question.split() if w in vocab] for inst in batch],
+        "p": [[vocab[w] for w in p.text.split() if w in vocab] for p in cands],
+    }
+    means, outs = {}, {}
+    for side in "qp":
+        means[side] = np.stack([params[f"{side}_emb"][t].mean(axis=0) if t else np.zeros(d) for t in toks[side]])
+        outs[side] = means[side] @ params[f"{side}_proj"].T + params[f"{side}_bias"]
+    logits = outs["q"] @ outs["p"].T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    loss = float((-shifted[np.arange(len(batch)), pos_idx] + np.log(exp.sum(axis=1))).mean())
+    g_logits = exp / exp.sum(axis=1, keepdims=True)
+    g_logits[np.arange(len(batch)), pos_idx] -= 1.0
+    g_logits /= len(batch)
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    for side, g_out in (("q", g_logits @ outs["p"]), ("p", g_logits.T @ outs["q"])):
+        grads[f"{side}_proj"] += g_out.T @ means[side]
+        grads[f"{side}_bias"] += g_out.sum(axis=0)
+        g_mean = g_out @ params[f"{side}_proj"]
+        for row, idxs in enumerate(toks[side]):
+            for i in idxs:
+                grads[f"{side}_emb"][i] += g_mean[row] / len(idxs)
+    return loss, grads
+
+
 def finite_difference_grads(enc, batch, eps=1e-6):
     grads = {}
     for name, param in enc.params.items():
@@ -225,6 +284,36 @@ class TestGradient:
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
+    def test_carries_loss_of_its_forward(self):
+        enc = small_encoder(d=4, seed=7)
+        batch = random_batch(np.random.default_rng(7), enc, size=3, negatives=2)
+        grads = loss_gradient(enc, batch)
+        assert list(grads) == ["q_emb", "q_proj", "q_bias", "p_emb", "p_proj", "p_bias"]
+        assert grads.loss == batch_loss(enc, batch)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_token_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        enc = small_encoder(d=6, seed=seed)
+        batch = random_batch(rng, enc, size=4, negatives=2)
+        batch.append(IRTrainInstance("xyzzy", passage("oov", "qwerty"), (batch[0].positive,)))
+        expected_loss, expected = loop_loss_gradient(enc, batch)
+        grads = loss_gradient(enc, batch)
+        assert grads.loss == expected_loss
+        for name in expected:
+            np.testing.assert_array_equal(grads[name], expected[name])
+
+    def test_token_id_map_gives_same_result(self):
+        enc = small_encoder(d=4, seed=8)
+        batch = random_batch(np.random.default_rng(8), enc, size=4, negatives=2)
+        batch.append(IRTrainInstance("xyzzy", passage("oov", "qwerty"), (batch[0].positive,)))
+        token_ids = encoder_module._tokenize_all(enc, batch + random_batch(np.random.default_rng(9), enc))
+        a = loss_gradient(enc, batch)
+        b = loss_gradient(enc, batch, token_ids)
+        assert a.loss == b.loss
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+
 
 class TestTrain:
     def make_instances(self, rng, count=12):
@@ -267,6 +356,26 @@ class TestTrain:
         enc = small_encoder(d=8, seed=0)
         _, trace = train(enc, instances, TrainConfig(epochs=6, batch_size=4, learning_rate=0.1, seed=0))
         assert trace[-1] < trace[0]
+
+    def test_one_loss_gradient_per_step(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        enc = small_encoder(seed=3)
+        instances = self.make_instances(rng, count=10)
+        calls = {"loss_gradient": 0, "batch_loss": 0}
+
+        def counting(name):
+            original = getattr(encoder_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(encoder_module, name, counting(name))
+        train(enc, instances, TrainConfig(epochs=3, batch_size=4, seed=0))
+        assert calls == {"loss_gradient": 3 * 3, "batch_loss": 0}
 
     def test_warmup_scales_early_steps(self):
         rng = np.random.default_rng(2)

@@ -221,6 +221,26 @@ class TestLoaders:
         assert len(golds) == 1
         assert golds[0].answers == ("Ada",)
 
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [("{not json", "JSONDecodeError"), ('{"answers": ["x"]}', "question"), ('["who", "x"]', "AttributeError")],
+    )
+    def test_jsonl_malformed_record_names_line(self, bad, reason):
+        lines = [json.dumps({"question": "who", "answers": ["x"]}), "", bad]
+        with pytest.raises(ValueError, match=rf"line 3: .*{reason}"):
+            load_gold_jsonl(lines)
+
+    def test_squad_malformed_qa_names_index(self):
+        qas = [
+            {"id": "1", "question": "who", "answers": [{"text": "Ada"}]},
+            {"id": "2", "answers": [{"text": "Bob"}]},
+        ]
+        with pytest.raises(ValueError, match=r"qa 1: .*question"):
+            load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
+        qas[1] = {"id": "2", "question": "who", "answers": [{"span": "Bob"}]}
+        with pytest.raises(ValueError, match=r"qa 1: .*text"):
+            load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
+
 
 class TestReport:
     def test_json_is_sorted_and_stable(self):
