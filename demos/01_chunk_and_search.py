@@ -45,7 +45,7 @@ def main():
         passages.extend(chunks)
 
     index = build_sparse_index(passages)
-    print(f"\nindexed {index.N} passages, {len(index.postings)} distinct terms")
+    print(f"\nindexed {index.N} passages, {len(index.terms)} distinct terms")
 
     for query in ("how do storms intensify", "vaccine cold storage", "kiln firing log"):
         print(f"\nquery: {query!r}")

@@ -75,7 +75,14 @@ def _out_path(args, name: str) -> Path:
 def _scorer(args, golds=None):
     if getattr(args, "logits", None):
         external = ExternalLogits.load(_read_lines(args.logits))
-        qid_by_question = {g.question: g.query_id for g in golds} if golds else {}
+        qid_by_question: dict[str, str] = {}
+        for g in golds or ():
+            other = qid_by_question.setdefault(g.question, g.query_id)
+            if other != g.query_id:
+                raise ValueError(
+                    f"gold queries {other!r} and {g.query_id!r} share the question {g.question!r}, "
+                    "so --logits cannot tell their logits apart"
+                )
 
         class _Keyed:
             def logits(self, question, passage_id, passage_text):
@@ -131,7 +138,7 @@ def cmd_index_sparse(args):
     index = build_sparse_index(passages, BM25Params(k1=args.k1, b=args.b))
     path = _out_path(args, "sparse.hyqa")
     index.save(path)
-    print(f"indexed {index.N} passages, {len(index.postings)} terms -> {path}")
+    print(f"indexed {index.N} passages, {len(index.terms)} terms -> {path}")
 
 
 def cmd_index_dense(args):

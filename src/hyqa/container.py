@@ -12,8 +12,9 @@ Layout (little-endian throughout):
               ndim  u8, dims as u64 each
               data  raw little-endian bytes, row-major
 
-Blobs (opaque byte strings, e.g. varint postings) ride along as uint8
-arrays.
+Arrays are written in the dtype the caller gives them, so an artifact
+chooses its own widths (the sparse index, for one, stores its postings in
+the narrowest unsigned dtype that holds them).
 """
 
 from __future__ import annotations
@@ -96,37 +97,3 @@ def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, 
             raise ContainerError(f"{path}: trailing bytes after the last array")
     return file_kind, meta, arrays
 
-
-def write_varints(values) -> bytes:
-    """LEB128-encode a sequence of non-negative ints."""
-    out = bytearray()
-    for v in values:
-        if v < 0:
-            raise ValueError("varints are unsigned")
-        while True:
-            byte = v & 0x7F
-            v >>= 7
-            if v:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-    return bytes(out)
-
-
-def read_varints(data: bytes, count: int, offset: int = 0) -> tuple[list[int], int]:
-    """Decode `count` varints starting at `offset`; returns (values, new offset)."""
-    values = []
-    pos = offset
-    for _ in range(count):
-        shift = 0
-        v = 0
-        while True:
-            byte = data[pos]
-            pos += 1
-            v |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        values.append(v)
-    return values, pos

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyqa
 from hyqa.cli import main, parse_args
 from hyqa.corpus import ingest_documents
 from hyqa.encoder import TrainConfig
@@ -163,6 +168,23 @@ class TestRetrievalCommands:
         assert rows
         assert {"answer", "passage_id", "combined"} <= set(rows[0])
 
+    def test_retrieve_scores_independent_of_hash_seed(self, workspace):
+        # Sparse scores sum term contributions in sorted term order, not in
+        # string-hash order, so they are the same in every process.
+        _, out = workspace
+        query = "the otter camel penguin falcon eats lives among rivers deserts krill shellfish year"
+        env = {**os.environ, "PYTHONPATH": str(Path(hyqa.__file__).parents[1])}
+        stdouts = [
+            subprocess.run(
+                [sys.executable, "-m", "hyqa.cli", "retrieve", "--sparse", str(out / "sparse.hyqa"),
+                 "--query", query, "-k", "20"],
+                env={**env, "PYTHONHASHSEED": seed}, capture_output=True, check=True, text=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert stdouts[0].count("\n") > 1
+        assert stdouts[0] == stdouts[1]
+
     def test_evaluate_and_ttest(self, trained, tmp_path, capsys):
         _, out = trained
         golds = tmp_path / "golds.jsonl"
@@ -271,6 +293,27 @@ class TestErrorHandling:
         monkeypatch.setenv("HYQA_SEED", "abc")
         assert run(["dump", "--index", tmp_path / "x.hyqa"]) == 1
         assert capsys.readouterr().err == "error [config]: $HYQA_SEED='abc' is not an integer\n"
+
+    def test_logits_with_shared_question_is_one_line_error(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        golds = tmp_path / "golds.jsonl"
+        golds.write_text("".join(
+            json.dumps({"id": qid, "question": "what does the otter eat", "answers": ["shellfish"]}) + "\n"
+            for qid in ("q1", "q2")
+        ))
+        logits = tmp_path / "logits.jsonl"
+        logits.write_text(json.dumps({"question_id": "q2", "passage_id": "doc1#0", "start": [0.0], "end": [0.0]}) + "\n")
+        assert run([
+            "--output-dir", tmp_path / "eval", "evaluate",
+            "--sparse", out / "sparse.hyqa",
+            "--golds", golds,
+            "--passages", out / "passages_retrieval.jsonl",
+            "--logits", logits,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [evaluate]: ") and "'q1'" in err and "'q2'" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "eval" / "report.json").exists()
 
     def test_index_dense_on_empty_passages(self, tmp_path, capsys):
         from hyqa.dense_index import DenseIndex

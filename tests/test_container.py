@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from hyqa.container import (
-    ContainerError,
-    load,
-    read_varints,
-    save,
-    write_varints,
-)
+from hyqa.container import ContainerError, load, save
 
 
 class TestRoundtrip:
@@ -94,27 +88,3 @@ class TestValidation:
         path.write_bytes(path.read_bytes() + b"garbage")
         with pytest.raises(ContainerError, match="trailing bytes"):
             load(path)
-
-class TestVarints:
-    def test_known_encodings(self):
-        assert write_varints([0]) == b"\x00"
-        assert write_varints([127]) == b"\x7f"
-        assert write_varints([128]) == b"\x80\x01"
-        assert write_varints([300]) == b"\xac\x02"
-
-    @pytest.mark.parametrize("values", [[0], [1, 2, 3], [2**40, 0, 127, 128, 16383, 16384]])
-    def test_roundtrip(self, values):
-        data = write_varints(values)
-        got, pos = read_varints(data, len(values))
-        assert got == values
-        assert pos == len(data)
-
-    def test_offset_decoding(self):
-        data = write_varints([5]) + write_varints([300, 7])
-        got, pos = read_varints(data, 2, offset=1)
-        assert got == [300, 7]
-        assert pos == len(data)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            write_varints([-1])

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from hyqa.corpus import Document, chunk_retrieval_passages, tokenize
+from hyqa import container
+from hyqa.container import ContainerError
+from hyqa.corpus import Document, Passage, chunk_retrieval_passages, tokenize
 from hyqa.sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search
 
 
@@ -12,6 +16,14 @@ def passage(pid, text):
 
     p = chunk_retrieval_passages(Document(id=pid, title="", body=text), 120)[0]
     return dataclasses.replace(p, id=pid)
+
+
+def postings(index):
+    """The index's CSR arrays read back as term -> [(doc index, tf)]."""
+    return {
+        term: list(zip(index.docs[lo:hi].tolist(), index.tf[lo:hi].tolist()))
+        for term, lo, hi in zip(index.terms, index.indptr[:-1].tolist(), index.indptr[1:].tolist())
+    }
 
 
 def brute_force_bm25(passages, query_text, params=BM25Params()):
@@ -48,11 +60,13 @@ class TestBuild:
     def test_empty_corpus(self):
         index = build_sparse_index([])
         assert index.N == 0
-        assert index.postings == {}
+        assert index.terms == []
+        assert index.indptr.tolist() == [0]
+        assert index.docs.size == index.tf.size == index.doc_lengths.size == 0
 
     def test_shared_term_posting_length(self, small_index):
         index, _ = small_index
-        assert len(index.postings["cat"]) == 2
+        assert len(postings(index)["cat"]) == 2
 
     def test_duplicate_id_rejected(self):
         p = passage("p1", "hello world")
@@ -69,10 +83,18 @@ class TestBuild:
         index, _ = small_index
         index.save(tmp_path / "idx.hyqa")
         loaded = SparseIndex.load(tmp_path / "idx.hyqa")
-        assert loaded.postings == index.postings
-        assert loaded.doc_ids == index.doc_ids
-        assert loaded.doc_lengths == index.doc_lengths
-        assert loaded.params == index.params
+        assert_same_index(loaded, index)
+
+
+def assert_same_index(a, b):
+    assert a.terms == b.terms
+    for name in ("indptr", "docs", "tf", "doc_lengths"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    assert a.doc_ids == b.doc_ids
+    assert a.params == b.params
+    assert list(a.dump_postings()) == list(b.dump_postings())
 
 
 def search_scores(index, query_text):
@@ -168,3 +190,105 @@ def test_dump_postings_readable(small_index):
     index, _ = small_index[0], small_index[1]
     lines = list(small_index[0].dump_postings())
     assert any(line.startswith("cat\tdf=2") for line in lines)
+
+
+def raw_passage(pid, text):
+    return Passage(id=pid, doc_id=pid, text=text, sentence_spans=(), word_count=len(tokenize(text)))
+
+
+class TestLoadErrors:
+    @pytest.fixture
+    def saved(self, small_index, tmp_path):
+        path = tmp_path / "idx.hyqa"
+        small_index[0].save(path)
+        _, meta, arrays = container.load(path)
+        return path, meta, dict(arrays)
+
+    def test_old_varint_layout(self, saved):
+        path, meta, arrays = saved
+        meta["df"] = np.diff(arrays.pop("indptr")).tolist()
+        del arrays["docs"], arrays["tf"]
+        arrays["postings"] = np.zeros(3, dtype=np.uint8)
+        container.save(path, "sparse", meta, arrays)
+        with pytest.raises(ContainerError, match=r"idx\.hyqa: .*rebuild it with index-sparse"):
+            SparseIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "case, corrupt, message",
+        [
+            ("terms-unsorted", lambda m, a: m.update(terms=m["terms"][::-1]), "terms not sorted"),
+            ("indptr-length", lambda m, a: a.update(indptr=a["indptr"][:-1]), "entries for"),
+            ("indptr-decreasing", lambda m, a: a.update(indptr=a["indptr"][[0, 2, 1, *range(3, len(a["indptr"]))]]),
+             "non-decreasing"),
+            ("indptr-end", lambda m, a: a.update(indptr=np.minimum(a["indptr"], len(a["docs"]) - 1)), "non-decreasing"),
+            ("tf-length", lambda m, a: a.update(tf=a["tf"][:-1]), "non-decreasing"),
+            ("doc-out-of-range", lambda m, a: a.update(docs=np.full_like(a["docs"], len(m["doc_ids"]))), "out of range"),
+            ("docs-not-ascending", lambda m, a: a.update(docs=np.zeros_like(a["docs"])), "strictly ascending"),
+            ("doc-lengths", lambda m, a: a.update(doc_lengths=a["doc_lengths"][:-1]), "doc lengths for"),
+            ("float-docs", lambda m, a: a.update(docs=a["docs"].astype(np.float64)), "integers"),
+        ],
+    )
+    def test_inconsistent_arrays(self, saved, case, corrupt, message):
+        path, meta, arrays = saved
+        corrupt(meta, arrays)
+        container.save(path, "sparse", meta, arrays)
+        with pytest.raises(ContainerError, match=rf"idx\.hyqa: .*{message}"):
+            SparseIndex.load(path)
+
+    def test_every_prefix_raises(self, small_index, tmp_path):
+        path = tmp_path / "idx.hyqa"
+        small_index[0].save(path)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.hyqa"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ContainerError):
+                SparseIndex.load(cut)
+
+    def test_narrowest_unsigned_dtypes(self, tmp_path):
+        index = build_sparse_index([raw_passage("a", "x " * 300 + "y"), raw_passage("b", "y")])
+        assert (index.docs.dtype, index.tf.dtype) == (np.uint8, np.uint16)
+        index.save(tmp_path / "idx.hyqa")
+        loaded = SparseIndex.load(tmp_path / "idx.hyqa")
+        assert (loaded.docs.dtype, loaded.tf.dtype) == (np.uint8, np.uint16)
+        assert postings(loaded) == {"x": [(0, 300)], "y": [(0, 1), (1, 1)]}
+
+
+WORDS = ["alpha", "beta", "gamma", "delta", "x", "y2", "z3z"]
+corpora = st.lists(
+    st.lists(st.tuples(st.sampled_from(WORDS), st.integers(1, 300)), max_size=4),
+    max_size=6,
+).map(lambda docs: [
+    raw_passage(f"p{i}", " ".join(w for word, n in doc for w in [word] * n)) for i, doc in enumerate(docs)
+])
+queries = st.lists(st.sampled_from(WORDS + ["oov", "missing9"]), min_size=1, max_size=6).map(" ".join)
+
+
+class TestProperties:
+    @given(corpora)
+    @example([])
+    @example([raw_passage("p0", "x"), raw_passage("p1", "x x x")])
+    def test_save_load_identity(self, tmp_path_factory, passages):
+        path = tmp_path_factory.mktemp("idx") / "idx.hyqa"
+        index = build_sparse_index(passages)
+        index.save(path)
+        loaded = SparseIndex.load(path)
+        assert_same_index(loaded, index)
+        build_sparse_index(passages).save(path.with_name("rebuilt.hyqa"))
+        loaded.save(path.with_name("resaved.hyqa"))
+        assert path.with_name("rebuilt.hyqa").read_bytes() == path.read_bytes()
+        assert path.with_name("resaved.hyqa").read_bytes() == path.read_bytes()
+
+    @given(corpora, queries)
+    @example([raw_passage("p0", "x " * 260), raw_passage("p1", "x")], "x x oov")
+    def test_search_matches_oracle(self, passages, query):
+        index = build_sparse_index(passages)
+        results = sparse_search(index, query, max(len(passages), 1))
+        if not any(p.text for p in passages):
+            assert results == []
+            return
+        oracle = brute_force_bm25(passages, query)
+        for sp in results:
+            assert sp.score == pytest.approx(oracle[sp.passage_id], abs=1e-9)
+        expected_order = sorted([pid for pid, s in oracle.items() if s > 0], key=lambda pid: (-oracle[pid], pid))
+        assert [sp.passage_id for sp in results] == expected_order
