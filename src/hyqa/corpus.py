@@ -20,6 +20,7 @@ __all__ = [
     "ingest_documents",
     "segment_sentences",
     "tokenize",
+    "terms",
     "chunk_retrieval_passages",
     "chunk_generation_passages",
 ]
@@ -158,6 +159,16 @@ _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
 def tokenize(text: str) -> list[TokenSpan]:
     """Lowercased maximal alphanumeric runs; punctuation dropped."""
     return [TokenSpan(m.start(), m.end(), m.group().lower()) for m in _TOKEN_RE.finditer(text)]
+
+
+def terms(text: str) -> list[str]:
+    """The surfaces of tokenize(text), without building spans.
+
+    Each match is lowercased on its own: lowercasing the text first would
+    turn some non-ASCII letters (KELVIN SIGN, dotted capital I) into ASCII
+    ones and create tokens that tokenize does not see.
+    """
+    return [m.lower() for m in _TOKEN_RE.findall(text)]
 
 
 def word_count(text: str) -> int:

@@ -5,16 +5,21 @@ index. IVF clusters with Euclidean k-means but ranks probe clusters by
 inner product with the query; this asymmetry is deliberate and standard.
 Returned scores are always the exact inner products of the stored vectors,
 so the IVF index only approximates the candidate set, never the score.
+Both score with np.vecdot, which rounds each row's product as the per-row
+`row @ q` does; a GEMV (`matrix @ q`) or einsum changes the last bit of most
+rows.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import container
-from .scored import ScoredPassage
+from .scored import ScoredPassage, id_ranks, top_k
 
-__all__ = ["DenseIndex", "IVFIndex", "build_dense_index", "dense_search", "build_ivf_index", "ivf_search"]
+__all__ = ["DenseIndex", "IVFIndex", "build_dense_index", "dense_top_k", "dense_search", "build_ivf_index", "ivf_search"]
 
 
 class DenseIndex:
@@ -29,6 +34,11 @@ class DenseIndex:
     @property
     def d(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each row's position in ascending-id order; sorted on first search."""
+        return id_ranks(self.ids)
 
     def save(self, path) -> None:
         container.save(
@@ -59,28 +69,37 @@ def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
     return DenseIndex(list(ids), matrix)
 
 
-def _rank(index: DenseIndex, q: np.ndarray, candidates: np.ndarray, k: int) -> list[ScoredPassage]:
-    """Top-k of `candidates` by score desc, ties by ascending passage id.
+def _rank(index: DenseIndex, q: np.ndarray, candidates, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and scores of the top k of `candidates` (a row array or slice),
+    score desc, ties by ascending passage id."""
+    scores = np.vecdot(index.matrix[candidates], q)
+    top = top_k(scores, index.id_rank[candidates], k)
+    return np.arange(index.n)[candidates][top], scores[top]
 
-    Scores are per-row dot products so exact and clustered search return
-    bit-identical values for the same passage.
-    """
-    scores = np.array([index.matrix[i] @ q for i in candidates])
-    id_arr = np.array(index.ids)[candidates]
-    order = np.lexsort((id_arr, -scores))
-    top = order[:k]
-    return [ScoredPassage(str(id_arr[i]), float(scores[i]), "dense") for i in top]
+
+def _query(index: DenseIndex, q_emb: np.ndarray, k: int) -> np.ndarray:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    q = np.asarray(q_emb, dtype=np.float64)
+    if index.n and q.shape != (index.d,):
+        raise ValueError(f"query dimension {q.shape} does not match index d={index.d}")
+    return q
+
+
+def _passages(index: DenseIndex, rows: np.ndarray, scores: np.ndarray) -> list[ScoredPassage]:
+    return [ScoredPassage(index.ids[i], s, "dense") for i, s in zip(rows.tolist(), scores.tolist())]
+
+
+def dense_top_k(index: DenseIndex, q_emb: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of dense_search: the top k rows and their scores."""
+    q = _query(index, q_emb, k)
+    if index.n == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    return _rank(index, q, slice(None), k)
 
 
 def dense_search(index: DenseIndex, q_emb: np.ndarray, k: int) -> list[ScoredPassage]:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if index.n == 0:
-        return []
-    q = np.asarray(q_emb, dtype=np.float64)
-    if q.shape != (index.d,):
-        raise ValueError(f"query dimension {q.shape} does not match index d={index.d}")
-    return _rank(index, q, np.arange(index.n), k)
+    return _passages(index, *dense_top_k(index, q_emb, k))
 
 
 class IVFIndex:
@@ -130,19 +149,14 @@ def build_ivf_index(index: DenseIndex, C: int, n_probe: int, seed: int = 0) -> I
 
 
 def ivf_search(ivf: IVFIndex, q_emb: np.ndarray, k: int, n_probe: int | None = None) -> list[ScoredPassage]:
-    if k < 1:
-        raise ValueError("k must be >= 1")
     index = ivf.base
+    q = _query(index, q_emb, k)
     if index.n == 0:
         return []
-    q = np.asarray(q_emb, dtype=np.float64)
-    if q.shape != (index.d,):
-        raise ValueError(f"query dimension {q.shape} does not match index d={index.d}")
     probes = ivf.n_probe if n_probe is None else n_probe
     probes = min(probes, len(ivf.centroids))
     cluster_scores = ivf.centroids @ q
     chosen = np.argsort(-cluster_scores, kind="stable")[:probes]
-    candidates = np.concatenate([ivf.members[c] for c in chosen]) if len(chosen) else np.array([], dtype=np.int64)
-    if candidates.size == 0:
+    if len(chosen) == 0:
         return []
-    return _rank(index, q, candidates, k)
+    return _passages(index, *_rank(index, q, np.concatenate([ivf.members[c] for c in chosen]), k))

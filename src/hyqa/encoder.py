@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import container
-from .corpus import Passage, tokenize
+from .corpus import Passage, terms
 
 __all__ = [
     "DualEncoder",
@@ -67,8 +67,7 @@ class DualEncoder:
     @classmethod
     def from_texts(cls, texts: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
         """Build the vocabulary from training texts, then initialize."""
-        terms = sorted({t.surface for text in texts for t in tokenize(text)})
-        return cls.create(terms, d=d, seed=seed)
+        return cls.create(sorted({t for text in texts for t in terms(text)}), d=d, seed=seed)
 
     def copy(self) -> "DualEncoder":
         return DualEncoder(
@@ -129,7 +128,8 @@ DESK_PRESET = TrainConfig(learning_rate=0.05, epochs=6, batch_size=16, warmup_st
 
 
 def _token_ids(encoder: DualEncoder, text: str) -> np.ndarray:
-    return np.array([encoder.vocab[t.surface] for t in tokenize(text) if t.surface in encoder.vocab], dtype=np.intp)
+    vocab = encoder.vocab
+    return np.array([vocab[t] for t in terms(text) if t in vocab], dtype=np.intp)
 
 
 def _tokenize_all(encoder: DualEncoder, instances: Iterable[IRTrainInstance]) -> dict[str, np.ndarray]:

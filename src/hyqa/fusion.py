@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .evalkit import GoldSet, match_at_k
-from .scored import ScoredPassage
+import numpy as np
 
-__all__ = ["FusionConfig", "minmax_normalize", "fuse", "tune_weight"]
+from .evalkit import GoldSet, match_at_k
+from .scored import ScoredPassage, id_ranks, top_k
+
+__all__ = ["FusionConfig", "minmax_normalize", "fuse_top_k", "fuse", "tune_weight"]
 
 
 @dataclass(frozen=True)
@@ -29,14 +31,42 @@ class FusionConfig:
             raise ValueError("weight must lie in [0, 1]")
 
 
+def _minmax(scores: np.ndarray) -> np.ndarray:
+    lo, hi = scores.min(), scores.max()
+    if hi == lo:
+        return np.full(len(scores), 0.5)
+    return (scores - lo) / (hi - lo)
+
+
 def minmax_normalize(scores: Sequence[float]) -> list[float]:
     """(x - min) / (max - min); a constant list maps every value to 0.5."""
     if len(scores) == 0:
         raise ValueError("cannot normalize an empty score list")
-    lo, hi = min(scores), max(scores)
-    if hi == lo:
-        return [0.5] * len(scores)
-    return [(x - lo) / (hi - lo) for x in scores]
+    return _minmax(np.asarray(scores, dtype=np.float64)).tolist()
+
+
+def _scatter(n: int, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Min-max normalized scores at `rows` of an n-vector, 0 elsewhere."""
+    out = np.zeros(n)
+    if len(rows):
+        out[rows] = _minmax(scores)
+    return out
+
+
+def fuse_top_k(sparse_rows: np.ndarray, sparse_scores: np.ndarray, dense_rows: np.ndarray, dense_scores: np.ndarray,
+               weight: float, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fusion kernel: the top k rows of the union pool and their fused
+    scores.
+
+    Rows index one id space shared by both sides, whose ascending-id
+    positions are `id_rank`.
+    """
+    sparse = _scatter(len(id_rank), sparse_rows, sparse_scores)
+    dense = _scatter(len(id_rank), dense_rows, dense_scores)
+    pool = np.union1d(sparse_rows, dense_rows)
+    scores = weight * sparse[pool] + (1 - weight) * dense[pool]
+    top = top_k(scores, id_rank[pool], k)
+    return pool[top], scores[top]
 
 
 def fuse(
@@ -44,25 +74,15 @@ def fuse(
     dense_results: Sequence[ScoredPassage],
     config: FusionConfig = FusionConfig(),
 ) -> list[ScoredPassage]:
-    sparse_results = list(sparse_results)[: config.pool_size]
-    dense_results = list(dense_results)[: config.pool_size]
-    w = config.weight
-
-    def normalized_map(results: Sequence[ScoredPassage]) -> dict[str, float]:
-        if not results:
-            return {}
-        norms = minmax_normalize([r.score for r in results])
-        return {r.passage_id: n for r, n in zip(results, norms)}
-
-    sparse_map = normalized_map(sparse_results)
-    dense_map = normalized_map(dense_results)
-    pool = set(sparse_map) | set(dense_map)
-    fused = [
-        ScoredPassage(pid, w * sparse_map.get(pid, 0.0) + (1 - w) * dense_map.get(pid, 0.0), "fused")
-        for pid in pool
-    ]
-    fused.sort(key=lambda sp: (-sp.score, sp.passage_id))
-    return fused
+    """The whole union pool of the two lists' first pool_size results, by
+    descending fused score, ties by ascending passage id."""
+    sides = [list(sparse_results)[: config.pool_size], list(dense_results)[: config.pool_size]]
+    row_of: dict[str, int] = {}
+    rows = [np.array([row_of.setdefault(r.passage_id, len(row_of)) for r in side], dtype=np.intp) for side in sides]
+    scores = [np.array([r.score for r in side], dtype=np.float64) for side in sides]
+    ids = list(row_of)
+    top, fused = fuse_top_k(rows[0], scores[0], rows[1], scores[1], config.weight, id_ranks(ids), len(ids))
+    return [ScoredPassage(ids[i], s, "fused") for i, s in zip(top.tolist(), fused.tolist())]
 
 
 def tune_weight(

@@ -9,13 +9,16 @@ produced offline by an external model.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .corpus import tokenize
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .corpus import terms, tokenize, word_count
+from .scored import top_k
 
 __all__ = [
     "SpanLogits",
@@ -76,18 +79,22 @@ def span_score(logits: SpanLogits, s: int, e: int) -> float:
 def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> list[SpanScore]:
     """All spans of length <= max_answer_len scored; top_n by descending
     score, ties by (ascending s, ascending e)."""
-    n, max_len = logits.n, config.max_answer_len
-    start, end = logits.start, logits.end
-    null_start, null_end = start[0], end[0]
-    ranked = heapq.nsmallest(
-        config.top_n,
-        (
-            (-(start[s] + end[e] - null_start - null_end), s, e)
-            for s in range(1, n + 1)
-            for e in range(s, min(s + max_len - 1, n) + 1)
-        ),
-    )
-    return [SpanScore(s, e, -neg) for neg, s, e in ranked]
+    n = logits.n
+    if n == 0:
+        return []
+    width = min(config.max_answer_len, n)
+    start, end = np.asarray(logits.start), np.asarray(logits.end)
+    # band[s - 1, j] scores the span (s, s + j); the -inf padding stands for
+    # the spans that would run past the passage end. Row-major order is
+    # (s asc, e asc), the tie order.
+    padded = np.concatenate([end[1:], np.full(width - 1, -np.inf)])
+    band = (start[1:, None] + sliding_window_view(padded, width) - start[0] - end[0]).ravel()
+    if config.top_n == 1:
+        flat = [int(band.argmax())]
+    else:
+        n_spans = n * width - width * (width - 1) // 2
+        flat = top_k(band, np.arange(band.size), min(config.top_n, n_spans)).tolist()
+    return [SpanScore(f // width + 1, f // width + 1 + f % width, float(band[f])) for f in flat]
 
 
 def answerability(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> float:
@@ -110,17 +117,17 @@ class LexicalScorer:
         self.window = window
 
     def logits(self, question: str, passage_id: str, passage_text: str) -> SpanLogits:
-        q_tokens = {t.surface for t in tokenize(question)}
-        p_tokens = [t.surface for t in tokenize(passage_text)]
-        hits = [1.0 if t in q_tokens else 0.0 for t in p_tokens]
-        n = len(p_tokens)
-        w = self.window
-        start = [0.0] * (n + 1)
-        end = [0.0] * (n + 1)
-        for i in range(1, n + 1):
-            start[i] = sum(hits[i - 1 : i - 1 + w])
-            end[i] = sum(hits[max(0, i - w) : i])
-        return SpanLogits(tuple(start), tuple(end))
+        q_terms = set(terms(question))
+        p_terms = terms(passage_text)
+        n, w = len(p_terms), self.window
+        # hit_count[i] is the number of hits among the first i passage tokens;
+        # window sums of 0/1 values are exact as differences of it.
+        hit_count = np.zeros(n + 1)
+        np.cumsum([t in q_terms for t in p_terms], out=hit_count[1:])
+        i = np.arange(1, n + 1)
+        start = hit_count[np.minimum(i - 1 + w, n)] - hit_count[i - 1]
+        end = hit_count[i] - hit_count[np.maximum(i - w, 0)]
+        return SpanLogits((0.0, *start.tolist()), (0.0, *end.tolist()))
 
 
 class ExternalLogits:
@@ -168,7 +175,7 @@ class ExternalLogits:
         """Check stored logit lengths against passage token counts."""
         for (qid, pid), logits in self._table.items():
             if pid in passage_texts:
-                n = len(tokenize(passage_texts[pid]))
+                n = word_count(passage_texts[pid])
                 if logits.n != n:
                     raise ValueError(
                         f"logits for ({qid!r}, {pid!r}) cover {logits.n} tokens, passage has {n}"

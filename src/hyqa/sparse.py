@@ -5,11 +5,11 @@ Postings of the t-th sorted term are docs[indptr[t]:indptr[t + 1]]
 positions of tf. Search and the container file use these arrays as they
 are; docs and tf take the narrowest unsigned dtype that holds them.
 
-idf uses the non-negative ln(1 + (N - df + 0.5)/(df + 0.5)) form. Query
-tokenization reuses corpus.tokenize so "word" means the same thing at index
-and query time. A query adds up its terms in sorted order, so scores do not
-depend on string hashing. Ties in search results break by ascending
-passage id.
+idf uses the non-negative ln(1 + (N - df + 0.5)/(df + 0.5)) form. Index
+and query terms both come from corpus.terms so "word" means the same thing
+at index and query time. A query adds up its terms in sorted order, so
+scores do not depend on string hashing. Ties in search results break by
+ascending passage id.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -25,10 +26,10 @@ import numpy as np
 
 from . import container
 from .container import ContainerError
-from .corpus import Passage, tokenize
-from .scored import ScoredPassage
+from .corpus import Passage, terms
+from .scored import ScoredPassage, id_ranks, top_k
 
-__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_search"]
+__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_top_k", "sparse_search"]
 
 _ARRAYS = ("doc_lengths", "indptr", "docs", "tf")
 
@@ -64,9 +65,11 @@ class SparseIndex:
         self.tf = tf
         self.N = len(doc_ids)
         self.avg_len = (int(doc_lengths.sum()) / self.N) if self.N else 0.0
-        # Position of each passage in ascending-id order, the search tie-break.
-        self._id_rank = np.empty(self.N, dtype=np.int64)
-        self._id_rank[sorted(range(self.N), key=doc_ids.__getitem__)] = np.arange(self.N)
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each passage's position in ascending-id order; sorted on first search."""
+        return id_ranks(self.doc_ids)
 
     def _term_index(self, term: str) -> int | None:
         i = bisect.bisect_left(self.terms, term)
@@ -134,7 +137,7 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
             raise ValueError(f"duplicate passage id {p.id!r}")
         seen.add(p.id)
         doc_ids.append(p.id)
-        tokens.append([term_ids.setdefault(t.surface, len(term_ids)) for t in tokenize(p.text)])
+        tokens.append([term_ids.setdefault(t, len(term_ids)) for t in terms(p.text)])
     n_docs = len(doc_ids)
     doc_lengths = np.array([len(ids) for ids in tokens], dtype=np.int64)
     surfaces = list(term_ids)
@@ -148,17 +151,18 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
     term_of = keys // n_docs
     indptr = np.zeros(len(surfaces) + 1, dtype=np.int64)
     np.cumsum(np.bincount(term_of, minlength=len(surfaces)), out=indptr[1:])
-    terms = [surfaces[i] for i in order]
-    return SparseIndex(params, doc_ids, terms, doc_lengths, indptr, _narrow(keys - term_of * n_docs), _narrow(tf))
+    sorted_terms = [surfaces[i] for i in order]
+    return SparseIndex(params, doc_ids, sorted_terms, doc_lengths, indptr, _narrow(keys - term_of * n_docs), _narrow(tf))
 
 
-def sparse_search(index: SparseIndex, query_text: str, k: int) -> list[ScoredPassage]:
-    """Top-k passages by BM25, descending score, ties by ascending id."""
+def sparse_top_k(index: SparseIndex, query_text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of sparse_search: the top k matched passage indices and
+    their BM25 scores."""
     if k < 1:
         raise ValueError("k must be >= 1")
     k1, b = index.params.k1, index.params.b
     scores = np.zeros(index.N)
-    for term, mult in sorted(Counter(t.surface for t in tokenize(query_text)).items()):
+    for term, mult in sorted(Counter(terms(query_text)).items()):
         t = index._term_index(term)
         if t is None:
             continue
@@ -168,5 +172,11 @@ def sparse_search(index: SparseIndex, query_text: str, k: int) -> list[ScoredPas
         norm = k1 * (1.0 - b + b * index.doc_lengths[docs] / index.avg_len)
         scores[docs] += mult * index.idf(term) * (tf * (k1 + 1.0) / (tf + norm))
     hits = np.flatnonzero(scores)  # idf > 0 and tf >= 1, so every matched passage scores > 0
-    top = hits[np.lexsort((index._id_rank[hits], -scores[hits]))[:k]]
-    return [ScoredPassage(index.doc_ids[i], s, "sparse") for i, s in zip(top.tolist(), scores[top].tolist())]
+    top = hits[top_k(scores[hits], index.id_rank[hits], k)]
+    return top, scores[top]
+
+
+def sparse_search(index: SparseIndex, query_text: str, k: int) -> list[ScoredPassage]:
+    """Top-k passages by BM25, descending score, ties by ascending id."""
+    top, scores = sparse_top_k(index, query_text, k)
+    return [ScoredPassage(index.doc_ids[i], s, "sparse") for i, s in zip(top.tolist(), scores.tolist())]

@@ -16,7 +16,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Passage, TokenSpan, tokenize
+from .corpus import Passage, TokenSpan, terms, tokenize
 from .encoder import IRTrainInstance
 from .evalkit import _contains_answer
 from .mrc import ScorerConfig, answerability
@@ -176,20 +176,20 @@ def decode_generation_target(passage: Passage, serialized: str):
     parts = serialized.split(SEP_TOKEN)
     if len(parts) != 3:
         raise ValueError(f"expected exactly two separators, got {len(parts) - 1}")
-    head_tokens = [t.surface for t in tokenize(parts[0])]
+    head_tokens = terms(parts[0])
     if len(head_tokens) != 2:
         raise ValueError(f"sentence head must be two tokens, got {len(head_tokens)}")
     first, last = head_tokens
     answer_text = parts[1].strip()
     question = parts[2].strip()
-    answer_tokens = [t.surface for t in tokenize(answer_text)]
+    answer_tokens = terms(answer_text)
     if not answer_tokens or not question:
         raise ValueError("empty answer or question segment")
 
     sentence = None
     for sent in passage.sentence_spans:
-        toks = tokenize(sent.surface)
-        if toks and toks[0].surface == first and toks[-1].surface == last:
+        toks = terms(sent.surface)
+        if toks and toks[0] == first and toks[-1] == last:
             sentence = sent
             break
     if sentence is None:
@@ -444,7 +444,7 @@ def candidate_targets(passage: Passage, rng: np.random.Generator, per_sentence: 
     """
     targets = []
     for sent in passage.sentence_spans:
-        tokens = [t.surface for t in tokenize(sent.surface)]
+        tokens = terms(sent.surface)
         if len(tokens) < 3:
             continue
         for _ in range(per_sentence):

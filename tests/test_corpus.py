@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hyqa.corpus import (
     Document,
@@ -9,6 +11,7 @@ from hyqa.corpus import (
     chunk_retrieval_passages,
     ingest_documents,
     segment_sentences,
+    terms,
     tokenize,
 )
 
@@ -143,3 +146,11 @@ class TestChunking:
         for p in chunk_retrieval_passages(doc, 6):
             for s in p.sentence_spans:
                 assert p.text[s.start : s.end] == s.surface
+
+
+class TestTerms:
+    @given(st.text())
+    @example("\u212a and \u0130 (KELVIN SIGN, DOTTED CAPITAL I) in \u0130stanbul at 5\u212a")
+    @example("")
+    def test_equals_tokenize_surfaces(self, text):
+        assert terms(text) == [t.surface for t in tokenize(text)]

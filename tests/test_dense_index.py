@@ -198,3 +198,59 @@ class TestIVF:
         idx_by_id = {pid: i for i, pid in enumerate(index.ids)}
         for sp in ivf_search(ivf, q, 10):
             assert sp.score == pytest.approx(float(index.matrix[idx_by_id[sp.passage_id]] @ q), abs=0)
+
+
+def per_row_reference(ids, matrix, q, candidates, k):
+    """The per-row `@` scoring and full lexsort that dense search used
+    before it was vectorized, kept as the exact reference."""
+    scores = np.array([matrix[i] @ q for i in candidates])
+    id_arr = np.array(ids)[candidates]
+    order = np.lexsort((id_arr, -scores))
+    return [(str(id_arr[i]), float(scores[i]).hex()) for i in order[:k]]
+
+
+def bits(results):
+    return [(sp.passage_id, sp.score.hex()) for sp in results]
+
+
+def ivf_candidates(ivf, q, n_probe):
+    chosen = np.argsort(-(ivf.centroids @ q), kind="stable")[:n_probe]
+    return np.concatenate([ivf.members[c] for c in chosen])
+
+
+@pytest.fixture
+def shuffled_index():
+    """Ids out of sorted order, and every row repeated under two ids, so
+    score ties are resolved by id."""
+    rng = np.random.default_rng(5)
+    half = rng.normal(size=(150, 24))
+    ids = [f"p{i:04d}" for i in rng.permutation(300)]
+    return build_dense_index(ids, np.vstack([half, half])), rng
+
+
+class TestMatchesPerRowReference:
+    @pytest.mark.parametrize("k", [1, 10, 299, 300, 1000])
+    def test_dense_search(self, shuffled_index, k):
+        index, rng = shuffled_index
+        for q in [np.zeros(24), *rng.normal(size=(10, 24))]:
+            expected = per_row_reference(index.ids, index.matrix, q, np.arange(index.n), k)
+            assert bits(dense_search(index, q, k)) == expected
+
+    @pytest.mark.parametrize("n_probe", [2, 16])
+    @pytest.mark.parametrize("k", [10, 300])
+    def test_ivf_search(self, shuffled_index, n_probe, k):
+        index, rng = shuffled_index
+        ivf = build_ivf_index(index, C=16, n_probe=n_probe, seed=2)
+        for q in [np.zeros(24), *rng.normal(size=(10, 24))]:
+            candidates = ivf_candidates(ivf, q, n_probe)
+            expected = per_row_reference(index.ids, index.matrix, q, candidates, k)
+            assert bits(ivf_search(ivf, q, k)) == expected
+
+    def test_id_order_is_sorted_on_first_search(self, shuffled_index, tmp_path):
+        index, rng = shuffled_index
+        index.save(tmp_path / "d.hyqa")
+        loaded = DenseIndex.load(tmp_path / "d.hyqa")
+        assert "id_rank" not in vars(loaded)
+        q = rng.normal(size=24)
+        assert bits(dense_search(loaded, q, 50)) == bits(dense_search(index, q, 50))
+        assert "id_rank" in vars(loaded)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hyqa.evalkit import GoldSet, match_at_k
@@ -79,6 +80,59 @@ class TestFuse:
 
     def test_both_empty(self):
         assert fuse([], []) == []
+
+
+def dict_fuse_reference(sparse_results, dense_results, config):
+    """fuse as it was before the array kernel: per-passage dicts and a
+    sort on (-score, id); kept as the exact reference."""
+    sparse_results = list(sparse_results)[: config.pool_size]
+    dense_results = list(dense_results)[: config.pool_size]
+    w = config.weight
+
+    def normalized_map(results):
+        if not results:
+            return {}
+        scores = [r.score for r in results]
+        lo, hi = min(scores), max(scores)
+        norms = [0.5] * len(scores) if hi == lo else [(x - lo) / (hi - lo) for x in scores]
+        return {r.passage_id: n for r, n in zip(results, norms)}
+
+    sparse_map = normalized_map(sparse_results)
+    dense_map = normalized_map(dense_results)
+    fused = [
+        (pid, w * sparse_map.get(pid, 0.0) + (1 - w) * dense_map.get(pid, 0.0))
+        for pid in set(sparse_map) | set(dense_map)
+    ]
+    fused.sort(key=lambda t: (-t[1], t[0]))
+    return [(pid, score.hex()) for pid, score in fused]
+
+
+class TestMatchesDictReference:
+    def runs(self, rng, n_sparse, n_dense):
+        ids = [f"p{i:03d}" for i in rng.permutation(60)]
+        sparse_ids = rng.choice(ids, size=n_sparse, replace=False)
+        dense_ids = rng.choice(ids, size=n_dense, replace=False)
+        # Scores from a few levels, so both sides and the fused pool have ties.
+        sparse = sorted((sp(pid, float(rng.integers(1, 6)) * 1.7) for pid in sparse_ids), key=lambda r: -r.score)
+        dense = sorted((sp(pid, float(rng.integers(-3, 3)) / 3.0, "dense") for pid in dense_ids), key=lambda r: -r.score)
+        return sparse, dense
+
+    @pytest.mark.parametrize("pool_size", [1, 7, 2000])
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_random_runs(self, pool_size, weight):
+        rng = np.random.default_rng(int(weight * 10) + pool_size)
+        config = FusionConfig(pool_size=pool_size, weight=weight)
+        for n_sparse, n_dense in [(20, 25), (0, 10), (10, 0), (0, 0), (40, 40), (1, 1)]:
+            sparse, dense = self.runs(rng, n_sparse, n_dense)
+            got = [(r.passage_id, r.score.hex()) for r in fuse(sparse, dense, config)]
+            assert got == dict_fuse_reference(sparse, dense, config)
+
+    def test_constant_side(self):
+        sparse = [sp("c", 2.0), sp("a", 2.0), sp("b", 2.0)]
+        dense = [sp("b", 0.9, "dense"), sp("d", 0.4, "dense")]
+        config = FusionConfig(weight=0.3)
+        got = [(r.passage_id, r.score.hex()) for r in fuse(sparse, dense, config)]
+        assert got == dict_fuse_reference(sparse, dense, config)
 
 
 class TestTuneWeight:

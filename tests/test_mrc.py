@@ -1,6 +1,10 @@
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from hyqa.corpus import tokenize
 from hyqa.mrc import (
     ExternalLogits,
     LexicalScorer,
@@ -91,6 +95,29 @@ class TestBestSpans:
         assert got == brute_force_spans(logits, max_len)
 
 
+def integer_logits(n, values):
+    """Logits with many exact ties: n + 1 small integers per side."""
+    return SpanLogits(start=tuple(float(v) for v in values[: n + 1]), end=tuple(float(v) for v in values[n + 1 :]))
+
+
+logit_sets = st.integers(0, 40).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=2 * n + 2, max_size=2 * n + 2).map(
+        lambda values: integer_logits(n, values)
+    )
+)
+
+
+class TestBestSpansProperties:
+    @given(logit_sets, st.sampled_from([1, 10]), st.sampled_from([1, 3, 30, 60]))
+    @example(integer_logits(0, [0, 0]), 1, 30)
+    @example(integer_logits(0, [0, 0]), 10, 30)
+    @example(integer_logits(3, [0] * 8), 10, 60)
+    def test_matches_brute_force(self, logits, top_n, max_len):
+        expected = brute_force_spans(logits, max_len)[:top_n]
+        got = best_spans(logits, ScorerConfig(max_answer_len=max_len, top_n=top_n))
+        assert [(sp.s, sp.e, sp.score.hex()) for sp in got] == [(s, e, score.hex()) for s, e, score in expected]
+
+
 class TestAnswerability:
     def test_fixture(self):
         assert answerability(FIXTURE, ScorerConfig(max_answer_len=2)) == pytest.approx(4.3)
@@ -145,6 +172,32 @@ class TestLexicalScorer:
         a = scorer.logits("why do masks work", "p", "masks work by blocking droplets")
         b = scorer.logits("why do masks work", "p", "masks work by blocking droplets")
         assert a == b
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 40])
+    def test_equals_window_sum_loop_reference(self, window):
+        rng = np.random.default_rng(window)
+        vocab = [f"w{i}" for i in range(12)] + ["W1", "w2,", "(w3)"]
+        for _ in range(60):
+            question = " ".join(rng.choice(vocab, size=rng.integers(0, 6)))
+            text = " ".join(rng.choice(vocab, size=rng.integers(0, 50)))
+            got = LexicalScorer(window).logits(question, "p", text)
+            expected = window_sum_reference(question, text, window)
+            assert [v.hex() for v in got.start] == [v.hex() for v in expected.start]
+            assert [v.hex() for v in got.end] == [v.hex() for v in expected.end]
+
+
+def window_sum_reference(question, passage_text, w):
+    """LexicalScorer.logits as it was before the prefix-sum form: one
+    Python sum per window; kept as the exact reference."""
+    q_tokens = {t.surface for t in tokenize(question)}
+    hits = [1.0 if t.surface in q_tokens else 0.0 for t in tokenize(passage_text)]
+    n = len(hits)
+    start = [0.0] * (n + 1)
+    end = [0.0] * (n + 1)
+    for i in range(1, n + 1):
+        start[i] = sum(hits[i - 1 : i - 1 + w])
+        end[i] = sum(hits[max(0, i - w) : i])
+    return SpanLogits(tuple(start), tuple(end))
 
 
 class TestExternalLogits:

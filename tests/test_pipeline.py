@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hyqa.corpus import Document
@@ -224,3 +226,60 @@ class TestRunAdaptation:
         assert "otter" in texts[top.passage_id]
         assert len(dense("what does the otter eat", 3)) == 3
         assert len(hybrid("what does the otter eat", 3)) == 3
+
+
+class TestHybridRetriever:
+    """make_hybrid_retriever against the list path it replaces:
+    fuse(sparse_search(pool), dense_search(pool))[:k]."""
+
+    def indexes(self):
+        from hyqa.corpus import chunk_retrieval_passages
+        from hyqa.dense_index import build_dense_index
+        from hyqa.encoder import DualEncoder, encode_passage
+        from hyqa.sparse import build_sparse_index
+
+        rng = np.random.default_rng(4)
+        vocab = [f"w{i}" for i in range(25)]
+        passages = [
+            chunk_retrieval_passages(Document(id=f"d{i:02d}", title="", body=" ".join(rng.choice(vocab, size=8))))[0]
+            for i in range(40)
+        ]
+        encoder = DualEncoder.from_texts([p.text for p in passages], d=8, seed=0)
+        # The two indexes share 25 passages, listed in different orders, and
+        # each has passages the other lacks; text repeats make score ties.
+        sparse_passages = passages[:30] + passages[:2]
+        sparse_passages = [replace(p, id=f"x{i}") if i >= 30 else p for i, p in enumerate(sparse_passages)]
+        dense_passages = [passages[i] for i in rng.permutation(range(5, 40))]
+        sparse = build_sparse_index(sparse_passages)
+        dense = build_dense_index([p.id for p in dense_passages], np.stack([encode_passage(encoder, p.text) for p in dense_passages]))
+        return sparse, dense, encoder, vocab, rng
+
+    @pytest.mark.parametrize("pool_size", [3, 12, 2000])
+    def test_equals_fused_lists(self, pool_size):
+        from hyqa.dense_index import dense_search
+        from hyqa.encoder import encode_query
+        from hyqa.fusion import FusionConfig, fuse
+        from hyqa.sparse import sparse_search
+
+        sparse, dense, encoder, vocab, rng = self.indexes()
+        config = FusionConfig(pool_size=pool_size, weight=0.6)
+        retrieve = make_hybrid_retriever(sparse, dense, encoder, config)
+        for _ in range(20):
+            question = " ".join(rng.choice(vocab + ["oov"], size=rng.integers(1, 5)))
+            expected = fuse(
+                sparse_search(sparse, question, pool_size),
+                dense_search(dense, encode_query(encoder, question), pool_size),
+                config,
+            )
+            for k in (1, 5, 100):
+                got = retrieve(question, k)
+                assert [(r.passage_id, r.score.hex(), r.provenance) for r in got] == [
+                    (r.passage_id, r.score.hex(), r.provenance) for r in expected[:k]
+                ]
+
+    def test_k_below_one_errors(self):
+        from hyqa.fusion import FusionConfig
+
+        sparse, dense, encoder, _, _ = self.indexes()
+        with pytest.raises(ValueError):
+            make_hybrid_retriever(sparse, dense, encoder, FusionConfig())("w1", 0)

@@ -179,6 +179,21 @@ class TestSearch:
         results = sparse_search(index, "same", 2)
         assert [sp.passage_id for sp in results] == ["a", "b"]
 
+    def test_reloaded_index_searches_identically(self, tmp_path):
+        rng = np.random.default_rng(11)
+        vocab = [f"w{i}" for i in range(30)]
+        texts = [" ".join(rng.choice(vocab, size=rng.integers(3, 12))) for _ in range(30)]
+        # Ids out of sorted order, and every text twice, so ties need the id order.
+        ids = [f"p{i:02d}" for i in rng.permutation(60)]
+        index = build_sparse_index([passage(pid, text) for pid, text in zip(ids, texts + texts)])
+        index.save(tmp_path / "s.hyqa")
+        loaded = SparseIndex.load(tmp_path / "s.hyqa")
+        assert "id_rank" not in vars(loaded)  # sorted on first search, not on load
+        for query in ["w1 w2 w3", "w10 w10 w20", "w29", "oov"]:
+            for k in (1, 7, 60):
+                got = [(sp.passage_id, sp.score.hex()) for sp in sparse_search(loaded, query, k)]
+                assert got == [(sp.passage_id, sp.score.hex()) for sp in sparse_search(index, query, k)]
+
 
 def test_default_params_match_expected():
     params = BM25Params()
