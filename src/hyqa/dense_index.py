@@ -69,12 +69,16 @@ def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
     return DenseIndex(list(ids), matrix)
 
 
-def _rank(index: DenseIndex, q: np.ndarray, candidates, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and scores of the top k of `candidates` (a row array or slice),
-    score desc, ties by ascending passage id."""
-    scores = np.vecdot(index.matrix[candidates], q)
-    top = top_k(scores, index.id_rank[candidates], k)
-    return np.arange(index.n)[candidates][top], scores[top]
+def _rank(index: DenseIndex, q: np.ndarray, candidates: np.ndarray | None, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and scores of the top k of the `candidates` rows (every row if
+    None), score desc, ties by ascending passage id."""
+    if candidates is None:
+        matrix, id_rank = index.matrix, index.id_rank
+    else:
+        matrix, id_rank = index.matrix[candidates], index.id_rank[candidates]
+    scores = np.vecdot(matrix, q)
+    top = top_k(scores, id_rank, k)
+    return (top if candidates is None else candidates[top]), scores[top]
 
 
 def _query(index: DenseIndex, q_emb: np.ndarray, k: int) -> np.ndarray:
@@ -95,7 +99,7 @@ def dense_top_k(index: DenseIndex, q_emb: np.ndarray, k: int) -> tuple[np.ndarra
     q = _query(index, q_emb, k)
     if index.n == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0)
-    return _rank(index, q, slice(None), k)
+    return _rank(index, q, None, k)
 
 
 def dense_search(index: DenseIndex, q_emb: np.ndarray, k: int) -> list[ScoredPassage]:

@@ -16,7 +16,7 @@ import numpy as np
 from .evalkit import GoldSet, match_at_k
 from .scored import ScoredPassage, id_ranks, top_k
 
-__all__ = ["FusionConfig", "minmax_normalize", "fuse_top_k", "fuse", "tune_weight"]
+__all__ = ["FusionConfig", "minmax_normalize", "shared_rows", "fuse_top_k", "fuse", "tune_weight"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,16 @@ def minmax_normalize(scores: Sequence[float]) -> list[float]:
     if len(scores) == 0:
         raise ValueError("cannot normalize an empty score list")
     return _minmax(np.asarray(scores, dtype=np.float64)).tolist()
+
+
+def shared_rows(*id_lists: Sequence[str]) -> tuple[list[np.ndarray], list[str], np.ndarray]:
+    """One row space over several id lists, ids numbered in first-seen
+    order: each list's rows in it, the ids by row, and their id ranks, as
+    fuse_top_k takes them."""
+    row_of: dict[str, int] = {}
+    rows = [np.array([row_of.setdefault(pid, len(row_of)) for pid in ids], dtype=np.intp) for ids in id_lists]
+    ids = list(row_of)
+    return rows, ids, id_ranks(ids)
 
 
 def _scatter(n: int, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -77,11 +87,9 @@ def fuse(
     """The whole union pool of the two lists' first pool_size results, by
     descending fused score, ties by ascending passage id."""
     sides = [list(sparse_results)[: config.pool_size], list(dense_results)[: config.pool_size]]
-    row_of: dict[str, int] = {}
-    rows = [np.array([row_of.setdefault(r.passage_id, len(row_of)) for r in side], dtype=np.intp) for side in sides]
-    scores = [np.array([r.score for r in side], dtype=np.float64) for side in sides]
-    ids = list(row_of)
-    top, fused = fuse_top_k(rows[0], scores[0], rows[1], scores[1], config.weight, id_ranks(ids), len(ids))
+    (sparse_rows, dense_rows), ids, id_rank = shared_rows(*([r.passage_id for r in side] for side in sides))
+    sparse_scores, dense_scores = (np.array([r.score for r in side], dtype=np.float64) for side in sides)
+    top, fused = fuse_top_k(sparse_rows, sparse_scores, dense_rows, dense_scores, config.weight, id_rank, len(ids))
     return [ScoredPassage(ids[i], s, "fused") for i, s in zip(top.tolist(), fused.tolist())]
 
 

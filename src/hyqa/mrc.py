@@ -89,11 +89,8 @@ def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> lis
     # (s asc, e asc), the tie order.
     padded = np.concatenate([end[1:], np.full(width - 1, -np.inf)])
     band = (start[1:, None] + sliding_window_view(padded, width) - start[0] - end[0]).ravel()
-    if config.top_n == 1:
-        flat = [int(band.argmax())]
-    else:
-        n_spans = n * width - width * (width - 1) // 2
-        flat = top_k(band, np.arange(band.size), min(config.top_n, n_spans)).tolist()
+    n_spans = n * width - width * (width - 1) // 2
+    flat = top_k(band, np.arange(band.size), min(config.top_n, n_spans)).tolist()
     return [SpanScore(f // width + 1, f // width + 1 + f % width, float(band[f])) for f in flat]
 
 

@@ -36,9 +36,9 @@ from .corpus import (
 from .dense_index import DenseIndex, build_dense_index, dense_search, dense_top_k
 from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, match_at_k, top_n_f1
-from .fusion import FusionConfig, fuse_top_k, minmax_normalize
+from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
 from .mrc import LexicalScorer, ScorerConfig, SpanScore, best_spans, extract_answer
-from .scored import ScoredPassage, id_ranks
+from .scored import ScoredPassage
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search, sparse_top_k
 from .syngen import (
     FilterConfig,
@@ -196,10 +196,7 @@ def make_hybrid_retriever(
     """fuse(sparse_search(...), dense_search(...), fusion_config)[:k] at
     pool_size, computed on arrays: passages are rows of one id space, the
     sparse index's passages and then the ids only the dense index has."""
-    row_of = {pid: i for i, pid in enumerate(sparse_index.doc_ids)}
-    dense_to_row = np.array([row_of.setdefault(pid, len(row_of)) for pid in dense_index.ids], dtype=np.intp)
-    ids = list(row_of)
-    id_rank = id_ranks(ids)
+    (sparse_to_row, dense_to_row), ids, id_rank = shared_rows(sparse_index.doc_ids, dense_index.ids)
     pool, w = fusion_config.pool_size, fusion_config.weight
 
     def retrieve(question: str, k: int) -> list[ScoredPassage]:
@@ -207,7 +204,9 @@ def make_hybrid_retriever(
             raise ValueError("k must be >= 1")
         sparse_rows, sparse_scores = sparse_top_k(sparse_index, question, pool)
         dense_rows, dense_scores = dense_top_k(dense_index, encode_query(encoder, question), pool)
-        top, scores = fuse_top_k(sparse_rows, sparse_scores, dense_to_row[dense_rows], dense_scores, w, id_rank, k)
+        top, scores = fuse_top_k(
+            sparse_to_row[sparse_rows], sparse_scores, dense_to_row[dense_rows], dense_scores, w, id_rank, k
+        )
         return [ScoredPassage(ids[i], s, "fused") for i, s in zip(top.tolist(), scores.tolist())]
 
     return retrieve

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyqa.evalkit import GoldSet, match_at_k
-from hyqa.fusion import FusionConfig, fuse, minmax_normalize, tune_weight
+from hyqa.fusion import FusionConfig, fuse, minmax_normalize, shared_rows, tune_weight
 from hyqa.scored import ScoredPassage
 
 
@@ -133,6 +133,19 @@ class TestMatchesDictReference:
         config = FusionConfig(weight=0.3)
         got = [(r.passage_id, r.score.hex()) for r in fuse(sparse, dense, config)]
         assert got == dict_fuse_reference(sparse, dense, config)
+
+
+class TestSharedRows:
+    def test_first_seen_rows_and_id_ranks(self):
+        (a, b), ids, id_rank = shared_rows(["c", "a"], ["b", "c", "d"])
+        assert ids == ["c", "a", "b", "d"]
+        assert a.tolist() == [0, 1] and b.tolist() == [2, 0, 3]
+        assert id_rank.tolist() == [2, 0, 1, 3]
+
+    def test_empty_lists(self):
+        (a, b), ids, id_rank = shared_rows([], [])
+        assert a.dtype == b.dtype == np.intp and len(a) == len(b) == 0
+        assert ids == [] and len(id_rank) == 0
 
 
 class TestTuneWeight:
