@@ -72,7 +72,9 @@ def _out_path(args, name: str) -> Path:
     return out / name
 
 
-def _scorer(args, golds=None):
+def _scorer(args, passages: dict[str, str], golds=None):
+    """--logits looked up by question id, checked against the passages'
+    token counts, or the lexical baseline."""
     if getattr(args, "logits", None):
         external = ExternalLogits.load(_read_lines(args.logits))
         qid_by_question: dict[str, str] = {}
@@ -83,6 +85,7 @@ def _scorer(args, golds=None):
                     f"gold queries {other!r} and {g.query_id!r} share the question {g.question!r}, "
                     "so --logits cannot tell their logits apart"
                 )
+        external.validate_against(passages)
 
         class _Keyed:
             def logits(self, question, passage_id, passage_text):
@@ -200,7 +203,7 @@ def cmd_generate(args):
 def cmd_filter(args):
     passages = {p.id: p.text for p in _load_passages(args.passages)}
     examples = _load_jsonl(args.examples, example_from_record)
-    result = roundtrip_filter(examples, _scorer(args), FilterConfig(threshold=args.threshold), passages)
+    result = roundtrip_filter(examples, _scorer(args, passages), FilterConfig(threshold=args.threshold), passages)
     path = _out_path(args, "synthetic_filtered.jsonl")
     write_jsonl(path, filtered_records(examples, result))
     print(f"kept {len(result.kept)}/{len(examples)} at t={args.threshold} ({result.missing} missing logits) -> {path}")
@@ -238,7 +241,7 @@ def cmd_answer(args):
         scorer=ScorerConfig(max_answer_len=args.max_answer_len, top_n=1),
         normalization=args.normalization,
     )
-    candidates = answer_question(args.question, retriever, _scorer(args), passages, config)
+    candidates = answer_question(args.question, retriever, _scorer(args, passages), passages, config)
     for c in candidates[: args.top]:
         print(
             json.dumps(
@@ -259,7 +262,7 @@ def cmd_evaluate(args):
     golds = load_gold_jsonl(_read_lines(args.golds))
     retriever = _retriever(args)
     config = PipelineConfig(K=args.K, ir_weight=args.ir_weight)
-    report = evaluate_run(golds, retriever, _scorer(args, golds), passages, config)
+    report = evaluate_run(golds, retriever, _scorer(args, passages, golds), passages, config)
     path = _out_path(args, "report.json")
     with open(path, "w") as f:
         f.write(report.to_json() + "\n")

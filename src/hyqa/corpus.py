@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "Document",
@@ -21,6 +22,8 @@ __all__ = [
     "segment_sentences",
     "tokenize",
     "terms",
+    "word_count",
+    "token_range_text",
     "chunk_retrieval_passages",
     "chunk_generation_passages",
 ]
@@ -172,7 +175,20 @@ def terms(text: str) -> list[str]:
 
 
 def word_count(text: str) -> int:
-    return sum(1 for _ in _TOKEN_RE.finditer(text))
+    return len(_TOKEN_RE.findall(text))
+
+
+def token_range_text(text: str, first: int, last: int, count: int) -> Optional[str]:
+    """The text from the start of token `first` to the end of token `last`
+    (1-based, inclusive), as extract_answer cuts it from tokenize(text).
+
+    One finditer pass over tokens `first`..`count` builds no TokenSpan;
+    None when the text has fewer than `count` tokens.
+    """
+    tokens = list(islice(_TOKEN_RE.finditer(text), first - 1, count))
+    if len(tokens) <= count - first:
+        return None
+    return text[tokens[0].start() : tokens[last - first].end()]
 
 
 def _rebase_sentences(passage_text: str) -> tuple[TokenSpan, ...]:

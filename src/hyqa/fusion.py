@@ -69,11 +69,15 @@ def fuse_top_k(sparse_rows: np.ndarray, sparse_scores: np.ndarray, dense_rows: n
     scores.
 
     Rows index one id space shared by both sides, whose ascending-id
-    positions are `id_rank`.
+    positions are `id_rank`. The pool is the ascending union of both sides'
+    rows, marked in one mask over that space.
     """
     sparse = _scatter(len(id_rank), sparse_rows, sparse_scores)
     dense = _scatter(len(id_rank), dense_rows, dense_scores)
-    pool = np.union1d(sparse_rows, dense_rows)
+    in_pool = np.zeros(len(id_rank), dtype=bool)
+    in_pool[sparse_rows] = True
+    in_pool[dense_rows] = True
+    pool = np.flatnonzero(in_pool)
     scores = weight * sparse[pool] + (1 - weight) * dense[pool]
     top = top_k(scores, id_rank[pool], k)
     return pool[top], scores[top]

@@ -1,23 +1,23 @@
 """Extractive span scoring and answerability.
 
 A span (s, e) over passage tokens (1-based; index 0 is the null/CLS slot)
-scores start[s] + end[e] - start[0] - end[0]. The best-span enumerator and
-the answerability score build directly on that. Logit sources are pluggable:
-a deterministic lexical-overlap baseline and a loader for precomputed logits
+scores start[s] + end[e] - start[0] - end[0]. The best-span enumerator,
+the answerability score and the K-passage reader share one band of those
+scores over stacked logit rows. Logit sources are pluggable: a
+deterministic lexical-overlap baseline and a loader for precomputed logits
 produced offline by an external model.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import terms, tokenize, word_count
+from .corpus import terms, token_range_text, word_count
 from .scored import top_k
 
 __all__ = [
@@ -25,26 +25,41 @@ __all__ = [
     "SpanScore",
     "ScorerConfig",
     "span_score",
+    "span_band",
     "best_spans",
+    "best_span_each",
     "answerability",
     "LexicalScorer",
     "ExternalLogits",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanLogits:
-    start: tuple[float, ...]  # length n+1, index 0 = CLS
-    end: tuple[float, ...]
+    """Start and end logits of length n+1; index 0 is CLS. Both are stored
+    as read-only float64 rows of one (2, n+1) array."""
+
+    start: np.ndarray
+    end: np.ndarray
 
     def __post_init__(self):
         if len(self.start) != len(self.end):
             raise ValueError("start and end logit arrays must have equal length")
-        if len(self.start) < 1:
+        rows = np.array((self.start, self.end), dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError("logits must be flat lists of numbers")
+        if rows.shape[1] < 1:
             raise ValueError("logit arrays must include the CLS slot")
-        for v in self.start + self.end:
-            if not math.isfinite(v):
-                raise ValueError("logits must be finite")
+        if np.count_nonzero(np.isfinite(rows)) != rows.size:
+            raise ValueError("logits must be finite")
+        rows.flags.writeable = False
+        object.__setattr__(self, "start", rows[0])
+        object.__setattr__(self, "end", rows[1])
+
+    def __eq__(self, other):
+        if not isinstance(other, SpanLogits):
+            return NotImplemented
+        return np.array_equal(self.start, other.start) and np.array_equal(self.end, other.end)
 
     @property
     def n(self) -> int:
@@ -73,7 +88,33 @@ class ScorerConfig:
 def span_score(logits: SpanLogits, s: int, e: int) -> float:
     if not (1 <= s <= e <= logits.n):
         raise IndexError(f"span ({s}, {e}) out of range for n={logits.n}")
-    return logits.start[s] + logits.end[e] - logits.start[0] - logits.end[0]
+    return float(logits.start[s] + logits.end[e] - logits.start[0] - logits.end[0])
+
+
+def span_band(rows: Sequence[SpanLogits], max_answer_len: int) -> np.ndarray:
+    """Every span score of every row, stacked: band[k, s - 1, j] scores the
+    span (s, s + j) of rows[k], for s up to the longest row's n and j below
+    width = min(max_answer_len, that n).
+
+    Spans that run past their own row's n score -inf, so in each row the
+    row-major order of the cells is the (s asc, e asc) tie order and the
+    first maximum is the best span. The band holds K * n_max * width
+    float64 values.
+    """
+    n = np.array([logits.n for logits in rows])
+    n_max = int(n.max())
+    width = min(max_answer_len, n_max)
+    # Each row's logits fill its first n + 1 columns; end is -inf past a
+    # row's n, so every cell of a span past its row's end is -inf.
+    filled = np.arange(n_max + width) <= n[:, None]
+    start = np.zeros((len(rows), n_max + 1))
+    start[filled[:, : n_max + 1]] = np.concatenate([logits.start for logits in rows])
+    end = np.full((len(rows), n_max + width), -np.inf)
+    end[filled] = np.concatenate([logits.end for logits in rows])
+    band = start[:, 1:, None] + sliding_window_view(end[:, 1:], width, axis=1)
+    band -= start[:, :1, None]
+    band -= end[:, :1, None]
+    return band
 
 
 def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> list[SpanScore]:
@@ -82,22 +123,30 @@ def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> lis
     n = logits.n
     if n == 0:
         return []
-    width = min(config.max_answer_len, n)
-    start, end = np.asarray(logits.start), np.asarray(logits.end)
-    # band[s - 1, j] scores the span (s, s + j); the -inf padding stands for
-    # the spans that would run past the passage end. Row-major order is
-    # (s asc, e asc), the tie order.
-    padded = np.concatenate([end[1:], np.full(width - 1, -np.inf)])
-    band = (start[1:, None] + sliding_window_view(padded, width) - start[0] - end[0]).ravel()
+    band = span_band([logits], config.max_answer_len)[0]
+    width = band.shape[1]
+    scores = band.ravel()
     n_spans = n * width - width * (width - 1) // 2
-    flat = top_k(band, np.arange(band.size), min(config.top_n, n_spans)).tolist()
-    return [SpanScore(f // width + 1, f // width + 1 + f % width, float(band[f])) for f in flat]
+    flat = top_k(scores, np.arange(scores.size), min(config.top_n, n_spans)).tolist()
+    return [SpanScore(f // width + 1, f // width + 1 + f % width, float(scores[f])) for f in flat]
+
+
+def best_span_each(rows: Sequence[SpanLogits], max_answer_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best span of each row, as best_spans(top_n=1) picks it: arrays of
+    s, e and score by row, read from one stacked band. Every row needs n >= 1."""
+    band = span_band(rows, max_answer_len)
+    width = band.shape[2]
+    flat = band.reshape(len(rows), -1)
+    best = flat.argmax(axis=1)
+    s = best // width + 1
+    return s, s + best % width, flat[np.arange(len(rows)), best]
 
 
 def answerability(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> float:
     """Highest span score over all candidates; -inf for an empty passage."""
-    spans = best_spans(logits, replace(config, top_n=1))
-    return spans[0].score if spans else float("-inf")
+    if logits.n == 0:
+        return float("-inf")
+    return float(span_band([logits], config.max_answer_len).max())
 
 
 class LexicalScorer:
@@ -117,14 +166,17 @@ class LexicalScorer:
         q_terms = set(terms(question))
         p_terms = terms(passage_text)
         n, w = len(p_terms), self.window
-        # hit_count[i] is the number of hits among the first i passage tokens;
-        # window sums of 0/1 values are exact as differences of it.
-        hit_count = np.zeros(n + 1)
-        np.cumsum([t in q_terms for t in p_terms], out=hit_count[1:])
-        i = np.arange(1, n + 1)
-        start = hit_count[np.minimum(i - 1 + w, n)] - hit_count[i - 1]
-        end = hit_count[i] - hit_count[np.maximum(i - w, 0)]
-        return SpanLogits((0.0, *start.tolist()), (0.0, *end.tolist()))
+        # counts[w + i] is the number of hits among the first i passage
+        # tokens: 0 before the passage, the total after it. Window sums of
+        # 0/1 values are exact as differences of it.
+        hits = np.fromiter(map(q_terms.__contains__, p_terms), dtype=np.float64, count=n)
+        counts = np.zeros(n + 2 * w + 1)
+        np.cumsum(hits, out=counts[w + 1 : w + n + 1])
+        counts[w + n + 1 :] = counts[w + n]
+        rows = np.zeros((2, n + 1))
+        np.subtract(counts[2 * w : 2 * w + n], counts[w : w + n], out=rows[0, 1:])  # hits in [i, i+w-1]
+        np.subtract(counts[w + 1 : w + n + 1], counts[1 : n + 1], out=rows[1, 1:])  # hits in [i-w+1, i]
+        return SpanLogits(rows[0], rows[1])
 
 
 class ExternalLogits:
@@ -146,7 +198,7 @@ class ExternalLogits:
                 continue
             try:
                 rec = json.loads(line)
-                logits = SpanLogits(tuple(rec["start"]), tuple(rec["end"]))
+                logits = SpanLogits(rec["start"], rec["end"])
                 key = (rec["question_id"], rec["passage_id"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"malformed logits record {i}: {e}") from e
@@ -159,8 +211,8 @@ class ExternalLogits:
             {
                 "question_id": question_id,
                 "passage_id": passage_id,
-                "start": list(logits.start),
-                "end": list(logits.end),
+                "start": logits.start.tolist(),
+                "end": logits.end.tolist(),
             },
             sort_keys=True,
         )
@@ -181,7 +233,7 @@ class ExternalLogits:
 
 def extract_answer(passage_text: str, span: SpanScore) -> str:
     """Character-level answer text for a token span (1-based indices)."""
-    tokens = tokenize(passage_text)
-    first = tokens[span.s - 1]
-    last = tokens[span.e - 1]
-    return passage_text[first.start : last.end]
+    answer = token_range_text(passage_text, span.s, span.e, span.e)
+    if answer is None:
+        raise IndexError(f"span ({span.s}, {span.e}) runs past the passage's {word_count(passage_text)} tokens")
+    return answer

@@ -32,12 +32,13 @@ from .corpus import (
     chunk_generation_passages,
     chunk_retrieval_passages,
     passage_to_record,
+    token_range_text,
 )
 from .dense_index import DenseIndex, build_dense_index, dense_search, dense_top_k
 from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, match_at_k, top_n_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
-from .mrc import LexicalScorer, ScorerConfig, SpanScore, best_spans, extract_answer
+from .mrc import LexicalScorer, ScorerConfig, SpanLogits, SpanScore, best_span_each
 from .scored import ScoredPassage
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search, sparse_top_k
 from .syngen import (
@@ -116,20 +117,30 @@ def answer_question(
 ) -> list[AnswerCandidate]:
     """Retrieve top-K passages, take each passage's best span and score,
     normalize IR and span scores over the candidate pool, and rank by their
-    convex combination (ties by ascending passage id)."""
-    retrieved = retriever(question, config.K)
-    raw: list[tuple[ScoredPassage, SpanScore, str]] = []
-    for sp in retrieved:
-        text = passage_texts[sp.passage_id]
-        logits = scorer.logits(question, sp.passage_id, text)
-        if logits is None or logits.n == 0:
-            continue
-        spans = best_spans(logits, ScorerConfig(max_answer_len=config.scorer.max_answer_len, top_n=1))
-        if not spans:
-            continue
-        raw.append((sp, spans[0], extract_answer(text, spans[0])))
-    if not raw:
+    convex combination (ties by ascending passage id).
+
+    The K passages are read as one array: their logit rows are stacked into
+    one span band (mrc.span_band) of K * n_max * min(max_answer_len, n_max)
+    float64 values, each row's best span is its first maximum in (s asc,
+    e asc) order, and each answer is cut from its passage's token offsets.
+    A logit row longer than its passage's token count is a ValueError.
+    """
+    read: list[tuple[ScoredPassage, SpanLogits]] = []
+    for sp in retriever(question, config.K):
+        logits = scorer.logits(question, sp.passage_id, passage_texts[sp.passage_id])
+        if logits is not None and logits.n > 0:
+            read.append((sp, logits))
+    if not read:
         return []
+    starts, ends, span_scores = best_span_each([logits for _, logits in read], config.scorer.max_answer_len)
+    raw: list[tuple[ScoredPassage, SpanScore, str]] = []
+    for (sp, logits), s, e, score in zip(read, starts.tolist(), ends.tolist(), span_scores.tolist()):
+        answer = token_range_text(passage_texts[sp.passage_id], s, e, logits.n)
+        if answer is None:
+            raise ValueError(
+                f"logits for passage {sp.passage_id!r} cover {logits.n} tokens, more than the passage has"
+            )
+        raw.append((sp, SpanScore(s, e, score), answer))
     ir_norm = _normalize([sp.score for sp, _, _ in raw], config.normalization)
     mrc_norm = _normalize([span.score for _, span, _ in raw], config.normalization)
     w = config.ir_weight

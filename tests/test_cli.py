@@ -315,6 +315,27 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not (tmp_path / "eval" / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "answer"])
+    @pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+    def test_logits_token_count_mismatch_is_one_line_error(self, workspace, tmp_path, capsys, command, extra):
+        _, out = workspace
+        passages = [json.loads(line) for line in (out / "passages_retrieval.jsonl").read_text().splitlines()]
+        pid, n = passages[1]["id"], passages[1]["word_count"]
+        golds = tmp_path / "golds.jsonl"
+        golds.write_text(json.dumps({"id": "q1", "question": "what does the otter eat", "answers": ["shellfish"]}) + "\n")
+        logits = tmp_path / "logits.jsonl"
+        row = [0.0] * (n + 1 + extra)
+        logits.write_text(json.dumps({"question_id": "q1", "passage_id": pid, "start": row, "end": row}) + "\n")
+        args = ["--sparse", out / "sparse.hyqa", "--passages", out / "passages_retrieval.jsonl", "--logits", logits]
+        if command == "evaluate":
+            args += ["--golds", golds]
+        else:
+            args += ["--question", "q1"]
+        assert run(["--output-dir", tmp_path / "eval", command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error [{command}]: logits for ('q1', '{pid}') cover {n + extra} tokens, passage has {n}\n"
+        assert not (tmp_path / "eval" / "report.json").exists()
+
     def test_index_dense_on_empty_passages(self, tmp_path, capsys):
         from hyqa.dense_index import DenseIndex
         from hyqa.encoder import DualEncoder

@@ -12,7 +12,9 @@ from hyqa.corpus import (
     ingest_documents,
     segment_sentences,
     terms,
+    token_range_text,
     tokenize,
+    word_count,
 )
 
 
@@ -154,3 +156,25 @@ class TestTerms:
     @example("")
     def test_equals_tokenize_surfaces(self, text):
         assert terms(text) == [t.surface for t in tokenize(text)]
+
+
+class TestWordCount:
+    @given(st.text())
+    @example("\u212a and \u0130 (KELVIN SIGN, DOTTED CAPITAL I) in \u0130stanbul at 5\u212a")
+    @example("")
+    def test_equals_token_and_term_counts(self, text):
+        assert word_count(text) == len(tokenize(text)) == len(terms(text))
+
+
+class TestTokenRangeText:
+    @given(st.text(alphabet="ab1 ,.-(\u212a\u0130"), st.data())
+    def test_equals_tokenize_cut(self, text, data):
+        tokens = tokenize(text)
+        count = data.draw(st.integers(1, len(tokens) + 2))
+        first = data.draw(st.integers(1, count))
+        last = data.draw(st.integers(first, count))
+        got = token_range_text(text, first, last, count)
+        if count > len(tokens):
+            assert got is None
+        else:
+            assert got == text[tokens[first - 1].start : tokens[last - 1].end]

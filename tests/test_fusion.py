@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hyqa.evalkit import GoldSet, match_at_k
-from hyqa.fusion import FusionConfig, fuse, minmax_normalize, shared_rows, tune_weight
-from hyqa.scored import ScoredPassage
+from hyqa.fusion import FusionConfig, fuse, fuse_top_k, minmax_normalize, shared_rows, tune_weight
+from hyqa.scored import ScoredPassage, top_k
 
 
 def sp(pid, score, provenance="sparse"):
@@ -133,6 +133,46 @@ class TestMatchesDictReference:
         config = FusionConfig(weight=0.3)
         got = [(r.passage_id, r.score.hex()) for r in fuse(sparse, dense, config)]
         assert got == dict_fuse_reference(sparse, dense, config)
+
+
+def union1d_fuse_reference(sparse_rows, sparse_scores, dense_rows, dense_scores, weight, id_rank, k):
+    """fuse_top_k with its pool taken by np.union1d, as before the mask
+    pool; kept as the exact reference."""
+
+    def scatter(rows, scores):
+        out = np.zeros(len(id_rank))
+        if len(rows):
+            out[rows] = minmax_normalize(scores)
+        return out
+
+    sparse, dense = scatter(sparse_rows, sparse_scores), scatter(dense_rows, dense_scores)
+    pool = np.union1d(sparse_rows, dense_rows)
+    scores = weight * sparse[pool] + (1 - weight) * dense[pool]
+    top = top_k(scores, id_rank[pool], k)
+    return pool[top], scores[top]
+
+
+class TestFuseTopKPool:
+    @pytest.mark.parametrize(
+        "sparse_rows,dense_rows",
+        [([4, 0, 7, 2], [2, 9, 4, 5, 1]), ([], [3, 1, 8]), ([6, 2], []), ([], [])],
+        ids=["overlapping", "sparse-empty", "dense-empty", "both-empty"],
+    )
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_matches_union1d_pool(self, sparse_rows, dense_rows, k):
+        rng = np.random.default_rng(len(sparse_rows) * 7 + len(dense_rows))
+        id_rank = rng.permutation(12)
+        sparse_rows, dense_rows = np.array(sparse_rows, dtype=np.intp), np.array(dense_rows, dtype=np.intp)
+        # Few score levels, so fused scores tie and id ranks decide.
+        sparse_scores = rng.integers(0, 3, len(sparse_rows)).astype(np.float64)
+        dense_scores = rng.integers(0, 3, len(dense_rows)) / 3.0
+        args = (sparse_rows, sparse_scores, dense_rows, dense_scores, 0.4, id_rank, k)
+        rows, scores = fuse_top_k(*args)
+        ref_rows, ref_scores = union1d_fuse_reference(*args)
+        assert rows.tolist() == ref_rows.tolist()
+        assert [v.hex() for v in scores.tolist()] == [v.hex() for v in ref_scores.tolist()]
+        if k >= 12:
+            assert sorted(rows.tolist()) == np.union1d(sparse_rows, dense_rows).tolist()
 
 
 class TestSharedRows:

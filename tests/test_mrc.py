@@ -11,8 +11,10 @@ from hyqa.mrc import (
     ScorerConfig,
     SpanLogits,
     answerability,
+    best_span_each,
     best_spans,
     extract_answer,
+    span_band,
     span_score,
 )
 
@@ -118,6 +120,51 @@ class TestBestSpansProperties:
         assert [(sp.s, sp.e, sp.score.hex()) for sp in got] == [(s, e, score.hex()) for s, e, score in expected]
 
 
+class TestSpanLogitsArrays:
+    def test_rows_are_read_only_float64(self):
+        assert FIXTURE.start.dtype == FIXTURE.end.dtype == np.float64
+        with pytest.raises(ValueError):
+            FIXTURE.start[0] = 1.0
+
+    def test_copies_its_input(self):
+        start = np.array([0.0, 1.0])
+        logits = SpanLogits(start, np.zeros(2))
+        start[1] = 5.0
+        assert logits.start[1] == 1.0
+
+    def test_value_equality(self):
+        assert SpanLogits([0.5, 2.0, 1.0], np.array([0.2, 0.5, 3.0])) == FIXTURE
+        assert SpanLogits((0.5, 2.0, 1.0), (0.2, 0.5, 3.5)) != FIXTURE
+        assert SpanLogits((0.5, 2.0), (0.2, 0.5)) != FIXTURE
+        assert FIXTURE != (FIXTURE.start, FIXTURE.end)
+
+    @pytest.mark.parametrize(
+        "start,end", [((0.0, float("nan")), (0.0, 0.0)), ((0.0, 0.0), (0.0, float("inf"))), ([[0.0]], [[0.0]]),
+                      ((0.0,), (0.0, 1.0)), ((), ())],
+    )
+    def test_rejects_bad_rows(self, start, end):
+        with pytest.raises(ValueError):
+            SpanLogits(start, end)
+
+
+class TestSpanBand:
+    def test_pads_each_row_past_its_own_length(self):
+        short = SpanLogits((0.0, 1.0), (0.0, 2.0))
+        band = span_band([FIXTURE, short], max_answer_len=30)
+        assert band.shape == (2, 2, 2)
+        assert band[0].tolist() == [[1.8, 4.3], [3.3, float("-inf")]]
+        assert band[1].tolist() == [[3.0, float("-inf")], [float("-inf"), float("-inf")]]
+
+    @given(st.lists(logit_sets, min_size=1, max_size=40), st.integers(1, 60))
+    def test_best_span_each_equals_best_spans_top_1(self, rows, max_len):
+        rows = [r for r in rows if r.n > 0] or [FIXTURE]
+        s, e, scores = best_span_each(rows, max_len)
+        expected = [best_spans(r, ScorerConfig(max_answer_len=max_len, top_n=1))[0] for r in rows]
+        assert list(zip(s.tolist(), e.tolist(), [v.hex() for v in scores.tolist()])) == [
+            (sp.s, sp.e, sp.score.hex()) for sp in expected
+        ]
+
+
 class TestAnswerability:
     def test_fixture(self):
         assert answerability(FIXTURE, ScorerConfig(max_answer_len=2)) == pytest.approx(4.3)
@@ -135,6 +182,13 @@ class TestAnswerability:
         assert answerability(bumped, ScorerConfig(max_answer_len=2)) >= answerability(
             FIXTURE, ScorerConfig(max_answer_len=2)
         )
+
+    @given(logit_sets, st.integers(1, 60))
+    def test_equals_best_spans_top_1(self, logits, max_len):
+        config = ScorerConfig(max_answer_len=max_len)
+        spans = best_spans(logits, config)
+        expected = spans[0].score if spans else float("-inf")
+        assert answerability(logits, config).hex() == expected.hex()
 
     def test_equals_max_of_unbounded_best_spans(self):
         config = ScorerConfig(max_answer_len=30, top_n=10**6)
@@ -232,3 +286,9 @@ class TestExtractAnswer:
         text = "The COVID-19 vaccine works."
         # tokens: the, covid, 19, vaccine, works -> span (2, 4) = "COVID-19 vaccine"
         assert extract_answer(text, SpanScore(2, 4, 0.0)) == "COVID-19 vaccine"
+
+    def test_span_past_the_passage(self):
+        from hyqa.mrc import SpanScore
+
+        with pytest.raises(IndexError, match="2 tokens"):
+            extract_answer("two words", SpanScore(2, 3, 0.0))

@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyqa.corpus import Document
+from hyqa.corpus import Document, tokenize
 from hyqa.encoder import TrainConfig
 from hyqa.evalkit import GoldSet
-from hyqa.mrc import SpanLogits
+from hyqa.fusion import minmax_normalize
+from hyqa.mrc import ScorerConfig, SpanLogits, best_spans
 from hyqa.pipeline import (
     K_HYBRID,
     K_SPARSE_ONLY,
@@ -108,6 +111,97 @@ class TestAnswerQuestion:
             PipelineConfig(ir_weight=1.5)
         with pytest.raises(ValueError):
             PipelineConfig(normalization="zscore")
+
+    def test_logits_longer_than_passage_name_it(self):
+        table = self.logit_table()
+        table["p2"] = SpanLogits(start=(0.0,) * 5, end=(0.0,) * 5)
+        with pytest.raises(ValueError, match="'p2' cover 4 tokens"):
+            answer_question("q", fixed_retriever(self.retrieved()), TableScorer(table), PASSAGE_TEXTS, PipelineConfig(K=3))
+
+
+def loop_reference(question, retriever, scorer, passage_texts, config):
+    """answer_question as it was before the stacked reader: one
+    best_spans(top_n=1) and one tokenize-based cut per passage; kept as the
+    exact reference."""
+    raw = []
+    for sp in retriever(question, config.K):
+        text = passage_texts[sp.passage_id]
+        logits = scorer.logits(question, sp.passage_id, text)
+        if logits is None or logits.n == 0:
+            continue
+        spans = best_spans(logits, ScorerConfig(max_answer_len=config.scorer.max_answer_len, top_n=1))
+        tokens = tokenize(text)
+        raw.append((sp, spans[0], text[tokens[spans[0].s - 1].start : tokens[spans[0].e - 1].end]))
+    if not raw:
+        return []
+
+    def normalize(scores):
+        if config.normalization == "softmax":
+            exp = np.exp(np.asarray(scores, dtype=np.float64) - max(scores))
+            return list(exp / exp.sum())
+        return minmax_normalize(scores)
+
+    ir_norm = normalize([sp.score for sp, _, _ in raw])
+    mrc_norm = normalize([span.score for _, span, _ in raw])
+    w = config.ir_weight
+    rows = [
+        (answer, sp.passage_id, span.s, span.e, span.score.hex(), sp.score.hex(), span.score.hex(),
+         w * ir + (1 - w) * mrc)
+        for (sp, span, answer), ir, mrc in zip(raw, ir_norm, mrc_norm)
+    ]
+    rows.sort(key=lambda r: (-r[-1], r[1]))
+    return [(*r[:-1], r[-1].hex()) for r in rows]
+
+
+def candidate_rows(candidates):
+    return [
+        (c.text, c.passage_id, c.span.s, c.span.e, c.span.score.hex(), c.ir_score.hex(), c.mrc_score.hex(),
+         c.combined.hex())
+        for c in candidates
+    ]
+
+
+WORDS = ["alpha", "Beta", "g4mma", "delta,", "(eps)", "zeta-eta", "x", "99"]
+
+
+@st.composite
+def reading_cases(draw):
+    """K passages of mixed token counts (0 to 70) with logits of integer
+    ties or random floats; some passages have no logits."""
+    k = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ties = draw(st.booleans())
+    retrieved, texts, table = [], {}, {}
+    for i in range(k):
+        pid = f"p{rng.integers(0, 1000):03d}.{i}"
+        words = rng.choice(WORDS, size=int(rng.choice([0, 1, 2, rng.integers(3, 71)])))
+        texts[pid] = " ".join(words)
+        n = len(tokenize(texts[pid]))
+        if rng.random() < 0.15:
+            continue  # no logits: the scorer returns None
+        if ties:
+            start, end = rng.integers(-2, 3, size=(2, n + 1)).astype(np.float64)
+        else:
+            start, end = rng.normal(size=(2, n + 1)) * 3.0
+        table[pid] = SpanLogits(start, end)
+        retrieved.append(ScoredPassage(pid, float(rng.integers(0, 4)) if ties else float(rng.normal()), "sparse"))
+    retrieved += [ScoredPassage(pid, 1.0, "sparse") for pid in texts if pid not in table]
+    config = PipelineConfig(
+        K=k,
+        ir_weight=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        scorer=ScorerConfig(max_answer_len=draw(st.integers(1, 60)), top_n=1),
+        normalization=draw(st.sampled_from(["minmax", "softmax"])),
+    )
+    return retrieved, texts, table, config
+
+
+class TestReaderMatchesLoopReference:
+    @given(reading_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_field_for_field(self, case):
+        retrieved, texts, table, config = case
+        args = ("q", fixed_retriever(retrieved), TableScorer(table), texts, config)
+        assert candidate_rows(answer_question(*args)) == loop_reference(*args)
 
 
 class TestEvaluateRun:
