@@ -10,8 +10,9 @@ questions' positives and hard negatives), with plain SGD and linear warmup.
 
 One function (`_embed`) pools and projects, for one text or a whole batch.
 A training step runs one forward pass: `loss_gradient` returns the gradient
-with the loss it differentiates. `train` tokenizes each distinct question
-and passage text once per call, before the first epoch.
+with the loss it differentiates, and the step updates only the embedding
+rows the batch touches. `train` tokenizes each distinct question and
+passage text once per call, before the first epoch.
 """
 
 from __future__ import annotations
@@ -167,11 +168,15 @@ def similarity(q_emb: np.ndarray, p_emb: np.ndarray) -> float:
 
 
 class Gradient(dict):
-    """Parameter gradients keyed by name, plus the loss they differentiate."""
+    """Parameter gradients keyed by name, plus the loss they differentiate.
+    Where `rows[name]` is present, `self[name]` holds only those rows of
+    the gradient of `params[name]`, in ascending order; its other rows are
+    zero."""
 
-    def __init__(self, grads: dict[str, np.ndarray], loss: float):
+    def __init__(self, grads: dict[str, np.ndarray], loss: float, rows: dict[str, np.ndarray] | None = None):
         super().__init__(grads)
         self.loss = loss
+        self.rows = rows or {}
 
 
 def batch_loss(encoder: DualEncoder, batch: Sequence[IRTrainInstance]) -> float:
@@ -182,11 +187,17 @@ def batch_loss(encoder: DualEncoder, batch: Sequence[IRTrainInstance]) -> float:
 
 
 def loss_gradient(
-    encoder: DualEncoder, batch: Sequence[IRTrainInstance], token_ids: Mapping[str, np.ndarray] | None = None
+    encoder: DualEncoder,
+    batch: Sequence[IRTrainInstance],
+    token_ids: Mapping[str, np.ndarray] | None = None,
+    *,
+    touched: bool = False,
 ) -> Gradient:
     """One forward pass over the questions and the deduplicated candidate
     pool (all positives + all hard negatives), then its exact gradient.
-    `token_ids` maps texts to token ids; the result is the same without it."""
+    `token_ids` maps texts to token ids; the result is the same without it.
+    With `touched`, each embedding gradient holds only the table rows the
+    batch's tokens touch, listed in `Gradient.rows`."""
     if not batch:
         raise ValueError("batch must be non-empty")
     if token_ids is None:
@@ -213,21 +224,44 @@ def loss_gradient(
     g_logits[np.arange(B), pos_idx] -= 1.0
     g_logits /= B
 
-    # C-ordered, so the embedding gradients' flat views below write through.
-    grads = {name: np.zeros(encoder.params[name].shape) for name in _PARAM_NAMES}
+    grads: dict[str, np.ndarray] = {}
+    rows: dict[str, np.ndarray] = {}
     for side, g_out, means, toks in (
         ("q", g_logits @ p_out, q_mean, q_tok),
         ("p", g_logits.T @ q_out, p_mean, cand_tok),
     ):
-        grads[f"{side}_proj"] += g_out.T @ means
-        grads[f"{side}_bias"] += g_out.sum(axis=0)
-        # Each row's mean spreads its gradient evenly over its tokens. A flat
-        # np.add.at adds in (row, token) order, ~3x faster than over rows.
-        lens = np.array([len(ids) for ids in toks])
-        shares = (g_out @ encoder.params[f"{side}_proj"]) / np.maximum(lens, 1)[:, None]
-        flat = (np.concatenate(toks)[:, None] * encoder.d + np.arange(encoder.d)).ravel()
-        np.add.at(grads[f"{side}_emb"].reshape(-1), flat, np.repeat(shares, lens, axis=0).ravel())
+        emb, proj, bias = f"{side}_emb", f"{side}_proj", f"{side}_bias"
+        rows[emb], grads[emb] = _embedding_rows_gradient(encoder, toks, g_out @ encoder.params[proj])
+        # Kept as a sum with zeros: 0.0 + -0.0 is 0.0, so these are the old bits.
+        grads[proj] = np.zeros(encoder.params[proj].shape) + g_out.T @ means
+        grads[bias] = np.zeros(encoder.params[bias].shape) + g_out.sum(axis=0)
+    if touched:
+        return Gradient(grads, float(losses.mean()), rows)
+    for name, ids in rows.items():
+        full = np.zeros(encoder.params[name].shape)
+        full[ids] = grads[name]
+        grads[name] = full
     return Gradient(grads, float(losses.mean()))
+
+
+def _embedding_rows_gradient(
+    encoder: DualEncoder, toks: Sequence[np.ndarray], g_means: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of an embedding table from the gradient of each row's mean:
+    returns the touched table rows (ascending) and their gradient rows.
+
+    Each row's mean spreads its gradient evenly over its tokens. A flat
+    np.add.at adds in (row, token) order, ~3x faster than over rows, and
+    each cell of the compact rows gets the additions a full-table
+    np.add.at would give it, in the same order.
+    """
+    d = encoder.d
+    lens = np.array([len(ids) for ids in toks])
+    shares = g_means / np.maximum(lens, 1)[:, None]
+    touched, slot = np.unique(np.concatenate(toks), return_inverse=True)
+    g_rows = np.zeros((len(touched), d))
+    np.add.at(g_rows.reshape(-1), (slot[:, None] * d + np.arange(d)).ravel(), np.repeat(shares, lens, axis=0).ravel())
+    return touched, g_rows
 
 
 def train(
@@ -250,7 +284,7 @@ def train(
         epoch_losses = []
         for start in range(0, len(instances), config.batch_size):
             batch = [instances[i] for i in order[start : start + config.batch_size]]
-            grads = loss_gradient(model, batch, token_ids)
+            grads = loss_gradient(model, batch, token_ids, touched=True)
             if not np.isfinite(grads.loss):
                 raise FloatingPointError(f"non-finite loss {grads.loss} at step {step}")
             epoch_losses.append(grads.loss)
@@ -258,8 +292,13 @@ def train(
                 lr = config.learning_rate * min(1.0, (step + 1) / config.warmup_steps)
             else:
                 lr = config.learning_rate
+            # A row the batch does not touch has gradient 0.0 and would
+            # become p - lr * 0.0 == p, so only touched rows are updated.
             for name in _PARAM_NAMES:
-                model.params[name] -= lr * grads[name]
+                if name in grads.rows:
+                    model.params[name][grads.rows[name]] -= lr * grads[name]
+                else:
+                    model.params[name] -= lr * grads[name]
             step += 1
         trace.append(float(np.mean(epoch_losses)))
     return model, trace

@@ -33,14 +33,24 @@ def top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k best entries of `scores`, by descending score and
     then ascending `id_rank`.
 
-    np.partition finds the k-th best score and only the entries at or above
-    it are sorted, so every tie at the boundary is resolved by id rank.
-    NaNs are kept as candidates and sort last, as in a full sort.
+    np.partition finds the k-th best score, and only the entries at or
+    above it are sorted. When ties at that score make them more than 2k,
+    the m entries strictly above it are kept with the k - m ties of
+    smallest id rank (one argpartition), so only k entries are sorted.
+    NaNs sort last, as in a full sort.
     """
     neg = -scores
     if k < len(neg):
         kth = np.partition(neg, k - 1)[k - 1]
         candidates = np.flatnonzero(~(neg > kth))
+        # A NaN k-th score leaves every entry a candidate, as in a full sort.
+        # Below 2k candidates, selecting ties first costs more than the
+        # sort it saves.
+        if 0 < 2 * k < len(candidates) and kth == kth:
+            at = neg[candidates]
+            above, ties = candidates[at < kth], candidates[at == kth]
+            take = k - len(above)
+            candidates = np.concatenate((above, ties[np.argpartition(id_rank[ties], take - 1)[:take]]))
     else:
         candidates = np.arange(len(neg))
     return candidates[np.lexsort((id_rank[candidates], neg[candidates]))[:k]]

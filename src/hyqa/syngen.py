@@ -5,14 +5,13 @@ target encoding/decoding for a sentence-answer-question generator,
 diversity-promoting top-p top-k sampling over a pluggable token
 distribution (an n-gram model is bundled), generation with the
 answer-must-appear discard rule, roundtrip-consistency filtering through a
-span scorer, BM25 hard-negative mining, training-set assembly, and the
-inverse-cloze-task baseline pair generator.
+span scorer, BM25 hard-negative mining, and training-set assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "filtered_records",
     "mine_negative",
     "build_ir_training_set",
-    "ict_examples",
     "candidate_targets",
 ]
 
@@ -207,25 +205,56 @@ def decode_generation_target(passage: Passage, serialized: str):
     )
 
 
-def sample_top_p_top_k(masses: np.ndarray, config: SamplerConfig, rng: np.random.Generator) -> int:
-    """Keep the k highest-mass tokens, then the smallest high-mass prefix
-    with cumulative mass >= p, renormalize, and sample. Mass ties break by
-    ascending token index."""
+def _nucleus(masses: np.ndarray, config: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a next-token distribution and select the nucleus that
+    `sample_top_p_top_k` samples from: the kept token ids, highest mass
+    first, and their renormalized weights."""
     masses = np.asarray(masses, dtype=np.float64)
     if masses.size == 0:
         raise ValueError("empty distribution")
     if (masses < 0).any():
         raise ValueError("negative probability mass")
-    total = masses.sum()
-    if not np.isclose(total, 1.0, atol=1e-9):
+    total = float(masses.sum())
+    # np.isclose(total, 1.0, atol=1e-9) in scalar form; NaN fails it too.
+    if not abs(total - 1.0) <= 1e-9 + 1e-5:
         raise ValueError(f"masses sum to {total}, not 1")
     order = np.lexsort((np.arange(masses.size), -masses))[: config.k]
     kept = masses[order]
     cum = np.cumsum(kept)
     cutoff = int(np.searchsorted(cum, config.p - 1e-12)) + 1
     nucleus = order[:cutoff]
-    weights = masses[nucleus] / masses[nucleus].sum()
+    return nucleus, masses[nucleus] / masses[nucleus].sum()
+
+
+def sample_top_p_top_k(masses: np.ndarray, config: SamplerConfig, rng: np.random.Generator) -> int:
+    """Keep the k highest-mass tokens, then the smallest high-mass prefix
+    with cumulative mass >= p, renormalize, and sample. Mass ties break by
+    ascending token index."""
+    nucleus, weights = _nucleus(masses, config)
     return int(rng.choice(nucleus, p=weights))
+
+
+def _nucleus_sampler(config: SamplerConfig, rng: np.random.Generator) -> Callable[[np.ndarray], int]:
+    """A draw function that returns what sample_top_p_top_k(masses, config,
+    rng) would, but validates and selects each distinct distribution's
+    nucleus once. Distributions are keyed by their bytes, never by `id()`:
+    a model may build a fresh array per call. A draw is the CDF search that
+    Generator.choice(nucleus, p=weights) makes on one uniform, so samples
+    and the RNG stream stay in step with sample_top_p_top_k."""
+    nuclei: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def draw(masses: np.ndarray) -> int:
+        masses = np.asarray(masses, dtype=np.float64)
+        key = masses.tobytes()
+        if key not in nuclei:
+            nucleus, weights = _nucleus(masses, config)
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            nuclei[key] = nucleus, cdf
+        nucleus, cdf = nuclei[key]
+        return int(nucleus[cdf.searchsorted(rng.random(), side="right")])
+
+    return draw
 
 
 @dataclass
@@ -248,15 +277,13 @@ def generate_examples(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(config.seed)
+    draw = _nucleus_sampler(config, np.random.default_rng(config.seed))
     result = GenerationResult(examples=[])
     seen: set[tuple[str, str]] = set()
     for _ in range(n):
         tokens: list[str] = []
         for _ in range(MAX_GEN_TOKENS):
-            dist = lm.next(tokens)
-            idx = sample_top_p_top_k(dist, config, rng)
-            tok = lm.vocab[idx]
+            tok = lm.vocab[draw(lm.next(tokens))]
             if tok == EOS_TOKEN:
                 break
             tokens.append(tok)
@@ -402,30 +429,6 @@ def build_ir_training_set(
     return result
 
 
-def ict_examples(
-    passages: Sequence[Passage],
-    mask_prob: float = 0.9,
-    rng: Optional[np.random.Generator] = None,
-) -> list[tuple[str, str]]:
-    """Inverse-cloze-task pairs: a uniformly chosen sentence is the query;
-    with probability mask_prob it is removed from its passage to form the
-    context. Single-sentence passages are skipped."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pairs = []
-    for p in passages:
-        if len(p.sentence_spans) < 2:
-            continue
-        pick = int(rng.integers(len(p.sentence_spans)))
-        query = p.sentence_spans[pick].surface
-        if rng.random() < mask_prob:
-            context = " ".join(s.surface for i, s in enumerate(p.sentence_spans) if i != pick)
-        else:
-            context = p.text
-        pairs.append((query, context))
-    return pairs
-
-
 # Stopwords excluded when picking salient question tokens for the bundled
 # template targets.
 _QUESTION_STOP = {
@@ -468,38 +471,47 @@ class NgramLM:
             raise ValueError("order must be >= 1")
         self.order = order
         self.vocab: list[str] = []
-        self._index: dict[str, int] = {}
-        self._counts: dict[tuple[str, ...], np.ndarray] = {}
+        self._rows: dict[tuple[str, ...], int] = {}
+        self._probs = np.zeros((0, 0))
 
     _BOS = "<s>"  # internal padding marker, never emitted
 
     def fit(self, sequences: Sequence[Sequence[str]]) -> "NgramLM":
-        terms = sorted({tok for seq in sequences for tok in seq} | {EOS_TOKEN})
-        self.vocab = terms
-        self._index = {t: i for i, t in enumerate(terms)}
-        counts: dict[tuple[str, ...], np.ndarray] = {}
+        """Count every (context, next token) pair of every context length
+        below `order` in one bincount, then normalize each context's row."""
+        self.vocab = sorted({tok for seq in sequences for tok in seq} | {EOS_TOKEN})
+        index = {t: i for i, t in enumerate(self.vocab)}
+        rows: dict[tuple[str, ...], int] = {}
+        ctx_ids: list[int] = []
+        tok_ids: list[int] = []
         pad = [self._BOS] * (self.order - 1)
         for seq in sequences:
             toks = list(seq)
             if not toks or toks[-1] != EOS_TOKEN:
                 toks.append(EOS_TOKEN)
             padded = pad + toks
-            for i, tok in enumerate(toks):
-                pos = i + len(pad)
+            for pos, tok in enumerate(toks, start=len(pad)):
                 for ctx_len in range(self.order):
-                    ctx = tuple(padded[pos - ctx_len : pos])
-                    if ctx not in counts:
-                        counts[ctx] = np.zeros(len(terms))
-                    counts[ctx][self._index[tok]] += 1.0
-        self._counts = counts
+                    ctx_ids.append(rows.setdefault(tuple(padded[pos - ctx_len : pos]), len(rows)))
+                    tok_ids.append(index[tok])
+        v = len(self.vocab)
+        keys = np.array(ctx_ids, dtype=np.intp) * v + np.array(tok_ids, dtype=np.intp)
+        counts = np.bincount(keys, minlength=len(rows) * v).reshape(len(rows), v).astype(np.float64)
+        # Integer counts sum exactly, so no row depends on summation order.
+        self._probs = counts / counts.sum(axis=1, keepdims=True)
+        self._probs.setflags(write=False)
+        self._rows = rows
         return self
 
     def next(self, context: Sequence[str]) -> np.ndarray:
+        """Distribution after the longest fitted suffix of `context`, as a
+        read-only row."""
         ctx = [self._BOS] * (self.order - 1) + list(context)
         for ctx_len in range(self.order - 1, -1, -1):
-            key = tuple(ctx[len(ctx) - ctx_len :]) if ctx_len else ()
-            counts = self._counts.get(key)
-            if counts is not None and counts.sum() > 0:
-                return counts / counts.sum()
+            row = self._rows.get(tuple(ctx[len(ctx) - ctx_len :]) if ctx_len else ())
+            if row is not None:
+                return self._probs[row]
         # Unfit model: uniform.
-        return np.full(len(self.vocab), 1.0 / len(self.vocab))
+        uniform = np.full(len(self.vocab), 1.0 / len(self.vocab))
+        uniform.setflags(write=False)
+        return uniform

@@ -315,9 +315,77 @@ class TestGradient:
             np.testing.assert_array_equal(a[name], b[name])
 
 
+class TestTouchedRows:
+    def test_scatter_to_the_full_gradient(self):
+        enc = small_encoder(d=5, seed=12)
+        batch = random_batch(np.random.default_rng(12), enc, size=4, negatives=2)
+        batch.append(IRTrainInstance("xyzzy", passage("oov", "alpha alpha alpha qwerty"), (batch[0].positive,)))
+        full = loss_gradient(enc, batch)
+        rows = loss_gradient(enc, batch, touched=True)
+        assert list(rows) == list(full)
+        assert rows.loss == full.loss
+        assert set(rows.rows) == {"q_emb", "p_emb"}
+        for name in full:
+            if name in rows.rows:
+                ids = rows.rows[name]
+                assert (np.diff(ids) > 0).all()
+                scattered = np.zeros_like(full[name])
+                scattered[ids] = rows[name]
+                assert scattered.tobytes() == full[name].tobytes()
+            else:
+                assert rows[name].tobytes() == full[name].tobytes()
+
+
+def dense_update_train(encoder, instances, config):
+    """train as a loop over the public loss_gradient that updates every
+    parameter in full: the reference for the touched-row updates."""
+    model = encoder.copy()
+    rng = np.random.default_rng(config.seed)
+    trace, step = [], 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(instances))
+        losses = []
+        for start in range(0, len(instances), config.batch_size):
+            grads = loss_gradient(model, [instances[i] for i in order[start : start + config.batch_size]])
+            losses.append(grads.loss)
+            lr = config.learning_rate
+            if config.warmup_steps > 0:
+                lr *= min(1.0, (step + 1) / config.warmup_steps)
+            for name in model.params:
+                model.params[name] -= lr * grads[name]
+            step += 1
+        trace.append(float(np.mean(losses)))
+    return model, trace
+
+
 class TestTrain:
     def make_instances(self, rng, count=12):
         return random_batch(rng, small_encoder(), size=count)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrainConfig(epochs=3, batch_size=3, seed=5),
+            TrainConfig(learning_rate=0.3, epochs=2, batch_size=4, warmup_steps=5, seed=1),
+            TrainConfig(epochs=1, batch_size=16, warmup_steps=1, seed=0),
+        ],
+    )
+    def test_equals_dense_update_reference(self, config):
+        enc = small_encoder(d=6, seed=4)
+        instances = random_batch(np.random.default_rng(11), enc, size=10, negatives=2)
+        instances.append(
+            IRTrainInstance(
+                "alpha alpha alpha beta",
+                passage("rep", "gamma gamma delta gamma"),
+                (passage("oov_neg", "xyzzy qwerty"),),
+            )
+        )
+        instances.append(IRTrainInstance("xyzzy", passage("oov", "qwerty plugh"), (instances[0].positive,)))
+        trained, trace = train(enc, instances, config)
+        expected, expected_trace = dense_update_train(enc, instances, config)
+        assert trace == expected_trace
+        for name in expected.params:
+            assert trained.params[name].tobytes() == expected.params[name].tobytes(), name
 
     def test_zero_epochs_is_identity(self):
         rng = np.random.default_rng(0)

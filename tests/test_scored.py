@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -18,6 +20,11 @@ class TestTopK:
     @example([], 0, None)
     @example([1.0, 1.0, 1.0], 2, None)
     @example([float("nan")] * 3 + [1.0], 2, None)
+    @example([0.25] * 400 + [2.0] * 7 + [-1.5] * 30, 100, random.Random(0))
+    @example([-1.5] * 300, 1, random.Random(1))
+    @example([0.0] * 250 + [float("nan")] * 60 + [7.0] * 3, 120, random.Random(2))
+    @example([float("nan")] * 300 + [2.0] * 2, 150, random.Random(3))
+    @example([float("inf")] * 5 + [-1.5] * 200 + [float("nan")] * 200, 6, random.Random(4))
     def test_equals_full_sort(self, scores, k, rnd):
         order = list(range(len(scores)))
         if rnd is not None:

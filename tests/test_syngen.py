@@ -1,13 +1,18 @@
+import copy
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyqa.corpus import Document, chunk_generation_passages
 from hyqa.mrc import LexicalScorer
 from hyqa.sparse import build_sparse_index
 from hyqa.syngen import (
     EOS_TOKEN,
+    MAX_GEN_TOKENS,
     SEP_TOKEN,
     DecodeRejection,
     FilterConfig,
@@ -23,11 +28,11 @@ from hyqa.syngen import (
     example_to_record,
     generate_corpus,
     generate_examples,
-    ict_examples,
     mine_negative,
     roundtrip_filter,
     sample_top_p_top_k,
 )
+from hyqa.syngen import _nucleus_sampler
 
 
 def make_passage(text, pid="p1"):
@@ -144,6 +149,110 @@ class TestSampler:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_top_p_top_k(np.array([0.5, 0.6]), SamplerConfig(), rng)
+
+
+# Distributions with mass ties and zeros: small integer counts, normalized.
+distributions = (
+    st.lists(st.integers(0, 4), min_size=1, max_size=25)
+    .filter(any)
+    .map(lambda counts: np.array(counts, dtype=np.float64) / sum(counts))
+)
+sampler_configs = st.builds(
+    SamplerConfig,
+    p=st.sampled_from([0.25, 0.5, 0.95, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+    k=st.integers(1, 30),
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def reference_nucleus(masses, config):
+    """The top-k, top-p selection in plain Python: ids by (mass desc, id
+    asc), the first k, then the shortest prefix reaching mass p."""
+    order = sorted(range(len(masses)), key=lambda i: (-masses[i], i))[: config.k]
+    cum = list(accumulate(masses[i] for i in order))
+    cutoff = next((j + 1 for j, c in enumerate(cum) if c >= config.p - 1e-12), len(order))
+    nucleus = np.array(order[:cutoff])
+    return nucleus, masses[nucleus] / masses[nucleus].sum()
+
+
+class TestSamplerProperties:
+    @given(distributions, sampler_configs, seeds)
+    def test_equals_choice_over_reference_nucleus(self, masses, config, seed):
+        rng = np.random.default_rng(seed)
+        reference = copy.deepcopy(rng)
+        nucleus, weights = reference_nucleus(masses, config)
+        for _ in range(5):
+            assert sample_top_p_top_k(masses, config, rng) == int(reference.choice(nucleus, p=weights))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @given(st.lists(distributions, min_size=1, max_size=6), st.lists(st.integers(0, 5), min_size=1, max_size=60),
+           sampler_configs, seeds)
+    def test_cached_draw_equals_sample_top_p_top_k(self, dists, picks, config, seed):
+        """Repeated distributions come back as fresh arrays and hit the
+        cache; every draw and the RNG stream match the uncached sampler,
+        which samples with Generator.choice."""
+        rng = np.random.default_rng(seed)
+        reference = copy.deepcopy(rng)
+        draw = _nucleus_sampler(config, rng)
+        for i in picks:
+            masses = dists[i % len(dists)].copy()
+            assert draw(masses) == sample_top_p_top_k(masses, config, reference)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_generate_draws_the_reference_token_stream(self):
+        passage = make_passage("Masks help a lot. Vaccines work well. Distancing slows spread quickly.")
+        lm = NgramLM(order=3).fit(candidate_targets(passage, np.random.default_rng(1)))
+        config = SamplerConfig(seed=3)
+        recorded = RecordingLM(lm)
+        generate_examples(passage, recorded, n=30, config=config)
+        rng = np.random.default_rng(config.seed)
+        expected = []
+        for _ in range(30):
+            tokens = []
+            for _ in range(MAX_GEN_TOKENS):
+                expected.append(tuple(tokens))
+                tok = lm.vocab[sample_top_p_top_k(lm.next(tokens), config, rng)]
+                if tok == EOS_TOKEN:
+                    break
+                tokens.append(tok)
+        assert recorded.contexts == expected
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[float("nan"), 0.5, 0.5], [-0.5, 1.0, 0.5], [0.3, 0.3, 0.3], [float("inf"), 0.0, 0.0]],
+        ids=["nan", "negative", "unnormalized", "inf"],
+    )
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_invalid_masses_raise_in_generate(self, bad, at):
+        passage = make_passage("Masks help a lot.")
+        # Valid steps emit "a" (the same cached distribution) until step `at`.
+        lm = ScriptedLM(["a", "b", EOS_TOKEN], [[1.0, 0.0, 0.0]] * at + [bad])
+        with pytest.raises(ValueError):
+            generate_examples(passage, lm, n=2, config=SamplerConfig(seed=0))
+
+
+class ScriptedLM:
+    """Emits the listed distributions step by step, then the last one."""
+
+    def __init__(self, vocab, steps):
+        self.vocab = vocab
+        self._steps = steps
+
+    def next(self, context):
+        return np.array(self._steps[min(len(context), len(self._steps) - 1)], dtype=np.float64)
+
+
+class RecordingLM:
+    """Wraps a model and records every context it is asked about."""
+
+    def __init__(self, lm):
+        self.vocab = lm.vocab
+        self._lm = lm
+        self.contexts = []
+
+    def next(self, context):
+        self.contexts.append(tuple(context))
+        return self._lm.next(context)
 
 
 class PointMassLM:
@@ -357,41 +466,6 @@ class TestBuildTrainingSet:
             build_ir_training_set([QAExample("zz", "q", "a", (0, 1))], index, passages)
 
 
-class TestICT:
-    def multi_sentence_passages(self, count):
-        return [
-            make_passage(
-                f"Topic{i} starts here. Middle sentence number {i} follows. Final thought {i} ends.",
-                f"p{i}",
-            )
-            for i in range(count)
-        ]
-
-    def test_full_masking_removes_query(self):
-        passages = self.multi_sentence_passages(20)
-        pairs = ict_examples(passages, mask_prob=1.0, rng=np.random.default_rng(0))
-        for query, context in pairs:
-            assert query not in context
-
-    def test_no_masking_keeps_full_passage(self):
-        passages = self.multi_sentence_passages(20)
-        pairs = ict_examples(passages, mask_prob=0.0, rng=np.random.default_rng(0))
-        by_id = {p.text for p in passages}
-        for _, context in pairs:
-            assert context in by_id
-
-    def test_single_sentence_passages_skipped(self):
-        passages = [make_passage("Only one sentence here.", "solo")]
-        assert ict_examples(passages, rng=np.random.default_rng(0)) == []
-
-    def test_empirical_masking_rate(self):
-        passages = self.multi_sentence_passages(10_000)
-        rng = np.random.default_rng(42)
-        pairs = ict_examples(passages, mask_prob=0.9, rng=rng)
-        masked = sum(1 for query, context in pairs if query not in context)
-        assert masked / len(pairs) == pytest.approx(0.9, abs=0.01)
-
-
 class TestNgramLM:
     def test_masses_sum_to_one(self):
         lm = NgramLM(order=2).fit([["a", "b", "c"], ["a", "c"]])
@@ -403,3 +477,54 @@ class TestNgramLM:
         dist = lm.next(["a"])
         assert dist[lm.vocab.index("b")] == pytest.approx(2 / 3)
         assert dist[lm.vocab.index("c")] == pytest.approx(1 / 3)
+
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", EOS_TOKEN, "<s>"]), max_size=8), max_size=6),
+        st.integers(1, 4),
+    )
+    def test_equals_dict_of_counts_reference(self, sequences, order):
+        lm = NgramLM(order=order).fit(sequences)
+        reference = DictCountsNgramLM(order).fit(sequences)
+        assert lm.vocab == reference.vocab
+        fitted = [list(ctx) for ctx in reference.counts]
+        prefixes = [list(seq[:i]) for seq in sequences for i in range(len(seq) + 1)]
+        unseen = [[], ["zzz"], ["a", "zzz"], ["zzz", "a"], ["d", "c", "b", "a"]]
+        for ctx in fitted + prefixes + unseen:
+            got, want = lm.next(ctx), reference.next(ctx)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), ctx
+            assert not got.flags.writeable
+
+
+class DictCountsNgramLM:
+    """NgramLM as one count vector per context, filled one token at a time:
+    the reference for the array fit."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def fit(self, sequences):
+        self.vocab = sorted({tok for seq in sequences for tok in seq} | {EOS_TOKEN})
+        index = {t: i for i, t in enumerate(self.vocab)}
+        self.counts = {}
+        pad = ["<s>"] * (self.order - 1)
+        for seq in sequences:
+            toks = list(seq)
+            if not toks or toks[-1] != EOS_TOKEN:
+                toks.append(EOS_TOKEN)
+            padded = pad + toks
+            for i, tok in enumerate(toks):
+                pos = i + len(pad)
+                for ctx_len in range(self.order):
+                    ctx = tuple(padded[pos - ctx_len : pos])
+                    if ctx not in self.counts:
+                        self.counts[ctx] = np.zeros(len(self.vocab))
+                    self.counts[ctx][index[tok]] += 1.0
+        return self
+
+    def next(self, context):
+        ctx = ["<s>"] * (self.order - 1) + list(context)
+        for ctx_len in range(self.order - 1, -1, -1):
+            counts = self.counts.get(tuple(ctx[len(ctx) - ctx_len :]) if ctx_len else ())
+            if counts is not None and counts.sum() > 0:
+                return counts / counts.sum()
+        return np.full(len(self.vocab), 1.0 / len(self.vocab))
