@@ -3,6 +3,13 @@
 Everything here is deterministic and pure: the same input always produces
 byte-identical output. The tokenizer defined here is *the* definition of a
 "word" for the whole system (chunk budgets, BM25 terms, encoder vocab).
+
+A document is chunked from one sentence segmentation and one token-offset
+pass (token_bounds): sentence word counts are differences of token start
+offsets. A packed passage takes its sentence spans from the document's,
+shifted to the passage start; a hard-split piece of an oversized sentence
+is segmented again, because a piece can segment differently from the
+document (the abbreviation look-back stops at the piece's start).
 """
 
 from __future__ import annotations
@@ -10,8 +17,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 __all__ = [
     "Document",
@@ -21,7 +30,9 @@ __all__ = [
     "ingest_documents",
     "segment_sentences",
     "tokenize",
+    "token_bounds",
     "terms",
+    "distinct_terms",
     "word_count",
     "token_range_text",
     "chunk_retrieval_passages",
@@ -164,6 +175,18 @@ def tokenize(text: str) -> list[TokenSpan]:
     return [TokenSpan(m.start(), m.end(), m.group().lower()) for m in _TOKEN_RE.finditer(text)]
 
 
+def token_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the tokens of tokenize(text), as two int
+    arrays, from one pass over the text's code points."""
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    word = np.zeros(len(codes) + 2, dtype=bool)
+    # Unsigned wrap-around: below the range is above it. `| 32` lowercases
+    # ASCII letters and maps no other code point into a-z.
+    word[1:-1] = ((codes | 32) - 97 <= 25) | (codes - 48 <= 9)
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    return edges[0::2], edges[1::2]
+
+
 def terms(text: str) -> list[str]:
     """The surfaces of tokenize(text), without building spans.
 
@@ -172,6 +195,12 @@ def terms(text: str) -> list[str]:
     ones and create tokens that tokenize does not see.
     """
     return [m.lower() for m in _TOKEN_RE.findall(text)]
+
+
+def distinct_terms(texts: Iterable[str]) -> list[str]:
+    """The sorted set of terms over texts. Each distinct raw surface is
+    lowercased once, on its own, as terms lowercases each match."""
+    return sorted({t.lower() for t in set(chain.from_iterable(map(_TOKEN_RE.findall, texts)))})
 
 
 def word_count(text: str) -> int:
@@ -191,57 +220,42 @@ def token_range_text(text: str, first: int, last: int, count: int) -> Optional[s
     return text[tokens[0].start() : tokens[last - first].end()]
 
 
-def _rebase_sentences(passage_text: str) -> tuple[TokenSpan, ...]:
-    return tuple(segment_sentences(passage_text))
-
-
-def _make_passage(doc: Document, idx: int, text: str, hard_split: bool = False) -> Passage:
-    return Passage(
-        id=f"{doc.id}#{idx}",
-        doc_id=doc.id,
-        text=text,
-        sentence_spans=_rebase_sentences(text),
-        word_count=word_count(text),
-        hard_split=hard_split,
-    )
-
-
 def _chunk(doc: Document, max_units: int) -> list[Passage]:
     """Greedy sentence packing with hard-splitting of oversized sentences."""
     if max_units < 1:
         raise ValueError("max_units must be >= 1")
-    sentences = segment_sentences(doc.body)
+    body = doc.body
+    sentences = segment_sentences(body)
+    starts = token_bounds(body)[0]
+    # No token crosses a sentence cut, so a sentence's tokens are those
+    # starting inside it.
+    bounds = np.searchsorted(starts, [x for sent in sentences for x in (sent.start, sent.end)]).tolist()
     passages: list[Passage] = []
-    idx = 0
     current: list[TokenSpan] = []
     current_units = 0
 
+    def emit(text: str, spans: tuple[TokenSpan, ...], units: int, hard_split: bool = False):
+        passages.append(Passage(f"{doc.id}#{len(passages)}", doc.id, text, spans, units, hard_split))
+
     def flush():
-        nonlocal current, current_units, idx
+        nonlocal current_units
         if current:
-            text = doc.body[current[0].start : current[-1].end]
-            passages.append(_make_passage(doc, idx, text))
-            idx += 1
-            current = []
+            base = current[0].start
+            spans = tuple(TokenSpan(s.start - base, s.end - base, s.surface) for s in current)
+            emit(body[base : current[-1].end], spans, current_units)
+            current.clear()
             current_units = 0
 
-    for sent in sentences:
-        units = word_count(sent.surface)
+    for sent, lo, hi in zip(sentences, bounds[0::2], bounds[1::2]):
+        units = hi - lo
         if units > max_units:
             # Oversized single sentence: flush, then hard-split at word
-            # boundaries into max_units-sized pieces.
+            # boundaries into max_units-sized pieces, each segmented anew.
             flush()
-            tokens = tokenize(sent.surface)
-            for i in range(0, len(tokens), max_units):
-                group = tokens[i : i + max_units]
-                piece_start = sent.start + group[0].start
-                if i + max_units < len(tokens):
-                    piece_end = sent.start + tokens[i + max_units].start
-                else:
-                    piece_end = sent.end
-                text = doc.body[piece_start:piece_end].rstrip()
-                passages.append(_make_passage(doc, idx, text, hard_split=True))
-                idx += 1
+            cuts = starts[lo:hi:max_units].tolist() + [sent.end]
+            for i in range(len(cuts) - 1):
+                text = body[cuts[i] : cuts[i + 1]].rstrip()
+                emit(text, tuple(segment_sentences(text)), min(max_units, units - i * max_units), hard_split=True)
             continue
         if current_units + units > max_units:
             flush()

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import container
-from .corpus import Passage, terms
+from .corpus import Passage, distinct_terms, terms
 
 __all__ = [
     "DualEncoder",
@@ -68,7 +68,7 @@ class DualEncoder:
     @classmethod
     def from_texts(cls, texts: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
         """Build the vocabulary from training texts, then initialize."""
-        return cls.create(sorted({t for text in texts for t in terms(text)}), d=d, seed=seed)
+        return cls.create(distinct_terms(texts), d=d, seed=seed)
 
     def copy(self) -> "DualEncoder":
         return DualEncoder(

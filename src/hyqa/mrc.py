@@ -92,28 +92,29 @@ def span_score(logits: SpanLogits, s: int, e: int) -> float:
 
 
 def span_band(rows: Sequence[SpanLogits], max_answer_len: int) -> np.ndarray:
-    """Every span score of every row, stacked: band[k, s - 1, j] scores the
-    span (s, s + j) of rows[k], for s up to the longest row's n and j below
-    width = min(max_answer_len, that n).
+    """Every span score of every row, stacked by token: rows[k] takes n
+    consecutive band rows from offset o (the sum of the earlier rows' n),
+    and band[o + s - 1, j] scores its span (s, s + j), for j below
+    width = min(max_answer_len, the longest n).
 
-    Spans that run past their own row's n score -inf, so in each row the
-    row-major order of the cells is the (s asc, e asc) tie order and the
-    first maximum is the best span. The band holds K * n_max * width
+    Spans that run past their own row's n score -inf, so in each row's
+    block the row-major order of the cells is the (s asc, e asc) tie order
+    and the first maximum is the best span. The band holds sum(n) * width
     float64 values.
     """
     n = np.array([logits.n for logits in rows])
-    n_max = int(n.max())
-    width = min(max_answer_len, n_max)
-    # Each row's logits fill its first n + 1 columns; end is -inf past a
-    # row's n, so every cell of a span past its row's end is -inf.
-    filled = np.arange(n_max + width) <= n[:, None]
-    start = np.zeros((len(rows), n_max + 1))
-    start[filled[:, : n_max + 1]] = np.concatenate([logits.start for logits in rows])
-    end = np.full((len(rows), n_max + width), -np.inf)
-    end[filled] = np.concatenate([logits.end for logits in rows])
-    band = start[:, 1:, None] + sliding_window_view(end[:, 1:], width, axis=1)
-    band -= start[:, :1, None]
-    band -= end[:, :1, None]
+    width = min(max_answer_len, int(n.max()))
+    # Each row's end logits 1..n, then width - 1 cells of -inf, so that no
+    # window of a row's tokens reaches the next row.
+    pad = np.full(width - 1, -np.inf)
+    end = np.concatenate([part for logits in rows for part in (logits.end[1:], pad)])
+    # The windows of row k's tokens start k * (width - 1) pad cells past
+    # their position among all rows' tokens.
+    window = np.arange(n.sum()) + np.repeat(np.arange(len(rows)) * (width - 1), n)
+    band = sliding_window_view(end, width)[window]
+    band += np.concatenate([logits.start[1:] for logits in rows])[:, None]
+    band -= np.repeat([logits.start[0] for logits in rows], n)[:, None]
+    band -= np.repeat([logits.end[0] for logits in rows], n)[:, None]
     return band
 
 
@@ -123,7 +124,7 @@ def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> lis
     n = logits.n
     if n == 0:
         return []
-    band = span_band([logits], config.max_answer_len)[0]
+    band = span_band([logits], config.max_answer_len)
     width = band.shape[1]
     scores = band.ravel()
     n_spans = n * width - width * (width - 1) // 2
@@ -135,11 +136,15 @@ def best_span_each(rows: Sequence[SpanLogits], max_answer_len: int) -> tuple[np.
     """The best span of each row, as best_spans(top_n=1) picks it: arrays of
     s, e and score by row, read from one stacked band. Every row needs n >= 1."""
     band = span_band(rows, max_answer_len)
-    width = band.shape[2]
-    flat = band.reshape(len(rows), -1)
-    best = flat.argmax(axis=1)
+    width = band.shape[1]
+    cells = np.array([logits.n for logits in rows]) * width
+    offsets = np.cumsum(cells) - cells
+    flat = band.ravel()
+    score = np.maximum.reduceat(flat, offsets)
+    hits = np.flatnonzero(flat == np.repeat(score, cells))
+    best = hits[np.searchsorted(hits, offsets)] - offsets
     s = best // width + 1
-    return s, s + best % width, flat[np.arange(len(rows)), best]
+    return s, s + best % width, score
 
 
 def answerability(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> float:

@@ -120,9 +120,10 @@ def answer_question(
     convex combination (ties by ascending passage id).
 
     The K passages are read as one array: their logit rows are stacked into
-    one span band (mrc.span_band) of K * n_max * min(max_answer_len, n_max)
-    float64 values, each row's best span is its first maximum in (s asc,
-    e asc) order, and each answer is cut from its passage's token offsets.
+    one span band (mrc.span_band) of sum(n) * min(max_answer_len, n_max)
+    float64 values over the passages' token counts n, each row's best span
+    is its first maximum in (s asc, e asc) order, and each answer is cut
+    from its passage's token offsets.
     A logit row longer than its passage's token count is a ValueError.
     """
     read: list[tuple[ScoredPassage, SpanLogits]] = []

@@ -19,7 +19,7 @@ from .corpus import Passage, TokenSpan, terms, tokenize
 from .encoder import IRTrainInstance
 from .evalkit import _contains_answer
 from .mrc import ScorerConfig, answerability
-from .sparse import SparseIndex, sparse_search
+from .sparse import SparseIndex, sparse_top_k
 
 __all__ = [
     "QAExample",
@@ -387,11 +387,10 @@ def mine_negative(
 ) -> Optional[str]:
     """Highest-BM25-ranked passage (top `depth`) for the question whose text
     does not contain the normalized answer; None if every candidate does."""
-    for sp in sparse_search(index, question, depth):
-        if sp.passage_id == exclude_id:
-            continue
-        if not _contains_answer(passage_texts[sp.passage_id], [answer]):
-            return sp.passage_id
+    for i in sparse_top_k(index, question, depth)[0].tolist():
+        passage_id = index.doc_ids[i]
+        if passage_id != exclude_id and not _contains_answer(passage_texts[passage_id], [answer]):
+            return passage_id
     return None
 
 

@@ -5,13 +5,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hyqa.corpus import (
+    _TOKEN_RE,
     Document,
     IngestError,
     chunk_generation_passages,
     chunk_retrieval_passages,
     ingest_documents,
+    passage_from_record,
+    passage_to_record,
     segment_sentences,
     terms,
+    token_bounds,
     token_range_text,
     tokenize,
     word_count,
@@ -178,3 +182,74 @@ class TestTokenRangeText:
             assert got is None
         else:
             assert got == text[tokens[first - 1].start : tokens[last - 1].end]
+
+
+class TestTokenBounds:
+    @given(st.text())
+    @example("\u212a and \u0130 (KELVIN SIGN, DOTTED CAPITAL I) in \u0130stanbul at 5\u212a")
+    @example("lone \ud800 surrogate1")
+    @example("")
+    def test_equals_finditer_offsets(self, text):
+        starts, ends = token_bounds(text)
+        matches = list(_TOKEN_RE.finditer(text))
+        assert starts.tolist() == [m.start() for m in matches]
+        assert ends.tolist() == [m.end() for m in matches]
+
+    @given(st.text(alphabet="aZ09 .-@[`{/:\u212a\u0130\u0663\xa0"))
+    def test_equals_finditer_offsets_near_token_characters(self, text):
+        starts, ends = token_bounds(text)
+        assert list(zip(starts.tolist(), ends.tolist())) == [m.span() for m in _TOKEN_RE.finditer(text)]
+
+
+# Documents of sentences whose words exercise abbreviation guards, dotted
+# look-back words, non-ASCII letters and digits, and non-ASCII whitespace.
+_words = st.sampled_from(["a", "bb", "x", "Dr.", "e.g.", "U.S.", "x.foo", "1", "\u212a", "\u0130", "\u0663", "c,", "(d)"])
+_sentences = st.tuples(
+    st.sampled_from(["A", "Bb", "1", "\u0130", "Dr.", "x.foo"]),
+    st.lists(_words, max_size=8),
+    st.sampled_from([".", "!", "?", "", "..."]),
+    st.sampled_from([" ", "  ", "\n", "\xa0"]),
+).map(lambda t: " ".join([t[0], *t[1]]) + t[2] + t[3])
+doc_bodies = st.lists(_sentences, min_size=1, max_size=10).map("".join)
+
+
+class TestChunkProperties:
+    @given(doc_bodies, st.integers(1, 30))
+    def test_sentence_spans_tile_passage_text(self, body, budget):
+        for p in chunk_retrieval_passages(make_doc(body), budget):
+            at = 0
+            for sent in p.sentence_spans:
+                assert not p.text[at : sent.start].strip()
+                assert p.text[sent.start : sent.end] == sent.surface
+                at = sent.end
+            assert at == len(p.text) and p.sentence_spans[0].start == 0
+
+    @given(doc_bodies, st.integers(1, 30))
+    def test_word_count_within_budget(self, body, budget):
+        # Packing never exceeds the budget, and a sentence over it is cut
+        # into budget-sized hard-split pieces.
+        for p in chunk_retrieval_passages(make_doc(body), budget):
+            assert p.word_count == len(tokenize(p.text))
+            assert p.word_count <= budget
+
+    @given(doc_bodies, st.integers(1, 30))
+    def test_record_round_trip(self, body, budget):
+        for p in chunk_retrieval_passages(make_doc(body), budget):
+            assert passage_from_record(json.loads(json.dumps(passage_to_record(p)))) == p
+
+    @given(doc_bodies, st.integers(1, 30))
+    @example("A b. C d e. F g.", 3)
+    def test_packed_spans_equal_resegmenting(self, body, budget):
+        for p in chunk_retrieval_passages(make_doc(body), budget):
+            if not p.hard_split:
+                assert list(p.sentence_spans) == segment_sentences(p.text)
+
+    def test_hard_split_piece_is_segmented_on_its_own(self):
+        # The document is one sentence: the look-back word before "foo." is
+        # "x.foo", a dotted initialism. In the piece it is "foo", which ends
+        # a sentence.
+        body = "a b c x.foo. Bar d"
+        assert len(segment_sentences(body)) == 1
+        ps = chunk_retrieval_passages(make_doc(body), 4)
+        assert [(p.text, p.word_count, p.hard_split) for p in ps] == [("a b c x.", 4, True), ("foo. Bar d", 3, True)]
+        assert [s.surface for s in ps[1].sentence_spans] == ["foo.", "Bar d"]
