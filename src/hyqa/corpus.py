@@ -126,10 +126,18 @@ def _is_abbreviation(text: str, punct_pos: int) -> bool:
     """True when the period at punct_pos terminates a guarded abbreviation."""
     if text[punct_pos] != ".":
         return False
-    i = punct_pos - 1
-    while i >= 0 and (text[i].isalnum() or text[i] == "."):
-        i -= 1
-    word = text[i + 1 : punct_pos].lower()
+    # The word is the run of alphanumerics and periods before punct_pos.
+    # When the text since the last space is all such characters, that is
+    # the word; otherwise walk back to the first other character (a tab,
+    # a no-break space, a bracket).
+    word = text[text.rfind(" ", 0, punct_pos) + 1 : punct_pos]
+    letters = word.replace(".", "")
+    if letters and not letters.isalnum():
+        i = punct_pos - 1
+        while i >= 0 and (text[i].isalnum() or text[i] == "."):
+            i -= 1
+        word = text[i + 1 : punct_pos]
+    word = word.lower()
     if word in _ABBREVIATIONS:
         return True
     # Single letters ("J. Smith") and dotted initialisms ("U.S.") don't split.
@@ -190,10 +198,13 @@ def token_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
 def terms(text: str) -> list[str]:
     """The surfaces of tokenize(text), without building spans.
 
-    Each match is lowercased on its own: lowercasing the text first would
-    turn some non-ASCII letters (KELVIN SIGN, dotted capital I) into ASCII
-    ones and create tokens that tokenize does not see.
+    An ASCII text is lowercased whole before matching. Any other text has
+    each match lowercased on its own: lowercasing it first would turn some
+    non-ASCII letters (KELVIN SIGN, dotted capital I) into ASCII ones and
+    create tokens that tokenize does not see.
     """
+    if text.isascii():
+        return _TOKEN_RE.findall(text.lower())
     return [m.lower() for m in _TOKEN_RE.findall(text)]
 
 

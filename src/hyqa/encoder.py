@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -129,8 +130,8 @@ DESK_PRESET = TrainConfig(learning_rate=0.05, epochs=6, batch_size=16, warmup_st
 
 
 def _token_ids(encoder: DualEncoder, text: str) -> np.ndarray:
-    vocab = encoder.vocab
-    return np.array([vocab[t] for t in terms(text) if t in vocab], dtype=np.intp)
+    ids = np.fromiter(map(encoder.vocab.get, terms(text), repeat(-1)), dtype=np.intp)
+    return ids[ids >= 0]
 
 
 def _tokenize_all(encoder: DualEncoder, instances: Iterable[IRTrainInstance]) -> dict[str, np.ndarray]:

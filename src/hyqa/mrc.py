@@ -3,25 +3,31 @@
 A span (s, e) over passage tokens (1-based; index 0 is the null/CLS slot)
 scores start[s] + end[e] - start[0] - end[0]. The best-span enumerator,
 the answerability score and the K-passage reader share one band of those
-scores over stacked logit rows. Logit sources are pluggable: a
-deterministic lexical-overlap baseline and a loader for precomputed logits
-produced offline by an external model.
+scores over stacked logit rows (LogitRows): span_band and best_span_each
+take stacked rows, and best_spans and answerability stack their one row.
+Logit sources are pluggable: a scorer has .logits(question, passage_id,
+passage_text) -> SpanLogits or None, and may have .logits_each(question,
+texts) -> LogitRows, which scores many passages in one pass. Bundled are
+a deterministic lexical-overlap baseline (which has both) and a loader for
+precomputed logits produced offline by an external model.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import terms, token_range_text, word_count
 from .scored import top_k
 
 __all__ = [
     "SpanLogits",
+    "LogitRows",
+    "stack_logits",
     "SpanScore",
     "ScorerConfig",
     "span_score",
@@ -66,6 +72,31 @@ class SpanLogits:
         return len(self.start) - 1
 
 
+@dataclass(frozen=True, eq=False)
+class LogitRows:
+    """Logit rows of several passages stacked by token: `start` and `end`
+    hold every row's logits 1..n back to back (sum(n) float64 values),
+    `cls_start` and `cls_end` each row's CLS pair, and `n` each row's token
+    count. A row with n = 0 holds no token logits."""
+
+    start: np.ndarray
+    end: np.ndarray
+    cls_start: np.ndarray
+    cls_end: np.ndarray
+    n: np.ndarray
+
+
+def stack_logits(rows: Sequence[SpanLogits]) -> LogitRows:
+    """The LogitRows of one or more SpanLogits, in order."""
+    return LogitRows(
+        np.concatenate([logits.start[1:] for logits in rows]),
+        np.concatenate([logits.end[1:] for logits in rows]),
+        np.array([logits.start[0] for logits in rows]),
+        np.array([logits.end[0] for logits in rows]),
+        np.array([logits.n for logits in rows]),
+    )
+
+
 @dataclass(frozen=True)
 class SpanScore:
     s: int
@@ -91,8 +122,8 @@ def span_score(logits: SpanLogits, s: int, e: int) -> float:
     return float(logits.start[s] + logits.end[e] - logits.start[0] - logits.end[0])
 
 
-def span_band(rows: Sequence[SpanLogits], max_answer_len: int) -> np.ndarray:
-    """Every span score of every row, stacked by token: rows[k] takes n
+def span_band(rows: LogitRows, max_answer_len: int) -> np.ndarray:
+    """Every span score of every row, stacked by token: row k takes n
     consecutive band rows from offset o (the sum of the earlier rows' n),
     and band[o + s - 1, j] scores its span (s, s + j), for j below
     width = min(max_answer_len, the longest n).
@@ -102,19 +133,22 @@ def span_band(rows: Sequence[SpanLogits], max_answer_len: int) -> np.ndarray:
     and the first maximum is the best span. The band holds sum(n) * width
     float64 values.
     """
-    n = np.array([logits.n for logits in rows])
+    n = rows.n
     width = min(max_answer_len, int(n.max()))
-    # Each row's end logits 1..n, then width - 1 cells of -inf, so that no
-    # window of a row's tokens reaches the next row.
-    pad = np.full(width - 1, -np.inf)
-    end = np.concatenate([part for logits in rows for part in (logits.end[1:], pad)])
-    # The windows of row k's tokens start k * (width - 1) pad cells past
-    # their position among all rows' tokens.
-    window = np.arange(n.sum()) + np.repeat(np.arange(len(rows)) * (width - 1), n)
-    band = sliding_window_view(end, width)[window]
-    band += np.concatenate([logits.start[1:] for logits in rows])[:, None]
-    band -= np.repeat([logits.start[0] for logits in rows], n)[:, None]
-    band -= np.repeat([logits.end[0] for logits in rows], n)[:, None]
+    # The windows of row k's tokens start k * (width - 1) cells past their
+    # position among all rows' tokens: each row's end logits 1..n are
+    # followed by width - 1 cells of -inf, so that no window of a row's
+    # tokens reaches the next row.
+    window = np.arange(len(rows.end)) + np.repeat(np.arange(len(n)) * (width - 1), n)
+    end = np.full(len(rows.end) + len(n) * (width - 1), -np.inf)
+    end[window] = rows.end
+    # The windows of `end` as a strided view; numpy's sliding_window_view
+    # builds the same view at many times the cost of this constructor.
+    step = end.strides[0]
+    band = np.ndarray((len(end) - width + 1, width), end.dtype, end, 0, (step, step))[window]
+    band += rows.start[:, None]
+    band -= np.repeat(rows.cls_start, n)[:, None]
+    band -= np.repeat(rows.cls_end, n)[:, None]
     return band
 
 
@@ -124,7 +158,7 @@ def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> lis
     n = logits.n
     if n == 0:
         return []
-    band = span_band([logits], config.max_answer_len)
+    band = span_band(stack_logits([logits]), config.max_answer_len)
     width = band.shape[1]
     scores = band.ravel()
     n_spans = n * width - width * (width - 1) // 2
@@ -132,12 +166,12 @@ def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> lis
     return [SpanScore(f // width + 1, f // width + 1 + f % width, float(scores[f])) for f in flat]
 
 
-def best_span_each(rows: Sequence[SpanLogits], max_answer_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def best_span_each(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best span of each row, as best_spans(top_n=1) picks it: arrays of
     s, e and score by row, read from one stacked band. Every row needs n >= 1."""
     band = span_band(rows, max_answer_len)
     width = band.shape[1]
-    cells = np.array([logits.n for logits in rows]) * width
+    cells = rows.n * width
     offsets = np.cumsum(cells) - cells
     flat = band.ravel()
     score = np.maximum.reduceat(flat, offsets)
@@ -151,15 +185,16 @@ def answerability(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> 
     """Highest span score over all candidates; -inf for an empty passage."""
     if logits.n == 0:
         return float("-inf")
-    return float(span_band([logits], config.max_answer_len).max())
+    return float(span_band(stack_logits([logits]), config.max_answer_len).max())
 
 
 class LexicalScorer:
     """Deterministic logit source from question/passage token overlap.
 
     start[i] counts question tokens in the window [i, i+w-1] of passage
-    tokens; end[i] counts over [i-w+1, i]. CLS logits are 0, so spans in
-    overlap-dense regions score high and zero-overlap passages score 0.
+    tokens; end[i] counts over [i-w+1, i]; windows stop at the passage's
+    own ends. CLS logits are 0, so spans in overlap-dense regions score
+    high and zero-overlap passages score 0.
     """
 
     def __init__(self, window: int = 5):
@@ -168,20 +203,32 @@ class LexicalScorer:
         self.window = window
 
     def logits(self, question: str, passage_id: str, passage_text: str) -> SpanLogits:
-        q_terms = set(terms(question))
-        p_terms = terms(passage_text)
-        n, w = len(p_terms), self.window
-        # counts[w + i] is the number of hits among the first i passage
-        # tokens: 0 before the passage, the total after it. Window sums of
-        # 0/1 values are exact as differences of it.
-        hits = np.fromiter(map(q_terms.__contains__, p_terms), dtype=np.float64, count=n)
-        counts = np.zeros(n + 2 * w + 1)
-        np.cumsum(hits, out=counts[w + 1 : w + n + 1])
-        counts[w + n + 1 :] = counts[w + n]
-        rows = np.zeros((2, n + 1))
-        np.subtract(counts[2 * w : 2 * w + n], counts[w : w + n], out=rows[0, 1:])  # hits in [i, i+w-1]
-        np.subtract(counts[w + 1 : w + n + 1], counts[1 : n + 1], out=rows[1, 1:])  # hits in [i-w+1, i]
+        stacked = self.logits_each(question, [passage_text])
+        rows = np.zeros((2, len(stacked.start) + 1))  # CLS logits 0
+        rows[0, 1:] = stacked.start
+        rows[1, 1:] = stacked.end
         return SpanLogits(rows[0], rows[1])
+
+    def logits_each(self, question: str, texts: Sequence[str]) -> LogitRows:
+        """The logits of every text for `question`, stacked: one hit mask
+        and one prefix count over all texts' tokens."""
+        q_terms = set(terms(question))
+        p_terms = [terms(text) for text in texts]
+        n = np.fromiter(map(len, p_terms), dtype=np.intp, count=len(p_terms))
+        total, w = int(n.sum()), self.window
+        hits = np.fromiter(map(q_terms.__contains__, chain.from_iterable(p_terms)), dtype=np.float64, count=total)
+        # counts[i] is the number of hits among the first i tokens. Window
+        # sums of 0/1 values are exact as differences of it.
+        counts = np.zeros(total + 1)
+        np.cumsum(hits, out=counts[1:])
+        # Token i's passage covers tokens [lo, hi) of all texts' tokens.
+        ends = np.cumsum(n)
+        hi = np.repeat(ends, n)
+        lo = np.repeat(ends - n, n)
+        start = counts[np.minimum(np.arange(w, total + w), hi)] - counts[:-1]  # hits in [i, i+w-1]
+        end = counts[1:] - counts[np.maximum(np.arange(1 - w, total + 1 - w), lo)]  # hits in [i-w+1, i]
+        cls = np.zeros(len(p_terms))
+        return LogitRows(start, end, cls, cls, n)
 
 
 class ExternalLogits:

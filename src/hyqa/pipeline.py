@@ -32,13 +32,13 @@ from .corpus import (
     chunk_generation_passages,
     chunk_retrieval_passages,
     passage_to_record,
-    token_range_text,
+    token_bounds,
 )
 from .dense_index import DenseIndex, build_dense_index, dense_search, dense_top_k
 from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, match_at_k, top_n_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
-from .mrc import LexicalScorer, ScorerConfig, SpanLogits, SpanScore, best_span_each
+from .mrc import LexicalScorer, LogitRows, ScorerConfig, SpanScore, best_span_each, stack_logits
 from .scored import ScoredPassage
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search, sparse_top_k
 from .syngen import (
@@ -119,29 +119,49 @@ def answer_question(
     normalize IR and span scores over the candidate pool, and rank by their
     convex combination (ties by ascending passage id).
 
-    The K passages are read as one array: their logit rows are stacked into
-    one span band (mrc.span_band) of sum(n) * min(max_answer_len, n_max)
-    float64 values over the passages' token counts n, each row's best span
-    is its first maximum in (s asc, e asc) order, and each answer is cut
-    from its passage's token offsets.
+    The K passages are read as one array: the scorer's logits_each scores
+    them in one pass when it has one (else each passage's .logits row is
+    stacked, and a passage whose row is None or empty is skipped), their
+    stacked rows make one span band (mrc.span_band) of
+    sum(n) * min(max_answer_len, n_max) float64 values over the passages'
+    token counts n, each row's best span is its first maximum in
+    (s asc, e asc) order, and every answer is cut from one token-offset
+    pass over the passages' texts.
     A logit row longer than its passage's token count is a ValueError.
     """
-    read: list[tuple[ScoredPassage, SpanLogits]] = []
-    for sp in retriever(question, config.K):
-        logits = scorer.logits(question, sp.passage_id, passage_texts[sp.passage_id])
-        if logits is not None and logits.n > 0:
-            read.append((sp, logits))
+    retrieved = retriever(question, config.K)
+    if hasattr(scorer, "logits_each"):
+        rows = scorer.logits_each(question, [passage_texts[sp.passage_id] for sp in retrieved])
+        read = np.flatnonzero(rows.n).tolist()
+        # Rows without tokens hold no token logits, so dropping them keeps
+        # the stacked token arrays as they are.
+        rows = LogitRows(rows.start, rows.end, rows.cls_start[read], rows.cls_end[read], rows.n[read])
+    else:
+        logits = [scorer.logits(question, sp.passage_id, passage_texts[sp.passage_id]) for sp in retrieved]
+        read = [i for i, row in enumerate(logits) if row is not None and row.n > 0]
+        rows = stack_logits([logits[i] for i in read]) if read else None
     if not read:
         return []
-    starts, ends, span_scores = best_span_each([logits for _, logits in read], config.scorer.max_answer_len)
-    raw: list[tuple[ScoredPassage, SpanScore, str]] = []
-    for (sp, logits), s, e, score in zip(read, starts.tolist(), ends.tolist(), span_scores.tolist()):
-        answer = token_range_text(passage_texts[sp.passage_id], s, e, logits.n)
-        if answer is None:
-            raise ValueError(
-                f"logits for passage {sp.passage_id!r} cover {logits.n} tokens, more than the passage has"
-            )
-        raw.append((sp, SpanScore(s, e, score), answer))
+    passages = [retrieved[i] for i in read]
+    texts = [passage_texts[sp.passage_id] for sp in passages]
+    # No token crosses the "\n" between two texts, so the tokens of the
+    # joined text are those of each text in turn.
+    joined = "\n".join(texts)
+    tok_starts, tok_ends = token_bounds(joined)
+    text_starts = np.cumsum([0] + [len(text) + 1 for text in texts])
+    first = np.searchsorted(tok_starts, text_starts)  # each text's first token, and the total
+    too_long = np.flatnonzero(rows.n > np.diff(first))
+    if too_long.size:
+        k = too_long[0]
+        raise ValueError(
+            f"logits for passage {passages[k].passage_id!r} cover {rows.n[k]} tokens, more than the passage has"
+        )
+    starts, ends, span_scores = best_span_each(rows, config.scorer.max_answer_len)
+    cuts = zip(tok_starts[first[:-1] + starts - 1].tolist(), tok_ends[first[:-1] + ends - 1].tolist())
+    raw = [
+        (sp, SpanScore(s, e, score), joined[a:b])
+        for sp, s, e, score, (a, b) in zip(passages, starts.tolist(), ends.tolist(), span_scores.tolist(), cuts)
+    ]
     ir_norm = _normalize([sp.score for sp, _, _ in raw], config.normalization)
     mrc_norm = _normalize([span.score for _, span, _ in raw], config.normalization)
     w = config.ir_weight

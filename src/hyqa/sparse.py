@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -137,9 +137,13 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
             raise ValueError(f"duplicate passage id {p.id!r}")
         seen.add(p.id)
         doc_ids.append(p.id)
-        tokens.append([term_ids.setdefault(t, len(term_ids)) for t in terms(p.text)])
+        # One passage's surfaces at a time, so that the token strings of
+        # all passages are never held at once.
+        surfaces = terms(p.text)
+        term_ids.update(zip(filterfalse(term_ids.__contains__, dict.fromkeys(surfaces)), count(len(term_ids))))
+        tokens.append(list(map(term_ids.__getitem__, surfaces)))
     n_docs = len(doc_ids)
-    doc_lengths = np.array([len(ids) for ids in tokens], dtype=np.int64)
+    doc_lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=n_docs)
     surfaces = list(term_ids)
     order = sorted(range(len(surfaces)), key=surfaces.__getitem__)
     rank = np.empty(len(surfaces), dtype=np.int64)

@@ -5,9 +5,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hyqa.corpus import (
+    _ABBREVIATIONS,
     _TOKEN_RE,
     Document,
     IngestError,
+    _is_abbreviation,
     chunk_generation_passages,
     chunk_retrieval_passages,
     ingest_documents,
@@ -79,6 +81,28 @@ class TestSegmentSentences:
         text = "Alpha beta. Gamma delta. Epsilon."
         for s in segment_sentences(text):
             assert text[s.start : s.end] == s.surface
+
+    @given(
+        st.lists(
+            st.sampled_from(sorted(_ABBREVIATIONS) + ["U.S", "Dr", "1", "ab1"])
+            | st.text(alphabet=". \t\xa0(\u0130\u0663aBz", max_size=4),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_abbreviation_equals_char_walk(self, text):
+        for p, ch in enumerate(text):
+            if ch == ".":
+                assert _is_abbreviation(text, p) == walk_is_abbreviation(text, p), p
+
+
+def walk_is_abbreviation(text, punct_pos):
+    """corpus._is_abbreviation as it was before the look-back to the last
+    space: one character at a time; kept as the exact reference."""
+    i = punct_pos - 1
+    while i >= 0 and (text[i].isalnum() or text[i] == "."):
+        i -= 1
+    word = text[i + 1 : punct_pos].lower()
+    return word in _ABBREVIATIONS or len(word) == 1 or (len(word) > 1 and "." in word)
 
 
 class TestTokenize:
@@ -159,6 +183,11 @@ class TestTerms:
     @example("\u212a and \u0130 (KELVIN SIGN, DOTTED CAPITAL I) in \u0130stanbul at 5\u212a")
     @example("")
     def test_equals_tokenize_surfaces(self, text):
+        assert terms(text) == [t.surface for t in tokenize(text)]
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127)))
+    def test_ascii_equals_tokenize_surfaces(self, text):
+        # st.text() rarely draws an all-ASCII text, the lowercase-first path.
         assert terms(text) == [t.surface for t in tokenize(text)]
 
 

@@ -16,6 +16,7 @@ from hyqa.mrc import (
     extract_answer,
     span_band,
     span_score,
+    stack_logits,
 )
 
 # Index 0 = CLS throughout.
@@ -150,13 +151,13 @@ class TestSpanLogitsArrays:
 class TestSpanBand:
     def test_pads_each_row_past_its_own_length(self):
         short = SpanLogits((0.0, 1.0), (0.0, 2.0))
-        band = span_band([FIXTURE, short], max_answer_len=30)
+        band = span_band(stack_logits([FIXTURE, short]), max_answer_len=30)
         assert band.tolist() == [[1.8, 4.3], [3.3, float("-inf")], [3.0, float("-inf")]]
 
     @given(st.lists(logit_sets, min_size=1, max_size=40), st.integers(1, 60))
     def test_best_span_each_equals_best_spans_top_1(self, rows, max_len):
         rows = [r for r in rows if r.n > 0] or [FIXTURE]
-        s, e, scores = best_span_each(rows, max_len)
+        s, e, scores = best_span_each(stack_logits(rows), max_len)
         expected = [best_spans(r, ScorerConfig(max_answer_len=max_len, top_n=1))[0] for r in rows]
         assert list(zip(s.tolist(), e.tolist(), [v.hex() for v in scores.tolist()])) == [
             (sp.s, sp.e, sp.score.hex()) for sp in expected
@@ -192,6 +193,11 @@ class TestAnswerability:
         config = ScorerConfig(max_answer_len=30, top_n=10**6)
         spans = best_spans(FIXTURE, config)
         assert answerability(FIXTURE, config) == max(sp.score for sp in spans)
+
+
+# Words of lexical-scorer cases: punctuation, case, and non-ASCII letters
+# (KELVIN SIGN, dotted capital I) that lowercase to ASCII but are no token.
+LEXICAL_WORDS = [f"w{i}" for i in range(8)] + ["W1", "w2,", "(w3)", "\u212a", "\u0130w4", "k", "i"]
 
 
 class TestLexicalScorer:
@@ -236,6 +242,23 @@ class TestLexicalScorer:
             expected = window_sum_reference(question, text, window)
             assert [v.hex() for v in got.start] == [v.hex() for v in expected.start]
             assert [v.hex() for v in got.end] == [v.hex() for v in expected.end]
+
+    @given(
+        st.lists(st.sampled_from(LEXICAL_WORDS), max_size=6).map(" ".join),
+        st.lists(st.lists(st.sampled_from(LEXICAL_WORDS), max_size=50).map(" ".join), max_size=40),
+        st.sampled_from([1, 3, 5, 40]),
+    )
+    @example("w1", [], 5)
+    @example("w1", ["", "w1", ""], 5)
+    def test_logits_each_equals_window_sum_loop_reference(self, question, texts, window):
+        rows = LexicalScorer(window).logits_each(question, texts)
+        assert rows.n.tolist() == [len(tokenize(text)) for text in texts]
+        assert rows.cls_start.tolist() == rows.cls_end.tolist() == [0.0] * len(texts)
+        offsets = np.cumsum(rows.n) - rows.n
+        for text, o, n in zip(texts, offsets.tolist(), rows.n.tolist()):
+            expected = window_sum_reference(question, text, window)
+            assert [v.hex() for v in rows.start[o : o + n]] == [v.hex() for v in expected.start[1:]]
+            assert [v.hex() for v in rows.end[o : o + n]] == [v.hex() for v in expected.end[1:]]
 
 
 def window_sum_reference(question, passage_text, w):

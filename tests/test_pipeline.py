@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hyqa.corpus import Document, tokenize
 from hyqa.encoder import TrainConfig
 from hyqa.evalkit import GoldSet
 from hyqa.fusion import minmax_normalize
-from hyqa.mrc import ScorerConfig, SpanLogits, best_spans
+from hyqa.mrc import LexicalScorer, ScorerConfig, SpanLogits, best_spans
 from hyqa.pipeline import (
     K_HYBRID,
     K_SPARSE_ONLY,
@@ -118,6 +119,18 @@ class TestAnswerQuestion:
         with pytest.raises(ValueError, match="'p2' cover 4 tokens"):
             answer_question("q", fixed_retriever(self.retrieved()), TableScorer(table), PASSAGE_TEXTS, PipelineConfig(K=3))
 
+    def test_logits_shorter_than_passage_cut_from_its_tokens(self):
+        # Each answer is cut at its own passage's token offsets, whatever
+        # the earlier rows' lengths.
+        table = {
+            "p1": SpanLogits(start=(0.0, 1.0), end=(0.0, 1.0)),
+            "p2": SpanLogits(start=(0.0, 0.0, 3.0), end=(0.0, 0.0, 3.0)),
+            "p3": SpanLogits(start=(0.0, 2.0, 0.0, 0.0), end=(0.0, 0.0, 0.0, 2.0)),
+        }
+        args = ("q", fixed_retriever(self.retrieved()), TableScorer(table), PASSAGE_TEXTS, PipelineConfig(K=3))
+        assert candidate_rows(answer_question(*args)) == loop_reference(*args)
+        assert sorted(c.text for c in answer_question(*args)) == ["alpha", "epsilon", "eta theta iota"]
+
 
 def loop_reference(question, retriever, scorer, passage_texts, config):
     """answer_question as it was before the stacked reader: one
@@ -202,6 +215,78 @@ class TestReaderMatchesLoopReference:
         retrieved, texts, table, config = case
         args = ("q", fixed_retriever(retrieved), TableScorer(table), texts, config)
         assert candidate_rows(answer_question(*args)) == loop_reference(*args)
+
+
+LEXICAL_WORDS = ["alpha", "Beta", "beta", "g4mma", "delta,", "(eps)", "\u212a", "\u0130ota", "k", "i", "99"]
+
+
+@st.composite
+def lexical_cases(draw):
+    """K passages (0 to 60 tokens, with non-ASCII letters and repeated
+    texts) and a question drawn from the same words, read by LexicalScorer."""
+    k = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    texts = {}
+    for i in range(k):
+        size = int(rng.choice([0, 1, 2, rng.integers(3, 61)]))
+        texts[f"p{rng.integers(0, 1000):03d}.{i}"] = " ".join(rng.choice(LEXICAL_WORDS, size=size))
+    if draw(st.booleans()):
+        # Repeated texts give tied span scores across passages.
+        first = next(iter(texts.values()))
+        texts = {pid: first if i % 2 else text for i, (pid, text) in enumerate(texts.items())}
+    question = " ".join(rng.choice(LEXICAL_WORDS, size=int(rng.integers(0, 6))))
+    retrieved = [ScoredPassage(pid, float(rng.integers(0, 4)), "sparse") for pid in texts]
+    config = PipelineConfig(
+        K=k,
+        ir_weight=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        scorer=ScorerConfig(max_answer_len=draw(st.integers(1, 60)), top_n=1),
+        normalization=draw(st.sampled_from(["minmax", "softmax"])),
+    )
+    return question, retrieved, texts, LexicalScorer(draw(st.sampled_from([1, 3, 5]))), config
+
+
+class TestLexicalReaderMatchesLoopReference:
+    @given(lexical_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_field_for_field(self, case):
+        question, retrieved, texts, scorer, config = case
+        args = (question, fixed_retriever(retrieved), scorer, texts, config)
+        assert candidate_rows(answer_question(*args)) == loop_reference(*args)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of the hyqa function `name` through every hyqa module
+    that holds it."""
+    calls = []
+    original = getattr(sys.modules["hyqa.corpus"], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("hyqa") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestReaderPasses:
+    """The K passages are tokenized once for their logits and scanned once
+    for their token offsets; no per-passage second scan."""
+
+    def test_one_terms_per_text_and_one_offset_pass(self, monkeypatch):
+        texts = {f"p{i}": f"alpha beta {'gamma ' * i}delta" for i in range(7)}
+        texts["empty"] = "(...)"
+        retrieved = [ScoredPassage(pid, 1.0, "sparse") for pid in texts]
+        terms_calls = count_calls(monkeypatch, "terms")
+        bounds_calls = count_calls(monkeypatch, "token_bounds")
+        range_calls = count_calls(monkeypatch, "token_range_text")
+        config = PipelineConfig(K=len(texts))
+        candidates = answer_question("beta delta", fixed_retriever(retrieved), LexicalScorer(), texts, config)
+        assert len(candidates) == len(texts) - 1
+        assert len(terms_calls) == 1 + len(texts)
+        assert len(bounds_calls) == 1
+        assert range_calls == []
 
 
 class TestEvaluateRun:
