@@ -59,7 +59,25 @@ def _read_lines(path):
 
 
 def _load_jsonl(path, from_record):
-    return [from_record(json.loads(line)) for line in _read_lines(path) if line.strip()]
+    """from_record of each JSON line of the file at path. A line that is
+    not JSON, lacks a key or is refused by from_record raises ValueError
+    naming the file and the 1-based line."""
+    records = []
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record is not a JSON object")
+            records.append(from_record(record))
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path} line {line_no}: invalid JSON: {e.msg} at column {e.colno}") from e
+        except KeyError as e:
+            raise ValueError(f"{path} line {line_no}: missing key {e}") from e
+        except ValueError as e:
+            raise ValueError(f"{path} line {line_no}: {e}") from e
+    return records
 
 
 def _load_passages(path):
@@ -163,18 +181,20 @@ def cmd_encode(args):
 
 def cmd_train_encoder(args):
     passages = {p.id: p for p in _load_passages(args.passages)}
-    instances = []
-    for line in _read_lines(args.instances):
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        instances.append(
-            IRTrainInstance(
-                question=rec["question"],
-                positive=passages[rec["positive_id"]],
-                hard_negatives=tuple(passages[pid] for pid in rec["negative_ids"]),
-            )
-        )
+
+    def passage(pid):
+        if pid not in passages:
+            raise ValueError(f"unknown passage id {pid!r}")
+        return passages[pid]
+
+    instances = _load_jsonl(
+        args.instances,
+        lambda rec: IRTrainInstance(
+            question=rec["question"],
+            positive=passage(rec["positive_id"]),
+            hard_negatives=tuple(map(passage, rec["negative_ids"])),
+        ),
+    )
     base = DualEncoder.from_texts([p.text for p in passages.values()], d=args.dim, seed=args.seed)
     config = TrainConfig(
         learning_rate=args.lr,
@@ -238,7 +258,7 @@ def cmd_answer(args):
     config = PipelineConfig(
         K=args.K,
         ir_weight=args.ir_weight,
-        scorer=ScorerConfig(max_answer_len=args.max_answer_len, top_n=1),
+        scorer=ScorerConfig(max_answer_len=args.max_answer_len),
         normalization=args.normalization,
     )
     candidates = answer_question(args.question, retriever, _scorer(args, passages), passages, config)

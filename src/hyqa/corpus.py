@@ -6,10 +6,7 @@ byte-identical output. The tokenizer defined here is *the* definition of a
 
 A document is chunked from one sentence segmentation and one token-offset
 pass (token_bounds): sentence word counts are differences of token start
-offsets. A packed passage takes its sentence spans from the document's,
-shifted to the passage start; a hard-split piece of an oversized sentence
-is segmented again, because a piece can segment differently from the
-document (the abbreviation look-back stops at the piece's start).
+offsets. A passage's sentences are segment_sentences(passage.text).
 """
 
 from __future__ import annotations
@@ -17,8 +14,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Iterable, Iterator, Optional
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,7 +31,6 @@ __all__ = [
     "terms",
     "distinct_terms",
     "word_count",
-    "token_range_text",
     "chunk_retrieval_passages",
     "chunk_generation_passages",
 ]
@@ -70,7 +66,6 @@ class Passage:
     id: str
     doc_id: str
     text: str
-    sentence_spans: tuple[TokenSpan, ...]
     word_count: int
     hard_split: bool = False
 
@@ -218,19 +213,6 @@ def word_count(text: str) -> int:
     return len(_TOKEN_RE.findall(text))
 
 
-def token_range_text(text: str, first: int, last: int, count: int) -> Optional[str]:
-    """The text from the start of token `first` to the end of token `last`
-    (1-based, inclusive), as extract_answer cuts it from tokenize(text).
-
-    One finditer pass over tokens `first`..`count` builds no TokenSpan;
-    None when the text has fewer than `count` tokens.
-    """
-    tokens = list(islice(_TOKEN_RE.finditer(text), first - 1, count))
-    if len(tokens) <= count - first:
-        return None
-    return text[tokens[0].start() : tokens[last - first].end()]
-
-
 def _chunk(doc: Document, max_units: int) -> list[Passage]:
     """Greedy sentence packing with hard-splitting of oversized sentences."""
     if max_units < 1:
@@ -241,39 +223,25 @@ def _chunk(doc: Document, max_units: int) -> list[Passage]:
     # No token crosses a sentence cut, so a sentence's tokens are those
     # starting inside it.
     bounds = np.searchsorted(starts, [x for sent in sentences for x in (sent.start, sent.end)]).tolist()
-    passages: list[Passage] = []
-    current: list[TokenSpan] = []
-    current_units = 0
-
-    def emit(text: str, spans: tuple[TokenSpan, ...], units: int, hard_split: bool = False):
-        passages.append(Passage(f"{doc.id}#{len(passages)}", doc.id, text, spans, units, hard_split))
-
-    def flush():
-        nonlocal current_units
-        if current:
-            base = current[0].start
-            spans = tuple(TokenSpan(s.start - base, s.end - base, s.surface) for s in current)
-            emit(body[base : current[-1].end], spans, current_units)
-            current.clear()
-            current_units = 0
-
+    # (start, end, units, hard_split) of each passage, in order.
+    pieces: list[tuple[int, int, int, bool]] = []
     for sent, lo, hi in zip(sentences, bounds[0::2], bounds[1::2]):
         units = hi - lo
         if units > max_units:
-            # Oversized single sentence: flush, then hard-split at word
-            # boundaries into max_units-sized pieces, each segmented anew.
-            flush()
+            # Oversized single sentence: hard-split at word boundaries into
+            # max_units-sized pieces.
             cuts = starts[lo:hi:max_units].tolist() + [sent.end]
-            for i in range(len(cuts) - 1):
-                text = body[cuts[i] : cuts[i + 1]].rstrip()
-                emit(text, tuple(segment_sentences(text)), min(max_units, units - i * max_units), hard_split=True)
-            continue
-        if current_units + units > max_units:
-            flush()
-        current.append(sent)
-        current_units += units
-    flush()
-    return passages
+            pieces += [(a, b, min(max_units, units - i * max_units), True) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+        elif pieces and not pieces[-1][3] and pieces[-1][2] + units <= max_units:
+            pieces[-1] = (pieces[-1][0], sent.end, pieces[-1][2] + units, False)
+        else:
+            pieces.append((sent.start, sent.end, units, False))
+    # A packed passage already ends at its last sentence's last non-space
+    # character; rstrip trims a hard-split piece before the next cut.
+    return [
+        Passage(f"{doc.id}#{i}", doc.id, body[a:b].rstrip(), units, hard_split)
+        for i, (a, b, units, hard_split) in enumerate(pieces)
+    ]
 
 
 def chunk_retrieval_passages(doc: Document, max_words: int = 120) -> list[Passage]:
@@ -292,18 +260,17 @@ def passage_to_record(p: Passage) -> dict:
         "doc_id": p.doc_id,
         "text": p.text,
         "word_count": p.word_count,
-        "sentences": [[s.start, s.end] for s in p.sentence_spans],
         "hard_split": p.hard_split,
     }
 
 
 def passage_from_record(record: dict) -> Passage:
-    text = record["text"]
+    """The inverse of passage_to_record. A "sentences" key, which older
+    passage files hold, is ignored."""
     return Passage(
         id=record["id"],
         doc_id=record["doc_id"],
-        text=text,
-        sentence_spans=tuple(TokenSpan(s, e, text[s:e]) for s, e in record["sentences"]),
+        text=record["text"],
         word_count=record["word_count"],
         hard_split=record.get("hard_split", False),
     )

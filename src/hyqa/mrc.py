@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import terms, token_range_text, word_count
+from .corpus import terms, token_bounds, word_count
 from .scored import top_k
 
 __all__ = [
@@ -285,7 +285,7 @@ class ExternalLogits:
 
 def extract_answer(passage_text: str, span: SpanScore) -> str:
     """Character-level answer text for a token span (1-based indices)."""
-    answer = token_range_text(passage_text, span.s, span.e, span.e)
-    if answer is None:
-        raise IndexError(f"span ({span.s}, {span.e}) runs past the passage's {word_count(passage_text)} tokens")
-    return answer
+    starts, ends = token_bounds(passage_text)
+    if not 1 <= span.s <= span.e <= len(ends):
+        raise IndexError(f"span ({span.s}, {span.e}) is outside the passage's {len(ends)} tokens")
+    return passage_text[starts[span.s - 1] : ends[span.e - 1]]

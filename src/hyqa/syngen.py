@@ -15,7 +15,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Passage, TokenSpan, terms, tokenize
+from .corpus import Passage, TokenSpan, segment_sentences, terms, tokenize
 from .encoder import IRTrainInstance
 from .evalkit import _contains_answer
 from .mrc import ScorerConfig, answerability
@@ -132,7 +132,7 @@ def encode_generation_target(passage: Passage, example: QAExample) -> GenTarget:
     if passage.text[a_start:a_end] != example.answer:
         raise ValueError("answer_span does not slice to the answer text")
     containing = None
-    for sent in passage.sentence_spans:
+    for sent in segment_sentences(passage.text):
         if sent.start <= a_start and a_end <= sent.end:
             containing = sent
             break
@@ -185,7 +185,7 @@ def decode_generation_target(passage: Passage, serialized: str):
         raise ValueError("empty answer or question segment")
 
     sentence = None
-    for sent in passage.sentence_spans:
+    for sent in segment_sentences(passage.text):
         toks = terms(sent.surface)
         if toks and toks[0] == first and toks[-1] == last:
             sentence = sent
@@ -445,7 +445,7 @@ def candidate_targets(passage: Passage, rng: np.random.Generator, per_sentence: 
     sentence.
     """
     targets = []
-    for sent in passage.sentence_spans:
+    for sent in segment_sentences(passage.text):
         tokens = terms(sent.surface)
         if len(tokens) < 3:
             continue

@@ -336,6 +336,40 @@ class TestErrorHandling:
         assert err == f"error [{command}]: logits for ('q1', '{pid}') cover {n + extra} tokens, passage has {n}\n"
         assert not (tmp_path / "eval" / "report.json").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("{bad", "invalid JSON: Expecting property name enclosed in double quotes at column 2"),
+        ("[1, 2]", "record is not a JSON object"),
+    ])
+    def test_invalid_json_line_is_located(self, workspace, tmp_path, capsys, line, message):
+        _, out = workspace
+        lines = (out / "passages_retrieval.jsonl").read_text().splitlines(keepends=True)
+        bad = tmp_path / "passages.jsonl"
+        bad.write_text(lines[0] + line + "\n" + "".join(lines[1:]))
+        assert run(["--output-dir", tmp_path / "o", "index-sparse", "--passages", bad]) == 1
+        assert capsys.readouterr().err == f"error [index-sparse]: {bad} line 2: {message}\n"
+
+    def test_missing_key_is_located(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        record = {"passage_id": "doc0#0", "question": "what", "answer": "The", "span_start": 0, "span_end": 3}
+        examples = tmp_path / "examples.jsonl"
+        del record["span_start"]
+        examples.write_text(json.dumps({**record, "span_start": 0}) + "\n\n" + json.dumps(record) + "\n")
+        assert run([
+            "--output-dir", tmp_path / "o", "filter",
+            "--examples", examples, "--passages", out / "passages_generation.jsonl",
+        ]) == 1
+        assert capsys.readouterr().err == f"error [filter]: {examples} line 3: missing key 'span_start'\n"
+
+    def test_unknown_passage_id_is_named(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        instances = tmp_path / "instances.jsonl"
+        instances.write_text(json.dumps({"question": "what", "positive_id": "doc0#0", "negative_ids": ["zz"]}) + "\n")
+        assert run([
+            "--output-dir", tmp_path / "o", "train-encoder",
+            "--instances", instances, "--passages", out / "passages_generation.jsonl",
+        ]) == 1
+        assert capsys.readouterr().err == f"error [train-encoder]: {instances} line 1: unknown passage id 'zz'\n"
+
     def test_index_dense_on_empty_passages(self, tmp_path, capsys):
         from hyqa.dense_index import DenseIndex
         from hyqa.encoder import DualEncoder

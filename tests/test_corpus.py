@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hyqa import corpus
 from hyqa.corpus import (
     _ABBREVIATIONS,
     _TOKEN_RE,
@@ -18,7 +19,6 @@ from hyqa.corpus import (
     segment_sentences,
     terms,
     token_bounds,
-    token_range_text,
     tokenize,
     word_count,
 )
@@ -172,10 +172,11 @@ class TestChunking:
         assert chunk_retrieval_passages(doc, 5) == chunk_retrieval_passages(doc, 5)
 
     def test_sentence_spans_tile_passage_text(self):
-        doc = make_doc("One two three. Four five six. Seven eight.")
-        for p in chunk_retrieval_passages(doc, 6):
-            for s in p.sentence_spans:
-                assert p.text[s.start : s.end] == s.surface
+        body = "One two three. Four five six. Seven eight."
+        ps = chunk_retrieval_passages(make_doc(body), 6)
+        assert [p.text for p in ps] == ["One two three. Four five six.", "Seven eight."]
+        got = [s.surface for p in ps for s in segment_sentences(p.text)]
+        assert got == [s.surface for s in segment_sentences(body)]
 
 
 class TestTerms:
@@ -197,20 +198,6 @@ class TestWordCount:
     @example("")
     def test_equals_token_and_term_counts(self, text):
         assert word_count(text) == len(tokenize(text)) == len(terms(text))
-
-
-class TestTokenRangeText:
-    @given(st.text(alphabet="ab1 ,.-(\u212a\u0130"), st.data())
-    def test_equals_tokenize_cut(self, text, data):
-        tokens = tokenize(text)
-        count = data.draw(st.integers(1, len(tokens) + 2))
-        first = data.draw(st.integers(1, count))
-        last = data.draw(st.integers(first, count))
-        got = token_range_text(text, first, last, count)
-        if count > len(tokens):
-            assert got is None
-        else:
-            assert got == text[tokens[first - 1].start : tokens[last - 1].end]
 
 
 class TestTokenBounds:
@@ -244,14 +231,20 @@ doc_bodies = st.lists(_sentences, min_size=1, max_size=10).map("".join)
 
 class TestChunkProperties:
     @given(doc_bodies, st.integers(1, 30))
+    @example("A b. C d e. F g.", 3)
     def test_sentence_spans_tile_passage_text(self, body, budget):
-        for p in chunk_retrieval_passages(make_doc(body), budget):
+        ps = chunk_retrieval_passages(make_doc(body), budget)
+        for p in ps:
+            sentences = segment_sentences(p.text)
             at = 0
-            for sent in p.sentence_spans:
+            for sent in sentences:
                 assert not p.text[at : sent.start].strip()
-                assert p.text[sent.start : sent.end] == sent.surface
                 at = sent.end
-            assert at == len(p.text) and p.sentence_spans[0].start == 0
+            assert at == len(p.text) and sentences[0].start == 0
+        # Packed passages segment into the document's sentences that fit the
+        # budget, in order.
+        packed = [s.surface for p in ps if not p.hard_split for s in segment_sentences(p.text)]
+        assert packed == [s.surface for s in segment_sentences(body) if word_count(s.surface) <= budget]
 
     @given(doc_bodies, st.integers(1, 30))
     def test_word_count_within_budget(self, body, budget):
@@ -266,13 +259,6 @@ class TestChunkProperties:
         for p in chunk_retrieval_passages(make_doc(body), budget):
             assert passage_from_record(json.loads(json.dumps(passage_to_record(p)))) == p
 
-    @given(doc_bodies, st.integers(1, 30))
-    @example("A b. C d e. F g.", 3)
-    def test_packed_spans_equal_resegmenting(self, body, budget):
-        for p in chunk_retrieval_passages(make_doc(body), budget):
-            if not p.hard_split:
-                assert list(p.sentence_spans) == segment_sentences(p.text)
-
     def test_hard_split_piece_is_segmented_on_its_own(self):
         # The document is one sentence: the look-back word before "foo." is
         # "x.foo", a dotted initialism. In the piece it is "foo", which ends
@@ -281,4 +267,26 @@ class TestChunkProperties:
         assert len(segment_sentences(body)) == 1
         ps = chunk_retrieval_passages(make_doc(body), 4)
         assert [(p.text, p.word_count, p.hard_split) for p in ps] == [("a b c x.", 4, True), ("foo. Bar d", 3, True)]
-        assert [s.surface for s in ps[1].sentence_spans] == ["foo.", "Bar d"]
+        assert [s.surface for s in segment_sentences(ps[1].text)] == ["foo.", "Bar d"]
+
+    def test_record_with_sentences_key_loads(self):
+        # Older passage files hold a "sentences" key; loading ignores it.
+        record = {"id": "d1#0", "doc_id": "d1", "text": "A b. C d.", "word_count": 4,
+                  "sentences": [[0, 4], [5, 9]], "hard_split": False}
+        assert passage_from_record(record) == chunk_retrieval_passages(make_doc("A b. C d."))[0]
+
+    @pytest.mark.parametrize("budget", [1, 4, 120])
+    def test_one_segmentation_per_document(self, monkeypatch, budget):
+        # "a b c x.foo. Bar d" is one sentence of 6 words: at budgets 1 and 4
+        # it is hard-split, and no piece is segmented again.
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return segment_sentences(text)
+
+        monkeypatch.setattr(corpus, "segment_sentences", counted)
+        bodies = ["a b c x.foo. Bar d", "One two. Three four five six seven.", "(...)"]
+        for body in bodies:
+            chunk_retrieval_passages(make_doc(body), budget)
+        assert calls == bodies

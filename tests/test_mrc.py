@@ -313,3 +313,18 @@ class TestExtractAnswer:
 
         with pytest.raises(IndexError, match="2 tokens"):
             extract_answer("two words", SpanScore(2, 3, 0.0))
+        with pytest.raises(IndexError, match="2 tokens"):
+            extract_answer("two words", SpanScore(0, 1, 0.0))
+
+    @given(st.text(alphabet="ab1 ,.-(\u212a\u0130"), st.data())
+    def test_equals_tokenize_cut(self, text, data):
+        from hyqa.mrc import SpanScore
+
+        tokens = tokenize(text)
+        e = data.draw(st.integers(1, len(tokens) + 2))
+        s = data.draw(st.integers(1, e))
+        if e > len(tokens):
+            with pytest.raises(IndexError, match=f"passage's {len(tokens)} tokens"):
+                extract_answer(text, SpanScore(s, e, 0.0))
+        else:
+            assert extract_answer(text, SpanScore(s, e, 0.0)) == text[tokens[s - 1].start : tokens[e - 1].end]

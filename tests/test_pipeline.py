@@ -280,13 +280,11 @@ class TestReaderPasses:
         retrieved = [ScoredPassage(pid, 1.0, "sparse") for pid in texts]
         terms_calls = count_calls(monkeypatch, "terms")
         bounds_calls = count_calls(monkeypatch, "token_bounds")
-        range_calls = count_calls(monkeypatch, "token_range_text")
         config = PipelineConfig(K=len(texts))
         candidates = answer_question("beta delta", fixed_retriever(retrieved), LexicalScorer(), texts, config)
         assert len(candidates) == len(texts) - 1
         assert len(terms_calls) == 1 + len(texts)
         assert len(bounds_calls) == 1
-        assert range_calls == []
 
 
 class TestEvaluateRun:

@@ -208,7 +208,7 @@ def test_dump_postings_readable(small_index):
 
 
 def raw_passage(pid, text):
-    return Passage(id=pid, doc_id=pid, text=text, sentence_spans=(), word_count=len(tokenize(text)))
+    return Passage(id=pid, doc_id=pid, text=text, word_count=len(tokenize(text)))
 
 
 class TestLoadErrors:
