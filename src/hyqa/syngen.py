@@ -10,6 +10,7 @@ span scorer, BM25 hard-negative mining, and training-set assembly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Protocol, Sequence
 
@@ -50,6 +51,10 @@ __all__ = [
 SEP_TOKEN = "[SEP]"
 EOS_TOKEN = "<eos>"
 MAX_GEN_TOKENS = 64
+# Models whose nuclei generate_corpus selects in one array pass, and so holds
+# at once: about 1,400 rows on short passages, enough to amortize the numpy
+# calls, few enough that the held models add nothing to peak memory.
+_NUCLEUS_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -163,13 +168,26 @@ def _find_token_run(sentence: TokenSpan, answer_tokens: list[str]) -> Optional[t
     return None
 
 
-def decode_generation_target(passage: Passage, serialized: str):
+def _sentence_terms(text: str) -> list[tuple[TokenSpan, list[str]]]:
+    """Each sentence of `text`, in order, with its terms."""
+    return [(sent, terms(sent.surface)) for sent in segment_sentences(text)]
+
+
+def decode_generation_target(
+    passage: Passage,
+    serialized: str,
+    sentences: Optional[Sequence[tuple[TokenSpan, list[str]]]] = None,
+):
     """Parse "first last [SEP] answer [SEP] question" back into a QAExample.
 
     The first sentence whose first/last tokens match wins; the answer is
     located as the first matching token run inside that sentence. Returns a
     DecodeRejection (not an error) when no sentence matches or the answer
     text is absent. Malformed serializations raise ValueError.
+
+    `sentences` is each sentence of passage.text with its terms, in order;
+    a caller decoding many samples of one passage computes it once. When
+    omitted, the passage is segmented here.
     """
     parts = serialized.split(SEP_TOKEN)
     if len(parts) != 3:
@@ -184,12 +202,9 @@ def decode_generation_target(passage: Passage, serialized: str):
     if not answer_tokens or not question:
         raise ValueError("empty answer or question segment")
 
-    sentence = None
-    for sent in segment_sentences(passage.text):
-        toks = terms(sent.surface)
-        if toks and toks[0] == first and toks[-1] == last:
-            sentence = sent
-            break
+    if sentences is None:
+        sentences = _sentence_terms(passage.text)
+    sentence = next((sent for sent, toks in sentences if toks and toks[0] == first and toks[-1] == last), None)
     if sentence is None:
         return DecodeRejection("sentence-not-found")
     run = _find_token_run(sentence, answer_tokens)
@@ -205,6 +220,18 @@ def decode_generation_target(passage: Passage, serialized: str):
     )
 
 
+def _check_masses(masses: np.ndarray) -> None:
+    """Reject a distribution, or rows of them, with negative mass or a sum
+    off 1."""
+    if (masses < 0).any():
+        raise ValueError("negative probability mass")
+    totals = np.atleast_1d(masses.sum(axis=-1))
+    # np.isclose(total, 1.0, atol=1e-9) written out; NaN fails it too.
+    bad = ~(np.abs(totals - 1.0) <= 1e-9 + 1e-5)
+    if bad.any():
+        raise ValueError(f"masses sum to {float(totals[bad][0])}, not 1")
+
+
 def _nucleus(masses: np.ndarray, config: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
     """Validate a next-token distribution and select the nucleus that
     `sample_top_p_top_k` samples from: the kept token ids, highest mass
@@ -212,12 +239,7 @@ def _nucleus(masses: np.ndarray, config: SamplerConfig) -> tuple[np.ndarray, np.
     masses = np.asarray(masses, dtype=np.float64)
     if masses.size == 0:
         raise ValueError("empty distribution")
-    if (masses < 0).any():
-        raise ValueError("negative probability mass")
-    total = float(masses.sum())
-    # np.isclose(total, 1.0, atol=1e-9) in scalar form; NaN fails it too.
-    if not abs(total - 1.0) <= 1e-9 + 1e-5:
-        raise ValueError(f"masses sum to {total}, not 1")
+    _check_masses(masses)
     order = np.lexsort((np.arange(masses.size), -masses))[: config.k]
     kept = masses[order]
     cum = np.cumsum(kept)
@@ -257,6 +279,81 @@ def _nucleus_sampler(config: SamplerConfig, rng: np.random.Generator) -> Callabl
     return draw
 
 
+def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
+    """Select the nucleus of every fitted row of `lms` in one array pass and
+    store it in each model for `config`'s (p, k).
+
+    Each row's ids and CDF are bit for bit what _nucleus_sampler builds from
+    _nucleus(row, config): the same validation, the same stable ranking,
+    the same cut, and each nucleus renormalized by a 1-D sum over a
+    contiguous copy of its masses, so numpy sums it in _nucleus's order. A
+    model holds its rows' ids and CDFs as flat lists with row offsets,
+    shared by the models of one call."""
+    heights = [lm._probs.shape[0] for lm in lms]
+    widths = [len(lm.vocab) for lm in lms]
+    # Each model's top k by a stable argsort of -mass (ties by ascending
+    # id), padded with zero mass to k columns: no model's full width is
+    # padded to the widest one's.
+    order = np.zeros((sum(heights), config.k), dtype=np.intp)
+    kept = np.zeros(order.shape)
+    row = 0
+    for lm, height in zip(lms, heights):
+        masses = lm._probs
+        _check_masses(masses)
+        top = np.argsort(-masses, axis=1, kind="stable")[:, : config.k]
+        order[row : row + height, : top.shape[1]] = top
+        kept[row : row + height, : top.shape[1]] = np.take_along_axis(masses, top, axis=1)
+        row += height
+    cum = np.cumsum(kept, axis=1)
+    # _nucleus's searchsorted(cum, p - 1e-12) + 1, never into the padding
+    # past a model's vocabulary.
+    limit = np.minimum(config.k, np.repeat(widths, heights))
+    cut = np.minimum(np.count_nonzero(cum < config.p - 1e-12, axis=1) + 1, limit)
+    cdf = np.zeros_like(kept)
+    for width in np.unique(cut).tolist():
+        rows = np.flatnonzero(cut == width)
+        nuclei = kept[rows, :width]
+        weights = nuclei / nuclei.sum(axis=1, keepdims=True)
+        sums = weights.cumsum(axis=1)
+        cdf[rows, :width] = sums / sums[:, -1:]
+    inside = np.arange(order.shape[1]) < cut[:, None]
+    ids, cdf = order[inside].tolist(), cdf[inside].tolist()
+    offsets = [0, *np.cumsum(cut).tolist()]
+    row = 0
+    for lm, height in zip(lms, heights):
+        lm._nuclei[config.p, config.k] = ids, cdf, offsets[row : row + height + 1]
+        row += height
+
+
+def _ngram_decoder(lm: "NgramLM", config: SamplerConfig, rng: np.random.Generator):
+    """Start state, draw and step of a fitted NgramLM, all on row numbers:
+    a draw is one uniform and one CDF search in the row's nucleus, the same
+    comparisons Generator.choice makes; a step is one transition lookup."""
+    if (config.p, config.k) not in lm._nuclei:
+        _select_nuclei([lm], config)
+    ids, cdf, offsets = lm._nuclei[config.p, config.k]
+    random = rng.random
+
+    def draw(row: int) -> int:
+        return ids[bisect_right(cdf, random(), offsets[row], offsets[row + 1])]
+
+    return lm._start, draw, lm._transitions.item
+
+
+def _distribution_decoder(lm: TokenDistribution, config: SamplerConfig, rng: np.random.Generator):
+    """Start state, draw and step of any other token distribution: the state
+    is the context tuple, and draws go through _nucleus_sampler."""
+    sample = _nucleus_sampler(config, rng)
+
+    def draw(context: tuple[str, ...]) -> int:
+        return sample(lm.next(context))
+
+    def step(context: tuple[str, ...], token: int) -> tuple[str, ...]:
+        return context + (lm.vocab[token],)
+
+    return (), draw, step
+
+
 @dataclass
 class GenerationResult:
     examples: list[QAExample]
@@ -274,22 +371,31 @@ def generate_examples(
     Rejected decodes (answer missing from the passage, unmatched sentence,
     malformed output) are dropped and tallied; duplicate (question, answer)
     pairs are deduplicated. Output may therefore be shorter than n.
+
+    A fitted NgramLM decodes on its compiled row numbers; any other model
+    is asked for lm.next(context) at each token. Both draw one uniform per
+    token, as sample_top_p_top_k does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    draw = _nucleus_sampler(config, np.random.default_rng(config.seed))
+    decoder = _ngram_decoder if isinstance(lm, NgramLM) and len(lm._probs) else _distribution_decoder
+    start, draw, step = decoder(lm, config, np.random.default_rng(config.seed))
+    vocab = lm.vocab
+    sentences = _sentence_terms(passage.text)
     result = GenerationResult(examples=[])
     seen: set[tuple[str, str]] = set()
     for _ in range(n):
-        tokens: list[str] = []
+        state, tokens = start, []
         for _ in range(MAX_GEN_TOKENS):
-            tok = lm.vocab[draw(lm.next(tokens))]
+            token = draw(state)
+            tok = vocab[token]
             if tok == EOS_TOKEN:
                 break
             tokens.append(tok)
+            state = step(state, token)
         serialized = " ".join(tokens)
         try:
-            decoded = decode_generation_target(passage, serialized)
+            decoded = decode_generation_target(passage, serialized, sentences)
         except ValueError:
             result.discards["malformed"] = result.discards.get("malformed", 0) + 1
             continue
@@ -316,19 +422,28 @@ def generate_corpus(
 
     Passage i draws from its own RNG seeded with seed ^ (i + 1); the
     sampler's own seed is ignored. Passages without targets are skipped;
-    discards are summed over all passages.
+    discards are summed over all passages. The models of each run of a few
+    passages have their nuclei selected in one array pass.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     total = GenerationResult(examples=[])
-    for i, passage in enumerate(passages):
-        rng = np.random.default_rng(seed ^ (i + 1))
-        targets = candidate_targets(passage, rng)
-        if not targets:
+    for first in range(0, len(passages), _NUCLEUS_CHUNK):
+        chunk = []
+        for i in range(first, min(first + _NUCLEUS_CHUNK, len(passages))):
+            rng = np.random.default_rng(seed ^ (i + 1))
+            targets = candidate_targets(passages[i], rng)
+            if targets:
+                lm = NgramLM(order=3).fit(targets)
+                chunk.append((passages[i], lm, replace(sampler, seed=int(rng.integers(0, 2**31)))))
+        if not chunk:
             continue
-        lm = NgramLM(order=3).fit(targets)
-        result = generate_examples(passage, lm, n=n, config=replace(sampler, seed=int(rng.integers(0, 2**31))))
-        total.examples.extend(result.examples)
-        for reason, count in result.discards.items():
-            total.discards[reason] = total.discards.get(reason, 0) + count
+        _select_nuclei([lm for _, lm, _ in chunk], sampler)
+        for passage, lm, config in chunk:
+            result = generate_examples(passage, lm, n=n, config=config)
+            total.examples.extend(result.examples)
+            for reason, count in result.discards.items():
+                total.discards[reason] = total.discards.get(reason, 0) + count
     return total
 
 
@@ -445,8 +560,7 @@ def candidate_targets(passage: Passage, rng: np.random.Generator, per_sentence: 
     sentence.
     """
     targets = []
-    for sent in segment_sentences(passage.text):
-        tokens = terms(sent.surface)
+    for _, tokens in _sentence_terms(passage.text):
         if len(tokens) < 3:
             continue
         for _ in range(per_sentence):
@@ -463,54 +577,106 @@ def candidate_targets(passage: Passage, rng: np.random.Generator, per_sentence: 
 
 
 class NgramLM:
-    """Backoff n-gram token distribution fit on target sequences."""
+    """Backoff n-gram token distribution fit on target sequences.
+
+    Fitting compiles the model into integer states. Row r of _probs is one
+    fitted context: the empty one, then those of length 1, 2, ... up to
+    order - 1. _transitions[r, t] is the row after context r is extended by
+    token t: the longest fitted suffix of (context + (t,))[-(order-1):].
+    Column len(vocab) is the padding marker when it is not itself a fitted
+    token. Decoding starts from _start, the row of the padding context.
+    """
 
     def __init__(self, order: int = 3):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
         self.vocab: list[str] = []
-        self._rows: dict[tuple[str, ...], int] = {}
+        self._ids: dict[str, int] = {}  # token -> column, the padding marker included
         self._probs = np.zeros((0, 0))
+        self._transitions = np.zeros((0, 1), dtype=np.int32)
+        self._start = 0
+        # (p, k) -> each row's nucleus ids and CDF, flat, with row offsets.
+        self._nuclei: dict[tuple[float, int], tuple[list[int], list[float], list[int]]] = {}
 
     _BOS = "<s>"  # internal padding marker, never emitted
 
     def fit(self, sequences: Sequence[Sequence[str]]) -> "NgramLM":
-        """Count every (context, next token) pair of every context length
-        below `order` in one bincount, then normalize each context's row."""
+        """Number the contexts of every length below `order` in arrays, one
+        length at a time, count every (context, next token) pair in one
+        bincount and normalize each context's row; then compile the
+        transitions between contexts."""
         self.vocab = sorted({tok for seq in sequences for tok in seq} | {EOS_TOKEN})
-        index = {t: i for i, t in enumerate(self.vocab)}
-        rows: dict[tuple[str, ...], int] = {}
-        ctx_ids: list[int] = []
-        tok_ids: list[int] = []
-        pad = [self._BOS] * (self.order - 1)
-        for seq in sequences:
-            toks = list(seq)
-            if not toks or toks[-1] != EOS_TOKEN:
-                toks.append(EOS_TOKEN)
-            padded = pad + toks
-            for pos, tok in enumerate(toks, start=len(pad)):
-                for ctx_len in range(self.order):
-                    ctx_ids.append(rows.setdefault(tuple(padded[pos - ctx_len : pos]), len(rows)))
-                    tok_ids.append(index[tok])
         v = len(self.vocab)
-        keys = np.array(ctx_ids, dtype=np.intp) * v + np.array(tok_ids, dtype=np.intp)
-        counts = np.bincount(keys, minlength=len(rows) * v).reshape(len(rows), v).astype(np.float64)
+        # A fitted "<s>" token is the padding marker: their contexts coincide.
+        self._ids = {self._BOS: v, **{t: i for i, t in enumerate(self.vocab)}}
+        pad, eos, width = self._ids[self._BOS], self._ids[EOS_TOKEN], self.order - 1
+        ids: list[int] = []
+        firsts: list[int] = []  # position of each sequence's first token
+        for seq in sequences:
+            toks = [self._ids[tok] for tok in seq]
+            if not toks or toks[-1] != eos:
+                toks.append(eos)
+            ids += [pad] * width
+            firsts.append(len(ids))
+            ids += toks
+        self._nuclei = {}
+        if not ids:
+            self._probs = np.zeros((0, v))
+            self._transitions = np.zeros((0, v + 1), dtype=np.int32)
+            return self
+        ids = np.array(ids, dtype=np.intp)
+        is_token = np.ones(len(ids) + 1, dtype=bool)
+        is_token[(np.array(firsts)[:, None] - np.arange(1, width + 1)).ravel()] = False
+        is_token[-1] = False  # one past the end
+        pos = np.flatnonzero(is_token[:-1])
+        # rows[n, i]: row of the length-n context before the token at pos[i].
+        rows = np.zeros((self.order, len(pos)), dtype=np.intp)
+        level = [0, 1]  # first row of each length
+        code = np.zeros(len(pos), dtype=np.intp)
+        for n in range(1, self.order):
+            keys, code = np.unique(code * (v + 1) + ids[pos - n], return_inverse=True)
+            rows[n] = level[-1] + code
+            level.append(level[-1] + len(keys))
+        tokens = ids[pos]
+        total = level[-1]
+        counts = np.bincount((rows * v + tokens).ravel(), minlength=total * v).reshape(total, v).astype(np.float64)
         # Integer counts sum exactly, so no row depends on summation order.
         self._probs = counts / counts.sum(axis=1, keepdims=True)
         self._probs.setflags(write=False)
-        self._rows = rows
+
+        # A context followed by token t, one position on, is one token
+        # longer; the padding context grows by the padding marker.
+        transitions = np.full((total, v + 1), -1, dtype=np.int32)
+        followed = np.flatnonzero(is_token[pos + 1])
+        suffix = np.zeros(total, dtype=np.intp)
+        for n in range(1, self.order):
+            transitions[rows[n - 1, followed], tokens[followed]] = rows[n, followed + 1]
+            transitions[rows[n - 1, 0], pad] = rows[n, 0]
+            suffix[rows[n]] = rows[n - 1]
+        # A prefix and a suffix of a fitted context are fitted too, so the
+        # row after r and t is r's extension by t when fitted, else the row
+        # after r's suffix and t, down to the empty context (row 0).
+        transitions[0] = np.maximum(transitions[0], 0)
+        for lo, hi in zip(level[1:], level[2:]):
+            extended = transitions[lo:hi]
+            transitions[lo:hi] = np.where(extended >= 0, extended, transitions[suffix[lo:hi]])
+        self._transitions = transitions
+        self._start = int(rows[width, 0])
         return self
 
     def next(self, context: Sequence[str]) -> np.ndarray:
         """Distribution after the longest fitted suffix of `context`, as a
-        read-only row."""
-        ctx = [self._BOS] * (self.order - 1) + list(context)
-        for ctx_len in range(self.order - 1, -1, -1):
-            row = self._rows.get(tuple(ctx[len(ctx) - ctx_len :]) if ctx_len else ())
-            if row is not None:
-                return self._probs[row]
-        # Unfit model: uniform.
-        uniform = np.full(len(self.vocab), 1.0 / len(self.vocab))
-        uniform.setflags(write=False)
-        return uniform
+        read-only row: the row reached by stepping from the padding context
+        through its tokens. No fitted context holds an unfitted token, so
+        one leads back to the empty context."""
+        if not len(self._probs):
+            # Unfit model: uniform.
+            uniform = np.full(len(self.vocab), 1.0 / len(self.vocab))
+            uniform.setflags(write=False)
+            return uniform
+        row = self._start
+        for tok in context:
+            token = self._ids.get(tok)
+            row = 0 if token is None else self._transitions.item(row, token)
+        return self._probs[row]

@@ -234,6 +234,12 @@ class TestErrorHandling:
         assert run(["--output-dir", tmp_path, "index-sparse", "--passages", tmp_path / "absent.jsonl"]) == 1
         assert "error [index-sparse]" in capsys.readouterr().err
 
+    def test_generate_rejects_n_below_one(self, workspace, capsys):
+        _, out = workspace
+        gen = out / "passages_generation.jsonl"
+        assert run(["--output-dir", out / "zero", "generate", "--passages", gen, "--n", 0]) == 1
+        assert capsys.readouterr().err == "error [generate]: n must be >= 1\n"
+
     def test_retrieve_without_index(self, capsys):
         assert run(["retrieve", "--mode", "sparse", "--query", "x"]) == 1
         assert "requires --sparse" in capsys.readouterr().err

@@ -32,7 +32,8 @@ from hyqa.syngen import (
     roundtrip_filter,
     sample_top_p_top_k,
 )
-from hyqa.syngen import _nucleus_sampler
+from hyqa import syngen
+from hyqa.syngen import _NUCLEUS_CHUNK, _nucleus, _nucleus_sampler, _select_nuclei, _sentence_terms
 
 
 def make_passage(text, pid="p1"):
@@ -231,6 +232,125 @@ class TestSamplerProperties:
             generate_examples(passage, lm, n=2, config=SamplerConfig(seed=0))
 
 
+def model_of(counts):
+    """An NgramLM holding the given count rows, normalized as fit does."""
+    lm = NgramLM()
+    counts = np.asarray(counts, dtype=np.float64)
+    lm.vocab = [f"t{i}" for i in range(counts.shape[1])]
+    lm._probs = counts / counts.sum(axis=1, keepdims=True)
+    return lm
+
+
+def reference_cdf(masses, config):
+    """The nucleus ids and CDF that _nucleus_sampler draws from."""
+    nucleus, weights = _nucleus(masses, config)
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return nucleus, cdf
+
+
+def assert_nuclei_match(lms, config):
+    _select_nuclei(lms, config)
+    longest = 0
+    for lm in lms:
+        ids, cdf, offsets = lm._nuclei[config.p, config.k]
+        assert len(offsets) == lm._probs.shape[0] + 1
+        for row, masses in enumerate(lm._probs):
+            want_ids, want_cdf = reference_cdf(masses, config)
+            lo, hi = offsets[row], offsets[row + 1]
+            assert np.array_equal(ids[lo:hi], want_ids)
+            assert np.array(cdf[lo:hi]).tobytes() == want_cdf.tobytes()
+            longest = max(longest, hi - lo)
+    return longest
+
+
+# Count rows with ties and zeros; every row has some mass. A model is 1-6
+# rows of one width; a chunk mixes widths.
+count_rows = st.integers(1, 25).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(0, 4), min_size=width, max_size=width).filter(any), min_size=1, max_size=6
+    )
+)
+
+
+class TestChunkedNuclei:
+    @given(st.lists(count_rows, min_size=1, max_size=5), sampler_configs)
+    def test_equal_nucleus_row_for_row(self, models, config):
+        assert_nuclei_match([model_of(rows) for rows in models], config)
+
+    def test_long_nuclei_where_pairwise_summation_starts(self):
+        rng = np.random.default_rng(0)
+        models = [model_of(rng.integers(1, 5, size=(6, width))) for width in (9, 17, 25, 30, 3)]
+        for p in (0.95, 1.0, 0.8):
+            assert assert_nuclei_match(models, SamplerConfig(p=p, k=30)) >= 8
+
+    def test_model_vocabulary_bounds_the_nucleus(self):
+        # The narrow row sums to just under 1, within the validation
+        # tolerance, so its mass never reaches p and k would keep more
+        # tokens than the model has.
+        narrow, wide = model_of([[1, 1]]), model_of([[1] * 12])
+        narrow._probs = np.array([[0.5, 0.5 - 1e-7]])
+        config = SamplerConfig(p=1.0, k=30)
+        assert_nuclei_match([narrow, wide], config)
+        ids, _, offsets = narrow._nuclei[1.0, 30]
+        assert ids[offsets[0] : offsets[1]] == [0, 1]
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[0.5, 0.5], [-0.5, 1.5]], "negative probability mass"),
+        ([[0.5, 0.5], [0.3, 0.3]], "masses sum to 0.6"),
+        ([[float("nan"), 0.5]], "masses sum to nan"),
+    ])
+    def test_invalid_rows_raise_as_nucleus(self, bad, message):
+        lm = model_of([[1, 1]])
+        lm._probs = np.array(bad)
+        with pytest.raises(ValueError, match=message):
+            _select_nuclei([model_of([[1, 2]]), lm], SamplerConfig())
+        with pytest.raises(ValueError, match=message):
+            _nucleus(lm._probs[-1], SamplerConfig())
+
+
+class TestCompiledStates:
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", EOS_TOKEN, "<s>"]), max_size=8), min_size=1, max_size=6),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 10), max_size=12),
+    )
+    def test_stepping_lands_on_the_row_next_reads(self, sequences, order, walk):
+        lm = NgramLM(order=order).fit(sequences)
+        reference = DictCountsNgramLM(order).fit(sequences)
+        row, tokens = lm._start, []
+        for pick in [None, *walk]:
+            if pick is not None:
+                token = pick % len(lm.vocab)
+                row = lm._transitions[row, token]
+                tokens.append(lm.vocab[token])
+            got = lm._probs[row].tobytes()
+            assert got == lm.next(tokens).tobytes() == reference.next(tokens).tobytes(), tokens
+
+    def test_bare_ngram_draws_the_reference_token_stream(self, monkeypatch):
+        passage = make_passage("Masks help a lot. Vaccines work well. Distancing slows spread quickly.")
+        lm = NgramLM(order=3).fit(candidate_targets(passage, np.random.default_rng(1)))
+        config = SamplerConfig(p=0.8, k=4, seed=5)
+        serialized, made = [], []
+        decode, default_rng = syngen.decode_generation_target, np.random.default_rng
+        monkeypatch.setattr(syngen, "decode_generation_target", lambda p, s, *a: serialized.append(s) or decode(p, s, *a))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+        generate_examples(passage, lm, n=40, config=config)
+        monkeypatch.undo()
+        rng = np.random.default_rng(config.seed)
+        expected = []
+        for _ in range(40):
+            tokens = []
+            for _ in range(MAX_GEN_TOKENS):
+                tok = lm.vocab[sample_top_p_top_k(lm.next(tokens), config, rng)]
+                if tok == EOS_TOKEN:
+                    break
+                tokens.append(tok)
+            expected.append(" ".join(tokens))
+        assert serialized == expected
+        assert len(made) == 1 and made[0].bit_generator.state == rng.bit_generator.state
+
+
 class ScriptedLM:
     """Emits the listed distributions step by step, then the last one."""
 
@@ -310,6 +430,31 @@ class TestGenerate:
             assert passage.text[s:e] == ex.answer
 
 
+class TestSegmentOnce:
+    PASSAGE = "Masks help a lot. Vaccines work well. Distancing slows spread quickly."
+
+    def test_one_segmentation_per_generate_examples_call(self, monkeypatch):
+        passage = make_passage(self.PASSAGE)
+        lm = NgramLM(order=3).fit(candidate_targets(passage, np.random.default_rng(1)))
+        calls = []
+        segment = syngen.segment_sentences
+        monkeypatch.setattr(syngen, "segment_sentences", lambda text: calls.append(text) or segment(text))
+        result = generate_examples(passage, lm, n=30, config=SamplerConfig(seed=3))
+        assert calls == [passage.text]
+        assert len(result.examples) + sum(result.discards.values()) == 30
+
+    @pytest.mark.parametrize("serialized", [
+        "masks lot [SEP] help [SEP] what helps",
+        "vaccines well [SEP] work [SEP] what",
+        "vaccines well [SEP] masks [SEP] what",
+        "covid spreads [SEP] masks [SEP] what",
+    ])
+    def test_given_sentences_decode_as_segmenting(self, serialized):
+        passage = make_passage(self.PASSAGE)
+        given = decode_generation_target(passage, serialized, _sentence_terms(passage.text))
+        assert given == decode_generation_target(passage, serialized)
+
+
 class TestGenerateCorpus:
     TEXTS = (
         "Masks help a lot. Vaccines work well. Distancing slows spread.",
@@ -318,7 +463,9 @@ class TestGenerateCorpus:
     )
 
     def test_each_passage_draws_from_its_own_seed(self):
-        passages = [make_passage(text, f"p{i}") for i, text in enumerate(self.TEXTS)]
+        # More passages than one nucleus chunk, so a chunk boundary is crossed.
+        count = _NUCLEUS_CHUNK + len(self.TEXTS) + 1
+        passages = [make_passage(self.TEXTS[i % len(self.TEXTS)], f"p{i}") for i in range(count)]
         result = generate_corpus(passages, 4, SamplerConfig(p=0.9, k=5), seed=11)
         expected, discards = [], Counter()
         for i, passage in enumerate(passages):
@@ -332,13 +479,20 @@ class TestGenerateCorpus:
             discards.update(one.discards)
         assert result.examples == expected
         assert result.discards == dict(discards)
-        assert len(result.examples) + sum(result.discards.values()) == 4 * 2  # "Hi." has no targets
+        with_targets = sum(1 for p in passages if p.text != "Hi.")  # "Hi." has no targets
+        assert len(result.examples) + sum(result.discards.values()) == 4 * with_targets
 
     def test_sampler_seed_ignored(self):
         passages = [make_passage(self.TEXTS[0])]
         a = generate_corpus(passages, 5, SamplerConfig(seed=1), seed=2)
         b = generate_corpus(passages, 5, SamplerConfig(seed=99), seed=2)
         assert a.examples == b.examples
+
+    @pytest.mark.parametrize("n, texts", [(0, ["Hi."]), (0, []), (-3, []), (0, TEXTS)])
+    def test_rejects_n_below_one_before_any_passage(self, n, texts):
+        passages = [make_passage(text, f"p{i}") for i, text in enumerate(texts)]
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate_corpus(passages, n, SamplerConfig(), seed=0)
 
 
 class TestExampleRecord:
