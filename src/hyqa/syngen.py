@@ -292,9 +292,9 @@ def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
     heights = [lm._probs.shape[0] for lm in lms]
     widths = [len(lm.vocab) for lm in lms]
     # Each model's top k by a stable argsort of -mass (ties by ascending
-    # id), padded with zero mass to k columns: no model's full width is
-    # padded to the widest one's.
-    order = np.zeros((sum(heights), config.k), dtype=np.intp)
+    # id), padded with zero mass to min(k, widest vocabulary) columns: no
+    # model's full width is padded to the widest one's.
+    order = np.zeros((sum(heights), min(config.k, max(widths))), dtype=np.intp)
     kept = np.zeros(order.shape)
     row = 0
     for lm, height in zip(lms, heights):

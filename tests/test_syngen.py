@@ -295,6 +295,10 @@ class TestChunkedNuclei:
         ids, _, offsets = narrow._nuclei[1.0, 30]
         assert ids[offsets[0] : offsets[1]] == [0, 1]
 
+    def test_columns_bounded_by_the_widest_vocabulary_not_k(self):
+        models = [model_of([[1, 2, 3], [0, 1, 0]]), model_of([[4, 4]])]
+        assert_nuclei_match(models, SamplerConfig(p=1.0, k=10**12))
+
     @pytest.mark.parametrize("bad, message", [
         ([[0.5, 0.5], [-0.5, 1.5]], "negative probability mass"),
         ([[0.5, 0.5], [0.3, 0.3]], "masses sum to 0.6"),
