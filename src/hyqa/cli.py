@@ -60,8 +60,8 @@ def _read_lines(path):
 
 def _load_jsonl(path, from_record):
     """from_record of each JSON line of the file at path. A line that is
-    not JSON, lacks a key or is refused by from_record raises ValueError
-    naming the file and the 1-based line."""
+    not JSON, lacks a key or is refused by from_record (ValueError or
+    TypeError) raises ValueError naming the file and the 1-based line."""
     records = []
     for line_no, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
@@ -75,7 +75,7 @@ def _load_jsonl(path, from_record):
             raise ValueError(f"{path} line {line_no}: invalid JSON: {e.msg} at column {e.colno}") from e
         except KeyError as e:
             raise ValueError(f"{path} line {line_no}: missing key {e}") from e
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ValueError(f"{path} line {line_no}: {e}") from e
     return records
 
@@ -94,7 +94,7 @@ def _scorer(args, passages: dict[str, str], golds=None):
     """--logits looked up by question id, checked against the passages'
     token counts, or the lexical baseline."""
     if getattr(args, "logits", None):
-        external = ExternalLogits.load(_read_lines(args.logits))
+        records = _load_jsonl(args.logits, ExternalLogits.parse_record)
         qid_by_question: dict[str, str] = {}
         for g in golds or ():
             other = qid_by_question.setdefault(g.question, g.query_id)
@@ -103,14 +103,9 @@ def _scorer(args, passages: dict[str, str], golds=None):
                     f"gold queries {other!r} and {g.query_id!r} share the question {g.question!r}, "
                     "so --logits cannot tell their logits apart"
                 )
+        external = ExternalLogits.from_records(records, qid_by_question)
         external.validate_against(passages)
-
-        class _Keyed:
-            def logits(self, question, passage_id, passage_text):
-                qid = qid_by_question.get(question, question)
-                return external.lookup(qid, passage_id)
-
-        return _Keyed()
+        return external
     return LexicalScorer()
 
 

@@ -5,11 +5,15 @@ scores start[s] + end[e] - start[0] - end[0]. The best-span enumerator,
 the answerability score and the K-passage reader share one band of those
 scores over stacked logit rows (LogitRows): span_band and best_span_each
 take stacked rows, and best_spans and answerability stack their one row.
-Logit sources are pluggable: a scorer has .logits(question, passage_id,
-passage_text) -> SpanLogits or None, and may have .logits_each(question,
-texts) -> LogitRows, which scores many passages in one pass. Bundled are
-a deterministic lexical-overlap baseline (which has both) and a loader for
-precomputed logits produced offline by an external model.
+
+Logit sources are pluggable, and logit_rows is the one function that
+knows their protocol: it scores (question, passage) pairs as one LogitRows
+with a row per pair. A scorer has .logits(question, passage_id,
+passage_text) -> SpanLogits or None (None when it cannot score the pair),
+and may have .logits_pairs(questions, passage_ids, texts) -> LogitRows,
+which scores every pair in one pass. Bundled are a deterministic
+lexical-overlap baseline (which has both) and precomputed logits produced
+offline by an external model (.logits only).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +39,7 @@ __all__ = [
     "best_spans",
     "best_span_each",
     "answerability",
+    "logit_rows",
     "LexicalScorer",
     "ExternalLogits",
 ]
@@ -85,15 +90,22 @@ class LogitRows:
     cls_end: np.ndarray
     n: np.ndarray
 
+    def nonempty(self) -> tuple[np.ndarray, "LogitRows"]:
+        """The positions of the rows with n >= 1, and those rows. Rows with
+        n = 0 hold no token logits, so the token arrays stay as they are."""
+        read = np.flatnonzero(self.n)
+        return read, LogitRows(self.start, self.end, self.cls_start[read], self.cls_end[read], self.n[read])
+
 
 def stack_logits(rows: Sequence[SpanLogits]) -> LogitRows:
-    """The LogitRows of one or more SpanLogits, in order."""
+    """The LogitRows of the SpanLogits, in order; none give zero rows."""
+    none = [np.zeros(0)]
     return LogitRows(
-        np.concatenate([logits.start[1:] for logits in rows]),
-        np.concatenate([logits.end[1:] for logits in rows]),
-        np.array([logits.start[0] for logits in rows]),
-        np.array([logits.end[0] for logits in rows]),
-        np.array([logits.n for logits in rows]),
+        np.concatenate([logits.start[1:] for logits in rows] or none),
+        np.concatenate([logits.end[1:] for logits in rows] or none),
+        np.array([logits.start[0] for logits in rows], dtype=np.float64),
+        np.array([logits.end[0] for logits in rows], dtype=np.float64),
+        np.array([logits.n for logits in rows], dtype=np.intp),
     )
 
 
@@ -188,6 +200,27 @@ def answerability(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> 
     return float(span_band(stack_logits([logits]), config.max_answer_len).max())
 
 
+_UNSCORED = SpanLogits((0.0,), (0.0,))
+
+
+def logit_rows(
+    scorer, questions: Sequence[str], passage_ids: Sequence[str], texts: Sequence[str]
+) -> tuple[LogitRows, np.ndarray]:
+    """The logits of each (question, passage id, text) triple, one row per
+    pair in order, and a bool mask of the pairs the scorer scored.
+
+    A scorer with .logits_pairs scores every pair in one call. Otherwise
+    each pair's .logits row is stacked, and a pair it returns None for is
+    unscored: its row has n = 0 and CLS logits 0, as has a scored pair
+    whose passage has no tokens, so only the mask tells the two apart.
+    """
+    if hasattr(scorer, "logits_pairs"):
+        return scorer.logits_pairs(questions, passage_ids, texts), np.ones(len(texts), dtype=bool)
+    rows = [scorer.logits(q, pid, text) for q, pid, text in zip(questions, passage_ids, texts)]
+    scored = np.array([row is not None for row in rows], dtype=bool)
+    return stack_logits([_UNSCORED if row is None else row for row in rows]), scored
+
+
 class LexicalScorer:
     """Deterministic logit source from question/passage token overlap.
 
@@ -203,20 +236,28 @@ class LexicalScorer:
         self.window = window
 
     def logits(self, question: str, passage_id: str, passage_text: str) -> SpanLogits:
-        stacked = self.logits_each(question, [passage_text])
+        stacked = self.logits_pairs([question], [passage_id], [passage_text])
         rows = np.zeros((2, len(stacked.start) + 1))  # CLS logits 0
         rows[0, 1:] = stacked.start
         rows[1, 1:] = stacked.end
         return SpanLogits(rows[0], rows[1])
 
-    def logits_each(self, question: str, texts: Sequence[str]) -> LogitRows:
-        """The logits of every text for `question`, stacked: one hit mask
-        and one prefix count over all texts' tokens."""
-        q_terms = set(terms(question))
+    def logits_pairs(self, questions: Sequence[str], passage_ids: Sequence[str], texts: Sequence[str]) -> LogitRows:
+        """The logits of every text for its question, stacked: one hit mask
+        and one prefix count over all texts' tokens. Each distinct
+        question's terms are taken once; passage ids are not read."""
+        q_terms: dict[str, set[str]] = {}
+        for question in questions:
+            if question not in q_terms:
+                q_terms[question] = set(terms(question))
         p_terms = [terms(text) for text in texts]
         n = np.fromiter(map(len, p_terms), dtype=np.intp, count=len(p_terms))
         total, w = int(n.sum()), self.window
-        hits = np.fromiter(map(q_terms.__contains__, chain.from_iterable(p_terms)), dtype=np.float64, count=total)
+        hits = np.fromiter(
+            chain.from_iterable(map(q_terms[q].__contains__, p) for q, p in zip(questions, p_terms)),
+            dtype=np.float64,
+            count=total,
+        )
         # counts[i] is the number of hits among the first i tokens. Window
         # sums of 0/1 values are exact as differences of it.
         counts = np.zeros(total + 1)
@@ -236,26 +277,42 @@ class ExternalLogits:
 
     File format: line-delimited JSON
     {question_id, passage_id, start: [...], end: [...]}, index 0 = CLS.
+    .logits finds a question's id in `question_ids`; a question that map
+    does not name is its own id.
     """
 
-    def __init__(self, table: dict[tuple[str, str], SpanLogits]):
+    def __init__(self, table: dict[tuple[str, str], SpanLogits], question_ids: Optional[Mapping[str, str]] = None):
         self._table = table
+        self._question_ids = question_ids or {}
+
+    @staticmethod
+    def parse_record(record: dict) -> tuple[tuple[str, str], SpanLogits]:
+        """The (question_id, passage_id) key and the logits of one record."""
+        return (record["question_id"], record["passage_id"]), SpanLogits(record["start"], record["end"])
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[tuple[tuple[str, str], SpanLogits]], question_ids: Optional[Mapping[str, str]] = None
+    ) -> "ExternalLogits":
+        """The table of parsed records; a repeated key is a ValueError."""
+        table: dict[tuple[str, str], SpanLogits] = {}
+        for key, logits in records:
+            if table.setdefault(key, logits) is not logits:
+                raise ValueError(f"duplicate logits record for {key!r}")
+        return cls(table, question_ids)
 
     @classmethod
     def load(cls, lines: Iterable[str]) -> "ExternalLogits":
-        table: dict[tuple[str, str], SpanLogits] = {}
+        records = []
         for i, line in enumerate(lines):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                logits = SpanLogits(rec["start"], rec["end"])
-                key = (rec["question_id"], rec["passage_id"])
+                records.append(cls.parse_record(json.loads(line)))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"malformed logits record {i}: {e}") from e
-            table[key] = logits
-        return cls(table)
+        return cls.from_records(records)
 
     @staticmethod
     def dump_record(question_id: str, passage_id: str, logits: SpanLogits) -> str:
@@ -271,6 +328,10 @@ class ExternalLogits:
 
     def lookup(self, question_id: str, passage_id: str) -> Optional[SpanLogits]:
         return self._table.get((question_id, passage_id))
+
+    def logits(self, question: str, passage_id: str, passage_text: str) -> Optional[SpanLogits]:
+        """The stored logits of the question's id and the passage, or None."""
+        return self.lookup(self._question_ids.get(question, question), passage_id)
 
     def validate_against(self, passage_texts: dict[str, str]) -> None:
         """Check stored logit lengths against passage token counts."""

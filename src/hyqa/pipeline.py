@@ -38,7 +38,7 @@ from .dense_index import DenseIndex, build_dense_index, dense_search, dense_top_
 from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, match_at_k, top_n_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
-from .mrc import LexicalScorer, LogitRows, ScorerConfig, SpanScore, best_span_each, stack_logits
+from .mrc import LexicalScorer, ScorerConfig, SpanScore, best_span_each, logit_rows
 from .scored import ScoredPassage
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search, sparse_top_k
 from .syngen import (
@@ -119,10 +119,10 @@ def answer_question(
     normalize IR and span scores over the candidate pool, and rank by their
     convex combination (ties by ascending passage id).
 
-    The K passages are read as one array: the scorer's logits_each scores
-    them in one pass when it has one (else each passage's .logits row is
-    stacked, and a passage whose row is None or empty is skipped), their
-    stacked rows make one span band (mrc.span_band) of
+    The K passages are read as one array: mrc.logit_rows scores the
+    question with each passage (in one pass when the scorer has
+    logits_pairs), a passage that is unscored or has no tokens is skipped,
+    the other rows make one span band (mrc.span_band) of
     sum(n) * min(max_answer_len, n_max) float64 values over the passages'
     token counts n, each row's best span is its first maximum in
     (s asc, e asc) order, and every answer is cut from one token-offset
@@ -130,19 +130,12 @@ def answer_question(
     A logit row longer than its passage's token count is a ValueError.
     """
     retrieved = retriever(question, config.K)
-    if hasattr(scorer, "logits_each"):
-        rows = scorer.logits_each(question, [passage_texts[sp.passage_id] for sp in retrieved])
-        read = np.flatnonzero(rows.n).tolist()
-        # Rows without tokens hold no token logits, so dropping them keeps
-        # the stacked token arrays as they are.
-        rows = LogitRows(rows.start, rows.end, rows.cls_start[read], rows.cls_end[read], rows.n[read])
-    else:
-        logits = [scorer.logits(question, sp.passage_id, passage_texts[sp.passage_id]) for sp in retrieved]
-        read = [i for i, row in enumerate(logits) if row is not None and row.n > 0]
-        rows = stack_logits([logits[i] for i in read]) if read else None
-    if not read:
+    ids = [sp.passage_id for sp in retrieved]
+    rows, _ = logit_rows(scorer, [question] * len(ids), ids, [passage_texts[pid] for pid in ids])
+    read, rows = rows.nonempty()
+    if not read.size:
         return []
-    passages = [retrieved[i] for i in read]
+    passages = [retrieved[i] for i in read.tolist()]
     texts = [passage_texts[sp.passage_id] for sp in passages]
     # No token crosses the "\n" between two texts, so the tokens of the
     # joined text are those of each text in turn.

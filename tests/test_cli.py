@@ -11,7 +11,7 @@ from hyqa.cli import main, parse_args
 from hyqa.corpus import ingest_documents
 from hyqa.encoder import TrainConfig
 from hyqa.pipeline import AdaptationConfig, run_adaptation
-from hyqa.syngen import example_to_record
+from hyqa.syngen import QAExample, example_to_record
 
 
 def write_documents(path):
@@ -341,6 +341,50 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err == f"error [{command}]: logits for ('q1', '{pid}') cover {n + extra} tokens, passage has {n}\n"
         assert not (tmp_path / "eval" / "report.json").exists()
+
+    @pytest.mark.parametrize("record, message", [
+        ({"question_id": "q1", "passage_id": "doc1#0", "start": [0.0]}, "missing key 'end'"),
+        ({"question_id": "q1", "passage_id": "doc1#0", "start": 1.0, "end": 1.0}, "object of type 'float' has no len()"),
+        ({"question_id": "q1", "passage_id": "doc1#0", "start": [], "end": []}, "logit arrays must include the CLS slot"),
+    ])
+    def test_malformed_logits_record_is_located(self, workspace, tmp_path, capsys, record, message):
+        _, out = workspace
+        logits = tmp_path / "logits.jsonl"
+        good = {"question_id": "q1", "passage_id": "doc0#0", "start": [0.0], "end": [0.0]}
+        logits.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n")
+        assert run([
+            "--output-dir", tmp_path / "o", "answer", "--question", "q1",
+            "--sparse", out / "sparse.hyqa", "--passages", out / "passages_retrieval.jsonl", "--logits", logits,
+        ]) == 1
+        assert capsys.readouterr().err == f"error [answer]: {logits} line 3: {message}\n"
+
+    def test_duplicate_logits_record_is_one_line_error(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        logits = tmp_path / "logits.jsonl"
+        record = json.dumps({"question_id": "q1", "passage_id": "doc1#0", "start": [0.0], "end": [0.0]}) + "\n"
+        other = json.dumps({"question_id": "q2", "passage_id": "doc1#0", "start": [0.0], "end": [0.0]}) + "\n"
+        logits.write_text(record + other + record)
+        examples = tmp_path / "examples.jsonl"
+        examples.write_text(json.dumps(example_to_record(QAExample("doc1#0", "q1", "The", (0, 3)))) + "\n")
+        assert run([
+            "--output-dir", tmp_path / "o", "filter", "--examples", examples,
+            "--passages", out / "passages_generation.jsonl", "--logits", logits,
+        ]) == 1
+        assert capsys.readouterr().err == "error [filter]: duplicate logits record for ('q1', 'doc1#0')\n"
+
+    def test_filter_names_unknown_example_passage(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        examples = tmp_path / "examples.jsonl"
+        records = [QAExample("doc0#0", "what", "The", (0, 3)), QAExample("nope#0", "what", "The", (0, 3))]
+        examples.write_text("".join(json.dumps(example_to_record(ex)) + "\n" for ex in records))
+        assert run([
+            "--output-dir", tmp_path / "o", "filter",
+            "--examples", examples, "--passages", out / "passages_generation.jsonl",
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error [filter]: \"example passage 'nope#0' not in passage map (example 1)\"\n"
+        )
+        assert not (tmp_path / "o" / "synthetic_filtered.jsonl").exists()
 
     @pytest.mark.parametrize("line, message", [
         ("{bad", "invalid JSON: Expecting property name enclosed in double quotes at column 2"),

@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -14,6 +16,7 @@ from hyqa.mrc import (
     best_span_each,
     best_spans,
     extract_answer,
+    logit_rows,
     span_band,
     span_score,
     stack_logits,
@@ -244,21 +247,38 @@ class TestLexicalScorer:
             assert [v.hex() for v in got.end] == [v.hex() for v in expected.end]
 
     @given(
-        st.lists(st.sampled_from(LEXICAL_WORDS), max_size=6).map(" ".join),
-        st.lists(st.lists(st.sampled_from(LEXICAL_WORDS), max_size=50).map(" ".join), max_size=40),
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(LEXICAL_WORDS), max_size=6).map(" ".join),
+                st.lists(st.sampled_from(LEXICAL_WORDS), max_size=50).map(" ".join),
+            ),
+            max_size=40,
+        ),
         st.sampled_from([1, 3, 5, 40]),
     )
-    @example("w1", [], 5)
-    @example("w1", ["", "w1", ""], 5)
-    def test_logits_each_equals_window_sum_loop_reference(self, question, texts, window):
-        rows = LexicalScorer(window).logits_each(question, texts)
+    @example([], 5)
+    @example([("w1", ""), ("w1", "w1"), ("w2", "w1 w2"), ("w1", "")], 5)
+    def test_logits_pairs_equals_window_sum_loop_reference(self, pairs, window):
+        questions = [q for q, _ in pairs]
+        texts = [text for _, text in pairs]
+        rows = LexicalScorer(window).logits_pairs(questions, [f"p{i}" for i in range(len(pairs))], texts)
         assert rows.n.tolist() == [len(tokenize(text)) for text in texts]
         assert rows.cls_start.tolist() == rows.cls_end.tolist() == [0.0] * len(texts)
         offsets = np.cumsum(rows.n) - rows.n
-        for text, o, n in zip(texts, offsets.tolist(), rows.n.tolist()):
+        for question, text, o, n in zip(questions, texts, offsets.tolist(), rows.n.tolist()):
             expected = window_sum_reference(question, text, window)
             assert [v.hex() for v in rows.start[o : o + n]] == [v.hex() for v in expected.start[1:]]
             assert [v.hex() for v in rows.end[o : o + n]] == [v.hex() for v in expected.end[1:]]
+
+    def test_logits_pairs_terms_once_per_distinct_question(self, monkeypatch):
+        import hyqa.mrc
+
+        calls, real = [], hyqa.mrc.terms
+        monkeypatch.setattr(hyqa.mrc, "terms", lambda text: calls.append(text) or real(text))
+        questions = ["w1 w2", "w3", "w1 w2", "w3", "w1 w2"]
+        texts = [f"w{i} w1" for i in range(5)]
+        LexicalScorer().logits_pairs(questions, ["p"] * 5, texts)
+        assert sorted(calls) == sorted(["w1 w2", "w3"] + texts)
 
 
 def window_sum_reference(question, passage_text, w):
@@ -298,6 +318,77 @@ class TestExternalLogits:
     def test_length_validation_passes(self):
         line = ExternalLogits.dump_record("q1", "p1", FIXTURE)
         ExternalLogits.load([line]).validate_against({"p1": "one two"})
+
+
+    def test_duplicate_record_names_key(self):
+        line = ExternalLogits.dump_record("q1", "p1", FIXTURE)
+        other = ExternalLogits.dump_record("q2", "p1", FIXTURE)
+        with pytest.raises(ValueError, match=r"duplicate logits record for \('q1', 'p1'\)"):
+            ExternalLogits.load([line, other, line])
+
+    def test_logits_by_question_id(self):
+        records = [
+            ExternalLogits.parse_record(json.loads(ExternalLogits.dump_record(qid, "p1", logits)))
+            for qid, logits in (("q1", FIXTURE), ("what is it", SpanLogits((0.0, 1.0), (0.0, 1.0))))
+        ]
+        source = ExternalLogits.from_records(records, {"which one": "q1"})
+        assert source.logits("which one", "p1", "one two") == FIXTURE
+        # A question the map does not name is its own id.
+        assert source.logits("what is it", "p1", "one") == SpanLogits((0.0, 1.0), (0.0, 1.0))
+        assert source.logits("which one", "p2", "one") is None
+        assert source.logits("q1", "p1", "one two") == FIXTURE
+
+
+class LogitsOnly:
+    """A scorer with .logits only: a table row, or None for absent pairs."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def logits(self, question, passage_id, passage_text):
+        return self.table.get((question, passage_id))
+
+
+class TestLogitRows:
+    def test_stacks_logits_rows_and_masks_unscored_pairs(self):
+        empty = SpanLogits((1.5,), (2.5,))
+        scorer = LogitsOnly({("q", "a"): FIXTURE, ("q", "c"): empty, ("r", "a"): FIXTURE})
+        rows, scored = logit_rows(scorer, ["q", "q", "q", "r"], ["a", "b", "c", "a"], ["x y"] * 4)
+        assert scored.tolist() == [True, False, True, True]
+        assert rows.n.tolist() == [2, 0, 0, 2]
+        assert rows.cls_start.tolist() == [0.5, 0.0, 1.5, 0.5]
+        assert rows.cls_end.tolist() == [0.2, 0.0, 2.5, 0.2]
+        assert rows.start.tolist() == [2.0, 1.0, 2.0, 1.0]
+        assert rows.end.tolist() == [0.5, 3.0, 0.5, 3.0]
+
+    def test_no_pairs(self):
+        for scorer in (LexicalScorer(), LogitsOnly({})):
+            rows, scored = logit_rows(scorer, [], [], [])
+            assert scored.size == rows.n.size == rows.cls_start.size == rows.start.size == 0
+            assert rows.n.dtype == np.intp and scored.dtype == bool
+
+    def test_logits_pairs_equals_stacked_logits(self):
+        scorer = LexicalScorer(3)
+        questions = ["w1 w2", "w3", "w1 w2", "w4"]
+        texts = ["w1 w2 w3 w1", "", "w2 w5 w1", "w4 w4 w4 w4 w4"]
+        ids = ["a", "b", "c", "d"]
+        rows, scored = logit_rows(scorer, questions, ids, texts)
+
+        class Wrapped:
+            def logits(self, question, passage_id, passage_text):
+                return scorer.logits(question, passage_id, passage_text)
+
+        stacked, all_scored = logit_rows(Wrapped(), questions, ids, texts)
+        assert scored.all() and all_scored.all()
+        for name in ("start", "end", "cls_start", "cls_end", "n"):
+            assert np.array_equal(getattr(rows, name), getattr(stacked, name)), name
+
+    def test_nonempty_drops_rows_without_tokens(self):
+        rows, _ = logit_rows(LogitsOnly({("q", "a"): FIXTURE}), ["q", "q", "q"], ["b", "a", "b"], ["", "x y", ""])
+        read, kept = rows.nonempty()
+        assert read.tolist() == [1]
+        assert kept.n.tolist() == [2] and kept.cls_start.tolist() == [0.5]
+        assert kept.start is rows.start and kept.end is rows.end
 
 
 class TestExtractAnswer:

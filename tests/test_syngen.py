@@ -4,11 +4,11 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hyqa.corpus import Document, chunk_generation_passages
-from hyqa.mrc import LexicalScorer
+from hyqa.mrc import LexicalScorer, ScorerConfig, SpanLogits, answerability
 from hyqa.sparse import build_sparse_index
 from hyqa.syngen import (
     EOS_TOKEN,
@@ -33,7 +33,7 @@ from hyqa.syngen import (
     sample_top_p_top_k,
 )
 from hyqa import syngen
-from hyqa.syngen import _NUCLEUS_CHUNK, _nucleus, _nucleus_sampler, _select_nuclei, _sentence_terms
+from hyqa.syngen import _FILTER_BLOCK, _NUCLEUS_CHUNK, _nucleus, _nucleus_sampler, _select_nuclei, _sentence_terms
 
 
 def make_passage(text, pid="p1"):
@@ -564,6 +564,101 @@ class TestRoundtripFilter:
         assert result.missing == 1
         assert result.scores[1] is None
         assert [ex.passage_id for ex in result.kept] == ["good"]
+
+    def test_unknown_passage_names_example(self):
+        examples, passages = self.make_examples()
+        examples.insert(1, QAExample("nope", "why", "x", (0, 1)))
+        with pytest.raises(KeyError, match=r"example passage 'nope' not in passage map \(example 1\)"):
+            roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), passages)
+
+
+FILTER_WORDS = ["masks", "block", "droplets", "indoors", "astronomy", "Masks,", "(block)", "stars"]
+
+
+class TableScorer:
+    """A scorer with .logits only. Each (question, passage) pair has fixed
+    logits drawn from its own seed, with nonzero CLS logits; a pair whose
+    passage id is in `unscored` returns None."""
+
+    def __init__(self, unscored):
+        self.unscored = unscored
+
+    def logits(self, question, passage_id, passage_text):
+        if passage_id in self.unscored:
+            return None
+        n = len(passage_text.split())
+        rng = np.random.default_rng([len(question), int(passage_id[1:]), n])
+        start, end = rng.integers(-4, 5, size=(2, n + 1)) * 0.5
+        return SpanLogits(start, end)
+
+
+def filter_inputs(seed, n_examples, n_passages, n_questions):
+    """Examples over a pool of passages (some without tokens) and a pool of
+    questions, so questions and passages repeat."""
+    rng = np.random.default_rng(seed)
+    texts = {
+        f"p{i}": " ".join(rng.choice(FILTER_WORDS, size=rng.choice([0, 1, 5, 40]))) for i in range(n_passages)
+    }
+    questions = [" ".join(rng.choice(FILTER_WORDS, size=rng.integers(0, 4))) for _ in range(n_questions)]
+    examples = [
+        QAExample(f"p{rng.integers(n_passages)}", questions[rng.integers(n_questions)], "x", (0, 1))
+        for _ in range(n_examples)
+    ]
+    return examples, texts
+
+
+class TestBlockedRoundtripFilter:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3 * _FILTER_BLOCK),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.sampled_from(["lexical", "table"]),
+        st.sampled_from([1, 3, 30]),
+        st.sampled_from([float("-inf"), 0.0, 1.0, 2.5]),
+    )
+    @example(1, _FILTER_BLOCK + 1, 12, 6, "table", 30, 1.0)
+    @example(2, 2 * _FILTER_BLOCK, 3, 2, "lexical", 3, 1.0)
+    def test_equals_per_example_answerability(
+        self, seed, n_examples, n_passages, n_questions, kind, max_answer_len, threshold
+    ):
+        examples, texts = filter_inputs(seed, n_examples, n_passages, n_questions)
+        scorer = LexicalScorer() if kind == "lexical" else TableScorer({f"p{i}" for i in range(0, n_passages, 3)})
+        config = ScorerConfig(max_answer_len=max_answer_len)
+        result = roundtrip_filter(examples, scorer, FilterConfig(threshold), texts, config)
+        expected = []
+        for ex in examples:
+            logits = scorer.logits(ex.question, ex.passage_id, texts[ex.passage_id])
+            expected.append(None if logits is None else answerability(logits, config))
+        assert [None if v is None else v.hex() for v in result.scores] == [
+            None if v is None else v.hex() for v in expected
+        ]
+        assert result.kept == [ex for ex, v in zip(examples, expected) if v is not None and v >= threshold]
+        assert result.missing == expected.count(None)
+
+    def test_terms_once_per_distinct_question_and_once_per_example(self, monkeypatch):
+        import hyqa.mrc
+
+        examples, texts = filter_inputs(3, 2 * _FILTER_BLOCK + 5, 8, 5)
+        calls, real = [], hyqa.mrc.terms
+        monkeypatch.setattr(hyqa.mrc, "terms", lambda text: calls.append(text) or real(text))
+        roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), texts)
+        blocks = [examples[lo : lo + _FILTER_BLOCK] for lo in range(0, len(examples), _FILTER_BLOCK)]
+        assert len(calls) == sum(len({ex.question for ex in block}) + len(block) for block in blocks)
+        # Each block takes the terms of its distinct questions, then of its
+        # examples' passages.
+        assert calls[: len({ex.question for ex in blocks[0]})] == list(dict.fromkeys(ex.question for ex in blocks[0]))
+
+    def test_no_span_band_wider_than_a_block(self, monkeypatch):
+        import hyqa.mrc
+
+        examples, texts = filter_inputs(4, 2 * _FILTER_BLOCK + 5, 8, 5)
+        rows_per_band, real = [], hyqa.mrc.span_band
+        monkeypatch.setattr(hyqa.mrc, "span_band", lambda rows, L: rows_per_band.append(len(rows.n)) or real(rows, L))
+        result = roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), texts)
+        assert len(result.scores) == len(examples)
+        assert len(rows_per_band) == 3
+        assert max(rows_per_band) <= _FILTER_BLOCK
 
 
 def mining_fixture():
