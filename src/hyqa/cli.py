@@ -503,7 +503,9 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except Exception as e:
-        print(f"error [{args.command}]: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes included.
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error [{args.command}]: {message}", file=sys.stderr)
         return 1
     return 0
 

@@ -8,7 +8,16 @@ negative log-likelihood of the positive passage against in-batch negatives
 (every question in a mini-batch sees its own hard negatives plus the other
 questions' positives and hard negatives), with plain SGD and linear warmup.
 
-One function (`_embed`) pools and projects, for one text or a whole batch.
+A batch of texts is a token bag (`_TokenBag`): the table rows its tokens
+touch, ascending, and a CSR matrix of ones over (text x touched row) that
+holds each text's tokens in order. Pooling is one sparse product, ones @
+table[rows] / length, and the embedding gradient is its transpose, ones.T @
+(g_means / length). scipy sums each text, and each touched row, in stored
+order from 0.0, so both are bit for bit the per-text
+`table[ids].mean(axis=0)` and the per-token scatter they replace. (At d = 1
+they can differ in the last bits: numpy sums a single column pairwise.) One
+text pools with that mean directly, without a bag.
+
 A training step runs one forward pass: `loss_gradient` returns the gradient
 with the loss it differentiates, and the step updates only the embedding
 rows the batch touches. `train` tokenizes each distinct question and
@@ -23,6 +32,7 @@ from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import container
 from .corpus import Passage, distinct_terms, terms
@@ -141,23 +151,49 @@ def _tokenize_all(encoder: DualEncoder, instances: Iterable[IRTrainInstance]) ->
     return {t: _token_ids(encoder, t) for t in texts}
 
 
-def _embed(encoder: DualEncoder, token_ids: Sequence[np.ndarray], side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-pool each row's token embeddings (zeros for a row without
-    tokens) and project; returns (means, tower outputs), both rows x d."""
-    table = encoder.params[f"{side}_emb"]
-    means = np.zeros((len(token_ids), encoder.d))
-    for row, ids in enumerate(token_ids):
-        if len(ids):
-            means[row] = table[ids].mean(axis=0)
-    return means, means @ encoder.params[f"{side}_proj"].T + encoder.params[f"{side}_bias"]
+class _TokenBag:
+    """The token ids of a batch of texts over the table rows they touch:
+    `rows` (ascending), `ones` (a CSR matrix of ones, text x touched row,
+    each text's tokens in order) and `lens` (each text's token count, at
+    least 1, as a column)."""
+
+    def __init__(self, token_ids: Sequence[np.ndarray]):
+        counts = np.fromiter(map(len, token_ids), dtype=np.intp, count=len(token_ids))
+        indptr = np.zeros(len(token_ids) + 1, dtype=np.intp)
+        np.cumsum(counts, out=indptr[1:])
+        self.rows, slot = np.unique(np.concatenate(token_ids), return_inverse=True)
+        self.ones = csr_array((np.ones(len(slot)), slot, indptr), shape=(len(token_ids), len(self.rows)))
+        self.lens = np.maximum(counts, 1)[:, None]
+
+    def means(self, table: np.ndarray) -> np.ndarray:
+        """Each text's mean token embedding; zeros for a text without tokens."""
+        return self.ones @ table[self.rows] / self.lens
+
+    def rows_gradient(self, g_means: np.ndarray) -> np.ndarray:
+        """Gradient of the touched table rows from the gradient of each
+        text's mean, which spreads evenly over the text's tokens."""
+        return self.ones.T @ (g_means / self.lens)
+
+
+def _project(encoder: DualEncoder, means: np.ndarray, side: str) -> np.ndarray:
+    return means @ encoder.params[f"{side}_proj"].T + encoder.params[f"{side}_bias"]
+
+
+def _pool(encoder: DualEncoder, text: str, side: str) -> np.ndarray:
+    """One text's mean token embedding as a 1 x d row."""
+    ids = _token_ids(encoder, text)
+    means = np.zeros((1, encoder.d))
+    if len(ids):
+        means[0] = encoder.params[f"{side}_emb"][ids].mean(axis=0)
+    return means
 
 
 def encode_query(encoder: DualEncoder, text: str) -> np.ndarray:
-    return _embed(encoder, [_token_ids(encoder, text)], "q")[1][0]
+    return _project(encoder, _pool(encoder, text, "q"), "q")[0]
 
 
 def encode_passage(encoder: DualEncoder, text: str) -> np.ndarray:
-    return _embed(encoder, [_token_ids(encoder, text)], "p")[1][0]
+    return _project(encoder, _pool(encoder, text, "p"), "p")[0]
 
 
 def similarity(q_emb: np.ndarray, p_emb: np.ndarray) -> float:
@@ -210,9 +246,12 @@ def loss_gradient(
             cand_pos[p.id] = len(cand_tok)
             cand_tok.append(token_ids[p.text])
     pos_idx = [cand_pos[inst.positive.id] for inst in batch]
-    q_tok = [token_ids[inst.question] for inst in batch]
-    q_mean, q_out = _embed(encoder, q_tok, "q")
-    p_mean, p_out = _embed(encoder, cand_tok, "p")
+    q_bag = _TokenBag([token_ids[inst.question] for inst in batch])
+    p_bag = _TokenBag(cand_tok)
+    q_mean = q_bag.means(encoder.params["q_emb"])
+    p_mean = p_bag.means(encoder.params["p_emb"])
+    q_out = _project(encoder, q_mean, "q")
+    p_out = _project(encoder, p_mean, "p")
 
     B = len(batch)
     logits = q_out @ p_out.T  # B x C
@@ -227,12 +266,12 @@ def loss_gradient(
 
     grads: dict[str, np.ndarray] = {}
     rows: dict[str, np.ndarray] = {}
-    for side, g_out, means, toks in (
-        ("q", g_logits @ p_out, q_mean, q_tok),
-        ("p", g_logits.T @ q_out, p_mean, cand_tok),
+    for side, g_out, means, bag in (
+        ("q", g_logits @ p_out, q_mean, q_bag),
+        ("p", g_logits.T @ q_out, p_mean, p_bag),
     ):
         emb, proj, bias = f"{side}_emb", f"{side}_proj", f"{side}_bias"
-        rows[emb], grads[emb] = _embedding_rows_gradient(encoder, toks, g_out @ encoder.params[proj])
+        rows[emb], grads[emb] = bag.rows, bag.rows_gradient(g_out @ encoder.params[proj])
         # Kept as a sum with zeros: 0.0 + -0.0 is 0.0, so these are the old bits.
         grads[proj] = np.zeros(encoder.params[proj].shape) + g_out.T @ means
         grads[bias] = np.zeros(encoder.params[bias].shape) + g_out.sum(axis=0)
@@ -243,26 +282,6 @@ def loss_gradient(
         full[ids] = grads[name]
         grads[name] = full
     return Gradient(grads, float(losses.mean()))
-
-
-def _embedding_rows_gradient(
-    encoder: DualEncoder, toks: Sequence[np.ndarray], g_means: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of an embedding table from the gradient of each row's mean:
-    returns the touched table rows (ascending) and their gradient rows.
-
-    Each row's mean spreads its gradient evenly over its tokens. A flat
-    np.add.at adds in (row, token) order, ~3x faster than over rows, and
-    each cell of the compact rows gets the additions a full-table
-    np.add.at would give it, in the same order.
-    """
-    d = encoder.d
-    lens = np.array([len(ids) for ids in toks])
-    shares = g_means / np.maximum(lens, 1)[:, None]
-    touched, slot = np.unique(np.concatenate(toks), return_inverse=True)
-    g_rows = np.zeros((len(touched), d))
-    np.add.at(g_rows.reshape(-1), (slot[:, None] * d + np.arange(d)).ravel(), np.repeat(shares, lens, axis=0).ravel())
-    return touched, g_rows
 
 
 def train(

@@ -7,9 +7,17 @@ are; docs and tf take the narrowest unsigned dtype that holds them.
 
 idf uses the non-negative ln(1 + (N - df + 0.5)/(df + 0.5)) form. Index
 and query terms both come from corpus.terms so "word" means the same thing
-at index and query time. A query adds up its terms in sorted order, so
-scores do not depend on string hashing. Ties in search results break by
-ascending passage id.
+at index and query time. Ties in search results break by ascending passage
+id.
+
+Scoring is one sparse product. The impact matrix (`SparseIndex.impacts`,
+built on first search) holds each posting's term weight tf * (k1 + 1) /
+(tf + norm) in the CSR layout above. A block of queries is a CSR matrix
+with one row per query holding mult * idf(term) at its distinct terms, in
+sorted term order; the block's scores are its product with the impact
+matrix. scipy adds each passage's products in that stored order from 0.0,
+so a score is the per-term sum in sorted term order, and does not depend
+on string hashing.
 """
 
 from __future__ import annotations
@@ -23,13 +31,14 @@ from itertools import chain, count, filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import container
 from .container import ContainerError
 from .corpus import Passage, terms
 from .scored import ScoredPassage, id_ranks, top_k
 
-__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_top_k", "sparse_search"]
+__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_top_k_each", "sparse_top_k", "sparse_search"]
 
 _ARRAYS = ("doc_lengths", "indptr", "docs", "tf")
 
@@ -70,6 +79,15 @@ class SparseIndex:
     def id_rank(self) -> np.ndarray:
         """Each passage's position in ascending-id order; sorted on first search."""
         return id_ranks(self.doc_ids)
+
+    @cached_property
+    def impacts(self) -> csr_array:
+        """Terms x passages CSR matrix of each posting's BM25 term weight;
+        built on first search."""
+        k1, b = self.params.k1, self.params.b
+        tf = self.tf.astype(np.float64)
+        norm = k1 * (1.0 - b + b * self.doc_lengths[self.docs] / self.avg_len)
+        return csr_array((tf * (k1 + 1.0) / (tf + norm), self.docs, self.indptr), shape=(len(self.terms), self.N))
 
     def _term_index(self, term: str) -> int | None:
         i = bisect.bisect_left(self.terms, term)
@@ -159,25 +177,37 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
     return SparseIndex(params, doc_ids, sorted_terms, doc_lengths, indptr, _narrow(keys - term_of * n_docs), _narrow(tf))
 
 
+def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """sparse_top_k of each query, scored as one block: one product of the
+    queries' term weights with the impact matrix."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    cols: list[int] = []
+    weights: list[float] = []
+    indptr = [0]
+    for text in query_texts:
+        for term, mult in sorted(Counter(terms(text)).items()):
+            t = index._term_index(term)
+            if t is not None:
+                cols.append(t)
+                weights.append(mult * index.idf(term))
+        indptr.append(len(cols))
+    queries = csr_array((np.array(weights, dtype=np.float64), np.array(cols, dtype=np.intp), indptr),
+                        shape=(len(query_texts), len(index.terms)))
+    scores = queries @ index.impacts  # idf > 0 and tf >= 1: every stored score is a match, > 0
+    ranked = []
+    for q in range(len(query_texts)):
+        lo, hi = scores.indptr[q], scores.indptr[q + 1]
+        hits, hit_scores = scores.indices[lo:hi].astype(np.intp), scores.data[lo:hi]
+        top = top_k(hit_scores, index.id_rank[hits], k)
+        ranked.append((hits[top], hit_scores[top]))
+    return ranked
+
+
 def sparse_top_k(index: SparseIndex, query_text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Array form of sparse_search: the top k matched passage indices and
     their BM25 scores."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    k1, b = index.params.k1, index.params.b
-    scores = np.zeros(index.N)
-    for term, mult in sorted(Counter(terms(query_text)).items()):
-        t = index._term_index(term)
-        if t is None:
-            continue
-        lo, hi = index.indptr[t], index.indptr[t + 1]
-        docs = index.docs[lo:hi]
-        tf = index.tf[lo:hi].astype(np.float64)
-        norm = k1 * (1.0 - b + b * index.doc_lengths[docs] / index.avg_len)
-        scores[docs] += mult * index.idf(term) * (tf * (k1 + 1.0) / (tf + norm))
-    hits = np.flatnonzero(scores)  # idf > 0 and tf >= 1, so every matched passage scores > 0
-    top = hits[top_k(scores[hits], index.id_rank[hits], k)]
-    return top, scores[top]
+    return sparse_top_k_each(index, [query_text], k)[0]
 
 
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> list[ScoredPassage]:

@@ -16,11 +16,11 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Passage, TokenSpan, segment_sentences, terms, tokenize
+from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds, tokenize
 from .encoder import IRTrainInstance
 from .evalkit import _contains_answer
 from .mrc import ScorerConfig, best_span_each, logit_rows
-from .sparse import SparseIndex, sparse_top_k
+from .sparse import SparseIndex, sparse_top_k, sparse_top_k_each
 
 __all__ = [
     "QAExample",
@@ -61,6 +61,10 @@ _NUCLEUS_CHUNK = 16
 # ~1,400 examples of a 500-document adaptation run raised that run's peak
 # RSS from 70 to 89 MB, where 128-example bands leave it at 70 MB.
 _FILTER_BLOCK = 128
+# Questions build_ir_training_set ranks per BM25 product. The product holds
+# each question's matched passages, so the block bounds mining's memory as
+# _FILTER_BLOCK bounds the filter's.
+_MINE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -160,17 +164,17 @@ def encode_generation_target(passage: Passage, example: QAExample) -> GenTarget:
     )
 
 
-def _find_token_run(sentence: TokenSpan, answer_tokens: list[str]) -> Optional[tuple[int, int]]:
-    """First contiguous token run in the sentence matching answer_tokens;
-    returns character offsets relative to the sentence start."""
-    sent_tokens = tokenize(sentence.surface)
+def _find_token_run(
+    sentence: TokenSpan, sentence_terms: list[str], answer_tokens: list[str]
+) -> Optional[tuple[int, int]]:
+    """First contiguous run of the sentence's terms matching answer_tokens;
+    returns character offsets relative to the sentence start, cut from
+    token_bounds of the sentence only when a run matches."""
     n = len(answer_tokens)
-    if n == 0:
-        return None
-    surfaces = [t.surface for t in sent_tokens]
-    for i in range(len(surfaces) - n + 1):
-        if surfaces[i : i + n] == answer_tokens:
-            return sent_tokens[i].start, sent_tokens[i + n - 1].end
+    for i in range(len(sentence_terms) - n + 1):
+        if sentence_terms[i : i + n] == answer_tokens:
+            starts, ends = token_bounds(sentence.surface)
+            return int(starts[i]), int(ends[i + n - 1])
     return None
 
 
@@ -210,10 +214,12 @@ def decode_generation_target(
 
     if sentences is None:
         sentences = _sentence_terms(passage.text)
-    sentence = next((sent for sent, toks in sentences if toks and toks[0] == first and toks[-1] == last), None)
-    if sentence is None:
+    for sentence, toks in sentences:
+        if toks and toks[0] == first and toks[-1] == last:
+            break
+    else:
         return DecodeRejection("sentence-not-found")
-    run = _find_token_run(sentence, answer_tokens)
+    run = _find_token_run(sentence, toks, answer_tokens)
     if run is None:
         return DecodeRejection("answer-not-found")
     start = sentence.start + run[0]
@@ -511,6 +517,18 @@ def filtered_records(examples: Sequence[QAExample], result: FilterResult) -> lis
     ]
 
 
+def _first_negative(
+    ranked: np.ndarray, answer: str, index: SparseIndex, passage_texts: dict[str, str], exclude_id: Optional[str]
+) -> Optional[str]:
+    """The first of the `ranked` passage indices, other than exclude_id,
+    whose text does not contain the normalized answer."""
+    for i in ranked.tolist():
+        passage_id = index.doc_ids[i]
+        if passage_id != exclude_id and not _contains_answer(passage_texts[passage_id], [answer]):
+            return passage_id
+    return None
+
+
 def mine_negative(
     question: str,
     answer: str,
@@ -521,11 +539,7 @@ def mine_negative(
 ) -> Optional[str]:
     """Highest-BM25-ranked passage (top `depth`) for the question whose text
     does not contain the normalized answer; None if every candidate does."""
-    for i in sparse_top_k(index, question, depth)[0].tolist():
-        passage_id = index.doc_ids[i]
-        if passage_id != exclude_id and not _contains_answer(passage_texts[passage_id], [answer]):
-            return passage_id
-    return None
+    return _first_negative(sparse_top_k(index, question, depth)[0], answer, index, passage_texts, exclude_id)
 
 
 @dataclass
@@ -541,24 +555,31 @@ def build_ir_training_set(
     depth: int = 100,
 ) -> TrainingSetResult:
     """One training instance per example: positive = source passage, one
-    mined hard negative. Examples whose negative cannot be mined are
-    dropped and tallied."""
-    texts = {pid: p.text for pid, p in passages.items()}
-    result = TrainingSetResult(instances=[])
+    mined hard negative, as mine_negative picks it with the example's own
+    passage excluded. Examples whose negative cannot be mined are dropped
+    and tallied. Every example's passage is looked up before any scoring;
+    the questions are then ranked _MINE_BLOCK at a time with one
+    sparse_top_k_each."""
     for ex in examples:
         if ex.passage_id not in passages:
             raise KeyError(f"example passage {ex.passage_id!r} not in passage map")
-        neg_id = mine_negative(ex.question, ex.answer, index, texts, depth, exclude_id=ex.passage_id)
-        if neg_id is None:
-            result.dropped += 1
-            continue
-        result.instances.append(
-            IRTrainInstance(
-                question=ex.question,
-                positive=passages[ex.passage_id],
-                hard_negatives=(passages[neg_id],),
+    texts = {pid: p.text for pid, p in passages.items()}
+    result = TrainingSetResult(instances=[])
+    for lo in range(0, len(examples), _MINE_BLOCK):
+        block = examples[lo : lo + _MINE_BLOCK]
+        ranked = sparse_top_k_each(index, [ex.question for ex in block], depth)
+        for ex, (top, _) in zip(block, ranked):
+            neg_id = _first_negative(top, ex.answer, index, texts, ex.passage_id)
+            if neg_id is None:
+                result.dropped += 1
+                continue
+            result.instances.append(
+                IRTrainInstance(
+                    question=ex.question,
+                    positive=passages[ex.passage_id],
+                    hard_negatives=(passages[neg_id],),
+                )
             )
-        )
     return result
 
 

@@ -381,10 +381,20 @@ class TestErrorHandling:
             "--output-dir", tmp_path / "o", "filter",
             "--examples", examples, "--passages", out / "passages_generation.jsonl",
         ]) == 1
-        assert capsys.readouterr().err == (
-            "error [filter]: \"example passage 'nope#0' not in passage map (example 1)\"\n"
-        )
+        assert capsys.readouterr().err == "error [filter]: example passage 'nope#0' not in passage map (example 1)\n"
         assert not (tmp_path / "o" / "synthetic_filtered.jsonl").exists()
+
+    def test_mine_negatives_names_unknown_example_passage(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        examples = tmp_path / "examples.jsonl"
+        records = [QAExample("doc0#0", "what", "The", (0, 3)), QAExample("nope#0", "what", "The", (0, 3))]
+        examples.write_text("".join(json.dumps(example_to_record(ex)) + "\n" for ex in records))
+        assert run([
+            "--output-dir", tmp_path / "o", "mine-negatives", "--examples", examples,
+            "--passages", out / "passages_generation.jsonl", "--index", out / "sparse.hyqa",
+        ]) == 1
+        assert capsys.readouterr().err == "error [mine-negatives]: example passage 'nope#0' not in passage map\n"
+        assert not (tmp_path / "o" / "train_instances.jsonl").exists()
 
     @pytest.mark.parametrize("line, message", [
         ("{bad", "invalid JSON: Expecting property name enclosed in double quotes at column 2"),

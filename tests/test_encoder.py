@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import hyqa.encoder as encoder_module
 from hyqa.corpus import Document, chunk_retrieval_passages
@@ -77,19 +79,20 @@ class TestEncode:
         batch = random_batch(np.random.default_rng(4), enc, size=3, negatives=2)
         forwards = []
 
-        def recording_embed(encoder, token_ids, side):
-            out = original(encoder, token_ids, side)
-            forwards.append((side, out))
+        def recording_project(encoder, means, side):
+            out = original(encoder, means, side)
+            forwards.append((side, (means, out)))
             return out
 
-        original = encoder_module._embed
-        monkeypatch.setattr(encoder_module, "_embed", recording_embed)
+        original = encoder_module._project
+        monkeypatch.setattr(encoder_module, "_project", recording_project)
         loss_gradient(enc, batch)
         monkeypatch.undo()
         (_, (_, q_out)), (_, (p_means, p_out)) = forwards
         candidates = [inst.positive for inst in batch] + [n for inst in batch for n in inst.hard_negatives]
         for row, p in enumerate(candidates):
-            means, out = encoder_module._embed(enc, [encoder_module._token_ids(enc, p.text)], "p")
+            means = encoder_module._pool(enc, p.text, "p")
+            out = encoder_module._project(enc, means, "p")
             # Pooling is the same computation; a multi-row GEMM may round
             # the projection's last bit differently from a one-row one.
             np.testing.assert_array_equal(means[0], p_means[row])
@@ -334,6 +337,46 @@ class TestTouchedRows:
                 assert scattered.tobytes() == full[name].tobytes()
             else:
                 assert rows[name].tobytes() == full[name].tobytes()
+
+
+def per_row_means(table, token_ids):
+    """Reference: the per-row pooling loop that token bags replaced."""
+    return np.stack([table[ids].mean(axis=0) if len(ids) else np.zeros(table.shape[1]) for ids in token_ids])
+
+
+def flat_scatter(token_ids, g_means, d):
+    """Reference: the touched rows and the flat np.add.at scatter, in (row,
+    token) order, that token bags replaced."""
+    lens = np.array([len(ids) for ids in token_ids])
+    shares = g_means / np.maximum(lens, 1)[:, None]
+    touched, slot = np.unique(np.concatenate(token_ids), return_inverse=True)
+    g_rows = np.zeros((len(touched), d))
+    np.add.at(g_rows.reshape(-1), (slot[:, None] * d + np.arange(d)).ravel(), np.repeat(shares, lens, axis=0).ravel())
+    return touched, g_rows
+
+
+# Token ids of a batch's texts over a 12-row table: rows without tokens and
+# repeated ids included.
+token_batches = st.lists(st.lists(st.integers(0, 11), max_size=12), min_size=1, max_size=6)
+
+
+class TestTokenBag:
+    # d = 1 is left out: numpy sums a single column pairwise, not row by row.
+    @given(token_batches, st.integers(2, 9), st.integers(0, 2**32 - 1))
+    @example([[]], 3, 0)
+    @example([[], [], []], 4, 1)
+    @example([[5, 5, 5, 2, 5]], 2, 2)
+    @example([[1, 1], [], [1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1]], 6, 3)
+    def test_equals_per_row_mean_and_flat_scatter(self, rows, d, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(12, d)) * 10.0 ** rng.integers(-6, 7, size=(12, 1))
+        g_means = rng.normal(size=(len(rows), d))
+        token_ids = [np.array(ids, dtype=np.intp) for ids in rows]
+        bag = encoder_module._TokenBag(token_ids)
+        assert bag.means(table).tobytes() == per_row_means(table, token_ids).tobytes()
+        touched, g_rows = flat_scatter(token_ids, g_means, d)
+        assert bag.rows.tolist() == touched.tolist()
+        assert bag.rows_gradient(g_means).tobytes() == g_rows.tobytes()
 
 
 def dense_update_train(encoder, instances, config):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from hyqa import container
 from hyqa.container import ContainerError
-from hyqa.corpus import Document, Passage, chunk_retrieval_passages, tokenize
-from hyqa.sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search
+from hyqa.corpus import Document, Passage, chunk_retrieval_passages, terms, tokenize
+from hyqa.scored import top_k
+from hyqa.sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search, sparse_top_k, sparse_top_k_each
 
 
 def passage(pid, text):
@@ -307,3 +309,65 @@ class TestProperties:
             assert sp.score == pytest.approx(oracle[sp.passage_id], abs=1e-9)
         expected_order = sorted([pid for pid, s in oracle.items() if s > 0], key=lambda pid: (-oracle[pid], pid))
         assert [sp.passage_id for sp in results] == expected_order
+
+
+def per_term_top_k(index, query_text, k):
+    """Reference: the per-term loop that block scoring replaced. Each query
+    term in sorted order adds mult * idf * tf(k1 + 1)/(tf + norm) to its
+    postings' passages in a dense score array."""
+    k1, b = index.params.k1, index.params.b
+    scores = np.zeros(index.N)
+    for term, mult in sorted(Counter(terms(query_text)).items()):
+        t = index._term_index(term)
+        if t is None:
+            continue
+        lo, hi = index.indptr[t], index.indptr[t + 1]
+        docs = index.docs[lo:hi]
+        tf = index.tf[lo:hi].astype(np.float64)
+        norm = k1 * (1.0 - b + b * index.doc_lengths[docs] / index.avg_len)
+        scores[docs] += mult * index.idf(term) * (tf * (k1 + 1.0) / (tf + norm))
+    hits = np.flatnonzero(scores)
+    top = hits[top_k(scores[hits], index.id_rank[hits], k)]
+    return top, scores[top]
+
+
+class TestBlockScoring:
+    @given(corpora, st.lists(queries, min_size=1, max_size=5), st.integers(1, 8), st.booleans())
+    @example([raw_passage("p0", "x x y2"), raw_passage("p1", "x"), raw_passage("p2", "alpha")],
+             ["x x x y2", "oov missing9", "y2 x y2", "alpha"], 8, True)
+    @example([], ["oov", "x"], 1, False)
+    def test_equals_per_term_loop(self, tmp_path_factory, passages, texts, k, reload):
+        index = build_sparse_index(passages)
+        if reload:
+            path = tmp_path_factory.mktemp("idx") / "idx.hyqa"
+            index.save(path)
+            index = SparseIndex.load(path)
+        ranked = sparse_top_k_each(index, texts, k)
+        assert len(ranked) == len(texts)
+        for text, (top, scores) in zip(texts, ranked):
+            expected_top, expected_scores = per_term_top_k(index, text, k)
+            assert top.dtype == expected_top.dtype
+            assert top.tolist() == expected_top.tolist()
+            assert scores.tobytes() == expected_scores.tobytes()
+            one_top, one_scores = sparse_top_k(index, text, k)
+            assert one_top.tolist() == top.tolist() and one_scores.tobytes() == scores.tobytes()
+
+    def test_blocks_of_a_larger_corpus(self):
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(60)]
+        passages = [raw_passage(f"p{i:03d}", " ".join(rng.choice(words, size=rng.integers(0, 40)))) for i in range(150)]
+        texts = [" ".join(rng.choice(words + ["oov"], size=rng.integers(0, 8))) for _ in range(300)]
+        index = build_sparse_index(passages)
+        for k in (1, 10, 1000):
+            for lo in range(0, len(texts), 128):
+                block = texts[lo : lo + 128]
+                for text, (top, scores) in zip(block, sparse_top_k_each(index, block, k)):
+                    expected_top, expected_scores = per_term_top_k(index, text, k)
+                    assert top.tolist() == expected_top.tolist()
+                    assert scores.tobytes() == expected_scores.tobytes()
+
+    def test_no_queries_and_bad_k(self, small_index):
+        index, _ = small_index
+        assert sparse_top_k_each(index, [], 3) == []
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            sparse_top_k_each(index, ["cat"], 0)

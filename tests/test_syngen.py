@@ -33,7 +33,15 @@ from hyqa.syngen import (
     sample_top_p_top_k,
 )
 from hyqa import syngen
-from hyqa.syngen import _FILTER_BLOCK, _NUCLEUS_CHUNK, _nucleus, _nucleus_sampler, _select_nuclei, _sentence_terms
+from hyqa.syngen import (
+    _FILTER_BLOCK,
+    _MINE_BLOCK,
+    _NUCLEUS_CHUNK,
+    _nucleus,
+    _nucleus_sampler,
+    _select_nuclei,
+    _sentence_terms,
+)
 
 
 def make_passage(text, pid="p1"):
@@ -717,6 +725,59 @@ class TestBuildTrainingSet:
         passages = {pid: make_passage(t, pid) for pid, t in texts.items()}
         with pytest.raises(KeyError):
             build_ir_training_set([QAExample("zz", "q", "a", (0, 1))], index, passages)
+
+
+def mining_inputs(seed, n_examples, n_passages=30):
+    """Examples over random passages of FILTER_WORDS; questions repeat words,
+    and some hold no indexed word at all."""
+    rng = np.random.default_rng(seed)
+    passages = {
+        f"p{i}": make_passage(" ".join(rng.choice(FILTER_WORDS, size=rng.integers(1, 12))), f"p{i}")
+        for i in range(n_passages)
+    }
+    examples = [
+        QAExample(
+            f"p{rng.integers(n_passages)}",
+            " ".join(rng.choice(FILTER_WORDS + ["zzz"], size=rng.integers(0, 5))),
+            str(rng.choice(FILTER_WORDS)),
+            (0, 1),
+        )
+        for _ in range(n_examples)
+    ]
+    return examples, passages
+
+
+class TestBlockedMining:
+    @pytest.mark.parametrize("seed, depth", [(0, 100), (1, 3), (2, 1)])
+    def test_equals_per_example_mine_negative(self, seed, depth):
+        examples, passages = mining_inputs(seed, 2 * _MINE_BLOCK + 3)
+        index = build_sparse_index(list(passages.values()))
+        texts = {pid: p.text for pid, p in passages.items()}
+        result = build_ir_training_set(examples, index, passages, depth=depth)
+        expected, dropped = [], 0
+        for ex in examples:
+            neg = mine_negative(ex.question, ex.answer, index, texts, depth, exclude_id=ex.passage_id)
+            if neg is None:
+                dropped += 1
+            else:
+                expected.append((ex.question, ex.passage_id, neg))
+        mined = [(inst.question, inst.positive.id, inst.hard_negatives[0].id) for inst in result.instances]
+        assert mined == expected
+        assert result.dropped == dropped > 0
+
+    def test_ranks_blocks_after_checking_every_passage(self, monkeypatch):
+        examples, passages = mining_inputs(3, 2 * _MINE_BLOCK + 3)
+        index = build_sparse_index(list(passages.values()))
+        blocks, real = [], syngen.sparse_top_k_each
+        monkeypatch.setattr(
+            syngen, "sparse_top_k_each", lambda index, texts, k: blocks.append(len(texts)) or real(index, texts, k)
+        )
+        build_ir_training_set(examples, index, passages)
+        assert blocks == [_MINE_BLOCK, _MINE_BLOCK, 3]
+        blocks.clear()
+        with pytest.raises(KeyError, match="example passage 'zz' not in passage map"):
+            build_ir_training_set(examples + [QAExample("zz", "q", "a", (0, 1))], index, passages)
+        assert blocks == []
 
 
 class TestNgramLM:
