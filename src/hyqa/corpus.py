@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "tokenize",
     "token_bounds",
     "terms",
-    "distinct_terms",
     "word_count",
     "chunk_retrieval_passages",
     "chunk_generation_passages",
@@ -201,12 +199,6 @@ def terms(text: str) -> list[str]:
     if text.isascii():
         return _TOKEN_RE.findall(text.lower())
     return [m.lower() for m in _TOKEN_RE.findall(text)]
-
-
-def distinct_terms(texts: Iterable[str]) -> list[str]:
-    """The sorted set of terms over texts. Each distinct raw surface is
-    lowercased once, on its own, as terms lowercases each match."""
-    return sorted({t.lower() for t in set(chain.from_iterable(map(_TOKEN_RE.findall, texts)))})
 
 
 def word_count(text: str) -> int:

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
 
 from . import container
-from .corpus import Passage, distinct_terms, terms
+from .corpus import Passage, terms
 
 __all__ = [
     "DualEncoder",
@@ -79,7 +79,7 @@ class DualEncoder:
     @classmethod
     def from_texts(cls, texts: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
         """Build the vocabulary from training texts, then initialize."""
-        return cls.create(distinct_terms(texts), d=d, seed=seed)
+        return cls.create(sorted(set(chain.from_iterable(map(terms, texts)))), d=d, seed=seed)
 
     def copy(self) -> "DualEncoder":
         return DualEncoder(

@@ -20,7 +20,7 @@ and by the CLI subcommand of the same name:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -75,9 +75,7 @@ Retriever = Callable[[str, int], list[ScoredPassage]]
 class PipelineConfig:
     K: int = K_HYBRID
     ir_weight: float = 0.7
-    fusion: FusionConfig = field(default_factory=FusionConfig)
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
-    seed: int = 0
     normalization: str = "minmax"  # or "softmax"
 
     def __post_init__(self):
@@ -322,13 +320,7 @@ def run_adaptation(
         base = DualEncoder.from_texts(all_texts, d=config.embedding_dim, seed=config.seed)
         if not training_set.instances:
             raise RuntimeError("no training instances survived generation and filtering")
-        train_config = TrainConfig(
-            learning_rate=config.train.learning_rate,
-            epochs=config.train.epochs,
-            batch_size=config.train.batch_size,
-            warmup_steps=config.train.warmup_steps,
-            seed=config.seed,
-        )
+        train_config = replace(config.train, seed=config.seed)
         trained, trace = train(base, training_set.instances, train_config)
 
         stage = "index-dense"

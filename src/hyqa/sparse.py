@@ -94,7 +94,11 @@ class SparseIndex:
         return i if i < len(self.terms) and self.terms[i] == term else None
 
     def idf(self, term: str) -> float:
-        t = self._term_index(term)
+        return self._idf_at(self._term_index(term))
+
+    def _idf_at(self, t: int | None) -> float:
+        """idf of the term at index t of self.terms; None is a term no
+        passage holds."""
         df = 0 if t is None else int(self.indptr[t + 1] - self.indptr[t])
         return math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
 
@@ -190,7 +194,7 @@ def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) ->
             t = index._term_index(term)
             if t is not None:
                 cols.append(t)
-                weights.append(mult * index.idf(term))
+                weights.append(mult * index._idf_at(t))
         indptr.append(len(cols))
     queries = csr_array((np.array(weights, dtype=np.float64), np.array(cols, dtype=np.intp), indptr),
                         shape=(len(query_texts), len(index.terms)))

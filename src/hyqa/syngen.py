@@ -1,9 +1,9 @@
 """Synthetic QA-example machinery.
 
 Covers the full chain that turns raw passages into retrieval training data:
-target encoding/decoding for a sentence-answer-question generator,
-diversity-promoting top-p top-k sampling over a pluggable token
-distribution (an n-gram model is bundled), generation with the
+target encoding/decoding for a sentence-answer-question generator, a
+backoff n-gram generator compiled into integer states, diversity-promoting
+top-p top-k sampling decoded on those states, generation with the
 answer-must-appear discard rule, roundtrip-consistency filtering through a
 span scorer, BM25 hard-negative mining, and training-set assembly.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "GenTarget",
     "SamplerConfig",
     "FilterConfig",
-    "TokenDistribution",
     "NgramLM",
     "DecodeRejection",
     "GenerationResult",
@@ -132,12 +131,6 @@ class FilterConfig:
 @dataclass(frozen=True)
 class DecodeRejection:
     reason: str  # "sentence-not-found" | "answer-not-found"
-
-
-class TokenDistribution(Protocol):
-    vocab: list[str]
-
-    def next(self, context: Sequence[str]) -> np.ndarray: ...
 
 
 def encode_generation_target(passage: Passage, example: QAExample) -> GenTarget:
@@ -268,39 +261,19 @@ def sample_top_p_top_k(masses: np.ndarray, config: SamplerConfig, rng: np.random
     return int(rng.choice(nucleus, p=weights))
 
 
-def _nucleus_sampler(config: SamplerConfig, rng: np.random.Generator) -> Callable[[np.ndarray], int]:
-    """A draw function that returns what sample_top_p_top_k(masses, config,
-    rng) would, but validates and selects each distinct distribution's
-    nucleus once. Distributions are keyed by their bytes, never by `id()`:
-    a model may build a fresh array per call. A draw is the CDF search that
-    Generator.choice(nucleus, p=weights) makes on one uniform, so samples
-    and the RNG stream stay in step with sample_top_p_top_k."""
-    nuclei: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-
-    def draw(masses: np.ndarray) -> int:
-        masses = np.asarray(masses, dtype=np.float64)
-        key = masses.tobytes()
-        if key not in nuclei:
-            nucleus, weights = _nucleus(masses, config)
-            cdf = weights.cumsum()
-            cdf /= cdf[-1]
-            nuclei[key] = nucleus, cdf
-        nucleus, cdf = nuclei[key]
-        return int(nucleus[cdf.searchsorted(rng.random(), side="right")])
-
-    return draw
-
-
 def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
     """Select the nucleus of every fitted row of `lms` in one array pass and
     store it in each model for `config`'s (p, k).
 
-    Each row's ids and CDF are bit for bit what _nucleus_sampler builds from
-    _nucleus(row, config): the same validation, the same stable ranking,
-    the same cut, and each nucleus renormalized by a 1-D sum over a
-    contiguous copy of its masses, so numpy sums it in _nucleus's order. A
-    model holds its rows' ids and CDFs as flat lists with row offsets,
-    shared by the models of one call."""
+    Each row's ids are _nucleus(row, config)'s, and its CDF is bit for bit
+    the cumulative sum of _nucleus's weights divided by its last entry: the
+    same validation, the same stable ranking, the same cut, and each
+    nucleus renormalized by a 1-D sum over a contiguous copy of its masses,
+    so numpy sums it in _nucleus's order. A draw is then one uniform and
+    one CDF search, the comparisons Generator.choice(nucleus, p=weights)
+    makes, so it returns what sample_top_p_top_k would. A model holds its
+    rows' ids and CDFs as flat lists with row offsets, shared by the models
+    of one call."""
     heights = [lm._probs.shape[0] for lm in lms]
     widths = [len(lm.vocab) for lm in lms]
     # Each model's top k by a stable argsort of -mass (ties by ascending
@@ -337,35 +310,6 @@ def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
         row += height
 
 
-def _ngram_decoder(lm: "NgramLM", config: SamplerConfig, rng: np.random.Generator):
-    """Start state, draw and step of a fitted NgramLM, all on row numbers:
-    a draw is one uniform and one CDF search in the row's nucleus, the same
-    comparisons Generator.choice makes; a step is one transition lookup."""
-    if (config.p, config.k) not in lm._nuclei:
-        _select_nuclei([lm], config)
-    ids, cdf, offsets = lm._nuclei[config.p, config.k]
-    random = rng.random
-
-    def draw(row: int) -> int:
-        return ids[bisect_right(cdf, random(), offsets[row], offsets[row + 1])]
-
-    return lm._start, draw, lm._transitions.item
-
-
-def _distribution_decoder(lm: TokenDistribution, config: SamplerConfig, rng: np.random.Generator):
-    """Start state, draw and step of any other token distribution: the state
-    is the context tuple, and draws go through _nucleus_sampler."""
-    sample = _nucleus_sampler(config, rng)
-
-    def draw(context: tuple[str, ...]) -> int:
-        return sample(lm.next(context))
-
-    def step(context: tuple[str, ...], token: int) -> tuple[str, ...]:
-        return context + (lm.vocab[token],)
-
-    return (), draw, step
-
-
 @dataclass
 class GenerationResult:
     examples: list[QAExample]
@@ -374,37 +318,43 @@ class GenerationResult:
 
 def generate_examples(
     passage: Passage,
-    lm: TokenDistribution,
+    lm: NgramLM,
     n: int = 5,
     config: SamplerConfig = SamplerConfig(),
 ) -> GenerationResult:
-    """Sample n target sequences from the token distribution and decode them.
+    """Sample n target sequences from a fitted n-gram model and decode them.
 
     Rejected decodes (answer missing from the passage, unmatched sentence,
     malformed output) are dropped and tallied; duplicate (question, answer)
     pairs are deduplicated. Output may therefore be shorter than n.
 
-    A fitted NgramLM decodes on its compiled row numbers; any other model
-    is asked for lm.next(context) at each token. Both draw one uniform per
-    token, as sample_top_p_top_k does.
+    Decoding runs on the model's compiled rows: each token is one uniform
+    and one CDF search in the row's nucleus, as sample_top_p_top_k draws
+    it, and one transition lookup. A model with no fitted rows is a
+    ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    decoder = _ngram_decoder if isinstance(lm, NgramLM) and len(lm._probs) else _distribution_decoder
-    start, draw, step = decoder(lm, config, np.random.default_rng(config.seed))
+    if not len(lm._probs):
+        raise ValueError("the n-gram model has no fitted rows: fit it on at least one sequence")
+    if (config.p, config.k) not in lm._nuclei:
+        _select_nuclei([lm], config)
+    ids, cdf, offsets = lm._nuclei[config.p, config.k]
+    random = np.random.default_rng(config.seed).random
+    step = lm._transitions.item
     vocab = lm.vocab
     sentences = _sentence_terms(passage.text)
     result = GenerationResult(examples=[])
     seen: set[tuple[str, str]] = set()
     for _ in range(n):
-        state, tokens = start, []
+        row, tokens = lm._start, []
         for _ in range(MAX_GEN_TOKENS):
-            token = draw(state)
+            token = ids[bisect_right(cdf, random(), offsets[row], offsets[row + 1])]
             tok = vocab[token]
             if tok == EOS_TOKEN:
                 break
             tokens.append(tok)
-            state = step(state, token)
+            row = step(row, token)
         serialized = " ".join(tokens)
         try:
             decoded = decode_generation_target(passage, serialized, sentences)
@@ -617,7 +567,7 @@ def candidate_targets(passage: Passage, rng: np.random.Generator, per_sentence: 
 
 
 class NgramLM:
-    """Backoff n-gram token distribution fit on target sequences.
+    """Backoff n-gram generator fit on target sequences.
 
     Fitting compiles the model into integer states. Row r of _probs is one
     fitted context: the empty one, then those of length 1, 2, ... up to

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hyqa.encoder as encoder_module
-from hyqa.corpus import Document, chunk_retrieval_passages
+from hyqa.corpus import Document, chunk_retrieval_passages, tokenize
 from hyqa.encoder import (
     DESK_PRESET,
     FULL_PRESET,
@@ -500,6 +500,17 @@ class TestTrain:
         moved_a = sum(np.abs(a.params[n] - enc.params[n]).sum() for n in enc.params)
         moved_b = sum(np.abs(b.params[n] - enc.params[n]).sum() for n in enc.params)
         assert moved_a < moved_b
+
+
+class TestFromTexts:
+    # Kelvin sign and dotted capital I lowercase to other code points, and
+    # Arabic-Indic digits and no-break spaces test the token pattern.
+    @given(st.lists(st.text(alphabet="aK .-\u212a\u0130\u0663\xa0"), max_size=5))
+    @example(["\u212a and \u0130 in \u0130stanbul at 5\u212a", "K k\xa0\u0663"])
+    def test_vocabulary_is_the_sorted_tokenize_surfaces(self, texts):
+        enc = DualEncoder.from_texts(texts, d=2)
+        want = sorted({t.surface for text in texts for t in tokenize(text)})
+        assert sorted(enc.vocab, key=enc.vocab.get) == want
 
 
 class TestPresets:

@@ -38,7 +38,6 @@ from hyqa.syngen import (
     _MINE_BLOCK,
     _NUCLEUS_CHUNK,
     _nucleus,
-    _nucleus_sampler,
     _select_nuclei,
     _sentence_terms,
 )
@@ -194,37 +193,36 @@ class TestSamplerProperties:
             assert sample_top_p_top_k(masses, config, rng) == int(reference.choice(nucleus, p=weights))
         assert rng.bit_generator.state == reference.bit_generator.state
 
-    @given(st.lists(distributions, min_size=1, max_size=6), st.lists(st.integers(0, 5), min_size=1, max_size=60),
-           sampler_configs, seeds)
-    def test_cached_draw_equals_sample_top_p_top_k(self, dists, picks, config, seed):
-        """Repeated distributions come back as fresh arrays and hit the
-        cache; every draw and the RNG stream match the uncached sampler,
-        which samples with Generator.choice."""
-        rng = np.random.default_rng(seed)
-        reference = copy.deepcopy(rng)
-        draw = _nucleus_sampler(config, rng)
-        for i in picks:
-            masses = dists[i % len(dists)].copy()
-            assert draw(masses) == sample_top_p_top_k(masses, config, reference)
-        assert rng.bit_generator.state == reference.bit_generator.state
-
     def test_generate_draws_the_reference_token_stream(self):
+        """The examples and discards are those of decoding, one by one, the
+        sequences sample_top_p_top_k draws from lm.next at the default p
+        and k."""
         passage = make_passage("Masks help a lot. Vaccines work well. Distancing slows spread quickly.")
         lm = NgramLM(order=3).fit(candidate_targets(passage, np.random.default_rng(1)))
         config = SamplerConfig(seed=3)
-        recorded = RecordingLM(lm)
-        generate_examples(passage, recorded, n=30, config=config)
+        result = generate_examples(passage, lm, n=30, config=config)
         rng = np.random.default_rng(config.seed)
-        expected = []
+        examples, discards = [], Counter()
         for _ in range(30):
             tokens = []
             for _ in range(MAX_GEN_TOKENS):
-                expected.append(tuple(tokens))
                 tok = lm.vocab[sample_top_p_top_k(lm.next(tokens), config, rng)]
                 if tok == EOS_TOKEN:
                     break
                 tokens.append(tok)
-        assert recorded.contexts == expected
+            try:
+                decoded = decode_generation_target(passage, " ".join(tokens))
+            except ValueError:
+                discards["malformed"] += 1
+                continue
+            if isinstance(decoded, DecodeRejection):
+                discards[decoded.reason] += 1
+            elif any((ex.question, ex.answer) == (decoded.question, decoded.answer) for ex in examples):
+                discards["duplicate"] += 1
+            else:
+                examples.append(decoded)
+        assert result.examples == examples and examples
+        assert result.discards == discards
 
     @pytest.mark.parametrize(
         "bad",
@@ -233,10 +231,15 @@ class TestSamplerProperties:
     )
     @pytest.mark.parametrize("at", [0, 1, 3])
     def test_invalid_masses_raise_in_generate(self, bad, at):
+        """A fitted model whose row `at` holds invalid masses is rejected
+        before any draw, whichever row is broken."""
         passage = make_passage("Masks help a lot.")
-        # Valid steps emit "a" (the same cached distribution) until step `at`.
-        lm = ScriptedLM(["a", "b", EOS_TOKEN], [[1.0, 0.0, 0.0]] * at + [bad])
-        with pytest.raises(ValueError):
+        lm = NgramLM(order=3).fit([["a", "b"]])
+        assert lm.vocab == [EOS_TOKEN, "a", "b"] and len(lm._probs) > 3
+        probs = lm._probs.copy()
+        probs[at] = bad
+        lm._probs = probs
+        with pytest.raises(ValueError, match="negative probability mass|masses sum to"):
             generate_examples(passage, lm, n=2, config=SamplerConfig(seed=0))
 
 
@@ -250,7 +253,8 @@ def model_of(counts):
 
 
 def reference_cdf(masses, config):
-    """The nucleus ids and CDF that _nucleus_sampler draws from."""
+    """The nucleus ids and CDF of sample_top_p_top_k, as a draw searches
+    them."""
     nucleus, weights = _nucleus(masses, config)
     cdf = weights.cumsum()
     cdf /= cdf[-1]
@@ -363,49 +367,10 @@ class TestCompiledStates:
         assert len(made) == 1 and made[0].bit_generator.state == rng.bit_generator.state
 
 
-class ScriptedLM:
-    """Emits the listed distributions step by step, then the last one."""
-
-    def __init__(self, vocab, steps):
-        self.vocab = vocab
-        self._steps = steps
-
-    def next(self, context):
-        return np.array(self._steps[min(len(context), len(self._steps) - 1)], dtype=np.float64)
-
-
-class RecordingLM:
-    """Wraps a model and records every context it is asked about."""
-
-    def __init__(self, lm):
-        self.vocab = lm.vocab
-        self._lm = lm
-        self.contexts = []
-
-    def next(self, context):
-        self.contexts.append(tuple(context))
-        return self._lm.next(context)
-
-
-class PointMassLM:
-    """Deterministic distribution emitting a fixed token sequence."""
-
-    def __init__(self, tokens):
-        self.vocab = sorted(set(tokens) | {EOS_TOKEN})
-        self._tokens = list(tokens)
-
-    def next(self, context):
-        pos = len(context)
-        tok = self._tokens[pos] if pos < len(self._tokens) else EOS_TOKEN
-        masses = np.zeros(len(self.vocab))
-        masses[self.vocab.index(tok)] = 1.0
-        return masses
-
-
 class TestGenerate:
     def test_greedy_deterministic_lm_dedups_to_one(self):
         passage = make_passage("Masks help a lot.")
-        lm = PointMassLM(["masks", "lot", SEP_TOKEN, "help", SEP_TOKEN, "what", "helps"])
+        lm = NgramLM(order=3).fit([["masks", "lot", SEP_TOKEN, "help", SEP_TOKEN, "what", "helps"]])
         result = generate_examples(passage, lm, n=5, config=SamplerConfig(k=1, seed=0))
         assert len(result.examples) == 1
         assert result.discards.get("duplicate") == 4
@@ -413,10 +378,16 @@ class TestGenerate:
 
     def test_absent_answer_dropped_and_tallied(self):
         passage = make_passage("Masks help a lot.")
-        lm = PointMassLM(["masks", "lot", SEP_TOKEN, "vaccines", SEP_TOKEN, "what"])
+        lm = NgramLM(order=3).fit([["masks", "lot", SEP_TOKEN, "vaccines", SEP_TOKEN, "what"]])
         result = generate_examples(passage, lm, n=3, config=SamplerConfig(k=1, seed=0))
         assert result.examples == []
         assert result.discards["answer-not-found"] == 3
+
+    def test_model_without_fitted_rows_raises(self):
+        passage = make_passage("Masks help a lot.")
+        for lm in (NgramLM(), NgramLM().fit([])):
+            with pytest.raises(ValueError, match="no fitted rows"):
+                generate_examples(passage, lm, n=3)
 
     def test_fixed_seed_identical_output(self):
         passage = make_passage(
