@@ -22,9 +22,11 @@ from .corpus import (
     ingest_documents,
     passage_from_record,
     passage_to_record,
+    read_jsonl,
+    write_jsonl,
 )
 from .dense_index import DenseIndex
-from .encoder import DualEncoder, IRTrainInstance, TrainConfig, export_embeddings, train
+from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, train
 from .evalkit import load_gold_jsonl, paired_t_test
 from .fusion import FusionConfig, tune_weight
 from .mrc import ExternalLogits, LexicalScorer, ScorerConfig
@@ -36,7 +38,6 @@ from .pipeline import (
     make_dense_retriever,
     make_hybrid_retriever,
     make_sparse_retriever,
-    write_jsonl,
 )
 from .sparse import BM25Params, SparseIndex, build_sparse_index
 from .syngen import (
@@ -59,25 +60,8 @@ def _read_lines(path):
 
 
 def _load_jsonl(path, from_record):
-    """from_record of each JSON line of the file at path. A line that is
-    not JSON, lacks a key or is refused by from_record (ValueError or
-    TypeError) raises ValueError naming the file and the 1-based line."""
-    records = []
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not a JSON object")
-            records.append(from_record(record))
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path} line {line_no}: invalid JSON: {e.msg} at column {e.colno}") from e
-        except KeyError as e:
-            raise ValueError(f"{path} line {line_no}: missing key {e}") from e
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path} line {line_no}: {e}") from e
-    return records
+    """read_jsonl of the file at path, its errors naming the file."""
+    return read_jsonl(_read_lines(path), from_record, path)
 
 
 def _load_passages(path):
@@ -93,7 +77,7 @@ def _out_path(args, name: str) -> Path:
 def _scorer(args, passages: dict[str, str], golds=None):
     """--logits looked up by question id, checked against the passages'
     token counts, or the lexical baseline."""
-    if getattr(args, "logits", None):
+    if args.logits:
         records = _load_jsonl(args.logits, ExternalLogits.parse_record)
         qid_by_question: dict[str, str] = {}
         for g in golds or ():
@@ -110,10 +94,10 @@ def _scorer(args, passages: dict[str, str], golds=None):
 
 
 def _retriever(args):
-    sparse_index = SparseIndex.load(args.sparse) if getattr(args, "sparse", None) else None
-    dense_index = DenseIndex.load(args.dense) if getattr(args, "dense", None) else None
-    enc = DualEncoder.load(args.encoder) if getattr(args, "encoder", None) else None
-    mode = getattr(args, "mode", None) or ("hybrid" if sparse_index and dense_index else "sparse" if sparse_index else "dense")
+    sparse_index = SparseIndex.load(args.sparse) if args.sparse else None
+    dense_index = DenseIndex.load(args.dense) if args.dense else None
+    enc = DualEncoder.load(args.encoder) if args.encoder else None
+    mode = args.mode or ("hybrid" if sparse_index and dense_index else "sparse" if sparse_index else "dense")
     if mode == "sparse":
         if sparse_index is None:
             raise ValueError("sparse retrieval requires --sparse")
@@ -124,20 +108,19 @@ def _retriever(args):
         return make_dense_retriever(dense_index, enc)
     if sparse_index is None or dense_index is None or enc is None:
         raise ValueError("hybrid retrieval requires --sparse, --dense and --encoder")
-    pool = getattr(args, "pool_size", 2000)
-    weight = getattr(args, "weight", 0.5)
-    return make_hybrid_retriever(sparse_index, dense_index, enc, FusionConfig(pool_size=pool, weight=weight))
+    fusion = FusionConfig(pool_size=args.pool_size, weight=args.weight)
+    return make_hybrid_retriever(sparse_index, dense_index, enc, fusion)
 
 
 def cmd_ingest(args):
-    docs = list(ingest_documents(_read_lines(args.input)))
+    docs = ingest_documents(_read_lines(args.input), args.input)
     path = _out_path(args, "documents.jsonl")
     write_jsonl(path, ({"id": d.id, "title": d.title, "text": d.body, **d.meta} for d in docs))
     print(f"ingested {len(docs)} documents -> {path}")
 
 
 def cmd_chunk(args):
-    docs = list(ingest_documents(_read_lines(args.input)))
+    docs = ingest_documents(_read_lines(args.input), args.input)
     chunker = chunk_retrieval_passages if args.mode == "retrieval" else chunk_generation_passages
     kwargs = {}
     if args.max_units:
@@ -168,9 +151,7 @@ def cmd_encode(args):
     passages = _load_passages(args.passages)
     enc = DualEncoder.load(args.encoder)
     path = _out_path(args, "embeddings.jsonl")
-    with open(path, "w") as f:
-        for line in export_embeddings(enc, passages):
-            f.write(line + "\n")
+    write_jsonl(path, ({"id": p.id, "vector": encode_passage(enc, p.text).tolist()} for p in passages))
     print(f"exported {len(passages)} embeddings -> {path}")
 
 
@@ -274,7 +255,7 @@ def cmd_answer(args):
 
 def cmd_evaluate(args):
     passages = {p.id: p.text for p in _load_passages(args.passages)}
-    golds = load_gold_jsonl(_read_lines(args.golds))
+    golds = load_gold_jsonl(_read_lines(args.golds), args.golds)
     retriever = _retriever(args)
     config = PipelineConfig(K=args.K, ir_weight=args.ir_weight)
     report = evaluate_run(golds, retriever, _scorer(args, passages, golds), passages, config)
@@ -288,18 +269,11 @@ def cmd_evaluate(args):
 def cmd_tune_fusion(args):
     passages_list = _load_passages(args.passages)
     passages = {p.id: p.text for p in passages_list}
-    golds = load_gold_jsonl(_read_lines(args.golds))
-    sparse_index = SparseIndex.load(args.sparse)
-    dense_index = DenseIndex.load(args.dense)
-    enc = DualEncoder.load(args.encoder)
-    from .sparse import sparse_search
-    from .dense_index import dense_search
-    from .encoder import encode_query
-
-    sparse_runs = {g.query_id: sparse_search(sparse_index, g.question, args.pool_size) for g in golds}
-    dense_runs = {
-        g.query_id: dense_search(dense_index, encode_query(enc, g.question), args.pool_size) for g in golds
-    }
+    golds = load_gold_jsonl(_read_lines(args.golds), args.golds)
+    sparse = make_sparse_retriever(SparseIndex.load(args.sparse))
+    dense = make_dense_retriever(DenseIndex.load(args.dense), DualEncoder.load(args.encoder))
+    sparse_runs = {g.query_id: sparse(g.question, args.pool_size) for g in golds}
+    dense_runs = {g.query_id: dense(g.question, args.pool_size) for g in golds}
     w, metric = tune_weight(golds, sparse_runs, dense_runs, passages, k=args.k, pool_size=args.pool_size)
     path = _out_path(args, "fusion_weight.json")
     with open(path, "w") as f:
@@ -312,7 +286,7 @@ def cmd_ttest(args):
     report_b = json.loads(Path(args.b).read_text())
     qids = sorted(set(report_a["per_query"]) & set(report_b["per_query"]))
     if not qids:
-        raise SystemExit("no shared query ids between the two reports")
+        raise ValueError("no shared query ids between the two reports")
     a = [report_a["per_query"][q][args.metric] for q in qids]
     b = [report_b["per_query"][q][args.metric] for q in qids]
     result = paired_t_test(a, b)

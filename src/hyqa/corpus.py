@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from pathlib import Path
+from typing import Callable, Iterable, Optional, TypeVar
 
 import numpy as np
 
@@ -23,6 +24,8 @@ __all__ = [
     "TokenSpan",
     "Passage",
     "IngestError",
+    "read_jsonl",
+    "write_jsonl",
     "ingest_documents",
     "segment_sentences",
     "tokenize",
@@ -33,13 +36,51 @@ __all__ = [
     "chunk_generation_passages",
 ]
 
+T = TypeVar("T")
 
-class IngestError(Exception):
-    """Malformed or duplicate record in a corpus stream."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+class IngestError(ValueError):
+    """A malformed record in a JSONL stream, located by its 1-based line
+    and, when given, its source: "<source> line N: <reason>"."""
+
+    def __init__(self, line_no: int, reason: str, source: Optional[str] = None):
+        where = f"line {line_no}" if source is None else f"{source} line {line_no}"
+        super().__init__(f"{where}: {reason}")
         self.line_no = line_no
+        self.source = source
+
+
+def read_jsonl(lines: Iterable[str], from_record: Callable[[dict], T], source: Optional[str] = None) -> list[T]:
+    """from_record of each JSON object line; blank lines are skipped.
+
+    A line that is not a JSON object, lacks a key that from_record reads
+    or is refused by from_record (ValueError or TypeError) raises
+    IngestError naming its 1-based line and `source`, a label for the
+    message only.
+    """
+    records = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record is not a JSON object")
+            records.append(from_record(record))
+        except json.JSONDecodeError as e:
+            raise IngestError(line_no, f"invalid JSON: {e.msg} at column {e.colno}", source) from e
+        except KeyError as e:
+            raise IngestError(line_no, f"missing key {e}", source) from e
+        except (TypeError, ValueError) as e:
+            raise IngestError(line_no, str(e), source) from e
+    return records
+
+
+def write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    """One sorted-key JSON object per line."""
+    with open(path, "w") as f:
+        for rec in records:
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -68,38 +109,32 @@ class Passage:
     hard_split: bool = False
 
 
-def ingest_documents(lines: Iterable[str]) -> Iterator[Document]:
+def ingest_documents(lines: Iterable[str], source: Optional[str] = None) -> list[Document]:
     """Parse line-delimited JSON records {id, title?, text} into Documents.
 
-    Raises IngestError (with the 1-based line number) on malformed records;
-    a duplicate id rejects the later record.
+    A malformed record raises IngestError (read_jsonl); a duplicate id
+    rejects the later record.
     """
     seen: set[str] = set()
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise IngestError(line_no, f"invalid JSON: {e}") from e
-        if not isinstance(record, dict):
-            raise IngestError(line_no, "record is not a JSON object")
+
+    def document(record: dict) -> Document:
         doc_id = record.get("id")
         if not doc_id or not isinstance(doc_id, str):
-            raise IngestError(line_no, "missing or empty 'id' field")
+            raise ValueError("missing or empty 'id' field")
         body = record.get("text", record.get("body"))
         if not body or not isinstance(body, str):
-            raise IngestError(line_no, "missing or empty 'text' field")
+            raise ValueError("missing or empty 'text' field")
         if doc_id in seen:
-            raise IngestError(line_no, f"duplicate document id {doc_id!r}")
+            raise ValueError(f"duplicate document id {doc_id!r}")
         seen.add(doc_id)
-        yield Document(
+        return Document(
             id=doc_id,
             title=record.get("title", "") or "",
             body=body,
             meta={k: v for k, v in record.items() if k not in ("id", "title", "text", "body")},
         )
+
+    return read_jsonl(lines, document, source)
 
 
 # Abbreviations whose trailing period never ends a sentence.

@@ -26,7 +26,6 @@ passage text once per call, before the first epoch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
@@ -323,9 +322,3 @@ def train(
         trace.append(float(np.mean(epoch_losses)))
     return model, trace
 
-
-def export_embeddings(encoder: DualEncoder, passages: Sequence[Passage]):
-    """Yield JSONL lines {id, vector} of passage embeddings."""
-    for p in passages:
-        vec = encode_passage(encoder, p.text)
-        yield json.dumps({"id": p.id, "vector": [float(x) for x in vec]}, sort_keys=True)

@@ -10,10 +10,12 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import count
+from typing import Iterable, Optional, Sequence
 
 from scipy.special import betainc
 
+from .corpus import read_jsonl
 from .scored import ScoredPassage
 
 __all__ = [
@@ -181,22 +183,22 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTest
     return TTestResult(t=t, p_value=p, df=df)
 
 
-def load_gold_jsonl(lines: Iterable[str]) -> list[GoldSet]:
-    """Line-delimited JSON {question, answers: [...], id?}. A malformed
-    record raises ValueError naming its 1-based line."""
-    golds = []
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            golds.append(
-                GoldSet(query_id=rec.get("id", f"q{i}"), question=rec["question"], answers=tuple(rec["answers"]))
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"malformed gold record on line {i + 1}: {e!r}") from e
-    return golds
+def load_gold_jsonl(lines: Iterable[str], source: Optional[str] = None) -> list[GoldSet]:
+    """Line-delimited JSON {question, answers: [...], id?}: a string
+    question and a list of string answers. An id-less record's id is q<k>,
+    k its 0-based record index. A malformed record raises IngestError
+    (read_jsonl)."""
+    index = count()
+
+    def gold(rec: dict) -> GoldSet:
+        k, question, answers = next(index), rec["question"], rec["answers"]
+        if not isinstance(question, str):
+            raise TypeError("'question' is not a string")
+        if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+            raise TypeError("'answers' is not a list of strings")
+        return GoldSet(query_id=rec.get("id", f"q{k}"), question=question, answers=tuple(answers))
+
+    return read_jsonl(lines, gold, source)
 
 
 def load_gold_squad(data: dict) -> list[GoldSet]:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import terms, token_bounds, word_count
+from .corpus import read_jsonl, terms, token_bounds, word_count
 from .scored import top_k
 
 __all__ = [
@@ -303,16 +303,9 @@ class ExternalLogits:
 
     @classmethod
     def load(cls, lines: Iterable[str]) -> "ExternalLogits":
-        records = []
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(cls.parse_record(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"malformed logits record {i}: {e}") from e
-        return cls.from_records(records)
+        """The table of a JSONL stream of records; a malformed record
+        raises IngestError (read_jsonl)."""
+        return cls.from_records(read_jsonl(lines, cls.parse_record))
 
     @staticmethod
     def dump_record(question_id: str, passage_id: str, logits: SpanLogits) -> str:

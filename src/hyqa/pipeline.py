@@ -33,6 +33,7 @@ from .corpus import (
     chunk_retrieval_passages,
     passage_to_record,
     token_bounds,
+    write_jsonl,
 )
 from .dense_index import DenseIndex, build_dense_index, dense_search, dense_top_k
 from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
@@ -62,7 +63,6 @@ __all__ = [
     "AdaptationResult",
     "index_dense",
     "run_adaptation",
-    "write_jsonl",
 ]
 
 K_SPARSE_ONLY = 100  # retrieval depth that works best for BM25 alone
@@ -239,13 +239,6 @@ def index_dense(encoder: DualEncoder, passages: Sequence[Passage]) -> DenseIndex
     """Index-dense stage: embed each passage and build the exact index."""
     embeddings = np.reshape([encode_passage(encoder, p.text) for p in passages], (len(passages), encoder.d))
     return build_dense_index([p.id for p in passages], embeddings)
-
-
-def write_jsonl(path: Path, records) -> None:
-    """One sorted-key JSON object per line."""
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

@@ -661,7 +661,9 @@ class NgramLM:
         through its tokens. No fitted context holds an unfitted token, so
         one leads back to the empty context."""
         if not len(self._probs):
-            # Unfit model: uniform.
+            if not self.vocab:
+                raise ValueError("the n-gram model is not fitted: call fit before next")
+            # Fitted on no tokens: uniform over its vocabulary.
             uniform = np.full(len(self.vocab), 1.0 / len(self.vocab))
             uniform.setflags(write=False)
             return uniform

@@ -408,6 +408,26 @@ class TestErrorHandling:
         assert run(["--output-dir", tmp_path / "o", "index-sparse", "--passages", bad]) == 1
         assert capsys.readouterr().err == f"error [index-sparse]: {bad} line 2: {message}\n"
 
+    @pytest.mark.parametrize("command, flag, good, record, message", [
+        ("chunk", "--input", {"id": "d0", "text": "One."}, {"id": "d1"}, "missing or empty 'text' field"),
+        ("evaluate", "--golds", {"question": "who", "answers": ["x"]}, {"answers": ["x"]}, "missing key 'question'"),
+    ])
+    def test_documents_and_golds_are_located(self, workspace, tmp_path, capsys, command, flag, good, record, message):
+        _, out = workspace
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n")
+        args = [flag, bad]
+        if command == "evaluate":
+            args += ["--sparse", out / "sparse.hyqa", "--passages", out / "passages_retrieval.jsonl"]
+        assert run(["--output-dir", tmp_path / "o", command, *args]) == 1
+        assert capsys.readouterr().err == f"error [{command}]: {bad} line 3: {message}\n"
+
+    def test_ttest_without_shared_queries_is_a_stage_error(self, tmp_path, capsys):
+        for name, qid in (("a", "q1"), ("b", "q2")):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"per_query": {qid: {"top5_f1": 1.0}}}))
+        assert run(["ttest", "--a", tmp_path / "a.json", "--b", tmp_path / "b.json"]) == 1
+        assert capsys.readouterr().err == "error [ttest]: no shared query ids between the two reports\n"
+
     def test_missing_key_is_located(self, workspace, tmp_path, capsys):
         _, out = workspace
         record = {"passage_id": "doc0#0", "question": "what", "answer": "The", "span_start": 0, "span_end": 3}

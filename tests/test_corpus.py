@@ -16,6 +16,7 @@ from hyqa.corpus import (
     ingest_documents,
     passage_from_record,
     passage_to_record,
+    read_jsonl,
     segment_sentences,
     terms,
     token_bounds,
@@ -54,6 +55,33 @@ class TestIngest:
     def test_invalid_json_names_line(self):
         with pytest.raises(IngestError, match="line 1"):
             list(ingest_documents(["{not json"]))
+
+
+def record_id(record):
+    if not isinstance(record["id"], int):
+        raise TypeError("'id' is not an integer")
+    return record["id"]
+
+
+_records = st.fixed_dictionaries({"id": st.integers()}, optional={"text": st.text(max_size=4)})
+_blanks = st.sampled_from(["", "\n", "  \n", "\t"])
+# Not JSON, not an object, a missing key, and a record refused by record_id.
+_bad_lines = st.sampled_from(["{bad\n", "[1, 2]\n", '{"text": "x"}\n', '{"id": "a"}\n'])
+
+
+class TestReadJsonl:
+    @given(st.lists(st.one_of(_records, _blanks), max_size=8), st.sampled_from([None, "in.jsonl"]), st.data())
+    def test_bad_line_is_named_by_its_line_number(self, items, source, data):
+        lines = [item if isinstance(item, str) else json.dumps(item) + "\n" for item in items]
+        assert read_jsonl(lines, record_id, source) == [item["id"] for item in items if isinstance(item, dict)]
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(_bad_lines))
+        with pytest.raises(IngestError) as raised:
+            read_jsonl(lines, record_id, source)
+        where = f"line {at + 1}: " if source is None else f"{source} line {at + 1}: "
+        assert str(raised.value).startswith(where)
+        assert (raised.value.line_no, raised.value.source) == (at + 1, source)
+        assert isinstance(raised.value, ValueError)
 
 
 class TestSegmentSentences:

@@ -223,12 +223,23 @@ class TestLoaders:
 
     @pytest.mark.parametrize(
         "bad, reason",
-        [("{not json", "JSONDecodeError"), ('{"answers": ["x"]}', "question"), ('["who", "x"]', "AttributeError")],
+        [
+            ("{not json", "invalid JSON"),
+            ('{"answers": ["x"]}', "question"),
+            ('["who", "x"]', "not a JSON object"),
+            ('{"question": "who", "answers": "shellfish"}', "'answers' is not a list of strings"),
+            ('{"question": "who", "answers": [1, 2]}', "'answers' is not a list of strings"),
+            ('{"question": 5, "answers": ["x"]}', "'question' is not a string"),
+        ],
     )
     def test_jsonl_malformed_record_names_line(self, bad, reason):
         lines = [json.dumps({"question": "who", "answers": ["x"]}), "", bad]
         with pytest.raises(ValueError, match=rf"line 3: .*{reason}"):
             load_gold_jsonl(lines)
+
+    def test_jsonl_id_less_gold_is_numbered_by_record(self):
+        lines = [json.dumps({"question": "who", "answers": ["x"]}), "", json.dumps({"question": "what", "answers": ["y"]})]
+        assert [g.query_id for g in load_gold_jsonl(lines)] == ["q0", "q1"]
 
     def test_squad_malformed_qa_names_index(self):
         qas = [

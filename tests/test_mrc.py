@@ -306,7 +306,7 @@ class TestExternalLogits:
         assert source.lookup("q", "p") is None
 
     def test_malformed_record_names_index(self):
-        with pytest.raises(ValueError, match="record 0"):
+        with pytest.raises(ValueError, match="line 1"):
             ExternalLogits.load(['{"question_id": "q"}'])
 
     def test_length_validation(self):

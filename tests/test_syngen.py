@@ -752,6 +752,11 @@ class TestBlockedMining:
 
 
 class TestNgramLM:
+    def test_never_fitted_next_is_a_value_error(self):
+        with pytest.raises(ValueError, match="not fitted"):
+            NgramLM().next([])
+        assert NgramLM().fit([]).next([]).tolist() == [1.0]
+
     def test_masses_sum_to_one(self):
         lm = NgramLM(order=2).fit([["a", "b", "c"], ["a", "c"]])
         for ctx in ([], ["a"], ["b"], ["zzz"]):
