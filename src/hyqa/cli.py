@@ -281,14 +281,30 @@ def cmd_tune_fusion(args):
     print(f"best weight {w:.2f} with Match@{args.k} {metric:.4f} -> {path}")
 
 
+def _report_scores(path: str, metric: str) -> dict:
+    """Query id -> the metric's value, from the report at path; a missing
+    key raises ValueError naming the file and the key."""
+    report = json.loads(Path(path).read_text())
+    if not isinstance(report, dict) or "per_query" not in report:
+        raise ValueError(f"{path}: missing key 'per_query'")
+    if not isinstance(report["per_query"], dict):
+        raise ValueError(f"{path}: 'per_query' is not a JSON object")
+    scores = {}
+    for qid, row in report["per_query"].items():
+        if not isinstance(row, dict) or metric not in row:
+            raise ValueError(f"{path}: query {qid!r} is missing key {metric!r}")
+        scores[qid] = row[metric]
+    return scores
+
+
 def cmd_ttest(args):
-    report_a = json.loads(Path(args.a).read_text())
-    report_b = json.loads(Path(args.b).read_text())
-    qids = sorted(set(report_a["per_query"]) & set(report_b["per_query"]))
+    scores_a = _report_scores(args.a, args.metric)
+    scores_b = _report_scores(args.b, args.metric)
+    qids = sorted(scores_a.keys() & scores_b.keys())
     if not qids:
         raise ValueError("no shared query ids between the two reports")
-    a = [report_a["per_query"][q][args.metric] for q in qids]
-    b = [report_b["per_query"][q][args.metric] for q in qids]
+    a = [scores_a[q] for q in qids]
+    b = [scores_b[q] for q in qids]
     result = paired_t_test(a, b)
     if result.degenerate:
         print(json.dumps({"degenerate": True, "df": result.df, "queries": len(qids)}))

@@ -4,9 +4,15 @@ Everything here is deterministic and pure: the same input always produces
 byte-identical output. The tokenizer defined here is *the* definition of a
 "word" for the whole system (chunk budgets, BM25 terms, encoder vocab).
 
-A document is chunked from one sentence segmentation and one token-offset
-pass (token_bounds): sentence word counts are differences of token start
-offsets. A passage's sentences are segment_sentences(passage.text).
+A document is chunked from the (start, end) offsets of its sentences
+(_sentence_bounds, which segment_sentences wraps in spans) and one
+token-offset pass (token_bounds): sentence word counts are differences of
+token start offsets, and no span or surface string is built per sentence.
+A passage's sentences are segment_sentences(passage.text).
+
+terms, the tokenizer of every index and of the reader, has two paths: an
+ASCII text is one bytes.translate and one str.split; any other text is a
+regex match loop. Both give the surfaces of tokenize.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar
 
@@ -147,7 +154,10 @@ _ABBREVIATIONS = {
     "nov", "dec", "mon", "tue", "wed", "thu", "fri", "sat", "sun",
 }
 
-_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s+[A-Z0-9])")
+# A boundary: a run of sentence-final punctuation followed by a whitespace
+# run and an uppercase letter or digit. Group 1 is the whitespace run, so a
+# match's span(1) is (the cut, the next sentence's start).
+_BOUNDARY_RE = re.compile(r"[.!?]+(?=(\s+)[A-Z0-9])")
 
 
 def _is_abbreviation(text: str, punct_pos: int) -> bool:
@@ -172,6 +182,26 @@ def _is_abbreviation(text: str, punct_pos: int) -> bool:
     return len(word) == 1 or (len(word) > 1 and "." in word)
 
 
+def _sentence_bounds(text: str) -> list[tuple[int, int]]:
+    """The (start, end) offsets of segment_sentences(text), without
+    building a span or a surface string per sentence.
+
+    A cut ends a punctuation run, so the sentence before it ends there; the
+    whitespace run after it is the next sentence's lead. Only the text's
+    own lead and trailing whitespace are stripped.
+    """
+    starts = [len(text) - len(text.lstrip())]
+    ends = []
+    for m in _BOUNDARY_RE.finditer(text):
+        cut, start = m.span(1)
+        if not _is_abbreviation(text, cut - 1):
+            ends.append(cut)
+            starts.append(start)
+    ends.append(len(text.rstrip()))
+    # Only a blank text, which has no cut, has an empty last sentence.
+    return list(zip(starts, ends)) if ends[-1] > starts[-1] else []
+
+
 def segment_sentences(text: str) -> list[TokenSpan]:
     """Split text into sentence spans.
 
@@ -180,27 +210,7 @@ def segment_sentences(text: str) -> list[TokenSpan]:
     The whole text becomes one sentence if no boundary is found. Spans cover
     all non-whitespace content and tile the text in order.
     """
-    boundaries = []
-    for m in _BOUNDARY_RE.finditer(text):
-        if _is_abbreviation(text, m.end() - 1):
-            continue
-        boundaries.append(m.end())
-
-    spans = []
-    start = 0
-    for cut in boundaries:
-        piece = text[start:cut]
-        lead = len(piece) - len(piece.lstrip())
-        s, e = start + lead, start + len(piece.rstrip())
-        if e > s:
-            spans.append(TokenSpan(s, e, text[s:e]))
-        start = cut
-    tail = text[start:]
-    lead = len(tail) - len(tail.lstrip())
-    s, e = start + lead, start + len(tail.rstrip())
-    if e > s:
-        spans.append(TokenSpan(s, e, text[s:e]))
-    return spans
+    return [TokenSpan(s, e, text[s:e]) for s, e in _sentence_bounds(text)]
 
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
@@ -223,16 +233,25 @@ def token_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
     return edges[0::2], edges[1::2]
 
 
+# Byte table for ASCII text: A-Z to a-z, 0-9 and a-z kept, every other byte
+# to a space, so the whitespace-split words are the lowercased _TOKEN_RE
+# matches.
+_ASCII_TERMS = bytes(
+    b | 32 if 65 <= b <= 90 else b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256)
+)
+
+
 def terms(text: str) -> list[str]:
     """The surfaces of tokenize(text), without building spans.
 
-    An ASCII text is lowercased whole before matching. Any other text has
-    each match lowercased on its own: lowercasing it first would turn some
-    non-ASCII letters (KELVIN SIGN, dotted capital I) into ASCII ones and
-    create tokens that tokenize does not see.
+    An ASCII text is translated to lowercase words and spaces in one
+    bytes.translate pass and split on the spaces. Any other text has each
+    _TOKEN_RE match lowercased on its own: lowercasing it first would turn
+    some non-ASCII letters (KELVIN SIGN, dotted capital I) into ASCII ones
+    and create tokens that tokenize does not see.
     """
     if text.isascii():
-        return _TOKEN_RE.findall(text.lower())
+        return text.encode("ascii").translate(_ASCII_TERMS).decode("ascii").split()
     return [m.lower() for m in _TOKEN_RE.findall(text)]
 
 
@@ -245,24 +264,24 @@ def _chunk(doc: Document, max_units: int) -> list[Passage]:
     if max_units < 1:
         raise ValueError("max_units must be >= 1")
     body = doc.body
-    sentences = segment_sentences(body)
+    sentences = _sentence_bounds(body)
     starts = token_bounds(body)[0]
     # No token crosses a sentence cut, so a sentence's tokens are those
     # starting inside it.
-    bounds = np.searchsorted(starts, [x for sent in sentences for x in (sent.start, sent.end)]).tolist()
+    bounds = np.searchsorted(starts, list(chain.from_iterable(sentences))).tolist()
     # (start, end, units, hard_split) of each passage, in order.
     pieces: list[tuple[int, int, int, bool]] = []
-    for sent, lo, hi in zip(sentences, bounds[0::2], bounds[1::2]):
+    for (s, e), lo, hi in zip(sentences, bounds[0::2], bounds[1::2]):
         units = hi - lo
         if units > max_units:
             # Oversized single sentence: hard-split at word boundaries into
             # max_units-sized pieces.
-            cuts = starts[lo:hi:max_units].tolist() + [sent.end]
+            cuts = starts[lo:hi:max_units].tolist() + [e]
             pieces += [(a, b, min(max_units, units - i * max_units), True) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
         elif pieces and not pieces[-1][3] and pieces[-1][2] + units <= max_units:
-            pieces[-1] = (pieces[-1][0], sent.end, pieces[-1][2] + units, False)
+            pieces[-1] = (pieces[-1][0], e, pieces[-1][2] + units, False)
         else:
-            pieces.append((sent.start, sent.end, units, False))
+            pieces.append((s, e, units, False))
     # A packed passage already ends at its last sentence's last non-space
     # character; rstrip trims a hard-split piece before the next cut.
     return [

@@ -192,25 +192,37 @@ def load_gold_jsonl(lines: Iterable[str], source: Optional[str] = None) -> list[
 
     def gold(rec: dict) -> GoldSet:
         k, question, answers = next(index), rec["question"], rec["answers"]
+        query_id = rec.get("id", f"q{k}")
+        if not isinstance(query_id, str):
+            raise TypeError("'id' is not a string")
         if not isinstance(question, str):
             raise TypeError("'question' is not a string")
         if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
             raise TypeError("'answers' is not a list of strings")
-        return GoldSet(query_id=rec.get("id", f"q{k}"), question=question, answers=tuple(answers))
+        return GoldSet(query_id=query_id, question=question, answers=tuple(answers))
 
     return read_jsonl(lines, gold, source)
 
 
 def load_gold_squad(data: dict) -> list[GoldSet]:
-    """SQuAD-style nested JSON: data -> paragraphs -> qas -> answers. A
-    malformed qa raises ValueError naming its 0-based index over all qas."""
+    """SQuAD-style nested JSON: data -> paragraphs -> qas -> answers. A qa
+    without answers is skipped. A malformed qa raises ValueError naming its
+    id, or its 0-based index over all qas when it has none, and the reason:
+    "malformed SQuAD qa '2': missing key 'question'"."""
     qas = (qa for article in data.get("data", []) for para in article.get("paragraphs", []) for qa in para.get("qas", []))
     golds = []
     for i, qa in enumerate(qas):
         try:
-            answers = tuple(a["text"] for a in qa.get("answers", []))
+            if not isinstance(qa, dict):
+                raise TypeError("qa is not a JSON object")
+            answers = qa.get("answers", [])
+            if not isinstance(answers, list) or not all(isinstance(a, dict) for a in answers):
+                raise TypeError("'answers' is not a list of objects")
+            answers = tuple(a["text"] for a in answers)
             if answers:
                 golds.append(GoldSet(query_id=str(qa.get("id", len(golds))), question=qa["question"], answers=answers))
-        except (AttributeError, KeyError, TypeError) as e:
-            raise ValueError(f"malformed SQuAD qa {i}: {e!r}") from e
+        except (KeyError, TypeError) as e:
+            name = repr(str(qa["id"])) if isinstance(qa, dict) and "id" in qa else i
+            reason = f"missing key {e}" if isinstance(e, KeyError) else e
+            raise ValueError(f"malformed SQuAD qa {name}: {reason}") from e
     return golds

@@ -428,6 +428,27 @@ class TestErrorHandling:
         assert run(["ttest", "--a", tmp_path / "a.json", "--b", tmp_path / "b.json"]) == 1
         assert capsys.readouterr().err == "error [ttest]: no shared query ids between the two reports\n"
 
+    @pytest.mark.parametrize(
+        "report, reason",
+        [
+            ({"metrics": {}}, "missing key 'per_query'"),
+            ([], "missing key 'per_query'"),
+            ({"per_query": ["q1"]}, "'per_query' is not a JSON object"),
+        ],
+    )
+    def test_ttest_report_without_per_query_is_named(self, tmp_path, capsys, report, reason):
+        (tmp_path / "a.json").write_text(json.dumps({"per_query": {"q1": {"top5_f1": 1.0}}}))
+        (tmp_path / "b.json").write_text(json.dumps(report))
+        assert run(["ttest", "--a", tmp_path / "a.json", "--b", tmp_path / "b.json"]) == 1
+        assert capsys.readouterr().err == f"error [ttest]: {tmp_path / 'b.json'}: {reason}\n"
+
+    @pytest.mark.parametrize("row", [{"top5_f1": 1.0}, 1.0])
+    def test_ttest_report_without_metric_is_named(self, tmp_path, capsys, row):
+        (tmp_path / "a.json").write_text(json.dumps({"per_query": {"q0": {"top1_f1": 0.5}, "q1": row}}))
+        (tmp_path / "b.json").write_text(json.dumps({"per_query": {"q1": {"top1_f1": 1.0}}}))
+        assert run(["ttest", "--a", tmp_path / "a.json", "--b", tmp_path / "b.json", "--metric", "top1_f1"]) == 1
+        assert capsys.readouterr().err == f"error [ttest]: {tmp_path / 'a.json'}: query 'q1' is missing key 'top1_f1'\n"
+
     def test_missing_key_is_located(self, workspace, tmp_path, capsys):
         _, out = workspace
         record = {"passage_id": "doc0#0", "question": "what", "answer": "The", "span_start": 0, "span_end": 3}

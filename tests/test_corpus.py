@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given
@@ -11,6 +12,7 @@ from hyqa.corpus import (
     Document,
     IngestError,
     _is_abbreviation,
+    _sentence_bounds,
     chunk_generation_passages,
     chunk_retrieval_passages,
     ingest_documents,
@@ -123,6 +125,49 @@ class TestSegmentSentences:
                 assert _is_abbreviation(text, p) == walk_is_abbreviation(text, p), p
 
 
+def strip_sentence_bounds(text):
+    """corpus._sentence_bounds as segment_sentences computed it before the
+    offsets helper: cut at every guarded boundary, strip each piece, and
+    drop the blank ones; kept as the exact reference."""
+    cuts = [m.end() for m in re.finditer(r"[.!?]+(?=\s+[A-Z0-9])", text) if not _is_abbreviation(text, m.end() - 1)]
+    bounds = []
+    for start, cut in zip([0, *cuts], [*cuts, len(text)]):
+        piece = text[start:cut]
+        s, e = start + len(piece) - len(piece.lstrip()), start + len(piece.rstrip())
+        if e > s:
+            bounds.append((s, e))
+    return bounds
+
+
+# Texts dense in boundary candidates: words (abbreviations, dotted words,
+# and words that start a sentence), each followed by a run of
+# sentence-final punctuation and a run of Unicode whitespace (str.isspace
+# and \s agree on it), either run possibly empty.
+_boundary_words = st.sampled_from(sorted(_ABBREVIATIONS)) | st.sampled_from(
+    ["U.S", "e.g.", "x.foo", "A", "Bb", "Dr", "cells", "x1", "7", "42", "a", "\u0130", "\u212a"]
+)
+_boundary_texts = st.lists(
+    st.tuples(
+        _boundary_words,
+        st.text(alphabet=".!?", max_size=3),
+        st.text(alphabet=" \t\n\x1c\x1d\x1e\x1f\x85\xa0\u2003", max_size=3),
+    ).map("".join),
+    max_size=12,
+).map("".join)
+
+
+class TestSentenceBounds:
+    @given(st.text() | _boundary_texts)
+    @example("")
+    @example(" \xa0 ")
+    @example("  Dr. Smith left.\x85\x1cThen 2 more!?\u2003")
+    @example("Dose was 5. 7 of 9 cells died!\n2 lived")
+    def test_equals_piece_strip_reference(self, text):
+        bounds = _sentence_bounds(text)
+        assert bounds == strip_sentence_bounds(text)
+        assert bounds == [(s.start, s.end) for s in segment_sentences(text)]
+
+
 def walk_is_abbreviation(text, punct_pos):
     """corpus._is_abbreviation as it was before the look-back to the last
     space: one character at a time; kept as the exact reference."""
@@ -215,8 +260,9 @@ class TestTerms:
         assert terms(text) == [t.surface for t in tokenize(text)]
 
     @given(st.text(alphabet=st.characters(max_codepoint=127)))
+    @example("".join(map(chr, range(128))))
     def test_ascii_equals_tokenize_surfaces(self, text):
-        # st.text() rarely draws an all-ASCII text, the lowercase-first path.
+        # st.text() rarely draws an all-ASCII text, the translate-and-split path.
         assert terms(text) == [t.surface for t in tokenize(text)]
 
 
@@ -311,9 +357,9 @@ class TestChunkProperties:
 
         def counted(text):
             calls.append(text)
-            return segment_sentences(text)
+            return _sentence_bounds(text)
 
-        monkeypatch.setattr(corpus, "segment_sentences", counted)
+        monkeypatch.setattr(corpus, "_sentence_bounds", counted)
         bodies = ["a b c x.foo. Bar d", "One two. Three four five six seven.", "(...)"]
         for body in bodies:
             chunk_retrieval_passages(make_doc(body), budget)

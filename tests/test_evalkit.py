@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from hyqa.corpus import IngestError
 from hyqa.evalkit import (
     GoldSet,
     MetricReport,
@@ -241,16 +242,40 @@ class TestLoaders:
         lines = [json.dumps({"question": "who", "answers": ["x"]}), "", json.dumps({"question": "what", "answers": ["y"]})]
         assert [g.query_id for g in load_gold_jsonl(lines)] == ["q0", "q1"]
 
+    def test_jsonl_non_string_id_is_refused(self):
+        lines = [json.dumps({"id": "a", "question": "who", "answers": ["x"]}), json.dumps({"id": 5, "question": "who", "answers": ["x"]})]
+        with pytest.raises(IngestError) as raised:
+            load_gold_jsonl(lines, "golds.jsonl")
+        assert str(raised.value) == "golds.jsonl line 2: 'id' is not a string"
+
     def test_squad_malformed_qa_names_index(self):
+        # A qa is named by its id, or by its 0-based index when it has none.
         qas = [
             {"id": "1", "question": "who", "answers": [{"text": "Ada"}]},
             {"id": "2", "answers": [{"text": "Bob"}]},
         ]
-        with pytest.raises(ValueError, match=r"qa 1: .*question"):
+        with pytest.raises(ValueError, match=r"^malformed SQuAD qa '2': missing key 'question'$"):
             load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
         qas[1] = {"id": "2", "question": "who", "answers": [{"span": "Bob"}]}
-        with pytest.raises(ValueError, match=r"qa 1: .*text"):
+        with pytest.raises(ValueError, match=r"^malformed SQuAD qa '2': missing key 'text'$"):
             load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
+        del qas[1]["id"]
+        with pytest.raises(ValueError, match=r"^malformed SQuAD qa 1: missing key 'text'$"):
+            load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
+
+    @pytest.mark.parametrize(
+        "qa, reason",
+        [
+            ({"question": "who", "answers": ["Bob"]}, "'answers' is not a list of objects"),
+            ({"question": "who", "answers": "Bob"}, "'answers' is not a list of objects"),
+            (["who", "Bob"], "qa is not a JSON object"),
+        ],
+    )
+    def test_squad_malformed_qa_reason_in_words(self, qa, reason):
+        qas = [{"id": "1", "question": "who", "answers": [{"text": "Ada"}]}, qa]
+        with pytest.raises(ValueError) as raised:
+            load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
+        assert str(raised.value) == f"malformed SQuAD qa 1: {reason}"
 
 
 class TestReport:
