@@ -156,8 +156,11 @@ _ABBREVIATIONS = {
 
 # A boundary: a run of sentence-final punctuation followed by a whitespace
 # run and an uppercase letter or digit. Group 1 is the whitespace run, so a
-# match's span(1) is (the cut, the next sentence's start).
-_BOUNDARY_RE = re.compile(r"[.!?]+(?=(\s+)[A-Z0-9])")
+# match's span(1) is (the cut, the next sentence's start). The run is spelled
+# [.!?][.!?]* rather than [.!?]+ on purpose: both match the same text, but
+# sre skips ahead to the next candidate in C (its charset-prefix scan) only
+# when a pattern opens with a plain character class, not with a repeat.
+_BOUNDARY_RE = re.compile(r"[.!?][.!?]*(?=(\s+)[A-Z0-9])")
 
 
 def _is_abbreviation(text: str, punct_pos: int) -> bool:

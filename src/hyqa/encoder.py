@@ -16,7 +16,8 @@ table[rows] / length, and the embedding gradient is its transpose, ones.T @
 order from 0.0, so both are bit for bit the per-text
 `table[ids].mean(axis=0)` and the per-token scatter they replace. (At d = 1
 they can differ in the last bits: numpy sums a single column pairwise.) One
-text pools with that mean directly, without a bag.
+text pools without a bag: one `np.add.reduce` over its rows, divided by its
+length, which is the reduction and divide that `.mean(axis=0)` runs.
 
 A training step runs one forward pass: `loss_gradient` returns the gradient
 with the loss it differentiates, and the step updates only the embedding
@@ -181,10 +182,9 @@ def _project(encoder: DualEncoder, means: np.ndarray, side: str) -> np.ndarray:
 def _pool(encoder: DualEncoder, text: str, side: str) -> np.ndarray:
     """One text's mean token embedding as a 1 x d row."""
     ids = _token_ids(encoder, text)
-    means = np.zeros((1, encoder.d))
-    if len(ids):
-        means[0] = encoder.params[f"{side}_emb"][ids].mean(axis=0)
-    return means
+    if not len(ids):
+        return np.zeros((1, encoder.d))
+    return np.add.reduce(encoder.params[f"{side}_emb"].take(ids, axis=0), axis=0, keepdims=True) / len(ids)
 
 
 def encode_query(encoder: DualEncoder, text: str) -> np.ndarray:

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, filterfalse
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,7 +152,9 @@ def _check_layout(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Params()) -> SparseIndex:
     doc_ids = []
     seen = set()
-    term_ids: dict[str, int] = {}  # surface -> first-seen id
+    # surface -> first-seen id: looking up an unseen surface gives it the
+    # next id, so one C-level map interns a passage's tokens in order.
+    term_ids: defaultdict[str, int] = defaultdict(count().__next__)
     tokens = []  # per passage, its tokens' first-seen ids
     for p in passages:
         if p.id in seen:
@@ -161,9 +163,7 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
         doc_ids.append(p.id)
         # One passage's surfaces at a time, so that the token strings of
         # all passages are never held at once.
-        surfaces = terms(p.text)
-        term_ids.update(zip(filterfalse(term_ids.__contains__, dict.fromkeys(surfaces)), count(len(term_ids))))
-        tokens.append(list(map(term_ids.__getitem__, surfaces)))
+        tokens.append(list(map(term_ids.__getitem__, terms(p.text))))
     n_docs = len(doc_ids)
     doc_lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=n_docs)
     surfaces = list(term_ids)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hyqa import corpus
 from hyqa.corpus import (
     _ABBREVIATIONS,
+    _BOUNDARY_RE,
     _TOKEN_RE,
     Document,
     IngestError,
@@ -166,6 +167,16 @@ class TestSentenceBounds:
         bounds = _sentence_bounds(text)
         assert bounds == strip_sentence_bounds(text)
         assert bounds == [(s.start, s.end) for s in segment_sentences(text)]
+
+    @given(st.text() | _boundary_texts)
+    @example(".. A")
+    @example("a.!x. B?!\u2003 7")
+    def test_boundary_matches_equal_plus_pattern(self, text):
+        # Before abbreviation filtering, so that a difference the filter
+        # would hide still shows.
+        plus = re.compile(r"[.!?]+(?=(\s+)[A-Z0-9])")
+        spans = [(m.span(0), m.span(1)) for m in _BOUNDARY_RE.finditer(text)]
+        assert spans == [(m.span(0), m.span(1)) for m in plus.finditer(text)]
 
 
 def walk_is_abbreviation(text, punct_pos):

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hyqa.encoder as encoder_module
-from hyqa.corpus import Document, chunk_retrieval_passages, tokenize
+from hyqa.corpus import Document, chunk_retrieval_passages, terms, tokenize
 from hyqa.encoder import (
     DESK_PRESET,
     FULL_PRESET,
@@ -100,6 +100,39 @@ class TestEncode:
             np.testing.assert_allclose(encode_passage(enc, p.text), p_out[row], rtol=1e-12, atol=1e-15)
         for row, inst in enumerate(batch):
             np.testing.assert_allclose(encode_query(enc, inst.question), q_out[row], rtol=1e-12, atol=1e-15)
+
+
+def mean_reference(encoder, text, side):
+    """One text's tower output as table[ids].mean(axis=0), projected."""
+    ids = [encoder.vocab[t] for t in terms(text) if t in encoder.vocab]
+    proj, bias = encoder.params[f"{side}_proj"], encoder.params[f"{side}_bias"]
+    if not ids:
+        return bias
+    return (encoder.params[f"{side}_emb"][ids].mean(axis=0)[None] @ proj.T + bias)[0]
+
+
+class TestOneTextPooling:
+    # Texts long enough (8 or more tokens) that numpy's pairwise summation
+    # of a single column at d = 1 differs from a row-by-row sum.
+    @given(
+        st.sampled_from([1, 2, 3, 64]),
+        st.integers(0, 2**16),
+        st.lists(st.sampled_from(VOCAB + ["OOV", "Alpha", "xyzzy"]), max_size=200).map(" ".join),
+    )
+    @example(1, 0, " ".join(VOCAB * 20))
+    @example(64, 1, "")
+    @example(3, 2, "xyzzy qwerty")
+    def test_bit_equal_to_mean_reference(self, d, seed, text):
+        enc = DualEncoder.create(VOCAB, d=d, seed=seed)
+        rng = np.random.default_rng(seed)
+        enc.params["q_bias"] = rng.normal(size=d)
+        enc.params["p_bias"] = rng.normal(size=d)
+        for encode, side in ((encode_query, "q"), (encode_passage, "p")):
+            out = encode(enc, text)
+            assert out.shape == (d,) and out.dtype == np.float64
+            assert out.tobytes() == mean_reference(enc, text, side).tobytes()
+            if not any(t in enc.vocab for t in terms(text)):
+                assert out.tobytes() == enc.params[f"{side}_bias"].tobytes()
 
 
 class TestSimilarity:

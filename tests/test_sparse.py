@@ -311,6 +311,61 @@ class TestProperties:
         assert [sp.passage_id for sp in results] == expected_order
 
 
+def counter_index_arrays(passages):
+    """Reference for build_sparse_index's arrays: one Counter of terms per
+    passage, postings read term by term in sorted order."""
+    counts = [Counter(terms(p.text)) for p in passages]
+    vocab = sorted(set().union(*counts))
+    docs = [d for term in vocab for d, c in enumerate(counts) if term in c]
+    tf = [c[term] for term in vocab for c in counts if term in c]
+    df = [sum(term in c for c in counts) for term in vocab]
+
+    def narrow(values):
+        return np.array(values, dtype=np.min_scalar_type(max(values, default=0)))
+
+    return {
+        "terms": vocab,
+        "doc_lengths": np.array([sum(c.values()) for c in counts], dtype=np.int64),
+        "indptr": np.concatenate([[0], np.cumsum(df, dtype=np.int64)]),
+        "docs": narrow(docs),
+        "tf": narrow(tf),
+    }
+
+
+# Surfaces that repeat within and across passages, with the characters on
+# the non-ASCII path of terms: KELVIN SIGN (lowercases to ASCII k), dotted
+# capital I (lowercases to two code points) and the no-break space.
+_surface_texts = st.lists(
+    st.sampled_from(["alpha", "Alpha", "ALPHA", "k", "\u212a", "\u212aelvin", "\u0130x", "i\u0307x", "b2", "-", "\xa0", " "]),
+    max_size=30,
+).map(" ".join) | st.just("") | st.text(max_size=20)
+
+
+class TestInterning:
+    @given(st.lists(_surface_texts, max_size=8))
+    @example([])
+    @example(["", "", ""])
+    @example(["\u212a k K", "", "k\xa0\u212a \u0130 i\u0307"])
+    @example(["x " * 300, "x"])
+    def test_equals_counter_reference(self, texts):
+        passages = [Passage(f"p{i}", f"d{i}", text, 0) for i, text in enumerate(texts)]
+        index, expected = build_sparse_index(passages), counter_index_arrays(passages)
+        assert index.terms == expected["terms"]
+        for name in ("doc_lengths", "indptr", "docs", "tf"):
+            got, want = getattr(index, name), expected[name]
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
+
+    @given(st.lists(_surface_texts, min_size=1, max_size=5), st.data())
+    def test_duplicate_id_is_named(self, texts, data):
+        ids = [f"p{i}" for i in range(len(texts))]
+        dup = data.draw(st.sampled_from(ids))
+        passages = [Passage(pid, pid, text, 0) for pid, text in zip(ids, texts)]
+        passages.insert(data.draw(st.integers(ids.index(dup) + 1, len(passages))), Passage(dup, "other", "text", 1))
+        with pytest.raises(ValueError, match=f"duplicate passage id '{dup}'"):
+            build_sparse_index(passages)
+
+
 def per_term_top_k(index, query_text, k):
     """Reference: the per-term loop that block scoring replaced. Each query
     term in sorted order adds mult * idf * tf(k1 + 1)/(tf + norm) to its
