@@ -13,14 +13,20 @@ A passage's sentences are segment_sentences(passage.text).
 terms, the tokenizer of every index and of the reader, has two paths: an
 ASCII text is one bytes.translate and one str.split; any other text is a
 regex match loop. Both give the surfaces of tokenize.
+
+token_table interns the terms of many texts in one pass: the sorted
+distinct terms, and each text's tokens as ids into them. It is the one
+interning of the system; the BM25 index and the encoder vocabulary are
+both read from it.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar
 
@@ -38,6 +44,8 @@ __all__ = [
     "tokenize",
     "token_bounds",
     "terms",
+    "TokenTable",
+    "token_table",
     "word_count",
     "chunk_retrieval_passages",
     "chunk_generation_passages",
@@ -256,6 +264,47 @@ def terms(text: str) -> list[str]:
     if text.isascii():
         return text.encode("ascii").translate(_ASCII_TERMS).decode("ascii").split()
     return [m.lower() for m in _TOKEN_RE.findall(text)]
+
+
+@dataclass(frozen=True, eq=False)
+class TokenTable:
+    """The terms of a sequence of texts, interned: `terms` (sorted,
+    distinct), `ids` (int32, every token of every text in order, as its
+    index in `terms`) and `offsets` (int64, len(texts) + 1 entries from 0 to
+    len(ids)); text j's tokens are ids[offsets[j]:offsets[j + 1]]."""
+
+    terms: list[str]
+    offsets: np.ndarray
+    ids: np.ndarray
+
+    def row(self, j: int) -> np.ndarray:
+        """The term ids of text j's tokens, in order, as a view of `ids`."""
+        return self.ids[self.offsets[j] : self.offsets[j + 1]]
+
+
+def token_table(texts: Iterable[str]) -> TokenTable:
+    """Intern the terms of each text: [terms[i] for i in table.row(j)] is
+    terms(texts[j])."""
+    lengths: list[int] = []
+
+    def text_terms(text: str) -> list[str]:
+        found = terms(text)
+        lengths.append(len(found))
+        return found
+
+    # surface -> first-seen id: looking up an unseen surface gives it the
+    # next id, so one C-level map interns every token in order. Each text is
+    # tokenized only when the map reaches it, so the token strings of all
+    # texts are never held at once.
+    term_ids: defaultdict[str, int] = defaultdict(count().__next__)
+    first_seen = np.fromiter(map(term_ids.__getitem__, chain.from_iterable(map(text_terms, texts))), dtype=np.int32)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    surfaces = list(term_ids)
+    order = sorted(range(len(surfaces)), key=surfaces.__getitem__)
+    rank = np.empty(len(surfaces), dtype=np.int32)
+    rank[order] = np.arange(len(surfaces), dtype=np.int32)
+    return TokenTable([surfaces[i] for i in order], offsets, rank[first_seen])
 
 
 def word_count(text: str) -> int:

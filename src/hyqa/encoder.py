@@ -23,19 +23,32 @@ A training step runs one forward pass: `loss_gradient` returns the gradient
 with the loss it differentiates, and the step updates only the embedding
 rows the batch touches. `train` tokenizes each distinct question and
 passage text once per call, before the first epoch.
+
+An encoder built by `from_texts` holds the `corpus.TokenTable` its
+vocabulary was interned from, with a map from each of those texts to its
+table row, so a text it was built from (every passage of an index built
+over the same texts) encodes without being tokenized again. The table's
+ids index its sorted terms, and the vocabulary is those terms in that
+order, so the ids are vocabulary ids; this holds while `vocab` equals the
+table's terms, and nothing changes `vocab` in place. `copy` shares the
+table (the copy's vocabulary is equal); `create`, `load` and the
+constructor hold none, and any other text (every question) is tokenized
+as before. The table costs 4 bytes per token of the texts plus one map
+entry per text (which keeps the text alive), held for the encoder's
+lifetime; it is neither saved nor compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, repeat
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
 
 from . import container
-from .corpus import Passage, terms
+from .corpus import Passage, TokenTable, terms, token_table
 
 __all__ = [
     "DualEncoder",
@@ -60,6 +73,10 @@ class DualEncoder:
     vocab: dict[str, int]
     params: dict[str, np.ndarray]
     d: int
+    # The table `vocab` was built from and each of its texts' rows; see the
+    # module docstring.
+    _table: TokenTable | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, vocab: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
@@ -78,15 +95,30 @@ class DualEncoder:
 
     @classmethod
     def from_texts(cls, texts: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
-        """Build the vocabulary from training texts, then initialize."""
-        return cls.create(sorted(set(chain.from_iterable(map(terms, texts)))), d=d, seed=seed)
+        """Build the vocabulary from training texts, then initialize.
+
+        The vocabulary is the terms of `corpus.token_table(texts)`. The
+        encoder holds that table and a map from each text to its row, so
+        encoding one of `texts` reads its token ids from the table: 4 bytes
+        per token plus one map entry per text, held for the encoder's
+        lifetime. The ids are vocabulary ids only while `vocab` equals the
+        table's terms; nothing changes `vocab` in place."""
+        table = token_table(texts)
+        encoder = cls.create(table.terms, d=d, seed=seed)
+        encoder._table = table
+        encoder._rows = dict(zip(texts, range(len(texts))))
+        return encoder
 
     def copy(self) -> "DualEncoder":
-        return DualEncoder(
+        """A copy with its own parameters; it shares the token table, as its
+        vocabulary is equal."""
+        model = DualEncoder(
             vocab=dict(self.vocab),
             params={k: v.copy() for k, v in self.params.items()},
             d=self.d,
         )
+        model._table, model._rows = self._table, self._rows
+        return model
 
     def save(self, path) -> None:
         meta = {"d": self.d, "vocab": sorted(self.vocab, key=self.vocab.get)}
@@ -140,6 +172,11 @@ DESK_PRESET = TrainConfig(learning_rate=0.05, epochs=6, batch_size=16, warmup_st
 
 
 def _token_ids(encoder: DualEncoder, text: str) -> np.ndarray:
+    """The vocabulary ids of the text's in-vocabulary tokens, in order: its
+    row of the held table for a text the vocabulary was built from."""
+    row = encoder._rows.get(text)
+    if row is not None:
+        return encoder._table.row(row)
     ids = np.fromiter(map(encoder.vocab.get, terms(text), repeat(-1)), dtype=np.intp)
     return ids[ids >= 0]
 

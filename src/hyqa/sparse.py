@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ from scipy.sparse import csr_array
 
 from . import container
 from .container import ContainerError
-from .corpus import Passage, terms
+from .corpus import Passage, terms, token_table
 from .scored import ScoredPassage, id_ranks, top_k
 
 __all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_top_k_each", "sparse_top_k", "sparse_search"]
@@ -152,33 +151,22 @@ def _check_layout(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Params()) -> SparseIndex:
     doc_ids = []
     seen = set()
-    # surface -> first-seen id: looking up an unseen surface gives it the
-    # next id, so one C-level map interns a passage's tokens in order.
-    term_ids: defaultdict[str, int] = defaultdict(count().__next__)
-    tokens = []  # per passage, its tokens' first-seen ids
     for p in passages:
         if p.id in seen:
             raise ValueError(f"duplicate passage id {p.id!r}")
         seen.add(p.id)
         doc_ids.append(p.id)
-        # One passage's surfaces at a time, so that the token strings of
-        # all passages are never held at once.
-        tokens.append(list(map(term_ids.__getitem__, terms(p.text))))
-    n_docs = len(doc_ids)
-    doc_lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=n_docs)
-    surfaces = list(term_ids)
-    order = sorted(range(len(surfaces)), key=surfaces.__getitem__)
-    rank = np.empty(len(surfaces), dtype=np.int64)
-    rank[order] = np.arange(len(surfaces))
-    flat = np.fromiter(chain.from_iterable(tokens), dtype=np.int64, count=int(doc_lengths.sum()))
+    table = token_table(p.text for p in passages)
+    n_docs, n_terms = len(doc_ids), len(table.terms)
+    doc_lengths = np.diff(table.offsets)
     # One key per token, ordered by (sorted term, passage); counting equal
     # keys gives the postings in CSR order with their tf.
-    keys, tf = np.unique(rank[flat] * n_docs + np.repeat(np.arange(n_docs), doc_lengths), return_counts=True)
+    keys, tf = np.unique(table.ids.astype(np.int64) * n_docs + np.repeat(np.arange(n_docs), doc_lengths),
+                         return_counts=True)
     term_of = keys // n_docs
-    indptr = np.zeros(len(surfaces) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(term_of, minlength=len(surfaces)), out=indptr[1:])
-    sorted_terms = [surfaces[i] for i in order]
-    return SparseIndex(params, doc_ids, sorted_terms, doc_lengths, indptr, _narrow(keys - term_of * n_docs), _narrow(tf))
+    indptr = np.zeros(n_terms + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_of, minlength=n_terms), out=indptr[1:])
+    return SparseIndex(params, doc_ids, table.terms, doc_lengths, indptr, _narrow(keys - term_of * n_docs), _narrow(tf))
 
 
 def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) -> list[tuple[np.ndarray, np.ndarray]]:

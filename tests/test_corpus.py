@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from hyqa.corpus import (
     segment_sentences,
     terms,
     token_bounds,
+    token_table,
     tokenize,
     word_count,
 )
@@ -275,6 +277,36 @@ class TestTerms:
     def test_ascii_equals_tokenize_surfaces(self, text):
         # st.text() rarely draws an all-ASCII text, the translate-and-split path.
         assert terms(text) == [t.surface for t in tokenize(text)]
+
+
+# Words that repeat within and across texts, ASCII and not: KELVIN SIGN
+# (lowercases to ASCII k), dotted capital I (to two code points) and the
+# no-break space.
+_table_texts = st.lists(
+    st.sampled_from(["alpha", "Alpha", "k", "K", "\u212a", "\u212aelvin", "\u0130stanbul", "i\u0307x", "5", "-", "\xa0"]),
+    max_size=20,
+).map(" ".join) | st.text(max_size=20)
+
+
+class TestTokenTable:
+    @given(st.lists(_table_texts, max_size=8))
+    @example([])
+    @example(["", "- -", ""])
+    @example(["\u212a k K", "\u212a k K", "\u0130stanbul\xa0i\u0307x", "Alpha alpha"])
+    def test_rows_spell_each_texts_terms(self, texts):
+        table = token_table(texts)
+        assert all(map(str.__lt__, table.terms, table.terms[1:]))
+        assert table.ids.dtype == np.int32 and table.offsets.dtype == np.int64
+        assert len(table.offsets) == len(texts) + 1
+        assert table.offsets[0] == 0 and table.offsets[-1] == len(table.ids)
+        o = table.offsets
+        for j, text in enumerate(texts):
+            assert [table.terms[i] for i in table.ids[o[j] : o[j + 1]]] == terms(text)
+            assert table.row(j).tolist() == table.ids[o[j] : o[j + 1]].tolist()
+        # A one-pass iterable gives the same table.
+        again = token_table(iter(texts))
+        assert again.terms == table.terms
+        assert np.array_equal(again.offsets, table.offsets) and np.array_equal(again.ids, table.ids)
 
 
 class TestWordCount:

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hyqa.encoder as encoder_module
-from hyqa.corpus import Document, chunk_retrieval_passages, terms, tokenize
+from hyqa.corpus import Document, Passage, chunk_retrieval_passages, terms, tokenize
 from hyqa.encoder import (
     DESK_PRESET,
     FULL_PRESET,
@@ -544,6 +544,51 @@ class TestFromTexts:
         enc = DualEncoder.from_texts(texts, d=2)
         want = sorted({t.surface for text in texts for t in tokenize(text)})
         assert sorted(enc.vocab, key=enc.vocab.get) == want
+
+
+# Texts that repeat, that hold no tokens, and that take the non-ASCII path
+# of terms: KELVIN SIGN, dotted capital I and the no-break space.
+_held_texts = st.lists(
+    st.sampled_from(["alpha", "Beta", "k", "K", "\u212a", "\u212aelvin", "\u0130stanbul", "i\u0307x", "5", "-", "\xa0"]),
+    max_size=12,
+).map(" ".join)
+
+
+class TestHeldTable:
+    """A from_texts encoder reads a text it was built from out of its token
+    table; that gives the bits of tokenizing the text."""
+
+    @given(st.lists(_held_texts, min_size=1, max_size=6), st.sampled_from([1, 2, 64]), st.integers(0, 2**16))
+    @example(["alpha Beta", "alpha Beta", "", "- \xa0 -"], 1, 0)
+    @example(["\u212a k K \u212aelvin", "\u0130stanbul\xa0i\u0307x " * 6], 64, 3)
+    def test_equals_the_tokenizing_path(self, tmp_path_factory, texts, d, seed):
+        enc = DualEncoder.from_texts(texts, d=d, seed=seed)
+        path = tmp_path_factory.mktemp("held") / "enc.hyqa"
+        enc.save(path)
+        vocab = sorted(enc.vocab, key=enc.vocab.get)
+        others = [DualEncoder.load(path), DualEncoder.create(vocab, d=d, seed=seed)]
+        assert all(other._table is None for other in others)
+        for text in texts:
+            if terms(text):
+                assert np.shares_memory(encoder_module._token_ids(enc, text), enc._table.ids)
+        # A question is not a table text; it takes the tokenizing path everywhere.
+        for text in texts + ["K alpha unseen"]:
+            for encode in (encode_passage, encode_query):
+                out = encode(enc, text)
+                assert out.dtype == np.float64
+                for other in others:
+                    assert np.array_equal(out, encode(other, text))
+
+        instances = [
+            IRTrainInstance(f"K {text}", Passage(f"p{i}", "d", text, 0), (Passage(f"n{i}", "d", texts[0], 0),))
+            for i, text in enumerate(texts)
+        ]
+        model = enc.copy()  # as train does
+        assert model._table is enc._table
+        held, tokenized = encoder_module._tokenize_all(model, instances), encoder_module._tokenize_all(others[0], instances)
+        assert held.keys() == tokenized.keys()
+        for text, ids in held.items():
+            assert ids.tolist() == tokenized[text].tolist()
 
 
 class TestPresets:

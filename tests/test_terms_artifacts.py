@@ -1,6 +1,7 @@
 """The saved indexes do not depend on how `terms` finds its tokens: the
 sparse, encoder and dense artifacts built with the shipped `terms` equal,
-byte for byte, those built with the regex reference below."""
+byte for byte, those built with the regex reference below, and a reloaded
+encoder, which tokenizes each passage, encodes it to the same bits."""
 
 import random
 
@@ -52,6 +53,10 @@ def save_artifacts(out):
     build_sparse_index(passages).save(out / "sparse.hyqa")
     model.save(out / "encoder.hyqa")
     build_dense_index([p.id for p in passages], embeddings).save(out / "dense.hyqa")
+    # The reloaded encoder holds no token table, so it tokenizes every
+    # passage; its rows equal those read from the table.
+    loaded = DualEncoder.load(out / "encoder.hyqa")
+    assert np.array_equal(np.stack([encode_passage(loaded, p.text) for p in passages]), embeddings)
     return passages
 
 
@@ -68,8 +73,8 @@ def test_artifacts_equal_regex_reference_build(tmp_path, monkeypatch):
     for module in (corpus, encoder, mrc, sparse):
         monkeypatch.setattr(module, "terms", counted)
     save_artifacts(tmp_path / "reference")
-    # Both paths of the reference ran: vocabulary, BM25 and encoding each
-    # tokenize every passage.
+    # Both paths of the reference ran: vocabulary, BM25 and the reloaded
+    # encoder each tokenize every passage.
     assert calls.count(True) >= 3 * sum(map(str.isascii, texts)) and False in calls
     for name in ("sparse.hyqa", "encoder.hyqa", "dense.hyqa"):
         assert (tmp_path / "shipped" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes(), name
