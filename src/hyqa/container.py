@@ -20,6 +20,8 @@ the narrowest unsigned dtype that holds them).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import Any
 
@@ -72,6 +74,18 @@ def _unpack(f, fmt: str, path, what: str) -> int:
     return value
 
 
+def _read_array(f, dtype: np.dtype, shape: tuple[int, ...], path, what: str) -> np.ndarray:
+    """The next array's data, read straight into a new array: one buffer,
+    aligned and writable, so a loader need not copy it. A shape larger than
+    the rest of the file is refused before anything is allocated."""
+    if dtype.itemsize * math.prod(shape) > os.fstat(f.fileno()).st_size - f.tell():
+        raise ContainerError(f"{path}: truncated {what}")
+    arr = np.empty(shape, dtype=dtype)
+    if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+        raise ContainerError(f"{path}: truncated {what}")
+    return arr
+
+
 def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
@@ -91,8 +105,7 @@ def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, 
             dtype = np.dtype("<" + _read(f, _unpack(f, "<H", path, what), path, what).decode("ascii"))
             ndim = _unpack(f, "<B", path, what)
             shape = tuple(_unpack(f, "<Q", path, what) for _ in range(ndim))
-            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-            arrays[name] = np.frombuffer(_read(f, nbytes, path, what), dtype=dtype).reshape(shape)
+            arrays[name] = _read_array(f, dtype, shape, path, what)
         if f.read(1):
             raise ContainerError(f"{path}: trailing bytes after the last array")
     return file_kind, meta, arrays

@@ -19,7 +19,7 @@ import numpy as np
 from . import container
 from .scored import ScoredPassage, id_ranks, top_k
 
-__all__ = ["DenseIndex", "IVFIndex", "build_dense_index", "dense_top_k", "dense_search", "build_ivf_index", "ivf_search"]
+__all__ = ["DenseIndex", "IVFIndex", "build_dense_index", "dense_scores", "dense_top_k", "dense_search", "build_ivf_index", "ivf_search"]
 
 
 class DenseIndex:
@@ -69,37 +69,37 @@ def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
     return DenseIndex(list(ids), matrix)
 
 
-def _rank(index: DenseIndex, q: np.ndarray, candidates: np.ndarray | None, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and scores of the top k of the `candidates` rows (every row if
-    None), score desc, ties by ascending passage id."""
-    if candidates is None:
-        matrix, id_rank = index.matrix, index.id_rank
-    else:
-        matrix, id_rank = index.matrix[candidates], index.id_rank[candidates]
-    scores = np.vecdot(matrix, q)
-    top = top_k(scores, id_rank, k)
-    return (top if candidates is None else candidates[top]), scores[top]
-
-
-def _query(index: DenseIndex, q_emb: np.ndarray, k: int) -> np.ndarray:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def _query(index: DenseIndex, q_emb: np.ndarray) -> np.ndarray:
     q = np.asarray(q_emb, dtype=np.float64)
     if index.n and q.shape != (index.d,):
         raise ValueError(f"query dimension {q.shape} does not match index d={index.d}")
     return q
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def _passages(index: DenseIndex, rows: np.ndarray, scores: np.ndarray) -> list[ScoredPassage]:
     return [ScoredPassage(index.ids[i], s, "dense") for i, s in zip(rows.tolist(), scores.tolist())]
 
 
-def dense_top_k(index: DenseIndex, q_emb: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of dense_search: the top k rows and their scores."""
-    q = _query(index, q_emb, k)
+def dense_scores(index: DenseIndex, q_emb: np.ndarray) -> np.ndarray:
+    """The query's inner product with every row, in row order."""
+    q = _query(index, q_emb)
     if index.n == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    return _rank(index, q, None, k)
+        return np.zeros(0)
+    return np.vecdot(index.matrix, q)
+
+
+def dense_top_k(index: DenseIndex, q_emb: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of dense_search: the top k rows and their scores, score
+    desc, ties by ascending passage id."""
+    _check_k(k)
+    scores = dense_scores(index, q_emb)
+    top = top_k(scores, index.id_rank, k)
+    return top, scores[top]
 
 
 def dense_search(index: DenseIndex, q_emb: np.ndarray, k: int) -> list[ScoredPassage]:
@@ -154,7 +154,8 @@ def build_ivf_index(index: DenseIndex, C: int, n_probe: int, seed: int = 0) -> I
 
 def ivf_search(ivf: IVFIndex, q_emb: np.ndarray, k: int, n_probe: int | None = None) -> list[ScoredPassage]:
     index = ivf.base
-    q = _query(index, q_emb, k)
+    _check_k(k)
+    q = _query(index, q_emb)
     if index.n == 0:
         return []
     probes = ivf.n_probe if n_probe is None else n_probe
@@ -163,4 +164,7 @@ def ivf_search(ivf: IVFIndex, q_emb: np.ndarray, k: int, n_probe: int | None = N
     chosen = np.argsort(-cluster_scores, kind="stable")[:probes]
     if len(chosen) == 0:
         return []
-    return _passages(index, *_rank(index, q, np.concatenate([ivf.members[c] for c in chosen]), k))
+    candidates = np.concatenate([ivf.members[c] for c in chosen])
+    scores = np.vecdot(index.matrix[candidates], q)
+    top = top_k(scores, index.id_rank[candidates], k)
+    return _passages(index, candidates[top], scores[top])

@@ -68,15 +68,23 @@ __all__ = [
 _PARAM_NAMES = ("q_emb", "q_proj", "q_bias", "p_emb", "p_proj", "p_bias")
 
 
-@dataclass
+@dataclass(eq=False)
 class DualEncoder:
     vocab: dict[str, int]
     params: dict[str, np.ndarray]
     d: int
     # The table `vocab` was built from and each of its texts' rows; see the
     # module docstring.
-    _table: TokenTable | None = field(default=None, init=False, repr=False, compare=False)
-    _rows: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _table: TokenTable | None = field(default=None, init=False, repr=False)
+    _rows: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+
+    def __eq__(self, other):
+        """Value equality over d, vocab and each parameter array; the held
+        token table is not compared."""
+        if not isinstance(other, DualEncoder):
+            return NotImplemented
+        return (self.d == other.d and self.vocab == other.vocab and self.params.keys() == other.params.keys()
+                and all(np.array_equal(v, other.params[k]) for k, v in self.params.items()))
 
     @classmethod
     def create(cls, vocab: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
@@ -129,7 +137,7 @@ class DualEncoder:
         _, meta, arrays = container.load(path, kind="encoder")
         return cls(
             vocab={t: i for i, t in enumerate(meta["vocab"])},
-            params={k: np.array(arrays[k]) for k in _PARAM_NAMES},
+            params={k: arrays[k] for k in _PARAM_NAMES},
             d=meta["d"],
         )
 

@@ -11,7 +11,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from scipy.special import betainc
 
@@ -25,6 +25,7 @@ __all__ = [
     "normalize_answer",
     "exact_match",
     "token_f1",
+    "first_match_rank",
     "match_at_k",
     "top_n_f1",
     "open_version",
@@ -100,19 +101,43 @@ def token_f1(prediction: str, golds: Iterable[str]) -> float:
     return max(_f1_single(prediction, g) for g in golds)
 
 
-def _contains_answer(passage_text: str, answers: Iterable[str], raw_substring: bool = False) -> bool:
+def _answer_test(answers: Iterable[str], raw_substring: bool = False) -> Callable[[str], bool]:
+    """A test of whether a passage text contains any of `answers` as a
+    contiguous normalized token subsequence.
+
+    normalize_answer joins tokens with single spaces, so " a " in " p " on
+    the normalized strings matches exactly whole-token windows. An answer
+    that normalizes to empty matches nothing. raw_substring matches a raw
+    answer as a substring of the raw text instead."""
     if raw_substring:
-        return any(a in passage_text for a in answers)
-    passage_tokens = normalize_answer(passage_text).split()
-    for answer in answers:
-        ans_tokens = normalize_answer(answer).split()
-        if not ans_tokens:
-            continue
-        n = len(ans_tokens)
-        for i in range(len(passage_tokens) - n + 1):
-            if passage_tokens[i : i + n] == ans_tokens:
-                return True
-    return False
+        raw = list(answers)
+        return lambda text: any(a in text for a in raw)
+    needles = [f" {a} " for a in map(normalize_answer, answers) if a]
+
+    def contains(text: str) -> bool:
+        hay = f" {normalize_answer(text)} "
+        return any(n in hay for n in needles)
+
+    return contains
+
+
+def first_match_rank(
+    retrieved: Sequence[ScoredPassage],
+    gold: GoldSet,
+    depth: int,
+    passage_texts: dict[str, str],
+    raw_substring: bool = False,
+) -> int:
+    """0-based rank of the first of the top `depth` passages that contains
+    a gold answer (see _answer_test), or `depth` if none does; Match@k for
+    k <= depth is then rank < k."""
+    if depth < 1:
+        raise ValueError("k must be >= 1")
+    contains = _answer_test(gold.answers, raw_substring)
+    for rank, sp in enumerate(retrieved[:depth]):
+        if contains(passage_texts[sp.passage_id]):
+            return rank
+    return depth
 
 
 def match_at_k(
@@ -122,14 +147,8 @@ def match_at_k(
     passage_texts: dict[str, str],
     raw_substring: bool = False,
 ) -> int:
-    """1 iff any top-k passage contains a gold answer as a contiguous
-    normalized token subsequence (raw substring mode behind a flag)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    for sp in retrieved[:k]:
-        if _contains_answer(passage_texts[sp.passage_id], gold.answers, raw_substring):
-            return 1
-    return 0
+    """1 iff any top-k passage contains a gold answer (first_match_rank)."""
+    return int(first_match_rank(retrieved, gold, k, passage_texts, raw_substring) < k)
 
 
 def top_n_f1(candidates: Sequence[str], gold: GoldSet, n: int) -> float:

@@ -1,9 +1,10 @@
 """Convex combination of sparse and dense retrieval scores.
 
-Each system's scores are min-max normalized over its own top-pool list; a
-passage missing from one list takes that system's normalized floor of 0.
+Each system's scores are min-max normalized over its own top pool; a
+passage missing from one pool takes that system's normalized floor of 0.
 The fused score is w * sparse + (1 - w) * dense, with w tunable by grid
-search against Match@k on a dev set.
+search against Match@k on a dev set. A pool is a set: fusion reads only
+its members and their min and max, never their order.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ def fuse_top_k(sparse_rows: np.ndarray, sparse_scores: np.ndarray, dense_rows: n
     scores.
 
     Rows index one id space shared by both sides, whose ascending-id
-    positions are `id_rank`. The pool is the ascending union of both sides'
-    rows, marked in one mask over that space.
+    positions are `id_rank`; each side's rows may come in any order. The
+    pool is the ascending union of both sides' rows, marked in one mask
+    over that space.
     """
     sparse = _scatter(len(id_rank), sparse_rows, sparse_scores)
     dense = _scatter(len(id_rank), dense_rows, dense_scores)

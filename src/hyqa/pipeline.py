@@ -35,13 +35,13 @@ from .corpus import (
     token_bounds,
     write_jsonl,
 )
-from .dense_index import DenseIndex, build_dense_index, dense_search, dense_top_k
+from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_search
 from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
-from .evalkit import GoldSet, MetricReport, match_at_k, top_n_f1
+from .evalkit import GoldSet, MetricReport, first_match_rank, top_n_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
 from .mrc import LexicalScorer, ScorerConfig, SpanScore, best_span_each, logit_rows
-from .scored import ScoredPassage
-from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search, sparse_top_k
+from .scored import ScoredPassage, top_set
+from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_hits_each, sparse_search
 from .syngen import (
     FilterConfig,
     FilterResult,
@@ -185,12 +185,14 @@ def evaluate_run(
     if not golds:
         return report
     sums: dict[str, float] = {}
-    depth = max(max(match_ks), config.K)
+    if min(match_ks) < 1:
+        raise ValueError("k must be >= 1")
+    deepest = max(match_ks)
+    depth = max(deepest, config.K)
     for gold in golds:
         retrieved = retriever(gold.question, depth)
-        row: dict[str, float] = {}
-        for k in match_ks:
-            row[f"match@{k}"] = match_at_k(retrieved, gold, k, passage_texts)
+        rank = first_match_rank(retrieved, gold, deepest, passage_texts)
+        row: dict[str, float] = {f"match@{k}": int(rank < k) for k in match_ks}
         candidates = answer_question(gold.question, lambda q, k: retrieved[:k], scorer, passage_texts, config)
         answers = [c.text for c in candidates]
         row["top1_f1"] = top_n_f1(answers, gold, 1)
@@ -218,17 +220,23 @@ def make_hybrid_retriever(
 ) -> Retriever:
     """fuse(sparse_search(...), dense_search(...), fusion_config)[:k] at
     pool_size, computed on arrays: passages are rows of one id space, the
-    sparse index's passages and then the ids only the dense index has."""
+    sparse index's passages and then the ids only the dense index has.
+
+    Fusion reads each pool as a set, so each side's pool is selected
+    unsorted (top_set) and one question sorts once, for its final top k."""
     (sparse_to_row, dense_to_row), ids, id_rank = shared_rows(sparse_index.doc_ids, dense_index.ids)
     pool, w = fusion_config.pool_size, fusion_config.weight
 
     def retrieve(question: str, k: int) -> list[ScoredPassage]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        sparse_rows, sparse_scores = sparse_top_k(sparse_index, question, pool)
-        dense_rows, dense_scores = dense_top_k(dense_index, encode_query(encoder, question), pool)
+        hits, sparse_scores = sparse_hits_each(sparse_index, [question])[0]
+        sparse_pool = top_set(sparse_scores, sparse_index.id_rank[hits], pool)
+        dense = dense_scores(dense_index, encode_query(encoder, question))
+        dense_pool = top_set(dense, dense_index.id_rank, pool)
         top, scores = fuse_top_k(
-            sparse_to_row[sparse_rows], sparse_scores, dense_to_row[dense_rows], dense_scores, w, id_rank, k
+            sparse_to_row[hits[sparse_pool]], sparse_scores[sparse_pool],
+            dense_to_row[dense_pool], dense[dense_pool], w, id_rank, k,
         )
         return [ScoredPassage(ids[i], s, "fused") for i, s in zip(top.tolist(), scores.tolist())]
 

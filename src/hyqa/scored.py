@@ -1,5 +1,6 @@
 """Shared scored-result record used by sparse, dense, and fused retrieval,
-and the one top-k selection that every ranked search goes through."""
+and the one top-k selection that every ranked search goes through:
+top_set picks the k best positions unordered, and top_k sorts them."""
 
 from __future__ import annotations
 
@@ -29,28 +30,33 @@ def id_ranks(ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
-def top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
+def top_set(scores: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k best entries of `scores`, by descending score and
-    then ascending `id_rank`.
+    then ascending `id_rank`, in no particular order.
 
-    np.partition finds the k-th best score, and only the entries at or
-    above it are sorted. When ties at that score make them more than 2k,
-    the m entries strictly above it are kept with the k - m ties of
-    smallest id rank (one argpartition), so only k entries are sorted.
-    NaNs sort last, as in a full sort.
+    np.partition finds the k-th best score. The entries strictly above it
+    are kept with the ties at it of smallest id rank (one argpartition,
+    only when the ties do not all fit). NaNs rank last, as in a full sort;
+    a NaN k-th score falls back to that sort.
     """
+    if k >= len(scores):
+        return np.arange(len(scores))
+    if k < 1:
+        return np.zeros(0, dtype=np.intp)
     neg = -scores
-    if k < len(neg):
-        kth = np.partition(neg, k - 1)[k - 1]
-        candidates = np.flatnonzero(~(neg > kth))
-        # A NaN k-th score leaves every entry a candidate, as in a full sort.
-        # Below 2k candidates, selecting ties first costs more than the
-        # sort it saves.
-        if 0 < 2 * k < len(candidates) and kth == kth:
-            at = neg[candidates]
-            above, ties = candidates[at < kth], candidates[at == kth]
-            take = k - len(above)
-            candidates = np.concatenate((above, ties[np.argpartition(id_rank[ties], take - 1)[:take]]))
-    else:
-        candidates = np.arange(len(neg))
-    return candidates[np.lexsort((id_rank[candidates], neg[candidates]))[:k]]
+    kth = np.partition(neg, k - 1)[k - 1]
+    if kth != kth:
+        return np.lexsort((id_rank, neg))[:k]
+    top = np.flatnonzero(neg <= kth)
+    if len(top) > k:
+        at = neg[top]
+        above, ties = top[at < kth], top[at == kth]
+        take = k - len(above)
+        top = np.concatenate((above, ties[np.argpartition(id_rank[ties], take - 1)[:take]]))
+    return top
+
+
+def top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
+    """top_set's positions by descending score, then ascending `id_rank`."""
+    top = top_set(scores, id_rank, k)
+    return top[np.lexsort((id_rank[top], -scores[top]))]

@@ -37,7 +37,7 @@ from .container import ContainerError
 from .corpus import Passage, terms, token_table
 from .scored import ScoredPassage, id_ranks, top_k
 
-__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_top_k_each", "sparse_top_k", "sparse_search"]
+__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_hits_each", "sparse_top_k_each", "sparse_top_k", "sparse_search"]
 
 _ARRAYS = ("doc_lengths", "indptr", "docs", "tf")
 
@@ -169,11 +169,10 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
     return SparseIndex(params, doc_ids, table.terms, doc_lengths, indptr, _narrow(keys - term_of * n_docs), _narrow(tf))
 
 
-def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """sparse_top_k of each query, scored as one block: one product of the
-    queries' term weights with the impact matrix."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def sparse_hits_each(index: SparseIndex, query_texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each query's matched passage indices and their BM25 scores, unranked,
+    scored as one block: one product of the queries' term weights with the
+    impact matrix."""
     cols: list[int] = []
     weights: list[float] = []
     indptr = [0]
@@ -187,10 +186,16 @@ def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) ->
     queries = csr_array((np.array(weights, dtype=np.float64), np.array(cols, dtype=np.intp), indptr),
                         shape=(len(query_texts), len(index.terms)))
     scores = queries @ index.impacts  # idf > 0 and tf >= 1: every stored score is a match, > 0
+    bounds = scores.indptr.tolist()
+    return [(scores.indices[lo:hi].astype(np.intp), scores.data[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """sparse_top_k of each query, scored as one block (sparse_hits_each)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     ranked = []
-    for q in range(len(query_texts)):
-        lo, hi = scores.indptr[q], scores.indptr[q + 1]
-        hits, hit_scores = scores.indices[lo:hi].astype(np.intp), scores.data[lo:hi]
+    for hits, hit_scores in sparse_hits_each(index, query_texts):
         top = top_k(hit_scores, index.id_rank[hits], k)
         ranked.append((hits[top], hit_scores[top]))
     return ranked

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds, tokenize
 from .encoder import IRTrainInstance
-from .evalkit import _contains_answer
+from .evalkit import _answer_test
 from .mrc import ScorerConfig, best_span_each, logit_rows
 from .sparse import SparseIndex, sparse_top_k, sparse_top_k_each
 
@@ -472,9 +472,10 @@ def _first_negative(
 ) -> Optional[str]:
     """The first of the `ranked` passage indices, other than exclude_id,
     whose text does not contain the normalized answer."""
+    contains = _answer_test([answer])
     for i in ranked.tolist():
         passage_id = index.doc_ids[i]
-        if passage_id != exclude_id and not _contains_answer(passage_texts[passage_id], [answer]):
+        if passage_id != exclude_id and not contains(passage_texts[passage_id]):
             return passage_id
     return None
 

@@ -41,6 +41,13 @@ class TestRoundtrip:
         save(tmp_path / "two.hyqa", "k", dict(reversed(meta.items())), dict(reversed(arrays.items())))
         assert (tmp_path / "one.hyqa").read_bytes() == (tmp_path / "two.hyqa").read_bytes()
 
+    def test_loaded_arrays_own_aligned_writable_data(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {"pad": "x"}, {"a": np.arange(5, dtype=np.uint8), "b": np.arange(6.0).reshape(2, 3)})
+        _, _, arrays = load(path)
+        for arr in arrays.values():
+            assert arr.flags.owndata and arr.flags.aligned and arr.flags.writeable
+
     def test_big_endian_input_normalized(self, tmp_path):
         path = tmp_path / "x.hyqa"
         arr = np.array([1.5, 2.5], dtype=">f8")
@@ -70,6 +77,15 @@ class TestValidation:
         with pytest.raises(ContainerError, match="truncated"):
             load(path)
 
+
+    def test_shape_past_end_of_file_raises(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {}, {"a": np.arange(3, dtype=np.float64)})
+        data = path.read_bytes()
+        dims = data.index((3).to_bytes(8, "little"))
+        path.write_bytes(data[:dims] + (2**62).to_bytes(8, "little") + data[dims + 8:])
+        with pytest.raises(ContainerError, match="truncated"):
+            load(path)
 
     def test_every_prefix_raises(self, tmp_path):
         path = tmp_path / "x.hyqa"

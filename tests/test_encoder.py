@@ -618,6 +618,18 @@ class TestPersistence:
             encode_query(loaded, "alpha beta"), encode_query(enc, "alpha beta")
         )
 
+    def test_equality_is_by_value(self, tmp_path):
+        enc = DualEncoder.from_texts(["alpha beta", "beta gamma delta"], d=4, seed=3)
+        assert enc == enc.copy()
+        enc.save(tmp_path / "enc.hyqa")
+        loaded = DualEncoder.load(tmp_path / "enc.hyqa")
+        assert loaded == enc and enc == loaded  # the held table is not compared
+        changed = enc.copy()
+        changed.params["p_bias"][0] += 1.0
+        assert changed != enc
+        assert DualEncoder.from_texts(["alpha beta"], d=4, seed=3) != enc
+        assert enc != "encoder"
+
     def test_positive_in_negatives_rejected(self):
         p = passage("same", "alpha")
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from hyqa.corpus import IngestError
@@ -10,6 +12,7 @@ from hyqa.evalkit import (
     GoldSet,
     MetricReport,
     exact_match,
+    first_match_rank,
     load_gold_jsonl,
     load_gold_squad,
     match_at_k,
@@ -108,6 +111,62 @@ class TestMatchAtK:
     def test_empty_run(self):
         gold = GoldSet("q", "q", ("anything",))
         assert match_at_k([], gold, 5, self.TEXTS) == 0
+
+
+def contains_answer_reference(passage_text, answers, raw_substring=False):
+    """The token-window containment test that first_match_rank replaces."""
+    if raw_substring:
+        return any(a in passage_text for a in answers)
+    passage_tokens = normalize_answer(passage_text).split()
+    for answer in answers:
+        ans_tokens = normalize_answer(answer).split()
+        if not ans_tokens:
+            continue
+        n = len(ans_tokens)
+        for i in range(len(passage_tokens) - n + 1):
+            if passage_tokens[i : i + n] == ans_tokens:
+                return True
+    return False
+
+
+_WORDS = ["x", "xy", "y", "Y", "the", "The", "a", "an", "x!", "y-x", "...", "é", "İ"]
+_SEPARATORS = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c", ",", ""]
+_texts = st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPARATORS)), max_size=8).map(
+    lambda parts: "".join(w + sep for w, sep in parts)
+)
+
+
+class TestFirstMatchRank:
+    @given(
+        st.lists(_texts, min_size=1, max_size=6),
+        st.lists(_texts, min_size=1, max_size=3),
+        st.lists(st.integers(0, 5), max_size=110),
+        st.booleans(),
+    )
+    @example(["the x y", "x y"], ["X Y!"], [0, 1], False)
+    @example(["xy", "x"], ["x"], [0] * 30 + [1], False)
+    @example(["x"], ["the", "..."], [0] * 5, False)
+    @example(["a x", "x"], ["a x"], [1, 0], True)
+    @example(["x\u00a0y"], ["x y"], [0], False)
+    def test_equals_token_window_reference(self, texts, answers, picks, raw_substring):
+        passage_texts = {f"p{i}": t for i, t in enumerate(texts)}
+        retrieved = [ScoredPassage(f"p{i % len(texts)}", 1.0, "sparse") for i in picks]
+        gold = GoldSet("q", "q", tuple(answers))
+        rank = first_match_rank(retrieved, gold, 100, passage_texts, raw_substring)
+        for k in (1, 20, 40, 100):
+            expected = int(any(contains_answer_reference(passage_texts[sp.passage_id], answers, raw_substring)
+                               for sp in retrieved[:k]))
+            assert match_at_k(retrieved, gold, k, passage_texts, raw_substring) == expected
+            assert int(rank < k) == expected
+
+    def test_rank_of_first_hit(self):
+        texts = {"p1": "no", "p2": "the answer", "p3": "answer"}
+        run = [ScoredPassage(p, 1.0, "dense") for p in ("p1", "p2", "p3")]
+        gold = GoldSet("q", "q", ("Answer",))
+        assert first_match_rank(run, gold, 3, texts) == 1
+        assert first_match_rank(run, gold, 1, texts) == 1  # none in the top 1: the depth
+        with pytest.raises(ValueError):
+            first_match_rank(run, gold, 0, texts)
 
 
 class TestTopNF1:

@@ -454,6 +454,63 @@ class TestHybridRetriever:
                     (r.passage_id, r.score.hex(), r.provenance) for r in expected[:k]
                 ]
 
+    def test_pool_boundary_inside_tie_blocks(self):
+        from hyqa.corpus import chunk_retrieval_passages
+        from hyqa.dense_index import build_dense_index, dense_search
+        from hyqa.encoder import DualEncoder, encode_passage, encode_query
+        from hyqa.fusion import FusionConfig, fuse
+        from hyqa.sparse import build_sparse_index, sparse_search
+
+        # Repeated texts tie on both sides: "w1 w2" x 7 and "w1 w3" x 5, with
+        # ids listed out of order so the id rank decides each cut.
+        bodies = ["w1 w2"] * 7 + ["w1 w3"] * 5 + ["w4 w5"] * 2
+        rng = np.random.default_rng(7)
+        passages = [
+            replace(chunk_retrieval_passages(Document(id="d", title="", body=b))[0], id=f"p{i:02d}")
+            for i, b in zip(rng.permutation(len(bodies)), bodies)
+        ]
+        encoder = DualEncoder.from_texts([p.text for p in passages], d=4, seed=1)
+        sparse = build_sparse_index(passages)
+        dense_passages = [passages[i] for i in rng.permutation(len(passages))]
+        dense = build_dense_index([p.id for p in dense_passages], np.stack([encode_passage(encoder, p.text) for p in dense_passages]))
+
+        def cut_in_tie(hits, pool_size):
+            return len(hits) > pool_size and hits[pool_size - 1].score == hits[pool_size].score
+
+        both_cut = 0
+        for pool_size in (1, 2, 3, 4, 6, 9):
+            config = FusionConfig(pool_size=pool_size, weight=0.4)
+            retrieve = make_hybrid_retriever(sparse, dense, encoder, config)
+            for question in ("w1", "w2", "w3 w1", "w2 w2 w1", "w4"):
+                sparse_hits = sparse_search(sparse, question, len(passages))
+                dense_hits = dense_search(dense, encode_query(encoder, question), len(passages))
+                both_cut += cut_in_tie(sparse_hits, pool_size) and cut_in_tie(dense_hits, pool_size)
+                expected = fuse(sparse_hits, dense_hits, config)
+                for k in (1, 5, 100):
+                    assert [(r.passage_id, r.score.hex()) for r in retrieve(question, k)] == [
+                        (r.passage_id, r.score.hex()) for r in expected[:k]
+                    ]
+        assert both_cut >= 10  # cases whose pool cut falls inside a tie block on both sides
+
+    def test_one_sort_per_retrieval(self, monkeypatch):
+        import hyqa.scored
+        from hyqa.fusion import FusionConfig
+
+        sparse, dense, encoder, _, _ = self.indexes()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hyqa.scored.top_k(*args)
+
+        for name in ("fusion", "sparse", "dense_index"):
+            monkeypatch.setattr(sys.modules[f"hyqa.{name}"], "top_k", counted)
+        retrieve = make_hybrid_retriever(sparse, dense, encoder, FusionConfig(pool_size=5))
+        for k in (1, 40):
+            calls.clear()
+            retrieve("w1 w2 w3", k)
+            assert len(calls) == 1
+
     def test_k_below_one_errors(self):
         from hyqa.fusion import FusionConfig
 

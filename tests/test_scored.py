@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hyqa.scored import id_ranks, top_k
+from hyqa.scored import id_ranks, top_k, top_set
 
 
 def full_sort_reference(scores, id_rank, k):
@@ -31,6 +31,24 @@ class TestTopK:
             rnd.shuffle(order)
         scores, id_rank = np.array(scores, dtype=np.float64), np.array(order, dtype=np.int64)
         np.testing.assert_array_equal(top_k(scores, id_rank, k), full_sort_reference(scores, id_rank, k))
+
+
+class TestTopSet:
+    @given(
+        st.lists(st.one_of(st.integers(-3, 3).map(float), st.just(float("nan"))), max_size=40).flatmap(
+            lambda scores: st.tuples(st.just(scores), st.integers(1, len(scores) + 2), st.permutations(range(len(scores))))
+        )
+    )
+    @example(([1.0, 1.0, 2.0, 1.0, 0.0], 2, [4, 3, 2, 1, 0]))
+    @example(([float("nan"), 1.0, float("nan")], 2, [2, 1, 0]))
+    @example(([0.0] * 30 + [1.0] * 3, 5, list(range(33))[::-1]))
+    def test_is_the_unsorted_top_k(self, case):
+        scores, k, order = case
+        scores, id_rank = np.array(scores, dtype=np.float64), np.array(order, dtype=np.int64)
+        chosen, ranked = top_set(scores, id_rank, k), top_k(scores, id_rank, k)
+        assert len(chosen) == min(k, len(scores))
+        assert set(chosen.tolist()) == set(ranked.tolist())
+        np.testing.assert_array_equal(ranked, chosen[np.lexsort((id_rank[chosen], -scores[chosen]))])
 
 
 def test_id_ranks():
