@@ -29,7 +29,7 @@ from .dense_index import DenseIndex
 from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, train
 from .evalkit import load_gold_jsonl, paired_t_test
 from .fusion import FusionConfig, tune_weight
-from .mrc import ExternalLogits, LexicalScorer, ScorerConfig
+from .mrc import MAX_ANSWER_LEN, ExternalLogits, LexicalScorer
 from .pipeline import (
     PipelineConfig,
     answer_question,
@@ -234,7 +234,7 @@ def cmd_answer(args):
     config = PipelineConfig(
         K=args.K,
         ir_weight=args.ir_weight,
-        scorer=ScorerConfig(max_answer_len=args.max_answer_len),
+        max_answer_len=args.max_answer_len,
         normalization=args.normalization,
     )
     candidates = answer_question(args.question, retriever, _scorer(args, passages), passages, config)
@@ -387,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=100)
     p.set_defaults(func=cmd_mine_negatives)
 
-    def add_retrieval_args(p, mode_choices=("sparse", "dense", "hybrid")):
+    def add_retrieval_args(p):
         p.add_argument("--sparse")
         p.add_argument("--dense")
         p.add_argument("--encoder")
-        p.add_argument("--mode", choices=mode_choices)
+        p.add_argument("--mode", choices=("sparse", "dense", "hybrid"))
         p.add_argument("--weight", type=float, default=0.5)
         p.add_argument("--pool-size", type=int, default=2000)
 
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passages", required=True)
     p.add_argument("--K", type=int, default=40)
     p.add_argument("--ir-weight", type=float, default=0.7)
-    p.add_argument("--max-answer-len", type=int, default=30)
+    p.add_argument("--max-answer-len", type=int, default=MAX_ANSWER_LEN)
     p.add_argument("--normalization", choices=["minmax", "softmax"], default="minmax")
     p.add_argument("--logits")
     p.add_argument("--top", type=int, default=5)

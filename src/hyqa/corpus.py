@@ -49,6 +49,8 @@ __all__ = [
     "word_count",
     "chunk_retrieval_passages",
     "chunk_generation_passages",
+    "passage_to_record",
+    "passage_from_record",
 ]
 
 T = TypeVar("T")

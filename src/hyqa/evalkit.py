@@ -10,7 +10,6 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Callable, Iterable, Optional, Sequence
 
 from scipy.special import betainc
@@ -30,6 +29,8 @@ __all__ = [
     "top_n_f1",
     "open_version",
     "paired_t_test",
+    "load_gold_jsonl",
+    "load_gold_squad",
 ]
 
 
@@ -101,17 +102,13 @@ def token_f1(prediction: str, golds: Iterable[str]) -> float:
     return max(_f1_single(prediction, g) for g in golds)
 
 
-def _answer_test(answers: Iterable[str], raw_substring: bool = False) -> Callable[[str], bool]:
+def _answer_test(answers: Iterable[str]) -> Callable[[str], bool]:
     """A test of whether a passage text contains any of `answers` as a
     contiguous normalized token subsequence.
 
     normalize_answer joins tokens with single spaces, so " a " in " p " on
     the normalized strings matches exactly whole-token windows. An answer
-    that normalizes to empty matches nothing. raw_substring matches a raw
-    answer as a substring of the raw text instead."""
-    if raw_substring:
-        raw = list(answers)
-        return lambda text: any(a in text for a in raw)
+    that normalizes to empty matches nothing."""
     needles = [f" {a} " for a in map(normalize_answer, answers) if a]
 
     def contains(text: str) -> bool:
@@ -126,14 +123,13 @@ def first_match_rank(
     gold: GoldSet,
     depth: int,
     passage_texts: dict[str, str],
-    raw_substring: bool = False,
 ) -> int:
     """0-based rank of the first of the top `depth` passages that contains
     a gold answer (see _answer_test), or `depth` if none does; Match@k for
     k <= depth is then rank < k."""
     if depth < 1:
         raise ValueError("k must be >= 1")
-    contains = _answer_test(gold.answers, raw_substring)
+    contains = _answer_test(gold.answers)
     for rank, sp in enumerate(retrieved[:depth]):
         if contains(passage_texts[sp.passage_id]):
             return rank
@@ -145,10 +141,9 @@ def match_at_k(
     gold: GoldSet,
     k: int,
     passage_texts: dict[str, str],
-    raw_substring: bool = False,
 ) -> int:
     """1 iff any top-k passage contains a gold answer (first_match_rank)."""
-    return int(first_match_rank(retrieved, gold, k, passage_texts, raw_substring) < k)
+    return int(first_match_rank(retrieved, gold, k, passage_texts) < k)
 
 
 def top_n_f1(candidates: Sequence[str], gold: GoldSet, n: int) -> float:
@@ -205,19 +200,22 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTest
 def load_gold_jsonl(lines: Iterable[str], source: Optional[str] = None) -> list[GoldSet]:
     """Line-delimited JSON {question, answers: [...], id?}: a string
     question and a list of string answers. An id-less record's id is q<k>,
-    k its 0-based record index. A malformed record raises IngestError
-    (read_jsonl)."""
-    index = count()
+    k its 0-based record index. A malformed record, or one whose id an
+    earlier record has, raises IngestError (read_jsonl)."""
+    seen: set[str] = set()  # one id per earlier record, so len(seen) is k
 
     def gold(rec: dict) -> GoldSet:
-        k, question, answers = next(index), rec["question"], rec["answers"]
-        query_id = rec.get("id", f"q{k}")
+        question, answers = rec["question"], rec["answers"]
+        query_id = rec.get("id", f"q{len(seen)}")
         if not isinstance(query_id, str):
             raise TypeError("'id' is not a string")
         if not isinstance(question, str):
             raise TypeError("'question' is not a string")
         if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
             raise TypeError("'answers' is not a list of strings")
+        if query_id in seen:
+            raise ValueError(f"duplicate query id {query_id!r}")
+        seen.add(query_id)
         return GoldSet(query_id=query_id, question=question, answers=tuple(answers))
 
     return read_jsonl(lines, gold, source)

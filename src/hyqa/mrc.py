@@ -42,6 +42,7 @@ __all__ = [
     "logit_rows",
     "LexicalScorer",
     "ExternalLogits",
+    "extract_answer",
 ]
 
 
@@ -116,9 +117,12 @@ class SpanScore:
     score: float
 
 
+MAX_ANSWER_LEN = 30  # the default longest answer span, in tokens
+
+
 @dataclass(frozen=True)
 class ScorerConfig:
-    max_answer_len: int = 30
+    max_answer_len: int = MAX_ANSWER_LEN
     top_n: int = 10
 
     def __post_init__(self):

@@ -39,7 +39,7 @@ from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_sear
 from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, first_match_rank, top_n_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
-from .mrc import LexicalScorer, ScorerConfig, SpanScore, best_span_each, logit_rows
+from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, logit_rows
 from .scored import ScoredPassage, top_set
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_hits_each, sparse_search
 from .syngen import (
@@ -59,6 +59,9 @@ __all__ = [
     "Retriever",
     "answer_question",
     "evaluate_run",
+    "make_sparse_retriever",
+    "make_dense_retriever",
+    "make_hybrid_retriever",
     "AdaptationConfig",
     "AdaptationResult",
     "index_dense",
@@ -75,12 +78,14 @@ Retriever = Callable[[str, int], list[ScoredPassage]]
 class PipelineConfig:
     K: int = K_HYBRID
     ir_weight: float = 0.7
-    scorer: ScorerConfig = field(default_factory=ScorerConfig)
+    max_answer_len: int = MAX_ANSWER_LEN
     normalization: str = "minmax"  # or "softmax"
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
+        if self.max_answer_len < 1:
+            raise ValueError("max_answer_len must be >= 1")
         if not 0.0 <= self.ir_weight <= 1.0:
             raise ValueError("ir_weight must lie in [0, 1]")
         if self.normalization not in ("minmax", "softmax"):
@@ -147,7 +152,7 @@ def answer_question(
         raise ValueError(
             f"logits for passage {passages[k].passage_id!r} cover {rows.n[k]} tokens, more than the passage has"
         )
-    starts, ends, span_scores = best_span_each(rows, config.scorer.max_answer_len)
+    starts, ends, span_scores = best_span_each(rows, config.max_answer_len)
     cuts = zip(tok_starts[first[:-1] + starts - 1].tolist(), tok_ends[first[:-1] + ends - 1].tolist())
     raw = [
         (sp, SpanScore(s, e, score), joined[a:b])
@@ -180,7 +185,7 @@ def evaluate_run(
     match_ks: Sequence[int] = (20, 40, 100),
 ) -> MetricReport:
     """Retrieval Match@k plus end-to-end Top-1/Top-5 F1, with per-query
-    rows for significance testing."""
+    rows for significance testing; a repeated query id is a ValueError."""
     report = MetricReport(query_count=len(golds))
     if not golds:
         return report
@@ -190,6 +195,8 @@ def evaluate_run(
     deepest = max(match_ks)
     depth = max(deepest, config.K)
     for gold in golds:
+        if gold.query_id in report.per_query:
+            raise ValueError(f"duplicate query id {gold.query_id!r}")
         retrieved = retriever(gold.question, depth)
         rank = first_match_rank(retrieved, gold, deepest, passage_texts)
         row: dict[str, float] = {f"match@{k}": int(rank < k) for k in match_ks}
@@ -251,13 +258,15 @@ def index_dense(encoder: DualEncoder, passages: Sequence[Passage]) -> DenseIndex
 
 @dataclass(frozen=True)
 class AdaptationConfig:
+    """Settings of run_adaptation. `seed` overrides `sampler.seed` and `train.seed`;
+    the roundtrip filter scores spans of up to mrc.MAX_ANSWER_LEN tokens."""
+
     seed: int = 0
     retrieval_max_words: int = 120
     generation_max_tokens: int = 288
     examples_per_passage: int = 5
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     filter: FilterConfig = field(default_factory=lambda: FilterConfig(threshold=1.0))
-    scorer: ScorerConfig = field(default_factory=ScorerConfig)
     bm25: BM25Params = field(default_factory=BM25Params)
     train: TrainConfig = DESK_PRESET
     embedding_dim: int = 64
@@ -308,7 +317,7 @@ def run_adaptation(
         stage = "filter"
         gen_texts = {p.id: p.text for p in generation_passages}
         scorer = LexicalScorer()
-        filtered = roundtrip_filter(examples, scorer, config.filter, gen_texts, config.scorer)
+        filtered = roundtrip_filter(examples, scorer, config.filter, gen_texts)
 
         stage = "mine-negatives"
         gen_passages_by_id = {p.id: p for p in generation_passages}

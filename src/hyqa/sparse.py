@@ -37,7 +37,7 @@ from .container import ContainerError
 from .corpus import Passage, terms, token_table
 from .scored import ScoredPassage, id_ranks, top_k
 
-__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_hits_each", "sparse_top_k_each", "sparse_top_k", "sparse_search"]
+__all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_hits_each", "sparse_top_k_each", "sparse_search"]
 
 _ARRAYS = ("doc_lengths", "indptr", "docs", "tf")
 
@@ -191,7 +191,7 @@ def sparse_hits_each(index: SparseIndex, query_texts: Sequence[str]) -> list[tup
 
 
 def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """sparse_top_k of each query, scored as one block (sparse_hits_each)."""
+    """sparse_search of each query as index and score arrays, scored as one block (sparse_hits_each)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     ranked = []
@@ -201,13 +201,7 @@ def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) ->
     return ranked
 
 
-def sparse_top_k(index: SparseIndex, query_text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of sparse_search: the top k matched passage indices and
-    their BM25 scores."""
-    return sparse_top_k_each(index, [query_text], k)[0]
-
-
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> list[ScoredPassage]:
     """Top-k passages by BM25, descending score, ties by ascending id."""
-    top, scores = sparse_top_k(index, query_text, k)
+    top, scores = sparse_top_k_each(index, [query_text], k)[0]
     return [ScoredPassage(index.doc_ids[i], s, "sparse") for i, s in zip(top.tolist(), scores.tolist())]

@@ -19,8 +19,8 @@ import numpy as np
 from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds, tokenize
 from .encoder import IRTrainInstance
 from .evalkit import _answer_test
-from .mrc import ScorerConfig, best_span_each, logit_rows
-from .sparse import SparseIndex, sparse_top_k, sparse_top_k_each
+from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows
+from .sparse import SparseIndex, sparse_top_k_each
 
 __all__ = [
     "QAExample",
@@ -31,6 +31,7 @@ __all__ = [
     "DecodeRejection",
     "GenerationResult",
     "FilterResult",
+    "TrainingSetResult",
     "SEP_TOKEN",
     "EOS_TOKEN",
     "encode_generation_target",
@@ -421,7 +422,7 @@ def roundtrip_filter(
     scorer,
     config: FilterConfig,
     passage_texts: dict[str, str],
-    scorer_config: ScorerConfig = ScorerConfig(),
+    max_answer_len: int = MAX_ANSWER_LEN,
 ) -> FilterResult:
     """Keep examples whose answerability score reaches the threshold.
 
@@ -444,7 +445,7 @@ def roundtrip_filter(
         read, rows = rows.nonempty()
         scores = np.full(len(block), -np.inf)
         if read.size:
-            scores[read] = best_span_each(rows, scorer_config.max_answer_len)[2]
+            scores[read] = best_span_each(rows, max_answer_len)[2]
         for ex, ok, score in zip(block, scored.tolist(), scores.tolist()):
             if not ok:
                 result.scores.append(None)
@@ -490,7 +491,7 @@ def mine_negative(
 ) -> Optional[str]:
     """Highest-BM25-ranked passage (top `depth`) for the question whose text
     does not contain the normalized answer; None if every candidate does."""
-    return _first_negative(sparse_top_k(index, question, depth)[0], answer, index, passage_texts, exclude_id)
+    return _first_negative(sparse_top_k_each(index, [question], depth)[0][0], answer, index, passage_texts, exclude_id)
 
 
 @dataclass
@@ -540,9 +541,10 @@ _QUESTION_STOP = {
     "the", "a", "an", "and", "or", "of", "in", "on", "to", "is", "are",
     "was", "were", "for", "with", "that", "this", "it", "as", "by", "at",
 }
+_TARGETS_PER_SENTENCE = 2
 
 
-def candidate_targets(passage: Passage, rng: np.random.Generator, per_sentence: int = 2) -> list[list[str]]:
+def candidate_targets(passage: Passage, rng: np.random.Generator) -> list[list[str]]:
     """Derive plausible target token sequences from a passage.
 
     Used to fit the bundled n-gram generator: each sentence contributes
@@ -554,7 +556,7 @@ def candidate_targets(passage: Passage, rng: np.random.Generator, per_sentence: 
     for _, tokens in _sentence_terms(passage.text):
         if len(tokens) < 3:
             continue
-        for _ in range(per_sentence):
+        for _ in range(_TARGETS_PER_SENTENCE):
             span_len = int(rng.integers(1, min(4, len(tokens)) + 1))
             start = int(rng.integers(0, len(tokens) - span_len + 1))
             answer = tokens[start : start + span_len]

@@ -8,7 +8,7 @@ import pytest
 
 import hyqa
 from hyqa.cli import main, parse_args
-from hyqa.corpus import ingest_documents
+from hyqa.corpus import ingest_documents, tokenize
 from hyqa.encoder import TrainConfig
 from hyqa.pipeline import AdaptationConfig, run_adaptation
 from hyqa.syngen import QAExample, example_to_record
@@ -157,16 +157,23 @@ class TestRetrievalCommands:
 
     def test_answer(self, trained, capsys):
         _, out = trained
-        assert run([
+        argv = [
             "answer",
             "--sparse", out / "sparse.hyqa",
             "--passages", out / "passages_retrieval.jsonl",
             "--question", "what does the otter eat",
             "--K", 4,
-        ]) == 0
-        rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
-        assert rows
-        assert {"answer", "passage_id", "combined"} <= set(rows[0])
+        ]
+        lengths = []
+        # The default, then --max-answer-len 1: every answer is then one token.
+        for extra in ([], ["--max-answer-len", 1]):
+            assert run(argv + extra) == 0
+            rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+            assert rows
+            assert {"answer", "passage_id", "combined"} <= set(rows[0])
+            lengths.append({len(tokenize(r["answer"])) for r in rows})
+        assert max(lengths[0]) > 1
+        assert lengths[1] == {1}
 
     def test_retrieve_scores_independent_of_hash_seed(self, workspace):
         # Sparse scores sum term contributions in sorted term order, not in

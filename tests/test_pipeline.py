@@ -112,6 +112,8 @@ class TestAnswerQuestion:
             PipelineConfig(ir_weight=1.5)
         with pytest.raises(ValueError):
             PipelineConfig(normalization="zscore")
+        with pytest.raises(ValueError, match="max_answer_len"):
+            PipelineConfig(max_answer_len=0)
 
     def test_logits_longer_than_passage_name_it(self):
         table = self.logit_table()
@@ -142,7 +144,7 @@ def loop_reference(question, retriever, scorer, passage_texts, config):
         logits = scorer.logits(question, sp.passage_id, text)
         if logits is None or logits.n == 0:
             continue
-        spans = best_spans(logits, ScorerConfig(max_answer_len=config.scorer.max_answer_len, top_n=1))
+        spans = best_spans(logits, ScorerConfig(max_answer_len=config.max_answer_len, top_n=1))
         tokens = tokenize(text)
         raw.append((sp, spans[0], text[tokens[spans[0].s - 1].start : tokens[spans[0].e - 1].end]))
     if not raw:
@@ -202,7 +204,7 @@ def reading_cases(draw):
     config = PipelineConfig(
         K=k,
         ir_weight=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
-        scorer=ScorerConfig(max_answer_len=draw(st.integers(1, 60)), top_n=1),
+        max_answer_len=draw(st.integers(1, 60)),
         normalization=draw(st.sampled_from(["minmax", "softmax"])),
     )
     return retrieved, texts, table, config
@@ -239,7 +241,7 @@ def lexical_cases(draw):
     config = PipelineConfig(
         K=k,
         ir_weight=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
-        scorer=ScorerConfig(max_answer_len=draw(st.integers(1, 60)), top_n=1),
+        max_answer_len=draw(st.integers(1, 60)),
         normalization=draw(st.sampled_from(["minmax", "softmax"])),
     )
     return question, retrieved, texts, LexicalScorer(draw(st.sampled_from([1, 3, 5]))), config
@@ -311,6 +313,11 @@ class TestEvaluateRun:
         table = {"p1": SpanLogits(start=(0.0, 2.0, 0.0, 0.0), end=(0.0, 2.0, 0.0, 0.0))}
         report = evaluate_run(golds, fixed_retriever(retrieved), TableScorer(table), PASSAGE_TEXTS, match_ks=(1,))
         assert report.metrics["match@1"] == 0.5
+
+    def test_repeated_query_id_is_named(self):
+        golds = [GoldSet("q1", "find alpha", ("alpha",)), GoldSet("q1", "find missing", ("nowhere",))]
+        with pytest.raises(ValueError, match="duplicate query id 'q1'"):
+            evaluate_run(golds, fixed_retriever([]), TableScorer({}), PASSAGE_TEXTS)
 
 
 def adaptation_corpus():

@@ -1,0 +1,34 @@
+"""Each module's __all__ lists exactly the public functions and classes it
+defines, so a deleted name cannot linger there and a public one cannot be
+left out."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import hyqa
+
+# Modules without an __all__: the command-line shell and two small helpers
+# whose every public name is shared.
+_WITHOUT_ALL = {"cli", "container", "scored"}
+MODULES = sorted(m.name for m in pkgutil.iter_modules(hyqa.__path__) if m.name not in _WITHOUT_ALL)
+
+
+def _is_definition(obj) -> bool:
+    return inspect.isfunction(obj) or inspect.isclass(obj)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_exactly_the_public_definitions(name):
+    module = importlib.import_module(f"hyqa.{name}")
+    defined = {
+        attr
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_") and _is_definition(obj) and obj.__module__ == module.__name__
+    }
+    listed = module.__all__
+    assert len(listed) == len(set(listed)), "a name is listed twice"
+    assert [attr for attr in listed if not hasattr(module, attr)] == []
+    assert {attr for attr in listed if _is_definition(getattr(module, attr))} == defined

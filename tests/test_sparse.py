@@ -10,7 +10,7 @@ from hyqa import container
 from hyqa.container import ContainerError
 from hyqa.corpus import Document, Passage, chunk_retrieval_passages, terms, tokenize
 from hyqa.scored import top_k
-from hyqa.sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search, sparse_top_k, sparse_top_k_each
+from hyqa.sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search, sparse_top_k_each
 
 
 def passage(pid, text):
@@ -404,7 +404,7 @@ class TestBlockScoring:
             assert top.dtype == expected_top.dtype
             assert top.tolist() == expected_top.tolist()
             assert scores.tobytes() == expected_scores.tobytes()
-            one_top, one_scores = sparse_top_k(index, text, k)
+            one_top, one_scores = sparse_top_k_each(index, [text], k)[0]
             assert one_top.tolist() == top.tolist() and one_scores.tobytes() == scores.tobytes()
 
     def test_blocks_of_a_larger_corpus(self):

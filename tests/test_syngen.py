@@ -604,7 +604,7 @@ class TestBlockedRoundtripFilter:
         examples, texts = filter_inputs(seed, n_examples, n_passages, n_questions)
         scorer = LexicalScorer() if kind == "lexical" else TableScorer({f"p{i}" for i in range(0, n_passages, 3)})
         config = ScorerConfig(max_answer_len=max_answer_len)
-        result = roundtrip_filter(examples, scorer, FilterConfig(threshold), texts, config)
+        result = roundtrip_filter(examples, scorer, FilterConfig(threshold), texts, max_answer_len)
         expected = []
         for ex in examples:
             logits = scorer.logits(ex.question, ex.passage_id, texts[ex.passage_id])
