@@ -19,7 +19,7 @@ import numpy as np
 from . import container
 from .scored import ScoredPassage, id_ranks, top_k
 
-__all__ = ["DenseIndex", "IVFIndex", "build_dense_index", "dense_scores", "dense_search", "build_ivf_index", "ivf_search"]
+__all__ = ["DenseIndex", "IVFIndex", "build_dense_index", "dense_scores", "dense_top_k", "dense_search", "build_ivf_index", "ivf_search"]
 
 
 class DenseIndex:
@@ -93,12 +93,17 @@ def dense_scores(index: DenseIndex, q_emb: np.ndarray) -> np.ndarray:
     return np.vecdot(index.matrix, q)
 
 
-def dense_search(index: DenseIndex, q_emb: np.ndarray, k: int) -> list[ScoredPassage]:
-    """Top-k rows by inner product, ties by ascending passage id."""
+def dense_top_k(index: DenseIndex, q_emb: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """dense_search as row and score arrays."""
     _check_k(k)
     scores = dense_scores(index, q_emb)
     top = top_k(scores, index.id_rank, k)
-    return _passages(index, top, scores[top])
+    return top, scores[top]
+
+
+def dense_search(index: DenseIndex, q_emb: np.ndarray, k: int) -> list[ScoredPassage]:
+    """Top-k rows by inner product, ties by ascending passage id."""
+    return _passages(index, *dense_top_k(index, q_emb, k))
 
 
 class IVFIndex:

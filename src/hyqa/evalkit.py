@@ -127,11 +127,16 @@ def first_match_rank(
     """0-based rank of the first of the top `depth` passages that contains
     a gold answer (see _answer_test), or `depth` if none does; Match@k for
     k <= depth is then rank < k."""
+    return _first_match_rank([sp.passage_id for sp in retrieved[:depth]], gold, depth, passage_texts)
+
+
+def _first_match_rank(passage_ids: Sequence[str], gold: GoldSet, depth: int, passage_texts: dict[str, str]) -> int:
+    """first_match_rank over the ranked passages' ids."""
     if depth < 1:
         raise ValueError("k must be >= 1")
     contains = _answer_test(gold.answers)
-    for rank, sp in enumerate(retrieved[:depth]):
-        if contains(passage_texts[sp.passage_id]):
+    for rank, passage_id in enumerate(passage_ids[:depth]):
+        if contains(passage_texts[passage_id]):
             return rank
     return depth
 
@@ -178,6 +183,16 @@ class TTestResult:
     degenerate: bool = False
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """The floats added left to right from 0.0. The builtin sum compensates
+    float sums from Python 3.12 on, so its last bits would depend on the
+    interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTestResult:
     """Two-sided paired t-test; p-value via the regularized incomplete beta."""
     if len(scores_a) != len(scores_b):
@@ -186,8 +201,8 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTest
     if n < 2:
         raise ValueError("paired t-test requires n >= 2")
     diffs = [a - b for a, b in zip(scores_a, scores_b)]
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    mean = _left_sum(diffs) / n
+    var = _left_sum((d - mean) ** 2 for d in diffs) / (n - 1)
     df = n - 1
     if var == 0.0:
         return TTestResult(t=None, p_value=None, df=df, degenerate=True)
@@ -225,9 +240,12 @@ def load_gold_squad(data: dict) -> list[GoldSet]:
     """SQuAD-style nested JSON: data -> paragraphs -> qas -> answers. A qa
     without answers is skipped. A malformed qa raises ValueError naming its
     id, or its 0-based index over all qas when it has none, and the reason:
-    "malformed SQuAD qa '2': missing key 'question'"."""
+    "malformed SQuAD qa '2': missing key 'question'". An id-less qa's id is
+    the number of golds before it; a qa whose id an earlier gold has is
+    malformed: "malformed SQuAD qa '0': duplicate id"."""
     qas = (qa for article in data.get("data", []) for para in article.get("paragraphs", []) for qa in para.get("qas", []))
     golds = []
+    seen: set[str] = set()
     for i, qa in enumerate(qas):
         try:
             if not isinstance(qa, dict):
@@ -237,8 +255,12 @@ def load_gold_squad(data: dict) -> list[GoldSet]:
                 raise TypeError("'answers' is not a list of objects")
             answers = tuple(a["text"] for a in answers)
             if answers:
-                golds.append(GoldSet(query_id=str(qa.get("id", len(golds))), question=qa["question"], answers=answers))
-        except (KeyError, TypeError) as e:
+                query_id = str(qa.get("id", len(golds)))
+                if query_id in seen:
+                    raise ValueError("duplicate id")
+                seen.add(query_id)
+                golds.append(GoldSet(query_id=query_id, question=qa["question"], answers=answers))
+        except (KeyError, TypeError, ValueError) as e:
             name = repr(str(qa["id"])) if isinstance(qa, dict) and "id" in qa else i
             reason = f"missing key {e}" if isinstance(e, KeyError) else e
             raise ValueError(f"malformed SQuAD qa {name}: {reason}") from e

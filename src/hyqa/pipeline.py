@@ -5,6 +5,12 @@ Every run is a deterministic function of its inputs and one seed; the
 adaptation run writes a JSON manifest recording config and stage counts so
 results can be reproduced and audited.
 
+The read path moves arrays: the make_*_retriever retrievers give a
+question's ranked passage ids and scores through .ranked(question, k), and
+one reading kernel (_read) turns those into best spans, combined scores and
+their order. Records (ScoredPassage, SpanScore, AnswerCandidate) are built
+only where a public function returns them; evaluate_run builds none.
+
 Each adaptation stage is one function, called both by `run_adaptation`
 and by the CLI subcommand of the same name:
 
@@ -22,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,13 +41,13 @@ from .corpus import (
     token_bounds,
     write_jsonl,
 )
-from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_search
+from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_top_k
 from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
-from .evalkit import GoldSet, MetricReport, first_match_rank, top_n_f1
-from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
+from .evalkit import GoldSet, MetricReport, _first_match_rank, token_f1
+from .fusion import FusionConfig, _minmax, fuse_top_k, shared_rows
 from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, logit_rows
-from .scored import ScoredPassage, top_set
-from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_hits_each, sparse_search
+from .scored import ScoredPassage, check_finite, id_ranks, top_set
+from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_hits_each, sparse_top_k_each
 from .syngen import (
     FilterConfig,
     FilterResult,
@@ -71,6 +77,8 @@ __all__ = [
 K_SPARSE_ONLY = 100  # retrieval depth that works best for BM25 alone
 K_HYBRID = 40  # retrieval depth for fused sparse+dense retrieval
 
+# A retriever may also have .ranked(question, k), its result as passage ids
+# and a score array; the read path takes that when it is there (_ranked).
 Retriever = Callable[[str, int], list[ScoredPassage]]
 
 
@@ -102,13 +110,100 @@ class AnswerCandidate:
     combined: float
 
 
-def _normalize(scores: list[float], mode: str) -> list[float]:
+class _RankedRetriever:
+    """A Retriever whose ranked(question, k) gives the top k passages as
+    their ids and an array of their scores; calling it builds those
+    passages' ScoredPassage records."""
+
+    def __init__(self, ranked: Callable[[str, int], tuple[list[str], np.ndarray]], provenance: str):
+        self._ranked = ranked
+        self._provenance = provenance
+
+    def ranked(self, question: str, k: int) -> tuple[list[str], np.ndarray]:
+        ids, scores = self._ranked(question, k)
+        check_finite(ids, scores)
+        return ids, scores
+
+    def __call__(self, question: str, k: int) -> list[ScoredPassage]:
+        ids, scores = self._ranked(question, k)
+        return [ScoredPassage(pid, s, self._provenance) for pid, s in zip(ids, scores.tolist())]
+
+
+def _ranked(retriever: Retriever, question: str, k: int) -> tuple[list[str], np.ndarray]:
+    """The retriever's ranked ids and scores: its own arrays when it has
+    .ranked, else those of the records it returns."""
+    if hasattr(retriever, "ranked"):
+        return retriever.ranked(question, k)
+    retrieved = retriever(question, k)
+    return [sp.passage_id for sp in retrieved], np.array([sp.score for sp in retrieved], dtype=np.float64)
+
+
+def _normalize(scores: np.ndarray, mode: str) -> np.ndarray:
     if mode == "softmax":
-        arr = np.asarray(scores, dtype=np.float64)
-        arr = arr - arr.max()
-        exp = np.exp(arr)
-        return list(exp / exp.sum())
-    return minmax_normalize(scores)
+        exp = np.exp(scores - scores.max())
+        return exp / exp.sum()
+    return _minmax(scores)
+
+
+class _Reading(NamedTuple):
+    """The passages read for one question, one entry per passage in
+    retrieval order, and `order`, the entries by descending combined score
+    and then ascending passage id. Entry i's answer is joined[cuts[0, i]:
+    cuts[1, i]]."""
+
+    ids: list[str]
+    ir_scores: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    span_scores: np.ndarray
+    combined: np.ndarray
+    order: np.ndarray
+    joined: str
+    cuts: np.ndarray
+
+    def answers(self, n: int) -> list[str]:
+        """The texts of the first n answers in order."""
+        a, b = self.cuts[:, self.order[:n]].tolist()
+        return [self.joined[i:j] for i, j in zip(a, b)]
+
+
+def _read(
+    question: str,
+    ids: list[str],
+    ir_scores: np.ndarray,
+    scorer,
+    passage_texts: dict[str, str],
+    config: PipelineConfig,
+) -> Optional[_Reading]:
+    """The reading kernel: the best span of each retrieved passage, its
+    combined score, and their order; None when no passage can be read."""
+    texts = [passage_texts[pid] for pid in ids]
+    rows, _ = logit_rows(scorer, [question] * len(ids), ids, texts)
+    read, rows = rows.nonempty()
+    if not read.size:
+        return None
+    read_list = read.tolist()
+    ids = [ids[i] for i in read_list]
+    texts = [texts[i] for i in read_list]
+    # No token crosses the "\n" between two texts, so the tokens of the
+    # joined text are those of each text in turn.
+    joined = "\n".join(texts)
+    tok_starts, tok_ends = token_bounds(joined)
+    text_starts = np.cumsum([0] + [len(text) + 1 for text in texts])
+    first = np.searchsorted(tok_starts, text_starts)  # each text's first token, and the total
+    too_long = np.flatnonzero(rows.n > np.diff(first))
+    if too_long.size:
+        k = too_long[0]
+        raise ValueError(f"logits for passage {ids[k]!r} cover {rows.n[k]} tokens, more than the passage has")
+    starts, ends, span_scores = best_span_each(rows, config.max_answer_len)
+    ir = ir_scores[read]
+    w = config.ir_weight
+    # Elementwise f64: the same IEEE operations as w * ir + (1 - w) * mrc on
+    # each candidate's floats.
+    combined = w * _normalize(ir, config.normalization) + (1 - w) * _normalize(span_scores, config.normalization)
+    order = np.lexsort((id_ranks(ids), -combined))
+    cuts = np.array((tok_starts[first[:-1] + starts - 1], tok_ends[first[:-1] + ends - 1]))
+    return _Reading(ids, ir, starts, ends, span_scores, combined, order, joined, cuts)
 
 
 def answer_question(
@@ -122,58 +217,34 @@ def answer_question(
     normalize IR and span scores over the candidate pool, and rank by their
     convex combination (ties by ascending passage id).
 
-    The K passages are read as one array: mrc.logit_rows scores the
-    question with each passage (in one pass when the scorer has
-    logits_pairs), a passage that is unscored or has no tokens is skipped,
-    the other rows make one span band (mrc.span_band) of
-    sum(n) * min(max_answer_len, n_max) float64 values over the passages'
-    token counts n, each row's best span is its first maximum in
+    The K passages are read as one array (the reading kernel, _read):
+    mrc.logit_rows scores the question with each passage (in one pass when
+    the scorer has logits_pairs), a passage that is unscored or has no
+    tokens is skipped, the other rows make one span band (mrc.span_band)
+    of sum(n) * min(max_answer_len, n_max) float64 values over the
+    passages' token counts n, each row's best span is its first maximum in
     (s asc, e asc) order, and every answer is cut from one token-offset
-    pass over the passages' texts.
+    pass over the passages' texts. The IR scores are the retriever's
+    .ranked arrays when it has them. Records are built only for the
+    candidates returned.
     A logit row longer than its passage's token count is a ValueError.
     """
-    retrieved = retriever(question, config.K)
-    ids = [sp.passage_id for sp in retrieved]
-    rows, _ = logit_rows(scorer, [question] * len(ids), ids, [passage_texts[pid] for pid in ids])
-    read, rows = rows.nonempty()
-    if not read.size:
+    reading = _read(question, *_ranked(retriever, question, config.K), scorer, passage_texts, config)
+    if reading is None:
         return []
-    passages = [retrieved[i] for i in read.tolist()]
-    texts = [passage_texts[sp.passage_id] for sp in passages]
-    # No token crosses the "\n" between two texts, so the tokens of the
-    # joined text are those of each text in turn.
-    joined = "\n".join(texts)
-    tok_starts, tok_ends = token_bounds(joined)
-    text_starts = np.cumsum([0] + [len(text) + 1 for text in texts])
-    first = np.searchsorted(tok_starts, text_starts)  # each text's first token, and the total
-    too_long = np.flatnonzero(rows.n > np.diff(first))
-    if too_long.size:
-        k = too_long[0]
-        raise ValueError(
-            f"logits for passage {passages[k].passage_id!r} cover {rows.n[k]} tokens, more than the passage has"
+    order = reading.order
+    return [
+        AnswerCandidate(text, pid, SpanScore(s, e, span), ir, span, combined)
+        for text, pid, s, e, span, ir, combined in zip(
+            reading.answers(len(order)),
+            [reading.ids[i] for i in order.tolist()],
+            reading.starts[order].tolist(),
+            reading.ends[order].tolist(),
+            reading.span_scores[order].tolist(),
+            reading.ir_scores[order].tolist(),
+            reading.combined[order].tolist(),
         )
-    starts, ends, span_scores = best_span_each(rows, config.max_answer_len)
-    cuts = zip(tok_starts[first[:-1] + starts - 1].tolist(), tok_ends[first[:-1] + ends - 1].tolist())
-    raw = [
-        (sp, SpanScore(s, e, score), joined[a:b])
-        for sp, s, e, score, (a, b) in zip(passages, starts.tolist(), ends.tolist(), span_scores.tolist(), cuts)
     ]
-    ir_norm = _normalize([sp.score for sp, _, _ in raw], config.normalization)
-    mrc_norm = _normalize([span.score for _, span, _ in raw], config.normalization)
-    w = config.ir_weight
-    candidates = [
-        AnswerCandidate(
-            text=answer,
-            passage_id=sp.passage_id,
-            span=span,
-            ir_score=sp.score,
-            mrc_score=span.score,
-            combined=w * ir + (1 - w) * mrc,
-        )
-        for (sp, span, answer), ir, mrc in zip(raw, ir_norm, mrc_norm)
-    ]
-    candidates.sort(key=lambda c: (-c.combined, c.passage_id))
-    return candidates
 
 
 def evaluate_run(
@@ -185,7 +256,14 @@ def evaluate_run(
     match_ks: Sequence[int] = (20, 40, 100),
 ) -> MetricReport:
     """Retrieval Match@k plus end-to-end Top-1/Top-5 F1, with per-query
-    rows for significance testing; a repeated query id is a ValueError."""
+    rows for significance testing; a repeated query id is a ValueError.
+
+    Each question is retrieved once, at depth max(max(match_ks), K), as
+    the retriever's id and score arrays (.ranked, or its records when it
+    has none). Match@k scans those ids; the first K are read by the
+    reading kernel that answer_question uses, and only the top 5 answers
+    are cut and scored, one token F1 each. No per-passage record is built.
+    """
     report = MetricReport(query_count=len(golds))
     if not golds:
         return report
@@ -197,13 +275,13 @@ def evaluate_run(
     for gold in golds:
         if gold.query_id in report.per_query:
             raise ValueError(f"duplicate query id {gold.query_id!r}")
-        retrieved = retriever(gold.question, depth)
-        rank = first_match_rank(retrieved, gold, deepest, passage_texts)
+        ids, scores = _ranked(retriever, gold.question, depth)
+        rank = _first_match_rank(ids, gold, deepest, passage_texts)
         row: dict[str, float] = {f"match@{k}": int(rank < k) for k in match_ks}
-        candidates = answer_question(gold.question, lambda q, k: retrieved[:k], scorer, passage_texts, config)
-        answers = [c.text for c in candidates]
-        row["top1_f1"] = top_n_f1(answers, gold, 1)
-        row["top5_f1"] = top_n_f1(answers, gold, 5)
+        reading = _read(gold.question, ids[: config.K], scores[: config.K], scorer, passage_texts, config)
+        f1 = [] if reading is None else [token_f1(answer, gold.answers) for answer in reading.answers(5)]
+        row["top1_f1"] = f1[0] if f1 else 0.0
+        row["top5_f1"] = max(f1, default=0.0)
         report.per_query[gold.query_id] = row
         for name, value in row.items():
             sums[name] = sums.get(name, 0.0) + value
@@ -212,11 +290,23 @@ def evaluate_run(
 
 
 def make_sparse_retriever(index: SparseIndex) -> Retriever:
-    return lambda question, k: sparse_search(index, question, k)
+    """sparse_search as a Retriever, with .ranked."""
+
+    def ranked(question: str, k: int) -> tuple[list[str], np.ndarray]:
+        top, scores = sparse_top_k_each(index, [question], k)[0]
+        return [index.doc_ids[i] for i in top.tolist()], scores
+
+    return _RankedRetriever(ranked, "sparse")
 
 
 def make_dense_retriever(index: DenseIndex, encoder: DualEncoder) -> Retriever:
-    return lambda question, k: dense_search(index, encode_query(encoder, question), k)
+    """dense_search of the encoded question as a Retriever, with .ranked."""
+
+    def ranked(question: str, k: int) -> tuple[list[str], np.ndarray]:
+        top, scores = dense_top_k(index, encode_query(encoder, question), k)
+        return [index.ids[i] for i in top.tolist()], scores
+
+    return _RankedRetriever(ranked, "dense")
 
 
 def make_hybrid_retriever(
@@ -226,15 +316,16 @@ def make_hybrid_retriever(
     fusion_config: FusionConfig,
 ) -> Retriever:
     """fuse(sparse_search(...), dense_search(...), fusion_config)[:k] at
-    pool_size, computed on arrays: passages are rows of one id space, the
-    sparse index's passages and then the ids only the dense index has.
+    pool_size, computed on arrays, as a Retriever with .ranked: passages
+    are rows of one id space, the sparse index's passages and then the ids
+    only the dense index has.
 
     Fusion reads each pool as a set, so each side's pool is selected
     unsorted (top_set) and one question sorts once, for its final top k."""
     (sparse_to_row, dense_to_row), ids, id_rank = shared_rows(sparse_index.doc_ids, dense_index.ids)
     pool, w = fusion_config.pool_size, fusion_config.weight
 
-    def retrieve(question: str, k: int) -> list[ScoredPassage]:
+    def ranked(question: str, k: int) -> tuple[list[str], np.ndarray]:
         if k < 1:
             raise ValueError("k must be >= 1")
         hits, sparse_scores = sparse_hits_each(sparse_index, [question])[0]
@@ -245,9 +336,9 @@ def make_hybrid_retriever(
             sparse_to_row[hits[sparse_pool]], sparse_scores[sparse_pool],
             dense_to_row[dense_pool], dense[dense_pool], w, id_rank, k,
         )
-        return [ScoredPassage(ids[i], s, "fused") for i, s in zip(top.tolist(), scores.tolist())]
+        return [ids[i] for i in top.tolist()], scores
 
-    return retrieve
+    return _RankedRetriever(ranked, "fused")
 
 
 def index_dense(encoder: DualEncoder, passages: Sequence[Passage]) -> DenseIndex:

@@ -22,6 +22,14 @@ class ScoredPassage:
             raise ValueError(f"non-finite score for passage {self.passage_id!r}")
 
 
+def check_finite(passage_ids: Sequence[str], scores: np.ndarray) -> None:
+    """The check a ScoredPassage of each (id, score) in order makes, on
+    arrays: the first non-finite score raises the same ValueError."""
+    if not np.isfinite(scores).all():
+        bad = int(np.flatnonzero(~np.isfinite(scores))[0])
+        ScoredPassage(passage_ids[bad], float(scores[bad]), "")  # raises, from __post_init__
+
+
 def id_ranks(ids: Sequence[str]) -> np.ndarray:
     """Position of each id in ascending-id order, the tie-break of every
     ranked result."""

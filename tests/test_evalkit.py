@@ -232,6 +232,25 @@ class TestPairedTTest:
         assert fwd.t == pytest.approx(-rev.t)
         assert fwd.p_value == pytest.approx(rev.p_value)
 
+    def test_sums_left_to_right(self):
+        # F1-like scores whose differences sum differently left to right
+        # and compensated (fsum; the builtin sum compensates from 3.12 on).
+        rng = np.random.default_rng(5)
+        a, b = rng.random(96).tolist(), rng.random(96).tolist()
+        diffs = [x - y for x, y in zip(a, b)]
+        total = 0.0
+        for d in diffs:
+            total += d
+        assert total != math.fsum(diffs)
+        mean = total / len(diffs)
+        var = 0.0
+        for d in diffs:
+            var += (d - mean) ** 2
+        var /= len(diffs) - 1
+        result = paired_t_test(a, b)
+        assert result.t == mean / math.sqrt(var / len(diffs))
+        assert result.df == 95 and not result.degenerate
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], [1.0, 2.0])
@@ -318,6 +337,16 @@ class TestLoaders:
         del qas[1]["id"]
         with pytest.raises(ValueError, match=r"^malformed SQuAD qa 1: missing key 'text'$"):
             load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
+
+    def test_squad_repeated_id_is_refused(self):
+        # The id-less first qa gets the id "0", which the second qa repeats.
+        qas = [
+            {"question": "a", "answers": [{"text": "x"}]},
+            {"id": "0", "question": "b", "answers": [{"text": "y"}]},
+        ]
+        with pytest.raises(ValueError) as raised:
+            load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
+        assert str(raised.value) == "malformed SQuAD qa '0': duplicate id"
 
     @pytest.mark.parametrize(
         "qa, reason",

@@ -524,3 +524,162 @@ class TestHybridRetriever:
         sparse, dense, encoder, _, _ = self.indexes()
         with pytest.raises(ValueError):
             make_hybrid_retriever(sparse, dense, encoder, FusionConfig())("w1", 0)
+
+
+RANKED_WORDS = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"]
+
+
+def ranked_indexes(texts, d=8, seed=0):
+    """BM25, encoder and exact dense index over {passage id: text}."""
+    from hyqa.corpus import Passage
+    from hyqa.dense_index import build_dense_index
+    from hyqa.encoder import DualEncoder, encode_passage
+    from hyqa.sparse import build_sparse_index
+
+    passages = [Passage(pid, pid, text, len(tokenize(text))) for pid, text in texts.items()]
+    encoder = DualEncoder.from_texts(list(texts.values()), d=d, seed=seed)
+    sparse = build_sparse_index(passages)
+    dense = build_dense_index(list(texts), np.stack([encode_passage(encoder, text) for text in texts.values()]))
+    return sparse, dense, encoder
+
+
+def ranked_retriever(kind, texts, pool_size=2000, weight=0.5):
+    from hyqa.fusion import FusionConfig
+
+    sparse, dense, encoder = ranked_indexes(texts)
+    if kind == "sparse":
+        return make_sparse_retriever(sparse)
+    if kind == "dense":
+        return make_dense_retriever(dense, encoder)
+    return make_hybrid_retriever(sparse, dense, encoder, FusionConfig(pool_size=pool_size, weight=weight))
+
+
+class LogitsOnly:
+    """A scorer with .logits and no .logits_pairs."""
+
+    def __init__(self, scorer):
+        self.logits = scorer.logits
+
+
+@st.composite
+def ranked_cases(draw):
+    """A corpus of 2 to 30 passages (some with no tokens, some repeating
+    an earlier text, so scores tie), a retriever over it, a scorer, a few
+    golds and a config whose K may exceed the passages retrieved."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    texts = {}
+    for i in range(draw(st.integers(2, 30))):
+        roll = rng.random()
+        if roll < 0.15:
+            text = "(...)"
+        elif roll < 0.35 and texts:
+            text = list(texts.values())[int(rng.integers(len(texts)))]
+        else:
+            text = " ".join(rng.choice(RANKED_WORDS, size=int(rng.integers(1, 25))))
+        texts[f"p{rng.integers(0, 100):02d}.{i}"] = text
+    kind = draw(st.sampled_from(["sparse", "dense", "hybrid"]))
+    retriever = ranked_retriever(kind, texts, draw(st.sampled_from([1, 3, 2000])), draw(st.sampled_from([0.0, 0.4, 1.0])))
+    golds = [
+        GoldSet(f"q{j}", " ".join(rng.choice(RANKED_WORDS + ["oov"], size=int(rng.integers(1, 4)))),
+                (" ".join(rng.choice(RANKED_WORDS, size=int(rng.integers(1, 3)))),))
+        for j in range(draw(st.integers(1, 4)))
+    ]
+    scorer = LexicalScorer(draw(st.sampled_from([1, 3])))
+    if draw(st.booleans()):
+        scorer = LogitsOnly(scorer)
+    config = PipelineConfig(
+        K=draw(st.integers(1, 50)),
+        ir_weight=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        max_answer_len=draw(st.integers(1, 10)),
+        normalization=draw(st.sampled_from(["minmax", "softmax"])),
+    )
+    return retriever, scorer, texts, golds, config
+
+
+def assert_ranked_equals_records(retriever, scorer, texts, golds, config):
+    """answer_question and evaluate_run through the retriever's .ranked
+    arrays equal their results through its ScoredPassage records."""
+    records = lambda q, k: retriever(q, k)  # noqa: E731 - a plain callable, without .ranked
+    for gold in golds:
+        ids, scores = retriever.ranked(gold.question, config.K)
+        assert [(pid, float(s).hex()) for pid, s in zip(ids, scores)] == [
+            (r.passage_id, r.score.hex()) for r in retriever(gold.question, config.K)
+        ]
+        assert candidate_rows(answer_question(gold.question, retriever, scorer, texts, config)) == candidate_rows(
+            answer_question(gold.question, records, scorer, texts, config)
+        )
+    match_ks = (1, 5, 20)
+    got = evaluate_run(golds, retriever, scorer, texts, config, match_ks)
+    expected = evaluate_run(golds, records, scorer, texts, config, match_ks)
+    assert got.per_query == expected.per_query
+    assert got.to_json().encode() == expected.to_json().encode()
+
+
+class TestRankedMatchesRecords:
+    @given(ranked_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_field_for_field(self, case):
+        assert_ranked_equals_records(*case)
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "hybrid"])
+    def test_tied_combined_scores(self, kind):
+        # Three copies of each text tie on every score, so their order is
+        # the passage id order alone.
+        texts = {f"p{i}": body for i, body in zip((4, 1, 7, 2, 9, 0), ["alpha beta gamma", "delta eps"] * 3)}
+        retriever = ranked_retriever(kind, texts)
+        config = PipelineConfig(K=len(texts), ir_weight=0.3)
+        candidates = answer_question("alpha gamma", retriever, LexicalScorer(), texts, config)
+        assert [c.passage_id for c in candidates[:3]] == ["p4", "p7", "p9"]
+        assert len({c.combined for c in candidates[:3]}) == 1
+        golds = [GoldSet("q0", "alpha gamma", ("beta",)), GoldSet("q1", "eps", ("delta eps",))]
+        assert_ranked_equals_records(retriever, LexicalScorer(), texts, golds, config)
+
+
+class TestEvaluateRunBuildsNoRecords:
+    def test_no_scored_passage_span_or_candidate(self, monkeypatch):
+        from hyqa.mrc import SpanScore
+        from hyqa.pipeline import AnswerCandidate
+
+        rng = np.random.default_rng(3)
+        texts = {f"p{i:02d}": " ".join(rng.choice(RANKED_WORDS, size=12)) for i in range(60)}
+        retriever = ranked_retriever("hybrid", texts)
+        built = []
+        for cls in (ScoredPassage, SpanScore, AnswerCandidate):
+            original = cls.__init__
+
+            def counted(self, *args, _original=original, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        golds = [GoldSet(f"q{j}", f"alpha {RANKED_WORDS[j]}", ("beta",)) for j in range(4)]
+        report = evaluate_run(golds, retriever, LexicalScorer(), texts, PipelineConfig(K=40))
+        assert len(report.per_query) == 4
+        assert built == []
+        # The counters see the records that the public functions do build.
+        candidates = answer_question("alpha beta", retriever, LexicalScorer(), texts, PipelineConfig(K=40))
+        assert sorted(set(built)) == ["AnswerCandidate", "SpanScore"]
+        assert len(built) == 2 * len(candidates) == 80
+        built.clear()
+        assert len(retriever("alpha beta", 40)) == 40 and built == ["ScoredPassage"] * 40
+
+    @pytest.mark.parametrize("kind", ["dense", "hybrid"])
+    def test_nan_dense_row_is_refused(self, kind):
+        from hyqa.dense_index import build_dense_index
+        from hyqa.fusion import FusionConfig
+
+        texts = {f"p{i}": text for i, text in enumerate(["alpha beta", "beta gamma", "gamma delta"])}
+        sparse, dense, encoder = ranked_indexes(texts)
+        matrix = dense.matrix.copy()
+        matrix[1] = np.nan
+        dense = build_dense_index(dense.ids, matrix)
+        if kind == "dense":
+            retriever = make_dense_retriever(dense, encoder)
+        else:
+            retriever = make_hybrid_retriever(sparse, dense, encoder, FusionConfig())
+        golds = [GoldSet("q0", "alpha", ("beta",))]
+        with pytest.raises(ValueError, match="^non-finite score for passage 'p[0-9]'$") as raised:
+            evaluate_run(golds, retriever, LexicalScorer(), texts)
+        with pytest.raises(ValueError) as by_records:
+            evaluate_run(golds, lambda q, k: retriever(q, k), LexicalScorer(), texts)
+        assert str(raised.value) == str(by_records.value)
