@@ -51,12 +51,23 @@ class DenseIndex:
     @classmethod
     def load(cls, path) -> "DenseIndex":
         _, meta, arrays = container.load(path, kind="dense")
-        return cls(list(meta["ids"]), np.array(arrays["matrix"], dtype=np.float64))
+        ids, matrix = list(meta["ids"]), np.array(arrays["matrix"], dtype=np.float64)
+        bad = _first_nonfinite(ids, matrix)
+        if bad is not None:
+            raise container.ContainerError(f"{path}: non-finite embedding for passage {bad!r}")
+        return cls(ids, matrix)
+
+
+def _first_nonfinite(ids: list[str], matrix: np.ndarray) -> str | None:
+    """The id of the first row holding a NaN or an infinity, or None."""
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    return ids[bad[0]] if bad.size else None
 
 
 def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
     """Exact index over `embeddings` rounded to the float32 values that
-    `save` stores, so an index ranks the same before and after a reload."""
+    `save` stores, so an index ranks the same before and after a reload.
+    A row that is not finite in float32 is a ValueError naming its id."""
     matrix = np.asarray(embeddings, dtype=np.float32).astype(np.float64)
     if matrix.size == 0:
         matrix = matrix.reshape(0, 0 if matrix.ndim < 2 else matrix.shape[1])
@@ -66,6 +77,9 @@ def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
         raise ValueError(f"{len(ids)} ids but {matrix.shape[0]} embedding rows")
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate passage ids")
+    bad = _first_nonfinite(ids, matrix)
+    if bad is not None:
+        raise ValueError(f"non-finite embedding for passage {bad!r}")
     return DenseIndex(list(ids), matrix)
 
 

@@ -1,10 +1,13 @@
 """Extractive span scoring and answerability.
 
 A span (s, e) over passage tokens (1-based; index 0 is the null/CLS slot)
-scores start[s] + end[e] - start[0] - end[0]. The best-span enumerator,
-the answerability score and the K-passage reader share one band of those
-scores over stacked logit rows (LogitRows): span_band and best_span_each
-take stacked rows, and best_spans and answerability stack their one row.
+scores start[s] + end[e] - start[0] - end[0]. Both span searches take
+stacked logit rows (LogitRows) laid out by _padded_end. The best-span
+enumerator, best_spans, ranks one row's band of every span score
+(span_band), sum(n) * width values. The best span of each row
+(best_span_each, which answerability and the K-passage reader call) needs
+only a sliding maximum of the end logits, ceil(log2 width) passes over
+about sum(n) values, and the width cells of one start per row.
 
 Logit sources are pluggable, and logit_rows is the one function that
 knows their protocol: it scores (question, passage) pairs as one LogitRows
@@ -138,6 +141,20 @@ def span_score(logits: SpanLogits, s: int, e: int) -> float:
     return float(logits.start[s] + logits.end[e] - logits.start[0] - logits.end[0])
 
 
+def _padded_end(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The window width, min(max_answer_len, the longest n); every row's end
+    logits 1..n, each row followed by width - 1 cells of -inf so that no
+    window of width cells from a row's token reaches the next row; and the
+    position of each token in that layout: row k's tokens sit
+    k * (width - 1) cells past their position among all rows' tokens."""
+    n = rows.n
+    width = min(max_answer_len, int(n.max()))
+    window = np.arange(len(rows.end)) + np.repeat(np.arange(len(n)) * (width - 1), n)
+    end = np.full(len(rows.end) + len(n) * (width - 1), -np.inf)
+    end[window] = rows.end
+    return end, window, width
+
+
 def span_band(rows: LogitRows, max_answer_len: int) -> np.ndarray:
     """Every span score of every row, stacked by token: row k takes n
     consecutive band rows from offset o (the sum of the earlier rows' n),
@@ -147,24 +164,17 @@ def span_band(rows: LogitRows, max_answer_len: int) -> np.ndarray:
     Spans that run past their own row's n score -inf, so in each row's
     block the row-major order of the cells is the (s asc, e asc) tie order
     and the first maximum is the best span. The band holds sum(n) * width
-    float64 values.
+    float64 values; best_spans enumerates one row's band, and
+    best_span_each finds the same first maximum without building it.
     """
-    n = rows.n
-    width = min(max_answer_len, int(n.max()))
-    # The windows of row k's tokens start k * (width - 1) cells past their
-    # position among all rows' tokens: each row's end logits 1..n are
-    # followed by width - 1 cells of -inf, so that no window of a row's
-    # tokens reaches the next row.
-    window = np.arange(len(rows.end)) + np.repeat(np.arange(len(n)) * (width - 1), n)
-    end = np.full(len(rows.end) + len(n) * (width - 1), -np.inf)
-    end[window] = rows.end
+    end, window, width = _padded_end(rows, max_answer_len)
     # The windows of `end` as a strided view; numpy's sliding_window_view
     # builds the same view at many times the cost of this constructor.
     step = end.strides[0]
     band = np.ndarray((len(end) - width + 1, width), end.dtype, end, 0, (step, step))[window]
     band += rows.start[:, None]
-    band -= np.repeat(rows.cls_start, n)[:, None]
-    band -= np.repeat(rows.cls_end, n)[:, None]
+    band -= np.repeat(rows.cls_start, rows.n)[:, None]
+    band -= np.repeat(rows.cls_end, rows.n)[:, None]
     return band
 
 
@@ -184,24 +194,49 @@ def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> lis
 
 def best_span_each(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best span of each row, as best_spans(top_n=1) picks it: arrays of
-    s, e and score by row, read from one stacked band. Every row needs n >= 1."""
-    band = span_band(rows, max_answer_len)
-    width = band.shape[1]
-    cells = rows.n * width
-    offsets = np.cumsum(cells) - cells
-    flat = band.ravel()
-    score = np.maximum.reduceat(flat, offsets)
-    hits = np.flatnonzero(flat == np.repeat(score, cells))
-    best = hits[np.searchsorted(hits, offsets)] - offsets
-    s = best // width + 1
-    return s, s + best % width, score
+    s, e and score by row, the first maximum of span_band's cells in
+    (s asc, e asc) order, found without building the band.
+
+    A span's score rounds monotonically in its end logit, so the best score
+    of the spans from start s is the score of the largest end logit in s's
+    window of width cells. The windows' maxima take ceil(log2 width) passes
+    over the padded end logits; the cells of one start per row are then
+    built as span_band builds them, to find the first end that reaches the
+    row's best. The working set is O(sum(n) + rows * width) float64 values.
+    A row with n = 0 is a ValueError.
+    """
+    n = rows.n
+    empty = np.flatnonzero(n == 0)
+    if empty.size:
+        raise ValueError(f"logit row {empty[0]} has no tokens; best_span_each reads rows with n >= 1")
+    end, window, width = _padded_end(rows, max_answer_len)
+    # After each pass, winmax[i] is the maximum of end[i : i + covered].
+    winmax, covered = end, 1
+    while covered < width:
+        step = min(covered, width - covered)
+        winmax = np.maximum(winmax[:-step], winmax[step:])
+        covered += step
+    # The score of each start's best span, with span_band's operations.
+    score = ((winmax[window] + rows.start) - np.repeat(rows.cls_start, n)) - np.repeat(rows.cls_end, n)
+    offsets = np.cumsum(n) - n
+    best = np.maximum.reduceat(score, offsets)
+    hits = np.flatnonzero(score == np.repeat(best, n))
+    first = hits[np.searchsorted(hits, offsets)]
+    # Two end logits can round to the same score: the first such end wins.
+    cells = end[window[first][:, None] + np.arange(width)]
+    cells += rows.start[first][:, None]
+    cells -= rows.cls_start[:, None]
+    cells -= rows.cls_end[:, None]
+    j = np.argmax(cells == best[:, None], axis=1)
+    s = first - offsets + 1
+    return s, s + j, cells[np.arange(len(n)), j]
 
 
 def answerability(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> float:
     """Highest span score over all candidates; -inf for an empty passage."""
     if logits.n == 0:
         return float("-inf")
-    return float(span_band(stack_logits([logits]), config.max_answer_len).max())
+    return float(best_span_each(stack_logits([logits]), config.max_answer_len)[2][0])
 
 
 _UNSCORED = SpanLogits((0.0,), (0.0,))

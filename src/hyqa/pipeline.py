@@ -220,13 +220,13 @@ def answer_question(
     The K passages are read as one array (the reading kernel, _read):
     mrc.logit_rows scores the question with each passage (in one pass when
     the scorer has logits_pairs), a passage that is unscored or has no
-    tokens is skipped, the other rows make one span band (mrc.span_band)
-    of sum(n) * min(max_answer_len, n_max) float64 values over the
-    passages' token counts n, each row's best span is its first maximum in
-    (s asc, e asc) order, and every answer is cut from one token-offset
-    pass over the passages' texts. The IR scores are the retriever's
-    .ranked arrays when it has them. Records are built only for the
-    candidates returned.
+    tokens is skipped, mrc.best_span_each finds each other row's best span,
+    its first maximum in (s asc, e asc) order, from a sliding maximum of
+    the end logits over the passages' sum(n) tokens and the max_answer_len
+    cells of one start per passage, and every answer is cut from one
+    token-offset pass over the passages' texts. The IR scores are the
+    retriever's .ranked arrays when it has them. Records are built only for
+    the candidates returned.
     A logit row longer than its passage's token count is a ValueError.
     """
     reading = _read(question, *_ranked(retriever, question, config.K), scorer, passage_texts, config)

@@ -55,11 +55,10 @@ MAX_GEN_TOKENS = 64
 # at once: about 1,400 rows on short passages, enough to amortize the numpy
 # calls, few enough that the held models add nothing to peak memory.
 _NUCLEUS_CHUNK = 16
-# Examples roundtrip_filter scores per logit_rows pass. Its span band holds
-# a block's tokens times max_answer_len float64 values, so the block bounds
-# the filter's memory while keeping the numpy calls few: one band over the
-# ~1,400 examples of a 500-document adaptation run raised that run's peak
-# RSS from 70 to 89 MB, where 128-example bands leave it at 70 MB.
+# Examples roundtrip_filter scores per logit_rows pass. The block bounds
+# the filter's memory, a few float64 arrays over the block's tokens (its
+# logits and best_span_each's window maxima) and max_answer_len cells per
+# example, while keeping the numpy calls few.
 _FILTER_BLOCK = 128
 # Questions build_ir_training_set ranks per BM25 product. The product holds
 # each question's matched passages, so the block bounds mining's memory as
@@ -429,10 +428,11 @@ def roundtrip_filter(
     An example's answerability is its best span score (mrc.best_span_each)
     over the logits of its question and passage, -inf for a passage without
     tokens. The examples are scored in blocks of _FILTER_BLOCK, each with
-    one mrc.logit_rows and one best_span_each. An example the scorer
-    cannot score (.logits returned None, as external sources do) scores
-    None and is dropped and tallied, not fatal; an example whose passage is
-    not in `passage_texts` is a KeyError.
+    one mrc.logit_rows and one best_span_each, which holds O(tokens +
+    examples * max_answer_len) float64 values of the block. An example the
+    scorer cannot score (.logits returned None, as external sources do)
+    scores None and is dropped and tallied, not fatal; an example whose
+    passage is not in `passage_texts` is a KeyError.
     """
     result = FilterResult(kept=[], scores=[])
     for lo in range(0, len(examples), _FILTER_BLOCK):

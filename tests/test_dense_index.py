@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyqa.container import ContainerError
 from hyqa.dense_index import (
     DenseIndex,
     build_dense_index,
@@ -52,6 +53,20 @@ class TestBuild:
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
             build_dense_index(["a", "a"], np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+    def test_non_finite_row_is_refused(self, value):
+        matrix = np.ones((4, 3))
+        matrix[2, 0] = matrix[1, 2] = value
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite embedding for passage 'b'$"):
+            build_dense_index(["a", "b", "c", "d"], matrix)
+
+    def test_load_refuses_non_finite_row(self, tmp_path):
+        index = build_dense_index(["a", "b", "c"], np.ones((3, 2)))
+        index.matrix[2, 1] = np.nan
+        index.save(tmp_path / "idx.hyqa")
+        with pytest.raises(ContainerError, match=r"^.*idx\.hyqa: non-finite embedding for passage 'c'$"):
+            DenseIndex.load(tmp_path / "idx.hyqa")
 
     def test_rebuild_persists_identically(self, tmp_path):
         rng = np.random.default_rng(1)

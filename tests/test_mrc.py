@@ -1,5 +1,6 @@
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hyqa.corpus import tokenize
 from hyqa.mrc import (
     ExternalLogits,
     LexicalScorer,
+    LogitRows,
     ScorerConfig,
     SpanLogits,
     answerability,
@@ -165,6 +167,73 @@ class TestSpanBand:
         assert list(zip(s.tolist(), e.tolist(), [v.hex() for v in scores.tolist()])) == [
             (sp.s, sp.e, sp.score.hex()) for sp in expected
         ]
+
+
+# Logit rows whose sums round together: CLS values of +-1e16, end logits
+# of 0.0, 1e-17 and 1e-300 (lost against 1e16 or 1 but not against 0), and
+# start logits of 0 and +-1. Against CLS values of 1e16 and -1e16, a span of
+# start 0 scores 0 in the band's order of additions, but would score its end
+# logit if the end logit were added last.
+rounding_rows = st.lists(st.sampled_from([1, 1, 2, 3, 7, 31, 40]), min_size=1, max_size=8).flatmap(
+    lambda ns: st.tuples(
+        st.lists(st.sampled_from([0.0, 0.0, 1.0, -1.0]), min_size=sum(ns), max_size=sum(ns)),
+        st.lists(st.sampled_from([0.0, 1e-17, 1e-300]), min_size=sum(ns), max_size=sum(ns)),
+        st.lists(st.sampled_from([1e16, -1e16, 0.0]), min_size=2 * len(ns), max_size=2 * len(ns)),
+    ).map(
+        lambda parts: LogitRows(
+            np.array(parts[0]),
+            np.array(parts[1]),
+            np.array(parts[2][: len(ns)]),
+            np.array(parts[2][len(ns) :]),
+            np.array(ns, dtype=np.intp),
+        )
+    )
+)
+
+
+def row_logits(rows):
+    """The SpanLogits of each stacked row."""
+    offsets = np.cumsum(rows.n) - rows.n
+    return [
+        SpanLogits(np.r_[cs, rows.start[o : o + n]], np.r_[ce, rows.end[o : o + n]])
+        for o, n, cs, ce in zip(offsets.tolist(), rows.n.tolist(), rows.cls_start, rows.cls_end)
+    ]
+
+
+class TestBestSpanEach:
+    @given(rounding_rows, st.sampled_from([1, 3, 30, 41, 100]))
+    @example(LogitRows(np.zeros(2), np.array([0.0, 1e-17]), np.array([1e16]), np.array([-1e16]), np.array([2])), 1)
+    def test_equals_best_spans_top_1_when_sums_round(self, rows, max_len):
+        s, e, scores = best_span_each(rows, max_len)
+        expected = [best_spans(r, ScorerConfig(max_answer_len=max_len, top_n=1))[0] for r in row_logits(rows)]
+        assert list(zip(s.tolist(), e.tolist(), [v.hex() for v in scores.tolist()])) == [
+            (sp.s, sp.e, sp.score.hex()) for sp in expected
+        ]
+
+    def test_rounded_tie_goes_to_the_first_end(self):
+        # Against start 1e16, end logits 1e-300 and 1 round to the same sum,
+        # so (1, 1) and (1, 2) tie although the end logits differ.
+        rows = stack_logits([SpanLogits((0.0, 1e16, 0.0), (0.0, 1e-300, 1.0))])
+        assert [a.tolist() for a in best_span_each(rows, 30)] == [[1], [1], [1e16]]
+
+    @pytest.mark.parametrize("n,position", [([2, 0, 1], 1), ([0], 0), ([0, 0], 0), ([3, 1, 0], 2)])
+    def test_empty_row_is_refused(self, n, position):
+        total = sum(n)
+        rows = LogitRows(np.ones(total), np.ones(total), np.zeros(len(n)), np.zeros(len(n)), np.array(n, dtype=np.intp))
+        with pytest.raises(ValueError, match=f"^logit row {position} has no tokens"):
+            best_span_each(rows, 30)
+
+    def test_allocates_no_band(self):
+        rng = np.random.default_rng(0)
+        rows = stack_logits([SpanLogits(rng.normal(size=1001), rng.normal(size=1001)) for _ in range(40)])
+        band_bytes = 40 * 1000 * 30 * 8
+        tracemalloc.start()
+        try:
+            best_span_each(rows, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < band_bytes / 4
 
 
 class TestAnswerability:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hyqa.corpus import Document, chunk_generation_passages
+from hyqa.corpus import Document, Passage, chunk_generation_passages, tokenize
+from hyqa.evalkit import GoldSet
 from hyqa.mrc import LexicalScorer, ScorerConfig, SpanLogits, answerability
 from hyqa.sparse import build_sparse_index
 from hyqa.syngen import (
@@ -630,14 +631,20 @@ class TestBlockedRoundtripFilter:
 
     def test_no_span_band_wider_than_a_block(self, monkeypatch):
         import hyqa.mrc
+        from hyqa.pipeline import evaluate_run, make_sparse_retriever
 
         examples, texts = filter_inputs(4, 2 * _FILTER_BLOCK + 5, 8, 5)
-        rows_per_band, real = [], hyqa.mrc.span_band
-        monkeypatch.setattr(hyqa.mrc, "span_band", lambda rows, L: rows_per_band.append(len(rows.n)) or real(rows, L))
+        rows_per_call, real = [], syngen.best_span_each
+        monkeypatch.setattr(syngen, "best_span_each", lambda rows, L: rows_per_call.append(len(rows.n)) or real(rows, L))
+        monkeypatch.setattr(hyqa.mrc, "span_band", lambda rows, L: pytest.fail("span_band called"))
         result = roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), texts)
         assert len(result.scores) == len(examples)
-        assert len(rows_per_band) == 3
-        assert max(rows_per_band) <= _FILTER_BLOCK
+        assert len(rows_per_call) == 3
+        assert max(rows_per_call) <= _FILTER_BLOCK
+        golds = [GoldSet(f"q{i}", " ".join(FILTER_WORDS[i : i + 3]), ("x",)) for i in range(5)]
+        index = build_sparse_index([Passage(pid, pid, text, len(tokenize(text))) for pid, text in texts.items()])
+        report = evaluate_run(golds, make_sparse_retriever(index), LexicalScorer(), texts)
+        assert len(report.per_query) == len(golds)
 
 
 def mining_fixture():
