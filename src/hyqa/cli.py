@@ -11,6 +11,7 @@ stage-tagged diagnostic and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -26,11 +27,12 @@ from .corpus import (
     write_jsonl,
 )
 from .dense_index import DenseIndex
-from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, train
+from .encoder import DESK_PRESET, DualEncoder, IRTrainInstance, TrainConfig, encode_passage, train
 from .evalkit import load_gold_jsonl, paired_t_test
 from .fusion import FusionConfig, tune_weight
-from .mrc import MAX_ANSWER_LEN, ExternalLogits, LexicalScorer
+from .mrc import ExternalLogits, LexicalScorer
 from .pipeline import (
+    AdaptationConfig,
     PipelineConfig,
     answer_question,
     evaluate_run,
@@ -123,7 +125,7 @@ def cmd_chunk(args):
     docs = ingest_documents(_read_lines(args.input), args.input)
     chunker = chunk_retrieval_passages if args.mode == "retrieval" else chunk_generation_passages
     kwargs = {}
-    if args.max_units:
+    if args.max_units is not None:
         key = "max_words" if args.mode == "retrieval" else "max_tokens"
         kwargs[key] = args.max_units
     passages = [p for doc in docs for p in chunker(doc, **kwargs)]
@@ -324,6 +326,9 @@ def cmd_dump(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    bm25, sampler, fusion = BM25Params(), SamplerConfig(), FusionConfig()
+    pipeline, adaptation = PipelineConfig(), AdaptationConfig()
+    tune = inspect.signature(tune_weight).parameters
     parser = argparse.ArgumentParser(prog="hyqa", description="Hybrid sparse/dense retrieval and extractive QA")
     parser.add_argument("--config", help="JSON config file; values become argument defaults")
     parser.add_argument("--seed", type=int, default=None, help=f"global seed (or ${SEED_ENV})")
@@ -342,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index-sparse", help="build the BM25 inverted index")
     p.add_argument("--passages", required=True)
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=bm25.k1)
+    p.add_argument("--b", type=float, default=bm25.b)
     p.set_defaults(func=cmd_index_sparse)
 
     p = sub.add_parser("index-dense", help="embed passages and build the dense index")
@@ -359,24 +364,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-encoder", help="train the dual encoder")
     p.add_argument("--instances", required=True)
     p.add_argument("--passages", required=True)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=6)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--lr", type=float, default=DESK_PRESET.learning_rate)
+    p.add_argument("--epochs", type=int, default=DESK_PRESET.epochs)
+    p.add_argument("--batch-size", type=int, default=DESK_PRESET.batch_size)
+    p.add_argument("--warmup", type=int, default=DESK_PRESET.warmup_steps)
+    p.add_argument("--dim", type=int, default=adaptation.embedding_dim)
     p.set_defaults(func=cmd_train_encoder)
 
     p = sub.add_parser("generate", help="generate synthetic QA examples")
     p.add_argument("--passages", required=True)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--p", type=float, default=0.95)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--n", type=int, default=adaptation.examples_per_passage)
+    p.add_argument("--p", type=float, default=sampler.p)
+    p.add_argument("--k", type=int, default=sampler.k)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("filter", help="roundtrip-consistency filter")
     p.add_argument("--examples", required=True)
     p.add_argument("--passages", required=True)
-    p.add_argument("--threshold", type=float, default=7.0)
+    p.add_argument("--threshold", type=float, default=FilterConfig().threshold)
     p.add_argument("--logits", help="external precomputed logits JSONL")
     p.set_defaults(func=cmd_filter)
 
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", required=True)
     p.add_argument("--passages", required=True)
     p.add_argument("--index", required=True)
-    p.add_argument("--depth", type=int, default=100)
+    p.add_argument("--depth", type=int, default=adaptation.negative_depth)
     p.set_defaults(func=cmd_mine_negatives)
 
     def add_retrieval_args(p):
@@ -392,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dense")
         p.add_argument("--encoder")
         p.add_argument("--mode", choices=("sparse", "dense", "hybrid"))
-        p.add_argument("--weight", type=float, default=0.5)
-        p.add_argument("--pool-size", type=int, default=2000)
+        p.add_argument("--weight", type=float, default=fusion.weight)
+        p.add_argument("--pool-size", type=int, default=fusion.pool_size)
 
     p = sub.add_parser("retrieve", help="run a retrieval query")
     add_retrieval_args(p)
@@ -405,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_retrieval_args(p)
     p.add_argument("--question", required=True)
     p.add_argument("--passages", required=True)
-    p.add_argument("--K", type=int, default=40)
-    p.add_argument("--ir-weight", type=float, default=0.7)
-    p.add_argument("--max-answer-len", type=int, default=MAX_ANSWER_LEN)
-    p.add_argument("--normalization", choices=["minmax", "softmax"], default="minmax")
+    p.add_argument("--K", type=int, default=pipeline.K)
+    p.add_argument("--ir-weight", type=float, default=pipeline.ir_weight)
+    p.add_argument("--max-answer-len", type=int, default=pipeline.max_answer_len)
+    p.add_argument("--normalization", choices=["minmax", "softmax"], default=pipeline.normalization)
     p.add_argument("--logits")
     p.add_argument("--top", type=int, default=5)
     p.set_defaults(func=cmd_answer)
@@ -417,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_retrieval_args(p)
     p.add_argument("--golds", required=True)
     p.add_argument("--passages", required=True)
-    p.add_argument("--K", type=int, default=40)
-    p.add_argument("--ir-weight", type=float, default=0.7)
+    p.add_argument("--K", type=int, default=pipeline.K)
+    p.add_argument("--ir-weight", type=float, default=pipeline.ir_weight)
     p.add_argument("--logits")
     p.set_defaults(func=cmd_evaluate)
 
@@ -428,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparse", required=True)
     p.add_argument("--dense", required=True)
     p.add_argument("--encoder", required=True)
-    p.add_argument("-k", type=int, default=20)
-    p.add_argument("--pool-size", type=int, default=2000)
+    p.add_argument("-k", type=int, default=tune["k"].default)
+    p.add_argument("--pool-size", type=int, default=tune["pool_size"].default)
     p.set_defaults(func=cmd_tune_fusion)
 
     p = sub.add_parser("ttest", help="paired t-test between two evaluation reports")

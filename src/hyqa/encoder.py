@@ -40,6 +40,7 @@ lifetime; it is neither saved nor compared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
@@ -54,7 +55,6 @@ __all__ = [
     "DualEncoder",
     "IRTrainInstance",
     "TrainConfig",
-    "FULL_PRESET",
     "DESK_PRESET",
     "encode_query",
     "encode_passage",
@@ -163,8 +163,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 1:
@@ -173,9 +173,7 @@ class TrainConfig:
             raise ValueError("warmup_steps must be non-negative")
 
 
-# Hyperparameters used for adapting the full-size pre-trained retriever,
-# and a small preset sized for the desk-scale towers here.
-FULL_PRESET = TrainConfig(learning_rate=1e-5, epochs=6, batch_size=128, warmup_steps=1237)
+# Hyperparameters sized for the desk-scale towers here.
 DESK_PRESET = TrainConfig(learning_rate=0.05, epochs=6, batch_size=16, warmup_steps=0)
 
 

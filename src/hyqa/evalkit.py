@@ -24,6 +24,7 @@ __all__ = [
     "normalize_answer",
     "exact_match",
     "token_f1",
+    "answer_test",
     "first_match_rank",
     "match_at_k",
     "top_n_f1",
@@ -102,7 +103,7 @@ def token_f1(prediction: str, golds: Iterable[str]) -> float:
     return max(_f1_single(prediction, g) for g in golds)
 
 
-def _answer_test(answers: Iterable[str]) -> Callable[[str], bool]:
+def answer_test(answers: Iterable[str]) -> Callable[[str], bool]:
     """A test of whether a passage text contains any of `answers` as a
     contiguous normalized token subsequence.
 
@@ -118,23 +119,13 @@ def _answer_test(answers: Iterable[str]) -> Callable[[str], bool]:
     return contains
 
 
-def first_match_rank(
-    retrieved: Sequence[ScoredPassage],
-    gold: GoldSet,
-    depth: int,
-    passage_texts: dict[str, str],
-) -> int:
-    """0-based rank of the first of the top `depth` passages that contains
-    a gold answer (see _answer_test), or `depth` if none does; Match@k for
-    k <= depth is then rank < k."""
-    return _first_match_rank([sp.passage_id for sp in retrieved[:depth]], gold, depth, passage_texts)
-
-
-def _first_match_rank(passage_ids: Sequence[str], gold: GoldSet, depth: int, passage_texts: dict[str, str]) -> int:
-    """first_match_rank over the ranked passages' ids."""
+def first_match_rank(passage_ids: Sequence[str], gold: GoldSet, depth: int, passage_texts: dict[str, str]) -> int:
+    """0-based rank of the first of the top `depth` passage ids whose text
+    contains a gold answer (see answer_test), or `depth` if none does;
+    Match@k for k <= depth is then rank < k."""
     if depth < 1:
         raise ValueError("k must be >= 1")
-    contains = _answer_test(gold.answers)
+    contains = answer_test(gold.answers)
     for rank, passage_id in enumerate(passage_ids[:depth]):
         if contains(passage_texts[passage_id]):
             return rank
@@ -148,7 +139,7 @@ def match_at_k(
     passage_texts: dict[str, str],
 ) -> int:
     """1 iff any top-k passage contains a gold answer (first_match_rank)."""
-    return int(first_match_rank(retrieved, gold, k, passage_texts) < k)
+    return int(first_match_rank([sp.passage_id for sp in retrieved[:k]], gold, k, passage_texts) < k)
 
 
 def top_n_f1(candidates: Sequence[str], gold: GoldSet, n: int) -> float:
@@ -236,14 +227,33 @@ def load_gold_jsonl(lines: Iterable[str], source: Optional[str] = None) -> list[
     return read_jsonl(lines, gold, source)
 
 
+def _squad_list(container, key: str, where: str) -> list:
+    """container[key], [] when absent, of a SQuAD JSON object; `where` names
+    the container in the ValueError a malformed one raises."""
+    if not isinstance(container, dict):
+        raise ValueError(f"malformed SQuAD {where}: not a JSON object")
+    items = container.get(key, [])
+    if not isinstance(items, list):
+        raise ValueError(f"malformed SQuAD {where}: {key!r} is not a list")
+    return items
+
+
 def load_gold_squad(data: dict) -> list[GoldSet]:
     """SQuAD-style nested JSON: data -> paragraphs -> qas -> answers. A qa
     without answers is skipped. A malformed qa raises ValueError naming its
     id, or its 0-based index over all qas when it has none, and the reason:
     "malformed SQuAD qa '2': missing key 'question'". An id-less qa's id is
     the number of golds before it; a qa whose id an earlier gold has is
-    malformed: "malformed SQuAD qa '0': duplicate id"."""
-    qas = (qa for article in data.get("data", []) for para in article.get("paragraphs", []) for qa in para.get("qas", []))
+    malformed: "malformed SQuAD qa '0': duplicate id". The file, an article
+    or a paragraph that is not a JSON object, or whose 'data', 'paragraphs'
+    or 'qas' is not a list, raises ValueError naming it by 0-based index:
+    "malformed SQuAD paragraph 0 of article 1: not a JSON object"."""
+    qas = (
+        qa
+        for a, article in enumerate(_squad_list(data, "data", "file"))
+        for p, para in enumerate(_squad_list(article, "paragraphs", f"article {a}"))
+        for qa in _squad_list(para, "qas", f"paragraph {p} of article {a}")
+    )
     golds = []
     seen: set[str] = set()
     for i, qa in enumerate(qas):

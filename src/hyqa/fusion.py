@@ -32,18 +32,16 @@ class FusionConfig:
             raise ValueError("weight must lie in [0, 1]")
 
 
-def _minmax(scores: np.ndarray) -> np.ndarray:
+def minmax_normalize(scores: Sequence[float]) -> np.ndarray:
+    """(x - min) / (max - min) as a float64 array; a constant input maps
+    every value to 0.5, and an empty one is a ValueError."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(scores) == 0:
+        raise ValueError("cannot normalize an empty score list")
     lo, hi = scores.min(), scores.max()
     if hi == lo:
         return np.full(len(scores), 0.5)
     return (scores - lo) / (hi - lo)
-
-
-def minmax_normalize(scores: Sequence[float]) -> list[float]:
-    """(x - min) / (max - min); a constant list maps every value to 0.5."""
-    if len(scores) == 0:
-        raise ValueError("cannot normalize an empty score list")
-    return _minmax(np.asarray(scores, dtype=np.float64)).tolist()
 
 
 def shared_rows(*id_lists: Sequence[str]) -> tuple[list[np.ndarray], list[str], np.ndarray]:
@@ -60,7 +58,7 @@ def _scatter(n: int, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Min-max normalized scores at `rows` of an n-vector, 0 elsewhere."""
     out = np.zeros(n)
     if len(rows):
-        out[rows] = _minmax(scores)
+        out[rows] = minmax_normalize(scores)
     return out
 
 

@@ -1,13 +1,13 @@
 """Extractive span scoring and answerability.
 
 A span (s, e) over passage tokens (1-based; index 0 is the null/CLS slot)
-scores start[s] + end[e] - start[0] - end[0]. Both span searches take
-stacked logit rows (LogitRows) laid out by _padded_end. The best-span
-enumerator, best_spans, ranks one row's band of every span score
-(span_band), sum(n) * width values. The best span of each row
-(best_span_each, which answerability and the K-passage reader call) needs
-only a sliding maximum of the end logits, ceil(log2 width) passes over
-about sum(n) values, and the width cells of one start per row.
+scores start[s] + end[e] - start[0] - end[0]. Both span searches lay out
+the end logits with _padded_end. The best-span enumerator, best_spans,
+ranks every span score of one passage, n * width values. The best span of
+each row of stacked logit rows (best_span_each, which answerability and the
+K-passage reader call) needs only a sliding maximum of the end logits,
+ceil(log2 width) passes over about sum(n) values, and the width cells of
+one start per row.
 
 Logit sources are pluggable, and logit_rows is the one function that
 knows their protocol: it scores (question, passage) pairs as one LogitRows
@@ -38,7 +38,6 @@ __all__ = [
     "SpanScore",
     "ScorerConfig",
     "span_score",
-    "span_band",
     "best_spans",
     "best_span_each",
     "answerability",
@@ -155,38 +154,20 @@ def _padded_end(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np.nd
     return end, window, width
 
 
-def span_band(rows: LogitRows, max_answer_len: int) -> np.ndarray:
-    """Every span score of every row, stacked by token: row k takes n
-    consecutive band rows from offset o (the sum of the earlier rows' n),
-    and band[o + s - 1, j] scores its span (s, s + j), for j below
-    width = min(max_answer_len, the longest n).
-
-    Spans that run past their own row's n score -inf, so in each row's
-    block the row-major order of the cells is the (s asc, e asc) tie order
-    and the first maximum is the best span. The band holds sum(n) * width
-    float64 values; best_spans enumerates one row's band, and
-    best_span_each finds the same first maximum without building it.
-    """
-    end, window, width = _padded_end(rows, max_answer_len)
-    # The windows of `end` as a strided view; numpy's sliding_window_view
-    # builds the same view at many times the cost of this constructor.
-    step = end.strides[0]
-    band = np.ndarray((len(end) - width + 1, width), end.dtype, end, 0, (step, step))[window]
-    band += rows.start[:, None]
-    band -= np.repeat(rows.cls_start, rows.n)[:, None]
-    band -= np.repeat(rows.cls_end, rows.n)[:, None]
-    return band
-
-
 def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> list[SpanScore]:
     """All spans of length <= max_answer_len scored; top_n by descending
     score, ties by (ascending s, ascending e)."""
     n = logits.n
     if n == 0:
         return []
-    band = span_band(stack_logits([logits]), config.max_answer_len)
-    width = band.shape[1]
-    scores = band.ravel()
+    end, window, width = _padded_end(stack_logits([logits]), config.max_answer_len)
+    # cells[s - 1, j] scores the span (s, s + j); a span past n scores -inf,
+    # so the row-major order of the cells is the (s asc, e asc) tie order.
+    cells = end[window[:, None] + np.arange(width)]
+    cells += logits.start[1:, None]
+    cells -= logits.start[0]
+    cells -= logits.end[0]
+    scores = cells.ravel()
     n_spans = n * width - width * (width - 1) // 2
     flat = top_k(scores, np.arange(scores.size), min(config.top_n, n_spans)).tolist()
     return [SpanScore(f // width + 1, f // width + 1 + f % width, float(scores[f])) for f in flat]
@@ -194,14 +175,14 @@ def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> lis
 
 def best_span_each(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best span of each row, as best_spans(top_n=1) picks it: arrays of
-    s, e and score by row, the first maximum of span_band's cells in
-    (s asc, e asc) order, found without building the band.
+    s, e and score by row, the first maximum of best_spans' cells in
+    (s asc, e asc) order, found without building every cell.
 
     A span's score rounds monotonically in its end logit, so the best score
     of the spans from start s is the score of the largest end logit in s's
     window of width cells. The windows' maxima take ceil(log2 width) passes
     over the padded end logits; the cells of one start per row are then
-    built as span_band builds them, to find the first end that reaches the
+    built as best_spans builds them, to find the first end that reaches the
     row's best. The working set is O(sum(n) + rows * width) float64 values.
     A row with n = 0 is a ValueError.
     """
@@ -216,7 +197,7 @@ def best_span_each(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np
         step = min(covered, width - covered)
         winmax = np.maximum(winmax[:-step], winmax[step:])
         covered += step
-    # The score of each start's best span, with span_band's operations.
+    # The score of each start's best span, with best_spans' operations.
     score = ((winmax[window] + rows.start) - np.repeat(rows.cls_start, n)) - np.repeat(rows.cls_end, n)
     offsets = np.cumsum(n) - n
     best = np.maximum.reduceat(score, offsets)

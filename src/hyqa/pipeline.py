@@ -43,8 +43,8 @@ from .corpus import (
 )
 from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_top_k
 from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
-from .evalkit import GoldSet, MetricReport, _first_match_rank, token_f1
-from .fusion import FusionConfig, _minmax, fuse_top_k, shared_rows
+from .evalkit import GoldSet, MetricReport, first_match_rank, token_f1
+from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
 from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, logit_rows
 from .scored import ScoredPassage, check_finite, id_ranks, top_set
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_hits_each, sparse_top_k_each
@@ -74,7 +74,6 @@ __all__ = [
     "run_adaptation",
 ]
 
-K_SPARSE_ONLY = 100  # retrieval depth that works best for BM25 alone
 K_HYBRID = 40  # retrieval depth for fused sparse+dense retrieval
 
 # A retriever may also have .ranked(question, k), its result as passage ids
@@ -142,7 +141,7 @@ def _normalize(scores: np.ndarray, mode: str) -> np.ndarray:
     if mode == "softmax":
         exp = np.exp(scores - scores.max())
         return exp / exp.sum()
-    return _minmax(scores)
+    return minmax_normalize(scores)
 
 
 class _Reading(NamedTuple):
@@ -276,7 +275,7 @@ def evaluate_run(
         if gold.query_id in report.per_query:
             raise ValueError(f"duplicate query id {gold.query_id!r}")
         ids, scores = _ranked(retriever, gold.question, depth)
-        rank = _first_match_rank(ids, gold, deepest, passage_texts)
+        rank = first_match_rank(ids, gold, deepest, passage_texts)
         row: dict[str, float] = {f"match@{k}": int(rank < k) for k in match_ks}
         reading = _read(gold.question, ids[: config.K], scores[: config.K], scorer, passage_texts, config)
         f1 = [] if reading is None else [token_f1(answer, gold.answers) for answer in reading.answers(5)]

@@ -48,8 +48,8 @@ class BM25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError("k1 must be positive")
+        if not (math.isfinite(self.k1) and self.k1 > 0):
+            raise ValueError("k1 must be finite and positive")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must lie in [0, 1]")
 
@@ -109,7 +109,10 @@ class SparseIndex:
     def load(cls, path) -> "SparseIndex":
         _, meta, arrays = container.load(path, kind="sparse")
         _check_layout(path, meta, arrays)
-        params = BM25Params(k1=meta["k1"], b=meta["b"])
+        try:
+            params = BM25Params(k1=meta["k1"], b=meta["b"])
+        except (TypeError, ValueError) as e:
+            raise ContainerError(f"{path}: {e}") from e
         return cls(params, list(meta["doc_ids"]), list(meta["terms"]), *(arrays[name] for name in _ARRAYS))
 
     def dump_postings(self) -> Iterable[str]:

@@ -10,6 +10,7 @@ span scorer, BM25 hard-negative mining, and training-set assembly.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds, tokenize
 from .encoder import IRTrainInstance
-from .evalkit import _answer_test
+from .evalkit import answer_test
 from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows
 from .sparse import SparseIndex, sparse_top_k_each
 
@@ -126,6 +127,10 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class FilterConfig:
     threshold: float = 7.0
+
+    def __post_init__(self):
+        if math.isnan(self.threshold):
+            raise ValueError("threshold must be a number, not NaN")
 
 
 @dataclass(frozen=True)
@@ -473,7 +478,7 @@ def _first_negative(
 ) -> Optional[str]:
     """The first of the `ranked` passage indices, other than exclude_id,
     whose text does not contain the normalized answer."""
-    contains = _answer_test([answer])
+    contains = answer_test([answer])
     for i in ranked.tolist():
         passage_id = index.doc_ids[i]
         if passage_id != exclude_id and not contains(passage_texts[passage_id]):

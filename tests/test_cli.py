@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import pytest
 import hyqa
 from hyqa.cli import main, parse_args
 from hyqa.corpus import ingest_documents, tokenize
-from hyqa.encoder import TrainConfig
-from hyqa.pipeline import AdaptationConfig, run_adaptation
-from hyqa.syngen import QAExample, example_to_record
+from hyqa.encoder import DESK_PRESET, TrainConfig
+from hyqa.fusion import FusionConfig, tune_weight
+from hyqa.pipeline import AdaptationConfig, PipelineConfig, run_adaptation
+from hyqa.sparse import BM25Params
+from hyqa.syngen import FilterConfig, QAExample, SamplerConfig, example_to_record
 
 
 def write_documents(path):
@@ -236,6 +239,43 @@ class TestRetrievalCommands:
         assert tuned["match@5"] == 1.0
 
 
+_FUSION, _PIPELINE, _ADAPTATION, _SAMPLER = FusionConfig(), PipelineConfig(), AdaptationConfig(), SamplerConfig()
+_TUNE = inspect.signature(tune_weight).parameters
+_RETRIEVAL = {"weight": _FUSION.weight, "pool_size": _FUSION.pool_size}
+_READING = {**_RETRIEVAL, "K": _PIPELINE.K, "ir_weight": _PIPELINE.ir_weight}
+
+
+# Each stage command with only its required flags, and the library defaults
+# its other flags must take.
+_STAGE_DEFAULTS = [
+    (["index-sparse", "--passages", "p"], {"k1": BM25Params().k1, "b": BM25Params().b}),
+    (
+        ["train-encoder", "--instances", "i", "--passages", "p"],
+        {"lr": DESK_PRESET.learning_rate, "epochs": DESK_PRESET.epochs, "batch_size": DESK_PRESET.batch_size,
+         "warmup": DESK_PRESET.warmup_steps, "dim": _ADAPTATION.embedding_dim},
+    ),
+    (["generate", "--passages", "p"], {"n": _ADAPTATION.examples_per_passage, "p": _SAMPLER.p, "k": _SAMPLER.k}),
+    (["filter", "--examples", "e", "--passages", "p"], {"threshold": FilterConfig().threshold}),
+    (["mine-negatives", "--examples", "e", "--passages", "p", "--index", "i"], {"depth": _ADAPTATION.negative_depth}),
+    (["retrieve", "--query", "q"], _RETRIEVAL),
+    (
+        ["answer", "--question", "q", "--passages", "p"],
+        {**_READING, "max_answer_len": _PIPELINE.max_answer_len, "normalization": _PIPELINE.normalization},
+    ),
+    (["evaluate", "--golds", "g", "--passages", "p"], _READING),
+    (
+        ["tune-fusion", "--golds", "g", "--passages", "p", "--sparse", "s", "--dense", "d", "--encoder", "e"],
+        {"k": _TUNE["k"].default, "pool_size": _TUNE["pool_size"].default},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, defaults", _STAGE_DEFAULTS, ids=[argv[0] for argv, _ in _STAGE_DEFAULTS])
+def test_stage_flags_default_to_the_library_defaults(argv, defaults):
+    args = parse_args(argv)
+    assert {name: getattr(args, name) for name in defaults} == defaults
+
+
 class TestErrorHandling:
     def test_missing_input_exits_nonzero(self, tmp_path, capsys):
         assert run(["--output-dir", tmp_path, "index-sparse", "--passages", tmp_path / "absent.jsonl"]) == 1
@@ -246,6 +286,20 @@ class TestErrorHandling:
         gen = out / "passages_generation.jsonl"
         assert run(["--output-dir", out / "zero", "generate", "--passages", gen, "--n", 0]) == 1
         assert capsys.readouterr().err == "error [generate]: n must be >= 1\n"
+
+    @pytest.mark.parametrize("k1", ["nan", "inf"])
+    def test_index_sparse_refuses_non_finite_k1(self, workspace, k1, capsys):
+        _, out = workspace
+        target = out / "bad-k1"
+        assert run(["--output-dir", target, "index-sparse", "--passages", out / "passages_retrieval.jsonl", "--k1", k1]) == 1
+        assert capsys.readouterr().err == "error [index-sparse]: k1 must be finite and positive\n"
+        assert not (target / "sparse.hyqa").exists()
+
+    def test_chunk_refuses_zero_max_units(self, tmp_path, capsys):
+        docs = tmp_path / "documents.jsonl"
+        write_documents(docs)
+        assert run(["--output-dir", tmp_path / "o", "chunk", "--input", docs, "--max-units", 0]) == 1
+        assert capsys.readouterr().err == "error [chunk]: max_units must be >= 1\n"
 
     def test_retrieve_without_index(self, capsys):
         assert run(["retrieve", "--mode", "sparse", "--query", "x"]) == 1

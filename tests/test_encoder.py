@@ -9,7 +9,6 @@ import hyqa.encoder as encoder_module
 from hyqa.corpus import Document, Passage, chunk_retrieval_passages, terms, tokenize
 from hyqa.encoder import (
     DESK_PRESET,
-    FULL_PRESET,
     DualEncoder,
     IRTrainInstance,
     TrainConfig,
@@ -592,12 +591,6 @@ class TestHeldTable:
 
 
 class TestPresets:
-    def test_full_scale_preset(self):
-        assert FULL_PRESET.learning_rate == 1e-5
-        assert FULL_PRESET.epochs == 6
-        assert FULL_PRESET.batch_size == 128
-        assert FULL_PRESET.warmup_steps == 1237
-
     def test_desk_preset(self):
         assert DESK_PRESET.learning_rate == 0.05
         assert DESK_PRESET.epochs == 6
@@ -629,6 +622,11 @@ class TestPersistence:
         assert changed != enc
         assert DualEncoder.from_texts(["alpha beta"], d=4, seed=3) != enc
         assert enc != "encoder"
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="^learning_rate must be finite and positive$"):
+            TrainConfig(learning_rate=rate)
 
     def test_positive_in_negatives_rejected(self):
         p = passage("same", "alpha")

@@ -142,7 +142,7 @@ class TestFirstMatchRank:
         passage_texts = {f"p{i}": t for i, t in enumerate(texts)}
         retrieved = [ScoredPassage(f"p{i % len(texts)}", 1.0, "sparse") for i in picks]
         gold = GoldSet("q", "q", tuple(answers))
-        rank = first_match_rank(retrieved, gold, 100, passage_texts)
+        rank = first_match_rank([sp.passage_id for sp in retrieved], gold, 100, passage_texts)
         for k in (1, 20, 40, 100):
             expected = int(any(contains_answer_reference(passage_texts[sp.passage_id], answers)
                                for sp in retrieved[:k]))
@@ -151,7 +151,7 @@ class TestFirstMatchRank:
 
     def test_rank_of_first_hit(self):
         texts = {"p1": "no", "p2": "the answer", "p3": "answer"}
-        run = [ScoredPassage(p, 1.0, "dense") for p in ("p1", "p2", "p3")]
+        run = ["p1", "p2", "p3"]
         gold = GoldSet("q", "q", ("Answer",))
         assert first_match_rank(run, gold, 3, texts) == 1
         assert first_match_rank(run, gold, 1, texts) == 1  # none in the top 1: the depth
@@ -361,6 +361,25 @@ class TestLoaders:
         with pytest.raises(ValueError) as raised:
             load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
         assert str(raised.value) == f"malformed SQuAD qa 1: {reason}"
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "malformed SQuAD file: not a JSON object"),
+            ({"data": {"paragraphs": []}}, "malformed SQuAD file: 'data' is not a list"),
+            ({"data": [{"paragraphs": []}, ["paragraphs"]]}, "malformed SQuAD article 1: not a JSON object"),
+            ({"data": [{"paragraphs": "qas"}]}, "malformed SQuAD article 0: 'paragraphs' is not a list"),
+            ({"data": [{}, {"paragraphs": [{"qas": []}, "qas"]}]},
+             "malformed SQuAD paragraph 1 of article 1: not a JSON object"),
+            ({"data": [{"paragraphs": [{"qas": {"id": "1"}}]}]},
+             "malformed SQuAD paragraph 0 of article 0: 'qas' is not a list"),
+        ],
+        ids=["file", "data", "article", "paragraphs", "paragraph", "qas"],
+    )
+    def test_squad_malformed_container_is_located(self, data, message):
+        with pytest.raises(ValueError) as raised:
+            load_gold_squad(data)
+        assert str(raised.value) == message
 
 
 class TestReport:

@@ -12,13 +12,15 @@ def sp(pid, score, provenance="sparse"):
 
 class TestMinMax:
     def test_hand_values(self):
-        assert minmax_normalize([2.0, 4.0, 8.0]) == [0.0, 1.0 / 3.0, 1.0]
+        normalized = minmax_normalize([2.0, 4.0, 8.0])
+        assert normalized.dtype == np.float64
+        assert normalized.tolist() == [0.0, 1.0 / 3.0, 1.0]
 
     def test_constant_list_maps_to_half(self):
-        assert minmax_normalize([3.0, 3.0, 3.0]) == [0.5, 0.5, 0.5]
+        assert minmax_normalize([3.0, 3.0, 3.0]).tolist() == [0.5, 0.5, 0.5]
 
     def test_singleton(self):
-        assert minmax_normalize([7.0]) == [0.5]
+        assert minmax_normalize([7.0]).tolist() == [0.5]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):

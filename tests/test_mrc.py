@@ -19,7 +19,6 @@ from hyqa.mrc import (
     best_spans,
     extract_answer,
     logit_rows,
-    span_band,
     span_score,
     stack_logits,
 )
@@ -154,11 +153,6 @@ class TestSpanLogitsArrays:
 
 
 class TestSpanBand:
-    def test_pads_each_row_past_its_own_length(self):
-        short = SpanLogits((0.0, 1.0), (0.0, 2.0))
-        band = span_band(stack_logits([FIXTURE, short]), max_answer_len=30)
-        assert band.tolist() == [[1.8, 4.3], [3.3, float("-inf")], [3.0, float("-inf")]]
-
     @given(st.lists(logit_sets, min_size=1, max_size=40), st.integers(1, 60))
     def test_best_span_each_equals_best_spans_top_1(self, rows, max_len):
         rows = [r for r in rows if r.n > 0] or [FIXTURE]

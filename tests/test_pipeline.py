@@ -14,7 +14,6 @@ from hyqa.fusion import minmax_normalize
 from hyqa.mrc import LexicalScorer, ScorerConfig, SpanLogits, best_spans
 from hyqa.pipeline import (
     K_HYBRID,
-    K_SPARSE_ONLY,
     AdaptationConfig,
     PipelineConfig,
     answer_question,
@@ -102,7 +101,6 @@ class TestAnswerQuestion:
         assert candidates[0].passage_id == "p2"
 
     def test_depth_constants(self):
-        assert K_SPARSE_ONLY == 100
         assert K_HYBRID == 40
         assert PipelineConfig().K == 40
         assert PipelineConfig().ir_weight == 0.7
@@ -154,7 +152,7 @@ def loop_reference(question, retriever, scorer, passage_texts, config):
         if config.normalization == "softmax":
             exp = np.exp(np.asarray(scores, dtype=np.float64) - max(scores))
             return list(exp / exp.sum())
-        return minmax_normalize(scores)
+        return minmax_normalize(scores).tolist()
 
     ir_norm = normalize([sp.score for sp, _, _ in raw])
     mrc_norm = normalize([span.score for _, span, _ in raw])

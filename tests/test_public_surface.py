@@ -1,10 +1,12 @@
 """Each module's __all__ lists exactly the public functions and classes it
 defines, so a deleted name cannot linger there and a public one cannot be
-left out."""
+left out; and no module imports another's private names."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +34,17 @@ def test_all_lists_exactly_the_public_definitions(name):
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert [attr for attr in listed if not hasattr(module, attr)] == []
     assert {attr for attr in listed if _is_definition(getattr(module, attr))} == defined
+
+
+@pytest.mark.parametrize("path", sorted(Path(hyqa.__file__).parent.glob("*.py")), ids=lambda path: path.stem)
+def test_no_private_import_from_another_module(path):
+    """A name one hyqa module shares with another is public: no module
+    imports an underscore name from a hyqa module."""
+    private = [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "hyqa")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -203,6 +203,12 @@ def test_default_params_match_expected():
     assert params.b == 0.75
 
 
+@pytest.mark.parametrize("k1", [float("nan"), float("inf"), 0.0, -1.0])
+def test_params_refuse_k1_not_finite_and_positive(k1):
+    with pytest.raises(ValueError, match="^k1 must be finite and positive$"):
+        BM25Params(k1=k1)
+
+
 def test_dump_postings_readable(small_index):
     index, _ = small_index[0], small_index[1]
     lines = list(small_index[0].dump_postings())
@@ -250,6 +256,14 @@ class TestLoadErrors:
         corrupt(meta, arrays)
         container.save(path, "sparse", meta, arrays)
         with pytest.raises(ContainerError, match=rf"idx\.hyqa: .*{message}"):
+            SparseIndex.load(path)
+
+    @pytest.mark.parametrize("k1", [float("nan"), float("inf"), "1.2"])
+    def test_bad_k1_is_named(self, saved, k1):
+        path, meta, arrays = saved
+        meta["k1"] = k1
+        container.save(path, "sparse", meta, arrays)
+        with pytest.raises(ContainerError, match=r"idx\.hyqa: "):
             SparseIndex.load(path)
 
     def test_every_prefix_raises(self, small_index, tmp_path):

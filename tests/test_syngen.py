@@ -533,6 +533,10 @@ class TestRoundtripFilter:
     def test_default_threshold(self):
         assert FilterConfig().threshold == 7.0
 
+    def test_nan_threshold_refused(self):
+        with pytest.raises(ValueError, match="^threshold must be a number, not NaN$"):
+            FilterConfig(float("nan"))
+
     def test_missing_logits_dropped_not_fatal(self):
         examples, passages = self.make_examples()
 
@@ -630,13 +634,11 @@ class TestBlockedRoundtripFilter:
         assert calls[: len({ex.question for ex in blocks[0]})] == list(dict.fromkeys(ex.question for ex in blocks[0]))
 
     def test_no_span_band_wider_than_a_block(self, monkeypatch):
-        import hyqa.mrc
         from hyqa.pipeline import evaluate_run, make_sparse_retriever
 
         examples, texts = filter_inputs(4, 2 * _FILTER_BLOCK + 5, 8, 5)
         rows_per_call, real = [], syngen.best_span_each
         monkeypatch.setattr(syngen, "best_span_each", lambda rows, L: rows_per_call.append(len(rows.n)) or real(rows, L))
-        monkeypatch.setattr(hyqa.mrc, "span_band", lambda rows, L: pytest.fail("span_band called"))
         result = roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), texts)
         assert len(result.scores) == len(examples)
         assert len(rows_per_call) == 3
