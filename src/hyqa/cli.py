@@ -27,7 +27,7 @@ from .corpus import (
     write_jsonl,
 )
 from .dense_index import DenseIndex
-from .encoder import DESK_PRESET, DualEncoder, IRTrainInstance, TrainConfig, encode_passage, train
+from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, train
 from .evalkit import load_gold_jsonl, paired_t_test
 from .fusion import FusionConfig, tune_weight
 from .mrc import ExternalLogits, LexicalScorer
@@ -326,7 +326,7 @@ def cmd_dump(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    bm25, sampler, fusion = BM25Params(), SamplerConfig(), FusionConfig()
+    bm25, sampler, fusion, training = BM25Params(), SamplerConfig(), FusionConfig(), TrainConfig()
     pipeline, adaptation = PipelineConfig(), AdaptationConfig()
     tune = inspect.signature(tune_weight).parameters
     parser = argparse.ArgumentParser(prog="hyqa", description="Hybrid sparse/dense retrieval and extractive QA")
@@ -364,10 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-encoder", help="train the dual encoder")
     p.add_argument("--instances", required=True)
     p.add_argument("--passages", required=True)
-    p.add_argument("--lr", type=float, default=DESK_PRESET.learning_rate)
-    p.add_argument("--epochs", type=int, default=DESK_PRESET.epochs)
-    p.add_argument("--batch-size", type=int, default=DESK_PRESET.batch_size)
-    p.add_argument("--warmup", type=int, default=DESK_PRESET.warmup_steps)
+    p.add_argument("--lr", type=float, default=training.learning_rate)
+    p.add_argument("--epochs", type=int, default=training.epochs)
+    p.add_argument("--batch-size", type=int, default=training.batch_size)
+    p.add_argument("--warmup", type=int, default=training.warmup_steps)
     p.add_argument("--dim", type=int, default=adaptation.embedding_dim)
     p.set_defaults(func=cmd_train_encoder)
 

@@ -46,7 +46,6 @@ __all__ = [
     "terms",
     "TokenTable",
     "token_table",
-    "word_count",
     "chunk_retrieval_passages",
     "chunk_generation_passages",
     "passage_to_record",
@@ -307,10 +306,6 @@ def token_table(texts: Iterable[str]) -> TokenTable:
     rank = np.empty(len(surfaces), dtype=np.int32)
     rank[order] = np.arange(len(surfaces), dtype=np.int32)
     return TokenTable([surfaces[i] for i in order], offsets, rank[first_seen])
-
-
-def word_count(text: str) -> int:
-    return len(_TOKEN_RE.findall(text))
 
 
 def _chunk(doc: Document, max_units: int) -> list[Passage]:

@@ -7,7 +7,7 @@ Returned scores are always the exact inner products of the stored vectors,
 so the IVF index only approximates the candidate set, never the score.
 Both score with np.vecdot, which rounds each row's product as the per-row
 `row @ q` does; a GEMV (`matrix @ q`) or einsum changes the last bit of most
-rows.
+rows. A saved index loads through build_dense_index, and so its checks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import container
-from .scored import ScoredPassage, id_ranks, top_k
+from .scored import ScoredPassage, id_ranks, ranked_passages, top_k
 
 __all__ = ["DenseIndex", "IVFIndex", "build_dense_index", "dense_scores", "dense_top_k", "dense_search", "build_ivf_index", "ivf_search"]
 
@@ -51,17 +51,10 @@ class DenseIndex:
     @classmethod
     def load(cls, path) -> "DenseIndex":
         _, meta, arrays = container.load(path, kind="dense")
-        ids, matrix = list(meta["ids"]), np.array(arrays["matrix"], dtype=np.float64)
-        bad = _first_nonfinite(ids, matrix)
-        if bad is not None:
-            raise container.ContainerError(f"{path}: non-finite embedding for passage {bad!r}")
-        return cls(ids, matrix)
-
-
-def _first_nonfinite(ids: list[str], matrix: np.ndarray) -> str | None:
-    """The id of the first row holding a NaN or an infinity, or None."""
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    return ids[bad[0]] if bad.size else None
+        try:
+            return build_dense_index(meta["ids"], arrays["matrix"])
+        except ValueError as e:
+            raise container.ContainerError(f"{path}: {e}") from e
 
 
 def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
@@ -77,9 +70,9 @@ def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
         raise ValueError(f"{len(ids)} ids but {matrix.shape[0]} embedding rows")
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate passage ids")
-    bad = _first_nonfinite(ids, matrix)
-    if bad is not None:
-        raise ValueError(f"non-finite embedding for passage {bad!r}")
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite embedding for passage {ids[bad[0]]!r}")
     return DenseIndex(list(ids), matrix)
 
 
@@ -93,10 +86,6 @@ def _query(index: DenseIndex, q_emb: np.ndarray) -> np.ndarray:
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-
-
-def _passages(index: DenseIndex, rows: np.ndarray, scores: np.ndarray) -> list[ScoredPassage]:
-    return [ScoredPassage(index.ids[i], s, "dense") for i, s in zip(rows.tolist(), scores.tolist())]
 
 
 def dense_scores(index: DenseIndex, q_emb: np.ndarray) -> np.ndarray:
@@ -117,7 +106,7 @@ def dense_top_k(index: DenseIndex, q_emb: np.ndarray, k: int) -> tuple[np.ndarra
 
 def dense_search(index: DenseIndex, q_emb: np.ndarray, k: int) -> list[ScoredPassage]:
     """Top-k rows by inner product, ties by ascending passage id."""
-    return _passages(index, *dense_top_k(index, q_emb, k))
+    return ranked_passages(index.ids, *dense_top_k(index, q_emb, k), "dense")
 
 
 class IVFIndex:
@@ -181,4 +170,4 @@ def ivf_search(ivf: IVFIndex, q_emb: np.ndarray, k: int, n_probe: int | None = N
     candidates = np.concatenate([ivf.members[c] for c in chosen])
     scores = np.vecdot(index.matrix[candidates], q)
     top = top_k(scores, index.id_rank[candidates], k)
-    return _passages(index, candidates[top], scores[top])
+    return ranked_passages(index.ids, candidates[top], scores[top], "dense")

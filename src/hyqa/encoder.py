@@ -55,7 +55,6 @@ __all__ = [
     "DualEncoder",
     "IRTrainInstance",
     "TrainConfig",
-    "DESK_PRESET",
     "encode_query",
     "encode_passage",
     "similarity",
@@ -134,11 +133,29 @@ class DualEncoder:
 
     @classmethod
     def load(cls, path) -> "DualEncoder":
+        """A saved encoder. A parameter array that is missing or whose shape
+        does not fit the vocabulary and d, or a projection or bias holding a
+        NaN or an infinity, is a ContainerError naming the file and the
+        array. The V x d embedding tables are most of the file, so they are
+        not scanned, which would add a full pass to every load; a non-finite
+        table entry is refused where it is used: build_dense_index refuses
+        the passage embedding it makes, and a retriever the score."""
         _, meta, arrays = container.load(path, kind="encoder")
+        v, d = len(meta["vocab"]), meta["d"]
+        shapes = {"emb": (v, d), "proj": (d, d), "bias": (d,)}
+        for name in _PARAM_NAMES:
+            array = arrays.get(name)
+            if array is None:
+                raise container.ContainerError(f"{path}: missing array {name!r}")
+            shape = shapes[name[2:]]
+            if array.shape != shape:
+                raise container.ContainerError(f"{path}: array {name!r} has shape {array.shape}, not {shape}")
+            if not name.endswith("_emb") and not np.isfinite(array).all():
+                raise container.ContainerError(f"{path}: array {name!r} holds a non-finite value")
         return cls(
             vocab={t: i for i, t in enumerate(meta["vocab"])},
             params={k: arrays[k] for k in _PARAM_NAMES},
-            d=meta["d"],
+            d=d,
         )
 
 
@@ -156,6 +173,8 @@ class IRTrainInstance:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """SGD settings; the defaults are sized for the desk-scale towers here."""
+
     learning_rate: float = 0.05
     epochs: int = 6
     batch_size: int = 16
@@ -171,10 +190,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be non-negative")
-
-
-# Hyperparameters sized for the desk-scale towers here.
-DESK_PRESET = TrainConfig(learning_rate=0.05, epochs=6, batch_size=16, warmup_steps=0)
 
 
 def _token_ids(encoder: DualEncoder, text: str) -> np.ndarray:
@@ -329,7 +344,7 @@ def loss_gradient(
 def train(
     encoder: DualEncoder,
     instances: Sequence[IRTrainInstance],
-    config: TrainConfig = DESK_PRESET,
+    config: TrainConfig = TrainConfig(),
 ) -> tuple[DualEncoder, list[float]]:
     """Mini-batch SGD with linear warmup; returns (trained copy, per-epoch
     mean loss). Shuffling and every other source of randomness derive from

@@ -240,9 +240,11 @@ def _squad_list(container, key: str, where: str) -> list:
 
 def load_gold_squad(data: dict) -> list[GoldSet]:
     """SQuAD-style nested JSON: data -> paragraphs -> qas -> answers. A qa
-    without answers is skipped. A malformed qa raises ValueError naming its
+    without answers is skipped. A malformed qa, one missing a key or whose
+    question or answer text is not a string, raises ValueError naming its
     id, or its 0-based index over all qas when it has none, and the reason:
-    "malformed SQuAD qa '2': missing key 'question'". An id-less qa's id is
+    "malformed SQuAD qa '2': missing key 'question'", "malformed SQuAD qa
+    '1': 'question' is not a string". An id-less qa's id is
     the number of golds before it; a qa whose id an earlier gold has is
     malformed: "malformed SQuAD qa '0': duplicate id". The file, an article
     or a paragraph that is not a JSON object, or whose 'data', 'paragraphs'
@@ -265,6 +267,10 @@ def load_gold_squad(data: dict) -> list[GoldSet]:
                 raise TypeError("'answers' is not a list of objects")
             answers = tuple(a["text"] for a in answers)
             if answers:
+                if not isinstance(qa["question"], str):
+                    raise TypeError("'question' is not a string")
+                if not all(isinstance(a, str) for a in answers):
+                    raise TypeError("'text' is not a string")
                 query_id = str(qa.get("id", len(golds)))
                 if query_id in seen:
                     raise ValueError("duplicate id")

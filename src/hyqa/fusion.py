@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .evalkit import GoldSet, match_at_k
-from .scored import ScoredPassage, id_ranks, top_k
+from .scored import ScoredPassage, id_ranks, ranked_passages, top_k
 
 __all__ = ["FusionConfig", "minmax_normalize", "shared_rows", "fuse_top_k", "fuse", "tune_weight"]
 
@@ -93,8 +93,8 @@ def fuse(
     sides = [list(sparse_results)[: config.pool_size], list(dense_results)[: config.pool_size]]
     (sparse_rows, dense_rows), ids, id_rank = shared_rows(*([r.passage_id for r in side] for side in sides))
     sparse_scores, dense_scores = (np.array([r.score for r in side], dtype=np.float64) for side in sides)
-    top, fused = fuse_top_k(sparse_rows, sparse_scores, dense_rows, dense_scores, config.weight, id_rank, len(ids))
-    return [ScoredPassage(ids[i], s, "fused") for i, s in zip(top.tolist(), fused.tolist())]
+    ranking = fuse_top_k(sparse_rows, sparse_scores, dense_rows, dense_scores, config.weight, id_rank, len(ids))
+    return ranked_passages(ids, *ranking, "fused")
 
 
 def tune_weight(

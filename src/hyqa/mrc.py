@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import read_jsonl, terms, token_bounds, word_count
+from .corpus import read_jsonl, terms, token_bounds
 from .scored import top_k
 
 __all__ = [
@@ -350,7 +350,7 @@ class ExternalLogits:
         """Check stored logit lengths against passage token counts."""
         for (qid, pid), logits in self._table.items():
             if pid in passage_texts:
-                n = word_count(passage_texts[pid])
+                n = len(terms(passage_texts[pid]))
                 if logits.n != n:
                     raise ValueError(
                         f"logits for ({qid!r}, {pid!r}) cover {logits.n} tokens, passage has {n}"

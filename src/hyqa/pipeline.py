@@ -5,8 +5,8 @@ Every run is a deterministic function of its inputs and one seed; the
 adaptation run writes a JSON manifest recording config and stage counts so
 results can be reproduced and audited.
 
-The read path moves arrays: the make_*_retriever retrievers give a
-question's ranked passage ids and scores through .ranked(question, k), and
+The read path moves arrays: each make_*_retriever retriever ranks its
+index's rows, .ranked(question, k) gives their passage ids and scores, and
 one reading kernel (_read) turns those into best spans, combined scores and
 their order. Records (ScoredPassage, SpanScore, AnswerCandidate) are built
 only where a public function returns them; evaluate_run builds none.
@@ -42,11 +42,11 @@ from .corpus import (
     write_jsonl,
 )
 from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_top_k
-from .encoder import DESK_PRESET, DualEncoder, TrainConfig, encode_passage, encode_query, train
+from .encoder import DualEncoder, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, first_match_rank, token_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
 from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, logit_rows
-from .scored import ScoredPassage, check_finite, id_ranks, top_set
+from .scored import ScoredPassage, id_ranks, ranked_passages, top_set
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_hits_each, sparse_top_k_each
 from .syngen import (
     FilterConfig,
@@ -110,22 +110,23 @@ class AnswerCandidate:
 
 
 class _RankedRetriever:
-    """A Retriever whose ranked(question, k) gives the top k passages as
-    their ids and an array of their scores; calling it builds those
-    passages' ScoredPassage records."""
+    """A Retriever over an index's ids and a ranker of its top k rows and
+    their scores: ranked(question, k) gives those rows' ids and scores, and
+    calling it their records. Both refuse a non-finite score alike."""
 
-    def __init__(self, ranked: Callable[[str, int], tuple[list[str], np.ndarray]], provenance: str):
-        self._ranked = ranked
+    def __init__(self, ids: Sequence[str], rows: Callable[[str, int], tuple[np.ndarray, np.ndarray]], provenance: str):
+        self._ids = ids
+        self._rows = rows
         self._provenance = provenance
 
     def ranked(self, question: str, k: int) -> tuple[list[str], np.ndarray]:
-        ids, scores = self._ranked(question, k)
-        check_finite(ids, scores)
-        return ids, scores
+        rows, scores = self._rows(question, k)
+        if not np.isfinite(scores).all():
+            ranked_passages(self._ids, rows, scores, self._provenance)  # raises, naming the first
+        return [self._ids[i] for i in rows.tolist()], scores
 
     def __call__(self, question: str, k: int) -> list[ScoredPassage]:
-        ids, scores = self._ranked(question, k)
-        return [ScoredPassage(pid, s, self._provenance) for pid, s in zip(ids, scores.tolist())]
+        return ranked_passages(self._ids, *self._rows(question, k), self._provenance)
 
 
 def _ranked(retriever: Retriever, question: str, k: int) -> tuple[list[str], np.ndarray]:
@@ -290,22 +291,12 @@ def evaluate_run(
 
 def make_sparse_retriever(index: SparseIndex) -> Retriever:
     """sparse_search as a Retriever, with .ranked."""
-
-    def ranked(question: str, k: int) -> tuple[list[str], np.ndarray]:
-        top, scores = sparse_top_k_each(index, [question], k)[0]
-        return [index.doc_ids[i] for i in top.tolist()], scores
-
-    return _RankedRetriever(ranked, "sparse")
+    return _RankedRetriever(index.doc_ids, lambda q, k: sparse_top_k_each(index, [q], k)[0], "sparse")
 
 
 def make_dense_retriever(index: DenseIndex, encoder: DualEncoder) -> Retriever:
     """dense_search of the encoded question as a Retriever, with .ranked."""
-
-    def ranked(question: str, k: int) -> tuple[list[str], np.ndarray]:
-        top, scores = dense_top_k(index, encode_query(encoder, question), k)
-        return [index.ids[i] for i in top.tolist()], scores
-
-    return _RankedRetriever(ranked, "dense")
+    return _RankedRetriever(index.ids, lambda q, k: dense_top_k(index, encode_query(encoder, q), k), "dense")
 
 
 def make_hybrid_retriever(
@@ -324,20 +315,19 @@ def make_hybrid_retriever(
     (sparse_to_row, dense_to_row), ids, id_rank = shared_rows(sparse_index.doc_ids, dense_index.ids)
     pool, w = fusion_config.pool_size, fusion_config.weight
 
-    def ranked(question: str, k: int) -> tuple[list[str], np.ndarray]:
+    def rows(question: str, k: int) -> tuple[np.ndarray, np.ndarray]:
         if k < 1:
             raise ValueError("k must be >= 1")
         hits, sparse_scores = sparse_hits_each(sparse_index, [question])[0]
         sparse_pool = top_set(sparse_scores, sparse_index.id_rank[hits], pool)
         dense = dense_scores(dense_index, encode_query(encoder, question))
         dense_pool = top_set(dense, dense_index.id_rank, pool)
-        top, scores = fuse_top_k(
+        return fuse_top_k(
             sparse_to_row[hits[sparse_pool]], sparse_scores[sparse_pool],
             dense_to_row[dense_pool], dense[dense_pool], w, id_rank, k,
         )
-        return [ids[i] for i in top.tolist()], scores
 
-    return _RankedRetriever(ranked, "fused")
+    return _RankedRetriever(ids, rows, "fused")
 
 
 def index_dense(encoder: DualEncoder, passages: Sequence[Passage]) -> DenseIndex:
@@ -358,7 +348,7 @@ class AdaptationConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     filter: FilterConfig = field(default_factory=lambda: FilterConfig(threshold=1.0))
     bm25: BM25Params = field(default_factory=BM25Params)
-    train: TrainConfig = DESK_PRESET
+    train: TrainConfig = TrainConfig()
     embedding_dim: int = 64
     negative_depth: int = 100
 

@@ -1,6 +1,7 @@
 """Shared scored-result record used by sparse, dense, and fused retrieval,
-and the one top-k selection that every ranked search goes through:
-top_set picks the k best positions unordered, and top_k sorts them."""
+the one top-k selection that every ranked search goes through (top_set
+picks the k best positions unordered, and top_k sorts them), and the one
+path from a search's ranked rows to its records (ranked_passages)."""
 
 from __future__ import annotations
 
@@ -22,12 +23,10 @@ class ScoredPassage:
             raise ValueError(f"non-finite score for passage {self.passage_id!r}")
 
 
-def check_finite(passage_ids: Sequence[str], scores: np.ndarray) -> None:
-    """The check a ScoredPassage of each (id, score) in order makes, on
-    arrays: the first non-finite score raises the same ValueError."""
-    if not np.isfinite(scores).all():
-        bad = int(np.flatnonzero(~np.isfinite(scores))[0])
-        ScoredPassage(passage_ids[bad], float(scores[bad]), "")  # raises, from __post_init__
+def ranked_passages(ids: Sequence[str], rows: np.ndarray, scores: np.ndarray, provenance: str) -> list[ScoredPassage]:
+    """The record of each ranked row in order: ids[row] with its score. The
+    first non-finite score raises ValueError naming its passage."""
+    return [ScoredPassage(ids[i], s, provenance) for i, s in zip(rows.tolist(), scores.tolist())]
 
 
 def id_ranks(ids: Sequence[str]) -> np.ndarray:

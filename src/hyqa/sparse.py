@@ -35,7 +35,7 @@ from scipy.sparse import csr_array
 from . import container
 from .container import ContainerError
 from .corpus import Passage, terms, token_table
-from .scored import ScoredPassage, id_ranks, top_k
+from .scored import ScoredPassage, id_ranks, ranked_passages, top_k
 
 __all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_hits_each", "sparse_top_k_each", "sparse_search"]
 
@@ -206,5 +206,4 @@ def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) ->
 
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> list[ScoredPassage]:
     """Top-k passages by BM25, descending score, ties by ascending id."""
-    top, scores = sparse_top_k_each(index, [query_text], k)[0]
-    return [ScoredPassage(index.doc_ids[i], s, "sparse") for i, s in zip(top.tolist(), scores.tolist())]
+    return ranked_passages(index.doc_ids, *sparse_top_k_each(index, [query_text], k)[0], "sparse")

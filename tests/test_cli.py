@@ -10,7 +10,7 @@ import pytest
 import hyqa
 from hyqa.cli import main, parse_args
 from hyqa.corpus import ingest_documents, tokenize
-from hyqa.encoder import DESK_PRESET, TrainConfig
+from hyqa.encoder import TrainConfig
 from hyqa.fusion import FusionConfig, tune_weight
 from hyqa.pipeline import AdaptationConfig, PipelineConfig, run_adaptation
 from hyqa.sparse import BM25Params
@@ -251,8 +251,8 @@ _STAGE_DEFAULTS = [
     (["index-sparse", "--passages", "p"], {"k1": BM25Params().k1, "b": BM25Params().b}),
     (
         ["train-encoder", "--instances", "i", "--passages", "p"],
-        {"lr": DESK_PRESET.learning_rate, "epochs": DESK_PRESET.epochs, "batch_size": DESK_PRESET.batch_size,
-         "warmup": DESK_PRESET.warmup_steps, "dim": _ADAPTATION.embedding_dim},
+        {"lr": TrainConfig().learning_rate, "epochs": TrainConfig().epochs, "batch_size": TrainConfig().batch_size,
+         "warmup": TrainConfig().warmup_steps, "dim": _ADAPTATION.embedding_dim},
     ),
     (["generate", "--passages", "p"], {"n": _ADAPTATION.examples_per_passage, "p": _SAMPLER.p, "k": _SAMPLER.k}),
     (["filter", "--examples", "e", "--passages", "p"], {"threshold": FilterConfig().threshold}),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyqa import container
 from hyqa.container import ContainerError
 from hyqa.dense_index import (
     DenseIndex,
@@ -67,6 +68,21 @@ class TestBuild:
         index.save(tmp_path / "idx.hyqa")
         with pytest.raises(ContainerError, match=r"^.*idx\.hyqa: non-finite embedding for passage 'c'$"):
             DenseIndex.load(tmp_path / "idx.hyqa")
+
+    @pytest.mark.parametrize(
+        "ids, matrix, reason",
+        [
+            (["a", "b", "c"], np.ones((2, 2)), "3 ids but 2 embedding rows"),
+            (["a", "b", "a"], np.ones((3, 2)), "duplicate passage ids"),
+            (["a", "b"], np.ones(2), "embeddings must be a 2-D array"),
+        ],
+        ids=["count", "duplicate", "one-dimensional"],
+    )
+    def test_load_refuses_what_the_build_refuses(self, tmp_path, ids, matrix, reason):
+        container.save(tmp_path / "idx.hyqa", "dense", {"ids": ids}, {"matrix": matrix.astype("<f4")})
+        with pytest.raises(ContainerError) as raised:
+            DenseIndex.load(tmp_path / "idx.hyqa")
+        assert str(raised.value) == f"{tmp_path / 'idx.hyqa'}: {reason}"
 
     def test_rebuild_persists_identically(self, tmp_path):
         rng = np.random.default_rng(1)

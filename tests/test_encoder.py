@@ -6,9 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hyqa.encoder as encoder_module
+from hyqa import container
+from hyqa.container import ContainerError
 from hyqa.corpus import Document, Passage, chunk_retrieval_passages, terms, tokenize
 from hyqa.encoder import (
-    DESK_PRESET,
     DualEncoder,
     IRTrainInstance,
     TrainConfig,
@@ -592,10 +593,10 @@ class TestHeldTable:
 
 class TestPresets:
     def test_desk_preset(self):
-        assert DESK_PRESET.learning_rate == 0.05
-        assert DESK_PRESET.epochs == 6
-        assert DESK_PRESET.batch_size == 16
-        assert DESK_PRESET.warmup_steps == 0
+        assert TrainConfig().learning_rate == 0.05
+        assert TrainConfig().epochs == 6
+        assert TrainConfig().batch_size == 16
+        assert TrainConfig().warmup_steps == 0
 
 
 class TestPersistence:
@@ -622,6 +623,42 @@ class TestPersistence:
         assert changed != enc
         assert DualEncoder.from_texts(["alpha beta"], d=4, seed=3) != enc
         assert enc != "encoder"
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda meta, arrays: arrays.pop("q_bias"), "missing array 'q_bias'"),
+            (lambda meta, arrays: arrays.update(q_emb=arrays["q_emb"][:-1]),
+             f"array 'q_emb' has shape ({len(VOCAB) - 1}, 4), not ({len(VOCAB)}, 4)"),
+            (lambda meta, arrays: arrays["p_proj"].__setitem__((1, 2), np.nan), "array 'p_proj' holds a non-finite value"),
+            (lambda meta, arrays: arrays["q_bias"].__setitem__(3, -np.inf), "array 'q_bias' holds a non-finite value"),
+            (lambda meta, arrays: meta.update(d=5), f"array 'q_emb' has shape ({len(VOCAB)}, 4), not ({len(VOCAB)}, 5)"),
+        ],
+        ids=["missing", "short-table", "nan", "inf", "meta-d"],
+    )
+    def test_load_refuses_a_damaged_file(self, tmp_path, damage, message):
+        enc = small_encoder(d=4)
+        meta = {"d": enc.d, "vocab": sorted(enc.vocab, key=enc.vocab.get)}
+        arrays = {k: v.copy() for k, v in enc.params.items()}
+        damage(meta, arrays)
+        container.save(tmp_path / "enc.hyqa", "encoder", meta, arrays)
+        with pytest.raises(ContainerError) as raised:
+            DualEncoder.load(tmp_path / "enc.hyqa")
+        assert str(raised.value) == f"{tmp_path / 'enc.hyqa'}: {message}"
+
+    def test_non_finite_table_entry_is_refused_where_used(self, tmp_path):
+        from hyqa.pipeline import index_dense, make_dense_retriever
+
+        enc = DualEncoder.from_texts(["alpha beta", "gamma"], d=4, seed=1)
+        enc.params["p_emb"][enc.vocab["alpha"], 0] = np.nan
+        enc.params["q_emb"][enc.vocab["gamma"], 1] = np.inf
+        enc.save(tmp_path / "enc.hyqa")
+        loaded = DualEncoder.load(tmp_path / "enc.hyqa")  # the tables are not scanned
+        passages = [passage("p0", "alpha beta"), passage("p1", "gamma")]
+        with pytest.raises(ValueError, match="^non-finite embedding for passage 'p0'$"):
+            index_dense(loaded, passages)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^non-finite score for passage 'p1'$"):
+            make_dense_retriever(index_dense(loaded, passages[1:]), loaded).ranked("gamma", 1)
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
     def test_learning_rate_must_be_finite_and_positive(self, rate):

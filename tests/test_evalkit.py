@@ -338,6 +338,20 @@ class TestLoaders:
         with pytest.raises(ValueError, match=r"^malformed SQuAD qa 1: missing key 'text'$"):
             load_gold_squad({"data": [{"paragraphs": [{"qas": qas}]}]})
 
+    @pytest.mark.parametrize(
+        "qa, reason",
+        [
+            ({"id": "1", "question": 5, "answers": [{"text": "Ada"}]}, "'question' is not a string"),
+            ({"id": "1", "question": "who", "answers": [{"text": "Ada"}, {"text": 7}]}, "'text' is not a string"),
+            ({"id": "1", "question": 5, "answers": [{"text": 7}]}, "'question' is not a string"),
+        ],
+        ids=["question", "answer-text", "both"],
+    )
+    def test_squad_non_string_question_or_text_is_refused(self, qa, reason):
+        with pytest.raises(ValueError) as raised:
+            load_gold_squad({"data": [{"paragraphs": [{"qas": [qa]}]}]})
+        assert str(raised.value) == f"malformed SQuAD qa '1': {reason}"
+
     def test_squad_repeated_id_is_refused(self):
         # The id-less first qa gets the id "0", which the second qa repeats.
         qas = [

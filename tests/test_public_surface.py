@@ -48,3 +48,33 @@ def test_no_private_import_from_another_module(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+SOURCES = sorted(Path(hyqa.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_only_scored_builds_scored_passages(path):
+    """Every ranking becomes records through scored.ranked_passages: no
+    other module calls ScoredPassage(...)."""
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ScoredPassage"
+    ]
+    assert path.stem == "scored" or calls == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_every_imported_name_is_used(path):
+    """Each name a module imports is read somewhere in it, so a fold
+    cannot leave a dead import behind."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in used} == {}
