@@ -184,7 +184,8 @@ def cmd_train_encoder(args):
     trained, trace = train(base, instances, config)
     path = _out_path(args, "encoder.hyqa")
     trained.save(path)
-    print(f"trained on {len(instances)} instances; loss {trace[0]:.4f} -> {trace[-1]:.4f}; saved {path}")
+    loss = f"loss {trace[0]:.4f} -> {trace[-1]:.4f}" if trace else "no epochs run"
+    print(f"trained on {len(instances)} instances; {loss}; saved {path}")
 
 
 def cmd_generate(args):
@@ -231,6 +232,8 @@ def cmd_retrieve(args):
 
 
 def cmd_answer(args):
+    if args.top < 1:
+        raise ValueError("--top must be >= 1")
     passages = {p.id: p.text for p in _load_passages(args.passages)}
     retriever = _retriever(args)
     config = PipelineConfig(
@@ -286,8 +289,8 @@ def cmd_tune_fusion(args):
 def _report_scores(path: str, metric: str) -> dict:
     """Query id -> the metric's value, from the report at path; a missing
     key raises ValueError naming the file and the key."""
-    report = json.loads(Path(path).read_text())
-    if not isinstance(report, dict) or "per_query" not in report:
+    report = _read_json_object(path)
+    if "per_query" not in report:
         raise ValueError(f"{path}: missing key 'per_query'")
     if not isinstance(report["per_query"], dict):
         raise ValueError(f"{path}: 'per_query' is not a JSON object")
@@ -305,18 +308,9 @@ def cmd_ttest(args):
     qids = sorted(scores_a.keys() & scores_b.keys())
     if not qids:
         raise ValueError("no shared query ids between the two reports")
-    a = [scores_a[q] for q in qids]
-    b = [scores_b[q] for q in qids]
-    result = paired_t_test(a, b)
-    if result.degenerate:
-        print(json.dumps({"degenerate": True, "df": result.df, "queries": len(qids)}))
-    else:
-        print(
-            json.dumps(
-                {"t": result.t, "p_value": result.p_value, "df": result.df, "queries": len(qids)},
-                sort_keys=True,
-            )
-        )
+    result = paired_t_test([scores_a[q] for q in qids], [scores_b[q] for q in qids])
+    fields = {"degenerate": True} if result.degenerate else {"t": result.t, "p_value": result.p_value}
+    print(json.dumps({**fields, "df": result.df, "queries": len(qids)}, sort_keys=True))
 
 
 def cmd_dump(args):
@@ -457,7 +451,10 @@ def _config_defaults(parser: argparse.ArgumentParser, values: dict) -> None:
     parser.set_defaults(**{key: value for key, value in values.items() if key in dests})
 
 
-def _read_config(path: str) -> dict:
+def _read_json_object(path: str) -> dict:
+    """The JSON object in the file at path (a --config file or an evaluation
+    report); an unreadable file, invalid JSON or any other JSON value raises
+    ValueError naming the file."""
     try:
         values = json.loads(Path(path).read_text())
     except OSError as e:
@@ -476,7 +473,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        values = {key.replace("-", "_"): value for key, value in _read_config(args.config).items()}
+        values = {key.replace("-", "_"): value for key, value in _read_json_object(args.config).items()}
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         _config_defaults(parser, values)
         _config_defaults(subparsers.choices[args.command], values)

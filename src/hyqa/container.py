@@ -15,6 +15,11 @@ Layout (little-endian throughout):
 Arrays are written in the dtype the caller gives them, so an artifact
 chooses its own widths (the sparse index, for one, stores its postings in
 the narrowest unsigned dtype that holds them).
+
+`load` reads any container as it is. `load_artifact` reads one of a given
+kind into an object, and is how every artifact loads: the binary twin of
+`corpus.read_jsonl`, so a damaged file of any kind is a ContainerError
+naming it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import math
 import os
 import struct
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -110,3 +115,16 @@ def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, 
             raise ContainerError(f"{path}: trailing bytes after the last array")
     return file_kind, meta, arrays
 
+
+def load_artifact(path, kind: str, build: Callable[[dict[str, Any], dict[str, np.ndarray]], Any]):
+    """build(meta, arrays) of the container of `kind` at path. A key that
+    build reads and the file lacks, or a TypeError or ValueError that build
+    raises, is a ContainerError worded `<path>: <reason>`, as is a damaged
+    meta or array header that `load` cannot decode."""
+    try:
+        _, meta, arrays = load(path, kind)
+        return build(meta, arrays)
+    except KeyError as e:
+        raise ContainerError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ContainerError(f"{path}: {e}") from e

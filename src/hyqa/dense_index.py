@@ -50,11 +50,7 @@ class DenseIndex:
 
     @classmethod
     def load(cls, path) -> "DenseIndex":
-        _, meta, arrays = container.load(path, kind="dense")
-        try:
-            return build_dense_index(meta["ids"], arrays["matrix"])
-        except ValueError as e:
-            raise container.ContainerError(f"{path}: {e}") from e
+        return container.load_artifact(path, "dense", lambda meta, arrays: build_dense_index(meta["ids"], arrays["matrix"]))
 
 
 def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:

@@ -133,30 +133,33 @@ class DualEncoder:
 
     @classmethod
     def load(cls, path) -> "DualEncoder":
-        """A saved encoder. A parameter array that is missing or whose shape
-        does not fit the vocabulary and d, or a projection or bias holding a
-        NaN or an infinity, is a ContainerError naming the file and the
-        array. The V x d embedding tables are most of the file, so they are
-        not scanned, which would add a full pass to every load; a non-finite
+        """A saved encoder. A vocabulary that repeats a term, a parameter
+        array that is missing or whose shape does not fit the vocabulary and
+        d, or a projection or bias holding a NaN or an infinity, is a
+        ContainerError naming the file (and the term or the array). The
+        V x d embedding tables are most of the file, so they are not
+        scanned, which would add a full pass to every load; a non-finite
         table entry is refused where it is used: build_dense_index refuses
         the passage embedding it makes, and a retriever the score."""
-        _, meta, arrays = container.load(path, kind="encoder")
-        v, d = len(meta["vocab"]), meta["d"]
-        shapes = {"emb": (v, d), "proj": (d, d), "bias": (d,)}
+        return container.load_artifact(path, "encoder", cls._from_container)
+
+    @classmethod
+    def _from_container(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "DualEncoder":
+        words, d = meta["vocab"], meta["d"]
+        vocab = {t: i for i, t in enumerate(words)}
+        if len(vocab) != len(words):
+            raise ValueError(f"vocabulary repeats the term {next(t for i, t in enumerate(words) if vocab[t] != i)!r}")
+        shapes = {"emb": (len(words), d), "proj": (d, d), "bias": (d,)}
         for name in _PARAM_NAMES:
             array = arrays.get(name)
             if array is None:
-                raise container.ContainerError(f"{path}: missing array {name!r}")
+                raise ValueError(f"missing array {name!r}")
             shape = shapes[name[2:]]
             if array.shape != shape:
-                raise container.ContainerError(f"{path}: array {name!r} has shape {array.shape}, not {shape}")
+                raise ValueError(f"array {name!r} has shape {array.shape}, not {shape}")
             if not name.endswith("_emb") and not np.isfinite(array).all():
-                raise container.ContainerError(f"{path}: array {name!r} holds a non-finite value")
-        return cls(
-            vocab={t: i for i, t in enumerate(meta["vocab"])},
-            params={k: arrays[k] for k in _PARAM_NAMES},
-            d=d,
-        )
+                raise ValueError(f"array {name!r} holds a non-finite value")
+        return cls(vocab=vocab, params={k: arrays[k] for k in _PARAM_NAMES}, d=d)
 
 
 @dataclass(frozen=True)

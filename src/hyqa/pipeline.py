@@ -256,7 +256,8 @@ def evaluate_run(
     match_ks: Sequence[int] = (20, 40, 100),
 ) -> MetricReport:
     """Retrieval Match@k plus end-to-end Top-1/Top-5 F1, with per-query
-    rows for significance testing; a repeated query id is a ValueError.
+    rows for significance testing. A repeated query id, an empty match_ks
+    or a k below 1 is a ValueError, the last two even without golds.
 
     Each question is retrieved once, at depth max(max(match_ks), K), as
     the retriever's id and score arrays (.ranked, or its records when it
@@ -264,12 +265,14 @@ def evaluate_run(
     reading kernel that answer_question uses, and only the top 5 answers
     are cut and scored, one token F1 each. No per-passage record is built.
     """
+    if not match_ks:
+        raise ValueError("match_ks must hold at least one k")
+    if min(match_ks) < 1:
+        raise ValueError("every k in match_ks must be >= 1")
     report = MetricReport(query_count=len(golds))
     if not golds:
         return report
     sums: dict[str, float] = {}
-    if min(match_ks) < 1:
-        raise ValueError("k must be >= 1")
     deepest = max(match_ks)
     depth = max(deepest, config.K)
     for gold in golds:

@@ -33,7 +33,6 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from . import container
-from .container import ContainerError
 from .corpus import Passage, terms, token_table
 from .scored import ScoredPassage, id_ranks, ranked_passages, top_k
 
@@ -107,13 +106,7 @@ class SparseIndex:
 
     @classmethod
     def load(cls, path) -> "SparseIndex":
-        _, meta, arrays = container.load(path, kind="sparse")
-        _check_layout(path, meta, arrays)
-        try:
-            params = BM25Params(k1=meta["k1"], b=meta["b"])
-        except (TypeError, ValueError) as e:
-            raise ContainerError(f"{path}: {e}") from e
-        return cls(params, list(meta["doc_ids"]), list(meta["terms"]), *(arrays[name] for name in _ARRAYS))
+        return container.load_artifact(path, "sparse", _from_layout)
 
     def dump_postings(self) -> Iterable[str]:
         """Human-readable postings lines for debugging."""
@@ -125,30 +118,32 @@ class SparseIndex:
             yield f"{term}\tdf={hi - lo}\t{entries}"
 
 
-def _check_layout(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Raise ContainerError naming `path` unless the loaded arrays form a
-    consistent CSR index over meta's terms and doc_ids."""
+def _from_layout(meta: dict, arrays: dict[str, np.ndarray]) -> SparseIndex:
+    """The index a container's meta and arrays hold; a ValueError unless the
+    arrays form a consistent CSR index over meta's terms and doc_ids."""
     missing = [name for name in _ARRAYS if name not in arrays]
     if missing:
-        raise ContainerError(f"{path}: missing arrays {', '.join(missing)}; the sparse index has an old layout "
-                             "or is damaged, rebuild it with index-sparse")
+        raise ValueError(f"missing arrays {', '.join(missing)}; the sparse index has an old layout "
+                         "or is damaged, rebuild it with index-sparse")
     if any(arrays[name].ndim != 1 or arrays[name].dtype.kind not in "iu" for name in _ARRAYS):
-        raise ContainerError(f"{path}: sparse arrays must be one-dimensional integers")
+        raise ValueError("sparse arrays must be one-dimensional integers")
     indptr, docs, tf = arrays["indptr"].astype(np.int64), arrays["docs"].astype(np.int64), arrays["tf"]
     n_docs = len(meta["doc_ids"])
     if not all(map(str.__lt__, meta["terms"], meta["terms"][1:])):
-        raise ContainerError(f"{path}: terms not sorted and distinct")
+        raise ValueError("terms not sorted and distinct")
     if len(indptr) != len(meta["terms"]) + 1:
-        raise ContainerError(f"{path}: indptr has {len(indptr)} entries for {len(meta['terms'])} terms")
+        raise ValueError(f"indptr has {len(indptr)} entries for {len(meta['terms'])} terms")
     if len(docs) != len(tf) or indptr[0] != 0 or indptr[-1] != len(docs) or np.any(np.diff(indptr) < 0):
-        raise ContainerError(f"{path}: indptr does not run non-decreasing from 0 to {len(docs)} postings ({len(tf)} tf)")
+        raise ValueError(f"indptr does not run non-decreasing from 0 to {len(docs)} postings ({len(tf)} tf)")
     if docs.size and (docs.min() < 0 or docs.max() >= n_docs):
-        raise ContainerError(f"{path}: posting doc index out of range for {n_docs} passages")
+        raise ValueError(f"posting doc index out of range for {n_docs} passages")
     # Only the first posting of a term may follow a larger or equal doc index.
     if not np.isin(np.flatnonzero(np.diff(docs) <= 0) + 1, indptr).all():
-        raise ContainerError(f"{path}: postings not strictly ascending by passage within a term")
+        raise ValueError("postings not strictly ascending by passage within a term")
     if len(arrays["doc_lengths"]) != n_docs:
-        raise ContainerError(f"{path}: {len(arrays['doc_lengths'])} doc lengths for {n_docs} passages")
+        raise ValueError(f"{len(arrays['doc_lengths'])} doc lengths for {n_docs} passages")
+    params = BM25Params(k1=meta["k1"], b=meta["b"])
+    return SparseIndex(params, list(meta["doc_ids"]), list(meta["terms"]), *(arrays[name] for name in _ARRAYS))
 
 
 def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Params()) -> SparseIndex:

@@ -301,6 +301,26 @@ class TestErrorHandling:
         assert run(["--output-dir", tmp_path / "o", "chunk", "--input", docs, "--max-units", 0]) == 1
         assert capsys.readouterr().err == "error [chunk]: max_units must be >= 1\n"
 
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_answer_refuses_top_below_one(self, workspace, capsys, top):
+        _, out = workspace
+        assert run([
+            "answer", "--sparse", out / "sparse.hyqa", "--passages", out / "passages_retrieval.jsonl",
+            "--question", "what does the otter eat", "--top", top,
+        ]) == 1
+        assert capsys.readouterr() == ("", "error [answer]: --top must be >= 1\n")
+
+    def test_train_encoder_with_no_epochs(self, trained, tmp_path, capsys):
+        _, out = trained
+        instances = out / "train_instances.jsonl"
+        capsys.readouterr()
+        assert run([
+            "--output-dir", tmp_path / "o", "train-encoder", "--instances", instances,
+            "--passages", out / "passages_generation.jsonl", "--epochs", 0, "--dim", 16,
+        ]) == 0
+        count = len(instances.read_text().splitlines())
+        assert capsys.readouterr().out == f"trained on {count} instances; no epochs run; saved {tmp_path / 'o' / 'encoder.hyqa'}\n"
+
     def test_retrieve_without_index(self, capsys):
         assert run(["retrieve", "--mode", "sparse", "--query", "x"]) == 1
         assert "requires --sparse" in capsys.readouterr().err
@@ -493,7 +513,7 @@ class TestErrorHandling:
         "report, reason",
         [
             ({"metrics": {}}, "missing key 'per_query'"),
-            ([], "missing key 'per_query'"),
+            ([], "expected a JSON object"),
             ({"per_query": ["q1"]}, "'per_query' is not a JSON object"),
         ],
     )
@@ -502,6 +522,25 @@ class TestErrorHandling:
         (tmp_path / "b.json").write_text(json.dumps(report))
         assert run(["ttest", "--a", tmp_path / "a.json", "--b", tmp_path / "b.json"]) == 1
         assert capsys.readouterr().err == f"error [ttest]: {tmp_path / 'b.json'}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("{bad", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("[1, 2]", "expected a JSON object"),
+            (None, "No such file or directory"),
+        ],
+        ids=["invalid", "list", "absent"],
+    )
+    def test_ttest_report_is_read_as_a_config_is(self, tmp_path, capsys, content, reason):
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        (tmp_path / "a.json").write_text(json.dumps({"per_query": {"q1": {"top5_f1": 1.0}}}))
+        assert run(["ttest", "--a", tmp_path / "a.json", "--b", bad]) == 1
+        assert capsys.readouterr().err == f"error [ttest]: {bad}: {reason}\n"
+        assert run(["--config", bad, "ttest", "--a", tmp_path / "a.json", "--b", tmp_path / "a.json"]) == 1
+        assert capsys.readouterr().err == f"error [config]: {bad}: {reason}\n"
 
     @pytest.mark.parametrize("row", [{"top5_f1": 1.0}, 1.0])
     def test_ttest_report_without_metric_is_named(self, tmp_path, capsys, row):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from hyqa.container import ContainerError, load, save
+from hyqa.container import ContainerError, load, load_artifact, save
+from hyqa.corpus import Passage
+from hyqa.dense_index import DenseIndex, build_dense_index
+from hyqa.encoder import DualEncoder
+from hyqa.sparse import SparseIndex, build_sparse_index
 
 
 class TestRoundtrip:
@@ -104,3 +108,73 @@ class TestValidation:
         path.write_bytes(path.read_bytes() + b"garbage")
         with pytest.raises(ContainerError, match="trailing bytes"):
             load(path)
+
+
+class TestLoadArtifact:
+    def test_returns_the_build_of_meta_and_arrays(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {"n": 2}, {"a": np.arange(3)})
+        assert load_artifact(path, "k", lambda meta, arrays: (meta["n"], arrays["a"].tolist())) == (2, [0, 1, 2])
+
+    def test_kind_is_checked_before_the_build(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        save(path, "sparse", {}, {})
+        with pytest.raises(ContainerError, match="expected kind 'dense', found 'sparse'"):
+            load_artifact(path, "dense", lambda meta, arrays: pytest.fail("built a file of the wrong kind"))
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(KeyError("ids"), "missing key 'ids'"), (TypeError("not a list"), "not a list"),
+         (ValueError("3 ids but 2 rows"), "3 ids but 2 rows")],
+        ids=["key", "type", "value"],
+    )
+    def test_build_errors_name_the_file(self, tmp_path, error, message):
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {}, {})
+
+        def build(meta, arrays):
+            raise error
+
+        with pytest.raises(ContainerError) as raised:
+            load_artifact(path, "k", build)
+        assert str(raised.value) == f"{path}: {message}"
+        assert raised.value.__cause__ is error
+
+    def test_other_errors_pass_through(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_artifact(tmp_path / "absent.hyqa", "k", lambda meta, arrays: None)
+
+    def test_an_unknown_dtype_names_the_file(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {}, {"a": np.arange(3, dtype=np.float64)})
+        path.write_bytes(path.read_bytes().replace(b"\x02\x00f8", b"\x02\x00zz", 1))
+        with pytest.raises(ContainerError) as raised:
+            load_artifact(path, "k", lambda meta, arrays: arrays)
+        assert str(raised.value) == f"{path}: data type '<zz' not understood"
+
+
+def _sparse(path):
+    build_sparse_index([Passage("p0", "d0", "alpha beta", 2)]).save(path)
+    return SparseIndex.load
+
+
+def _dense(path):
+    build_dense_index(["p0"], np.ones((1, 2))).save(path)
+    return DenseIndex.load
+
+
+def _encoder(path):
+    DualEncoder.create(["alpha"], d=2).save(path)
+    return DualEncoder.load
+
+
+@pytest.mark.parametrize("artifact", [_sparse, _dense, _encoder], ids=["sparse", "dense", "encoder"])
+def test_a_meta_that_is_not_json_names_the_file(tmp_path, artifact):
+    """Each artifact loads through load_artifact, so damaged meta bytes are
+    a ContainerError naming the file, whichever artifact it is."""
+    path = tmp_path / "x.hyqa"
+    loader = artifact(path)
+    path.write_bytes(path.read_bytes().replace(b'{"', b'{x', 1))
+    with pytest.raises(ContainerError) as raised:
+        loader(path)
+    assert str(raised.value) == f"{path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"

@@ -84,6 +84,15 @@ class TestBuild:
             DenseIndex.load(tmp_path / "idx.hyqa")
         assert str(raised.value) == f"{tmp_path / 'idx.hyqa'}: {reason}"
 
+    @pytest.mark.parametrize("key", ["ids", "matrix"])
+    def test_load_names_a_missing_key(self, tmp_path, key):
+        meta, arrays = {"ids": ["a", "b"]}, {"matrix": np.ones((2, 2), dtype="<f4")}
+        (meta if key in meta else arrays).pop(key)
+        container.save(tmp_path / "idx.hyqa", "dense", meta, arrays)
+        with pytest.raises(ContainerError) as raised:
+            DenseIndex.load(tmp_path / "idx.hyqa")
+        assert str(raised.value) == f"{tmp_path / 'idx.hyqa'}: missing key '{key}'"
+
     def test_rebuild_persists_identically(self, tmp_path):
         rng = np.random.default_rng(1)
         matrix = rng.normal(size=(20, 8))

@@ -646,6 +646,23 @@ class TestPersistence:
             DualEncoder.load(tmp_path / "enc.hyqa")
         assert str(raised.value) == f"{tmp_path / 'enc.hyqa'}: {message}"
 
+    @pytest.mark.parametrize("key", ["vocab", "d"])
+    def test_load_names_a_missing_meta_key(self, tmp_path, key):
+        enc = small_encoder(d=4)
+        meta = {"d": enc.d, "vocab": sorted(enc.vocab, key=enc.vocab.get)}
+        del meta[key]
+        container.save(tmp_path / "enc.hyqa", "encoder", meta, dict(enc.params))
+        with pytest.raises(ContainerError) as raised:
+            DualEncoder.load(tmp_path / "enc.hyqa")
+        assert str(raised.value) == f"{tmp_path / 'enc.hyqa'}: missing key '{key}'"
+
+    def test_load_refuses_a_repeated_term(self, tmp_path):
+        enc = DualEncoder.create(["a", "b", "c"], d=2)
+        container.save(tmp_path / "enc.hyqa", "encoder", {"d": 2, "vocab": ["a", "b", "a"]}, dict(enc.params))
+        with pytest.raises(ContainerError) as raised:
+            DualEncoder.load(tmp_path / "enc.hyqa")
+        assert str(raised.value) == f"{tmp_path / 'enc.hyqa'}: vocabulary repeats the term 'a'"
+
     def test_non_finite_table_entry_is_refused_where_used(self, tmp_path):
         from hyqa.pipeline import index_dense, make_dense_retriever
 

@@ -312,6 +312,17 @@ class TestEvaluateRun:
         report = evaluate_run(golds, fixed_retriever(retrieved), TableScorer(table), PASSAGE_TEXTS, match_ks=(1,))
         assert report.metrics["match@1"] == 0.5
 
+    @pytest.mark.parametrize("golds", [[], [GoldSet("q1", "find alpha", ("alpha",))]], ids=["no-golds", "golds"])
+    @pytest.mark.parametrize(
+        "match_ks, message",
+        [((), "match_ks must hold at least one k"), ((0,), "every k in match_ks must be >= 1"),
+         ((5, -1), "every k in match_ks must be >= 1")],
+        ids=["empty", "zero", "negative"],
+    )
+    def test_match_ks_are_checked_first(self, golds, match_ks, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_run(golds, fixed_retriever([]), TableScorer({}), PASSAGE_TEXTS, match_ks=match_ks)
+
     def test_repeated_query_id_is_named(self):
         golds = [GoldSet("q1", "find alpha", ("alpha",)), GoldSet("q1", "find missing", ("nowhere",))]
         with pytest.raises(ValueError, match="duplicate query id 'q1'"):

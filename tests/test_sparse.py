@@ -266,6 +266,23 @@ class TestLoadErrors:
         with pytest.raises(ContainerError, match=r"idx\.hyqa: "):
             SparseIndex.load(path)
 
+    @pytest.mark.parametrize("key", ["doc_ids", "terms", "k1", "b"])
+    def test_missing_meta_key_is_named(self, saved, key):
+        path, meta, arrays = saved
+        del meta[key]
+        container.save(path, "sparse", meta, arrays)
+        with pytest.raises(ContainerError) as raised:
+            SparseIndex.load(path)
+        assert str(raised.value) == f"{path}: missing key '{key}'"
+
+    def test_terms_that_are_not_strings_are_named(self, saved):
+        path, meta, arrays = saved
+        meta["terms"] = list(range(len(meta["terms"])))
+        container.save(path, "sparse", meta, arrays)
+        with pytest.raises(ContainerError) as raised:
+            SparseIndex.load(path)
+        assert str(raised.value).startswith(f"{path}: ") and "'str'" in str(raised.value)
+
     def test_every_prefix_raises(self, small_index, tmp_path):
         path = tmp_path / "idx.hyqa"
         small_index[0].save(path)
