@@ -14,7 +14,8 @@ Layout (little-endian throughout):
 
 Arrays are written in the dtype the caller gives them, so an artifact
 chooses its own widths (the sparse index, for one, stores its postings in
-the narrowest unsigned dtype that holds them).
+the narrowest unsigned dtype that holds them). `load` reads the numeric
+kinds (bool, int, uint and float) and refuses any other dtype string.
 
 `load` reads any container as it is. `load_artifact` reads one of a given
 kind into an object, and is how every artifact loads: the binary twin of
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from typing import Any, Callable
 
@@ -34,6 +36,10 @@ import numpy as np
 
 MAGIC = b"HYQA"
 VERSION = 1
+# A dtype string numpy may parse: a type code and its width, as `save` writes
+# them. numpy's parser reads others (",4", "(2,)f8") as structured types,
+# and warns on the deprecated bytes code "a".
+_DTYPE_RE = re.compile(r"(?!a)[A-Za-z]+[0-9]*")
 
 
 class ContainerError(Exception):
@@ -91,6 +97,19 @@ def _read_array(f, dtype: np.dtype, shape: tuple[int, ...], path, what: str) -> 
     return arr
 
 
+def _dtype(text: str, path, what: str) -> np.dtype:
+    """The little-endian dtype a header's dtype string names: one of the
+    numeric kinds b, i, u and f. Any other string is a ContainerError."""
+    if _DTYPE_RE.fullmatch(text):
+        try:
+            dtype = np.dtype("<" + text)
+        except TypeError as e:  # no such type code
+            raise ContainerError(f"{path}: {e}") from e
+        if dtype.kind in "biuf":
+            return dtype
+    raise ContainerError(f"{path}: unsupported dtype {text!r} of {what}")
+
+
 def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
@@ -107,13 +126,26 @@ def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, 
         for _ in range(count):
             name = _read(f, _unpack(f, "<H", path, "array name"), path, "array name").decode("ascii")
             what = f"array {name!r}"
-            dtype = np.dtype("<" + _read(f, _unpack(f, "<H", path, what), path, what).decode("ascii"))
+            dtype = _dtype(_read(f, _unpack(f, "<H", path, what), path, what).decode("ascii", "replace"), path, what)
             ndim = _unpack(f, "<B", path, what)
             shape = tuple(_unpack(f, "<Q", path, what) for _ in range(ndim))
             arrays[name] = _read_array(f, dtype, shape, path, what)
         if f.read(1):
             raise ContainerError(f"{path}: trailing bytes after the last array")
     return file_kind, meta, arrays
+
+
+def str_list(meta: dict[str, Any], key: str) -> list[str]:
+    """meta[key], which an artifact's build reads as a list of str; any
+    other value is a ValueError naming the key."""
+    value = meta[key]
+    if isinstance(value, list):
+        try:
+            "".join(value)  # refuses an item that is not a str, at C speed
+            return value
+        except TypeError:
+            pass
+    raise ValueError(f"meta {key!r} must be a list of 'str'")
 
 
 def load_artifact(path, kind: str, build: Callable[[dict[str, Any], dict[str, np.ndarray]], Any]):

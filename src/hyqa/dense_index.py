@@ -50,7 +50,9 @@ class DenseIndex:
 
     @classmethod
     def load(cls, path) -> "DenseIndex":
-        return container.load_artifact(path, "dense", lambda meta, arrays: build_dense_index(meta["ids"], arrays["matrix"]))
+        return container.load_artifact(
+            path, "dense", lambda meta, arrays: build_dense_index(container.str_list(meta, "ids"), arrays["matrix"])
+        )
 
 
 def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:

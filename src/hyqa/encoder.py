@@ -145,7 +145,9 @@ class DualEncoder:
 
     @classmethod
     def _from_container(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "DualEncoder":
-        words, d = meta["vocab"], meta["d"]
+        words, d = container.str_list(meta, "vocab"), meta["d"]
+        if type(d) is not int:
+            raise ValueError(f"meta 'd' must be an int, not {type(d).__name__!r}")
         vocab = {t: i for i, t in enumerate(words)}
         if len(vocab) != len(words):
             raise ValueError(f"vocabulary repeats the term {next(t for i, t in enumerate(words) if vocab[t] != i)!r}")

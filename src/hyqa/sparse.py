@@ -10,14 +10,15 @@ and query terms both come from corpus.terms so "word" means the same thing
 at index and query time. Ties in search results break by ascending passage
 id.
 
-Scoring is one sparse product. The impact matrix (`SparseIndex.impacts`,
-built on first search) holds each posting's term weight tf * (k1 + 1) /
-(tf + norm) in the CSR layout above. A block of queries is a CSR matrix
-with one row per query holding mult * idf(term) at its distinct terms, in
-sorted term order; the block's scores are its product with the impact
-matrix. scipy adds each passage's products in that stored order from 0.0,
-so a score is the per-term sum in sorted term order, and does not depend
-on string hashing.
+Scoring is term at a time. `SparseIndex.impacts` (computed on first
+search) holds each posting's term weight tf * (k1 + 1) / (tf + norm),
+aligned with docs. A query's weight at each of its distinct terms is
+mult * idf(term). A block of queries lays out the postings of each
+query's terms query by query, in sorted term order, and sums the products
+weight * impact of each group of queries with one np.bincount over their
+(query, passage) cells. bincount adds each cell's products in input order
+from 0.0, so a score is the per-term sum in sorted term order, and does not
+depend on string hashing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import container
 from .corpus import Passage, terms, token_table
@@ -39,6 +39,12 @@ from .scored import ScoredPassage, id_ranks, ranked_passages, top_k
 __all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_hits_each", "sparse_top_k_each", "sparse_search"]
 
 _ARRAYS = ("doc_lengths", "indptr", "docs", "tf")
+
+# (query, passage) cells one bincount sums into, so a group of queries
+# spans max(1, _CELLS // N) of them. Of 1 << 12 to 1 << 16, 1 << 14 (128 KiB
+# of float64 cells) ran mining's 128-question blocks fastest at N = 500, and
+# as fast as any at N = 6,617; 1 << 20 ran those about 2x slower.
+_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -79,13 +85,13 @@ class SparseIndex:
         return id_ranks(self.doc_ids)
 
     @cached_property
-    def impacts(self) -> csr_array:
-        """Terms x passages CSR matrix of each posting's BM25 term weight;
-        built on first search."""
+    def impacts(self) -> np.ndarray:
+        """Each posting's BM25 term weight, float64 and aligned with docs;
+        computed on first search."""
         k1, b = self.params.k1, self.params.b
         tf = self.tf.astype(np.float64)
         norm = k1 * (1.0 - b + b * self.doc_lengths[self.docs] / self.avg_len)
-        return csr_array((tf * (k1 + 1.0) / (tf + norm), self.docs, self.indptr), shape=(len(self.terms), self.N))
+        return tf * (k1 + 1.0) / (tf + norm)
 
     def _term_index(self, term: str) -> int | None:
         i = bisect.bisect_left(self.terms, term)
@@ -128,11 +134,12 @@ def _from_layout(meta: dict, arrays: dict[str, np.ndarray]) -> SparseIndex:
     if any(arrays[name].ndim != 1 or arrays[name].dtype.kind not in "iu" for name in _ARRAYS):
         raise ValueError("sparse arrays must be one-dimensional integers")
     indptr, docs, tf = arrays["indptr"].astype(np.int64), arrays["docs"].astype(np.int64), arrays["tf"]
-    n_docs = len(meta["doc_ids"])
-    if not all(map(str.__lt__, meta["terms"], meta["terms"][1:])):
+    doc_ids, index_terms = container.str_list(meta, "doc_ids"), container.str_list(meta, "terms")
+    n_docs = len(doc_ids)
+    if not all(map(str.__lt__, index_terms, index_terms[1:])):
         raise ValueError("terms not sorted and distinct")
-    if len(indptr) != len(meta["terms"]) + 1:
-        raise ValueError(f"indptr has {len(indptr)} entries for {len(meta['terms'])} terms")
+    if len(indptr) != len(index_terms) + 1:
+        raise ValueError(f"indptr has {len(indptr)} entries for {len(index_terms)} terms")
     if len(docs) != len(tf) or indptr[0] != 0 or indptr[-1] != len(docs) or np.any(np.diff(indptr) < 0):
         raise ValueError(f"indptr does not run non-decreasing from 0 to {len(docs)} postings ({len(tf)} tf)")
     if docs.size and (docs.min() < 0 or docs.max() >= n_docs):
@@ -143,7 +150,7 @@ def _from_layout(meta: dict, arrays: dict[str, np.ndarray]) -> SparseIndex:
     if len(arrays["doc_lengths"]) != n_docs:
         raise ValueError(f"{len(arrays['doc_lengths'])} doc lengths for {n_docs} passages")
     params = BM25Params(k1=meta["k1"], b=meta["b"])
-    return SparseIndex(params, list(meta["doc_ids"]), list(meta["terms"]), *(arrays[name] for name in _ARRAYS))
+    return SparseIndex(params, doc_ids, index_terms, *(arrays[name] for name in _ARRAYS))
 
 
 def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Params()) -> SparseIndex:
@@ -168,24 +175,55 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
 
 
 def sparse_hits_each(index: SparseIndex, query_texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each query's matched passage indices and their BM25 scores, unranked,
-    scored as one block: one product of the queries' term weights with the
-    impact matrix."""
-    cols: list[int] = []
+    """Each query's matched passage indices, ascending, and their BM25
+    scores, unranked, scored as one block: the products of the queries'
+    term weights with their postings' impacts, summed per (query, passage)
+    cell by one np.bincount per group of queries."""
+    n, n_queries = index.N, len(query_texts)
+    if n == 0:  # no passage, so no term and no cell
+        return [(np.zeros(0, dtype=np.intp), np.zeros(0)) for _ in query_texts]
+    query_terms: list[int] = []
     weights: list[float] = []
-    indptr = [0]
+    n_terms: list[int] = []
     for text in query_texts:
+        before = len(query_terms)
         for term, mult in sorted(Counter(terms(text)).items()):
             t = index._term_index(term)
             if t is not None:
-                cols.append(t)
+                query_terms.append(t)
                 weights.append(mult * index._idf_at(t))
-        indptr.append(len(cols))
-    queries = csr_array((np.array(weights, dtype=np.float64), np.array(cols, dtype=np.intp), indptr),
-                        shape=(len(query_texts), len(index.terms)))
-    scores = queries @ index.impacts  # idf > 0 and tf >= 1: every stored score is a match, > 0
-    bounds = scores.indptr.tolist()
-    return [(scores.indices[lo:hi].astype(np.intp), scores.data[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        n_terms.append(len(query_terms) - before)
+    # Every (query, term) entry's postings, back to back: `at` indexes them
+    # in docs and impacts, and a posting's cell is its passage in its
+    # query's row of n cells within its group of queries.
+    group = max(1, _CELLS // n)
+    t = np.array(query_terms, dtype=np.intp)
+    lo = index.indptr[t].astype(np.int64)
+    df = index.indptr[t + 1].astype(np.int64) - lo
+    ends = np.cumsum(df)
+    # Built in place: over many postings, a fresh temporary of their size
+    # cost more in page faults than the pass that fills it.
+    at = np.repeat(lo - (ends - df), df)
+    at += np.arange(len(at))
+    products = np.repeat(np.array(weights, dtype=np.float64), df)
+    products *= index.impacts[at]
+    cells = np.repeat(np.repeat(np.arange(n_queries) % group * n, n_terms), df)
+    np.add(cells, index.docs[at], out=cells, dtype=np.intp)
+    # The postings of the queries before each group's first.
+    firsts = list(range(0, n_queries, group))
+    entry_ends = np.concatenate(([0], np.cumsum(n_terms, dtype=np.int64)))
+    bounds = np.concatenate(([0], ends))[entry_ends[firsts + [n_queries]]].tolist()
+    hits_each = []
+    for first, a, b in zip(firsts, bounds, bounds[1:]):
+        size = min(group, n_queries - first)
+        scores = np.bincount(cells[a:b], weights=products[a:b], minlength=size * n)
+        # idf > 0 and tf >= 1: every nonzero cell is a match, > 0.
+        cell = np.flatnonzero(scores != 0)
+        hit_scores = scores[cell].astype(np.float64, copy=False)  # int64 when no posting matched
+        hits = cell % n
+        row_ends = np.searchsorted(cell, np.arange(size + 1) * n).tolist()
+        hits_each += [(hits[c:d], hit_scores[c:d]) for c, d in zip(row_ends, row_ends[1:])]
+    return hits_each
 
 
 def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) -> list[tuple[np.ndarray, np.ndarray]]:

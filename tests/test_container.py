@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,23 @@ class TestLoadArtifact:
             load_artifact(path, "k", lambda meta, arrays: arrays)
         assert str(raised.value) == f"{path}: data type '<zz' not understood"
 
+    @pytest.mark.parametrize(
+        "dtype, shown",
+        [(b",4", ",4"), (b"U1", "U1"), (b"c16", "c16"), (b"O8", "O8"), (b"M8", "M8"), (b"S8", "S8"),
+         (b"a4", "a4"), (b"(2,)f8", "(2,)f8"), (b"\xff8", "\ufffd8")],
+        ids=["structured", "unicode", "complex", "object", "datetime", "bytes", "bytes-alias", "subarray", "not-ascii"],
+    )
+    def test_a_dtype_outside_the_numeric_kinds_is_refused(self, tmp_path, dtype, shown):
+        """Only bool, int, uint and float arrays load; numpy's parser never
+        sees a dtype string that is not a type code and width."""
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {}, {"a": np.arange(3, dtype=np.float64)})
+        path.write_bytes(path.read_bytes().replace(b"\x02\x00f8", struct.pack("<H", len(dtype)) + dtype, 1))
+        for read in (load, lambda p: load_artifact(p, "k", lambda meta, arrays: arrays)):
+            with pytest.raises(ContainerError) as raised:
+                read(path)
+            assert str(raised.value) == f"{path}: unsupported dtype {shown!r} of array 'a'"
+
 
 def _sparse(path):
     build_sparse_index([Passage("p0", "d0", "alpha beta", 2)]).save(path)
@@ -178,3 +197,35 @@ def test_a_meta_that_is_not_json_names_the_file(tmp_path, artifact):
     with pytest.raises(ContainerError) as raised:
         loader(path)
     assert str(raised.value) == f"{path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+
+@pytest.mark.parametrize(
+    "artifact, key, value",
+    [
+        (_sparse, "doc_ids", [0]),
+        (_sparse, "doc_ids", "p"),
+        (_dense, "ids", [7]),
+        (_encoder, "vocab", "a"),
+        (_encoder, "vocab", [1]),
+    ],
+    ids=["sparse-int-ids", "sparse-str-ids", "dense-int-ids", "encoder-str-vocab", "encoder-int-vocab"],
+)
+def test_meta_that_is_not_a_list_of_str_is_refused(tmp_path, artifact, key, value):
+    path = tmp_path / "x.hyqa"
+    loader = artifact(path)
+    kind, meta, arrays = load(path)
+    save(path, kind, {**meta, key: value}, arrays)
+    with pytest.raises(ContainerError) as raised:
+        loader(path)
+    assert str(raised.value) == f"{path}: meta {key!r} must be a list of 'str'"
+
+
+@pytest.mark.parametrize("d, shown", [(2.0, "float"), (True, "bool"), ("2", "str")])
+def test_an_encoder_width_that_is_not_an_int_is_refused(tmp_path, d, shown):
+    path = tmp_path / "x.hyqa"
+    DualEncoder.create(["alpha"], d=1 if d is True else 2).save(path)
+    kind, meta, arrays = load(path)
+    save(path, kind, {**meta, "d": d}, arrays)
+    with pytest.raises(ContainerError) as raised:
+        DualEncoder.load(path)
+    assert str(raised.value) == f"{path}: meta 'd' must be an int, not {shown!r}"

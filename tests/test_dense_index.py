@@ -84,6 +84,15 @@ class TestBuild:
             DenseIndex.load(tmp_path / "idx.hyqa")
         assert str(raised.value) == f"{tmp_path / 'idx.hyqa'}: {reason}"
 
+    @pytest.mark.parametrize("dtype", [b",4", b"U1"], ids=["structured", "unicode"])
+    def test_load_refuses_a_matrix_dtype_that_is_not_numeric(self, tmp_path, dtype):
+        path = tmp_path / "idx.hyqa"
+        build_dense_index(["a", "b"], np.ones((2, 2))).save(path)
+        path.write_bytes(path.read_bytes().replace(b"\x02\x00f4", b"\x02\x00" + dtype, 1))
+        with pytest.raises(ContainerError) as raised:
+            DenseIndex.load(path)
+        assert str(raised.value) == f"{path}: unsupported dtype {dtype.decode()!r} of array 'matrix'"
+
     @pytest.mark.parametrize("key", ["ids", "matrix"])
     def test_load_names_a_missing_key(self, tmp_path, key):
         meta, arrays = {"ids": ["a", "b"]}, {"matrix": np.ones((2, 2), dtype="<f4")}

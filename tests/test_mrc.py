@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hyqa.corpus import tokenize
+from hyqa.corpus import terms, tokenize
 from hyqa.mrc import (
     ExternalLogits,
     LexicalScorer,
@@ -342,6 +342,72 @@ class TestLexicalScorer:
         texts = [f"w{i} w1" for i in range(5)]
         LexicalScorer().logits_pairs(questions, ["p"] * 5, texts)
         assert sorted(calls) == sorted(["w1 w2", "w3"] + texts)
+
+
+# Texts that several calls of one scorer draw from, so that a text repeats
+# within a call and is first read in an earlier one.
+LEXICAL_TEXTS = ["", "w1 w2 w3", "\u212a w1 \u0130w4 k i", "W1, (w3) w2 w1", "w5 w6 w7 w5", "..."]
+
+
+def terms_reference_rows(questions, texts, w):
+    """The stacked logits of each (question, text) pair from a fresh
+    terms() pass over both, one Python sum per window: start, end and n as
+    lists."""
+    start, end, n = [], [], []
+    for question, text in zip(questions, texts):
+        q_terms = set(terms(question))
+        hits = [1.0 if term in q_terms else 0.0 for term in terms(text)]
+        start += [sum(hits[i : i + w]) for i in range(len(hits))]
+        end += [sum(hits[max(0, i - w + 1) : i + 1]) for i in range(len(hits))]
+        n.append(len(hits))
+    return start, end, n
+
+
+class TestLexicalScorerTermIds:
+    """One scorer interns each distinct text once and keeps its term ids;
+    its logits stay those of a fresh terms() pass on every call."""
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from(LEXICAL_WORDS + ["absent", "zz9"]), max_size=6).map(" ".join),
+                    st.one_of(
+                        st.sampled_from(LEXICAL_TEXTS),
+                        st.lists(st.sampled_from(LEXICAL_WORDS), max_size=30).map(" ".join),
+                    ),
+                ),
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([1, 3, 5]),
+    )
+    @example([[("w1 absent", "w1 w2 w3"), ("zz9", "")], [("w2 \u212a", "w1 w2 w3")], [("k i", "\u212a w1 \u0130w4 k i")]], 3)
+    @example([[("", "")], [], [("w1", "w1 w1")]], 1)
+    def test_rows_equal_a_terms_reference_over_several_calls(self, calls, window):
+        scorer = LexicalScorer(window)
+        for pairs in calls:
+            questions = [q for q, _ in pairs]
+            texts = [text for _, text in pairs]
+            rows = scorer.logits_pairs(questions, ["p"] * len(pairs), texts)
+            start, end, n = terms_reference_rows(questions, texts, window)
+            assert rows.n.tolist() == n
+            assert [v.hex() for v in rows.start.tolist()] == [v.hex() for v in start]
+            assert [v.hex() for v in rows.end.tolist()] == [v.hex() for v in end]
+            assert rows.cls_start.tolist() == rows.cls_end.tolist() == [0.0] * len(pairs)
+
+    def test_each_distinct_text_is_tokenized_once_per_scorer(self, monkeypatch):
+        import hyqa.mrc
+
+        calls, real = [], hyqa.mrc.terms
+        monkeypatch.setattr(hyqa.mrc, "terms", lambda text: calls.append(text) or real(text))
+        scorer = LexicalScorer()
+        scorer.logits_pairs(["w1", "w2"], ["a", "b"], ["w1 w2", "w1 w2"])
+        scorer.logits_pairs(["w1"], ["c"], ["w1 w2"])
+        # The call's texts are interned before its questions are mapped.
+        assert calls == ["w1 w2", "w1", "w2", "w1"]
 
 
 def window_sum_reference(question, passage_text, w):

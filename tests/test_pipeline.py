@@ -286,6 +286,22 @@ class TestReaderPasses:
         assert len(terms_calls) == 1 + len(texts)
         assert len(bounds_calls) == 1
 
+    def test_one_scorer_tokenizes_each_distinct_text_once_over_runs(self, monkeypatch):
+        import hyqa.mrc
+
+        texts = {f"p{i}": f"alpha beta {'gamma ' * i}delta" for i in range(6)}
+        texts["copy"] = texts["p2"]
+        retrieved = [ScoredPassage(pid, 1.0, "sparse") for pid in texts]
+        calls, real = [], hyqa.mrc.terms
+        monkeypatch.setattr(hyqa.mrc, "terms", lambda text: calls.append(text) or real(text))
+        golds = [GoldSet("q0", "beta delta", ("gamma",)), GoldSet("q1", "alpha", ("beta",))]
+        scorer = LexicalScorer()
+        for _ in range(2):
+            evaluate_run(golds, fixed_retriever(retrieved), scorer, texts, PipelineConfig(K=len(texts)))
+        passage_calls = [text for text in calls if text in texts.values()]
+        assert sorted(passage_calls) == sorted(set(texts.values()))
+        assert len(calls) - len(passage_calls) == 2 * len(golds)  # each question, once per run
+
 
 class TestEvaluateRun:
     def test_perfect_system(self):

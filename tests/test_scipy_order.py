@@ -1,9 +1,9 @@
 """scipy.sparse adds a product's terms in stored order, starting from 0.0.
 
-The encoder's token bags and BM25's block scoring rely on this to give the
-bits of the loops they replaced. A scipy release that reorders or fuses
-these sums fails here, instead of silently changing trained encoders and
-mined negatives.
+The encoder's token bags rely on this to give the bits of the loops they
+replaced. A scipy release that reorders or fuses these sums fails here,
+instead of silently changing trained encoders. (BM25 scoring sums with
+np.bincount instead; tests/test_bincount_order.py pins its order.)
 """
 
 import numpy as np

@@ -10,7 +10,8 @@ from hyqa import container
 from hyqa.container import ContainerError
 from hyqa.corpus import Document, Passage, chunk_retrieval_passages, terms, tokenize
 from hyqa.scored import top_k
-from hyqa.sparse import BM25Params, SparseIndex, build_sparse_index, sparse_search, sparse_top_k_each
+from hyqa import sparse
+from hyqa.sparse import BM25Params, SparseIndex, build_sparse_index, sparse_hits_each, sparse_search, sparse_top_k_each
 
 
 def passage(pid, text):
@@ -451,6 +452,34 @@ class TestBlockScoring:
                     expected_top, expected_scores = per_term_top_k(index, text, k)
                     assert top.tolist() == expected_top.tolist()
                     assert scores.tobytes() == expected_scores.tobytes()
+
+    @pytest.mark.parametrize("groups_of", [1, 2, 3, 7])
+    def test_a_block_over_several_cell_groups(self, monkeypatch, groups_of):
+        rng = np.random.default_rng(groups_of)
+        words = [f"w{i}" for i in range(30)]
+        passages = [raw_passage(f"p{i:02d}", " ".join(rng.choice(words, size=rng.integers(0, 20)))) for i in range(40)]
+        texts = [" ".join(rng.choice(words + ["oov"], size=rng.integers(0, 6))) for _ in range(10)] + ["", "oov"]
+        index = build_sparse_index(passages)
+        # A group of `groups_of` queries holds fewer cells than one more query.
+        monkeypatch.setattr(sparse, "_CELLS", groups_of * index.N + index.N - 1)
+        bincounts, real = [], np.bincount
+        monkeypatch.setattr(sparse.np, "bincount", lambda *a, **kw: bincounts.append(1) or real(*a, **kw))
+        ranked = sparse_top_k_each(index, texts, 100)
+        assert len(bincounts) == -(-len(texts) // groups_of)
+        for text, (top, scores) in zip(texts, ranked):
+            expected_top, expected_scores = per_term_top_k(index, text, 100)
+            assert top.tolist() == expected_top.tolist()
+            assert scores.dtype == np.float64 and scores.tobytes() == expected_scores.tobytes()
+
+    def test_an_empty_index(self, tmp_path):
+        index = build_sparse_index([])
+        index.save(tmp_path / "idx.hyqa")
+        for loaded in (index, SparseIndex.load(tmp_path / "idx.hyqa")):
+            hits_each = sparse_hits_each(loaded, ["alpha", "", "alpha beta"])
+            assert [(hits.dtype, hits.size, scores.dtype, scores.size) for hits, scores in hits_each] == [
+                (np.dtype(np.intp), 0, np.dtype(np.float64), 0)
+            ] * 3
+            assert sparse_search(loaded, "alpha", 5) == []
 
     def test_no_queries_and_bad_k(self, small_index):
         index, _ = small_index

@@ -628,10 +628,15 @@ class TestBlockedRoundtripFilter:
         monkeypatch.setattr(hyqa.mrc, "terms", lambda text: calls.append(text) or real(text))
         roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), texts)
         blocks = [examples[lo : lo + _FILTER_BLOCK] for lo in range(0, len(examples), _FILTER_BLOCK)]
-        assert len(calls) == sum(len({ex.question for ex in block}) + len(block) for block in blocks)
-        # Each block takes the terms of its distinct questions, then of its
-        # examples' passages.
-        assert calls[: len({ex.question for ex in blocks[0]})] == list(dict.fromkeys(ex.question for ex in blocks[0]))
+        # The scorer tokenizes each distinct passage text once over all
+        # blocks, and each block the terms of its distinct questions.
+        assert len(calls) == len({texts[ex.passage_id] for ex in examples}) + sum(
+            len({ex.question for ex in block}) for block in blocks
+        )
+        # The first block interns its passages' texts, then maps its questions.
+        first_texts = list(dict.fromkeys(texts[ex.passage_id] for ex in blocks[0]))
+        first_questions = list(dict.fromkeys(ex.question for ex in blocks[0]))
+        assert calls[: len(first_texts) + len(first_questions)] == first_texts + first_questions
 
     def test_no_span_band_wider_than_a_block(self, monkeypatch):
         from hyqa.pipeline import evaluate_run, make_sparse_retriever
