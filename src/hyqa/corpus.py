@@ -15,9 +15,10 @@ ASCII text is one bytes.translate and one str.split; any other text is a
 regex match loop. Both give the surfaces of tokenize.
 
 token_table interns the terms of many texts in one pass: the sorted
-distinct terms, and each text's tokens as ids into them. It is the one
-interning of the system; the BM25 index and the encoder vocabulary are
-both read from it.
+distinct terms, and each text's tokens as ids into them. The BM25 index
+and the encoder vocabulary are both read from it. The reader's
+mrc.LexicalScorer interns apart: each text on its first read, against ids
+it gives in first-seen order.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import container
-from .scored import ScoredPassage, id_ranks, ranked_passages, top_k
+from .scored import ScoredPassage, check_distinct, id_ranks, ranked_passages, top_k
 
 __all__ = ["DenseIndex", "IVFIndex", "build_dense_index", "dense_scores", "dense_top_k", "dense_search", "build_ivf_index", "ivf_search"]
 
@@ -66,8 +66,7 @@ def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
         raise ValueError("embeddings must be a 2-D array")
     if len(ids) != matrix.shape[0]:
         raise ValueError(f"{len(ids)} ids but {matrix.shape[0]} embedding rows")
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate passage ids")
+    check_distinct(ids)
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite embedding for passage {ids[bad[0]]!r}")

@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from scipy.special import betainc
-
 from .corpus import read_jsonl
 from .scored import ScoredPassage
 
@@ -186,6 +184,8 @@ def _left_sum(values: Iterable[float]) -> float:
 
 def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTestResult:
     """Two-sided paired t-test; p-value via the regularized incomplete beta."""
+    from scipy.special import betainc  # imported here, its one user, as it costs ~6 MB and ~0.1 s
+
     if len(scores_a) != len(scores_b):
         raise ValueError("paired t-test requires equal-length score lists")
     n = len(scores_a)

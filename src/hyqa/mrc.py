@@ -43,6 +43,7 @@ __all__ = [
     "best_span_each",
     "answerability",
     "logit_rows",
+    "token_layout",
     "LexicalScorer",
     "ExternalLogits",
     "extract_answer",
@@ -219,6 +220,26 @@ def answerability(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> 
     if logits.n == 0:
         return float("-inf")
     return float(best_span_each(stack_logits([logits]), config.max_answer_len)[2][0])
+
+
+def token_layout(
+    rows: LogitRows, passage_ids: Sequence[str], texts: Sequence[str]
+) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+    """The texts joined by "\n", the start and end offsets of its tokens,
+    and the index of each text's first token followed by their total, from
+    one token_bounds pass; a ValueError names the first passage whose row
+    has more token logits than its text has tokens."""
+    # No token crosses the "\n" between two texts, so the tokens of the
+    # joined text are those of each text in turn.
+    joined = "\n".join(texts)
+    tok_starts, tok_ends = token_bounds(joined)
+    text_starts = np.cumsum([0] + [len(text) + 1 for text in texts])
+    first = np.searchsorted(tok_starts, text_starts)
+    too_long = np.flatnonzero(rows.n > np.diff(first))
+    if too_long.size:
+        k = too_long[0]
+        raise ValueError(f"logits for passage {passage_ids[k]!r} cover {rows.n[k]} tokens, more than the passage has")
+    return joined, tok_starts, tok_ends, first
 
 
 _UNSCORED = SpanLogits((0.0,), (0.0,))

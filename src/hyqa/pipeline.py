@@ -38,14 +38,13 @@ from .corpus import (
     chunk_generation_passages,
     chunk_retrieval_passages,
     passage_to_record,
-    token_bounds,
     write_jsonl,
 )
 from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_top_k
 from .encoder import DualEncoder, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, first_match_rank, token_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
-from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, logit_rows
+from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, logit_rows, token_layout
 from .scored import ScoredPassage, id_ranks, ranked_passages, top_set
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_hits_each, sparse_top_k_each
 from .syngen import (
@@ -184,17 +183,7 @@ def _read(
         return None
     read_list = read.tolist()
     ids = [ids[i] for i in read_list]
-    texts = [texts[i] for i in read_list]
-    # No token crosses the "\n" between two texts, so the tokens of the
-    # joined text are those of each text in turn.
-    joined = "\n".join(texts)
-    tok_starts, tok_ends = token_bounds(joined)
-    text_starts = np.cumsum([0] + [len(text) + 1 for text in texts])
-    first = np.searchsorted(tok_starts, text_starts)  # each text's first token, and the total
-    too_long = np.flatnonzero(rows.n > np.diff(first))
-    if too_long.size:
-        k = too_long[0]
-        raise ValueError(f"logits for passage {ids[k]!r} cover {rows.n[k]} tokens, more than the passage has")
+    joined, tok_starts, tok_ends, first = token_layout(rows, ids, [texts[i] for i in read_list])
     starts, ends, span_scores = best_span_each(rows, config.max_answer_len)
     ir = ir_scores[read]
     w = config.ir_weight

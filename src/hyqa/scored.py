@@ -1,7 +1,8 @@
 """Shared scored-result record used by sparse, dense, and fused retrieval,
 the one top-k selection that every ranked search goes through (top_set
-picks the k best positions unordered, and top_k sorts them), and the one
-path from a search's ranked rows to its records (ranked_passages)."""
+picks the k best positions unordered, and top_k sorts them), the one path
+from a search's ranked rows to its records (ranked_passages), and the one
+duplicate check of the indexes' passage ids (check_distinct)."""
 
 from __future__ import annotations
 
@@ -27,6 +28,17 @@ def ranked_passages(ids: Sequence[str], rows: np.ndarray, scores: np.ndarray, pr
     """The record of each ranked row in order: ids[row] with its score. The
     first non-finite score raises ValueError naming its passage."""
     return [ScoredPassage(ids[i], s, provenance) for i, s in zip(rows.tolist(), scores.tolist())]
+
+
+def check_distinct(ids: Sequence[str]) -> None:
+    """A ValueError naming the first passage id that repeats an earlier one."""
+    if len(set(ids)) == len(ids):  # the common case, without a Python loop
+        return
+    seen: set[str] = set()
+    for passage_id in ids:
+        if passage_id in seen:
+            raise ValueError(f"duplicate passage id {passage_id!r}")
+        seen.add(passage_id)
 
 
 def id_ranks(ids: Sequence[str]) -> np.ndarray:

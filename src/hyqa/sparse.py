@@ -10,15 +10,15 @@ and query terms both come from corpus.terms so "word" means the same thing
 at index and query time. Ties in search results break by ascending passage
 id.
 
-Scoring is term at a time. `SparseIndex.impacts` (computed on first
-search) holds each posting's term weight tf * (k1 + 1) / (tf + norm),
-aligned with docs. A query's weight at each of its distinct terms is
-mult * idf(term). A block of queries lays out the postings of each
-query's terms query by query, in sorted term order, and sums the products
-weight * impact of each group of queries with one np.bincount over their
-(query, passage) cells. bincount adds each cell's products in input order
-from 0.0, so a score is the per-term sum in sorted term order, and does not
-depend on string hashing.
+Scoring is term at a time (Turtle & Flood, 1995): one score accumulator
+per query. `SparseIndex.impacts` (computed on first search) holds each
+posting's term weight tf * (k1 + 1) / (tf + norm), aligned with docs. A
+query's weight at each of its distinct terms is mult * idf(term). A block
+of queries lays out the postings of each query's terms query by query, in
+sorted term order, and each query sums its slice of products
+weight * impact per passage with one np.bincount. bincount adds each
+passage's products in input order from 0.0, so a score is the per-term sum
+in sorted term order, and does not depend on string hashing.
 """
 
 from __future__ import annotations
@@ -34,18 +34,11 @@ import numpy as np
 
 from . import container
 from .corpus import Passage, terms, token_table
-from .scored import ScoredPassage, id_ranks, ranked_passages, top_k
+from .scored import ScoredPassage, check_distinct, id_ranks, ranked_passages, top_k
 
 __all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_hits_each", "sparse_top_k_each", "sparse_search"]
 
 _ARRAYS = ("doc_lengths", "indptr", "docs", "tf")
-
-# (query, passage) cells one bincount sums into, so a group of queries
-# spans max(1, _CELLS // N) of them. Of 1 << 12 to 1 << 16, 1 << 14 (128 KiB
-# of float64 cells) ran mining's 128-question blocks fastest at N = 500, and
-# as fast as any at N = 6,617; 1 << 20 ran those about 2x slower.
-_CELLS = 1 << 14
-
 
 @dataclass(frozen=True)
 class BM25Params:
@@ -154,13 +147,8 @@ def _from_layout(meta: dict, arrays: dict[str, np.ndarray]) -> SparseIndex:
 
 
 def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Params()) -> SparseIndex:
-    doc_ids = []
-    seen = set()
-    for p in passages:
-        if p.id in seen:
-            raise ValueError(f"duplicate passage id {p.id!r}")
-        seen.add(p.id)
-        doc_ids.append(p.id)
+    doc_ids = [p.id for p in passages]
+    check_distinct(doc_ids)
     table = token_table(p.text for p in passages)
     n_docs, n_terms = len(doc_ids), len(table.terms)
     doc_lengths = np.diff(table.offsets)
@@ -177,11 +165,8 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
 def sparse_hits_each(index: SparseIndex, query_texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each query's matched passage indices, ascending, and their BM25
     scores, unranked, scored as one block: the products of the queries'
-    term weights with their postings' impacts, summed per (query, passage)
-    cell by one np.bincount per group of queries."""
-    n, n_queries = index.N, len(query_texts)
-    if n == 0:  # no passage, so no term and no cell
-        return [(np.zeros(0, dtype=np.intp), np.zeros(0)) for _ in query_texts]
+    term weights with their postings' impacts, summed per passage by one
+    np.bincount per query."""
     query_terms: list[int] = []
     weights: list[float] = []
     n_terms: list[int] = []
@@ -194,35 +179,27 @@ def sparse_hits_each(index: SparseIndex, query_texts: Sequence[str]) -> list[tup
                 weights.append(mult * index._idf_at(t))
         n_terms.append(len(query_terms) - before)
     # Every (query, term) entry's postings, back to back: `at` indexes them
-    # in docs and impacts, and a posting's cell is its passage in its
-    # query's row of n cells within its group of queries.
-    group = max(1, _CELLS // n)
+    # in docs and impacts, and entry i's are at offsets[i]:offsets[i + 1].
     t = np.array(query_terms, dtype=np.intp)
     lo = index.indptr[t].astype(np.int64)
     df = index.indptr[t + 1].astype(np.int64) - lo
-    ends = np.cumsum(df)
+    offsets = np.concatenate(([0], np.cumsum(df)))
     # Built in place: over many postings, a fresh temporary of their size
     # cost more in page faults than the pass that fills it.
-    at = np.repeat(lo - (ends - df), df)
+    at = np.repeat(lo - offsets[:-1], df)
     at += np.arange(len(at))
     products = np.repeat(np.array(weights, dtype=np.float64), df)
     products *= index.impacts[at]
-    cells = np.repeat(np.repeat(np.arange(n_queries) % group * n, n_terms), df)
-    np.add(cells, index.docs[at], out=cells, dtype=np.intp)
-    # The postings of the queries before each group's first.
-    firsts = list(range(0, n_queries, group))
-    entry_ends = np.concatenate(([0], np.cumsum(n_terms, dtype=np.int64)))
-    bounds = np.concatenate(([0], ends))[entry_ends[firsts + [n_queries]]].tolist()
+    docs = index.docs[at]
+    # Query j's postings run from its first entry's offset to the next
+    # query's; the sum starts at 0, so a query without entries gets none.
+    bounds = offsets[np.concatenate(([0], np.cumsum(n_terms, dtype=np.int64)))].tolist()
     hits_each = []
-    for first, a, b in zip(firsts, bounds, bounds[1:]):
-        size = min(group, n_queries - first)
-        scores = np.bincount(cells[a:b], weights=products[a:b], minlength=size * n)
-        # idf > 0 and tf >= 1: every nonzero cell is a match, > 0.
-        cell = np.flatnonzero(scores != 0)
-        hit_scores = scores[cell].astype(np.float64, copy=False)  # int64 when no posting matched
-        hits = cell % n
-        row_ends = np.searchsorted(cell, np.arange(size + 1) * n).tolist()
-        hits_each += [(hits[c:d], hit_scores[c:d]) for c, d in zip(row_ends, row_ends[1:])]
+    for a, b in zip(bounds, bounds[1:]):
+        scores = np.bincount(docs[a:b], weights=products[a:b], minlength=index.N)
+        # idf > 0 and tf >= 1: every nonzero score is a match, > 0.
+        hits = np.flatnonzero(scores != 0)
+        hits_each.append((hits, scores[hits].astype(np.float64, copy=False)))  # int64 when no posting matched
     return hits_each
 
 

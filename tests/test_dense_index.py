@@ -73,7 +73,7 @@ class TestBuild:
         "ids, matrix, reason",
         [
             (["a", "b", "c"], np.ones((2, 2)), "3 ids but 2 embedding rows"),
-            (["a", "b", "a"], np.ones((3, 2)), "duplicate passage ids"),
+            (["a", "b", "a"], np.ones((3, 2)), "duplicate passage id 'a'"),
             (["a", "b"], np.ones(2), "embeddings must be a 2-D array"),
         ],
         ids=["count", "duplicate", "one-dimensional"],

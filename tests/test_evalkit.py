@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
+import hyqa
 from hyqa.corpus import IngestError
 from hyqa.evalkit import (
     GoldSet,
@@ -198,6 +203,14 @@ def quadrature_p_value(t, df):
 
 
 class TestPairedTTest:
+    def test_pipeline_and_cli_import_without_scipy_special(self):
+        # paired_t_test imports scipy.special on first call, so the read and
+        # training paths never load it.
+        env = {**os.environ, "PYTHONPATH": str(Path(hyqa.__file__).parents[1])}
+        code = "import sys, hyqa.pipeline, hyqa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True)
+        assert proc.stdout == "[]\n"
+
     def test_symmetric_diffs_give_t_zero(self):
         result = paired_t_test([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
         assert result.t == pytest.approx(0.0)

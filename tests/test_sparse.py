@@ -453,21 +453,31 @@ class TestBlockScoring:
                     assert top.tolist() == expected_top.tolist()
                     assert scores.tobytes() == expected_scores.tobytes()
 
-    @pytest.mark.parametrize("groups_of", [1, 2, 3, 7])
-    def test_a_block_over_several_cell_groups(self, monkeypatch, groups_of):
-        rng = np.random.default_rng(groups_of)
+    def test_one_bincount_per_query(self, monkeypatch):
+        rng = np.random.default_rng(1)
         words = [f"w{i}" for i in range(30)]
         passages = [raw_passage(f"p{i:02d}", " ".join(rng.choice(words, size=rng.integers(0, 20)))) for i in range(40)]
         texts = [" ".join(rng.choice(words + ["oov"], size=rng.integers(0, 6))) for _ in range(10)] + ["", "oov"]
         index = build_sparse_index(passages)
-        # A group of `groups_of` queries holds fewer cells than one more query.
-        monkeypatch.setattr(sparse, "_CELLS", groups_of * index.N + index.N - 1)
         bincounts, real = [], np.bincount
         monkeypatch.setattr(sparse.np, "bincount", lambda *a, **kw: bincounts.append(1) or real(*a, **kw))
         ranked = sparse_top_k_each(index, texts, 100)
-        assert len(bincounts) == -(-len(texts) // groups_of)
+        assert len(bincounts) == len(texts) == 12
         for text, (top, scores) in zip(texts, ranked):
             expected_top, expected_scores = per_term_top_k(index, text, 100)
+            assert top.tolist() == expected_top.tolist()
+            assert scores.dtype == np.float64 and scores.tobytes() == expected_scores.tobytes()
+
+    def test_queries_without_an_indexed_term_first_and_later(self):
+        # A leading query with no indexed term must not take its slice from
+        # the last query's postings.
+        passages = [raw_passage("p0", "x x y2"), raw_passage("p1", "x alpha"), raw_passage("p2", "alpha y2 y2")]
+        texts = ["oov", "alpha x", "", "missing9 oov", "y2 x y2", "x"]
+        index = build_sparse_index(passages)
+        ranked = sparse_top_k_each(index, texts, 10)
+        assert [top.size for top, _ in ranked] == [0, 3, 0, 0, 3, 2]
+        for text, (top, scores) in zip(texts, ranked):
+            expected_top, expected_scores = per_term_top_k(index, text, 10)
             assert top.tolist() == expected_top.tolist()
             assert scores.dtype == np.float64 and scores.tobytes() == expected_scores.tobytes()
 

@@ -555,6 +555,21 @@ class TestRoundtripFilter:
         with pytest.raises(KeyError, match=r"example passage 'nope' not in passage map \(example 1\)"):
             roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), passages)
 
+    def test_logits_longer_than_the_passage_refused_as_the_reader_refuses(self):
+        from hyqa.pipeline import answer_question
+        from hyqa.scored import ScoredPassage
+
+        class FourTokens:
+            def logits(self, question, pid, text):
+                return SpanLogits((0.0, 1.0, 2.0, 9.0, 0.0), (0.0, 1.0, 2.0, 9.0, 0.0))
+
+        texts = {"p": "two words"}
+        message = "^logits for passage 'p' cover 4 tokens, more than the passage has$"
+        with pytest.raises(ValueError, match=message):
+            roundtrip_filter([QAExample("p", "which words", "words", (4, 9))], FourTokens(), FilterConfig(0.0), texts)
+        with pytest.raises(ValueError, match=message):
+            answer_question("which words", lambda q, k: [ScoredPassage("p", 1.0, "sparse")], FourTokens(), texts)
+
 
 FILTER_WORDS = ["masks", "block", "droplets", "indoors", "astronomy", "Masks,", "(block)", "stars"]
 
