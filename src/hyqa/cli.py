@@ -469,7 +469,7 @@ def _read_json_object(path: str) -> dict:
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line. A --config file supplies defaults for the
     global flags and the chosen subcommand's flags; --seed falls back to
-    $HYQA_SEED."""
+    $HYQA_SEED. A negative seed is refused here, naming where it came from."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -483,6 +483,10 @@ def parse_args(argv=None) -> argparse.Namespace:
             args.seed = int(os.environ.get(SEED_ENV, "0"))
         except ValueError:
             raise ValueError(f"${SEED_ENV}={os.environ[SEED_ENV]!r} is not an integer") from None
+        if args.seed < 0:
+            raise ValueError(f"${SEED_ENV}={os.environ[SEED_ENV]!r} must be >= 0")
+    elif args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     return args
 
 

@@ -59,7 +59,10 @@ def build_dense_index(ids: list[str], embeddings: np.ndarray) -> DenseIndex:
     """Exact index over `embeddings` rounded to the float32 values that
     `save` stores, so an index ranks the same before and after a reload.
     A row that is not finite in float32 is a ValueError naming its id."""
-    matrix = np.asarray(embeddings, dtype=np.float32).astype(np.float64)
+    # A value past float32's range or a signalling NaN warns as it is cast;
+    # the finiteness check below refuses its row.
+    with np.errstate(invalid="ignore", over="ignore"):
+        matrix = np.asarray(embeddings, dtype=np.float32).astype(np.float64)
     if matrix.size == 0:
         matrix = matrix.reshape(0, 0 if matrix.ndim < 2 else matrix.shape[1])
     if matrix.ndim != 2:

@@ -14,9 +14,15 @@ knows their protocol: it scores (question, passage) pairs as one LogitRows
 with a row per pair. A scorer has .logits(question, passage_id,
 passage_text) -> SpanLogits or None (None when it cannot score the pair),
 and may have .logits_pairs(questions, passage_ids, texts) -> LogitRows,
-which scores every pair in one pass. Bundled are a deterministic
-lexical-overlap baseline (which has both) and precomputed logits produced
-offline by an external model (.logits only).
+which scores every pair in one pass. A .logits_pairs row covers exactly
+its text's tokens; a .logits row, the way logits from outside the program
+come in, may cover fewer, and logit_rows refuses one that covers more.
+Bundled are a deterministic lexical-overlap baseline (which has both) and
+precomputed logits produced offline by an external model (.logits only).
+
+cut_answers is the one answer cutter: the text of a token span of each of
+several passages, from one token-offset pass over just those passages;
+extract_answer is its one-passage case.
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ __all__ = [
     "best_span_each",
     "answerability",
     "logit_rows",
-    "token_layout",
     "LexicalScorer",
     "ExternalLogits",
+    "cut_answers",
     "extract_answer",
 ]
 
@@ -222,26 +228,6 @@ def answerability(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> 
     return float(best_span_each(stack_logits([logits]), config.max_answer_len)[2][0])
 
 
-def token_layout(
-    rows: LogitRows, passage_ids: Sequence[str], texts: Sequence[str]
-) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    """The texts joined by "\n", the start and end offsets of its tokens,
-    and the index of each text's first token followed by their total, from
-    one token_bounds pass; a ValueError names the first passage whose row
-    has more token logits than its text has tokens."""
-    # No token crosses the "\n" between two texts, so the tokens of the
-    # joined text are those of each text in turn.
-    joined = "\n".join(texts)
-    tok_starts, tok_ends = token_bounds(joined)
-    text_starts = np.cumsum([0] + [len(text) + 1 for text in texts])
-    first = np.searchsorted(tok_starts, text_starts)
-    too_long = np.flatnonzero(rows.n > np.diff(first))
-    if too_long.size:
-        k = too_long[0]
-        raise ValueError(f"logits for passage {passage_ids[k]!r} cover {rows.n[k]} tokens, more than the passage has")
-    return joined, tok_starts, tok_ends, first
-
-
 _UNSCORED = SpanLogits((0.0,), (0.0,))
 
 
@@ -255,10 +241,16 @@ def logit_rows(
     each pair's .logits row is stacked, and a pair it returns None for is
     unscored: its row has n = 0 and CLS logits 0, as has a scored pair
     whose passage has no tokens, so only the mask tells the two apart.
+    A .logits row is checked against its text, since logits from outside
+    the program come in there: one with more token logits than the text
+    has tokens is a ValueError naming the first such passage.
     """
     if hasattr(scorer, "logits_pairs"):
         return scorer.logits_pairs(questions, passage_ids, texts), np.ones(len(texts), dtype=bool)
     rows = [scorer.logits(q, pid, text) for q, pid, text in zip(questions, passage_ids, texts)]
+    for row, pid, text in zip(rows, passage_ids, texts):
+        if row is not None and row.n and row.n > len(terms(text)):
+            raise ValueError(f"logits for passage {pid!r} cover {row.n} tokens, more than the passage has")
     scored = np.array([row is not None for row in rows], dtype=bool)
     return stack_logits([_UNSCORED if row is None else row for row in rows]), scored
 
@@ -403,9 +395,24 @@ class ExternalLogits:
                     )
 
 
+def cut_answers(texts: Sequence[str], starts: Sequence[int], ends: Sequence[int]) -> list[str]:
+    """The character-level text of each texts[i]'s token span (starts[i],
+    ends[i]) (1-based), from one token_bounds pass over the texts joined by
+    "\n"; a span outside its text's tokens is an IndexError."""
+    # No token crosses the "\n" between two texts, so the tokens of the
+    # joined text are those of each text in turn.
+    joined = "\n".join(texts)
+    tok_starts, tok_ends = token_bounds(joined)
+    first = np.searchsorted(tok_starts, np.cumsum([0] + [len(text) + 1 for text in texts]))
+    s, e, n = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp), np.diff(first)
+    outside = np.flatnonzero((s < 1) | (s > e) | (e > n))
+    if outside.size:
+        k = outside[0]
+        raise IndexError(f"span ({s[k]}, {e[k]}) is outside the passage's {n[k]} tokens")
+    a, b = tok_starts[first[:-1] + s - 1].tolist(), tok_ends[first[:-1] + e - 1].tolist()
+    return [joined[i:j] for i, j in zip(a, b)]
+
+
 def extract_answer(passage_text: str, span: SpanScore) -> str:
     """Character-level answer text for a token span (1-based indices)."""
-    starts, ends = token_bounds(passage_text)
-    if not 1 <= span.s <= span.e <= len(ends):
-        raise IndexError(f"span ({span.s}, {span.e}) is outside the passage's {len(ends)} tokens")
-    return passage_text[starts[span.s - 1] : ends[span.e - 1]]
+    return cut_answers([passage_text], [span.s], [span.e])[0]

@@ -44,7 +44,7 @@ from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_top_
 from .encoder import DualEncoder, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, first_match_rank, token_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
-from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, logit_rows, token_layout
+from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, cut_answers, logit_rows
 from .scored import ScoredPassage, id_ranks, ranked_passages, top_set
 from .sparse import BM25Params, SparseIndex, build_sparse_index, sparse_hits_each, sparse_top_k_each
 from .syngen import (
@@ -147,23 +147,23 @@ def _normalize(scores: np.ndarray, mode: str) -> np.ndarray:
 class _Reading(NamedTuple):
     """The passages read for one question, one entry per passage in
     retrieval order, and `order`, the entries by descending combined score
-    and then ascending passage id. Entry i's answer is joined[cuts[0, i]:
-    cuts[1, i]]."""
+    and then ascending passage id. Entry i's answer is span (starts[i],
+    ends[i]) of texts[i]."""
 
     ids: list[str]
+    texts: list[str]
     ir_scores: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
     span_scores: np.ndarray
     combined: np.ndarray
     order: np.ndarray
-    joined: str
-    cuts: np.ndarray
 
     def answers(self, n: int) -> list[str]:
-        """The texts of the first n answers in order."""
-        a, b = self.cuts[:, self.order[:n]].tolist()
-        return [self.joined[i:j] for i, j in zip(a, b)]
+        """The texts of the first n answers in order, cut from those n
+        passages' texts alone."""
+        first = self.order[:n]
+        return cut_answers([self.texts[i] for i in first.tolist()], self.starts[first], self.ends[first])
 
 
 def _read(
@@ -183,7 +183,6 @@ def _read(
         return None
     read_list = read.tolist()
     ids = [ids[i] for i in read_list]
-    joined, tok_starts, tok_ends, first = token_layout(rows, ids, [texts[i] for i in read_list])
     starts, ends, span_scores = best_span_each(rows, config.max_answer_len)
     ir = ir_scores[read]
     w = config.ir_weight
@@ -191,8 +190,7 @@ def _read(
     # each candidate's floats.
     combined = w * _normalize(ir, config.normalization) + (1 - w) * _normalize(span_scores, config.normalization)
     order = np.lexsort((id_ranks(ids), -combined))
-    cuts = np.array((tok_starts[first[:-1] + starts - 1], tok_ends[first[:-1] + ends - 1]))
-    return _Reading(ids, ir, starts, ends, span_scores, combined, order, joined, cuts)
+    return _Reading(ids, [texts[i] for i in read_list], ir, starts, ends, span_scores, combined, order)
 
 
 def answer_question(
@@ -212,11 +210,12 @@ def answer_question(
     tokens is skipped, mrc.best_span_each finds each other row's best span,
     its first maximum in (s asc, e asc) order, from a sliding maximum of
     the end logits over the passages' sum(n) tokens and the max_answer_len
-    cells of one start per passage, and every answer is cut from one
-    token-offset pass over the passages' texts. The IR scores are the
-    retriever's .ranked arrays when it has them. Records are built only for
-    the candidates returned.
-    A logit row longer than its passage's token count is a ValueError.
+    cells of one start per passage, and the answers returned are cut with
+    mrc.cut_answers, one token-offset pass over their passages' texts. The
+    IR scores are the retriever's .ranked arrays when it has them. Records
+    are built only for the candidates returned.
+    A .logits row longer than its passage's token count is a ValueError
+    (mrc.logit_rows).
     """
     reading = _read(question, *_ranked(retriever, question, config.K), scorer, passage_texts, config)
     if reading is None:

@@ -119,7 +119,8 @@ class SparseIndex:
 
 def _from_layout(meta: dict, arrays: dict[str, np.ndarray]) -> SparseIndex:
     """The index a container's meta and arrays hold; a ValueError unless the
-    arrays form a consistent CSR index over meta's terms and doc_ids."""
+    arrays form a consistent CSR index over meta's terms and distinct
+    doc_ids."""
     missing = [name for name in _ARRAYS if name not in arrays]
     if missing:
         raise ValueError(f"missing arrays {', '.join(missing)}; the sparse index has an old layout "
@@ -129,6 +130,7 @@ def _from_layout(meta: dict, arrays: dict[str, np.ndarray]) -> SparseIndex:
     indptr, docs, tf = arrays["indptr"].astype(np.int64), arrays["docs"].astype(np.int64), arrays["tf"]
     doc_ids, index_terms = container.str_list(meta, "doc_ids"), container.str_list(meta, "terms")
     n_docs = len(doc_ids)
+    check_distinct(doc_ids)
     if not all(map(str.__lt__, index_terms, index_terms[1:])):
         raise ValueError("terms not sorted and distinct")
     if len(indptr) != len(index_terms) + 1:

@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds, tokenize
 from .encoder import IRTrainInstance
 from .evalkit import answer_test
-from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows, token_layout
+from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows
 from .sparse import SparseIndex, sparse_top_k_each
 
 __all__ = [
@@ -437,9 +437,9 @@ def roundtrip_filter(
     examples * max_answer_len) float64 values of the block. An example the
     scorer cannot score (.logits returned None, as external sources do)
     scores None and is dropped and tallied, not fatal; an example whose
-    passage is not in `passage_texts` is a KeyError, and one whose logits
+    passage is not in `passage_texts` is a KeyError, and one whose .logits
     cover more tokens than its passage has is the reader's ValueError
-    (mrc.token_layout).
+    (mrc.logit_rows).
     """
     result = FilterResult(kept=[], scores=[])
     for lo in range(0, len(examples), _FILTER_BLOCK):
@@ -450,7 +450,6 @@ def roundtrip_filter(
         ids = [ex.passage_id for ex in block]
         texts = [passage_texts[pid] for pid in ids]
         rows, scored = logit_rows(scorer, [ex.question for ex in block], ids, texts)
-        token_layout(rows, ids, texts)
         read, rows = rows.nonempty()
         scores = np.full(len(block), -np.inf)
         if read.size:

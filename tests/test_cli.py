@@ -381,6 +381,17 @@ class TestErrorHandling:
         assert run(["dump", "--index", tmp_path / "x.hyqa"]) == 1
         assert capsys.readouterr().err == "error [config]: $HYQA_SEED='abc' is not an integer\n"
 
+    @pytest.mark.parametrize(
+        "command", [["generate", "--passages", "p.jsonl"], ["train-encoder", "--instances", "i.jsonl", "--passages", "p.jsonl"]],
+        ids=["generate", "train-encoder"],
+    )
+    def test_negative_seed_is_refused_where_it_is_parsed(self, tmp_path, monkeypatch, capsys, command):
+        assert run(["--output-dir", tmp_path, "--seed", "-1", *command]) == 1
+        assert capsys.readouterr().err == "error [config]: --seed must be >= 0\n"
+        monkeypatch.setenv("HYQA_SEED", "-1")
+        assert run(["--output-dir", tmp_path, *command]) == 1
+        assert capsys.readouterr().err == "error [config]: $HYQA_SEED='-1' must be >= 0\n"
+
     def test_logits_with_shared_question_is_one_line_error(self, workspace, tmp_path, capsys):
         _, out = workspace
         golds = tmp_path / "golds.jsonl"

@@ -1,13 +1,16 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyqa.container import ContainerError, load, load_artifact, save
 from hyqa.corpus import Passage
-from hyqa.dense_index import DenseIndex, build_dense_index
-from hyqa.encoder import DualEncoder
-from hyqa.sparse import SparseIndex, build_sparse_index
+from hyqa.dense_index import DenseIndex, build_dense_index, dense_search
+from hyqa.encoder import DualEncoder, encode_passage, encode_query
+from hyqa.sparse import SparseIndex, build_sparse_index, sparse_search
 
 
 class TestRoundtrip:
@@ -229,3 +232,50 @@ def test_an_encoder_width_that_is_not_an_int_is_refused(tmp_path, d, shown):
     with pytest.raises(ContainerError) as raised:
         DualEncoder.load(path)
     assert str(raised.value) == f"{path}: meta 'd' must be an int, not {shown!r}"
+
+
+# Each artifact's loader, and one query of what it loads.
+_QUERIES = {
+    "sparse": (SparseIndex.load, lambda index: sparse_search(index, "alpha beta", 5)),
+    "dense": (DenseIndex.load, lambda index: dense_search(index, np.ones(index.d), 5)),
+    "encoder": (DualEncoder.load, lambda encoder: encode_query(encoder, "alpha beta")),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_artifacts(tmp_path_factory):
+    """The bytes of the three artifacts of a small corpus, and a path to
+    write damaged copies to."""
+    texts = ["alpha beta gamma", "beta delta", "gamma alpha epsilon zeta", "eta theta alpha"]
+    passages = [Passage(f"p{i}", "d0", text, len(text.split())) for i, text in enumerate(texts)]
+    encoder = DualEncoder.from_texts(texts, d=4, seed=0)
+    dense = build_dense_index([p.id for p in passages], np.stack([encode_passage(encoder, t) for t in texts]))
+    out = tmp_path_factory.mktemp("artifacts")
+    build_sparse_index(passages).save(out / "sparse")
+    dense.save(out / "dense")
+    encoder.save(out / "encoder")
+    return {name: (out / name).read_bytes() for name in _QUERIES}, out / "damaged.hyqa"
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(_QUERIES)), st.data())
+def test_a_damaged_artifact_loads_and_answers_or_is_a_container_error(saved_artifacts, name, data):
+    """A 1-3-byte mutation or a truncation of any artifact either loads to
+    an object that answers one query, or is a ContainerError; numpy warns
+    of nothing on the way."""
+    artifacts, path = saved_artifacts
+    damaged = bytearray(artifacts[name])
+    if data.draw(st.booleans(), label="truncate"):
+        del damaged[data.draw(st.integers(0, len(damaged) - 1), label="size") :]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="bytes changed")):
+            damaged[data.draw(st.integers(0, len(damaged) - 1), label="at")] = data.draw(st.integers(0, 255))
+    path.write_bytes(damaged)
+    load_it, query = _QUERIES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            loaded = load_it(path)
+        except ContainerError:
+            return
+        query(loaded)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,25 @@ class TestBuild:
         matrix[2, 0] = matrix[1, 2] = value
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite embedding for passage 'b'$"):
             build_dense_index(["a", "b", "c", "d"], matrix)
+
+    def test_a_row_past_float32_is_refused_without_a_warning(self):
+        matrix = np.ones((2, 3))
+        matrix[1, 1] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-finite embedding for passage 'b'$"):
+                build_dense_index(["a", "b"], matrix)
+
+    def test_load_refuses_a_signalling_nan_without_a_warning(self, tmp_path):
+        path = tmp_path / "idx.hyqa"
+        matrix = np.ones((2, 2), dtype="<f4")
+        matrix.view("<u4")[1, 0] = 0x7F800001
+        container.save(path, "dense", {"ids": ["a", "b"]}, {"matrix": matrix})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContainerError) as raised:
+                DenseIndex.load(path)
+        assert str(raised.value) == f"{path}: non-finite embedding for passage 'b'"
 
     def test_load_refuses_non_finite_row(self, tmp_path):
         index = build_dense_index(["a", "b", "c"], np.ones((3, 2)))

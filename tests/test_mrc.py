@@ -17,6 +17,7 @@ from hyqa.mrc import (
     answerability,
     best_span_each,
     best_spans,
+    cut_answers,
     extract_answer,
     logit_rows,
     span_score,
@@ -548,3 +549,30 @@ class TestExtractAnswer:
                 extract_answer(text, SpanScore(s, e, 0.0))
         else:
             assert extract_answer(text, SpanScore(s, e, 0.0)) == text[tokens[s - 1].start : tokens[e - 1].end]
+
+
+class TestCutAnswers:
+    def test_several_texts_cut_at_their_own_tokens(self):
+        texts = ["Grüße aus Köln, 2024.", "two\nlines here", "The COVID-19 vaccine works.", "\u212aelvin \u03b2-1"]
+        spans = [(1, 5), (2, 3), (2, 4), (1, 1)]
+        cuts = cut_answers(texts, [s for s, _ in spans], [e for _, e in spans])
+        assert cuts == ["Grüße aus Köln", "lines here", "COVID-19 vaccine", "elvin"]
+
+    @given(st.lists(st.text(alphabet="ab1 ,.-\n(\u212a\u0130\u00e9"), max_size=4), st.data())
+    def test_equals_each_texts_tokenize_slices(self, texts, data):
+        tokens = [tokenize(text) for text in texts if tokenize(text)]
+        texts = [text for text in texts if tokenize(text)]
+        ends = [data.draw(st.integers(1, len(t))) for t in tokens]
+        starts = [data.draw(st.integers(1, e)) for e in ends]
+        expected = [text[t[s - 1].start : t[e - 1].end] for text, t, s, e in zip(texts, tokens, starts, ends)]
+        assert cut_answers(texts, starts, ends) == expected
+
+    @pytest.mark.parametrize("s, e", [(2, 3), (0, 1), (2, 1)])
+    def test_span_outside_its_text_is_extract_answers_error(self, s, e):
+        from hyqa.mrc import SpanScore
+
+        with pytest.raises(IndexError) as alone:
+            extract_answer("two words", SpanScore(s, e, 0.0))
+        with pytest.raises(IndexError) as among:
+            cut_answers(["one two three", "two words"], [1, s], [3, e])
+        assert str(among.value) == str(alone.value) == f"span ({s}, {e}) is outside the passage's 2 tokens"

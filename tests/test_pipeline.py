@@ -302,6 +302,16 @@ class TestReaderPasses:
         assert sorted(passage_calls) == sorted(set(texts.values()))
         assert len(calls) - len(passage_calls) == 2 * len(golds)  # each question, once per run
 
+    def test_evaluate_run_scans_only_the_texts_of_the_answers_it_scores(self, monkeypatch):
+        texts = {f"p{i}": f"alpha beta {'gamma ' * i}delta" for i in range(8)}
+        retrieved = [ScoredPassage(pid, 1.0, "sparse") for pid in texts]
+        config = PipelineConfig(K=len(texts))
+        top5 = answer_question("beta delta", fixed_retriever(retrieved), LexicalScorer(), texts, config)[:5]
+        bounds_calls = count_calls(monkeypatch, "token_bounds")
+        golds = [GoldSet("q", "beta delta", ("gamma delta",))]
+        evaluate_run(golds, fixed_retriever(retrieved), LexicalScorer(), texts, config)
+        assert bounds_calls == [("\n".join(texts[c.passage_id] for c in top5),)]
+
 
 class TestEvaluateRun:
     def test_perfect_system(self):

@@ -259,6 +259,13 @@ class TestLoadErrors:
         with pytest.raises(ContainerError, match=rf"idx\.hyqa: .*{message}"):
             SparseIndex.load(path)
 
+    def test_repeated_doc_ids_refused(self, saved):
+        path, meta, arrays = saved
+        container.save(path, "sparse", {**meta, "doc_ids": ["a", "b", "a"]}, arrays)
+        with pytest.raises(ContainerError) as raised:
+            SparseIndex.load(path)
+        assert str(raised.value) == f"{path}: duplicate passage id 'a'"
+
     @pytest.mark.parametrize("k1", [float("nan"), float("inf"), "1.2"])
     def test_bad_k1_is_named(self, saved, k1):
         path, meta, arrays = saved

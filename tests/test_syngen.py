@@ -653,6 +653,16 @@ class TestBlockedRoundtripFilter:
         first_questions = list(dict.fromkeys(ex.question for ex in blocks[0]))
         assert calls[: len(first_texts) + len(first_questions)] == first_texts + first_questions
 
+    def test_lexical_scorer_needs_no_token_offsets(self, monkeypatch):
+        import hyqa.mrc
+
+        examples, texts = filter_inputs(3, 2 * _FILTER_BLOCK + 5, 8, 5)
+        calls, real = [], hyqa.mrc.token_bounds
+        for module in (hyqa.mrc, syngen):
+            monkeypatch.setattr(module, "token_bounds", lambda text: calls.append(text) or real(text))
+        roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), texts)
+        assert calls == []
+
     def test_no_span_band_wider_than_a_block(self, monkeypatch):
         from hyqa.pipeline import evaluate_run, make_sparse_retriever
 
