@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .corpus import (
+    Passage,
     chunk_generation_passages,
     chunk_retrieval_passages,
     ingest_documents,
@@ -67,7 +68,18 @@ def _load_jsonl(path, from_record):
 
 
 def _load_passages(path):
-    return _load_jsonl(path, passage_from_record)
+    """The passages in the file at path; a repeated passage id refuses the
+    later record, as ingest_documents refuses a repeated document id."""
+    seen: set[str] = set()
+
+    def passage(record: dict) -> Passage:
+        p = passage_from_record(record)
+        if p.id in seen:
+            raise ValueError(f"duplicate passage id {p.id!r}")
+        seen.add(p.id)
+        return p
+
+    return _load_jsonl(path, passage)
 
 
 def _out_path(args, name: str) -> Path:

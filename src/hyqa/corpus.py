@@ -16,14 +16,18 @@ regex match loop. Both give the surfaces of tokenize.
 
 token_table interns the terms of many texts in one pass: the sorted
 distinct terms, and each text's tokens as ids into them. The BM25 index
-and the encoder vocabulary are both read from it. The reader's
-mrc.LexicalScorer interns apart: each text on its first read, against ids
-it gives in first-seen order.
+and the encoder vocabulary are both read from it, and from one pass when
+built one after the other over the same passages: token_table hands its
+last table, once, to the next call over the very same text objects, and
+holds that one table (about 4 bytes per token) and its texts until the
+next call. The reader's mrc.LexicalScorer interns apart: each text on its
+first read, against ids it gives in first-seen order.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -273,7 +277,9 @@ class TokenTable:
     """The terms of a sequence of texts, interned: `terms` (sorted,
     distinct), `ids` (int32, every token of every text in order, as its
     index in `terms`) and `offsets` (int64, len(texts) + 1 entries from 0 to
-    len(ids)); text j's tokens are ids[offsets[j]:offsets[j + 1]]."""
+    len(ids)); text j's tokens are ids[offsets[j]:offsets[j + 1]]. `ids`
+    and `offsets` are read-only: token_table may hand one table to two
+    builds."""
 
     terms: list[str]
     offsets: np.ndarray
@@ -284,9 +290,28 @@ class TokenTable:
         return self.ids[self.offsets[j] : self.offsets[j + 1]]
 
 
+# The last table built and its texts, {"last": (texts, table)}; see
+# token_table. dict.pop reads and empties it in one step, so two threads
+# never take a table with another call's texts.
+_last_table: dict[str, tuple[tuple[str, ...], TokenTable]] = {}
+
+
 def token_table(texts: Iterable[str]) -> TokenTable:
     """Intern the terms of each text: [terms[i] for i in table.row(j)] is
-    terms(texts[j])."""
+    terms(texts[j]).
+
+    The last table built is handed to the next call, once: a call whose
+    texts are the very objects the last one built from (same count and
+    order) takes that table without tokenizing anything, and empties the
+    slot; any other call empties it, interns, and leaves its own table and
+    texts there. So BM25 and the encoder vocabulary, built one after the
+    other over the same passages in either order, share one pass. The slot
+    holds at most one table (about 4 bytes per token) and references to
+    its texts, until the next call."""
+    texts = tuple(texts)
+    held = _last_table.pop("last", None)
+    if held is not None and len(held[0]) == len(texts) and all(map(operator.is_, held[0], texts)):
+        return held[1]
     lengths: list[int] = []
 
     def text_terms(text: str) -> list[str]:
@@ -306,7 +331,11 @@ def token_table(texts: Iterable[str]) -> TokenTable:
     order = sorted(range(len(surfaces)), key=surfaces.__getitem__)
     rank = np.empty(len(surfaces), dtype=np.int32)
     rank[order] = np.arange(len(surfaces), dtype=np.int32)
-    return TokenTable([surfaces[i] for i in order], offsets, rank[first_seen])
+    ids = rank[first_seen]
+    ids.flags.writeable = offsets.flags.writeable = False
+    table = TokenTable([surfaces[i] for i in order], offsets, ids)
+    _last_table["last"] = (texts, table)
+    return table
 
 
 def _chunk(doc: Document, max_units: int) -> list[Passage]:

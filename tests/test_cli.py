@@ -582,6 +582,27 @@ class TestErrorHandling:
         ]) == 1
         assert capsys.readouterr().err == f"error [train-encoder]: {instances} line 1: unknown passage id 'zz'\n"
 
+    @pytest.mark.parametrize("command, args, output", [
+        ("index-sparse", [], "sparse.hyqa"),
+        ("train-encoder", ["--instances", "instances.jsonl", "--epochs", "1"], "encoder.hyqa"),
+        ("generate", ["--n", "2"], "synthetic_raw.jsonl"),
+        ("encode", ["--encoder", "encoder.hyqa"], "embeddings.jsonl"),
+    ])
+    def test_repeated_passage_id_is_located(self, tmp_path, capsys, command, args, output):
+        from hyqa.corpus import Passage, passage_to_record
+        from hyqa.encoder import DualEncoder
+
+        records = [passage_to_record(Passage("a#0", "a", text, 3)) for text in ("Alpha beta gamma.", "Delta eps zeta.")]
+        passages = tmp_path / "passages.jsonl"
+        passages.write_text("".join(json.dumps(r) + "\n" for r in records))
+        (tmp_path / "instances.jsonl").write_text(
+            json.dumps({"question": "alpha", "positive_id": "a#0", "negative_ids": []}) + "\n")
+        DualEncoder.create(["alpha", "delta"], d=4).save(tmp_path / "encoder.hyqa")
+        argv = [tmp_path / a if a.endswith((".jsonl", ".hyqa")) else a for a in args]
+        assert run(["--output-dir", tmp_path / "o", command, "--passages", passages, *argv]) == 1
+        assert capsys.readouterr().err == f"error [{command}]: {passages} line 2: duplicate passage id 'a#0'\n"
+        assert not (tmp_path / "o" / output).exists()
+
     def test_index_dense_on_empty_passages(self, tmp_path, capsys):
         from hyqa.dense_index import DenseIndex
         from hyqa.encoder import DualEncoder

@@ -1,5 +1,10 @@
+import gc
 import json
+import operator
 import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from hyqa.corpus import (
     _TOKEN_RE,
     Document,
     IngestError,
+    Passage,
     _is_abbreviation,
     _sentence_bounds,
     chunk_generation_passages,
@@ -27,6 +33,9 @@ from hyqa.corpus import (
     token_table,
     tokenize,
 )
+from hyqa.dense_index import build_dense_index
+from hyqa.encoder import DualEncoder, encode_passage
+from hyqa.sparse import build_sparse_index
 
 
 def make_doc(body, doc_id="d1"):
@@ -306,6 +315,140 @@ class TestTokenTable:
         again = token_table(iter(texts))
         assert again.terms == table.terms
         assert np.array_equal(again.offsets, table.offsets) and np.array_equal(again.ids, table.ids)
+
+
+_HANDOFF_WORDS = [
+    ("Masks", "cut", "the", "spread", "of", "COVID-19."),
+    ("The", "\u212aelvin", "scale", "and", "the", "spread."),
+    ("ACE2", "binds", "the", "spike;", "masks", "help."),
+    ("-", "-"),
+    ("IL-6", "rises", "in", "severe", "cases", "(n=12)."),
+]
+
+
+def handoff_passages():
+    """Passages whose texts are new string objects on every call (each
+    joins two or more words); one text is not ASCII and one holds no
+    token."""
+    return [Passage(f"p{i}", "d", " ".join(words), len(words)) for i, words in enumerate(_HANDOFF_WORDS)]
+
+
+def counted_terms(monkeypatch):
+    """A list that collects every text corpus.terms tokenizes."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return terms(text)
+
+    monkeypatch.setattr(corpus, "terms", counted)
+    return calls
+
+
+def build_artifacts(out, sparse_first, separated):
+    """The three artifacts of one build over new passages, BM25 and the
+    vocabulary in the given order, with an unrelated token_table call
+    between them when `separated`."""
+    passages = handoff_passages()
+
+    def between():
+        if separated:
+            token_table(["an unrelated text"])
+
+    if sparse_first:
+        index = build_sparse_index(passages)
+        between()
+        model = DualEncoder.from_texts([p.text for p in passages], d=4, seed=1)
+    else:
+        model = DualEncoder.from_texts([p.text for p in passages], d=4, seed=1)
+        between()
+        index = build_sparse_index(passages)
+    out.mkdir()
+    index.save(out / "sparse.hyqa")
+    model.save(out / "encoder.hyqa")
+    embeddings = np.stack([encode_passage(model, p.text) for p in passages])
+    build_dense_index([p.id for p in passages], embeddings).save(out / "dense.hyqa")
+
+
+class TestTokenTableHandOff:
+    @pytest.mark.parametrize("sparse_first", [True, False])
+    def test_bm25_and_vocabulary_tokenize_each_text_once(self, monkeypatch, sparse_first):
+        calls = counted_terms(monkeypatch)
+        passages = handoff_passages()
+        texts = [p.text for p in passages]
+        if sparse_first:
+            index, model = build_sparse_index(passages), DualEncoder.from_texts(texts, d=4)
+        else:
+            model, index = DualEncoder.from_texts(texts, d=4), build_sparse_index(passages)
+        assert calls == texts
+        assert index.terms == sorted(model.vocab)
+
+    def test_equal_texts_in_other_objects_are_interned_again(self, monkeypatch):
+        calls = counted_terms(monkeypatch)
+        texts, copies = [p.text for p in handoff_passages()], [p.text for p in handoff_passages()]
+        assert texts == copies and not any(map(operator.is_, texts, copies))
+        table, again = token_table(texts), token_table(copies)
+        assert again is not table and calls == texts + copies
+        assert again.terms == table.terms and np.array_equal(again.ids, table.ids)
+
+    def test_a_table_is_handed_on_once(self, monkeypatch):
+        calls = counted_terms(monkeypatch)
+        texts = [p.text for p in handoff_passages()]
+        table = token_table(texts)
+        assert token_table(iter(texts)) is table and calls == texts
+        # A one-pass iterable over the same texts, interned again.
+        third = token_table(iter(texts))
+        assert third is not table and calls == texts + texts
+        assert third.terms == table.terms and np.array_equal(third.ids, table.ids)
+
+    @pytest.mark.parametrize("next_texts", ["same", "other"])
+    def test_the_slot_lets_go_of_an_earlier_table(self, next_texts):
+        texts = [p.text for p in handoff_passages()]
+        table = token_table(texts)
+        ref = weakref.ref(table)
+        if next_texts == "same":
+            assert token_table(texts) is table
+        else:
+            token_table([p.text for p in handoff_passages()])
+        del table
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_take_only_their_own_tables(self):
+        expected = [token_table(texts) for texts in ([p.text for p in handoff_passages()[i:]] for i in range(4))]
+        failures = []
+
+        def worker(texts, want):
+            for _ in range(200):
+                table = token_table(texts)
+                if table.terms != want.terms or not np.array_equal(table.ids, want.ids):
+                    failures.append(texts)
+
+        threads = [threading.Thread(target=worker, args=([p.text for p in handoff_passages()[i:]], want))
+                   for i, want in enumerate(expected)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not failures
+
+    def test_ids_and_offsets_are_read_only(self):
+        table = token_table([p.text for p in handoff_passages()])
+        for array in (table.ids, table.offsets, table.row(0)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    @pytest.mark.parametrize("sparse_first", [True, False])
+    def test_a_shared_table_builds_the_same_artifacts(self, tmp_path, sparse_first):
+        build_artifacts(tmp_path / "shared", sparse_first, separated=False)
+        build_artifacts(tmp_path / "separate", sparse_first, separated=True)
+        for name in ("sparse.hyqa", "encoder.hyqa", "dense.hyqa"):
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "separate" / name).read_bytes(), name
 
 
 class TestWordCount:
