@@ -16,11 +16,9 @@ regex match loop. Both give the surfaces of tokenize.
 
 token_table interns the terms of many texts in one pass: the sorted
 distinct terms, and each text's tokens as ids into them. The BM25 index
-and the encoder vocabulary are both read from it, and from one pass when
-built one after the other over the same passages: token_table hands its
-last table, once, to the next call over the very same text objects, and
-holds that one table (about 4 bytes per token) and its texts until the
-next call. The reader's mrc.LexicalScorer interns apart: each text on its
+and the encoder vocabulary are both read from it, and built one after the
+other over the same passages they share one table (see token_table). The
+reader's mrc.LexicalScorer interns apart: each text on its
 first read, against ids it gives in first-seen order.
 """
 
@@ -291,8 +289,7 @@ class TokenTable:
 
 
 # The last table built and its texts, {"last": (texts, table)}; see
-# token_table. dict.pop reads and empties it in one step, so two threads
-# never take a table with another call's texts.
+# token_table. dict.pop reads and empties it in one step.
 _last_table: dict[str, tuple[tuple[str, ...], TokenTable]] = {}
 
 
@@ -305,9 +302,11 @@ def token_table(texts: Iterable[str]) -> TokenTable:
     order) takes that table without tokenizing anything, and empties the
     slot; any other call empties it, interns, and leaves its own table and
     texts there. So BM25 and the encoder vocabulary, built one after the
-    other over the same passages in either order, share one pass. The slot
-    holds at most one table (about 4 bytes per token) and references to
-    its texts, until the next call."""
+    other over the same passages in either order, share one pass. Two
+    threads never take a table with another call's texts, since the slot
+    is read and emptied in one step. The slot holds at most one table
+    (about 4 bytes per token) and references to its texts, until the next
+    call."""
     texts = tuple(texts)
     held = _last_table.pop("last", None)
     if held is not None and len(held[0]) == len(texts) and all(map(operator.is_, held[0], texts)):

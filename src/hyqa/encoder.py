@@ -28,10 +28,8 @@ An encoder built by `from_texts` holds the `corpus.TokenTable` its
 vocabulary was interned from, with a map from each of those texts to its
 table row, so a text it was built from (every passage of an index built
 over the same texts) encodes without being tokenized again. The table
-may be shared with a BM25 build over the same text objects, made just
-before or just after (`corpus.token_table` hands its last table on once),
-so it is read-only. The table's
-ids index its sorted terms, and the vocabulary is those terms in that
+is read-only and may be shared with a BM25 build (see
+`corpus.token_table`). The table's ids index its sorted terms, and the vocabulary is those terms in that
 order, so the ids are vocabulary ids; this holds while `vocab` equals the
 table's terms, and nothing changes `vocab` in place. `copy` shares the
 table (the copy's vocabulary is equal); `create`, `load` and the
@@ -107,14 +105,12 @@ class DualEncoder:
     def from_texts(cls, texts: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
         """Build the vocabulary from training texts, then initialize.
 
-        The vocabulary is the terms of `corpus.token_table(texts)`, which
-        is the table a BM25 build over these very text objects just made,
-        if one did, and otherwise is held by token_table until its next
-        call (which takes it if it is over the same objects). The encoder
-        holds that table and a map from each text to its row, so encoding
-        one of `texts` reads its token ids from the table: 4 bytes per
-        token plus one map entry per text, held for the encoder's
-        lifetime. The ids are vocabulary ids only while `vocab` equals the
+        The vocabulary is the terms of `corpus.token_table(texts)`, a
+        read-only table that a BM25 build over the same texts may share.
+        The encoder holds that table and a map from each text to its row,
+        so encoding one of `texts` reads its token ids from the table: 4
+        bytes per token plus one map entry per text, held for the
+        encoder's lifetime. The ids are vocabulary ids only while `vocab` equals the
         table's terms; nothing changes `vocab` in place."""
         table = token_table(texts)
         encoder = cls.create(table.terms, d=d, seed=seed)
