@@ -1,6 +1,6 @@
 """Versioned binary container shared by all persisted artifacts.
 
-Layout (little-endian throughout):
+Layout, version 2 (little-endian throughout):
 
     magic   4 bytes  b"HYQA"
     version u16
@@ -10,12 +10,27 @@ Layout (little-endian throughout):
               name  u16 length + ascii
               dtype u16 length + ascii numpy dtype string
               ndim  u8, dims as u64 each
+              pad   zero bytes up to the next multiple of 64 from the
+                    start of the file
               data  raw little-endian bytes, row-major
 
-Arrays are written in the dtype the caller gives them, so an artifact
-chooses its own widths (the sparse index, for one, stores its postings in
-the narrowest unsigned dtype that holds them). `load` reads the numeric
-kinds (bool, int, uint and float) and refuses any other dtype string.
+Version 1 had no padding; `load` refuses it, and such an artifact is
+rebuilt by the command that made it. Arrays are written in the dtype the
+caller gives them, so an artifact chooses its own widths (the sparse index,
+for one, stores each array in the narrowest unsigned dtype that holds it).
+`load` reads the numeric kinds (bool, int, uint and float) and refuses any
+other dtype string.
+
+`save` writes the whole file to a new file in the same directory and
+renames it onto the path, so a reader sees the old file or the new one,
+never a part of either. The rename makes no promise across a power loss:
+nothing is flushed to the disk. `load` maps the file once, privately
+(copy-on-write), and each array is a view of that map: nothing is read
+until it is used, every array is aligned (the padding) and writable, and a
+write to a loaded array never reaches the file. The map, and with it one
+open file descriptor, lives as long as any array of the artifact. So do not
+rewrite a loaded artifact's file in place (`save` never does): a process
+holding it may read the new bytes, or die of SIGBUS if the file shrinks.
 
 `load` reads any container as it is. `load_artifact` reads one of a given
 kind into an object, and is how every artifact loads: the binary twin of
@@ -27,15 +42,20 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import re
+import secrets
 import struct
 from typing import Any, Callable
 
 import numpy as np
 
 MAGIC = b"HYQA"
-VERSION = 1
+VERSION = 2
+# Each array's data starts at a multiple of this many bytes from the start
+# of the file: a cache line, and a multiple of every dtype's alignment.
+ALIGN = 64
 # A dtype string numpy may parse: a type code and its width, as `save` writes
 # them. numpy's parser reads others (",4", "(2,)f8") as structured types,
 # and warns on the deprecated bytes code "a".
@@ -47,54 +67,84 @@ class ContainerError(Exception):
 
 
 def save(path, kind: str, meta: dict[str, Any], arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<H", VERSION))
-        kb = kind.encode("ascii")
-        f.write(struct.pack("<B", len(kb)))
-        f.write(kb)
-        mb = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        f.write(struct.pack("<I", len(mb)))
-        f.write(mb)
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
-            if arr.dtype.byteorder == ">":
-                arr = arr.astype(arr.dtype.newbyteorder("<"))
-            nb = name.encode("ascii")
-            db = arr.dtype.str.lstrip("=|<").encode("ascii")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<H", len(db)))
-            f.write(db)
-            f.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(arr.tobytes())
+    """Write the container to a new file beside path, then rename it onto
+    path. The new file has the mode `open(path, "wb")` gives a new file; a
+    save that raises leaves path as it was and removes its own file."""
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".hyqa-{secrets.token_hex(8)}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            _write(f, kind, meta, arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _read(f, n: int, path, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ContainerError(f"{path}: truncated {what}")
-    return data
+def _write(f, kind: str, meta: dict[str, Any], arrays: dict[str, np.ndarray]) -> None:
+    f.write(MAGIC)
+    f.write(struct.pack("<H", VERSION))
+    kb = kind.encode("ascii")
+    f.write(struct.pack("<B", len(kb)))
+    f.write(kb)
+    mb = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    f.write(struct.pack("<I", len(mb)))
+    f.write(mb)
+    f.write(struct.pack("<I", len(arrays)))
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name])
+        if arr.dtype.byteorder == ">":
+            arr = arr.astype(arr.dtype.newbyteorder("<"))
+        nb = name.encode("ascii")
+        db = arr.dtype.str.lstrip("=|<").encode("ascii")
+        f.write(struct.pack("<H", len(nb)))
+        f.write(nb)
+        f.write(struct.pack("<H", len(db)))
+        f.write(db)
+        f.write(struct.pack("<B", arr.ndim))
+        for dim in arr.shape:
+            f.write(struct.pack("<Q", dim))
+        f.write(bytes(-f.tell() % ALIGN))
+        f.write(arr)  # the array's own buffer, not a copy
 
 
-def _unpack(f, fmt: str, path, what: str) -> int:
-    (value,) = struct.unpack(fmt, _read(f, struct.calcsize(fmt), path, what))
-    return value
+class _Reader:
+    """A cursor over a container's bytes. A read past the end is a
+    ContainerError saying what was truncated."""
+
+    def __init__(self, buf, path, pos: int):
+        self.buf, self.path, self.pos = buf, path, pos
+
+    def skip(self, n: int, what: str) -> int:
+        """Move past the next n bytes; returns where they start."""
+        start = self.pos
+        if n > len(self.buf) - start:
+            raise ContainerError(f"{self.path}: truncated {what}")
+        self.pos += n
+        return start
+
+    def read(self, n: int, what: str) -> bytes:
+        start = self.skip(n, what)
+        return self.buf[start : self.pos]
+
+    def unpack(self, fmt: str, what: str) -> int:
+        (value,) = struct.unpack_from(fmt, self.buf, self.skip(struct.calcsize(fmt), what))
+        return value
 
 
-def _read_array(f, dtype: np.dtype, shape: tuple[int, ...], path, what: str) -> np.ndarray:
-    """The next array's data, read straight into a new array: one buffer,
-    aligned and writable, so a loader need not copy it. A shape larger than
-    the rest of the file is refused before anything is allocated."""
-    if dtype.itemsize * math.prod(shape) > os.fstat(f.fileno()).st_size - f.tell():
-        raise ContainerError(f"{path}: truncated {what}")
-    arr = np.empty(shape, dtype=dtype)
-    if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-        raise ContainerError(f"{path}: truncated {what}")
-    return arr
+def _read_array(r: _Reader, dtype: np.dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The next array: its zero padding, then a view of its data in the
+    map, which reads nothing from the file. The padding puts the data at a
+    multiple of ALIGN, so the view is aligned (numpy copies a whole
+    unaligned array to gather its rows) and, as the map is copy-on-write,
+    writable. Nonzero padding is a ContainerError, and so is a shape larger
+    than the rest of the file."""
+    pad = r.read(-r.pos % ALIGN, what)
+    if pad.count(0) != len(pad):
+        raise ContainerError(f"{r.path}: nonzero padding before {what}")
+    count = math.prod(shape)
+    offset = r.skip(dtype.itemsize * count, what)
+    return np.frombuffer(r.buf, dtype, count, offset).reshape(shape)
 
 
 def _dtype(text: str, path, what: str) -> np.dtype:
@@ -112,26 +162,29 @@ def _dtype(text: str, path, what: str) -> np.dtype:
 
 def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, np.ndarray]]:
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ContainerError(f"{path}: bad magic, not a HYQA container")
-        version = _unpack(f, "<H", path, "version")
-        if version != VERSION:
-            raise ContainerError(f"{path}: unsupported container version {version}")
-        file_kind = _read(f, _unpack(f, "<B", path, "kind"), path, "kind").decode("ascii")
-        if kind is not None and file_kind != kind:
-            raise ContainerError(f"{path}: expected kind {kind!r}, found {file_kind!r}")
-        meta = json.loads(_read(f, _unpack(f, "<I", path, "meta"), path, "meta").decode("utf-8"))
-        count = _unpack(f, "<I", path, "array count")
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name = _read(f, _unpack(f, "<H", path, "array name"), path, "array name").decode("ascii")
-            what = f"array {name!r}"
-            dtype = _dtype(_read(f, _unpack(f, "<H", path, what), path, what).decode("ascii", "replace"), path, what)
-            ndim = _unpack(f, "<B", path, what)
-            shape = tuple(_unpack(f, "<Q", path, what) for _ in range(ndim))
-            arrays[name] = _read_array(f, dtype, shape, path, what)
-        if f.read(1):
-            raise ContainerError(f"{path}: trailing bytes after the last array")
+        # mmap refuses an empty file; it has no magic either way.
+        buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY) if os.fstat(f.fileno()).st_size else b""
+    if buf[:4] != MAGIC:
+        raise ContainerError(f"{path}: bad magic, not a HYQA container")
+    r = _Reader(buf, path, len(MAGIC))
+    version = r.unpack("<H", "version")
+    if version != VERSION:
+        raise ContainerError(f"{path}: unsupported container version {version}; rebuild the artifact")
+    file_kind = r.read(r.unpack("<B", "kind"), "kind").decode("ascii")
+    if kind is not None and file_kind != kind:
+        raise ContainerError(f"{path}: expected kind {kind!r}, found {file_kind!r}")
+    meta = json.loads(r.read(r.unpack("<I", "meta"), "meta").decode("utf-8"))
+    count = r.unpack("<I", "array count")
+    arrays: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        name = r.read(r.unpack("<H", "array name"), "array name").decode("ascii")
+        what = f"array {name!r}"
+        dtype = _dtype(r.read(r.unpack("<H", what), what).decode("ascii", "replace"), path, what)
+        ndim = r.unpack("<B", what)
+        shape = tuple(r.unpack("<Q", what) for _ in range(ndim))
+        arrays[name] = _read_array(r, dtype, shape, what)
+    if r.pos != len(buf):
+        raise ContainerError(f"{path}: trailing bytes after the last array")
     return file_kind, meta, arrays
 
 

@@ -142,7 +142,9 @@ class DualEncoder:
         V x d embedding tables are most of the file, so they are not
         scanned, which would add a full pass to every load; a non-finite
         table entry is refused where it is used: build_dense_index refuses
-        the passage embedding it makes, and a retriever the score."""
+        the passage embedding it makes, and a retriever the score. The
+        parameters are the container's copy-on-write views of the file, so
+        a table is read only as its rows are used."""
         return container.load_artifact(path, "encoder", cls._from_container)
 
     @classmethod
@@ -150,7 +152,7 @@ class DualEncoder:
         words, d = container.str_list(meta, "vocab"), meta["d"]
         if type(d) is not int:
             raise ValueError(f"meta 'd' must be an int, not {type(d).__name__!r}")
-        vocab = {t: i for i, t in enumerate(words)}
+        vocab = dict(zip(words, range(len(words))))
         if len(vocab) != len(words):
             raise ValueError(f"vocabulary repeats the term {next(t for i, t in enumerate(words) if vocab[t] != i)!r}")
         shapes = {"emb": (len(words), d), "proj": (d, d), "bias": (d,)}

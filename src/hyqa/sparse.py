@@ -2,8 +2,10 @@
 
 Postings of the t-th sorted term are docs[indptr[t]:indptr[t + 1]]
 (passage indices, ascending) with their term frequencies at the same
-positions of tf. Search and the container file use these arrays as they
-are; docs and tf take the narrowest unsigned dtype that holds them.
+positions of tf, and doc_lengths holds each passage's token count. Search
+and the container file use these arrays as they are, each in the narrowest
+unsigned dtype that holds it, and a load keeps them as views of the file
+(see container).
 
 idf uses the non-negative ln(1 + (N - df + 0.5)/(df + 0.5)) form. Index
 and query terms both come from corpus.terms so "word" means the same thing
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -127,20 +130,23 @@ def _from_layout(meta: dict, arrays: dict[str, np.ndarray]) -> SparseIndex:
                          "or is damaged, rebuild it with index-sparse")
     if any(arrays[name].ndim != 1 or arrays[name].dtype.kind not in "iu" for name in _ARRAYS):
         raise ValueError("sparse arrays must be one-dimensional integers")
-    indptr, docs, tf = arrays["indptr"].astype(np.int64), arrays["docs"].astype(np.int64), arrays["tf"]
+    indptr, docs, tf = arrays["indptr"], arrays["docs"], arrays["tf"]
     doc_ids, index_terms = container.str_list(meta, "doc_ids"), container.str_list(meta, "terms")
     n_docs = len(doc_ids)
     check_distinct(doc_ids)
-    if not all(map(str.__lt__, index_terms, index_terms[1:])):
+    if not all(map(operator.lt, index_terms, index_terms[1:])):
         raise ValueError("terms not sorted and distinct")
     if len(indptr) != len(index_terms) + 1:
         raise ValueError(f"indptr has {len(indptr)} entries for {len(index_terms)} terms")
-    if len(docs) != len(tf) or indptr[0] != 0 or indptr[-1] != len(docs) or np.any(np.diff(indptr) < 0):
+    # Compared in their stored dtypes: an unsigned np.diff would wrap.
+    if len(docs) != len(tf) or indptr[0] != 0 or indptr[-1] != len(docs) or np.any(indptr[1:] < indptr[:-1]):
         raise ValueError(f"indptr does not run non-decreasing from 0 to {len(docs)} postings ({len(tf)} tf)")
     if docs.size and (docs.min() < 0 or docs.max() >= n_docs):
         raise ValueError(f"posting doc index out of range for {n_docs} passages")
     # Only the first posting of a term may follow a larger or equal doc index.
-    if not np.isin(np.flatnonzero(np.diff(docs) <= 0) + 1, indptr).all():
+    term_start = np.zeros(len(docs) + 1, dtype=bool)
+    term_start[indptr] = True
+    if not term_start[np.flatnonzero(docs[1:] <= docs[:-1]) + 1].all():
         raise ValueError("postings not strictly ascending by passage within a term")
     if len(arrays["doc_lengths"]) != n_docs:
         raise ValueError(f"{len(arrays['doc_lengths'])} doc lengths for {n_docs} passages")
@@ -161,7 +167,7 @@ def build_sparse_index(passages: Sequence[Passage], params: BM25Params = BM25Par
     term_of = keys // n_docs
     indptr = np.zeros(n_terms + 1, dtype=np.int64)
     np.cumsum(np.bincount(term_of, minlength=n_terms), out=indptr[1:])
-    return SparseIndex(params, doc_ids, table.terms, doc_lengths, indptr, _narrow(keys - term_of * n_docs), _narrow(tf))
+    return SparseIndex(params, doc_ids, table.terms, *map(_narrow, (doc_lengths, indptr, keys - term_of * n_docs, tf)))
 
 
 def sparse_hits_each(index: SparseIndex, query_texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:

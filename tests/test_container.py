@@ -1,11 +1,21 @@
+import gc
+import os
+import stat
 import struct
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyqa
+from hyqa import container
 from hyqa.container import ContainerError, load, load_artifact, save
 from hyqa.corpus import Passage
 from hyqa.dense_index import DenseIndex, build_dense_index, dense_search
@@ -50,12 +60,12 @@ class TestRoundtrip:
         save(tmp_path / "two.hyqa", "k", dict(reversed(meta.items())), dict(reversed(arrays.items())))
         assert (tmp_path / "one.hyqa").read_bytes() == (tmp_path / "two.hyqa").read_bytes()
 
-    def test_loaded_arrays_own_aligned_writable_data(self, tmp_path):
+    def test_loaded_arrays_are_aligned_and_writable(self, tmp_path):
         path = tmp_path / "x.hyqa"
         save(path, "k", {"pad": "x"}, {"a": np.arange(5, dtype=np.uint8), "b": np.arange(6.0).reshape(2, 3)})
         _, _, arrays = load(path)
         for arr in arrays.values():
-            assert arr.flags.owndata and arr.flags.aligned and arr.flags.writeable
+            assert arr.flags.aligned and arr.flags.writeable
 
     def test_big_endian_input_normalized(self, tmp_path):
         path = tmp_path / "x.hyqa"
@@ -106,6 +116,29 @@ class TestValidation:
             cut.write_bytes(data[:size])
             with pytest.raises(ContainerError, match="magic" if size < 4 else "truncated"):
                 load(cut)
+
+    def test_a_version_1_file_is_refused(self, tmp_path):
+        """Version 1 is version 2 without the padding before each array."""
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {}, {"a": np.arange(3, dtype=np.float64)})
+        data = path.read_bytes()
+        header_end = data.index((3).to_bytes(8, "little")) + 8
+        path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:header_end] + data[-24:])
+        with pytest.raises(ContainerError) as raised:
+            load(path)
+        assert str(raised.value) == f"{path}: unsupported container version 1; rebuild the artifact"
+
+    def test_nonzero_padding_is_refused(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {}, {"a": np.arange(3, dtype=np.float64)})
+        data = bytearray(path.read_bytes())
+        header_end = data.index((3).to_bytes(8, "little")) + 8
+        assert 0 < len(data) - 24 - header_end < 64
+        data[header_end] = 1
+        path.write_bytes(data)
+        with pytest.raises(ContainerError) as raised:
+            load(path)
+        assert str(raised.value) == f"{path}: nonzero padding before array 'a'"
 
     def test_trailing_bytes_raise(self, tmp_path):
         path = tmp_path / "x.hyqa"
@@ -188,6 +221,125 @@ def _dense(path):
 def _encoder(path):
     DualEncoder.create(["alpha"], d=2).save(path)
     return DualEncoder.load
+
+
+class TestMapping:
+    """A loaded array is a copy-on-write view of the file; a save replaces
+    the file whole."""
+
+    def test_array_data_starts_at_a_multiple_of_64(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        arrays = {f"a{i}": np.arange(i + 1, dtype=dtype) for i, dtype in enumerate("u1 i2 f4 f8 u8".split())}
+        save(path, "k", {"pad": "xyz"}, arrays)
+        _, _, loaded = load(path)
+        for name, arr in loaded.items():
+            np.testing.assert_array_equal(arr, arrays[name])
+            assert arr.ctypes.data % 64 == 0, name
+
+    def test_a_write_to_a_loaded_array_never_reaches_the_file(self, tmp_path):
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {}, {"a": np.arange(4.0), "b": np.arange(3, dtype=np.uint8)})
+        before = path.read_bytes()
+        _, _, arrays = load(path)
+        for arr in arrays.values():
+            arr[:] = 7
+        assert arrays["a"].tolist() == [7.0] * 4
+        assert path.read_bytes() == before
+        assert load(path)[2]["a"].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("artifact", [_sparse, _encoder], ids=["sparse", "encoder"])
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_loaded_artifact_holds_one_file_descriptor_until_dropped(self, tmp_path, artifact):
+        path = tmp_path / "x.hyqa"
+        loader = artifact(path)
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        gc.collect()  # maps that earlier tests' tracebacks still hold
+        start = open_fds()
+        for _ in range(500):
+            loaded = loader(path)
+            assert open_fds() == start + 1
+            del loaded
+        assert open_fds() == start
+
+    def test_a_save_over_a_loaded_artifact_leaves_it_answering(self, tmp_path):
+        """Run in its own process, so that a load whose file is cut under it
+        (SIGBUS) fails this test instead of killing the test run."""
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from hyqa.corpus import Passage
+            from hyqa.encoder import DualEncoder, encode_query
+            from hyqa.sparse import SparseIndex, build_sparse_index, sparse_hits_each
+
+            def artifacts(n):
+                words = [f"w{i}" for i in range(n)]
+                texts = [" ".join(words[i::7]) for i in range(n)]
+                passages = [Passage(f"p{i}", "d", text, 0) for i, text in enumerate(texts)]
+                return build_sparse_index(passages), DualEncoder.from_texts(texts, d=8, seed=n)
+
+            def answers(index, encoder):
+                hits = sparse_hits_each(index, ["w1 w8", "w3", "w2999 w5"])
+                return [a.tobytes() for pair in hits for a in pair] + [encode_query(encoder, "w1 w2999").tobytes()]
+
+            sparse_path, encoder_path = sys.argv[1:]
+            first, second = artifacts(3000), artifacts(12)
+            first[0].save(sparse_path)
+            first[1].save(encoder_path)
+            loaded = SparseIndex.load(sparse_path), DualEncoder.load(encoder_path)
+            second[0].save(sparse_path)
+            second[1].save(encoder_path)
+            assert loaded[1] == first[1]
+            assert answers(*loaded) == answers(*first)
+            assert answers(SparseIndex.load(sparse_path), DualEncoder.load(encoder_path)) == answers(*second)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(hyqa.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sparse"), str(tmp_path / "encoder")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["encoder", "sparse"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_saved_file_has_the_mode_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            save(tmp_path / "x.hyqa", "k", {}, {})
+            with open(tmp_path / "ref", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "x.hyqa").stat().st_mode) == stat.S_IMODE((tmp_path / "ref").stat().st_mode)
+
+    @pytest.mark.parametrize("fails", ["write", "rename"])
+    def test_a_failed_save_keeps_the_old_file_and_leaves_no_other(self, tmp_path, monkeypatch, fails):
+        path = tmp_path / "x.hyqa"
+        save(path, "k", {"n": 1}, {"a": np.arange(3)})
+        before = path.read_bytes()
+        if fails == "write":
+            # The name of the second array is not ascii: one array is written first.
+            with pytest.raises(UnicodeEncodeError):
+                save(path, "k", {"n": 2}, {"a": np.arange(4), "\xe9": np.arange(2)})
+        else:
+            def refuse(src, dst):
+                raise PermissionError(dst)
+
+            monkeypatch.setattr(container.os, "replace", refuse)
+            with pytest.raises(PermissionError):
+                save(path, "k", {"n": 2}, {"a": np.arange(4)})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["x.hyqa"]
+
+    def test_save_writes_each_array_without_copying_it(self, tmp_path):
+        table = np.zeros((1024, 256))
+        tracemalloc.start()
+        try:
+            save(tmp_path / "x.hyqa", "k", {}, {"table": table})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes // 4
 
 
 @pytest.mark.parametrize("artifact", [_sparse, _dense, _encoder], ids=["sparse", "dense", "encoder"])

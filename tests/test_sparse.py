@@ -364,8 +364,8 @@ def counter_index_arrays(passages):
 
     return {
         "terms": vocab,
-        "doc_lengths": np.array([sum(c.values()) for c in counts], dtype=np.int64),
-        "indptr": np.concatenate([[0], np.cumsum(df, dtype=np.int64)]),
+        "doc_lengths": narrow([sum(c.values()) for c in counts]),
+        "indptr": narrow([0, *np.cumsum(df, dtype=np.int64).tolist()]),
         "docs": narrow(docs),
         "tf": narrow(tf),
     }
@@ -445,6 +445,23 @@ class TestBlockScoring:
             assert scores.tobytes() == expected_scores.tobytes()
             one_top, one_scores = sparse_top_k_each(index, [text], k)[0]
             assert one_top.tolist() == top.tolist() and one_scores.tobytes() == scores.tobytes()
+
+    @given(corpora, st.lists(queries, min_size=1, max_size=5), st.booleans())
+    @example([raw_passage("p0", "x " * 300), raw_passage("p1", "x y2")], ["x", "x y2 oov"], True)
+    def test_narrow_lengths_and_indptr_keep_every_score_bit(self, tmp_path_factory, passages, texts, reload):
+        """doc_lengths and indptr in their narrow stored dtypes give the
+        impacts and scores of the same index with int64 ones."""
+        index = build_sparse_index(passages)
+        if reload:
+            path = tmp_path_factory.mktemp("idx") / "idx.hyqa"
+            index.save(path)
+            index = SparseIndex.load(path)
+        wide = SparseIndex(index.params, index.doc_ids, index.terms, index.doc_lengths.astype(np.int64),
+                           index.indptr.astype(np.int64), index.docs, index.tf)
+        assert index.impacts.tobytes() == wide.impacts.tobytes()
+        for (hits, scores), (want_hits, want_scores) in zip(sparse_hits_each(index, texts), sparse_hits_each(wide, texts)):
+            assert hits.tolist() == want_hits.tolist()
+            assert scores.dtype == want_scores.dtype and scores.tobytes() == want_scores.tobytes()
 
     def test_blocks_of_a_larger_corpus(self):
         rng = np.random.default_rng(0)
