@@ -28,9 +28,11 @@ nothing is flushed to the disk. `load` maps the file once, privately
 (copy-on-write), and each array is a view of that map: nothing is read
 until it is used, every array is aligned (the padding) and writable, and a
 write to a loaded array never reaches the file. The map, and with it one
-open file descriptor, lives as long as any array of the artifact. So do not
-rewrite a loaded artifact's file in place (`save` never does): a process
-holding it may read the new bytes, or die of SIGBUS if the file shrinks.
+open file descriptor, lives as long as any array of the artifact. A refused
+load releases both before it raises, so a caller that keeps the error holds
+neither. Do not rewrite a loaded artifact's file in place (`save` never
+does): a process holding it may read the new bytes, or die of SIGBUS if the
+file shrinks.
 
 `load` reads any container as it is. `load_artifact` reads one of a given
 kind into an object, and is how every artifact loads: the binary twin of
@@ -47,6 +49,7 @@ import os
 import re
 import secrets
 import struct
+import traceback
 from typing import Any, Callable
 
 import numpy as np
@@ -164,27 +167,34 @@ def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, 
     with open(path, "rb") as f:
         # mmap refuses an empty file; it has no magic either way.
         buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY) if os.fstat(f.fileno()).st_size else b""
-    if buf[:4] != MAGIC:
-        raise ContainerError(f"{path}: bad magic, not a HYQA container")
-    r = _Reader(buf, path, len(MAGIC))
-    version = r.unpack("<H", "version")
-    if version != VERSION:
-        raise ContainerError(f"{path}: unsupported container version {version}; rebuild the artifact")
-    file_kind = r.read(r.unpack("<B", "kind"), "kind").decode("ascii")
-    if kind is not None and file_kind != kind:
-        raise ContainerError(f"{path}: expected kind {kind!r}, found {file_kind!r}")
-    meta = json.loads(r.read(r.unpack("<I", "meta"), "meta").decode("utf-8"))
-    count = r.unpack("<I", "array count")
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = r.read(r.unpack("<H", "array name"), "array name").decode("ascii")
-        what = f"array {name!r}"
-        dtype = _dtype(r.read(r.unpack("<H", what), what).decode("ascii", "replace"), path, what)
-        ndim = r.unpack("<B", what)
-        shape = tuple(r.unpack("<Q", what) for _ in range(ndim))
-        arrays[name] = _read_array(r, dtype, shape, what)
-    if r.pos != len(buf):
-        raise ContainerError(f"{path}: trailing bytes after the last array")
+    try:
+        if buf[:4] != MAGIC:
+            raise ContainerError(f"{path}: bad magic, not a HYQA container")
+        r = _Reader(buf, path, len(MAGIC))
+        version = r.unpack("<H", "version")
+        if version != VERSION:
+            raise ContainerError(f"{path}: unsupported container version {version}; rebuild the artifact")
+        file_kind = r.read(r.unpack("<B", "kind"), "kind").decode("ascii")
+        if kind is not None and file_kind != kind:
+            raise ContainerError(f"{path}: expected kind {kind!r}, found {file_kind!r}")
+        meta = json.loads(r.read(r.unpack("<I", "meta"), "meta").decode("utf-8"))
+        for _ in range(r.unpack("<I", "array count")):
+            name = r.read(r.unpack("<H", "array name"), "array name").decode("ascii")
+            what = f"array {name!r}"
+            dtype = _dtype(r.read(r.unpack("<H", what), what).decode("ascii", "replace"), path, what)
+            ndim = r.unpack("<B", what)
+            shape = tuple(r.unpack("<Q", what) for _ in range(ndim))
+            arrays[name] = _read_array(r, dtype, shape, what)
+        if r.pos != len(buf):
+            raise ContainerError(f"{path}: trailing bytes after the last array")
+    except BaseException:
+        # A refusal's traceback holds this frame: drop the views, which pin
+        # the map, and close the map, which holds a file descriptor.
+        arrays.clear()
+        if isinstance(buf, mmap.mmap):
+            buf.close()
+        raise
     return file_kind, meta, arrays
 
 
@@ -207,9 +217,18 @@ def load_artifact(path, kind: str, build: Callable[[dict[str, Any], dict[str, np
     raises, is a ContainerError worded `<path>: <reason>`, as is a damaged
     meta or array header that `load` cannot decode."""
     try:
-        _, meta, arrays = load(path, kind)
-        return build(meta, arrays)
+        # No local holds the arrays: a refusal's traceback keeps this frame.
+        return build(*load(path, kind)[1:])
     except KeyError as e:
-        raise ContainerError(f"{path}: missing key {e}") from e
+        raise ContainerError(f"{path}: missing key {e}") from _released(e)
     except (TypeError, ValueError) as e:
-        raise ContainerError(f"{path}: {e}") from e
+        raise ContainerError(f"{path}: {e}") from _released(e)
+
+
+def _released(error: Exception) -> Exception:
+    """`error` with the locals of its traceback's finished frames cleared,
+    so that a refused build's arrays, and the map and file descriptor they
+    pin, are released when the refusal is dropped, not when the garbage
+    collector breaks the traceback's cycles."""
+    traceback.clear_frames(error.__traceback__)
+    return error

@@ -285,8 +285,9 @@ class Gradient(dict):
 def batch_loss(encoder: DualEncoder, batch: Sequence[IRTrainInstance]) -> float:
     """Mean over questions of -log softmax(sim to positive) over the pooled
     in-batch candidates (own positive + all hard negatives + other
-    questions' positives)."""
-    return loss_gradient(encoder, batch).loss
+    questions' positives). The gradient it discards is the touched-rows
+    one, so no call builds a full-table gradient."""
+    return loss_gradient(encoder, batch, touched=True).loss
 
 
 def loss_gradient(

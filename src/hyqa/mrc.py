@@ -20,6 +20,17 @@ come in, may cover fewer, and logit_rows refuses one that covers more.
 Bundled are a deterministic lexical-overlap baseline (which has both) and
 precomputed logits produced offline by an external model (.logits only).
 
+The CLI's --logits file is held to a stricter length rule on purpose:
+ExternalLogits.validate_against refuses, before any work starts, a stored
+row whose length is not its passage's token count, shorter rows included.
+A short row is well-defined for logit_rows (a model with a maximum
+sequence length scores a prefix of a long passage, and no span past the
+row is proposed), so the library reads it. The file, though, is scored
+offline against one passage file, and a row of any other length there
+means it was scored against other passages or another tokenization: each
+span it proposes would sit at the wrong tokens. The CLI sees the whole file
+and every passage before answering, so it can refuse that in one line.
+
 cut_answers is the one answer cutter: the text of a token span of each of
 several passages, from one token-offset pass over just those passages;
 extract_answer is its one-passage case.
@@ -385,7 +396,8 @@ class ExternalLogits:
         return self.lookup(self._question_ids.get(question, question), passage_id)
 
     def validate_against(self, passage_texts: dict[str, str]) -> None:
-        """Check stored logit lengths against passage token counts."""
+        """Check that each stored row covers exactly its passage's tokens,
+        a stricter rule than logit_rows'; the module docstring says why."""
         for (qid, pid), logits in self._table.items():
             if pid in passage_texts:
                 n = len(terms(passage_texts[pid]))

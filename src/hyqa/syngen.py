@@ -6,6 +6,11 @@ backoff n-gram generator compiled into integer states, diversity-promoting
 top-p top-k sampling decoded on those states, generation with the
 answer-must-appear discard rule, roundtrip-consistency filtering through a
 span scorer, BM25 hard-negative mining, and training-set assembly.
+
+One selector, _nuclei, computes every nucleus: over the fitted rows of a
+chunk of models for generation, and over one row for the public
+sample_top_p_top_k. One path, _sentence_terms, gives each sentence's terms
+to target encoding, candidate targets and decoding.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds, tokenize
+from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds
 from .encoder import IRTrainInstance
 from .evalkit import answer_test
 from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows
@@ -144,19 +149,16 @@ def encode_generation_target(passage: Passage, example: QAExample) -> GenTarget:
     a_start, a_end = example.answer_span
     if passage.text[a_start:a_end] != example.answer:
         raise ValueError("answer_span does not slice to the answer text")
-    containing = None
-    for sent in segment_sentences(passage.text):
+    for sent, tokens in _sentence_terms(passage.text):
         if sent.start <= a_start and a_end <= sent.end:
-            containing = sent
             break
-    if containing is None:
+    else:
         raise ValueError("answer span does not lie within a single sentence")
-    tokens = tokenize(containing.surface)
     if not tokens:
         raise ValueError("containing sentence has no tokens")
     return GenTarget(
-        sentence_first=tokens[0].surface,
-        sentence_last=tokens[-1].surface,
+        sentence_first=tokens[0],
+        sentence_last=tokens[-1],
         answer=example.answer,
         question=example.question,
     )
@@ -231,72 +233,46 @@ def decode_generation_target(
 
 
 def _check_masses(masses: np.ndarray) -> None:
-    """Reject a distribution, or rows of them, with negative mass or a sum
-    off 1."""
+    """Reject rows of distributions with negative mass or a row sum off
+    1."""
     if (masses < 0).any():
         raise ValueError("negative probability mass")
-    totals = np.atleast_1d(masses.sum(axis=-1))
+    totals = masses.sum(axis=1)
     # np.isclose(total, 1.0, atol=1e-9) written out; NaN fails it too.
     bad = ~(np.abs(totals - 1.0) <= 1e-9 + 1e-5)
     if bad.any():
         raise ValueError(f"masses sum to {float(totals[bad][0])}, not 1")
 
 
-def _nucleus(masses: np.ndarray, config: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a next-token distribution and select the nucleus that
-    `sample_top_p_top_k` samples from: the kept token ids, highest mass
-    first, and their renormalized weights."""
-    masses = np.asarray(masses, dtype=np.float64)
-    if masses.size == 0:
-        raise ValueError("empty distribution")
-    _check_masses(masses)
-    order = np.lexsort((np.arange(masses.size), -masses))[: config.k]
-    kept = masses[order]
-    cum = np.cumsum(kept)
-    cutoff = int(np.searchsorted(cum, config.p - 1e-12)) + 1
-    nucleus = order[:cutoff]
-    return nucleus, masses[nucleus] / masses[nucleus].sum()
+def _nuclei(blocks: Sequence[np.ndarray], config: SamplerConfig) -> tuple[list[int], list[float], list[int]]:
+    """The nucleus of every row of `blocks`, 2-D mass arrays each as wide
+    as its vocabulary, in one array pass: each row is validated, its k
+    highest-mass tokens kept by a stable ranking (mass ties by ascending
+    id), and the smallest prefix of them with cumulative mass >= p kept.
+    Returns the rows' ids and CDFs as flat lists with row offsets.
 
-
-def sample_top_p_top_k(masses: np.ndarray, config: SamplerConfig, rng: np.random.Generator) -> int:
-    """Keep the k highest-mass tokens, then the smallest high-mass prefix
-    with cumulative mass >= p, renormalize, and sample. Mass ties break by
-    ascending token index."""
-    nucleus, weights = _nucleus(masses, config)
-    return int(rng.choice(nucleus, p=weights))
-
-
-def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
-    """Select the nucleus of every fitted row of `lms` in one array pass and
-    store it in each model for `config`'s (p, k).
-
-    Each row's ids are _nucleus(row, config)'s, and its CDF is bit for bit
-    the cumulative sum of _nucleus's weights divided by its last entry: the
-    same validation, the same stable ranking, the same cut, and each
-    nucleus renormalized by a 1-D sum over a contiguous copy of its masses,
-    so numpy sums it in _nucleus's order. A draw is then one uniform and
-    one CDF search, the comparisons Generator.choice(nucleus, p=weights)
-    makes, so it returns what sample_top_p_top_k would. A model holds its
-    rows' ids and CDFs as flat lists with row offsets, shared by the models
-    of one call."""
-    heights = [lm._probs.shape[0] for lm in lms]
-    widths = [len(lm.vocab) for lm in lms]
-    # Each model's top k by a stable argsort of -mass (ties by ascending
-    # id), padded with zero mass to min(k, widest vocabulary) columns: no
-    # model's full width is padded to the widest one's.
+    A row's CDF is the cumulative sum of its renormalized masses divided by
+    its last entry, as Generator.choice(nucleus, p=weights) builds it; each
+    nucleus is renormalized by a row sum over a contiguous copy of its
+    masses, which numpy adds as it adds a 1-D array. A draw is one uniform
+    and one CDF search, the comparisons that choice makes."""
+    heights = [len(masses) for masses in blocks]
+    widths = [masses.shape[1] for masses in blocks]
+    # Each block's top k by a stable argsort of -mass, padded with zero mass
+    # to min(k, widest vocabulary) columns: no block's full width is padded
+    # to the widest one's.
     order = np.zeros((sum(heights), min(config.k, max(widths))), dtype=np.intp)
     kept = np.zeros(order.shape)
     row = 0
-    for lm, height in zip(lms, heights):
-        masses = lm._probs
+    for masses, height in zip(blocks, heights):
         _check_masses(masses)
         top = np.argsort(-masses, axis=1, kind="stable")[:, : config.k]
         order[row : row + height, : top.shape[1]] = top
         kept[row : row + height, : top.shape[1]] = np.take_along_axis(masses, top, axis=1)
         row += height
     cum = np.cumsum(kept, axis=1)
-    # _nucleus's searchsorted(cum, p - 1e-12) + 1, never into the padding
-    # past a model's vocabulary.
+    # The first prefix reaching p - 1e-12, never into the padding past a
+    # block's vocabulary.
     limit = np.minimum(config.k, np.repeat(widths, heights))
     cut = np.minimum(np.count_nonzero(cum < config.p - 1e-12, axis=1) + 1, limit)
     cdf = np.zeros_like(kept)
@@ -307,10 +283,33 @@ def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
         sums = weights.cumsum(axis=1)
         cdf[rows, :width] = sums / sums[:, -1:]
     inside = np.arange(order.shape[1]) < cut[:, None]
-    ids, cdf = order[inside].tolist(), cdf[inside].tolist()
-    offsets = [0, *np.cumsum(cut).tolist()]
+    return order[inside].tolist(), cdf[inside].tolist(), [0, *np.cumsum(cut).tolist()]
+
+
+def sample_top_p_top_k(masses: np.ndarray, config: SamplerConfig, rng: np.random.Generator) -> int:
+    """Keep the k highest-mass tokens, then the smallest high-mass prefix
+    with cumulative mass >= p, renormalize, and sample. Mass ties break by
+    ascending token index.
+
+    The nucleus is _nuclei's one-row case, and the draw is one uniform
+    searched in its CDF: the token, and the RNG state after it, of
+    rng.choice(nucleus, p=weights)."""
+    masses = np.asarray(masses, dtype=np.float64)
+    if masses.size == 0:
+        raise ValueError("empty distribution")
+    ids, cdf, _ = _nuclei([masses.reshape(1, -1)], config)
+    return ids[bisect_right(cdf, rng.random())]
+
+
+def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
+    """Select the nucleus of every fitted row of `lms` with one _nuclei
+    pass and store each model's slice of it for `config`'s (p, k): the
+    flat ids and CDFs, shared by the models of one call, and the model's
+    own row offsets."""
+    ids, cdf, offsets = _nuclei([lm._probs for lm in lms], config)
     row = 0
-    for lm, height in zip(lms, heights):
+    for lm in lms:
+        height = len(lm._probs)
         lm._nuclei[config.p, config.k] = ids, cdf, offsets[row : row + height + 1]
         row += height
 

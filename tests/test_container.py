@@ -1,4 +1,3 @@
-import gc
 import os
 import stat
 import struct
@@ -223,6 +222,25 @@ def _encoder(path):
     return DualEncoder.load
 
 
+def _unsorted_terms(path):
+    _, meta, arrays = load(path)
+    save(path, "sparse", {**meta, "terms": meta["terms"][::-1]}, dict(arrays))
+    return "terms not sorted and distinct"
+
+
+def _nonzero_padding(path):
+    """Set a padding byte before "tf", the last array, so that the load
+    refuses the file after mapping every array before it."""
+    data = bytearray(path.read_bytes())
+    tf = load(path)[2]["tf"]
+    data_start = len(data) - tf.nbytes
+    header_end = data.rindex(len(tf).to_bytes(8, "little"), 0, data_start) + 8
+    assert header_end < data_start
+    data[header_end] = 1
+    path.write_bytes(data)
+    return "nonzero padding before array 'tf'"
+
+
 class TestMapping:
     """A loaded array is a copy-on-write view of the file; a save replaces
     the file whole."""
@@ -256,13 +274,31 @@ class TestMapping:
         def open_fds():
             return len(os.listdir("/proc/self/fd"))
 
-        gc.collect()  # maps that earlier tests' tracebacks still hold
         start = open_fds()
         for _ in range(500):
             loaded = loader(path)
             assert open_fds() == start + 1
             del loaded
         assert open_fds() == start
+
+    @pytest.mark.parametrize("damage", [_unsorted_terms, _nonzero_padding], ids=["unsorted-terms", "nonzero-padding"])
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_kept_refusals_hold_no_file_descriptor(self, tmp_path, damage):
+        """A refused load releases its map at once, whether the container
+        (padding) or the build (terms) refuses it: a caller that keeps the
+        errors holds no descriptor for them."""
+        path = tmp_path / "x.hyqa"
+        _sparse(path)
+        message = damage(path)
+        start = len(os.listdir("/proc/self/fd"))
+        errors = []
+        for _ in range(50):
+            try:
+                SparseIndex.load(path)
+            except ContainerError as e:
+                errors.append(e)
+        assert len(errors) == 50 and str(errors[-1]) == f"{path}: {message}"
+        assert len(os.listdir("/proc/self/fd")) == start
 
     def test_a_save_over_a_loaded_artifact_leaves_it_answering(self, tmp_path):
         """Run in its own process, so that a load whose file is cut under it

@@ -38,7 +38,6 @@ from hyqa.syngen import (
     _FILTER_BLOCK,
     _MINE_BLOCK,
     _NUCLEUS_CHUNK,
-    _nucleus,
     _select_nuclei,
     _sentence_terms,
 )
@@ -256,7 +255,7 @@ def model_of(counts):
 def reference_cdf(masses, config):
     """The nucleus ids and CDF of sample_top_p_top_k, as a draw searches
     them."""
-    nucleus, weights = _nucleus(masses, config)
+    nucleus, weights = reference_nucleus(masses, config)
     cdf = weights.cumsum()
     cdf /= cdf[-1]
     return nucleus, cdf
@@ -323,7 +322,7 @@ class TestChunkedNuclei:
         with pytest.raises(ValueError, match=message):
             _select_nuclei([model_of([[1, 2]]), lm], SamplerConfig())
         with pytest.raises(ValueError, match=message):
-            _nucleus(lm._probs[-1], SamplerConfig())
+            sample_top_p_top_k(lm._probs[-1], SamplerConfig(), np.random.default_rng(0))
 
 
 class TestCompiledStates:
