@@ -8,16 +8,24 @@ negative log-likelihood of the positive passage against in-batch negatives
 (every question in a mini-batch sees its own hard negatives plus the other
 questions' positives and hard negatives), with plain SGD and linear warmup.
 
-A batch of texts is a token bag (`_TokenBag`): the table rows its tokens
-touch, ascending, and a CSR matrix of ones over (text x touched row) that
-holds each text's tokens in order. Pooling is one sparse product, ones @
-table[rows] / length, and the embedding gradient is its transpose, ones.T @
-(g_means / length). scipy sums each text, and each touched row, in stored
-order from 0.0, so both are bit for bit the per-text
-`table[ids].mean(axis=0)` and the per-token scatter they replace. (At d = 1
-they can differ in the last bits: numpy sums a single column pairwise.) One
-text pools without a bag: one `np.add.reduce` over its rows, divided by its
-length, which is the reduction and divide that `.mean(axis=0)` runs.
+A batch of texts is a token bag (`_TokenBag`): each text's tokens in order,
+as the arrays of a CSR matrix of ones over (text x table row), and the same
+tokens over the table rows they touch, ascending (text x touched row).
+Pooling is one sparse product, ones @ table / length, and the embedding
+gradient is the touched-row matrix's transpose, ones.T @ (g_means /
+length). The bag builds no scipy matrix: it calls the kernels those
+products call, `csr_matvecs` and (as a CSR matrix's transpose is the CSC
+matrix over the same arrays) `csc_matvecs`, with the arguments they pass,
+so each product has the bits of the `csr_array` one without its per-call
+set-up, and pooling reads the table rows in place instead of gathering
+them. scipy.sparse is imported on a bag's first product, so reading never
+loads it. The kernels sum each text, and each touched row, in stored order
+from 0.0, so both are bit for bit the per-text `table[ids].mean(axis=0)`
+and the per-token scatter they replace (tests/test_scipy_order.py pins
+this). (At d = 1 they can differ in the last bits: numpy sums a single
+column pairwise.) One text pools without a bag: one `np.add.reduce` over
+its rows, divided by its length, which is the reduction and divide that
+`.mean(axis=0)` runs.
 
 A training step runs one forward pass: `loss_gradient` returns the gradient
 with the loss it differentiates, and the step updates only the embedding
@@ -47,7 +55,6 @@ from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import container
 from .corpus import Passage, TokenTable, terms, token_table
@@ -88,6 +95,8 @@ class DualEncoder:
 
     @classmethod
     def create(cls, vocab: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
+        if d < 1:
+            raise ValueError("d must be >= 1")
         rng = np.random.default_rng(seed)
         v = len(vocab)
         scale = 1.0 / np.sqrt(d)
@@ -152,6 +161,8 @@ class DualEncoder:
         words, d = container.str_list(meta, "vocab"), meta["d"]
         if type(d) is not int:
             raise ValueError(f"meta 'd' must be an int, not {type(d).__name__!r}")
+        if d < 1:
+            raise ValueError("meta 'd' must be >= 1")
         vocab = dict(zip(words, range(len(words))))
         if len(vocab) != len(words):
             raise ValueError(f"vocabulary repeats the term {next(t for i, t in enumerate(words) if vocab[t] != i)!r}")
@@ -219,27 +230,46 @@ def _tokenize_all(encoder: DualEncoder, instances: Iterable[IRTrainInstance]) ->
 
 
 class _TokenBag:
-    """The token ids of a batch of texts over the table rows they touch:
-    `rows` (ascending), `ones` (a CSR matrix of ones, text x touched row,
-    each text's tokens in order) and `lens` (each text's token count, at
-    least 1, as a column)."""
+    """The token ids of a batch of texts as the arrays of two CSR matrices
+    of ones, each text's tokens in order: `indptr`, the one index pointer;
+    `ids`, each token's table row (text x table), and `slot`, each token's
+    index into `rows`, the touched rows ascending (text x touched row);
+    `ones`, the data; and `lens` (each text's token count, at least 1, as a
+    column). Its products call scipy's CSR kernels directly, as
+    `csr_array @ X` and `csr_array.T @ X` do."""
 
     def __init__(self, token_ids: Sequence[np.ndarray]):
         counts = np.fromiter(map(len, token_ids), dtype=np.intp, count=len(token_ids))
-        indptr = np.zeros(len(token_ids) + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
-        self.rows, slot = np.unique(np.concatenate(token_ids), return_inverse=True)
-        self.ones = csr_array((np.ones(len(slot)), slot, indptr), shape=(len(token_ids), len(self.rows)))
+        self.indptr = np.zeros(len(token_ids) + 1, dtype=np.intp)
+        np.cumsum(counts, out=self.indptr[1:])
+        self.ids = np.concatenate(token_ids, dtype=np.intp)
+        self.rows, self.slot = np.unique(self.ids, return_inverse=True)
+        self.ones = np.ones(len(self.ids))
         self.lens = np.maximum(counts, 1)[:, None]
 
     def means(self, table: np.ndarray) -> np.ndarray:
-        """Each text's mean token embedding; zeros for a text without tokens."""
-        return self.ones @ table[self.rows] / self.lens
+        """Each text's mean token embedding; zeros for a text without tokens.
+        The kernel reads the table rows in place, so a token id outside the
+        table is refused first."""
+        from scipy.sparse._sparsetools import csr_matvecs  # imported here, so reading never loads scipy
+
+        if len(self.rows) and (self.rows[0] < 0 or self.rows[-1] >= len(table)):
+            raise IndexError(f"token ids {self.rows[0]}..{self.rows[-1]} do not all index a table of {len(table)} rows")
+        out = np.zeros((len(self.lens), table.shape[1]))
+        csr_matvecs(len(self.lens), len(table), out.shape[1], self.indptr, self.ids, self.ones, table.ravel(), out.ravel())
+        out /= self.lens
+        return out
 
     def rows_gradient(self, g_means: np.ndarray) -> np.ndarray:
         """Gradient of the touched table rows from the gradient of each
-        text's mean, which spreads evenly over the text's tokens."""
-        return self.ones.T @ (g_means / self.lens)
+        text's mean, which spreads evenly over the text's tokens. A CSR
+        matrix's transpose is the CSC matrix over the same arrays."""
+        from scipy.sparse._sparsetools import csc_matvecs
+
+        out = np.zeros((len(self.rows), g_means.shape[1]))
+        csc_matvecs(len(self.rows), len(self.lens), out.shape[1], self.indptr, self.slot, self.ones,
+                    (g_means / self.lens).ravel(), out.ravel())
+        return out
 
 
 def _project(encoder: DualEncoder, means: np.ndarray, side: str) -> np.ndarray:

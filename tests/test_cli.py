@@ -321,6 +321,16 @@ class TestErrorHandling:
         count = len(instances.read_text().splitlines())
         assert capsys.readouterr().out == f"trained on {count} instances; no epochs run; saved {tmp_path / 'o' / 'encoder.hyqa'}\n"
 
+    def test_train_encoder_refuses_a_width_below_one(self, trained, tmp_path, capsys):
+        _, out = trained
+        capsys.readouterr()
+        assert run([
+            "--output-dir", tmp_path / "o", "train-encoder", "--instances", out / "train_instances.jsonl",
+            "--passages", out / "passages_generation.jsonl", "--dim", 0,
+        ]) == 1
+        assert capsys.readouterr() == ("", "error [train-encoder]: d must be >= 1\n")
+        assert not (tmp_path / "o" / "encoder.hyqa").exists()
+
     def test_retrieve_without_index(self, capsys):
         assert run(["retrieve", "--mode", "sparse", "--query", "x"]) == 1
         assert "requires --sparse" in capsys.readouterr().err

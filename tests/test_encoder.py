@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import hyqa
 import hyqa.encoder as encoder_module
 from hyqa import container
 from hyqa.container import ContainerError
@@ -412,6 +417,23 @@ class TestTokenBag:
         assert bag.rows_gradient(g_means).tobytes() == g_rows.tobytes()
 
 
+@pytest.mark.parametrize("ids", [[3, 12], [-1, 3]], ids=["past-the-end", "negative"])
+def test_token_bag_refuses_an_id_outside_the_table(ids):
+    # The pooling kernel reads table rows in place, with no bounds check of its own.
+    bag = encoder_module._TokenBag([np.array([0, 1], dtype=np.intp), np.array(ids, dtype=np.intp)])
+    with pytest.raises(IndexError, match=r"^token ids -?\d+\.\.\d+ do not all index a table of 12 rows$"):
+        bag.means(np.ones((12, 3)))
+
+
+def test_pipeline_and_cli_import_without_scipy():
+    # The token bag imports scipy's kernels on its first product, so reading
+    # loads no scipy module at all.
+    env = {**os.environ, "PYTHONPATH": str(Path(hyqa.__file__).parents[1])}
+    code = "import sys, hyqa.pipeline, hyqa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True)
+    assert proc.stdout == "[]\n"
+
+
 def dense_update_train(encoder, instances, config):
     """train as a loop over the public loss_gradient that updates every
     parameter in full: the reference for the touched-row updates."""
@@ -645,6 +667,23 @@ class TestPersistence:
         with pytest.raises(ContainerError) as raised:
             DualEncoder.load(tmp_path / "enc.hyqa")
         assert str(raised.value) == f"{tmp_path / 'enc.hyqa'}: {message}"
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_create_refuses_a_width_below_one(self, d):
+        with pytest.raises(ValueError, match="^d must be >= 1$"):
+            DualEncoder.create(VOCAB, d=d)
+        with pytest.raises(ValueError, match="^d must be >= 1$"):
+            DualEncoder.from_texts(["alpha beta"], d=d)
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_load_refuses_a_width_below_one(self, tmp_path, d):
+        # Empty arrays, which fit d = 0 as `create` used to build them.
+        shapes = {"emb": (len(VOCAB), 0), "proj": (0, 0), "bias": (0,)}
+        arrays = {name: np.zeros(shapes[name[2:]]) for name in encoder_module._PARAM_NAMES}
+        container.save(tmp_path / "enc.hyqa", "encoder", {"d": d, "vocab": list(VOCAB)}, arrays)
+        with pytest.raises(ContainerError) as raised:
+            DualEncoder.load(tmp_path / "enc.hyqa")
+        assert str(raised.value) == f"{tmp_path / 'enc.hyqa'}: meta 'd' must be >= 1"
 
     @pytest.mark.parametrize("key", ["vocab", "d"])
     def test_load_names_a_missing_meta_key(self, tmp_path, key):

@@ -1,13 +1,17 @@
 """scipy.sparse adds a product's terms in stored order, starting from 0.0.
 
 The encoder's token bags rely on this to give the bits of the loops they
-replaced. A scipy release that reorders or fuses these sums fails here,
-instead of silently changing trained encoders. (BM25 scoring sums with
-np.bincount instead; tests/test_bincount_order.py pins its order.)
+replaced. They call the kernels behind `csr_array @ X` and `csr_array.T @ X`,
+`csr_matvecs` and `csc_matvecs`, directly, without building a matrix. A
+scipy release that reorders or fuses these sums, or renames, re-signs or
+reorders those kernels, fails here instead of silently changing (or
+breaking) trained encoders. (BM25 scoring sums with np.bincount instead;
+tests/test_bincount_order.py pins its order.)
 """
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 # Magnitudes far apart, so that each order of addition rounds differently.
 VALUES = np.array([
@@ -57,3 +61,32 @@ def test_sparse_product_sums_products_in_stored_order():
     for doc in range(2):
         assert scores[0, doc] == left_to_right(float(weights[t]) * float(impacts[t, doc]) for t in terms)
     assert scores[0, 0] == 2.0**-29
+
+
+# The rows of the first test: an empty row, and repeated and unsorted columns.
+ROWS = [[0, 1, 1, 5, 0, 2], [], [3, 3, 0], [4, 2, 0, 0, 1, 5, 3]]
+
+
+def test_kernels_take_the_token_bag_arguments():
+    # The encoder's _TokenBag passes intp indptr and indices and float64 ones,
+    # in this order, and a C-contiguous float64 output to fill in place.
+    indptr = np.zeros(len(ROWS) + 1, dtype=np.intp)
+    np.cumsum([len(r) for r in ROWS], out=indptr[1:])
+    slot = np.concatenate(ROWS).astype(np.intp)
+    ones = np.ones(len(slot))
+    matrix = csr_array((ones, slot, indptr), shape=(4, 6))
+
+    pooled = np.zeros((4, 3))
+    csr_matvecs(4, 6, 3, indptr, slot, ones, VALUES.ravel(), pooled.ravel())
+    for i, cols in enumerate(ROWS):
+        for j in range(3):
+            assert pooled[i, j] == left_to_right(VALUES[c, j] for c in cols)
+    assert pooled.tobytes() == (matrix @ VALUES).tobytes()
+
+    shares = VALUES[:4] / 3.0
+    scattered = np.zeros((6, 3))
+    csc_matvecs(6, 4, 3, indptr, slot, ones, shares.ravel(), scattered.ravel())
+    for c in range(6):
+        for j in range(3):
+            assert scattered[c, j] == left_to_right(shares[i, j] for i, cols in enumerate(ROWS) for col in cols if col == c)
+    assert scattered.tobytes() == (matrix.T @ shares).tobytes()
