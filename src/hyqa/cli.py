@@ -28,7 +28,7 @@ from .corpus import (
     write_jsonl,
 )
 from .dense_index import DenseIndex
-from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, train
+from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage
 from .evalkit import load_gold_jsonl, paired_t_test
 from .fusion import FusionConfig, tune_weight
 from .mrc import ExternalLogits, LexicalScorer
@@ -41,6 +41,7 @@ from .pipeline import (
     make_dense_retriever,
     make_hybrid_retriever,
     make_sparse_retriever,
+    train_encoder,
 )
 from .sparse import BM25Params, SparseIndex, build_sparse_index
 from .syngen import (
@@ -185,7 +186,6 @@ def cmd_train_encoder(args):
             hard_negatives=tuple(map(passage, rec["negative_ids"])),
         ),
     )
-    base = DualEncoder.from_texts([p.text for p in passages.values()], d=args.dim, seed=args.seed)
     config = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -193,7 +193,7 @@ def cmd_train_encoder(args):
         warmup_steps=args.warmup,
         seed=args.seed,
     )
-    trained, trace = train(base, instances, config)
+    trained, trace = train_encoder(list(passages.values()), instances, args.dim, config)
     path = _out_path(args, "encoder.hyqa")
     trained.save(path)
     loss = f"loss {trace[0]:.4f} -> {trace[-1]:.4f}" if trace else "no epochs run"

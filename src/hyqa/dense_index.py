@@ -159,9 +159,11 @@ def ivf_search(ivf: IVFIndex, q_emb: np.ndarray, k: int, n_probe: int | None = N
     index = ivf.base
     _check_k(k)
     q = _query(index, q_emb)
+    probes = ivf.n_probe if n_probe is None else n_probe
+    if probes < 1:
+        raise ValueError(f"n_probe={probes} must be >= 1")
     if index.n == 0:
         return []
-    probes = ivf.n_probe if n_probe is None else n_probe
     probes = min(probes, len(ivf.centroids))
     cluster_scores = ivf.centroids @ q
     chosen = np.argsort(-cluster_scores, kind="stable")[:probes]

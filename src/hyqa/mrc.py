@@ -203,8 +203,10 @@ def best_span_each(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np
     over the padded end logits; the cells of one start per row are then
     built as best_spans builds them, to find the first end that reaches the
     row's best. The working set is O(sum(n) + rows * width) float64 values.
-    A row with n = 0 is a ValueError.
+    A row with n = 0, or a max_answer_len below 1, is a ValueError.
     """
+    if max_answer_len < 1:
+        raise ValueError("max_answer_len must be >= 1")
     n = rows.n
     empty = np.flatnonzero(n == 0)
     if empty.size:

@@ -19,7 +19,7 @@ and by the CLI subcommand of the same name:
     generate        syngen.generate_corpus
     filter          syngen.roundtrip_filter
     mine-negatives  syngen.build_ir_training_set
-    train-encoder   encoder.train
+    train-encoder   pipeline.train_encoder
     index-dense     pipeline.index_dense
 """
 
@@ -41,7 +41,7 @@ from .corpus import (
     write_jsonl,
 )
 from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_top_k
-from .encoder import DualEncoder, TrainConfig, encode_passage, encode_query, train
+from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, first_match_rank, token_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
 from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, cut_answers, logit_rows
@@ -70,6 +70,7 @@ __all__ = [
     "AdaptationConfig",
     "AdaptationResult",
     "index_dense",
+    "train_encoder",
     "run_adaptation",
 ]
 
@@ -327,10 +328,24 @@ def index_dense(encoder: DualEncoder, passages: Sequence[Passage]) -> DenseIndex
     return build_dense_index([p.id for p in passages], embeddings)
 
 
+def train_encoder(
+    passages: Sequence[Passage],
+    instances: Sequence[IRTrainInstance],
+    d: int,
+    config: TrainConfig,
+) -> tuple[DualEncoder, list[float]]:
+    """Train-encoder stage: an encoder whose vocabulary is the passages'
+    terms (seeded by config.seed), trained on the instances; returns
+    encoder.train's (trained copy, per-epoch mean loss)."""
+    encoder = DualEncoder.from_texts([p.text for p in passages], d=d, seed=config.seed)
+    return train(encoder, instances, config)
+
+
 @dataclass(frozen=True)
 class AdaptationConfig:
     """Settings of run_adaptation. `seed` overrides `sampler.seed` and `train.seed`;
-    the roundtrip filter scores spans of up to mrc.MAX_ANSWER_LEN tokens."""
+    the roundtrip filter scores spans of up to mrc.MAX_ANSWER_LEN tokens. A
+    size or count below 1 is a ValueError here, before any stage runs."""
 
     seed: int = 0
     retrieval_max_words: int = 120
@@ -342,6 +357,11 @@ class AdaptationConfig:
     train: TrainConfig = TrainConfig()
     embedding_dim: int = 64
     negative_depth: int = 100
+
+    def __post_init__(self):
+        for name in ("retrieval_max_words", "generation_max_tokens", "examples_per_passage", "embedding_dim", "negative_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -397,12 +417,10 @@ def run_adaptation(
         )
 
         stage = "train-encoder"
-        all_texts = [p.text for p in retrieval_passages] + [p.text for p in generation_passages]
-        base = DualEncoder.from_texts(all_texts, d=config.embedding_dim, seed=config.seed)
         if not training_set.instances:
             raise RuntimeError("no training instances survived generation and filtering")
         train_config = replace(config.train, seed=config.seed)
-        trained, trace = train(base, training_set.instances, train_config)
+        trained, trace = train_encoder(generation_passages, training_set.instances, config.embedding_dim, train_config)
 
         stage = "index-dense"
         dense = index_dense(trained, retrieval_passages)

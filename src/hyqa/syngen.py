@@ -438,8 +438,11 @@ def roundtrip_filter(
     scores None and is dropped and tallied, not fatal; an example whose
     passage is not in `passage_texts` is a KeyError, and one whose .logits
     cover more tokens than its passage has is the reader's ValueError
-    (mrc.logit_rows).
+    (mrc.logit_rows). A max_answer_len below 1 is a ValueError, raised
+    before any example is scored.
     """
+    if max_answer_len < 1:
+        raise ValueError("max_answer_len must be >= 1")
     result = FilterResult(kept=[], scores=[])
     for lo in range(0, len(examples), _FILTER_BLOCK):
         block = examples[lo : lo + _FILTER_BLOCK]

@@ -657,3 +657,50 @@ class TestStageEquivalence:
         assert filtered == (tmp_path / "adapt" / "synthetic_examples.jsonl").read_bytes()
         summary = json.loads((out / "generation_summary.json").read_text())
         assert summary["discards"] == result.manifest["counts"]["generation_discards"]
+
+    def test_every_stage_writes_the_artifacts_run_adaptation_writes(self, tmp_path):
+        docs = tmp_path / "documents.jsonl"
+        write_documents(docs)
+        # A document of 180 words: two retrieval passages, one generation passage.
+        heron = " ".join(f"Heron {i} fishes for minnows in the shallow marsh water near reeds." for i in range(15))
+        with open(docs, "a") as f:
+            f.write(json.dumps({"id": "doc4", "title": "heron", "text": heron}) + "\n")
+        config = AdaptationConfig(
+            seed=5,
+            train=TrainConfig(learning_rate=0.05, epochs=2, batch_size=4, warmup_steps=1),
+            embedding_dim=8,
+            negative_depth=20,
+        )
+        with open(docs) as f:
+            result = run_adaptation(ingest_documents(f), config, output_dir=tmp_path / "adapt")
+        assert len(result.retrieval_passages) > len(result.generation_passages)
+
+        out = tmp_path / "cli"
+        ret, gen = out / "passages_retrieval.jsonl", out / "passages_generation.jsonl"
+        for mode in ("retrieval", "generation"):
+            assert run(["--output-dir", out, "chunk", "--input", docs, "--mode", mode]) == 0
+        assert run(["--output-dir", out / "mining", "index-sparse", "--passages", gen]) == 0
+        assert run(["--output-dir", out, "index-sparse", "--passages", ret]) == 0
+        assert run(["--seed", 5, "--output-dir", out, "generate", "--passages", gen]) == 0
+        assert run([
+            "--output-dir", out, "filter",
+            "--examples", out / "synthetic_raw.jsonl",
+            "--passages", gen,
+            "--threshold", 1.0,
+        ]) == 0
+        assert run([
+            "--output-dir", out, "mine-negatives",
+            "--examples", out / "synthetic_filtered.jsonl",
+            "--passages", gen,
+            "--index", out / "mining" / "sparse.hyqa",
+            "--depth", 20,
+        ]) == 0
+        assert run([
+            "--seed", 5, "--output-dir", out, "train-encoder",
+            "--instances", out / "train_instances.jsonl",
+            "--passages", gen,
+            "--lr", 0.05, "--epochs", 2, "--batch-size", 4, "--warmup", 1, "--dim", 8,
+        ]) == 0
+        assert run(["--output-dir", out, "index-dense", "--passages", ret, "--encoder", out / "encoder.hyqa"]) == 0
+        for name in ("sparse.hyqa", "encoder.hyqa", "dense.hyqa"):
+            assert (out / name).read_bytes() == (tmp_path / "adapt" / name).read_bytes(), name

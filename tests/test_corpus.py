@@ -494,6 +494,16 @@ class TestChunkProperties:
         for p in chunk_retrieval_passages(make_doc(body), budget):
             assert passage_from_record(json.loads(json.dumps(passage_to_record(p)))) == p
 
+    @given(doc_bodies | st.text(), st.integers(1, 300))
+    @example("A b c x.foo. Bar d", 4)
+    def test_every_chunking_holds_the_terms_of_its_document(self, body, budget):
+        # So the passages of any one chunking of a collection intern the
+        # same sorted vocabulary as those of any other (pipeline.train_encoder
+        # builds the encoder over the generation passages alone).
+        for chunker in (chunk_retrieval_passages, chunk_generation_passages):
+            passages = chunker(make_doc(body), budget)
+            assert [t for p in passages for t in terms(p.text)] == terms(body)
+
     def test_hard_split_piece_is_segmented_on_its_own(self):
         # The document is one sentence: the look-back word before "foo." is
         # "x.foo", a dotted initialism. In the piece it is "foo", which ends

@@ -206,6 +206,16 @@ class TestIVF:
         with pytest.raises(ValueError):
             build_ivf_index(index, C=2, n_probe=1)
 
+    @pytest.mark.parametrize("n_probe", [0, -1])
+    def test_n_probe_override_below_one_is_refused(self, n_probe):
+        rng = np.random.default_rng(5)
+        index = build_dense_index([f"p{i:02d}" for i in range(40)], rng.normal(size=(40, 4)))
+        ivf = build_ivf_index(index, C=4, n_probe=2, seed=0)
+        with pytest.raises(ValueError, match=f"^n_probe={n_probe} must be >= 1$"):
+            ivf_search(ivf, rng.normal(size=4), 10, n_probe=n_probe)
+        # An override above C still probes every cluster.
+        assert ivf_search(ivf, np.ones(4), 40, n_probe=9) == dense_search(index, np.ones(4), 40)
+
     def test_fixed_seed_identical_assignments(self, random_index):
         index, _ = random_index
         a = build_ivf_index(index, C=16, n_probe=4, seed=7)

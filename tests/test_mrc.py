@@ -218,6 +218,12 @@ class TestBestSpanEach:
         with pytest.raises(ValueError, match=f"^logit row {position} has no tokens"):
             best_span_each(rows, 30)
 
+    @pytest.mark.parametrize("max_len", [0, -1, -3])
+    def test_width_below_one_is_refused(self, max_len):
+        rows = stack_logits([SpanLogits((0.0, 1.0, 2.0), (0.0, 2.0, 1.0))])
+        with pytest.raises(ValueError, match="^max_answer_len must be >= 1$"):
+            best_span_each(rows, max_len)
+
     def test_allocates_no_band(self):
         rng = np.random.default_rng(0)
         rows = stack_logits([SpanLogits(rng.normal(size=1001), rng.normal(size=1001)) for _ in range(40)])

@@ -433,6 +433,15 @@ class TestRunAdaptation:
         with pytest.raises(RuntimeError, match="stage"):
             run_adaptation(docs, small_config())
 
+    @pytest.mark.parametrize(
+        "name", ["retrieval_max_words", "generation_max_tokens", "examples_per_passage", "embedding_dim", "negative_depth"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_setting_below_one_is_refused_before_any_stage(self, name, value):
+        # The config refuses it when built, so no stage of run_adaptation runs.
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            AdaptationConfig(**{name: value})
+
     def test_adapted_retrievers_answer_their_topics(self):
         result = run_adaptation(adaptation_corpus(), small_config())
         texts = {p.id: p.text for p in result.retrieval_passages}

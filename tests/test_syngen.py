@@ -554,6 +554,17 @@ class TestRoundtripFilter:
         with pytest.raises(KeyError, match=r"example passage 'nope' not in passage map \(example 1\)"):
             roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), passages)
 
+    @pytest.mark.parametrize("max_answer_len", [0, -1, -3])
+    def test_width_below_one_is_refused_before_scoring(self, max_answer_len):
+        examples, passages = self.make_examples()
+
+        class Unreachable:
+            def logits(self, question, pid, text):
+                raise AssertionError("scored an example")
+
+        with pytest.raises(ValueError, match="^max_answer_len must be >= 1$"):
+            roundtrip_filter(examples, Unreachable(), FilterConfig(0.0), passages, max_answer_len)
+
     def test_logits_longer_than_the_passage_refused_as_the_reader_refuses(self):
         from hyqa.pipeline import answer_question
         from hyqa.scored import ScoredPassage
