@@ -2,7 +2,8 @@
 
 Everything here is deterministic and pure: the same input always produces
 byte-identical output. The tokenizer defined here is *the* definition of a
-"word" for the whole system (chunk budgets, BM25 terms, encoder vocab).
+"word" for the whole system (chunk budgets, BM25 terms, encoder vocab,
+reader logits, answer cuts, generation decoding).
 
 A document is chunked from the (start, end) offsets of its sentences
 (_sentence_bounds, which segment_sentences wraps in spans) and one
@@ -10,9 +11,11 @@ token-offset pass (token_bounds): sentence word counts are differences of
 token start offsets, and no span or surface string is built per sentence.
 A passage's sentences are segment_sentences(passage.text).
 
-terms, the tokenizer of every index and of the reader, has two paths: an
-ASCII text is one bytes.translate and one str.split; any other text is a
-regex match loop. Both give the surfaces of tokenize.
+A word is a maximal run of [0-9A-Za-z], lowercased; any other character
+separates words. terms (the tokenizer of every index and of the reader)
+and token_bounds read one projection of a text, _word_bytes: one byte per
+code point, a lowercase ASCII letter or digit for a word character and a
+space for any other. tokenize is the regex reference they equal.
 
 token_table interns the terms of many texts in one pass: the sorted
 distinct terms, and each text's tokens as ids into them. The BM25 index
@@ -236,38 +239,34 @@ def tokenize(text: str) -> list[TokenSpan]:
     return [TokenSpan(m.start(), m.end(), m.group().lower()) for m in _TOKEN_RE.finditer(text)]
 
 
-def token_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of the tokens of tokenize(text), as two int
-    arrays, from one pass over the text's code points."""
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    word = np.zeros(len(codes) + 2, dtype=bool)
-    # Unsigned wrap-around: below the range is above it. `| 32` lowercases
-    # ASCII letters and maps no other code point into a-z.
-    word[1:-1] = ((codes | 32) - 97 <= 25) | (codes - 48 <= 9)
-    edges = np.flatnonzero(word[1:] != word[:-1])
-    return edges[0::2], edges[1::2]
-
-
-# Byte table for ASCII text: A-Z to a-z, 0-9 and a-z kept, every other byte
-# to a space, so the whitespace-split words are the lowercased _TOKEN_RE
-# matches.
+# Byte table of _word_bytes: A-Z to a-z, 0-9 and a-z kept, every other
+# byte (the "?" of a non-ASCII code point too) to a space.
 _ASCII_TERMS = bytes(
     b | 32 if 65 <= b <= 90 else b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256)
 )
 
 
-def terms(text: str) -> list[str]:
-    """The surfaces of tokenize(text), without building spans.
+def _word_bytes(text: str) -> bytes:
+    """The text's words, lowercased, and spaces, one byte per code point.
+    Every non-ASCII code point (lone surrogates and astral ones too)
+    encodes as "?", a separator, so no character is lowercased before it
+    is known to be a word character: KELVIN SIGN makes no "k"."""
+    return text.encode("ascii", "replace").translate(_ASCII_TERMS)
 
-    An ASCII text is translated to lowercase words and spaces in one
-    bytes.translate pass and split on the spaces. Any other text has each
-    _TOKEN_RE match lowercased on its own: lowercasing it first would turn
-    some non-ASCII letters (KELVIN SIGN, dotted capital I) into ASCII ones
-    and create tokens that tokenize does not see.
-    """
-    if text.isascii():
-        return text.encode("ascii").translate(_ASCII_TERMS).decode("ascii").split()
-    return [m.lower() for m in _TOKEN_RE.findall(text)]
+
+def token_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the tokens of tokenize(text), as two int
+    arrays: the edges of the non-space runs of _word_bytes(text), whose
+    byte positions are the text's code-point offsets."""
+    word = np.frombuffer(b" " + _word_bytes(text) + b" ", dtype=np.uint8) != 32
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    return edges[0::2], edges[1::2]
+
+
+def terms(text: str) -> list[str]:
+    """The surfaces of tokenize(text), without building spans: the words
+    of _word_bytes(text), split on its spaces."""
+    return _word_bytes(text).decode("ascii").split()
 
 
 @dataclass(frozen=True, eq=False)

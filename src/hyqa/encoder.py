@@ -388,7 +388,12 @@ def train(
 ) -> tuple[DualEncoder, list[float]]:
     """Mini-batch SGD with linear warmup; returns (trained copy, per-epoch
     mean loss). Shuffling and every other source of randomness derive from
-    config.seed, so a fixed seed reproduces bit-identical parameters."""
+    config.seed, so a fixed seed reproduces bit-identical parameters.
+
+    A step whose loss, gradient or update overflows or is not finite is a
+    FloatingPointError naming the step and epoch (both from 0), raised in
+    place of numpy's warning. Underflow is left alone: exp of a logit far
+    below its row's maximum is legitimately 0."""
     if not instances:
         raise ValueError("training requires at least one instance")
     model = encoder.copy()
@@ -396,26 +401,31 @@ def train(
     rng = np.random.default_rng(config.seed)
     trace: list[float] = []
     step = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(len(instances))
         epoch_losses = []
         for start in range(0, len(instances), config.batch_size):
             batch = [instances[i] for i in order[start : start + config.batch_size]]
-            grads = loss_gradient(model, batch, token_ids, touched=True)
-            if not np.isfinite(grads.loss):
-                raise FloatingPointError(f"non-finite loss {grads.loss} at step {step}")
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    grads = loss_gradient(model, batch, token_ids, touched=True)
+                    if not np.isfinite(grads.loss):
+                        raise FloatingPointError(f"non-finite loss {grads.loss}")
+                    if config.warmup_steps > 0:
+                        lr = config.learning_rate * min(1.0, (step + 1) / config.warmup_steps)
+                    else:
+                        lr = config.learning_rate
+                    # A row the batch does not touch has gradient 0.0 and
+                    # would become p - lr * 0.0 == p, so only touched rows
+                    # are updated.
+                    for name in _PARAM_NAMES:
+                        if name in grads.rows:
+                            model.params[name][grads.rows[name]] -= lr * grads[name]
+                        else:
+                            model.params[name] -= lr * grads[name]
+            except FloatingPointError as e:
+                raise FloatingPointError(f"training diverged at step {step} (epoch {epoch}): {e}") from None
             epoch_losses.append(grads.loss)
-            if config.warmup_steps > 0:
-                lr = config.learning_rate * min(1.0, (step + 1) / config.warmup_steps)
-            else:
-                lr = config.learning_rate
-            # A row the batch does not touch has gradient 0.0 and would
-            # become p - lr * 0.0 == p, so only touched rows are updated.
-            for name in _PARAM_NAMES:
-                if name in grads.rows:
-                    model.params[name][grads.rows[name]] -= lr * grads[name]
-                else:
-                    model.params[name] -= lr * grads[name]
             step += 1
         trace.append(float(np.mean(epoch_losses)))
     return model, trace

@@ -173,6 +173,18 @@ def _padded_end(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np.nd
     return end, window, width
 
 
+def _span_cells(end: np.ndarray, window: np.ndarray, width: int, start, cls_start, cls_end) -> np.ndarray:
+    """cells[i, j] = ((end[window[i] + j] + start[i]) - cls_start) -
+    cls_end, in that IEEE order: the score of the span from token i's start
+    to the token j past it, over _padded_end's layout. The CLS logits are
+    scalars, or columns with one entry per row of window."""
+    cells = end[window[:, None] + np.arange(width)]
+    cells += start[:, None]
+    cells -= cls_start
+    cells -= cls_end
+    return cells
+
+
 def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> list[SpanScore]:
     """All spans of length <= max_answer_len scored; top_n by descending
     score, ties by (ascending s, ascending e)."""
@@ -182,11 +194,7 @@ def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> lis
     end, window, width = _padded_end(stack_logits([logits]), config.max_answer_len)
     # cells[s - 1, j] scores the span (s, s + j); a span past n scores -inf,
     # so the row-major order of the cells is the (s asc, e asc) tie order.
-    cells = end[window[:, None] + np.arange(width)]
-    cells += logits.start[1:, None]
-    cells -= logits.start[0]
-    cells -= logits.end[0]
-    scores = cells.ravel()
+    scores = _span_cells(end, window, width, logits.start[1:], logits.start[0], logits.end[0]).ravel()
     n_spans = n * width - width * (width - 1) // 2
     flat = top_k(scores, np.arange(scores.size), min(config.top_n, n_spans)).tolist()
     return [SpanScore(f // width + 1, f // width + 1 + f % width, float(scores[f])) for f in flat]
@@ -225,10 +233,7 @@ def best_span_each(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np
     hits = np.flatnonzero(score == np.repeat(best, n))
     first = hits[np.searchsorted(hits, offsets)]
     # Two end logits can round to the same score: the first such end wins.
-    cells = end[window[first][:, None] + np.arange(width)]
-    cells += rows.start[first][:, None]
-    cells -= rows.cls_start[:, None]
-    cells -= rows.cls_end[:, None]
+    cells = _span_cells(end, window[first], width, rows.start[first], rows.cls_start[:, None], rows.cls_end[:, None])
     j = np.argmax(cells == best[:, None], axis=1)
     s = first - offsets + 1
     return s, s + j, cells[np.arange(len(n)), j]
@@ -399,14 +404,15 @@ class ExternalLogits:
 
     def validate_against(self, passage_texts: dict[str, str]) -> None:
         """Check that each stored row covers exactly its passage's tokens,
-        a stricter rule than logit_rows'; the module docstring says why."""
+        a stricter rule than logit_rows'; the module docstring says why.
+        Each distinct passage is tokenized once, however many questions
+        its rows answer."""
+        pids = {pid for _, pid in self._table}
+        n_tokens = {pid: len(terms(passage_texts[pid])) for pid in pids if pid in passage_texts}
         for (qid, pid), logits in self._table.items():
-            if pid in passage_texts:
-                n = len(terms(passage_texts[pid]))
-                if logits.n != n:
-                    raise ValueError(
-                        f"logits for ({qid!r}, {pid!r}) cover {logits.n} tokens, passage has {n}"
-                    )
+            n = n_tokens.get(pid)
+            if n is not None and logits.n != n:
+                raise ValueError(f"logits for ({qid!r}, {pid!r}) cover {logits.n} tokens, passage has {n}")
 
 
 def cut_answers(texts: Sequence[str], starts: Sequence[int], ends: Sequence[int]) -> list[str]:

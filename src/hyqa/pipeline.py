@@ -345,7 +345,8 @@ def train_encoder(
 class AdaptationConfig:
     """Settings of run_adaptation. `seed` overrides `sampler.seed` and `train.seed`;
     the roundtrip filter scores spans of up to mrc.MAX_ANSWER_LEN tokens. A
-    size or count below 1 is a ValueError here, before any stage runs."""
+    negative seed, or a size or count below 1, is a ValueError here, before
+    any stage runs."""
 
     seed: int = 0
     retrieval_max_words: int = 120
@@ -359,6 +360,8 @@ class AdaptationConfig:
     negative_depth: int = 100
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("retrieval_max_words", "generation_max_tokens", "examples_per_passage", "embedding_dim", "negative_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

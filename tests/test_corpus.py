@@ -452,6 +452,36 @@ class TestTokenBounds:
         assert list(zip(starts.tolist(), ends.tolist())) == [m.span() for m in _TOKEN_RE.finditer(text)]
 
 
+# Text over the whole code-point range. st.text() never draws a lone
+# surrogate (category Cs); these characters include them and astral code
+# points, and ASCII often enough that words form.
+_whole_range_texts = st.text(
+    st.characters(exclude_categories=()) | st.characters(max_codepoint=127) | st.characters(categories=["Cs"])
+)
+
+
+class TestWholeCodePointRange:
+    """terms and token_bounds against the regex reference on any string;
+    the examples carry CORD-19 typography: a right single quotation mark,
+    an en dash, micro sign, degree sign, alpha, a no-break space and the
+    fi ligature, none of them a word character."""
+
+    @given(_whole_range_texts)
+    @example("The patient’s 2020–2021 dose–response: 5\xa0\xb5m at 37\xa0\xb0C, α-helix ﬁbrosis.")
+    @example("’–\xb5\xb0α\xa0ﬁ")
+    @example("a\ud800b\udfffc\U0001f600d\U0010ffffE")
+    def test_terms_equal_tokenize_surfaces(self, text):
+        assert terms(text) == [t.surface for t in tokenize(text)]
+
+    @given(_whole_range_texts)
+    @example("The patient’s 2020–2021 dose–response: 5\xa0\xb5m at 37\xa0\xb0C, α-helix ﬁbrosis.")
+    @example("’–\xb5\xb0α\xa0ﬁ")
+    @example("a\ud800b\udfffc\U0001f600d\U0010ffffE")
+    def test_token_bounds_equal_finditer_spans(self, text):
+        starts, ends = token_bounds(text)
+        assert list(zip(starts.tolist(), ends.tolist())) == [m.span() for m in _TOKEN_RE.finditer(text)]
+
+
 # Documents of sentences whose words exercise abbreviation guards, dotted
 # look-back words, non-ASCII letters and digits, and non-ASCII whitespace.
 _words = st.sampled_from(["a", "bb", "x", "Dr.", "e.g.", "U.S.", "x.foo", "1", "\u212a", "\u0130", "\u0663", "c,", "(d)"])

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +556,30 @@ class TestTrain:
         moved_a = sum(np.abs(a.params[n] - enc.params[n]).sum() for n in enc.params)
         moved_b = sum(np.abs(b.params[n] - enc.params[n]).sum() for n in enc.params)
         assert moved_a < moved_b
+
+    def test_divergence_is_refused_at_its_first_non_finite_step(self):
+        # One step per epoch, at a learning rate that overflows within a few
+        # steps: k epochs train to finite parameters, and epoch k's step is
+        # refused by name, with no numpy warning (any warning is an error).
+        enc = small_encoder(seed=2)
+        instances = self.make_instances(np.random.default_rng(2), count=4)
+
+        def config(epochs):
+            return TrainConfig(learning_rate=1e10, epochs=epochs, batch_size=4, seed=0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = 0
+            while True:
+                try:
+                    trained, trace = train(enc, instances, config(k + 1))
+                except FloatingPointError as e:
+                    assert str(e).startswith(f"training diverged at step {k} (epoch {k}): ")
+                    break
+                assert all(np.isfinite(p).all() for p in trained.params.values()) and np.isfinite(trace).all()
+                k += 1
+                assert k < 10, "the learning rate did not diverge"
+        assert k >= 1
 
 
 class TestFromTexts:

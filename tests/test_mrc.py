@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hyqa import mrc
 from hyqa.corpus import terms, tokenize
 from hyqa.mrc import (
     ExternalLogits,
@@ -455,6 +456,25 @@ class TestExternalLogits:
         line = ExternalLogits.dump_record("q1", "p1", FIXTURE)
         ExternalLogits.load([line]).validate_against({"p1": "one two"})
 
+    def test_validation_tokenizes_each_passage_once(self, monkeypatch):
+        texts = {"p1": "one two", "p2": "three, four!", "p3": "never read"}
+        records = [(f"q{i}", pid) for i in range(4) for pid in ("p1", "p2", "p9")]
+        lines = [ExternalLogits.dump_record(qid, pid, FIXTURE) for qid, pid in records]
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return terms(text)
+
+        monkeypatch.setattr(mrc, "terms", counted)
+        ExternalLogits.load(lines).validate_against(texts)
+        assert sorted(calls) == ["one two", "three, four!"]
+        # A mismatch is still named by its first record in file order.
+        calls.clear()
+        bad = ExternalLogits.dump_record("q7", "p2", SpanLogits((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(ValueError, match=r"^logits for \('q7', 'p2'\) cover 1 tokens, passage has 2$"):
+            ExternalLogits.load(lines + [bad, bad.replace('"q7"', '"q8"')]).validate_against({**texts, "p2": "x y"})
+        assert sorted(calls) == ["one two", "x y"]
 
     def test_duplicate_record_names_key(self):
         line = ExternalLogits.dump_record("q1", "p1", FIXTURE)

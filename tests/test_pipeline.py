@@ -442,6 +442,12 @@ class TestRunAdaptation:
         with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
             AdaptationConfig(**{name: value})
 
+    def test_negative_seed_is_refused_before_any_stage(self):
+        # In the CLI's --seed wording, not numpy's from the generate stage.
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            AdaptationConfig(seed=-1)
+        assert AdaptationConfig(seed=0).seed == 0
+
     def test_adapted_retrievers_answer_their_topics(self):
         result = run_adaptation(adaptation_corpus(), small_config())
         texts = {p.id: p.text for p in result.retrieval_passages}

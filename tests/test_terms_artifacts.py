@@ -81,3 +81,57 @@ def test_artifacts_equal_regex_reference_build(tmp_path, monkeypatch):
     assert calls.count(True) == 2 * n_ascii and calls.count(False) == 2 * (len(texts) - n_ascii)
     for name in ("sparse.hyqa", "encoder.hyqa", "dense.hyqa"):
         assert (tmp_path / "shipped" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes(), name
+
+
+def regex_bounds(text):
+    """corpus.token_bounds as a regex match loop."""
+    spans = np.array([m.span() for m in _TOKEN_RE.finditer(text)], dtype=np.intp).reshape(-1, 2)
+    return spans[:, 0], spans[:, 1]
+
+
+# CORD-19 typography: right single quotation marks inside and around words,
+# en dashes in ranges and compounds, and non-ASCII units and letters.
+_TYPOGRAPHIC = ["patient’s", "’Spike’", "2020–2021", "dose–response", "–", "5\xa0\xb5m",
+                "37\xa0\xb0C", "α–helix", "ﬁbrosis"]
+
+
+def typographic_documents():
+    rng = random.Random(11)
+    docs = []
+    for i in range(16):
+        sentences = [" ".join(rng.choice(_WORDS + _TYPOGRAPHIC) for _ in range(rng.randint(3, 30)))
+                     for _ in range(rng.randint(2, 9))]
+        docs.append(Document(f"t{i}", "", " ".join(s[0].upper() + s[1:] + rng.choice(".!?") for s in sentences)))
+    return docs
+
+
+def build_artifacts(out, documents):
+    """Chunk, then save the three artifacts; return the passages and their
+    embeddings read back through the reloaded encoder."""
+    passages = [p for d in documents for p in chunk_retrieval_passages(d, 40)]
+    model = DualEncoder.from_texts([p.text for p in passages], d=8, seed=3)
+    out.mkdir()
+    build_sparse_index(passages).save(out / "sparse.hyqa")
+    model.save(out / "encoder.hyqa")
+    build_dense_index([p.id for p in passages], np.stack([encode_passage(model, p.text) for p in passages])).save(
+        out / "dense.hyqa"
+    )
+    loaded = DualEncoder.load(out / "encoder.hyqa")
+    return passages, np.stack([encode_passage(loaded, p.text) for p in passages])
+
+
+def test_typographic_artifacts_equal_regex_reference_build(tmp_path, monkeypatch):
+    documents = typographic_documents()
+    passages, embeddings = build_artifacts(tmp_path / "shipped", documents)
+    assert sum(not p.text.isascii() for p in passages) > len(passages) // 2
+    assert any(p.hard_split for p in passages)
+    # Chunking reads token_bounds, every index and the reader read terms:
+    # the reference build takes both from the regex.
+    for module in (corpus, encoder, mrc, sparse):
+        monkeypatch.setattr(module, "terms", regex_terms)
+    monkeypatch.setattr(corpus, "token_bounds", regex_bounds)
+    reference, reference_embeddings = build_artifacts(tmp_path / "reference", documents)
+    assert reference == passages
+    assert reference_embeddings.tobytes() == embeddings.tobytes()
+    for name in ("sparse.hyqa", "encoder.hyqa", "dense.hyqa"):
+        assert (tmp_path / "shipped" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes(), name
