@@ -30,7 +30,13 @@ its rows, divided by its length, which is the reduction and divide that
 A training step runs one forward pass: `loss_gradient` returns the gradient
 with the loss it differentiates, and the step updates only the embedding
 rows the batch touches. `train` tokenizes each distinct question and
-passage text once per call, before the first epoch.
+passage text once per call, before the first epoch, into one CSR
+(`_train_set`), and plans its steps _PLAN_STEPS at a time (`_plan`): every
+step's candidate pool and positive columns, and both sides' token bags from
+one `_token_bags` pass each, whose one np.unique over (step, id) keys gives
+each step's touched rows and slots as its own np.unique would. So a step
+does only float math, in the order of a step planned alone, which is how
+`loss_gradient` plans a batch it is called with directly.
 
 An encoder built by `from_texts` holds the `corpus.TokenTable` its
 vocabulary was interned from, with a map from each of those texts to its
@@ -52,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +79,10 @@ __all__ = [
 ]
 
 _PARAM_NAMES = ("q_emb", "q_proj", "q_bias", "p_emb", "p_proj", "p_bias")
+# Training steps whose batches train plans in one _plan pass: enough to
+# amortize its numpy calls, few enough that the plans held at once (a few
+# arrays over the block's tokens) stay small.
+_PLAN_STEPS = 16
 
 
 @dataclass(eq=False)
@@ -236,16 +246,11 @@ class _TokenBag:
     index into `rows`, the touched rows ascending (text x touched row);
     `ones`, the data; and `lens` (each text's token count, at least 1, as a
     column). Its products call scipy's CSR kernels directly, as
-    `csr_array @ X` and `csr_array.T @ X` do."""
+    `csr_array @ X` and `csr_array.T @ X` do. Bags are built by
+    _token_bags."""
 
-    def __init__(self, token_ids: Sequence[np.ndarray]):
-        counts = np.fromiter(map(len, token_ids), dtype=np.intp, count=len(token_ids))
-        self.indptr = np.zeros(len(token_ids) + 1, dtype=np.intp)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.ids = np.concatenate(token_ids, dtype=np.intp)
-        self.rows, self.slot = np.unique(self.ids, return_inverse=True)
-        self.ones = np.ones(len(self.ids))
-        self.lens = np.maximum(counts, 1)[:, None]
+    def __init__(self, indptr, ids, rows, slot, ones, lens):
+        self.indptr, self.ids, self.rows, self.slot, self.ones, self.lens = indptr, ids, rows, slot, ones, lens
 
     def means(self, table: np.ndarray) -> np.ndarray:
         """Each text's mean token embedding; zeros for a text without tokens.
@@ -270,6 +275,124 @@ class _TokenBag:
         csc_matvecs(len(self.rows), len(self.lens), out.shape[1], self.indptr, self.slot, self.ones,
                     (g_means / self.lens).ravel(), out.ravel())
         return out
+
+
+def _token_bags(indptr: np.ndarray, ids: np.ndarray, texts: np.ndarray, bounds: np.ndarray) -> list[_TokenBag]:
+    """Bag s of texts[bounds[s]:bounds[s + 1]] for every s, where text i
+    holds the token ids ids[indptr[i]:indptr[i + 1]], in one array pass: the
+    texts' tokens are gathered into one CSR, and every bag's touched rows
+    and slots come from one np.unique over (bag, id) keys, so each bag holds
+    the arrays np.unique gives its own ids. A bag's arrays are slices of
+    the pass's arrays, its index pointer and slots counted from its own
+    first token and touched row."""
+    starts = indptr[texts]
+    counts = indptr[texts + 1] - starts
+    sizes = np.diff(bounds)
+    text_bag = np.repeat(np.arange(len(sizes)), sizes)
+    ptr = np.cumsum(counts)  # each text's end in the gathered tokens
+    tokens = ids[np.repeat(starts - ptr + counts, counts) + np.arange(ptr[-1])]
+    bag = np.repeat(text_bag, counts)
+    low = tokens.min(initial=0)
+    span = tokens.max(initial=0) - low + 1
+    keys, slot = np.unique(bag * span + (tokens - low), return_inverse=True)
+    rows = keys % span + low
+    row_bounds = np.searchsorted(keys, np.arange(len(bounds)) * span)
+    token_bounds = np.concatenate([[0], ptr])[bounds]
+    slot -= row_bounds[bag]
+    # Bag s's index pointer is pointers[bounds[s] + s : bounds[s + 1] + s + 1]:
+    # a 0, then each of its texts' ends counted from its first token.
+    pointers = np.zeros(len(texts) + len(sizes), dtype=np.intp)
+    pointers[np.arange(len(texts)) + text_bag + 1] = ptr - token_bounds[text_bag]
+    ones = np.ones(len(tokens))
+    lens = np.maximum(counts, 1)[:, None]
+    return [
+        _TokenBag(pointers[b0 + s : b1 + s + 1], tokens[t0:t1], rows[r0:r1], slot[t0:t1], ones[t0:t1], lens[b0:b1])
+        for s, (b0, b1, t0, t1, r0, r1) in enumerate(zip(
+            bounds.tolist(), bounds[1:].tolist(), token_bounds.tolist(), token_bounds[1:].tolist(),
+            row_bounds.tolist(), row_bounds[1:].tolist(),
+        ))
+    ]
+
+
+class _TrainSet(NamedTuple):
+    """Instances as arrays: the token ids of their distinct texts as one
+    CSR, text t's ids being ids[indptr[t]:indptr[t + 1]]; each instance's
+    question text; and each instance's passages, its positive then its hard
+    negatives, as entries[ptr[i]:ptr[i + 1]] of `codes` (the passage id,
+    numbered) and `passage_texts`."""
+
+    indptr: np.ndarray
+    ids: np.ndarray
+    questions: np.ndarray
+    ptr: np.ndarray
+    codes: np.ndarray
+    passage_texts: np.ndarray
+
+
+def _train_set(
+    encoder: DualEncoder, instances: Sequence[IRTrainInstance], token_ids: Mapping[str, np.ndarray] | None = None
+) -> _TrainSet:
+    """`instances` as a _TrainSet, over `token_ids` (every text's token ids)
+    when given."""
+    if token_ids is None:
+        token_ids = _tokenize_all(encoder, instances)
+    indptr = np.zeros(len(token_ids) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, token_ids.values()), dtype=np.intp, count=len(token_ids)), out=indptr[1:])
+    index = dict(zip(token_ids, range(len(token_ids))))
+    passages = [p for inst in instances for p in (inst.positive, *inst.hard_negatives)]
+    ptr = np.zeros(len(instances) + 1, dtype=np.intp)
+    np.cumsum([1 + len(inst.hard_negatives) for inst in instances], out=ptr[1:])
+    codes: dict[str, int] = {}
+    return _TrainSet(
+        indptr,
+        np.concatenate([np.zeros(0, dtype=np.intp), *token_ids.values()], dtype=np.intp),
+        np.fromiter((index[inst.question] for inst in instances), dtype=np.intp, count=len(instances)),
+        ptr,
+        np.fromiter((codes.setdefault(p.id, len(codes)) for p in passages), dtype=np.intp, count=len(passages)),
+        np.fromiter((index[p.text] for p in passages), dtype=np.intp, count=len(passages)),
+    )
+
+
+def _plan(train_set: _TrainSet, members: np.ndarray, bounds: np.ndarray) -> list[tuple[_TokenBag, _TokenBag, list[int]]]:
+    """The question bag, candidate bag and positive columns of each step
+    s, whose batch is the instances members[bounds[s]:bounds[s + 1]], for
+    all steps in one array pass. A step's candidate pool is its positives,
+    then its hard negatives, each passage id once, at its first place, with
+    that place's text."""
+    sizes = np.diff(bounds)
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    first = train_set.ptr[members]
+    negatives = train_set.ptr[members + 1] - first - 1
+    ends = np.cumsum(negatives)
+    # Every step's passages, its positives first: a stable sort by step.
+    entries = np.concatenate([first, np.repeat(first + 1 - ends + negatives, negatives) + np.arange(ends[-1])])
+    entry_step = np.concatenate([step, np.repeat(step, negatives)])
+    order = np.argsort(entry_step, kind="stable")
+    entries, entry_step = entries[order], entry_step[order]
+    _, first_place, key = np.unique(
+        entry_step * (train_set.codes.max() + 1) + train_set.codes[entries], return_index=True, return_inverse=True
+    )
+    pool = np.sort(first_place)
+    pool_bounds = np.searchsorted(entry_step[pool], np.arange(len(bounds)))
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    columns = (np.searchsorted(pool, first_place[key[place[: len(members)]]]) - pool_bounds[step]).tolist()
+    q_bags = _token_bags(train_set.indptr, train_set.ids, train_set.questions[members], bounds)
+    p_bags = _token_bags(train_set.indptr, train_set.ids, train_set.passage_texts[entries[pool]], pool_bounds)
+    return [(q, p, columns[b0:b1]) for q, p, b0, b1 in zip(q_bags, p_bags, bounds.tolist(), bounds[1:].tolist())]
+
+
+def _planned_batches(
+    instances: Sequence[IRTrainInstance], train_set: _TrainSet, order: np.ndarray, batch_size: int
+) -> Iterator[tuple[list[IRTrainInstance], tuple[_TokenBag, _TokenBag, list[int]]]]:
+    """Each batch of an epoch that takes `instances` in `order`, with its
+    plan; the batches are planned _PLAN_STEPS at a time."""
+    block = _PLAN_STEPS * batch_size
+    for lo in range(0, len(order), block):
+        members = order[lo : lo + block]
+        bounds = np.append(np.arange(0, len(members), batch_size), len(members))
+        for start, plan in zip(bounds.tolist(), _plan(train_set, members, bounds)):
+            yield [instances[i] for i in members[start : start + batch_size]], plan
 
 
 def _project(encoder: DualEncoder, means: np.ndarray, side: str) -> np.ndarray:
@@ -326,25 +449,20 @@ def loss_gradient(
     token_ids: Mapping[str, np.ndarray] | None = None,
     *,
     touched: bool = False,
+    _step: tuple[_TokenBag, _TokenBag, list[int]] | None = None,
 ) -> Gradient:
     """One forward pass over the questions and the deduplicated candidate
     pool (all positives + all hard negatives), then its exact gradient.
     `token_ids` maps texts to token ids; the result is the same without it.
     With `touched`, each embedding gradient holds only the table rows the
-    batch's tokens touch, listed in `Gradient.rows`."""
+    batch's tokens touch, listed in `Gradient.rows`. `_step` is the batch's
+    entry of a _plan, which train builds for a block of steps at once;
+    without it, the batch is planned here on its own."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    if token_ids is None:
-        token_ids = _tokenize_all(encoder, batch)
-    cand_pos: dict[str, int] = {}
-    cand_tok: list[np.ndarray] = []
-    for p in [inst.positive for inst in batch] + [n for inst in batch for n in inst.hard_negatives]:
-        if p.id not in cand_pos:
-            cand_pos[p.id] = len(cand_tok)
-            cand_tok.append(token_ids[p.text])
-    pos_idx = [cand_pos[inst.positive.id] for inst in batch]
-    q_bag = _TokenBag([token_ids[inst.question] for inst in batch])
-    p_bag = _TokenBag(cand_tok)
+    if _step is None:
+        (_step,) = _plan(_train_set(encoder, batch, token_ids), np.arange(len(batch)), np.array([0, len(batch)]))
+    q_bag, p_bag, pos_idx = _step
     q_mean = q_bag.means(encoder.params["q_emb"])
     p_mean = p_bag.means(encoder.params["p_emb"])
     q_out = _project(encoder, q_mean, "q")
@@ -397,18 +515,17 @@ def train(
     if not instances:
         raise ValueError("training requires at least one instance")
     model = encoder.copy()
-    token_ids = _tokenize_all(model, instances)
+    train_set = _train_set(model, instances)
     rng = np.random.default_rng(config.seed)
     trace: list[float] = []
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(instances))
         epoch_losses = []
-        for start in range(0, len(instances), config.batch_size):
-            batch = [instances[i] for i in order[start : start + config.batch_size]]
+        for batch, plan in _planned_batches(instances, train_set, order, config.batch_size):
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    grads = loss_gradient(model, batch, token_ids, touched=True)
+                    grads = loss_gradient(model, batch, touched=True, _step=plan)
                     if not np.isfinite(grads.loss):
                         raise FloatingPointError(f"non-finite loss {grads.loss}")
                     if config.warmup_steps > 0:

@@ -2,13 +2,16 @@
 
 Covers the full chain that turns raw passages into retrieval training data:
 target encoding/decoding for a sentence-answer-question generator, a
-backoff n-gram generator compiled into integer states, diversity-promoting
-top-p top-k sampling decoded on those states, generation with the
-answer-must-appear discard rule, roundtrip-consistency filtering through a
-span scorer, BM25 hard-negative mining, and training-set assembly.
+backoff n-gram generator compiled over its observed (context, token) pairs,
+diversity-promoting top-p top-k sampling decoded on its rows,
+generation with the answer-must-appear discard rule, roundtrip-consistency
+filtering through a span scorer, BM25 hard-negative mining, and
+training-set assembly.
 
-One selector, _nuclei, computes every nucleus: over the fitted rows of a
-chunk of models for generation, and over one row for the public
+One compile, _compile, fits every n-gram model, a chunk of models at a time
+for generation and one for NgramLM.fit. One selector, _nuclei, computes
+every nucleus: over the fitted rows of a chunk of models for generation,
+and over one row, every column an entry, for the public
 sample_top_p_top_k. One path, _sentence_terms, gives each sentence's terms
 to target encoding, candidate targets and decoding.
 """
@@ -18,13 +21,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds
 from .encoder import IRTrainInstance
-from .evalkit import answer_test
+from .evalkit import normalize_answer
 from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows
 from .sparse import SparseIndex, sparse_top_k_each
 
@@ -57,10 +61,15 @@ __all__ = [
 SEP_TOKEN = "[SEP]"
 EOS_TOKEN = "<eos>"
 MAX_GEN_TOKENS = 64
-# Models whose nuclei generate_corpus selects in one array pass, and so holds
-# at once: about 1,400 rows on short passages, enough to amortize the numpy
-# calls, few enough that the held models add nothing to peak memory.
-_NUCLEUS_CHUNK = 16
+# Models generate_corpus compiles, and whose nuclei it selects, in one array
+# pass, and so holds at once: about 5,600 rows and 10,000 observed pairs on
+# short passages, enough to amortize the numpy calls, few enough that the
+# held models (their pairs, not vocabulary-wide rows) add little to peak
+# memory.
+_NUCLEUS_CHUNK = 64
+# Sequences whose uniforms generate_examples draws in one call, which bounds
+# the block of draws held at once.
+_DRAW_SEQUENCES = 64
 # Examples roundtrip_filter scores per logit_rows pass. The block bounds
 # the filter's memory, a few float64 arrays over the block's tokens (its
 # logits and best_span_each's window maxima) and max_answer_len cells per
@@ -232,49 +241,66 @@ def decode_generation_target(
     )
 
 
-def _check_masses(masses: np.ndarray) -> None:
-    """Reject rows of distributions with negative mass or a row sum off
-    1."""
+def _check_masses(row_of: np.ndarray, indptr: np.ndarray, masses: np.ndarray) -> None:
+    """Reject CSR rows of distributions with negative mass or a row sum off
+    1; row_of[i] is entry i's row. Each row sum is the one numpy gives the
+    row as a 1-D array: the rows are first summed in stored order, and a
+    row whose sum lies within 1e-9 of the tolerance, or beyond it, is
+    summed again as an array, as no order of summation moves a sum of
+    nonnegative masses near 1 that far."""
     if (masses < 0).any():
         raise ValueError("negative probability mass")
-    totals = masses.sum(axis=1)
+    totals = np.bincount(row_of, weights=masses, minlength=len(indptr) - 1)
+    for row in np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-5)).tolist():
+        totals[row] = masses[indptr[row] : indptr[row + 1]].sum()
     # np.isclose(total, 1.0, atol=1e-9) written out; NaN fails it too.
     bad = ~(np.abs(totals - 1.0) <= 1e-9 + 1e-5)
     if bad.any():
         raise ValueError(f"masses sum to {float(totals[bad][0])}, not 1")
 
 
-def _nuclei(blocks: Sequence[np.ndarray], config: SamplerConfig) -> tuple[list[int], list[float], list[int]]:
-    """The nucleus of every row of `blocks`, 2-D mass arrays each as wide
-    as its vocabulary, in one array pass: each row is validated, its k
-    highest-mass tokens kept by a stable ranking (mass ties by ascending
-    id), and the smallest prefix of them with cumulative mass >= p kept.
-    Returns the rows' ids and CDFs as flat lists with row offsets.
+def _nuclei(
+    indptr: np.ndarray, tokens: np.ndarray, masses: np.ndarray, widths: np.ndarray, config: SamplerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nucleus of every row of a CSR of distributions in one array pass.
+    Row r lists its entries, token ids `tokens` in ascending order with
+    `masses`, over a vocabulary of widths[r] tokens; a token without an
+    entry has zero mass. Each row is validated, its entries ranked by
+    (-mass, token id), its k first kept, and the smallest prefix of them
+    with cumulative mass >= p kept. Returns the rows' nucleus ids and CDFs,
+    flat, and each row's nucleus size.
 
-    A row's CDF is the cumulative sum of its renormalized masses divided by
-    its last entry, as Generator.choice(nucleus, p=weights) builds it; each
-    nucleus is renormalized by a row sum over a contiguous copy of its
-    masses, which numpy adds as it adds a 1-D array. A draw is one uniform
-    and one CDF search, the comparisons that choice makes."""
-    heights = [len(masses) for masses in blocks]
-    widths = [masses.shape[1] for masses in blocks]
-    # Each block's top k by a stable argsort of -mass, padded with zero mass
-    # to min(k, widest vocabulary) columns: no block's full width is padded
-    # to the widest one's.
-    order = np.zeros((sum(heights), min(config.k, max(widths))), dtype=np.intp)
+    The ranking is a stable argsort of the row's dense masses: a row whose
+    entries stay below p takes zero-mass tokens in ascending id order, up to
+    min(k, its vocabulary), as a dense row would. A row's CDF is the
+    cumulative sum of its renormalized masses divided by its last entry, as
+    Generator.choice(nucleus, p=weights) builds it; each nucleus is
+    renormalized by a row sum over a contiguous copy of its masses, which
+    numpy adds as it adds a 1-D array. A draw is one uniform and one CDF
+    search, the comparisons that choice makes."""
+    lens = np.diff(indptr)
+    row_of = np.repeat(np.arange(len(lens)), lens)
+    _check_masses(row_of, indptr, masses)
+    # A stable sort keeps each row's ties in ascending token order.
+    ranked = np.lexsort((-masses, row_of))
+    rank = np.arange(len(ranked)) - indptr[row_of]
+    top = np.flatnonzero(rank < config.k)
+    kept_len = np.minimum(lens, config.k)
+    # Each row's top k ids and masses, padded with zero mass to the longest.
+    order = np.zeros((len(lens), kept_len.max(initial=0)), dtype=np.intp)
     kept = np.zeros(order.shape)
-    row = 0
-    for masses, height in zip(blocks, heights):
-        _check_masses(masses)
-        top = np.argsort(-masses, axis=1, kind="stable")[:, : config.k]
-        order[row : row + height, : top.shape[1]] = top
-        kept[row : row + height, : top.shape[1]] = np.take_along_axis(masses, top, axis=1)
-        row += height
-    cum = np.cumsum(kept, axis=1)
-    # The first prefix reaching p - 1e-12, never into the padding past a
-    # block's vocabulary.
-    limit = np.minimum(config.k, np.repeat(widths, heights))
-    cut = np.minimum(np.count_nonzero(cum < config.p - 1e-12, axis=1) + 1, limit)
+    cells = row_of[top], rank[top]
+    order[cells] = tokens[ranked[top]]
+    kept[cells] = masses[ranked[top]]
+    count = np.count_nonzero(np.cumsum(kept, axis=1) < config.p - 1e-12, axis=1)
+    cut = np.where(count < kept_len, count + 1, np.minimum(config.k, widths))
+    if cut.max(initial=0) > order.shape[1]:
+        pad = ((0, 0), (0, cut.max() - order.shape[1]))
+        order, kept = np.pad(order, pad), np.pad(kept, pad)
+        for row in np.flatnonzero(cut > kept_len).tolist():
+            listed = set(tokens[indptr[row] : indptr[row + 1]].tolist())
+            unlisted = [t for t in range(cut[row]) if t not in listed]
+            order[row, kept_len[row] : cut[row]] = unlisted[: cut[row] - kept_len[row]]
     cdf = np.zeros_like(kept)
     for width in np.unique(cut).tolist():
         rows = np.flatnonzero(cut == width)
@@ -283,7 +309,7 @@ def _nuclei(blocks: Sequence[np.ndarray], config: SamplerConfig) -> tuple[list[i
         sums = weights.cumsum(axis=1)
         cdf[rows, :width] = sums / sums[:, -1:]
     inside = np.arange(order.shape[1]) < cut[:, None]
-    return order[inside].tolist(), cdf[inside].tolist(), [0, *np.cumsum(cut).tolist()]
+    return order[inside], cdf[inside], cut
 
 
 def sample_top_p_top_k(masses: np.ndarray, config: SamplerConfig, rng: np.random.Generator) -> int:
@@ -291,27 +317,32 @@ def sample_top_p_top_k(masses: np.ndarray, config: SamplerConfig, rng: np.random
     with cumulative mass >= p, renormalize, and sample. Mass ties break by
     ascending token index.
 
-    The nucleus is _nuclei's one-row case, and the draw is one uniform
-    searched in its CDF: the token, and the RNG state after it, of
-    rng.choice(nucleus, p=weights)."""
-    masses = np.asarray(masses, dtype=np.float64)
+    The nucleus is _nuclei's one-row case, every column an entry, and the
+    draw is one uniform searched in its CDF: the token, and the RNG state
+    after it, of rng.choice(nucleus, p=weights)."""
+    masses = np.asarray(masses, dtype=np.float64).reshape(-1)
     if masses.size == 0:
         raise ValueError("empty distribution")
-    ids, cdf, _ = _nuclei([masses.reshape(1, -1)], config)
-    return ids[bisect_right(cdf, rng.random())]
+    width = np.array([masses.size])
+    ids, cdf, _ = _nuclei(np.array([0, masses.size]), np.arange(masses.size), masses, width, config)
+    return ids.tolist()[bisect_right(cdf.tolist(), rng.random())]
 
 
 def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
     """Select the nucleus of every fitted row of `lms` with one _nuclei
-    pass and store each model's slice of it for `config`'s (p, k): the
-    flat ids and CDFs, shared by the models of one call, and the model's
-    own row offsets."""
-    ids, cdf, offsets = _nuclei([lm._probs for lm in lms], config)
-    row = 0
-    for lm in lms:
-        height = len(lm._probs)
-        lm._nuclei[config.p, config.k] = ids, cdf, offsets[row : row + height + 1]
-        row += height
+    pass, find the row each nucleus token leads to with one _Rows.step, and
+    store each model's slice for `config`'s (p, k): the flat ids, CDFs and
+    next rows, shared by the models of one call, and the model's own row
+    offsets."""
+    rows = _Rows(lms)
+    ids, cdf, cut = _nuclei(rows.indptr, rows.tokens, rows.masses, rows.widths, config)
+    source = np.repeat(np.arange(len(cut)), cut)
+    nxt = rows.step(source, ids) - rows.base[source]
+    ids, cdf, nxt = ids.tolist(), cdf.tolist(), nxt.tolist()
+    offsets = [0, *np.cumsum(cut).tolist()]
+    for lm, base in zip(lms, rows.base_of_model.tolist()):
+        height = len(lm._indptr) - 1
+        lm._nuclei[config.p, config.k] = ids, cdf, nxt, offsets[base : base + height + 1]
 
 
 @dataclass
@@ -325,6 +356,8 @@ def generate_examples(
     lm: NgramLM,
     n: int = 5,
     config: SamplerConfig = SamplerConfig(),
+    *,
+    sentences: Optional[Sequence[tuple[TokenSpan, list[str]]]] = None,
 ) -> GenerationResult:
     """Sample n target sequences from a fitted n-gram model and decode them.
 
@@ -334,31 +367,37 @@ def generate_examples(
 
     Decoding runs on the model's compiled rows: each token is one uniform
     and one CDF search in the row's nucleus, as sample_top_p_top_k draws
-    it, and one transition lookup. A model with no fitted rows is a
-    ValueError.
+    it, and the next row is the one stored with the token drawn. The
+    uniforms are drawn MAX_GEN_TOKENS per sequence at a time, so a token
+    reads the value the next scalar draw would give. A model with no fitted
+    rows is a ValueError. `sentences` is as for decode_generation_target:
+    each sentence of passage.text with its terms, segmented here when
+    omitted.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not len(lm._probs):
+    if len(lm._indptr) < 2:
         raise ValueError("the n-gram model has no fitted rows: fit it on at least one sequence")
     if (config.p, config.k) not in lm._nuclei:
         _select_nuclei([lm], config)
-    ids, cdf, offsets = lm._nuclei[config.p, config.k]
+    ids, cdf, nxt, offsets = lm._nuclei[config.p, config.k]
     random = np.random.default_rng(config.seed).random
-    step = lm._transitions.item
+    draw = chain.from_iterable(random(MAX_GEN_TOKENS * min(_DRAW_SEQUENCES, n - s)).tolist()
+                               for s in range(0, n, _DRAW_SEQUENCES)).__next__
+    eos = lm._ids[EOS_TOKEN]
     vocab = lm.vocab
-    sentences = _sentence_terms(passage.text)
+    if sentences is None:
+        sentences = _sentence_terms(passage.text)
     result = GenerationResult(examples=[])
     seen: set[tuple[str, str]] = set()
     for _ in range(n):
         row, tokens = lm._start, []
         for _ in range(MAX_GEN_TOKENS):
-            token = ids[bisect_right(cdf, random(), offsets[row], offsets[row + 1])]
-            tok = vocab[token]
-            if tok == EOS_TOKEN:
+            j = bisect_right(cdf, draw(), offsets[row], offsets[row + 1])
+            if ids[j] == eos:
                 break
-            tokens.append(tok)
-            row = step(row, token)
+            tokens.append(vocab[ids[j]])
+            row = nxt[j]
         serialized = " ".join(tokens)
         try:
             decoded = decode_generation_target(passage, serialized, sentences)
@@ -388,8 +427,11 @@ def generate_corpus(
 
     Passage i draws from its own RNG seeded with seed ^ (i + 1); the
     sampler's own seed is ignored. Passages without targets are skipped;
-    discards are summed over all passages. The models of each run of a few
-    passages have their nuclei selected in one array pass.
+    discards are summed over all passages. Each passage is segmented once,
+    for its targets and its decoding. The models of each run of
+    _NUCLEUS_CHUNK passages are compiled in one array pass (_compile, the
+    pass NgramLM.fit makes for one model) and have their nuclei selected in
+    another.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -398,15 +440,17 @@ def generate_corpus(
         chunk = []
         for i in range(first, min(first + _NUCLEUS_CHUNK, len(passages))):
             rng = np.random.default_rng(seed ^ (i + 1))
-            targets = candidate_targets(passages[i], rng)
+            sentences = _sentence_terms(passages[i].text)
+            targets = candidate_targets(passages[i], rng, sentences=sentences)
             if targets:
-                lm = NgramLM(order=3).fit(targets)
-                chunk.append((passages[i], lm, replace(sampler, seed=int(rng.integers(0, 2**31)))))
+                chunk.append((passages[i], targets, sentences, replace(sampler, seed=int(rng.integers(0, 2**31)))))
         if not chunk:
             continue
-        _select_nuclei([lm for _, lm, _ in chunk], sampler)
-        for passage, lm, config in chunk:
-            result = generate_examples(passage, lm, n=n, config=config)
+        lms = [NgramLM(order=3) for _ in chunk]
+        _compile(lms, [targets for _, targets, _, _ in chunk])
+        _select_nuclei(lms, sampler)
+        for (passage, _, sentences, config), lm in zip(chunk, lms):
+            result = generate_examples(passage, lm, n=n, config=config, sentences=sentences)
             total.examples.extend(result.examples)
             for reason, count in result.discards.items():
                 total.discards[reason] = total.discards.get(reason, 0) + count
@@ -479,16 +523,24 @@ def filtered_records(examples: Sequence[QAExample], result: FilterResult) -> lis
 
 
 def _first_negative(
-    ranked: np.ndarray, answer: str, index: SparseIndex, passage_texts: dict[str, str], exclude_id: Optional[str]
+    ranked: np.ndarray, answer: str, index: SparseIndex, haystack: Callable[[str], str], exclude_id: Optional[str]
 ) -> Optional[str]:
     """The first of the `ranked` passage indices, other than exclude_id,
-    whose text does not contain the normalized answer."""
-    contains = answer_test([answer])
+    whose text does not contain the normalized answer, as
+    evalkit.answer_test tests it: `haystack(passage_id)` is the passage's
+    normalized text between single spaces, where the answer, normalized
+    and between single spaces, matches exactly whole-token windows."""
+    needle = normalize_answer(answer)
+    needle = f" {needle} " if needle else None
     for i in ranked.tolist():
         passage_id = index.doc_ids[i]
-        if passage_id != exclude_id and not contains(passage_texts[passage_id]):
+        if passage_id != exclude_id and (needle is None or needle not in haystack(passage_id)):
             return passage_id
     return None
+
+
+def _haystack(text: str) -> str:
+    return f" {normalize_answer(text)} "
 
 
 def mine_negative(
@@ -501,7 +553,8 @@ def mine_negative(
 ) -> Optional[str]:
     """Highest-BM25-ranked passage (top `depth`) for the question whose text
     does not contain the normalized answer; None if every candidate does."""
-    return _first_negative(sparse_top_k_each(index, [question], depth)[0][0], answer, index, passage_texts, exclude_id)
+    ranked = sparse_top_k_each(index, [question], depth)[0][0]
+    return _first_negative(ranked, answer, index, lambda passage_id: _haystack(passage_texts[passage_id]), exclude_id)
 
 
 @dataclass
@@ -521,17 +574,25 @@ def build_ir_training_set(
     passage excluded. Examples whose negative cannot be mined are dropped
     and tallied. Every example's passage is looked up before any scoring;
     the questions are then ranked _MINE_BLOCK at a time with one
-    sparse_top_k_each."""
+    sparse_top_k_each. Each candidate passage's text is normalized once per
+    call, at its first test."""
     for ex in examples:
         if ex.passage_id not in passages:
             raise KeyError(f"example passage {ex.passage_id!r} not in passage map")
-    texts = {pid: p.text for pid, p in passages.items()}
+    haystacks: dict[str, str] = {}
+
+    def haystack(passage_id: str) -> str:
+        hay = haystacks.get(passage_id)
+        if hay is None:
+            hay = haystacks[passage_id] = _haystack(passages[passage_id].text)
+        return hay
+
     result = TrainingSetResult(instances=[])
     for lo in range(0, len(examples), _MINE_BLOCK):
         block = examples[lo : lo + _MINE_BLOCK]
         ranked = sparse_top_k_each(index, [ex.question for ex in block], depth)
         for ex, (top, _) in zip(block, ranked):
-            neg_id = _first_negative(top, ex.answer, index, texts, ex.passage_id)
+            neg_id = _first_negative(top, ex.answer, index, haystack, ex.passage_id)
             if neg_id is None:
                 result.dropped += 1
                 continue
@@ -554,16 +615,23 @@ _QUESTION_STOP = {
 _TARGETS_PER_SENTENCE = 2
 
 
-def candidate_targets(passage: Passage, rng: np.random.Generator) -> list[list[str]]:
+def candidate_targets(
+    passage: Passage,
+    rng: np.random.Generator,
+    *,
+    sentences: Optional[Sequence[tuple[TokenSpan, list[str]]]] = None,
+) -> list[list[str]]:
     """Derive plausible target token sequences from a passage.
 
     Used to fit the bundled n-gram generator: each sentence contributes
     templates of the form [first, last, SEP, answer tokens, SEP, "what",
     salient tokens, EOS] where the answer is a short token run from the
-    sentence.
+    sentence. `sentences` is as for decode_generation_target.
     """
+    if sentences is None:
+        sentences = _sentence_terms(passage.text)
     targets = []
-    for _, tokens in _sentence_terms(passage.text):
+    for _, tokens in sentences:
         if len(tokens) < 3:
             continue
         for _ in range(_TARGETS_PER_SENTENCE):
@@ -582,12 +650,19 @@ def candidate_targets(passage: Passage, rng: np.random.Generator) -> list[list[s
 class NgramLM:
     """Backoff n-gram generator fit on target sequences.
 
-    Fitting compiles the model into integer states. Row r of _probs is one
-    fitted context: the empty one, then those of length 1, 2, ... up to
-    order - 1. _transitions[r, t] is the row after context r is extended by
-    token t: the longest fitted suffix of (context + (t,))[-(order-1):].
-    Column len(vocab) is the padding marker when it is not itself a fitted
-    token. Decoding starts from _start, the row of the padding context.
+    Fitting compiles the model into integer states over its observed (row,
+    token) pairs. Row r is one fitted context: the empty one, then those of
+    length 1, 2, ... up to order - 1. Its entries are the tokens seen after
+    it, ascending, in _tokens[_indptr[r]:_indptr[r + 1]], with their
+    probabilities in _masses; every other token has probability 0. Column
+    len(vocab) is the padding marker when it is not itself a fitted token.
+    _extensions lists each fitted context one token shorter than the order
+    with a token that extends it into a fitted context: (row, token, row of
+    the extension), sorted. _suffix[r] is the row of r's context without
+    its first token (row 0 for row 0). The row after r and token t is the
+    longest fitted suffix of (context + (t,))[-(order-1):]: r's extension
+    by t when fitted, else the row after _suffix[r] and t, down to row 0.
+    Decoding starts from _start, the row of the padding context.
     """
 
     def __init__(self, order: int = 3):
@@ -596,76 +671,21 @@ class NgramLM:
         self.order = order
         self.vocab: list[str] = []
         self._ids: dict[str, int] = {}  # token -> column, the padding marker included
-        self._probs = np.zeros((0, 0))
-        self._transitions = np.zeros((0, 1), dtype=np.int32)
+        self._indptr = np.zeros(1, dtype=np.intp)
+        self._tokens = np.zeros(0, dtype=np.intp)
+        self._masses = np.zeros(0)
+        self._extensions = np.zeros((3, 0), dtype=np.intp)
+        self._suffix = np.zeros(0, dtype=np.intp)
         self._start = 0
-        # (p, k) -> each row's nucleus ids and CDF, flat, with row offsets.
-        self._nuclei: dict[tuple[float, int], tuple[list[int], list[float], list[int]]] = {}
+        # (p, k) -> each row's nucleus ids, CDF and next rows, flat, with
+        # row offsets.
+        self._nuclei: dict[tuple[float, int], tuple[list[int], list[float], list[int], list[int]]] = {}
 
     _BOS = "<s>"  # internal padding marker, never emitted
 
     def fit(self, sequences: Sequence[Sequence[str]]) -> "NgramLM":
-        """Number the contexts of every length below `order` in arrays, one
-        length at a time, count every (context, next token) pair in one
-        bincount and normalize each context's row; then compile the
-        transitions between contexts."""
-        self.vocab = sorted({tok for seq in sequences for tok in seq} | {EOS_TOKEN})
-        v = len(self.vocab)
-        # A fitted "<s>" token is the padding marker: their contexts coincide.
-        self._ids = {self._BOS: v, **{t: i for i, t in enumerate(self.vocab)}}
-        pad, eos, width = self._ids[self._BOS], self._ids[EOS_TOKEN], self.order - 1
-        ids: list[int] = []
-        firsts: list[int] = []  # position of each sequence's first token
-        for seq in sequences:
-            toks = [self._ids[tok] for tok in seq]
-            if not toks or toks[-1] != eos:
-                toks.append(eos)
-            ids += [pad] * width
-            firsts.append(len(ids))
-            ids += toks
-        self._nuclei = {}
-        if not ids:
-            self._probs = np.zeros((0, v))
-            self._transitions = np.zeros((0, v + 1), dtype=np.int32)
-            return self
-        ids = np.array(ids, dtype=np.intp)
-        is_token = np.ones(len(ids) + 1, dtype=bool)
-        is_token[(np.array(firsts)[:, None] - np.arange(1, width + 1)).ravel()] = False
-        is_token[-1] = False  # one past the end
-        pos = np.flatnonzero(is_token[:-1])
-        # rows[n, i]: row of the length-n context before the token at pos[i].
-        rows = np.zeros((self.order, len(pos)), dtype=np.intp)
-        level = [0, 1]  # first row of each length
-        code = np.zeros(len(pos), dtype=np.intp)
-        for n in range(1, self.order):
-            keys, code = np.unique(code * (v + 1) + ids[pos - n], return_inverse=True)
-            rows[n] = level[-1] + code
-            level.append(level[-1] + len(keys))
-        tokens = ids[pos]
-        total = level[-1]
-        counts = np.bincount((rows * v + tokens).ravel(), minlength=total * v).reshape(total, v).astype(np.float64)
-        # Integer counts sum exactly, so no row depends on summation order.
-        self._probs = counts / counts.sum(axis=1, keepdims=True)
-        self._probs.setflags(write=False)
-
-        # A context followed by token t, one position on, is one token
-        # longer; the padding context grows by the padding marker.
-        transitions = np.full((total, v + 1), -1, dtype=np.int32)
-        followed = np.flatnonzero(is_token[pos + 1])
-        suffix = np.zeros(total, dtype=np.intp)
-        for n in range(1, self.order):
-            transitions[rows[n - 1, followed], tokens[followed]] = rows[n, followed + 1]
-            transitions[rows[n - 1, 0], pad] = rows[n, 0]
-            suffix[rows[n]] = rows[n - 1]
-        # A prefix and a suffix of a fitted context are fitted too, so the
-        # row after r and t is r's extension by t when fitted, else the row
-        # after r's suffix and t, down to the empty context (row 0).
-        transitions[0] = np.maximum(transitions[0], 0)
-        for lo, hi in zip(level[1:], level[2:]):
-            extended = transitions[lo:hi]
-            transitions[lo:hi] = np.where(extended >= 0, extended, transitions[suffix[lo:hi]])
-        self._transitions = transitions
-        self._start = int(rows[width, 0])
+        """Compile the model on `sequences`: _compile's one-model case."""
+        _compile([self], [sequences])
         return self
 
     def next(self, context: Sequence[str]) -> np.ndarray:
@@ -673,15 +693,161 @@ class NgramLM:
         read-only row: the row reached by stepping from the padding context
         through its tokens. No fitted context holds an unfitted token, so
         one leads back to the empty context."""
-        if not len(self._probs):
+        if len(self._indptr) < 2:
             if not self.vocab:
                 raise ValueError("the n-gram model is not fitted: call fit before next")
             # Fitted on no tokens: uniform over its vocabulary.
             uniform = np.full(len(self.vocab), 1.0 / len(self.vocab))
             uniform.setflags(write=False)
             return uniform
-        row = self._start
+        rows = _Rows([self])
+        row = np.array([self._start])
         for tok in context:
             token = self._ids.get(tok)
-            row = 0 if token is None else self._transitions.item(row, token)
-        return self._probs[row]
+            row = np.zeros(1, dtype=np.intp) if token is None else rows.step(row, np.array([token]))
+        lo, hi = self._indptr[row[0]], self._indptr[row[0] + 1]
+        dense = np.zeros(len(self.vocab))
+        dense[self._tokens[lo:hi]] = self._masses[lo:hi]
+        dense.setflags(write=False)
+        return dense
+
+
+class _Rows:
+    """The compiled rows of several models stacked, model m's row r as row
+    base_of_model[m] + r, so one array pass serves them all."""
+
+    def __init__(self, lms: Sequence[NgramLM]):
+        heights = [len(lm._indptr) - 1 for lm in lms]
+        self.base_of_model = np.cumsum([0, *heights[:-1]])
+        self.base = np.repeat(self.base_of_model, heights)
+        sizes = [len(lm._tokens) for lm in lms]
+        self.indptr = np.zeros(len(self.base) + 1, dtype=np.intp)
+        self.indptr[1:] = np.concatenate([lm._indptr[1:] for lm in lms])
+        self.indptr[1:] += np.repeat(np.cumsum([0, *sizes[:-1]]), heights)
+        self.tokens = np.concatenate([lm._tokens for lm in lms])
+        self.masses = np.concatenate([lm._masses for lm in lms])
+        self.widths = np.repeat([len(lm.vocab) for lm in lms], heights)
+        self.suffix = np.concatenate([lm._suffix for lm in lms]) + self.base
+        # A key numbers a (row, token) pair; a column past every vocabulary
+        # holds each model's padding marker.
+        self.columns = max(len(lm.vocab) for lm in lms) + 1
+        src, tokens, extended = np.concatenate([lm._extensions for lm in lms], axis=1)
+        base = np.repeat(self.base_of_model, [lm._extensions.shape[1] for lm in lms])
+        self.keys = (src + base) * self.columns + tokens
+        self.extended = extended + base
+
+    def step(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """The row after each of `rows` and the token at the same index:
+        the row's fitted extension by the token, else the row after its
+        suffix and the token, down to its model's row 0."""
+        rows = rows.copy()
+        out = np.empty_like(rows)
+        todo = np.arange(len(rows))
+        while todo.size:
+            key = rows[todo] * self.columns + tokens[todo]
+            at = np.searchsorted(self.keys, key)
+            hit = at < len(self.keys)
+            hit[hit] = self.keys[at[hit]] == key[hit]
+            out[todo[hit]] = self.extended[at[hit]]
+            todo = todo[~hit]
+            up = self.suffix[rows[todo]]
+            root = up == rows[todo]
+            out[todo[root]] = up[root]
+            rows[todo[~root]] = up[~root]
+            todo = todo[~root]
+        return out
+
+
+def _compile(lms: Sequence[NgramLM], corpora: Sequence[Sequence[Sequence[str]]]) -> None:
+    """Fit each model of `lms` (all of one order) on its sequences of
+    `corpora` in one array pass over all of them.
+
+    Each model's contexts of each length below the order are numbered with
+    one np.unique over (context one token shorter, token) for all models,
+    in the order a one-model fit numbers them; its (row, token) pairs are
+    counted with one np.unique, and each entry's probability is its count
+    over its row's integer sum."""
+    width = lms[0].order - 1
+    if any(lm.order != width + 1 for lm in lms):
+        raise ValueError("models compiled together must have one order")
+    stream: list[int] = []  # every sequence's token ids after `width` padding markers
+    lengths: list[int] = []  # each sequence's token count
+    pads: list[int] = []
+    for lm, sequences in zip(lms, corpora):
+        lm.vocab = sorted({EOS_TOKEN}.union(*sequences))
+        v = len(lm.vocab)
+        # A fitted "<s>" token is the padding marker: their contexts coincide.
+        lm._ids = dict(zip(lm.vocab, range(v)))
+        pad, eos = lm._ids.setdefault(lm._BOS, v), lm._ids[EOS_TOKEN]
+        padding, column = [pad] * width, lm._ids.__getitem__
+        for seq in sequences:
+            toks = list(map(column, seq))
+            if not toks or toks[-1] != eos:
+                toks.append(eos)
+            stream += padding
+            stream += toks
+            lengths.append(len(toks))
+        pads.append(pad)
+        lm._nuclei = {}
+    ids = np.array(stream, dtype=np.intp)
+    per_sequence = np.repeat(np.arange(len(lms)), [len(sequences) for sequences in corpora])
+    model = np.repeat(per_sequence, lengths)
+    # Token i of sequence j sits after j + 1 runs of padding markers.
+    token_pos = np.arange(len(model)) + width * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    tokens = ids[token_pos]
+    columns = max(len(lm.vocab) for lm in lms) + 1
+
+    # codes[n][i]: the length-n context before token i, as its rank among
+    # every model's length-n contexts; level_models[n]: each rank's model.
+    keys, code = np.unique(model, return_inverse=True)
+    codes, level_models = [code], [keys]
+    for n in range(1, width + 1):
+        keys, code = np.unique(codes[-1] * columns + ids[token_pos - n], return_inverse=True)
+        codes.append(code)
+        level_models.append(level_models[-1][keys // columns])
+    counts = np.array([np.bincount(m, minlength=len(lms)) for m in level_models])  # level x model
+    heights = counts.sum(axis=0)
+    row_ends = np.cumsum(heights)
+    base = row_ends - heights
+    level_start = np.cumsum(counts, axis=0) - counts
+    rows = np.empty((width + 1, len(token_pos)), dtype=np.intp)
+    for n, (m, code) in enumerate(zip(level_models, codes)):
+        local = np.arange(len(m)) - np.searchsorted(m, m)
+        rows[n] = (base[m] + level_start[n, m] + local)[code]
+    total = int(row_ends[-1])
+
+    pairs, pair_counts = np.unique((rows * columns + tokens).ravel(), return_counts=True)
+    entry_rows = pairs // columns
+    indptr = np.zeros(total + 1, dtype=np.intp)
+    np.cumsum(np.bincount(entry_rows, minlength=total), out=indptr[1:])
+    # Integer counts sum exactly, so no row depends on summation order.
+    masses = pair_counts / np.bincount(entry_rows, weights=pair_counts, minlength=total)[entry_rows]
+    masses.setflags(write=False)
+    entry_tokens = pairs % columns
+
+    # A context followed by token t, one position on, is one token longer;
+    # the padding context grows by the padding marker.
+    followed = np.flatnonzero(np.diff(token_pos) == 1)
+    present = np.flatnonzero(heights)  # the models fit on at least one token
+    firsts, pad_tokens = np.searchsorted(model, present), np.array(pads, dtype=np.intp)[present]
+    suffix = np.arange(total)
+    src, tok, dst = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for n in range(1, width + 1):
+        src += [rows[n - 1, followed], rows[n - 1, firsts]]
+        tok += [tokens[followed], pad_tokens]
+        dst += [rows[n, followed + 1], rows[n, firsts]]
+        suffix[rows[n]] = rows[n - 1]
+    ext_keys, first = np.unique(np.concatenate(src) * columns + np.concatenate(tok), return_index=True)
+    extensions = np.stack([ext_keys // columns, ext_keys % columns, np.concatenate(dst)[first]])
+    starts = np.zeros(len(lms), dtype=np.intp)
+    starts[present] = rows[width, firsts] - base[present]
+
+    bounds = zip(base.tolist(), row_ends.tolist(), indptr[base].tolist(), indptr[row_ends].tolist(),
+                 np.searchsorted(extensions[0], base).tolist(), np.searchsorted(extensions[0], row_ends).tolist())
+    for lm, start, (lo, hi, a, b, e, f) in zip(lms, starts.tolist(), bounds):
+        lm._indptr = indptr[lo : hi + 1] - a
+        lm._tokens = entry_tokens[a:b]
+        lm._masses = masses[a:b]
+        lm._suffix = suffix[lo:hi] - lo
+        lm._extensions = extensions[:, e:f] - [[lo], [0], [lo]]
+        lm._start = start

@@ -394,6 +394,13 @@ def flat_scatter(token_ids, g_means, d):
     return touched, g_rows
 
 
+def bag_of(token_ids):
+    """The one token bag of `token_ids`, built as train builds each step's."""
+    indptr = np.cumsum([0, *map(len, token_ids)])
+    ids = np.concatenate([np.zeros(0, dtype=np.intp), *token_ids])
+    return encoder_module._token_bags(indptr, ids, np.arange(len(token_ids)), np.array([0, len(token_ids)]))[0]
+
+
 # Token ids of a batch's texts over a 12-row table: rows without tokens and
 # repeated ids included.
 token_batches = st.lists(st.lists(st.integers(0, 11), max_size=12), min_size=1, max_size=6)
@@ -411,7 +418,7 @@ class TestTokenBag:
         table = rng.normal(size=(12, d)) * 10.0 ** rng.integers(-6, 7, size=(12, 1))
         g_means = rng.normal(size=(len(rows), d))
         token_ids = [np.array(ids, dtype=np.intp) for ids in rows]
-        bag = encoder_module._TokenBag(token_ids)
+        bag = bag_of(token_ids)
         assert bag.means(table).tobytes() == per_row_means(table, token_ids).tobytes()
         touched, g_rows = flat_scatter(token_ids, g_means, d)
         assert bag.rows.tolist() == touched.tolist()
@@ -421,7 +428,7 @@ class TestTokenBag:
 @pytest.mark.parametrize("ids", [[3, 12], [-1, 3]], ids=["past-the-end", "negative"])
 def test_token_bag_refuses_an_id_outside_the_table(ids):
     # The pooling kernel reads table rows in place, with no bounds check of its own.
-    bag = encoder_module._TokenBag([np.array([0, 1], dtype=np.intp), np.array(ids, dtype=np.intp)])
+    bag = bag_of([np.array([0, 1], dtype=np.intp), np.array(ids, dtype=np.intp)])
     with pytest.raises(IndexError, match=r"^token ids -?\d+\.\.\d+ do not all index a table of 12 rows$"):
         bag.means(np.ones((12, 3)))
 
@@ -480,6 +487,31 @@ class TestTrain:
             )
         )
         instances.append(IRTrainInstance("xyzzy", passage("oov", "qwerty plugh"), (instances[0].positive,)))
+        trained, trace = train(enc, instances, config)
+        expected, expected_trace = dense_update_train(enc, instances, config)
+        assert trace == expected_trace
+        for name in expected.params:
+            assert trained.params[name].tobytes() == expected.params[name].tobytes(), name
+
+    def test_block_plans_equal_dense_update_reference(self):
+        """More steps per epoch than one planning block, a short last
+        batch, passages that are one instance's positive and another's
+        negative in one batch, and out-of-vocabulary texts."""
+        rng = np.random.default_rng(21)
+        enc = small_encoder(d=5, seed=21)
+        positives = [passage(f"p{i}", " ".join(rng.choice(VOCAB, size=3))) for i in range(41)]
+        instances = [
+            IRTrainInstance(" ".join(rng.choice(VOCAB, size=2)), positives[i], (positives[(i + 1) % 41],))
+            for i in range(40)
+        ]
+        instances.append(IRTrainInstance("xyzzy plugh", passage("oov", "qwerty"), (positives[0],)))
+        config = TrainConfig(learning_rate=0.2, epochs=2, batch_size=2, warmup_steps=7, seed=3)
+        steps = math.ceil(len(instances) / config.batch_size)
+        assert steps > encoder_module._PLAN_STEPS and len(instances) % config.batch_size == 1
+        # The first epoch's batches, as train draws them.
+        order = np.random.default_rng(config.seed).permutation(len(instances))
+        batches = [[instances[i] for i in order[s : s + config.batch_size]] for s in range(0, len(instances), 2)]
+        assert any({i.positive.id for i in b} & {n.id for i in b for n in i.hard_negatives} for b in batches)
         trained, trace = train(enc, instances, config)
         expected, expected_trace = dense_update_train(enc, instances, config)
         assert trace == expected_trace

@@ -1,12 +1,17 @@
 import json
+import os
+import pickle
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyqa
 from hyqa.corpus import Document, tokenize
 from hyqa.encoder import TrainConfig
 from hyqa.evalkit import GoldSet
@@ -427,6 +432,28 @@ class TestRunAdaptation:
         run_adaptation(adaptation_corpus(), small_config(), output_dir=tmp_path / "b")
         for name in ("manifest.json", "sparse.hyqa", "dense.hyqa", "encoder.hyqa", "synthetic_examples.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_byte_identical_across_hash_seeds_and_blas_threads(self, tmp_path):
+        """Every output file is the same bytes under two string-hash seeds
+        and one or two BLAS threads, each run in a fresh process."""
+        inputs = tmp_path / "inputs.pickle"
+        inputs.write_bytes(pickle.dumps((adaptation_corpus(), small_config())))
+        script = (
+            "import pickle, sys; from hyqa.pipeline import run_adaptation; "
+            "docs, config = pickle.loads(open(sys.argv[1], 'rb').read()); "
+            "run_adaptation(docs, config, output_dir=sys.argv[2])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(hyqa.__file__).parents[1])}
+        runs = []
+        for hash_seed, threads in (("0", "1"), ("123", "2"), ("0", "2"), ("123", "1")):
+            out = tmp_path / f"hash{hash_seed}-blas{threads}"
+            subprocess.run(
+                [sys.executable, "-c", script, str(inputs), str(out)],
+                env={**env, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": threads}, check=True,
+            )
+            runs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert len(runs[0]) == 7
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_failure_names_stage(self):
         docs = [Document(id="d", title="", body="")]

@@ -8,9 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hyqa.corpus import Document, Passage, chunk_generation_passages, tokenize
-from hyqa.evalkit import GoldSet
+from hyqa.evalkit import GoldSet, answer_test
 from hyqa.mrc import LexicalScorer, ScorerConfig, SpanLogits, answerability
-from hyqa.sparse import build_sparse_index
+from hyqa.sparse import build_sparse_index, sparse_top_k_each
 from hyqa.syngen import (
     EOS_TOKEN,
     MAX_GEN_TOKENS,
@@ -232,24 +232,153 @@ class TestSamplerProperties:
     @pytest.mark.parametrize("at", [0, 1, 3])
     def test_invalid_masses_raise_in_generate(self, bad, at):
         """A fitted model whose row `at` holds invalid masses is rejected
-        before any draw, whichever row is broken."""
+        before any draw, whichever row is broken, as the dense oracle's
+        nucleus selection rejects the same row."""
         passage = make_passage("Masks help a lot.")
         lm = NgramLM(order=3).fit([["a", "b"]])
-        assert lm.vocab == [EOS_TOKEN, "a", "b"] and len(lm._probs) > 3
-        probs = lm._probs.copy()
+        dense = DenseNgramLM(3).fit([["a", "b"]])
+        assert lm.vocab == [EOS_TOKEN, "a", "b"] and len(lm._indptr) - 1 == len(dense.probs) > 3
+        probs = compiled_rows(lm)
         probs[at] = bad
-        lm._probs = probs
-        with pytest.raises(ValueError, match="negative probability mass|masses sum to"):
+        set_rows(lm, probs)
+        dense.probs = probs
+        with pytest.raises(ValueError, match="negative probability mass|masses sum to") as oracle:
+            dense_nuclei([dense.probs], SamplerConfig())
+        with pytest.raises(ValueError, match="negative probability mass|masses sum to") as raised:
             generate_examples(passage, lm, n=2, config=SamplerConfig(seed=0))
+        assert str(raised.value) == str(oracle.value)
+
+
+class DenseNgramLM:
+    """The dense compile that NgramLM's pair compile replaced, the oracle
+    for it: `probs` holds every fitted row as a vocabulary-wide array, and
+    transitions[r, t] is the row after row r and token t."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def fit(self, sequences):
+        self.vocab = sorted({tok for seq in sequences for tok in seq} | {EOS_TOKEN})
+        v = len(self.vocab)
+        self.ids = {"<s>": v, **{t: i for i, t in enumerate(self.vocab)}}
+        pad, eos, width = self.ids["<s>"], self.ids[EOS_TOKEN], self.order - 1
+        ids, firsts = [], []
+        for seq in sequences:
+            toks = [self.ids[tok] for tok in seq]
+            if not toks or toks[-1] != eos:
+                toks.append(eos)
+            ids += [pad] * width
+            firsts.append(len(ids))
+            ids += toks
+        self.start = 0
+        if not ids:
+            self.probs = np.zeros((0, v))
+            self.transitions = np.zeros((0, v + 1), dtype=np.int32)
+            return self
+        ids = np.array(ids, dtype=np.intp)
+        is_token = np.ones(len(ids) + 1, dtype=bool)
+        is_token[(np.array(firsts)[:, None] - np.arange(1, width + 1)).ravel()] = False
+        is_token[-1] = False
+        pos = np.flatnonzero(is_token[:-1])
+        rows = np.zeros((self.order, len(pos)), dtype=np.intp)
+        level = [0, 1]
+        code = np.zeros(len(pos), dtype=np.intp)
+        for n in range(1, self.order):
+            keys, code = np.unique(code * (v + 1) + ids[pos - n], return_inverse=True)
+            rows[n] = level[-1] + code
+            level.append(level[-1] + len(keys))
+        tokens = ids[pos]
+        total = level[-1]
+        counts = np.bincount((rows * v + tokens).ravel(), minlength=total * v).reshape(total, v).astype(np.float64)
+        self.probs = counts / counts.sum(axis=1, keepdims=True)
+        transitions = np.full((total, v + 1), -1, dtype=np.int32)
+        followed = np.flatnonzero(is_token[pos + 1])
+        suffix = np.zeros(total, dtype=np.intp)
+        for n in range(1, self.order):
+            transitions[rows[n - 1, followed], tokens[followed]] = rows[n, followed + 1]
+            transitions[rows[n - 1, 0], pad] = rows[n, 0]
+            suffix[rows[n]] = rows[n - 1]
+        transitions[0] = np.maximum(transitions[0], 0)
+        for lo, hi in zip(level[1:], level[2:]):
+            extended = transitions[lo:hi]
+            transitions[lo:hi] = np.where(extended >= 0, extended, transitions[suffix[lo:hi]])
+        self.transitions = transitions
+        self.start = int(rows[width, 0])
+        return self
+
+    def row(self, context):
+        row = self.start
+        for tok in context:
+            token = self.ids.get(tok)
+            row = 0 if token is None else int(self.transitions[row, token])
+        return row
+
+
+def dense_nuclei(blocks, config):
+    """The dense nucleus selection the pair selection replaced, the oracle
+    for it: a stable argsort of each vocabulary-wide row of `blocks`."""
+    heights = [len(masses) for masses in blocks]
+    widths = [masses.shape[1] for masses in blocks]
+    order = np.zeros((sum(heights), min(config.k, max(widths))), dtype=np.intp)
+    kept = np.zeros(order.shape)
+    row = 0
+    for masses, height in zip(blocks, heights):
+        if (masses < 0).any():
+            raise ValueError("negative probability mass")
+        totals = masses.sum(axis=1)
+        bad = ~(np.abs(totals - 1.0) <= 1e-9 + 1e-5)
+        if bad.any():
+            raise ValueError(f"masses sum to {float(totals[bad][0])}, not 1")
+        top = np.argsort(-masses, axis=1, kind="stable")[:, : config.k]
+        order[row : row + height, : top.shape[1]] = top
+        kept[row : row + height, : top.shape[1]] = np.take_along_axis(masses, top, axis=1)
+        row += height
+    cum = np.cumsum(kept, axis=1)
+    limit = np.minimum(config.k, np.repeat(widths, heights))
+    cut = np.minimum(np.count_nonzero(cum < config.p - 1e-12, axis=1) + 1, limit)
+    cdf = np.zeros_like(kept)
+    for width in np.unique(cut).tolist():
+        rows = np.flatnonzero(cut == width)
+        nuclei = kept[rows, :width]
+        weights = nuclei / nuclei.sum(axis=1, keepdims=True)
+        sums = weights.cumsum(axis=1)
+        cdf[rows, :width] = sums / sums[:, -1:]
+    inside = np.arange(order.shape[1]) < cut[:, None]
+    return order[inside].tolist(), cdf[inside].tolist(), [0, *np.cumsum(cut).tolist()]
+
+
+def compiled_rows(lm):
+    """The model's compiled rows as vocabulary-wide arrays."""
+    probs = np.zeros((len(lm._indptr) - 1, len(lm.vocab)))
+    rows = np.repeat(np.arange(len(probs)), np.diff(lm._indptr))
+    probs[rows, lm._tokens] = lm._masses
+    return probs
+
+
+def set_rows(lm, probs):
+    """Replace the model's rows by the nonzero entries of `probs` (NaN
+    included), its states kept."""
+    rows, tokens = np.nonzero(probs)
+    lm._indptr = np.searchsorted(rows, np.arange(len(probs) + 1))
+    lm._tokens, lm._masses = tokens, probs[rows, tokens]
+    lm._nuclei = {}
+
+
+def model_of_masses(probs):
+    """An NgramLM holding the given rows of masses, whose every state leads
+    back to row 0."""
+    lm = NgramLM()
+    lm.vocab = [f"t{i}" for i in range(len(probs[0]))]
+    lm._ids = {t: i for i, t in enumerate(lm.vocab)}
+    lm._suffix = np.zeros(len(probs), dtype=np.intp)
+    set_rows(lm, np.asarray(probs, dtype=np.float64))
+    return lm
 
 
 def model_of(counts):
-    """An NgramLM holding the given count rows, normalized as fit does."""
-    lm = NgramLM()
+    """model_of_masses of count rows, each normalized as fit does."""
     counts = np.asarray(counts, dtype=np.float64)
-    lm.vocab = [f"t{i}" for i in range(counts.shape[1])]
-    lm._probs = counts / counts.sum(axis=1, keepdims=True)
-    return lm
+    return model_of_masses(counts / counts.sum(axis=1, keepdims=True))
 
 
 def reference_cdf(masses, config):
@@ -265,13 +394,15 @@ def assert_nuclei_match(lms, config):
     _select_nuclei(lms, config)
     longest = 0
     for lm in lms:
-        ids, cdf, offsets = lm._nuclei[config.p, config.k]
-        assert len(offsets) == lm._probs.shape[0] + 1
-        for row, masses in enumerate(lm._probs):
+        ids, cdf, nxt, offsets = lm._nuclei[config.p, config.k]
+        probs = compiled_rows(lm)
+        assert len(offsets) == len(probs) + 1
+        for row, masses in enumerate(probs):
             want_ids, want_cdf = reference_cdf(masses, config)
             lo, hi = offsets[row], offsets[row + 1]
             assert np.array_equal(ids[lo:hi], want_ids)
             assert np.array(cdf[lo:hi]).tobytes() == want_cdf.tobytes()
+            assert nxt[lo:hi] == [0] * (hi - lo)
             longest = max(longest, hi - lo)
     return longest
 
@@ -300,12 +431,22 @@ class TestChunkedNuclei:
         # The narrow row sums to just under 1, within the validation
         # tolerance, so its mass never reaches p and k would keep more
         # tokens than the model has.
-        narrow, wide = model_of([[1, 1]]), model_of([[1] * 12])
-        narrow._probs = np.array([[0.5, 0.5 - 1e-7]])
+        narrow, wide = model_of_masses([[0.5, 0.5 - 1e-7]]), model_of([[1] * 12])
         config = SamplerConfig(p=1.0, k=30)
         assert_nuclei_match([narrow, wide], config)
-        ids, _, offsets = narrow._nuclei[1.0, 30]
+        ids, _, _, offsets = narrow._nuclei[1.0, 30]
         assert ids[offsets[0] : offsets[1]] == [0, 1]
+
+    def test_row_below_p_takes_unlisted_tokens_by_id(self):
+        # Two listed tokens whose mass stays under p: as in a dense row,
+        # the nucleus goes on into the zero-mass tokens, lowest id first,
+        # up to k.
+        short = model_of_masses([[0.0, 0.5, 0.0, 0.5 - 1e-7, 0.0]])
+        for k in (3, 4, 30):
+            config = SamplerConfig(p=1.0, k=k)
+            assert_nuclei_match([short, model_of([[1, 2, 0]])], config)
+            ids, _, _, offsets = short._nuclei[1.0, k]
+            assert ids[offsets[0] : offsets[1]] == [1, 3, 0, 2, 4][:k]
 
     def test_columns_bounded_by_the_widest_vocabulary_not_k(self):
         models = [model_of([[1, 2, 3], [0, 1, 0]]), model_of([[4, 4]])]
@@ -317,31 +458,74 @@ class TestChunkedNuclei:
         ([[float("nan"), 0.5]], "masses sum to nan"),
     ])
     def test_invalid_rows_raise_as_nucleus(self, bad, message):
-        lm = model_of([[1, 1]])
-        lm._probs = np.array(bad)
         with pytest.raises(ValueError, match=message):
-            _select_nuclei([model_of([[1, 2]]), lm], SamplerConfig())
+            _select_nuclei([model_of([[1, 2]]), model_of_masses(bad)], SamplerConfig())
         with pytest.raises(ValueError, match=message):
-            sample_top_p_top_k(lm._probs[-1], SamplerConfig(), np.random.default_rng(0))
+            sample_top_p_top_k(np.array(bad[-1]), SamplerConfig(), np.random.default_rng(0))
+
+
+# Target sequences over a small vocabulary holding the padding marker and
+# EOS, empty sequences included.
+target_lists = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "d", EOS_TOKEN, "<s>"]), max_size=8), min_size=1, max_size=6
+)
+
+
+def assert_equals_dense_oracle(lm, sequences, config):
+    """The model's rows, start row, nuclei and their next rows are those of
+    the dense oracle fit on the same sequences."""
+    dense = DenseNgramLM(lm.order).fit(sequences)
+    assert lm.vocab == dense.vocab and lm._start == dense.start
+    assert compiled_rows(lm).tobytes() == dense.probs.tobytes()
+    ids, cdf, nxt, offsets = lm._nuclei[config.p, config.k]
+    lo, hi = offsets[0], offsets[-1]
+    want_ids, want_cdf, want_offsets = dense_nuclei([dense.probs], config)
+    assert ids[lo:hi] == want_ids
+    assert np.array(cdf[lo:hi]).tobytes() == np.array(want_cdf).tobytes()
+    assert [o - lo for o in offsets] == want_offsets
+    rows = np.repeat(np.arange(len(dense.probs)), np.diff(want_offsets))
+    assert nxt[lo:hi] == dense.transitions[rows, want_ids].tolist()
+    return dense
 
 
 class TestCompiledStates:
     @given(
-        st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", EOS_TOKEN, "<s>"]), max_size=8), min_size=1, max_size=6),
+        st.lists(target_lists | st.just([]), min_size=1, max_size=4),
         st.integers(1, 4),
-        st.lists(st.integers(0, 10), max_size=12),
+        sampler_configs,
+        st.integers(0, 4),
     )
+    @example([[["<s>", "a"], []], [[EOS_TOKEN, EOS_TOKEN, "a"]], [["<s>"]]], 3, SamplerConfig(p=1.0, k=30), 1)
+    @example([[["a", "b"]], [], [["<s>", "c"]]], 2, SamplerConfig(p=1.0, k=30), 3)
+    def test_chunk_compile_equals_dense_oracle(self, corpora, order, config, split):
+        """Models compiled in one chunk, and nuclei selected over models of
+        two chunks, equal the dense oracle model for model; so does each
+        model fit on its own. A model fit on no sequence has no rows."""
+        chunks = [corpora[:split], corpora[split:]]
+        lms = []
+        for chunk in chunks:
+            if chunk:
+                models = [NgramLM(order=order) for _ in chunk]
+                syngen._compile(models, chunk)
+                lms += models
+        _select_nuclei(lms, config)
+        alone = [NgramLM(order=order).fit(sequences) for sequences in corpora]
+        for lm, one, sequences in zip(lms, alone, corpora):
+            _select_nuclei([one], config)
+            assert_equals_dense_oracle(lm, sequences, config)
+            assert_equals_dense_oracle(one, sequences, config)
+
+    @given(target_lists, st.integers(1, 4), st.lists(st.integers(0, 10), max_size=12))
     def test_stepping_lands_on_the_row_next_reads(self, sequences, order, walk):
         lm = NgramLM(order=order).fit(sequences)
+        dense = DenseNgramLM(order).fit(sequences)
         reference = DictCountsNgramLM(order).fit(sequences)
-        row, tokens = lm._start, []
+        tokens = []
         for pick in [None, *walk]:
             if pick is not None:
-                token = pick % len(lm.vocab)
-                row = lm._transitions[row, token]
-                tokens.append(lm.vocab[token])
-            got = lm._probs[row].tobytes()
-            assert got == lm.next(tokens).tobytes() == reference.next(tokens).tobytes(), tokens
+                tokens.append(["<s>", "zz", *lm.vocab][pick % (len(lm.vocab) + 2)])
+            got = lm.next(tokens).tobytes()
+            assert got == dense.probs[dense.row(tokens)].tobytes() == reference.next(tokens).tobytes(), tokens
 
     def test_bare_ngram_draws_the_reference_token_stream(self, monkeypatch):
         passage = make_passage("Masks help a lot. Vaccines work well. Distancing slows spread quickly.")
@@ -364,7 +548,10 @@ class TestCompiledStates:
                 tokens.append(tok)
             expected.append(" ".join(tokens))
         assert serialized == expected
-        assert len(made) == 1 and made[0].bit_generator.state == rng.bit_generator.state
+        # The uniforms come in one block of MAX_GEN_TOKENS per sequence.
+        block = np.random.default_rng(config.seed)
+        block.random(40 * MAX_GEN_TOKENS)
+        assert len(made) == 1 and made[0].bit_generator.state == block.bit_generator.state
 
 
 class TestGenerate:
@@ -425,6 +612,17 @@ class TestSegmentOnce:
         result = generate_examples(passage, lm, n=30, config=SamplerConfig(seed=3))
         assert calls == [passage.text]
         assert len(result.examples) + sum(result.discards.values()) == 30
+
+    def test_generate_corpus_segments_each_passage_once(self, monkeypatch):
+        # For its candidate targets and its decoding alike; "Hi." has no
+        # targets and is segmented all the same.
+        passages = [make_passage(text, f"p{i}") for i, text in enumerate([self.PASSAGE, "Hi.", self.PASSAGE])]
+        calls = []
+        segment = syngen.segment_sentences
+        monkeypatch.setattr(syngen, "segment_sentences", lambda text: calls.append(text) or segment(text))
+        result = generate_corpus(passages, 6, SamplerConfig(), seed=3)
+        assert calls == [p.text for p in passages]
+        assert len(result.examples) + sum(result.discards.values()) == 12
 
     @pytest.mark.parametrize("serialized", [
         "masks lot [SEP] help [SEP] what helps",
@@ -784,6 +982,30 @@ class TestBlockedMining:
         mined = [(inst.question, inst.positive.id, inst.hard_negatives[0].id) for inst in result.instances]
         assert mined == expected
         assert result.dropped == dropped > 0
+
+    @pytest.mark.parametrize("seed, depth", [(4, 100), (5, 2)])
+    def test_equals_answer_test_reference_normalizing_each_passage_once(self, seed, depth, monkeypatch):
+        """Each negative is the first ranked passage, the example's own
+        excluded, that evalkit.answer_test finds without the answer; each
+        passage text is normalized at most once per call."""
+        examples, passages = mining_inputs(seed, 2 * _MINE_BLOCK + 3)
+        examples.append(QAExample("p0", "alpha beta", "the", (0, 1)))  # normalizes to empty: matches nothing
+        index = build_sparse_index(list(passages.values()))
+        expected, dropped = [], 0
+        for ex in examples:
+            contains = answer_test([ex.answer])
+            ranked = [index.doc_ids[i] for i in sparse_top_k_each(index, [ex.question], depth)[0][0].tolist()]
+            neg = next((pid for pid in ranked if pid != ex.passage_id and not contains(passages[pid].text)), None)
+            if neg is None:
+                dropped += 1
+            else:
+                expected.append((ex.question, ex.passage_id, neg))
+        normalized, haystack = [], syngen._haystack
+        monkeypatch.setattr(syngen, "_haystack", lambda text: normalized.append(text) or haystack(text))
+        result = build_ir_training_set(examples, index, passages, depth=depth)
+        assert [(inst.question, inst.positive.id, inst.hard_negatives[0].id) for inst in result.instances] == expected
+        assert result.dropped == dropped
+        assert len(normalized) <= len(passages) < len(examples)
 
     def test_ranks_blocks_after_checking_every_passage(self, monkeypatch):
         examples, passages = mining_inputs(3, 2 * _MINE_BLOCK + 3)
