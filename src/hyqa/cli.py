@@ -135,6 +135,8 @@ def cmd_ingest(args):
 
 
 def cmd_chunk(args):
+    if args.max_units is not None and args.max_units < 1:
+        raise ValueError("--max-units must be >= 1")
     docs = ingest_documents(_read_lines(args.input), args.input)
     chunker = chunk_retrieval_passages if args.mode == "retrieval" else chunk_generation_passages
     kwargs = {}

@@ -5,11 +5,15 @@ byte-identical output. The tokenizer defined here is *the* definition of a
 "word" for the whole system (chunk budgets, BM25 terms, encoder vocab,
 reader logits, answer cuts, generation decoding).
 
-A document is chunked from the (start, end) offsets of its sentences
-(_sentence_bounds, which segment_sentences wraps in spans) and one
-token-offset pass (token_bounds): sentence word counts are differences of
-token start offsets, and no span or surface string is built per sentence.
-A passage's sentences are segment_sentences(passage.text).
+A document is chunked from one token-offset pass (token_bounds) and only
+the sentence boundaries where its passages end: a passage whose first
+word is word k holds whole sentences up to the start of word k +
+budget, so it ends at the last boundary before that offset, found by
+scanning back from it (_last_cut). No sentence inside a passage is
+segmented, and word counts are differences of token indexes.
+_BOUNDARY_RE and _is_abbreviation are the one definition of a boundary,
+for chunking and segment_sentences alike. A passage's sentences are
+segment_sentences(passage.text).
 
 A word is a maximal run of [0-9A-Za-z], lowercased; any other character
 separates words. terms (the tokenizer of every index and of the reader)
@@ -30,6 +34,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, count
@@ -336,29 +341,78 @@ def token_table(texts: Iterable[str]) -> TokenTable:
     return table
 
 
+# Words per window when _last_cut scans back from a passage's word limit:
+# about one sentence, so the first window scanned mostly holds the cut.
+_CUT_WINDOW = 24
+
+
+def _true_cut(body: str, matches) -> Optional[re.Match]:
+    """The first of the _BOUNDARY_RE matches that no abbreviation guards."""
+    for m in matches:
+        if not _is_abbreviation(body, m.end() - 1):
+            return m
+    return None
+
+
+def _last_cut(body: str, s: int, starts: np.ndarray, k: int, j: int) -> Optional[re.Match]:
+    """The last true boundary of body whose cut lies in (s, starts[j]),
+    where s <= starts[k] and k < j, or None.
+
+    The text is scanned back from starts[j] in windows of _CUT_WINDOW
+    words, each from s or a token start to one character past a token
+    start: no punctuation run and no lookahead of a boundary is cut, so
+    each match is one that a scan of the whole text finds."""
+    hi = j
+    while hi > k:
+        lo = max(k, hi - _CUT_WINDOW)
+        window = _BOUNDARY_RE.finditer(body, s if lo == k else starts[lo], starts[hi] + 1)
+        cut = _true_cut(body, reversed(list(window)))
+        if cut is not None:
+            return cut
+        hi = lo
+    return None
+
+
 def _chunk(doc: Document, max_units: int) -> list[Passage]:
-    """Greedy sentence packing with hard-splitting of oversized sentences."""
+    """Greedy sentence packing with hard-splitting of oversized sentences.
+
+    A passage that starts at s, where its first token is token k, takes
+    the most whole sentences whose words fit max_units: word counts only
+    grow as sentences are added, so it ends at the last sentence cut
+    before starts[k + max_units], the first word that does not fit, or
+    at the end of the text when every remaining word fits. Only those
+    cuts are looked for (_last_cut); the sentences inside a passage are
+    never segmented. With no cut before that word, the first sentence is
+    over the budget: it runs to the first cut after it, and is split at
+    every max_units-th word into hard-split pieces, the first from s."""
     if max_units < 1:
         raise ValueError("max_units must be >= 1")
     body = doc.body
-    sentences = _sentence_bounds(body)
     starts = token_bounds(body)[0]
-    # No token crosses a sentence cut, so a sentence's tokens are those
-    # starting inside it.
-    bounds = np.searchsorted(starts, list(chain.from_iterable(sentences))).tolist()
+    end = len(body.rstrip())
+    s = len(body) - len(body.lstrip())
+    k = 0
     # (start, end, units, hard_split) of each passage, in order.
     pieces: list[tuple[int, int, int, bool]] = []
-    for (s, e), lo, hi in zip(sentences, bounds[0::2], bounds[1::2]):
-        units = hi - lo
-        if units > max_units:
+    while s < end:
+        if k + max_units >= len(starts):
+            pieces.append((s, end, len(starts) - k, False))
+            break
+        cut = _last_cut(body, s, starts, k, k + max_units)
+        if cut is not None:
+            e, t = cut.span(1)
+            units = bisect_left(starts, e, k, k + max_units) - k
+            pieces.append((s, e, units, False))
+        else:
             # Oversized single sentence: hard-split at word boundaries into
             # max_units-sized pieces.
-            cuts = starts[lo:hi:max_units].tolist() + [e]
+            cut = _true_cut(body, _BOUNDARY_RE.finditer(body, starts[k + max_units]))
+            e, t = (end, end) if cut is None else cut.span(1)
+            units = bisect_left(starts, e, k + max_units) - k
+            cuts = [s, *starts[k + max_units : k + units : max_units], e]
             pieces += [(a, b, min(max_units, units - i * max_units), True) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
-        elif pieces and not pieces[-1][3] and pieces[-1][2] + units <= max_units:
-            pieces[-1] = (pieces[-1][0], e, pieces[-1][2] + units, False)
-        else:
-            pieces.append((s, e, units, False))
+        # No token starts between a cut and the next sentence's start.
+        s, k = t, k + units
     # A packed passage already ends at its last sentence's last non-space
     # character; rstrip trims a hard-split piece before the next cut.
     return [

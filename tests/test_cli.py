@@ -296,10 +296,10 @@ class TestErrorHandling:
         assert not (target / "sparse.hyqa").exists()
 
     def test_chunk_refuses_zero_max_units(self, tmp_path, capsys):
-        docs = tmp_path / "documents.jsonl"
-        write_documents(docs)
-        assert run(["--output-dir", tmp_path / "o", "chunk", "--input", docs, "--max-units", 0]) == 1
-        assert capsys.readouterr().err == "error [chunk]: max_units must be >= 1\n"
+        # Refused before the input is read: the file does not exist.
+        assert run(["--output-dir", tmp_path / "o", "chunk", "--input", tmp_path / "absent.jsonl", "--max-units", 0]) == 1
+        assert capsys.readouterr().err == "error [chunk]: --max-units must be >= 1\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("top", [0, -1])
     def test_answer_refuses_top_below_one(self, workspace, capsys, top):

@@ -229,6 +229,10 @@ class TestChunking:
         assert [p.word_count for p in ps] == [120, 120, 10]
         assert all(p.hard_split for p in ps)
 
+    def test_hard_split_keeps_characters_before_first_word(self):
+        ps = chunk_retrieval_passages(make_doc("(a b c d e) f."), max_words=2)
+        assert [(p.text, p.word_count) for p in ps] == [("(a b", 2), ("c d", 2), ("e) f.", 2)]
+
     def test_generation_chunks_under_budget(self):
         doc = make_doc("Short body with a few words only.")
         ps = chunk_generation_passages(doc)
@@ -494,7 +498,58 @@ _sentences = st.tuples(
 doc_bodies = st.lists(_sentences, min_size=1, max_size=10).map("".join)
 
 
+def sentence_packer(doc, max_units):
+    """corpus._chunk as it packed one sentence at a time before it looked
+    only for the cuts where passages end, with a hard-split sentence's
+    first piece starting at the sentence start; kept as the exact
+    reference."""
+    body = doc.body
+    sentences = _sentence_bounds(body)
+    starts = token_bounds(body)[0]
+    bounds = np.searchsorted(starts, [b for sentence in sentences for b in sentence]).tolist()
+    pieces = []
+    for (s, e), lo, hi in zip(sentences, bounds[0::2], bounds[1::2]):
+        units = hi - lo
+        if units > max_units:
+            cuts = [s] + starts[lo + max_units : hi : max_units].tolist() + [e]
+            pieces += [(a, b, min(max_units, units - i * max_units), True) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+        elif pieces and not pieces[-1][3] and pieces[-1][2] + units <= max_units:
+            pieces[-1] = (pieces[-1][0], e, pieces[-1][2] + units, False)
+        else:
+            pieces.append((s, e, units, False))
+    return [
+        Passage(f"{doc.id}#{i}", doc.id, body[a:b].rstrip(), units, hard_split)
+        for i, (a, b, units, hard_split) in enumerate(pieces)
+    ]
+
+
 class TestChunkProperties:
+    @given(doc_bodies | _boundary_texts | st.text(), st.integers(1, 300))
+    # A guarded abbreviation, and a dotted look-back word, right before the
+    # first word that does not fit.
+    @example("One two Dr. Three four. Five six.", 3)
+    @example("A b x.foo. Bar c. D e.", 4)
+    # An oversized first sentence followed by short ones.
+    @example("One two three four five six seven. A b. C d. E f.", 3)
+    # Non-ASCII whitespace after a period.
+    @example("Wash hands.\xa0Masks help.\u2003Stay home. Dr.\xa0Smith agreed.", 2)
+    # The last cut lies two scan windows back from the word limit.
+    @example(" ".join(["A" + " b" * 69 + ".", "C" + " d" * 69 + "."]), 100)
+    # Characters before a hard-split sentence's first word.
+    @example("(a b c d e) f. \u201cG h i.\u201d ...J k l.", 2)
+    # A first sentence of no words, whose cut lies before the first word.
+    @example("?! Hello world. A b.", 1)
+    def test_equals_sentence_packer(self, body, budget):
+        doc = make_doc(body)
+        assert corpus._chunk(doc, budget) == sentence_packer(doc, budget)
+
+    @given(doc_bodies | _boundary_texts | st.text(), st.integers(1, 300))
+    @example("(a b c d e) f.", 2)
+    @example("\u201c... a b c\u201d", 1)
+    def test_passages_hold_every_non_space_character(self, body, budget):
+        passages = chunk_retrieval_passages(make_doc(body), budget)
+        assert "".join("".join(p.text for p in passages).split()) == "".join(body.split())
+
     @given(doc_bodies, st.integers(1, 30))
     @example("A b. C d e. F g.", 3)
     def test_sentence_spans_tile_passage_text(self, body, budget):
@@ -551,9 +606,10 @@ class TestChunkProperties:
         assert passage_from_record(record) == chunk_retrieval_passages(make_doc("A b. C d."))[0]
 
     @pytest.mark.parametrize("budget", [1, 4, 120])
-    def test_one_segmentation_per_document(self, monkeypatch, budget):
+    def test_chunking_never_segments(self, monkeypatch, budget):
         # "a b c x.foo. Bar d" is one sentence of 6 words: at budgets 1 and 4
-        # it is hard-split, and no piece is segmented again.
+        # it is hard-split. Chunking looks only for the cuts where passages
+        # end, and segments no document and no piece.
         calls = []
 
         def counted(text):
@@ -564,4 +620,19 @@ class TestChunkProperties:
         bodies = ["a b c x.foo. Bar d", "One two. Three four five six seven.", "(...)"]
         for body in bodies:
             chunk_retrieval_passages(make_doc(body), budget)
-        assert calls == bodies
+        assert calls == []
+
+    def test_fewer_abbreviation_checks_than_sentences(self, monkeypatch):
+        # 40 sentences of 10 words, 4 passages at budget 120: only the
+        # boundaries scanned back from each passage's word limit are checked.
+        calls = []
+
+        def counted(text, punct_pos):
+            calls.append(punct_pos)
+            return _is_abbreviation(text, punct_pos)
+
+        body = " ".join(f"S{i} " + " ".join(["w"] * 8) + " end." for i in range(40))
+        monkeypatch.setattr(corpus, "_is_abbreviation", counted)
+        ps = chunk_retrieval_passages(make_doc(body), 120)
+        assert [p.word_count for p in ps] == [120, 120, 120, 40]
+        assert 0 < len(calls) < len(_sentence_bounds(body)) == 40
