@@ -11,7 +11,7 @@ import dataclasses
 from hyqa.corpus import Document, chunk_generation_passages
 from hyqa.mrc import LexicalScorer
 from hyqa.sparse import build_sparse_index
-from hyqa.syngen import FilterConfig, SamplerConfig, generate_corpus, mine_negative, roundtrip_filter
+from hyqa.syngen import FilterConfig, SamplerConfig, build_ir_training_set, generate_corpus, roundtrip_filter
 
 TEXTS = {
     "reef": (
@@ -50,10 +50,11 @@ def main():
     ).kept
     print(f"\nfilter kept {len(kept)}/{len(generated)} examples")
 
-    for ex in kept[:5]:
-        neg = mine_negative(ex.question, ex.answer, index, TEXTS, exclude_id=ex.passage_id)
-        print(f"  Q: {ex.question!r}")
-        print(f"     answer={ex.answer!r}  positive={ex.passage_id}  negative={neg}")
+    mined = build_ir_training_set(kept[:5], index, passages)
+    print(f"mined {len(mined.instances)} hard negatives ({mined.dropped} dropped)")
+    for inst in mined.instances:
+        print(f"  Q: {inst.question!r}")
+        print(f"     positive={inst.positive.id}  negative={inst.hard_negatives[0].id}")
 
 
 if __name__ == "__main__":

@@ -59,7 +59,8 @@ SEED_ENV = "HYQA_SEED"
 
 
 def _read_lines(path):
-    with open(path) as f:
+    """The lines of the UTF-8 file at path, whatever the locale."""
+    with open(path, encoding="utf-8") as f:
         return f.readlines()
 
 
@@ -180,14 +181,17 @@ def cmd_train_encoder(args):
             raise ValueError(f"unknown passage id {pid!r}")
         return passages[pid]
 
-    instances = _load_jsonl(
-        args.instances,
-        lambda rec: IRTrainInstance(
-            question=rec["question"],
-            positive=passage(rec["positive_id"]),
-            hard_negatives=tuple(map(passage, rec["negative_ids"])),
-        ),
-    )
+    def instance(rec: dict) -> IRTrainInstance:
+        question, positive_id, negative_ids = rec["question"], rec["positive_id"], rec["negative_ids"]
+        if not isinstance(question, str):
+            raise TypeError("'question' is not a string")
+        if not isinstance(positive_id, str):
+            raise TypeError("'positive_id' is not a string")
+        if not isinstance(negative_ids, list) or not all(isinstance(n, str) for n in negative_ids):
+            raise TypeError("'negative_ids' is not a list of strings")
+        return IRTrainInstance(question, passage(positive_id), tuple(map(passage, negative_ids)))
+
+    instances = _load_jsonl(args.instances, instance)
     config = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -466,11 +470,11 @@ def _config_defaults(parser: argparse.ArgumentParser, values: dict) -> None:
 
 
 def _read_json_object(path: str) -> dict:
-    """The JSON object in the file at path (a --config file or an evaluation
-    report); an unreadable file, invalid JSON or any other JSON value raises
-    ValueError naming the file."""
+    """The JSON object in the UTF-8 file at path (a --config file or an
+    evaluation report); an unreadable file, invalid JSON or any other JSON
+    value raises ValueError naming the file."""
     try:
-        values = json.loads(Path(path).read_text())
+        values = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ValueError(f"{path}: {e.strerror}") from e
     except json.JSONDecodeError as e:

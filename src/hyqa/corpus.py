@@ -443,7 +443,15 @@ def passage_to_record(p: Passage) -> dict:
 
 def passage_from_record(record: dict) -> Passage:
     """The inverse of passage_to_record. A "sentences" key, which older
-    passage files hold, is ignored."""
+    passage files hold, is ignored. A field of the wrong type is a
+    TypeError naming it."""
+    for key in ("id", "doc_id", "text"):
+        if not isinstance(record[key], str):
+            raise TypeError(f"{key!r} is not a string")
+    if type(record["word_count"]) is not int:
+        raise TypeError("'word_count' is not an integer")
+    if not isinstance(record.get("hard_split", False), bool):
+        raise TypeError("'hard_split' is not a boolean")
     return Passage(
         id=record["id"],
         doc_id=record["doc_id"],

@@ -118,12 +118,15 @@ class IVFIndex:
         self.members = [np.flatnonzero(assignment == c) for c in range(len(centroids))]
 
 
-def _kmeans(matrix: np.ndarray, C: int, seed: int, iters: int = 25) -> tuple[np.ndarray, np.ndarray]:
+_KMEANS_ITERS = 25  # Lloyd iterations at most; _kmeans stops once no assignment changes
+
+
+def _kmeans(matrix: np.ndarray, C: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     n = matrix.shape[0]
     centroids = matrix[rng.choice(n, size=C, replace=False)].copy()
     assignment = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(_KMEANS_ITERS):
         d2 = ((matrix[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assignment = d2.argmin(axis=1)
         for c in range(C):

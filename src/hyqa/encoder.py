@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,13 +232,6 @@ def _token_ids(encoder: DualEncoder, text: str) -> np.ndarray:
     return ids[ids >= 0]
 
 
-def _tokenize_all(encoder: DualEncoder, instances: Iterable[IRTrainInstance]) -> dict[str, np.ndarray]:
-    """Token ids of every question and passage text in `instances`."""
-    texts = {inst.question for inst in instances}
-    texts.update(p.text for inst in instances for p in (inst.positive, *inst.hard_negatives))
-    return {t: _token_ids(encoder, t) for t in texts}
-
-
 class _TokenBag:
     """The token ids of a batch of texts as the arrays of two CSR matrices
     of ones, each text's tokens in order: `indptr`, the one index pointer;
@@ -329,13 +322,12 @@ class _TrainSet(NamedTuple):
     passage_texts: np.ndarray
 
 
-def _train_set(
-    encoder: DualEncoder, instances: Sequence[IRTrainInstance], token_ids: Mapping[str, np.ndarray] | None = None
-) -> _TrainSet:
-    """`instances` as a _TrainSet, over `token_ids` (every text's token ids)
-    when given."""
-    if token_ids is None:
-        token_ids = _tokenize_all(encoder, instances)
+def _train_set(encoder: DualEncoder, instances: Sequence[IRTrainInstance]) -> _TrainSet:
+    """`instances` as a _TrainSet: each distinct question and passage text
+    is tokenized once."""
+    texts = {inst.question for inst in instances}
+    texts.update(p.text for inst in instances for p in (inst.positive, *inst.hard_negatives))
+    token_ids = {t: _token_ids(encoder, t) for t in texts}
     indptr = np.zeros(len(token_ids) + 1, dtype=np.intp)
     np.cumsum(np.fromiter(map(len, token_ids.values()), dtype=np.intp, count=len(token_ids)), out=indptr[1:])
     index = dict(zip(token_ids, range(len(token_ids))))
@@ -446,14 +438,12 @@ def batch_loss(encoder: DualEncoder, batch: Sequence[IRTrainInstance]) -> float:
 def loss_gradient(
     encoder: DualEncoder,
     batch: Sequence[IRTrainInstance],
-    token_ids: Mapping[str, np.ndarray] | None = None,
     *,
     touched: bool = False,
     _step: tuple[_TokenBag, _TokenBag, list[int]] | None = None,
 ) -> Gradient:
     """One forward pass over the questions and the deduplicated candidate
     pool (all positives + all hard negatives), then its exact gradient.
-    `token_ids` maps texts to token ids; the result is the same without it.
     With `touched`, each embedding gradient holds only the table rows the
     batch's tokens touch, listed in `Gradient.rows`. `_step` is the batch's
     entry of a _plan, which train builds for a block of steps at once;
@@ -461,7 +451,7 @@ def loss_gradient(
     if not batch:
         raise ValueError("batch must be non-empty")
     if _step is None:
-        (_step,) = _plan(_train_set(encoder, batch, token_ids), np.arange(len(batch)), np.array([0, len(batch)]))
+        (_step,) = _plan(_train_set(encoder, batch), np.arange(len(batch)), np.array([0, len(batch)]))
     q_bag, p_bag, pos_idx = _step
     q_mean = q_bag.means(encoder.params["q_emb"])
     p_mean = p_bag.means(encoder.params["p_emb"])

@@ -53,7 +53,6 @@ __all__ = [
     "example_from_record",
     "roundtrip_filter",
     "filtered_records",
-    "mine_negative",
     "build_ir_training_set",
     "candidate_targets",
 ]
@@ -72,7 +71,7 @@ _NUCLEUS_CHUNK = 64
 _DRAW_SEQUENCES = 64
 # Examples roundtrip_filter scores per logit_rows pass. The block bounds
 # the filter's memory, a few float64 arrays over the block's tokens (its
-# logits and best_span_each's window maxima) and max_answer_len cells per
+# logits and best_span_each's window maxima) and MAX_ANSWER_LEN cells per
 # example, while keeping the numpy calls few.
 _FILTER_BLOCK = 128
 # Questions build_ir_training_set ranks per BM25 product. The product holds
@@ -103,6 +102,14 @@ def example_to_record(ex: QAExample, **extra) -> dict:
 
 
 def example_from_record(record: dict) -> QAExample:
+    """The inverse of example_to_record. A field of the wrong type is a
+    TypeError naming it."""
+    for key in ("passage_id", "question", "answer"):
+        if not isinstance(record[key], str):
+            raise TypeError(f"{key!r} is not a string")
+    for key in ("span_start", "span_end"):
+        if type(record[key]) is not int:
+            raise TypeError(f"{key!r} is not an integer")
     return QAExample(
         passage_id=record["passage_id"],
         question=record["question"],
@@ -469,24 +476,20 @@ def roundtrip_filter(
     scorer,
     config: FilterConfig,
     passage_texts: dict[str, str],
-    max_answer_len: int = MAX_ANSWER_LEN,
 ) -> FilterResult:
     """Keep examples whose answerability score reaches the threshold.
 
     An example's answerability is its best span score (mrc.best_span_each)
-    over the logits of its question and passage, -inf for a passage without
-    tokens. The examples are scored in blocks of _FILTER_BLOCK, each with
-    one mrc.logit_rows and one best_span_each, which holds O(tokens +
-    examples * max_answer_len) float64 values of the block. An example the
-    scorer cannot score (.logits returned None, as external sources do)
-    scores None and is dropped and tallied, not fatal; an example whose
-    passage is not in `passage_texts` is a KeyError, and one whose .logits
-    cover more tokens than its passage has is the reader's ValueError
-    (mrc.logit_rows). A max_answer_len below 1 is a ValueError, raised
-    before any example is scored.
+    over spans of at most mrc.MAX_ANSWER_LEN tokens of the logits of its
+    question and passage, -inf for a passage without tokens. The examples
+    are scored in blocks of _FILTER_BLOCK, each with one mrc.logit_rows and
+    one best_span_each, which holds O(tokens + examples * MAX_ANSWER_LEN)
+    float64 values of the block. An example the scorer cannot score
+    (.logits returned None, as external sources do) scores None and is
+    dropped and tallied, not fatal; an example whose passage is not in
+    `passage_texts` is a KeyError, and one whose .logits cover more tokens
+    than its passage has is the reader's ValueError (mrc.logit_rows).
     """
-    if max_answer_len < 1:
-        raise ValueError("max_answer_len must be >= 1")
     result = FilterResult(kept=[], scores=[])
     for lo in range(0, len(examples), _FILTER_BLOCK):
         block = examples[lo : lo + _FILTER_BLOCK]
@@ -499,7 +502,7 @@ def roundtrip_filter(
         read, rows = rows.nonempty()
         scores = np.full(len(block), -np.inf)
         if read.size:
-            scores[read] = best_span_each(rows, max_answer_len)[2]
+            scores[read] = best_span_each(rows, MAX_ANSWER_LEN)[2]
         for ex, ok, score in zip(block, scored.tolist(), scores.tolist()):
             if not ok:
                 result.scores.append(None)
@@ -523,7 +526,7 @@ def filtered_records(examples: Sequence[QAExample], result: FilterResult) -> lis
 
 
 def _first_negative(
-    ranked: np.ndarray, answer: str, index: SparseIndex, haystack: Callable[[str], str], exclude_id: Optional[str]
+    ranked: np.ndarray, answer: str, index: SparseIndex, haystack: Callable[[str], str], exclude_id: str
 ) -> Optional[str]:
     """The first of the `ranked` passage indices, other than exclude_id,
     whose text does not contain the normalized answer, as
@@ -543,20 +546,6 @@ def _haystack(text: str) -> str:
     return f" {normalize_answer(text)} "
 
 
-def mine_negative(
-    question: str,
-    answer: str,
-    index: SparseIndex,
-    passage_texts: dict[str, str],
-    depth: int = 100,
-    exclude_id: Optional[str] = None,
-) -> Optional[str]:
-    """Highest-BM25-ranked passage (top `depth`) for the question whose text
-    does not contain the normalized answer; None if every candidate does."""
-    ranked = sparse_top_k_each(index, [question], depth)[0][0]
-    return _first_negative(ranked, answer, index, lambda passage_id: _haystack(passage_texts[passage_id]), exclude_id)
-
-
 @dataclass
 class TrainingSetResult:
     instances: list[IRTrainInstance]
@@ -570,12 +559,13 @@ def build_ir_training_set(
     depth: int = 100,
 ) -> TrainingSetResult:
     """One training instance per example: positive = source passage, one
-    mined hard negative, as mine_negative picks it with the example's own
-    passage excluded. Examples whose negative cannot be mined are dropped
-    and tallied. Every example's passage is looked up before any scoring;
-    the questions are then ranked _MINE_BLOCK at a time with one
-    sparse_top_k_each. Each candidate passage's text is normalized once per
-    call, at its first test."""
+    mined hard negative, the highest-BM25-ranked passage among the
+    question's top `depth`, other than the example's own, whose text does
+    not contain the normalized answer (_first_negative). Examples whose
+    negative cannot be mined are dropped and tallied. Every example's
+    passage is looked up before any scoring; the questions are then ranked
+    _MINE_BLOCK at a time with one sparse_top_k_each. Each candidate
+    passage's text is normalized once per call, at its first test."""
     for ex in examples:
         if ex.passage_id not in passages:
             raise KeyError(f"example passage {ex.passage_id!r} not in passage map")

@@ -592,6 +592,45 @@ class TestErrorHandling:
         ]) == 1
         assert capsys.readouterr().err == f"error [train-encoder]: {instances} line 1: unknown passage id 'zz'\n"
 
+    @pytest.mark.parametrize("command, field, value, message", [
+        ("index-sparse", "text", 5, "'text' is not a string"),
+        ("index-sparse", "word_count", "3", "'word_count' is not an integer"),
+        ("index-sparse", "hard_split", 0, "'hard_split' is not a boolean"),
+        ("filter", "question", 7, "'question' is not a string"),
+        ("filter", "span_end", 3.0, "'span_end' is not an integer"),
+        ("train-encoder", "negative_ids", "doc1#0", "'negative_ids' is not a list of strings"),
+        ("train-encoder", "positive_id", ["doc0#0"], "'positive_id' is not a string"),
+    ])
+    def test_field_of_the_wrong_type_is_located(self, workspace, tmp_path, capsys, command, field, value, message):
+        _, out = workspace
+        generation = out / "passages_generation.jsonl"
+        flag, good, args = {
+            "index-sparse": ("--passages", json.loads((out / "passages_retrieval.jsonl").read_text().splitlines()[0]), []),
+            "filter": ("--examples", example_to_record(QAExample("doc0#0", "what", "The", (0, 3))), ["--passages", generation]),
+            "train-encoder": (
+                "--instances", {"question": "what", "positive_id": "doc0#0", "negative_ids": ["doc1#0"]}, ["--passages", generation]
+            ),
+        }[command]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n\n" + json.dumps({**good, field: value}) + "\n")
+        assert run(["--output-dir", tmp_path / "o", command, flag, bad, *args]) == 1
+        assert capsys.readouterr().err == f"error [{command}]: {bad} line 3: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_input_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_bytes('{"id": "d0", "text": "Caf\u00e9 au lait."}\n'.encode())
+        env = {**os.environ, "PYTHONPATH": str(Path(hyqa.__file__).parents[1])}
+        written = []
+        for name, locale in (("c", {"PYTHONUTF8": "0", "LC_ALL": "C"}), ("utf8", {"PYTHONUTF8": "1"})):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyqa.cli", "--output-dir", str(tmp_path / name), "ingest", "--input", str(docs)],
+                env={**env, **locale}, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append((tmp_path / name / "documents.jsonl").read_bytes())
+        assert written[0] == written[1] == b'{"id": "d0", "text": "Caf\\u00e9 au lait.", "title": ""}\n'
+
     @pytest.mark.parametrize("command, args, output", [
         ("index-sparse", [], "sparse.hyqa"),
         ("train-encoder", ["--instances", "instances.jsonl", "--epochs", "1"], "encoder.hyqa"),

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion in a fresh interpreter."""
+"""Each demo script runs to completion in a fresh interpreter, every
+warning an error (pyproject's filterwarnings does not reach a subprocess)."""
 
 import os
 import subprocess
@@ -16,6 +17,6 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

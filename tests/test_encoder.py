@@ -345,17 +345,6 @@ class TestGradient:
         for name in expected:
             np.testing.assert_array_equal(grads[name], expected[name])
 
-    def test_token_id_map_gives_same_result(self):
-        enc = small_encoder(d=4, seed=8)
-        batch = random_batch(np.random.default_rng(8), enc, size=4, negatives=2)
-        batch.append(IRTrainInstance("xyzzy", passage("oov", "qwerty"), (batch[0].positive,)))
-        token_ids = encoder_module._tokenize_all(enc, batch + random_batch(np.random.default_rng(9), enc))
-        a = loss_gradient(enc, batch)
-        b = loss_gradient(enc, batch, token_ids)
-        assert a.loss == b.loss
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
-
 
 class TestTouchedRows:
     def test_scatter_to_the_full_gradient(self):
@@ -664,10 +653,9 @@ class TestHeldTable:
         ]
         model = enc.copy()  # as train does
         assert model._table is enc._table
-        held, tokenized = encoder_module._tokenize_all(model, instances), encoder_module._tokenize_all(others[0], instances)
-        assert held.keys() == tokenized.keys()
-        for text, ids in held.items():
-            assert ids.tolist() == tokenized[text].tolist()
+        held, tokenized = encoder_module._train_set(model, instances), encoder_module._train_set(others[0], instances)
+        for a, b in zip(held, tokenized):
+            assert a.tolist() == b.tolist()
 
 
 class TestPresets:

@@ -1,7 +1,8 @@
 """Each module's __all__ lists exactly the public functions and classes it
 defines, so a deleted name cannot linger there and a public one cannot be
-left out; no module imports another's private names; and the names the
-docs mention exist."""
+left out; each of them is reached from another definition or has a stated
+reason; no module imports another's private names; and the names the docs
+mention exist."""
 
 import ast
 import importlib
@@ -82,6 +83,76 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+_ACCEPTANCE = "acceptance contract: tests/test_acceptance.py calls it by name in criterion "
+_TRACER = "benchmark tracer: benchmark/tracer.py TARGETS wraps it by name"
+# The exports no definition in hyqa reaches, each with the reason it stays.
+UNREACHED = {
+    "sparse_search": _ACCEPTANCE + "2 and 8",
+    "dense_search": _ACCEPTANCE + "3 and 8",
+    "build_ivf_index": _ACCEPTANCE + "3",
+    "ivf_search": _ACCEPTANCE + "3",
+    "similarity": _ACCEPTANCE + "4",
+    "batch_loss": _ACCEPTANCE + "1 and 4",
+    "sample_top_p_top_k": _ACCEPTANCE + "5",
+    "best_spans": _ACCEPTANCE + "7",
+    "span_score": _ACCEPTANCE + "7",
+    "exact_match": _ACCEPTANCE + "9",
+    "top_n_f1": _ACCEPTANCE + "9",
+    "answerability": _TRACER,
+    "extract_answer": _TRACER,
+    "tokenize": "test reference: the tokens with offsets that tests check terms and token_bounds against",
+    "encode_generation_target": "paper fidelity: the generator's sentence-answer-question target, "
+    "which decode_generation_target inverts",
+    "load_gold_squad": "paper fidelity: reads SQuAD-format golds, the format of the paper's COVID-QA",
+    "open_version": "paper fidelity: the open-domain gold set of an MRC dataset",
+    "run_adaptation": "demo 04 and benchmark/workloads.py run it; the CLI runs its stages one by one",
+}
+
+
+def _exports(tree) -> list[str]:
+    """The names in a module's __all__; none without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_export_is_reached_or_listed():
+    """Each function or class in a module's __all__ is referenced, as a name
+    or as an attribute of its module, by some hyqa definition or statement
+    other than its own definition (the CLI counts as a caller; a docstring
+    does not), or UNREACHED gives its reason. UNREACHED lists exactly the
+    exports no definition reaches, so no entry goes stale."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    exports = set()
+    for stem, tree in trees.items():
+        defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        exports |= {(stem, name) for name in _exports(tree) if name in defined}
+    reached = set()
+    for stem, tree in trees.items():
+        imports = [
+            (node.module, alias)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        ]
+        names = {alias.asname or alias.name: (module, alias.name) for module, alias in imports if module}
+        modules = {alias.asname or alias.name: alias.name for module, alias in imports if not module}
+        for statement in tree.body:
+            owner = (stem, getattr(statement, "name", None))
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    target = names.get(node.id, (stem, node.id))
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                    target = (modules[node.value.id], node.attr)
+                else:
+                    continue
+                if target != owner:
+                    reached.add(target)
+    assert len(exports) > len(UNREACHED)
+    assert sorted(name for _, name in exports - reached) == sorted(UNREACHED)
 
 
 def _defined_names(tree) -> set[str]:
