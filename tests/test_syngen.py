@@ -956,7 +956,23 @@ def mining_inputs(seed, n_examples, n_passages=30):
 
 
 class TestBlockedMining:
-    @pytest.mark.parametrize("seed, depth", [(0, 100), (1, 3), (2, 1), (4, 100), (5, 2)])
+    @pytest.mark.parametrize("seed, depth", [(0, 100), (1, 3), (2, 1)])
+    def test_equals_per_example_mine_negative(self, seed, depth):
+        """Mining the examples in blocks of _MINE_BLOCK mines each example's
+        negative as a call on that example alone does."""
+        examples, passages = mining_inputs(seed, 2 * _MINE_BLOCK + 3)
+        index = build_sparse_index(list(passages.values()))
+        result = build_ir_training_set(examples, index, passages, depth=depth)
+        expected, dropped = [], 0
+        for ex in examples:
+            alone = build_ir_training_set([ex], index, passages, depth=depth)
+            dropped += alone.dropped
+            expected += [(inst.question, inst.positive.id, inst.hard_negatives[0].id) for inst in alone.instances]
+        mined = [(inst.question, inst.positive.id, inst.hard_negatives[0].id) for inst in result.instances]
+        assert mined == expected
+        assert result.dropped == dropped > 0
+
+    @pytest.mark.parametrize("seed, depth", [(4, 100), (5, 2)])
     def test_equals_answer_test_reference_normalizing_each_passage_once(self, seed, depth, monkeypatch):
         """Each negative is the first ranked passage, the example's own
         excluded, that evalkit.answer_test finds without the answer; each
