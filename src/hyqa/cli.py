@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .corpus import (
+    IngestError,
     Passage,
     chunk_generation_passages,
     chunk_retrieval_passages,
@@ -59,9 +60,27 @@ SEED_ENV = "HYQA_SEED"
 
 
 def _read_lines(path):
-    """The lines of the UTF-8 file at path, whatever the locale."""
-    with open(path, encoding="utf-8") as f:
-        return f.readlines()
+    """The lines of the UTF-8 file at path, whatever the locale; a byte
+    that is not UTF-8 raises IngestError naming its line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError:
+        line_no, reason = _not_utf8(path)
+        raise IngestError(line_no, reason, path) from None
+
+
+def _not_utf8(path) -> tuple[int, str]:
+    """The line (counted as readlines counts it) and a description of the
+    first byte of the file at path that is not UTF-8. It reads the file
+    again, so it is called only once a decode has failed."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[: e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return before.count("\n") + 1, f"not valid UTF-8: byte 0x{data[e.start]:02x} ({e.reason})"
+    raise ValueError(f"{path}: changed while it was read")
 
 
 def _load_jsonl(path, from_record):
@@ -109,9 +128,22 @@ def _scorer(args, passages: dict[str, str], golds=None):
     return LexicalScorer()
 
 
-def _retriever(args):
+def _check_indexed(index_path, ids, passages_path, passages: dict) -> None:
+    """Refuse the index at index_path when its passage ids hold one that the
+    passages file lacks, naming both files and the first such id."""
+    missing = next((pid for pid in ids if pid not in passages), None)
+    if missing is not None:
+        raise ValueError(f"{index_path} indexes passage {missing!r}, which {passages_path} does not hold")
+
+
+def _retriever(args, passages):
+    """The retriever the flags name; with passages (the --passages file's
+    id -> text, or None), an index holding a passage they lack is refused."""
     sparse_index = SparseIndex.load(args.sparse) if args.sparse else None
     dense_index = DenseIndex.load(args.dense) if args.dense else None
+    if passages is not None:
+        _check_indexed(args.sparse, sparse_index.doc_ids if sparse_index else (), args.passages, passages)
+        _check_indexed(args.dense, dense_index.ids if dense_index else (), args.passages, passages)
     enc = DualEncoder.load(args.encoder) if args.encoder else None
     mode = args.mode or ("hybrid" if sparse_index and dense_index else "sparse" if sparse_index else "dense")
     if mode == "sparse":
@@ -227,6 +259,8 @@ def cmd_filter(args):
 
 
 def cmd_mine_negatives(args):
+    if args.depth < 1:
+        raise ValueError("--depth must be >= 1")
     passages = {p.id: p for p in _load_passages(args.passages)}
     index = SparseIndex.load(args.index)
     examples = _load_jsonl(args.examples, example_from_record)
@@ -243,7 +277,7 @@ def cmd_mine_negatives(args):
 
 
 def cmd_retrieve(args):
-    retriever = _retriever(args)
+    retriever = _retriever(args, None)
     results = retriever(args.query, args.k)
     for sp in results:
         print(json.dumps({"passage_id": sp.passage_id, "score": sp.score, "provenance": sp.provenance}))
@@ -253,7 +287,7 @@ def cmd_answer(args):
     if args.top < 1:
         raise ValueError("--top must be >= 1")
     passages = {p.id: p.text for p in _load_passages(args.passages)}
-    retriever = _retriever(args)
+    retriever = _retriever(args, passages)
     config = PipelineConfig(
         K=args.K,
         ir_weight=args.ir_weight,
@@ -279,7 +313,7 @@ def cmd_answer(args):
 def cmd_evaluate(args):
     passages = {p.id: p.text for p in _load_passages(args.passages)}
     golds = load_gold_jsonl(_read_lines(args.golds), args.golds)
-    retriever = _retriever(args)
+    retriever = _retriever(args, passages)
     config = PipelineConfig(K=args.K, ir_weight=args.ir_weight)
     report = evaluate_run(golds, retriever, _scorer(args, passages, golds), passages, config)
     path = _out_path(args, "report.json")
@@ -290,11 +324,13 @@ def cmd_evaluate(args):
 
 
 def cmd_tune_fusion(args):
-    passages_list = _load_passages(args.passages)
-    passages = {p.id: p.text for p in passages_list}
+    passages = {p.id: p.text for p in _load_passages(args.passages)}
     golds = load_gold_jsonl(_read_lines(args.golds), args.golds)
-    sparse = make_sparse_retriever(SparseIndex.load(args.sparse))
-    dense = make_dense_retriever(DenseIndex.load(args.dense), DualEncoder.load(args.encoder))
+    sparse_index, dense_index = SparseIndex.load(args.sparse), DenseIndex.load(args.dense)
+    _check_indexed(args.sparse, sparse_index.doc_ids, args.passages, passages)
+    _check_indexed(args.dense, dense_index.ids, args.passages, passages)
+    sparse = make_sparse_retriever(sparse_index)
+    dense = make_dense_retriever(dense_index, DualEncoder.load(args.encoder))
     sparse_runs = {g.query_id: sparse(g.question, args.pool_size) for g in golds}
     dense_runs = {g.query_id: dense(g.question, args.pool_size) for g in golds}
     w, metric = tune_weight(golds, sparse_runs, dense_runs, passages, k=args.k, pool_size=args.pool_size)
@@ -306,7 +342,8 @@ def cmd_tune_fusion(args):
 
 def _report_scores(path: str, metric: str) -> dict:
     """Query id -> the metric's value, from the report at path; a missing
-    key raises ValueError naming the file and the key."""
+    key, or a value that is not a finite number, raises ValueError naming
+    the file, the query and the key."""
     report = _read_json_object(path)
     if "per_query" not in report:
         raise ValueError(f"{path}: missing key 'per_query'")
@@ -316,7 +353,12 @@ def _report_scores(path: str, metric: str) -> dict:
     for qid, row in report["per_query"].items():
         if not isinstance(row, dict) or metric not in row:
             raise ValueError(f"{path}: query {qid!r} is missing key {metric!r}")
-        scores[qid] = row[metric]
+        value = row[metric]
+        # NaN fails both comparisons; an int past float's range, which the
+        # t-test could not convert, fails one.
+        if type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"{path}: query {qid!r}: {metric!r} is {json.dumps(value)}, not a finite number")
+        scores[qid] = value
     return scores
 
 
@@ -462,13 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_defaults(parser: argparse.ArgumentParser, values: dict) -> None:
-    """Make the config values that name one of `parser`'s options its
-    defaults, so an explicit flag still wins."""
-    dests = {action.dest for action in parser._actions}
-    parser.set_defaults(**{key: value for key, value in values.items() if key in dests})
-
-
 def _read_json_object(path: str) -> dict:
     """The JSON object in the UTF-8 file at path (a --config file or an
     evaluation report); an unreadable file, invalid JSON or any other JSON
@@ -477,6 +512,9 @@ def _read_json_object(path: str) -> dict:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ValueError(f"{path}: {e.strerror}") from e
+    except UnicodeDecodeError:
+        line_no, reason = _not_utf8(path)
+        raise ValueError(f"{path}: {reason} on line {line_no}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(values, dict):
@@ -486,15 +524,25 @@ def _read_json_object(path: str) -> dict:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line. A --config file supplies defaults for the
-    global flags and the chosen subcommand's flags; --seed falls back to
-    $HYQA_SEED. A negative seed is refused here, naming where it came from."""
+    global flags and the chosen subcommand's flags, and a key of it that
+    names no option of hyqa or of any subcommand is refused; --seed falls
+    back to $HYQA_SEED. A negative seed is refused here, naming where it
+    came from."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        values = {key.replace("-", "_"): value for key, value in _read_json_object(args.config).items()}
+        config = _read_json_object(args.config)
+        values = {key.replace("-", "_"): value for key, value in config.items()}
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        _config_defaults(parser, values)
-        _config_defaults(subparsers.choices[args.command], values)
+        options = {a.dest for p in (parser, *subparsers.choices.values()) for a in p._actions if a.option_strings}
+        unknown = next((key for key in config if key.replace("-", "_") not in options), None)
+        if unknown is not None:
+            raise ValueError(f"{args.config}: {unknown!r} names no hyqa option")
+        # Each value that names an option of the global or chosen parser
+        # becomes its default, so an explicit flag still wins.
+        for p in (parser, subparsers.choices[args.command]):
+            dests = {action.dest for action in p._actions}
+            p.set_defaults(**{key: value for key, value in values.items() if key in dests})
         args = parser.parse_args(argv)
     if args.seed is None:
         try:

@@ -167,11 +167,8 @@ def ivf_search(ivf: IVFIndex, q_emb: np.ndarray, k: int, n_probe: int | None = N
         raise ValueError(f"n_probe={probes} must be >= 1")
     if index.n == 0:
         return []
-    probes = min(probes, len(ivf.centroids))
-    cluster_scores = ivf.centroids @ q
-    chosen = np.argsort(-cluster_scores, kind="stable")[:probes]
-    if len(chosen) == 0:
-        return []
+    # build_ivf_index makes at least one cluster, so at least one is chosen.
+    chosen = np.argsort(-(ivf.centroids @ q), kind="stable")[:probes]
     candidates = np.concatenate([ivf.members[c] for c in chosen])
     scores = np.vecdot(index.matrix[candidates], q)
     top = top_k(scores, index.id_rank[candidates], k)

@@ -147,21 +147,14 @@ def top_n_f1(candidates: Sequence[str], gold: GoldSet, n: int) -> float:
 
 
 def open_version(rows: Iterable[tuple[str, str]]) -> list[GoldSet]:
-    """Group (question, answer) rows by normalized question; union answers."""
+    """Group (question, answer) rows by normalized question, in first-seen
+    order, each under its first question; union answers."""
     grouped: dict[str, tuple[str, list[str]]] = {}
-    order: list[str] = []
     for question, answer in rows:
-        key = normalize_answer(question)
-        if key not in grouped:
-            grouped[key] = (question, [])
-            order.append(key)
-        answers = grouped[key][1]
+        answers = grouped.setdefault(normalize_answer(question), (question, []))[1]
         if answer not in answers:
             answers.append(answer)
-    return [
-        GoldSet(query_id=f"q{i}", question=grouped[key][0], answers=tuple(grouped[key][1]))
-        for i, key in enumerate(order)
-    ]
+    return [GoldSet(f"q{i}", question, tuple(answers)) for i, (question, answers) in enumerate(grouped.values())]
 
 
 @dataclass(frozen=True)

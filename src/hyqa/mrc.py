@@ -273,13 +273,16 @@ def logit_rows(
     return stack_logits([_UNSCORED if row is None else row for row in rows]), scored
 
 
+LEXICAL_WINDOW = 5  # LexicalScorer's window, in tokens
+
+
 class LexicalScorer:
     """Deterministic logit source from question/passage token overlap.
 
     start[i] counts question tokens in the window [i, i+w-1] of passage
-    tokens; end[i] counts over [i-w+1, i]; windows stop at the passage's
-    own ends. CLS logits are 0, so spans in overlap-dense regions score
-    high and zero-overlap passages score 0.
+    tokens, w = LEXICAL_WINDOW; end[i] counts over [i-w+1, i]; windows stop
+    at the passage's own ends. CLS logits are 0, so spans in overlap-dense
+    regions score high and zero-overlap passages score 0.
 
     A scorer tokenizes each distinct passage text once: it keeps the text's
     int32 term ids against its own surface -> id map, keyed by the text,
@@ -292,10 +295,7 @@ class LexicalScorer:
     be replaced now and then.
     """
 
-    def __init__(self, window: int = 5):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
+    def __init__(self):
         # surface -> id: looking up an unseen surface gives it the next id.
         self._term_ids: defaultdict[str, int] = defaultdict(count().__next__)
         self._text_ids: dict[str, np.ndarray] = {}
@@ -330,7 +330,7 @@ class LexicalScorer:
         for question, i in q_row.items():
             mask[i, [t for t in map(self._term_ids.get, terms(question)) if t is not None]] = True
         n = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        total, w = int(n.sum()), self.window
+        total, w = int(n.sum()), LEXICAL_WINDOW
         ids = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
         q_of = np.fromiter(map(q_row.__getitem__, questions), dtype=np.intp, count=len(questions))
         hits = mask[np.repeat(q_of, n), ids]

@@ -93,13 +93,9 @@ class SparseIndex:
         i = bisect.bisect_left(self.terms, term)
         return i if i < len(self.terms) and self.terms[i] == term else None
 
-    def idf(self, term: str) -> float:
-        return self._idf_at(self._term_index(term))
-
-    def _idf_at(self, t: int | None) -> float:
-        """idf of the term at index t of self.terms; None is a term no
-        passage holds."""
-        df = 0 if t is None else int(self.indptr[t + 1] - self.indptr[t])
+    def _idf_at(self, t: int) -> float:
+        """idf of the term at index t of self.terms."""
+        df = int(self.indptr[t + 1] - self.indptr[t])
         return math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
 
     def save(self, path) -> None:

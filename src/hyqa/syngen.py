@@ -405,20 +405,16 @@ def generate_examples(
                 break
             tokens.append(vocab[ids[j]])
             row = nxt[j]
-        serialized = " ".join(tokens)
         try:
-            decoded = decode_generation_target(passage, serialized, sentences)
+            decoded = decode_generation_target(passage, " ".join(tokens), sentences)
         except ValueError:
-            result.discards["malformed"] = result.discards.get("malformed", 0) + 1
-            continue
+            decoded = DecodeRejection("malformed")
+        if isinstance(decoded, QAExample) and (decoded.question, decoded.answer) in seen:
+            decoded = DecodeRejection("duplicate")
         if isinstance(decoded, DecodeRejection):
             result.discards[decoded.reason] = result.discards.get(decoded.reason, 0) + 1
             continue
-        key = (decoded.question, decoded.answer)
-        if key in seen:
-            result.discards["duplicate"] = result.discards.get("duplicate", 0) + 1
-            continue
-        seen.add(key)
+        seen.add((decoded.question, decoded.answer))
         result.examples.append(decoded)
     return result
 
@@ -565,7 +561,10 @@ def build_ir_training_set(
     negative cannot be mined are dropped and tallied. Every example's
     passage is looked up before any scoring; the questions are then ranked
     _MINE_BLOCK at a time with one sparse_top_k_each. Each candidate
-    passage's text is normalized once per call, at its first test."""
+    passage's text is normalized once per call, at its first test. A depth
+    below 1 is a ValueError, raised first."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     for ex in examples:
         if ex.passage_id not in passages:
             raise KeyError(f"example passage {ex.passage_id!r} not in passage map")

@@ -376,6 +376,12 @@ class TestErrorHandling:
         assert args.pool_size == 6
         assert not hasattr(args, "k1")
 
+    def test_config_key_that_names_no_option_is_refused(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k1": 2.0, "pool_sise": 5, "seeed": 3}))
+        assert run(["--config", config, "retrieve", "--query", "x"]) == 1
+        assert capsys.readouterr().err == f"error [config]: {config}: 'pool_sise' names no hyqa option\n"
+
     @pytest.mark.parametrize("content", ["{not json", "[1, 2]", None])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, content):
         config = tmp_path / "config.json"
@@ -563,6 +569,20 @@ class TestErrorHandling:
         assert run(["--config", bad, "ttest", "--a", tmp_path / "a.json", "--b", tmp_path / "a.json"]) == 1
         assert capsys.readouterr().err == f"error [config]: {bad}: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("x", '"x"'), (None, "null"), (float("nan"), "NaN"), (float("inf"), "Infinity"),
+         (10**400, "1" + "0" * 400), (True, "true"), ([1.0], "[1.0]")],
+        ids=["string", "null", "nan", "infinity", "past-float-range", "bool", "list"],
+    )
+    def test_ttest_refuses_a_value_that_is_not_a_finite_number(self, tmp_path, capsys, value, shown):
+        (tmp_path / "a.json").write_text(json.dumps({"per_query": {"q0": {"top5_f1": 0.5}, "q1": {"top5_f1": 1}}}))
+        (tmp_path / "b.json").write_text(json.dumps({"per_query": {"q0": {"top5_f1": 0.0}, "q1": {"top5_f1": value}}}))
+        assert run(["ttest", "--a", tmp_path / "a.json", "--b", tmp_path / "b.json"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error [ttest]: {tmp_path / 'b.json'}: query 'q1': 'top5_f1' is {shown}, not a finite number\n"
+        )
+
     @pytest.mark.parametrize("row", [{"top5_f1": 1.0}, 1.0])
     def test_ttest_report_without_metric_is_named(self, tmp_path, capsys, row):
         (tmp_path / "a.json").write_text(json.dumps({"per_query": {"q0": {"top1_f1": 0.5}, "q1": row}}))
@@ -615,6 +635,42 @@ class TestErrorHandling:
         bad.write_text(json.dumps(good) + "\n\n" + json.dumps({**good, field: value}) + "\n")
         assert run(["--output-dir", tmp_path / "o", command, flag, bad, *args]) == 1
         assert capsys.readouterr().err == f"error [{command}]: {bad} line 3: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_bytes_that_are_not_utf8_are_located(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_bytes(b'{"id": "d0", "text": "Tea."}\r\n{"id": "d1", "text": "Caf\xe9 au lait."}\n')
+        assert run(["--output-dir", tmp_path / "o", "ingest", "--input", docs]) == 1
+        reason = "not valid UTF-8: byte 0xe9 (invalid continuation byte)"
+        assert capsys.readouterr().err == f"error [ingest]: {docs} line 2: {reason}\n"
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{\n"k1": 2.0, "b": "\xe9 "}')
+        assert run(["--config", config, "dump", "--index", tmp_path / "x.hyqa"]) == 1
+        assert capsys.readouterr().err == f"error [config]: {config}: {reason} on line 2\n"
+
+    def test_mine_negatives_refuses_depth_below_one_before_reading(self, tmp_path, capsys):
+        absent = tmp_path / "absent.jsonl"
+        argv = ["--examples", absent, "--passages", absent, "--index", tmp_path / "absent.hyqa", "--depth", 0]
+        assert run(["--output-dir", tmp_path / "o", "mine-negatives", *argv]) == 1
+        assert capsys.readouterr().err == "error [mine-negatives]: --depth must be >= 1\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["answer", "evaluate", "tune-fusion"])
+    def test_passages_lacking_an_indexed_passage_are_refused(self, trained, tmp_path, capsys, command):
+        _, out = trained
+        first, second = (out / "passages_retrieval.jsonl").read_text().splitlines()[:2]
+        passages = tmp_path / "passages.jsonl"
+        passages.write_text(first + "\n")
+        golds = tmp_path / "golds.jsonl"
+        golds.write_text(json.dumps({"question": "what does the otter eat", "answers": ["shellfish"]}) + "\n")
+        indexes = ["--sparse", out / "sparse.hyqa", "--dense", out / "dense.hyqa", "--encoder", out / "encoder.hyqa"]
+        args = {"answer": ["--question", "what does the otter eat"], "evaluate": ["--golds", golds],
+                "tune-fusion": ["--golds", golds]}[command]
+        assert run(["--output-dir", tmp_path / "o", command, "--passages", passages, *indexes, *args]) == 1
+        missing = json.loads(second)["id"]
+        assert capsys.readouterr() == (
+            "", f"error [{command}]: {out / 'sparse.hyqa'} indexes passage {missing!r}, which {passages} does not hold\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_input_is_read_as_utf8_whatever_the_locale(self, tmp_path):

@@ -288,13 +288,15 @@ class TestLexicalScorer:
         assert answerability(logits) == 0.0
 
     def test_duplicated_passage_interior_spans_equal(self):
-        scorer = LexicalScorer(window=3)
+        scorer = LexicalScorer()
         half = "filler one masks help stop spread filler two extra pad"
         n_half = 10
         logits = scorer.logits("masks help spread", "p", half + " " + half)
-        # Interior spans (windows not crossing the copy boundary) match.
+        # Tokens 4-8 hold help and spread; tokens 2-6 hold masks, help, spread.
+        assert span_score(logits, 4, 6) == 2.0 + 3.0
+        # Interior spans (windows of 5 not crossing the copy boundary) match.
         for s in range(4, 7):
-            for e in range(s, 7):
+            for e in range(max(s, 5), 7):
                 a = span_score(logits, s, e)
                 b = span_score(logits, s + n_half, e + n_half)
                 assert a == b
@@ -305,15 +307,15 @@ class TestLexicalScorer:
         b = scorer.logits("why do masks work", "p", "masks work by blocking droplets")
         assert a == b
 
-    @pytest.mark.parametrize("window", [1, 3, 5, 40])
-    def test_equals_window_sum_loop_reference(self, window):
-        rng = np.random.default_rng(window)
+    @pytest.mark.parametrize("seed", [1, 3, 5, 40])
+    def test_equals_window_sum_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
         vocab = [f"w{i}" for i in range(12)] + ["W1", "w2,", "(w3)"]
         for _ in range(60):
             question = " ".join(rng.choice(vocab, size=rng.integers(0, 6)))
             text = " ".join(rng.choice(vocab, size=rng.integers(0, 50)))
-            got = LexicalScorer(window).logits(question, "p", text)
-            expected = window_sum_reference(question, text, window)
+            got = LexicalScorer().logits(question, "p", text)
+            expected = window_sum_reference(question, text)
             assert [v.hex() for v in got.start] == [v.hex() for v in expected.start]
             assert [v.hex() for v in got.end] == [v.hex() for v in expected.end]
 
@@ -325,19 +327,18 @@ class TestLexicalScorer:
             ),
             max_size=40,
         ),
-        st.sampled_from([1, 3, 5, 40]),
     )
-    @example([], 5)
-    @example([("w1", ""), ("w1", "w1"), ("w2", "w1 w2"), ("w1", "")], 5)
-    def test_logits_pairs_equals_window_sum_loop_reference(self, pairs, window):
+    @example([])
+    @example([("w1", ""), ("w1", "w1"), ("w2", "w1 w2"), ("w1", "")])
+    def test_logits_pairs_equals_window_sum_loop_reference(self, pairs):
         questions = [q for q, _ in pairs]
         texts = [text for _, text in pairs]
-        rows = LexicalScorer(window).logits_pairs(questions, [f"p{i}" for i in range(len(pairs))], texts)
+        rows = LexicalScorer().logits_pairs(questions, [f"p{i}" for i in range(len(pairs))], texts)
         assert rows.n.tolist() == [len(tokenize(text)) for text in texts]
         assert rows.cls_start.tolist() == rows.cls_end.tolist() == [0.0] * len(texts)
         offsets = np.cumsum(rows.n) - rows.n
         for question, text, o, n in zip(questions, texts, offsets.tolist(), rows.n.tolist()):
-            expected = window_sum_reference(question, text, window)
+            expected = window_sum_reference(question, text)
             assert [v.hex() for v in rows.start[o : o + n]] == [v.hex() for v in expected.start[1:]]
             assert [v.hex() for v in rows.end[o : o + n]] == [v.hex() for v in expected.end[1:]]
 
@@ -357,11 +358,11 @@ class TestLexicalScorer:
 LEXICAL_TEXTS = ["", "w1 w2 w3", "\u212a w1 \u0130w4 k i", "W1, (w3) w2 w1", "w5 w6 w7 w5", "..."]
 
 
-def terms_reference_rows(questions, texts, w):
+def terms_reference_rows(questions, texts):
     """The stacked logits of each (question, text) pair from a fresh
     terms() pass over both, one Python sum per window: start, end and n as
     lists."""
-    start, end, n = [], [], []
+    w, start, end, n = mrc.LEXICAL_WINDOW, [], [], []
     for question, text in zip(questions, texts):
         q_terms = set(terms(question))
         hits = [1.0 if term in q_terms else 0.0 for term in terms(text)]
@@ -390,17 +391,16 @@ class TestLexicalScorerTermIds:
             min_size=1,
             max_size=4,
         ),
-        st.sampled_from([1, 3, 5]),
     )
-    @example([[("w1 absent", "w1 w2 w3"), ("zz9", "")], [("w2 \u212a", "w1 w2 w3")], [("k i", "\u212a w1 \u0130w4 k i")]], 3)
-    @example([[("", "")], [], [("w1", "w1 w1")]], 1)
-    def test_rows_equal_a_terms_reference_over_several_calls(self, calls, window):
-        scorer = LexicalScorer(window)
+    @example([[("w1 absent", "w1 w2 w3"), ("zz9", "")], [("w2 \u212a", "w1 w2 w3")], [("k i", "\u212a w1 \u0130w4 k i")]])
+    @example([[("", "")], [], [("w1", "w1 w1")]])
+    def test_rows_equal_a_terms_reference_over_several_calls(self, calls):
+        scorer = LexicalScorer()
         for pairs in calls:
             questions = [q for q, _ in pairs]
             texts = [text for _, text in pairs]
             rows = scorer.logits_pairs(questions, ["p"] * len(pairs), texts)
-            start, end, n = terms_reference_rows(questions, texts, window)
+            start, end, n = terms_reference_rows(questions, texts)
             assert rows.n.tolist() == n
             assert [v.hex() for v in rows.start.tolist()] == [v.hex() for v in start]
             assert [v.hex() for v in rows.end.tolist()] == [v.hex() for v in end]
@@ -418,9 +418,10 @@ class TestLexicalScorerTermIds:
         assert calls == ["w1 w2", "w1", "w2", "w1"]
 
 
-def window_sum_reference(question, passage_text, w):
+def window_sum_reference(question, passage_text):
     """LexicalScorer.logits as it was before the prefix-sum form: one
     Python sum per window; kept as the exact reference."""
+    w = mrc.LEXICAL_WINDOW
     q_tokens = {t.surface for t in tokenize(question)}
     hits = [1.0 if t.surface in q_tokens else 0.0 for t in tokenize(passage_text)]
     n = len(hits)
@@ -524,7 +525,7 @@ class TestLogitRows:
             assert rows.n.dtype == np.intp and scored.dtype == bool
 
     def test_logits_pairs_equals_stacked_logits(self):
-        scorer = LexicalScorer(3)
+        scorer = LexicalScorer()
         questions = ["w1 w2", "w3", "w1 w2", "w4"]
         texts = ["w1 w2 w3 w1", "", "w2 w5 w1", "w4 w4 w4 w4 w4"]
         ids = ["a", "b", "c", "d"]

@@ -247,7 +247,7 @@ def lexical_cases(draw):
         max_answer_len=draw(st.integers(1, 60)),
         normalization=draw(st.sampled_from(["minmax", "softmax"])),
     )
-    return question, retrieved, texts, LexicalScorer(draw(st.sampled_from([1, 3, 5]))), config
+    return question, retrieved, texts, LexicalScorer(), config
 
 
 class TestLexicalReaderMatchesLoopReference:
@@ -661,7 +661,7 @@ def ranked_cases(draw):
                 (" ".join(rng.choice(RANKED_WORDS, size=int(rng.integers(1, 3)))),))
         for j in range(draw(st.integers(1, 4)))
     ]
-    scorer = LexicalScorer(draw(st.sampled_from([1, 3])))
+    scorer = LexicalScorer()
     if draw(st.booleans()):
         scorer = LogitsOnly(scorer)
     config = PipelineConfig(

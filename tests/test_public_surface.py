@@ -1,8 +1,9 @@
 """Each module's __all__ lists exactly the public functions and classes it
 defines, so a deleted name cannot linger there and a public one cannot be
 left out; each of them is reached from another definition or has a stated
-reason; no module imports another's private names; and the names the docs
-mention exist."""
+reason; each parameter default is overridden by some hyqa call or has a
+stated reason; no module imports another's private names; and the names
+the docs mention exist."""
 
 import ast
 import importlib
@@ -119,6 +120,21 @@ def _exports(tree) -> list[str]:
     return []
 
 
+def _relative_imports(tree) -> tuple[dict, dict]:
+    """The names a module imports from hyqa modules, each mapped to its
+    (module, name), and the hyqa modules it imports, each mapped to its
+    name."""
+    imports = [
+        (node.module, alias)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    names = {alias.asname or alias.name: (module, alias.name) for module, alias in imports if module}
+    modules = {alias.asname or alias.name: alias.name for module, alias in imports if not module}
+    return names, modules
+
+
 def test_every_export_is_reached_or_listed():
     """Each function or class in a module's __all__ is referenced, as a name
     or as an attribute of its module, by some hyqa definition or statement
@@ -132,14 +148,7 @@ def test_every_export_is_reached_or_listed():
         exports |= {(stem, name) for name in _exports(tree) if name in defined}
     reached = set()
     for stem, tree in trees.items():
-        imports = [
-            (node.module, alias)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names
-        ]
-        names = {alias.asname or alias.name: (module, alias.name) for module, alias in imports if module}
-        modules = {alias.asname or alias.name: alias.name for module, alias in imports if not module}
+        names, modules = _relative_imports(tree)
         for statement in tree.body:
             owner = (stem, getattr(statement, "name", None))
             for node in ast.walk(statement):
@@ -153,6 +162,140 @@ def test_every_export_is_reached_or_listed():
                     reached.add(target)
     assert len(exports) > len(UNREACHED)
     assert sorted(name for _, name in exports - reached) == sorted(UNREACHED)
+
+
+# The parameters with a default that no hyqa call sets, each with the reason
+# it stays a parameter.
+UNSET = {
+    ("cli", "main", "argv"): "the console script calls main(); tests pass the command line as argv",
+    ("pipeline", "evaluate_run", "match_ks"): "acceptance contract: tests/test_acceptance.py passes "
+    "match_ks=(5,) in criteria 10 and 12",
+}
+
+
+def _functions(trees) -> dict:
+    """(module, class or None, name) -> (def node, decorator names) of every
+    module-level function and every method of a module-level class."""
+    found = {}
+    for stem, tree in trees.items():
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in methods:
+                if isinstance(fn, ast.FunctionDef):
+                    owner = node.name if isinstance(node, ast.ClassDef) else None
+                    found[(stem, owner, fn.name)] = (fn, {getattr(d, "id", None) for d in fn.decorator_list})
+    return found
+
+
+def _defaulted(fn, skip: int) -> list[tuple[int | None, str]]:
+    """(positional index or None, name) of each parameter with a default,
+    indices counted after the first `skip` (self or cls)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (None, a.arg) for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None
+    ]
+
+
+def _calls(trees, functions) -> list[tuple[tuple, tuple, object]]:
+    """(caller key, callee key, ast.Call or None) for each hyqa call of a
+    function in `functions`. A name is resolved through the module's own
+    definitions and its relative imports; Class(...) and cls(...) in a
+    classmethod call Class.__init__; self.m, cls.m and Class.m call that
+    class's m, and super().m its hyqa bases' m; any other obj.m calls every
+    hyqa method named m. A reference
+    that is not a call hands the function on, so it counts as a call that
+    may set every parameter (None)."""
+    classes = {(stem, owner) for stem, owner, _ in functions if owner}
+    by_method: dict[str, list] = {}
+    for key in functions:
+        if key[1]:
+            by_method.setdefault(key[2], []).append(key)
+    found = []
+    for stem, tree in trees.items():
+        names, modules = _relative_imports(tree)
+        parents = {
+            (stem, node.name): [names.get(b.id, (stem, b.id)) for b in node.bases if isinstance(b, ast.Name)]
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+        }
+
+        def resolve(expr, owner, decorators) -> list[tuple]:
+            if isinstance(expr, ast.Name):
+                if expr.id == "cls" and "classmethod" in decorators:
+                    return [(stem, owner, "__init__")]
+                module, name = names.get(expr.id, (stem, expr.id))
+                if (module, name) in classes:
+                    return [(module, name, "__init__")]
+                return [(module, None, name)]
+            if not isinstance(expr, ast.Attribute):
+                return []
+            if isinstance(expr.value, ast.Call) and getattr(expr.value.func, "id", None) == "super":
+                return [(*parent, expr.attr) for parent in parents.get((stem, owner), [])]
+            base = getattr(expr.value, "id", None)
+            if base in modules:
+                return [(modules[base], None, expr.attr)]
+            if base in ("self", "cls") and owner:
+                return [(stem, owner, expr.attr)]
+            if base in names and names[base] in classes:
+                return [(*names[base], expr.attr)]
+            if (stem, base) in classes:
+                return [(stem, base, expr.attr)]
+            return by_method.get(expr.attr, [])
+
+        def scan(caller, body, owner, decorators):
+            nodes = [node for part in body for node in ast.walk(part)]
+            # Called expressions, receivers and annotations are not values
+            # that hand a function on.
+            skip = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+            skip |= {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
+            for node in nodes:
+                for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                    skip |= {id(inner) for inner in ast.walk(annotation)} if annotation else set()
+            for node in nodes:
+                if isinstance(node, ast.Call):
+                    found.extend((caller, key, node) for key in resolve(node.func, owner, decorators))
+                elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skip:
+                    found.extend((caller, key, None) for key in resolve(node, owner, decorators) if key[2] != "__init__")
+
+        for (module, owner, name), (fn, decorators) in functions.items():
+            if module == stem:
+                scan((stem, owner, name), [fn], owner, decorators)
+        # Module-level statements (the CLI's `main()`) call as the module.
+        scan((stem, None, None), [s for s in tree.body if not isinstance(s, (ast.FunctionDef, ast.ClassDef))], None, set())
+    return [(caller, callee, call) for caller, callee, call in found if callee in functions]
+
+
+def _sets(call, index, name) -> bool:
+    """Whether the call passes the parameter at positional `index` (or
+    keyword-only) named `name`."""
+    if call is None or any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_parameter_default_is_set_or_listed():
+    """Each parameter with a default, of a function or method some hyqa call
+    reaches, is passed by some hyqa call other than the function's own:
+    by keyword, by enough positional arguments, or by * or **. The CLI
+    counts as a caller. A default no call sets is a constant in disguise,
+    so it must become one, or UNSET gives its reason; UNSET lists exactly
+    the unset ones, so no entry goes stale. Config dataclass fields are not
+    parameters of a def, so they are not scanned."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    functions = _functions(trees)
+    calls = [(callee, call) for caller, callee, call in _calls(trees, functions) if caller != callee]
+    unset = set()
+    for key in {callee for callee, _ in calls}:
+        fn, decorators = functions[key]
+        bound = key[1] is not None and "staticmethod" not in decorators
+        for index, name in _defaulted(fn, int(bound)):
+            if not any(_sets(call, index, name) for callee, call in calls if callee == key):
+                unset.add((key[0], ".".join(filter(None, key[1:])), name))
+    assert len(calls) > 100
+    assert sorted(unset) == sorted(UNSET)
 
 
 def _defined_names(tree) -> set[str]:

@@ -419,7 +419,8 @@ def per_term_top_k(index, query_text, k):
         docs = index.docs[lo:hi]
         tf = index.tf[lo:hi].astype(np.float64)
         norm = k1 * (1.0 - b + b * index.doc_lengths[docs] / index.avg_len)
-        scores[docs] += mult * index.idf(term) * (tf * (k1 + 1.0) / (tf + norm))
+        idf = math.log(1.0 + (index.N - int(hi - lo) + 0.5) / (int(hi - lo) + 0.5))
+        scores[docs] += mult * idf * (tf * (k1 + 1.0) / (tf + norm))
     hits = np.flatnonzero(scores)
     top = hits[top_k(scores[hits], index.id_rank[hits], k)]
     return top, scores[top]

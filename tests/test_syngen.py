@@ -934,6 +934,14 @@ class TestBuildTrainingSet:
         with pytest.raises(KeyError):
             build_ir_training_set([QAExample("zz", "q", "a", (0, 1))], index, passages)
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_depth_below_one_is_refused_first(self, depth):
+        index, texts = mining_fixture()
+        passages = {pid: make_passage(t, pid) for pid, t in texts.items()}
+        # Refused before the unknown passage is looked up.
+        with pytest.raises(ValueError, match="^depth must be >= 1$"):
+            build_ir_training_set([QAExample("zz", "q", "a", (0, 1))], index, passages, depth=depth)
+
 
 def mining_inputs(seed, n_examples, n_passages=30):
     """Examples over random passages of FILTER_WORDS; questions repeat words,
