@@ -50,7 +50,7 @@ def main():
     ).kept
     print(f"\nfilter kept {len(kept)}/{len(generated)} examples")
 
-    mined = build_ir_training_set(kept[:5], index, passages)
+    mined = build_ir_training_set(kept[:5], index, passages, depth=100)
     print(f"mined {len(mined.instances)} hard negatives ({mined.dropped} dropped)")
     for inst in mined.instances:
         print(f"  Q: {inst.question!r}")

@@ -11,7 +11,6 @@ stage-tagged diagnostic and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -168,15 +167,14 @@ def cmd_ingest(args):
 
 
 def cmd_chunk(args):
-    if args.max_units is not None and args.max_units < 1:
+    retrieval, adaptation = args.mode == "retrieval", AdaptationConfig()
+    budget = adaptation.retrieval_max_words if retrieval else adaptation.generation_max_tokens
+    max_units = budget if args.max_units is None else args.max_units
+    if max_units < 1:
         raise ValueError("--max-units must be >= 1")
     docs = ingest_documents(_read_lines(args.input), args.input)
-    chunker = chunk_retrieval_passages if args.mode == "retrieval" else chunk_generation_passages
-    kwargs = {}
-    if args.max_units is not None:
-        key = "max_words" if args.mode == "retrieval" else "max_tokens"
-        kwargs[key] = args.max_units
-    passages = [p for doc in docs for p in chunker(doc, **kwargs)]
+    chunker = chunk_retrieval_passages if retrieval else chunk_generation_passages
+    passages = [p for doc in docs for p in chunker(doc, max_units)]
     path = _out_path(args, f"passages_{args.mode}.jsonl")
     write_jsonl(path, map(passage_to_record, passages))
     print(f"chunked {len(docs)} documents into {len(passages)} {args.mode} passages -> {path}")
@@ -324,6 +322,8 @@ def cmd_evaluate(args):
 
 
 def cmd_tune_fusion(args):
+    if args.pool_size < 1:
+        raise ValueError("--pool-size must be >= 1")
     passages = {p.id: p.text for p in _load_passages(args.passages)}
     golds = load_gold_jsonl(_read_lines(args.golds), args.golds)
     sparse_index, dense_index = SparseIndex.load(args.sparse), DenseIndex.load(args.dense)
@@ -382,7 +382,6 @@ def cmd_dump(args):
 def build_parser() -> argparse.ArgumentParser:
     bm25, sampler, fusion, training = BM25Params(), SamplerConfig(), FusionConfig(), TrainConfig()
     pipeline, adaptation = PipelineConfig(), AdaptationConfig()
-    tune = inspect.signature(tune_weight).parameters
     parser = argparse.ArgumentParser(prog="hyqa", description="Hybrid sparse/dense retrieval and extractive QA")
     parser.add_argument("--config", help="JSON config file; values become argument defaults")
     parser.add_argument("--seed", type=int, default=None, help=f"global seed (or ${SEED_ENV})")
@@ -487,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparse", required=True)
     p.add_argument("--dense", required=True)
     p.add_argument("--encoder", required=True)
-    p.add_argument("-k", type=int, default=tune["k"].default)
-    p.add_argument("--pool-size", type=int, default=tune["pool_size"].default)
+    p.add_argument("-k", type=int, default=20)
+    p.add_argument("--pool-size", type=int, default=fusion.pool_size)
     p.set_defaults(func=cmd_tune_fusion)
 
     p = sub.add_parser("ttest", help="paired t-test between two evaluation reports")
@@ -522,7 +521,7 @@ def _read_json_object(path: str) -> dict:
     return values
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def parse_args(argv) -> argparse.Namespace:
     """Parse the command line. A --config file supplies defaults for the
     global flags and the chosen subcommand's flags, and a key of it that
     names no option of hyqa or of any subcommand is refused; --seed falls

@@ -34,10 +34,9 @@ neither. Do not rewrite a loaded artifact's file in place (`save` never
 does): a process holding it may read the new bytes, or die of SIGBUS if the
 file shrinks.
 
-`load` reads any container as it is. `load_artifact` reads one of a given
-kind into an object, and is how every artifact loads: the binary twin of
-`corpus.read_jsonl`, so a damaged file of any kind is a ContainerError
-naming it.
+`load_artifact` builds what `load` reads into an object, and is how every
+artifact loads: the binary twin of `corpus.read_jsonl`, so a damaged file
+of any kind is a ContainerError naming it.
 """
 
 from __future__ import annotations
@@ -163,7 +162,9 @@ def _dtype(text: str, path, what: str) -> np.dtype:
     raise ContainerError(f"{path}: unsupported dtype {text!r} of {what}")
 
 
-def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, np.ndarray]]:
+def load(path, kind: str) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """(meta, arrays) of the container at path; a container of another
+    kind, like a damaged file, is a ContainerError naming the path."""
     with open(path, "rb") as f:
         # mmap refuses an empty file; it has no magic either way.
         buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY) if os.fstat(f.fileno()).st_size else b""
@@ -176,7 +177,7 @@ def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, 
         if version != VERSION:
             raise ContainerError(f"{path}: unsupported container version {version}; rebuild the artifact")
         file_kind = r.read(r.unpack("<B", "kind"), "kind").decode("ascii")
-        if kind is not None and file_kind != kind:
+        if file_kind != kind:
             raise ContainerError(f"{path}: expected kind {kind!r}, found {file_kind!r}")
         meta = json.loads(r.read(r.unpack("<I", "meta"), "meta").decode("utf-8"))
         for _ in range(r.unpack("<I", "array count")):
@@ -195,7 +196,7 @@ def load(path, kind: str | None = None) -> tuple[str, dict[str, Any], dict[str, 
         if isinstance(buf, mmap.mmap):
             buf.close()
         raise
-    return file_kind, meta, arrays
+    return meta, arrays
 
 
 def str_list(meta: dict[str, Any], key: str) -> list[str]:
@@ -218,7 +219,7 @@ def load_artifact(path, kind: str, build: Callable[[dict[str, Any], dict[str, np
     meta or array header that `load` cannot decode."""
     try:
         # No local holds the arrays: a refusal's traceback keeps this frame.
-        return build(*load(path, kind)[1:])
+        return build(*load(path, kind))
     except KeyError as e:
         raise ContainerError(f"{path}: missing key {e}") from _released(e)
     except (TypeError, ValueError) as e:

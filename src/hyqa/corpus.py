@@ -64,13 +64,14 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+RETRIEVAL_MAX_WORDS = 120  # the default retrieval passage budget, in words
 
 
 class IngestError(ValueError):
     """A malformed record in a JSONL stream, located by its 1-based line
     and, when given, its source: "<source> line N: <reason>"."""
 
-    def __init__(self, line_no: int, reason: str, source: Optional[str] = None):
+    def __init__(self, line_no: int, reason: str, source: Optional[str]):
         where = f"line {line_no}" if source is None else f"{source} line {line_no}"
         super().__init__(f"{where}: {reason}")
         self.line_no = line_no
@@ -421,12 +422,12 @@ def _chunk(doc: Document, max_units: int) -> list[Passage]:
     ]
 
 
-def chunk_retrieval_passages(doc: Document, max_words: int = 120) -> list[Passage]:
+def chunk_retrieval_passages(doc: Document, max_words: int = RETRIEVAL_MAX_WORDS) -> list[Passage]:
     """Sentence-aligned passages of at most max_words words (retrieval units)."""
     return _chunk(doc, max_words)
 
 
-def chunk_generation_passages(doc: Document, max_tokens: int = 288) -> list[Passage]:
+def chunk_generation_passages(doc: Document, max_tokens: int) -> list[Passage]:
     """Larger sentence-aligned passages used as generation contexts."""
     return _chunk(doc, max_tokens)
 

@@ -104,7 +104,7 @@ class DualEncoder:
                 and all(np.array_equal(v, other.params[k]) for k, v in self.params.items()))
 
     @classmethod
-    def create(cls, vocab: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
+    def create(cls, vocab: Sequence[str], d: int, seed: int) -> "DualEncoder":
         if d < 1:
             raise ValueError("d must be >= 1")
         rng = np.random.default_rng(seed)
@@ -121,7 +121,7 @@ class DualEncoder:
         return cls(vocab={t: i for i, t in enumerate(vocab)}, params=params, d=d)
 
     @classmethod
-    def from_texts(cls, texts: Sequence[str], d: int = 64, seed: int = 0) -> "DualEncoder":
+    def from_texts(cls, texts: Sequence[str], d: int, seed: int) -> "DualEncoder":
         """Build the vocabulary from training texts, then initialize.
 
         The vocabulary is the terms of `corpus.token_table(texts)`, a
@@ -492,7 +492,7 @@ def loss_gradient(
 def train(
     encoder: DualEncoder,
     instances: Sequence[IRTrainInstance],
-    config: TrainConfig = TrainConfig(),
+    config: TrainConfig,
 ) -> tuple[DualEncoder, list[float]]:
     """Mini-batch SGD with linear warmup; returns (trained copy, per-epoch
     mean loss). Shuffling and every other source of randomness derive from

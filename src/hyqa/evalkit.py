@@ -196,7 +196,7 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTest
     return TTestResult(t=t, p_value=p, df=df)
 
 
-def load_gold_jsonl(lines: Iterable[str], source: Optional[str] = None) -> list[GoldSet]:
+def load_gold_jsonl(lines: Iterable[str], source: Optional[str]) -> list[GoldSet]:
     """Line-delimited JSON {question, answers: [...], id?}: a string
     question and a list of string answers. An id-less record's id is q<k>,
     k its 0-based record index. A malformed record, or one whose id an

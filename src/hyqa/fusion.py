@@ -86,7 +86,7 @@ def fuse_top_k(sparse_rows: np.ndarray, sparse_scores: np.ndarray, dense_rows: n
 def fuse(
     sparse_results: Sequence[ScoredPassage],
     dense_results: Sequence[ScoredPassage],
-    config: FusionConfig = FusionConfig(),
+    config: FusionConfig,
 ) -> list[ScoredPassage]:
     """The whole union pool of the two lists' first pool_size results, by
     descending fused score, ties by ascending passage id."""
@@ -102,8 +102,8 @@ def tune_weight(
     sparse_runs: dict[str, Sequence[ScoredPassage]],
     dense_runs: dict[str, Sequence[ScoredPassage]],
     passage_texts: dict[str, str],
-    k: int = 20,
-    pool_size: int = 2000,
+    k: int,
+    pool_size: int,
 ) -> tuple[float, float]:
     """Grid-search the sparse weight (0, 0.05, ..., 1) against Match@k on a dev set.
 

@@ -357,7 +357,7 @@ class ExternalLogits:
     does not name is its own id.
     """
 
-    def __init__(self, table: dict[tuple[str, str], SpanLogits], question_ids: Optional[Mapping[str, str]] = None):
+    def __init__(self, table: dict[tuple[str, str], SpanLogits], question_ids: Optional[Mapping[str, str]]):
         self._table = table
         self._question_ids = question_ids or {}
 

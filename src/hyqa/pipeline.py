@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .corpus import (
+    RETRIEVAL_MAX_WORDS,
     Document,
     Passage,
     chunk_generation_passages,
@@ -199,7 +200,7 @@ def answer_question(
     retriever: Retriever,
     scorer,
     passage_texts: dict[str, str],
-    config: PipelineConfig = PipelineConfig(),
+    config: PipelineConfig,
 ) -> list[AnswerCandidate]:
     """Retrieve top-K passages, take each passage's best span and score,
     normalize IR and span scores over the candidate pool, and rank by their
@@ -241,7 +242,7 @@ def evaluate_run(
     retriever: Retriever,
     scorer,
     passage_texts: dict[str, str],
-    config: PipelineConfig = PipelineConfig(),
+    config: PipelineConfig,
     match_ks: Sequence[int] = (20, 40, 100),
 ) -> MetricReport:
     """Retrieval Match@k plus end-to-end Top-1/Top-5 F1, with per-query
@@ -349,7 +350,7 @@ class AdaptationConfig:
     any stage runs."""
 
     seed: int = 0
-    retrieval_max_words: int = 120
+    retrieval_max_words: int = RETRIEVAL_MAX_WORDS
     generation_max_tokens: int = 288
     examples_per_passage: int = 5
     sampler: SamplerConfig = field(default_factory=SamplerConfig)

@@ -202,7 +202,7 @@ def _sentence_terms(text: str) -> list[tuple[TokenSpan, list[str]]]:
 def decode_generation_target(
     passage: Passage,
     serialized: str,
-    sentences: Optional[Sequence[tuple[TokenSpan, list[str]]]] = None,
+    sentences: Sequence[tuple[TokenSpan, list[str]]],
 ):
     """Parse "first last [SEP] answer [SEP] question" back into a QAExample.
 
@@ -212,8 +212,7 @@ def decode_generation_target(
     text is absent. Malformed serializations raise ValueError.
 
     `sentences` is each sentence of passage.text with its terms, in order;
-    a caller decoding many samples of one passage computes it once. When
-    omitted, the passage is segmented here.
+    a caller decoding many samples of one passage computes it once.
     """
     parts = serialized.split(SEP_TOKEN)
     if len(parts) != 3:
@@ -228,8 +227,6 @@ def decode_generation_target(
     if not answer_tokens or not question:
         raise ValueError("empty answer or question segment")
 
-    if sentences is None:
-        sentences = _sentence_terms(passage.text)
     for sentence, toks in sentences:
         if toks and toks[0] == first and toks[-1] == last:
             break
@@ -361,8 +358,8 @@ class GenerationResult:
 def generate_examples(
     passage: Passage,
     lm: NgramLM,
-    n: int = 5,
-    config: SamplerConfig = SamplerConfig(),
+    n: int,
+    config: SamplerConfig,
     *,
     sentences: Optional[Sequence[tuple[TokenSpan, list[str]]]] = None,
 ) -> GenerationResult:
@@ -377,9 +374,9 @@ def generate_examples(
     it, and the next row is the one stored with the token drawn. The
     uniforms are drawn MAX_GEN_TOKENS per sequence at a time, so a token
     reads the value the next scalar draw would give. A model with no fitted
-    rows is a ValueError. `sentences` is as for decode_generation_target:
-    each sentence of passage.text with its terms, segmented here when
-    omitted.
+    rows is a ValueError. `sentences` is each sentence of passage.text with
+    its terms, which decode_generation_target reads; when omitted, the
+    passage is segmented here.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -552,7 +549,7 @@ def build_ir_training_set(
     examples: Sequence[QAExample],
     index: SparseIndex,
     passages: dict[str, Passage],
-    depth: int = 100,
+    depth: int,
 ) -> TrainingSetResult:
     """One training instance per example: positive = source passage, one
     mined hard negative, the highest-BM25-ranked passage among the
@@ -615,7 +612,7 @@ def candidate_targets(
     Used to fit the bundled n-gram generator: each sentence contributes
     templates of the form [first, last, SEP, answer tokens, SEP, "what",
     salient tokens, EOS] where the answer is a short token run from the
-    sentence. `sentences` is as for decode_generation_target.
+    sentence. `sentences` is as for generate_examples.
     """
     if sentences is None:
         sentences = _sentence_terms(passage.text)
@@ -654,7 +651,7 @@ class NgramLM:
     Decoding starts from _start, the row of the padding context.
     """
 
-    def __init__(self, order: int = 3):
+    def __init__(self, order: int):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order

@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 import subprocess
@@ -11,7 +10,7 @@ import hyqa
 from hyqa.cli import main, parse_args
 from hyqa.corpus import ingest_documents, tokenize
 from hyqa.encoder import TrainConfig
-from hyqa.fusion import FusionConfig, tune_weight
+from hyqa.fusion import FusionConfig
 from hyqa.pipeline import AdaptationConfig, PipelineConfig, run_adaptation
 from hyqa.sparse import BM25Params
 from hyqa.syngen import FilterConfig, QAExample, SamplerConfig, example_to_record
@@ -240,7 +239,6 @@ class TestRetrievalCommands:
 
 
 _FUSION, _PIPELINE, _ADAPTATION, _SAMPLER = FusionConfig(), PipelineConfig(), AdaptationConfig(), SamplerConfig()
-_TUNE = inspect.signature(tune_weight).parameters
 _RETRIEVAL = {"weight": _FUSION.weight, "pool_size": _FUSION.pool_size}
 _READING = {**_RETRIEVAL, "K": _PIPELINE.K, "ir_weight": _PIPELINE.ir_weight}
 
@@ -265,7 +263,7 @@ _STAGE_DEFAULTS = [
     (["evaluate", "--golds", "g", "--passages", "p"], _READING),
     (
         ["tune-fusion", "--golds", "g", "--passages", "p", "--sparse", "s", "--dense", "d", "--encoder", "e"],
-        {"k": _TUNE["k"].default, "pool_size": _TUNE["pool_size"].default},
+        {"k": 20, "pool_size": _FUSION.pool_size},
     ),
 ]
 
@@ -655,6 +653,14 @@ class TestErrorHandling:
         assert capsys.readouterr().err == "error [mine-negatives]: --depth must be >= 1\n"
         assert not (tmp_path / "o").exists()
 
+    def test_tune_fusion_refuses_pool_size_below_one_before_reading(self, tmp_path, capsys):
+        absent = tmp_path / "absent.jsonl"
+        argv = ["--golds", absent, "--passages", absent, "--pool-size", 0]
+        argv += [a for flag in ("--sparse", "--dense", "--encoder") for a in (flag, tmp_path / "absent.hyqa")]
+        assert run(["--output-dir", tmp_path / "o", "tune-fusion", *argv]) == 1
+        assert capsys.readouterr().err == "error [tune-fusion]: --pool-size must be >= 1\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["answer", "evaluate", "tune-fusion"])
     def test_passages_lacking_an_indexed_passage_are_refused(self, trained, tmp_path, capsys, command):
         _, out = trained
@@ -702,7 +708,7 @@ class TestErrorHandling:
         passages.write_text("".join(json.dumps(r) + "\n" for r in records))
         (tmp_path / "instances.jsonl").write_text(
             json.dumps({"question": "alpha", "positive_id": "a#0", "negative_ids": []}) + "\n")
-        DualEncoder.create(["alpha", "delta"], d=4).save(tmp_path / "encoder.hyqa")
+        DualEncoder.create(["alpha", "delta"], d=4, seed=0).save(tmp_path / "encoder.hyqa")
         argv = [tmp_path / a if a.endswith((".jsonl", ".hyqa")) else a for a in args]
         assert run(["--output-dir", tmp_path / "o", command, "--passages", passages, *argv]) == 1
         assert capsys.readouterr().err == f"error [{command}]: {passages} line 2: duplicate passage id 'a#0'\n"
@@ -712,7 +718,7 @@ class TestErrorHandling:
         from hyqa.dense_index import DenseIndex
         from hyqa.encoder import DualEncoder
 
-        DualEncoder.create(["alpha", "beta"], d=8).save(tmp_path / "encoder.hyqa")
+        DualEncoder.create(["alpha", "beta"], d=8, seed=0).save(tmp_path / "encoder.hyqa")
         (tmp_path / "empty.jsonl").write_text("")
         out = tmp_path / "out"
         assert run(["--output-dir", out, "index-dense", "--passages", tmp_path / "empty.jsonl",

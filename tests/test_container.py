@@ -32,8 +32,7 @@ class TestRoundtrip:
         }
         meta = {"name": "demo", "nested": {"a": [1, 2]}}
         save(path, "sparse", meta, arrays)
-        kind, got_meta, got_arrays = load(path)
-        assert kind == "sparse"
+        got_meta, got_arrays = load(path, "sparse")
         assert got_meta == meta
         assert set(got_arrays) == set(arrays)
         for name in arrays:
@@ -43,13 +42,13 @@ class TestRoundtrip:
     def test_empty_arrays(self, tmp_path):
         path = tmp_path / "x.hyqa"
         save(path, "dense", {}, {"m": np.zeros((0, 4))})
-        _, _, arrays = load(path)
+        _, arrays = load(path, "dense")
         assert arrays["m"].shape == (0, 4)
 
     def test_scalar_zero_dim(self, tmp_path):
         path = tmp_path / "x.hyqa"
         save(path, "dense", {}, {"s": np.float64(3.5)})
-        _, _, arrays = load(path)
+        _, arrays = load(path, "dense")
         assert arrays["s"] == 3.5
 
     def test_deterministic_bytes(self, tmp_path):
@@ -62,7 +61,7 @@ class TestRoundtrip:
     def test_loaded_arrays_are_aligned_and_writable(self, tmp_path):
         path = tmp_path / "x.hyqa"
         save(path, "k", {"pad": "x"}, {"a": np.arange(5, dtype=np.uint8), "b": np.arange(6.0).reshape(2, 3)})
-        _, _, arrays = load(path)
+        _, arrays = load(path, "k")
         for arr in arrays.values():
             assert arr.flags.aligned and arr.flags.writeable
 
@@ -70,7 +69,7 @@ class TestRoundtrip:
         path = tmp_path / "x.hyqa"
         arr = np.array([1.5, 2.5], dtype=">f8")
         save(path, "k", {}, {"a": arr})
-        _, _, arrays = load(path)
+        _, arrays = load(path, "k")
         np.testing.assert_array_equal(arrays["a"], np.array([1.5, 2.5]))
 
 
@@ -85,7 +84,7 @@ class TestValidation:
         path = tmp_path / "x.hyqa"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(ContainerError, match="magic"):
-            load(path)
+            load(path, "k")
 
     def test_truncated_array(self, tmp_path):
         path = tmp_path / "x.hyqa"
@@ -93,7 +92,7 @@ class TestValidation:
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(ContainerError, match="truncated"):
-            load(path)
+            load(path, "k")
 
 
     def test_shape_past_end_of_file_raises(self, tmp_path):
@@ -103,7 +102,7 @@ class TestValidation:
         dims = data.index((3).to_bytes(8, "little"))
         path.write_bytes(data[:dims] + (2**62).to_bytes(8, "little") + data[dims + 8:])
         with pytest.raises(ContainerError, match="truncated"):
-            load(path)
+            load(path, "k")
 
     def test_every_prefix_raises(self, tmp_path):
         path = tmp_path / "x.hyqa"
@@ -114,7 +113,7 @@ class TestValidation:
         for size in range(len(data)):
             cut.write_bytes(data[:size])
             with pytest.raises(ContainerError, match="magic" if size < 4 else "truncated"):
-                load(cut)
+                load(cut, "dense")
 
     def test_a_version_1_file_is_refused(self, tmp_path):
         """Version 1 is version 2 without the padding before each array."""
@@ -124,7 +123,7 @@ class TestValidation:
         header_end = data.index((3).to_bytes(8, "little")) + 8
         path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:header_end] + data[-24:])
         with pytest.raises(ContainerError) as raised:
-            load(path)
+            load(path, "k")
         assert str(raised.value) == f"{path}: unsupported container version 1; rebuild the artifact"
 
     def test_nonzero_padding_is_refused(self, tmp_path):
@@ -136,7 +135,7 @@ class TestValidation:
         data[header_end] = 1
         path.write_bytes(data)
         with pytest.raises(ContainerError) as raised:
-            load(path)
+            load(path, "k")
         assert str(raised.value) == f"{path}: nonzero padding before array 'a'"
 
     def test_trailing_bytes_raise(self, tmp_path):
@@ -144,7 +143,7 @@ class TestValidation:
         save(path, "k", {}, {"a": np.arange(3, dtype=np.float64)})
         path.write_bytes(path.read_bytes() + b"garbage")
         with pytest.raises(ContainerError, match="trailing bytes"):
-            load(path)
+            load(path, "k")
 
 
 class TestLoadArtifact:
@@ -201,7 +200,7 @@ class TestLoadArtifact:
         path = tmp_path / "x.hyqa"
         save(path, "k", {}, {"a": np.arange(3, dtype=np.float64)})
         path.write_bytes(path.read_bytes().replace(b"\x02\x00f8", struct.pack("<H", len(dtype)) + dtype, 1))
-        for read in (load, lambda p: load_artifact(p, "k", lambda meta, arrays: arrays)):
+        for read in (lambda p: load(p, "k"), lambda p: load_artifact(p, "k", lambda meta, arrays: arrays)):
             with pytest.raises(ContainerError) as raised:
                 read(path)
             assert str(raised.value) == f"{path}: unsupported dtype {shown!r} of array 'a'"
@@ -218,12 +217,12 @@ def _dense(path):
 
 
 def _encoder(path):
-    DualEncoder.create(["alpha"], d=2).save(path)
+    DualEncoder.create(["alpha"], d=2, seed=0).save(path)
     return DualEncoder.load
 
 
 def _unsorted_terms(path):
-    _, meta, arrays = load(path)
+    meta, arrays = load(path, "sparse")
     save(path, "sparse", {**meta, "terms": meta["terms"][::-1]}, dict(arrays))
     return "terms not sorted and distinct"
 
@@ -232,7 +231,7 @@ def _nonzero_padding(path):
     """Set a padding byte before "tf", the last array, so that the load
     refuses the file after mapping every array before it."""
     data = bytearray(path.read_bytes())
-    tf = load(path)[2]["tf"]
+    tf = load(path, "sparse")[1]["tf"]
     data_start = len(data) - tf.nbytes
     header_end = data.rindex(len(tf).to_bytes(8, "little"), 0, data_start) + 8
     assert header_end < data_start
@@ -249,7 +248,7 @@ class TestMapping:
         path = tmp_path / "x.hyqa"
         arrays = {f"a{i}": np.arange(i + 1, dtype=dtype) for i, dtype in enumerate("u1 i2 f4 f8 u8".split())}
         save(path, "k", {"pad": "xyz"}, arrays)
-        _, _, loaded = load(path)
+        _, loaded = load(path, "k")
         for name, arr in loaded.items():
             np.testing.assert_array_equal(arr, arrays[name])
             assert arr.ctypes.data % 64 == 0, name
@@ -258,12 +257,12 @@ class TestMapping:
         path = tmp_path / "x.hyqa"
         save(path, "k", {}, {"a": np.arange(4.0), "b": np.arange(3, dtype=np.uint8)})
         before = path.read_bytes()
-        _, _, arrays = load(path)
+        _, arrays = load(path, "k")
         for arr in arrays.values():
             arr[:] = 7
         assert arrays["a"].tolist() == [7.0] * 4
         assert path.read_bytes() == before
-        assert load(path)[2]["a"].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert load(path, "k")[1]["a"].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("artifact", [_sparse, _encoder], ids=["sparse", "encoder"])
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -391,20 +390,20 @@ def test_a_meta_that_is_not_json_names_the_file(tmp_path, artifact):
 
 
 @pytest.mark.parametrize(
-    "artifact, key, value",
+    "artifact, kind, key, value",
     [
-        (_sparse, "doc_ids", [0]),
-        (_sparse, "doc_ids", "p"),
-        (_dense, "ids", [7]),
-        (_encoder, "vocab", "a"),
-        (_encoder, "vocab", [1]),
+        (_sparse, "sparse", "doc_ids", [0]),
+        (_sparse, "sparse", "doc_ids", "p"),
+        (_dense, "dense", "ids", [7]),
+        (_encoder, "encoder", "vocab", "a"),
+        (_encoder, "encoder", "vocab", [1]),
     ],
     ids=["sparse-int-ids", "sparse-str-ids", "dense-int-ids", "encoder-str-vocab", "encoder-int-vocab"],
 )
-def test_meta_that_is_not_a_list_of_str_is_refused(tmp_path, artifact, key, value):
+def test_meta_that_is_not_a_list_of_str_is_refused(tmp_path, artifact, kind, key, value):
     path = tmp_path / "x.hyqa"
     loader = artifact(path)
-    kind, meta, arrays = load(path)
+    meta, arrays = load(path, kind)
     save(path, kind, {**meta, key: value}, arrays)
     with pytest.raises(ContainerError) as raised:
         loader(path)
@@ -414,9 +413,9 @@ def test_meta_that_is_not_a_list_of_str_is_refused(tmp_path, artifact, key, valu
 @pytest.mark.parametrize("d, shown", [(2.0, "float"), (True, "bool"), ("2", "str")])
 def test_an_encoder_width_that_is_not_an_int_is_refused(tmp_path, d, shown):
     path = tmp_path / "x.hyqa"
-    DualEncoder.create(["alpha"], d=1 if d is True else 2).save(path)
-    kind, meta, arrays = load(path)
-    save(path, kind, {**meta, "d": d}, arrays)
+    DualEncoder.create(["alpha"], d=1 if d is True else 2, seed=0).save(path)
+    meta, arrays = load(path, "encoder")
+    save(path, "encoder", {**meta, "d": d}, arrays)
     with pytest.raises(ContainerError) as raised:
         DualEncoder.load(path)
     assert str(raised.value) == f"{path}: meta 'd' must be an int, not {shown!r}"

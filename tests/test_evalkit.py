@@ -280,7 +280,7 @@ class TestLoaders:
             "",
             json.dumps({"question": "what", "answers": ["z"]}),
         ]
-        golds = load_gold_jsonl(lines)
+        golds = load_gold_jsonl(lines, "golds.jsonl")
         assert golds[0] == GoldSet("q7", "who", ("x", "y"))
         assert golds[1].answers == ("z",)
 
@@ -317,11 +317,11 @@ class TestLoaders:
     def test_jsonl_malformed_record_names_line(self, bad, reason):
         lines = [json.dumps({"question": "who", "answers": ["x"]}), "", bad]
         with pytest.raises(ValueError, match=rf"line 3: .*{reason}"):
-            load_gold_jsonl(lines)
+            load_gold_jsonl(lines, "golds.jsonl")
 
     def test_jsonl_id_less_gold_is_numbered_by_record(self):
         lines = [json.dumps({"question": "who", "answers": ["x"]}), "", json.dumps({"question": "what", "answers": ["y"]})]
-        assert [g.query_id for g in load_gold_jsonl(lines)] == ["q0", "q1"]
+        assert [g.query_id for g in load_gold_jsonl(lines, "golds.jsonl")] == ["q0", "q1"]
 
     def test_jsonl_non_string_id_is_refused(self):
         lines = [json.dumps({"id": "a", "question": "who", "answers": ["x"]}), json.dumps({"id": 5, "question": "who", "answers": ["x"]})]

@@ -81,7 +81,7 @@ class TestFuse:
         assert {r.passage_id for r in fused} == {"a", "b"}
 
     def test_both_empty(self):
-        assert fuse([], []) == []
+        assert fuse([], [], FusionConfig()) == []
 
 
 def dict_fuse_reference(sparse_results, dense_results, config):
@@ -220,7 +220,7 @@ class TestTuneWeight:
 
     def test_tuned_no_worse_than_endpoints(self):
         golds, sparse_runs, dense_runs, texts = self.runs()
-        best_w, best_metric = tune_weight(golds, sparse_runs, dense_runs, texts, k=1)
+        best_w, best_metric = tune_weight(golds, sparse_runs, dense_runs, texts, k=1, pool_size=10)
         endpoint = []
         for w in (0.0, 1.0):
             hits = 0
@@ -232,7 +232,7 @@ class TestTuneWeight:
 
     def test_interior_weight_wins_here(self):
         golds, sparse_runs, dense_runs, texts = self.runs()
-        best_w, best_metric = tune_weight(golds, sparse_runs, dense_runs, texts, k=1)
+        best_w, best_metric = tune_weight(golds, sparse_runs, dense_runs, texts, k=1, pool_size=10)
         assert 0.0 < best_w < 1.0
         assert best_metric == 1.0
 
@@ -240,7 +240,7 @@ class TestTuneWeight:
         texts = {"a": "answer here"}
         golds = [GoldSet("q1", "q", ("answer",))]
         runs = {"q1": [sp("a", 1.0)]}
-        best_w, best_metric = tune_weight(golds, runs, runs, texts, k=1)
+        best_w, best_metric = tune_weight(golds, runs, runs, texts, k=1, pool_size=10)
         assert best_w == 0.0
         assert best_metric == 1.0
 
@@ -249,9 +249,9 @@ class TestTuneWeight:
         golds = [GoldSet("q1", "q", ("solo",))]
         sparse_runs = {"q1": [sp("s", 1.0), sp("d", 0.5)]}
         dense_runs = {"q1": [sp("d", 1.0, "dense"), sp("s", 0.5, "dense")]}
-        best_w, best_metric = tune_weight(golds, sparse_runs, dense_runs, texts, k=1)
+        best_w, best_metric = tune_weight(golds, sparse_runs, dense_runs, texts, k=1, pool_size=10)
         assert best_metric == 1.0
 
     def test_empty_dev_set_errors(self):
         with pytest.raises(ValueError):
-            tune_weight([], {}, {}, {})
+            tune_weight([], {}, {}, {}, k=1, pool_size=10)

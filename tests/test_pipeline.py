@@ -97,7 +97,7 @@ class TestAnswerQuestion:
         assert {c.passage_id for c in candidates} == {"p1", "p3"}
 
     def test_no_candidates(self):
-        candidates = answer_question("q", fixed_retriever([]), TableScorer({}), PASSAGE_TEXTS)
+        candidates = answer_question("q", fixed_retriever([]), TableScorer({}), PASSAGE_TEXTS, PipelineConfig())
         assert candidates == []
 
     def test_softmax_normalization_preserves_ranking_shape(self):
@@ -323,13 +323,13 @@ class TestEvaluateRun:
         golds = [GoldSet("q1", "find alpha", ("alpha",))]
         retrieved = [ScoredPassage("p1", 1.0, "sparse")]
         table = {"p1": SpanLogits(start=(0.0, 2.0, 0.0, 0.0), end=(0.0, 2.0, 0.0, 0.0))}
-        report = evaluate_run(golds, fixed_retriever(retrieved), TableScorer(table), PASSAGE_TEXTS, match_ks=(1,))
+        report = evaluate_run(golds, fixed_retriever(retrieved), TableScorer(table), PASSAGE_TEXTS, PipelineConfig(), match_ks=(1,))
         assert report.metrics["match@1"] == 1.0
         assert report.metrics["top1_f1"] == 1.0
         assert report.per_query["q1"]["top5_f1"] == 1.0
 
     def test_empty_golds(self):
-        report = evaluate_run([], fixed_retriever([]), TableScorer({}), {})
+        report = evaluate_run([], fixed_retriever([]), TableScorer({}), {}, PipelineConfig())
         assert report.metrics == {}
         assert report.query_count == 0
 
@@ -340,7 +340,7 @@ class TestEvaluateRun:
         ]
         retrieved = [ScoredPassage("p1", 1.0, "sparse")]
         table = {"p1": SpanLogits(start=(0.0, 2.0, 0.0, 0.0), end=(0.0, 2.0, 0.0, 0.0))}
-        report = evaluate_run(golds, fixed_retriever(retrieved), TableScorer(table), PASSAGE_TEXTS, match_ks=(1,))
+        report = evaluate_run(golds, fixed_retriever(retrieved), TableScorer(table), PASSAGE_TEXTS, PipelineConfig(), match_ks=(1,))
         assert report.metrics["match@1"] == 0.5
 
     @pytest.mark.parametrize("golds", [[], [GoldSet("q1", "find alpha", ("alpha",))]], ids=["no-golds", "golds"])
@@ -352,12 +352,12 @@ class TestEvaluateRun:
     )
     def test_match_ks_are_checked_first(self, golds, match_ks, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            evaluate_run(golds, fixed_retriever([]), TableScorer({}), PASSAGE_TEXTS, match_ks=match_ks)
+            evaluate_run(golds, fixed_retriever([]), TableScorer({}), PASSAGE_TEXTS, PipelineConfig(), match_ks=match_ks)
 
     def test_repeated_query_id_is_named(self):
         golds = [GoldSet("q1", "find alpha", ("alpha",)), GoldSet("q1", "find missing", ("nowhere",))]
         with pytest.raises(ValueError, match="duplicate query id 'q1'"):
-            evaluate_run(golds, fixed_retriever([]), TableScorer({}), PASSAGE_TEXTS)
+            evaluate_run(golds, fixed_retriever([]), TableScorer({}), PASSAGE_TEXTS, PipelineConfig())
 
 
 def adaptation_corpus():
@@ -753,7 +753,7 @@ class TestEvaluateRunBuildsNoRecords:
             retriever = make_hybrid_retriever(sparse, dense, encoder, FusionConfig())
         golds = [GoldSet("q0", "alpha", ("beta",))]
         with pytest.raises(ValueError, match="^non-finite score for passage 'p[0-9]'$") as raised:
-            evaluate_run(golds, retriever, LexicalScorer(), texts)
+            evaluate_run(golds, retriever, LexicalScorer(), texts, PipelineConfig())
         with pytest.raises(ValueError) as by_records:
-            evaluate_run(golds, lambda q, k: retriever(q, k), LexicalScorer(), texts)
+            evaluate_run(golds, lambda q, k: retriever(q, k), LexicalScorer(), texts, PipelineConfig())
         assert str(raised.value) == str(by_records.value)

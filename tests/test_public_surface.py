@@ -1,7 +1,8 @@
 """Each module's __all__ lists exactly the public functions and classes it
 defines, so a deleted name cannot linger there and a public one cannot be
-left out; each of them is reached from another definition or has a stated
-reason; each parameter default is overridden by some hyqa call or has a
+left out; each of them, and each public method of an exported class, is
+reached from another definition or has a stated reason; each parameter
+default is overridden by some hyqa call and left out by another, or has a
 stated reason; no module imports another's private names; and the names
 the docs mention exist."""
 
@@ -109,6 +110,11 @@ UNREACHED = {
     "load_gold_squad": "paper fidelity: reads SQuAD-format golds, the format of the paper's COVID-QA",
     "open_version": "paper fidelity: the open-domain gold set of an MRC dataset",
     "run_adaptation": "demo 04 and benchmark/workloads.py run it; the CLI runs its stages one by one",
+    "NgramLM.fit": _ACCEPTANCE + "6",
+    "NgramLM.next": "test reference: tests read a fitted model's distributions through it",
+    "GenTarget.serialize": "paper fidelity: the writer half of the generator's target format",
+    "ExternalLogits.load": _ACCEPTANCE + "11",
+    "ExternalLogits.dump_record": _ACCEPTANCE + "11",
 }
 
 
@@ -139,13 +145,19 @@ def test_every_export_is_reached_or_listed():
     """Each function or class in a module's __all__ is referenced, as a name
     or as an attribute of its module, by some hyqa definition or statement
     other than its own definition (the CLI counts as a caller; a docstring
-    does not), or UNREACHED gives its reason. UNREACHED lists exactly the
+    does not), or UNREACHED gives its reason. So is each public method of
+    an exported class, `Class.method` in UNREACHED, reached as
+    test_every_parameter_default_is_set_or_listed resolves calls: a method
+    reached only from itself is not reached. UNREACHED lists exactly the
     exports no definition reaches, so no entry goes stale."""
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     exports = set()
     for stem, tree in trees.items():
         defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         exports |= {(stem, name) for name in _exports(tree) if name in defined}
+    functions = _functions(trees)
+    methods = {key for key in functions if (key[0], key[1]) in exports and not key[2].startswith("_")}
+    called = {callee for caller, callee, _ in _calls(trees, functions) if caller != callee}
     reached = set()
     for stem, tree in trees.items():
         names, modules = _relative_imports(tree)
@@ -160,8 +172,9 @@ def test_every_export_is_reached_or_listed():
                     continue
                 if target != owner:
                     reached.add(target)
-    assert len(exports) > len(UNREACHED)
-    assert sorted(name for _, name in exports - reached) == sorted(UNREACHED)
+    unreached = [name for _, name in exports - reached] + [f"{owner}.{name}" for _, owner, name in methods - called]
+    assert len(exports) + len(methods) > len(UNREACHED)
+    assert sorted(unreached) == sorted(UNREACHED)
 
 
 # The parameters with a default that no hyqa call sets, each with the reason
@@ -276,6 +289,24 @@ def _sets(call, index, name) -> bool:
     return index is not None and len(call.args) > index
 
 
+def _defaults_no_call(matches) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) of each parameter with a default, of a
+    function or method some hyqa call reaches, for which no hyqa call other
+    than the function's own gives matches(call, index, name)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    functions = _functions(trees)
+    calls = [(callee, call) for caller, callee, call in _calls(trees, functions) if caller != callee]
+    assert len(calls) > 100
+    found = set()
+    for key in {callee for callee, _ in calls}:
+        fn, decorators = functions[key]
+        bound = key[1] is not None and "staticmethod" not in decorators
+        for index, name in _defaulted(fn, int(bound)):
+            if not any(matches(call, index, name) for callee, call in calls if callee == key):
+                found.add((key[0], ".".join(filter(None, key[1:])), name))
+    return sorted(found)
+
+
 def test_every_parameter_default_is_set_or_listed():
     """Each parameter with a default, of a function or method some hyqa call
     reaches, is passed by some hyqa call other than the function's own:
@@ -284,18 +315,46 @@ def test_every_parameter_default_is_set_or_listed():
     so it must become one, or UNSET gives its reason; UNSET lists exactly
     the unset ones, so no entry goes stale. Config dataclass fields are not
     parameters of a def, so they are not scanned."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    functions = _functions(trees)
-    calls = [(callee, call) for caller, callee, call in _calls(trees, functions) if caller != callee]
-    unset = set()
-    for key in {callee for callee, _ in calls}:
-        fn, decorators = functions[key]
-        bound = key[1] is not None and "staticmethod" not in decorators
-        for index, name in _defaulted(fn, int(bound)):
-            if not any(_sets(call, index, name) for callee, call in calls if callee == key):
-                unset.add((key[0], ".".join(filter(None, key[1:])), name))
-    assert len(calls) > 100
-    assert sorted(unset) == sorted(UNSET)
+    assert _defaults_no_call(_sets) == sorted(UNSET)
+
+
+# The parameter defaults that every hyqa call reaching them overrides, each
+# with the caller outside hyqa that leaves it out.
+RELIED_OUTSIDE = {
+    ("corpus", "chunk_retrieval_passages", "max_words"): "benchmark/workloads.py chunks at the default",
+    ("corpus", "ingest_documents", "source"): "benchmark/workloads.py ingests without a source",
+    ("sparse", "build_sparse_index", "params"): "benchmark/workloads.py and demos 01 and 03 index with "
+    "the default BM25Params",
+    ("encoder", "loss_gradient", "touched"): "acceptance contract: tests/test_acceptance.py criterion 1 "
+    "takes the full-size gradient",
+    ("syngen", "candidate_targets", "sentences"): "acceptance contract: tests/test_acceptance.py "
+    "criterion 6 leaves it out",
+    ("syngen", "generate_examples", "sentences"): "acceptance contract: tests/test_acceptance.py "
+    "criterion 6 leaves it out",
+}
+
+
+def _leaves_out(call, index, name) -> bool:
+    """Whether the call may leave out the parameter at positional `index`
+    (or keyword-only) named `name`: it does not pass it, or it passes * or
+    **. A function handed on as a value (None) counts as passing it, as in
+    _sets: the one hyqa function that hands a defaulted function on,
+    cli.cmd_chunk, calls it with every argument."""
+    starred = call is not None and (
+        any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+    )
+    return starred or not _sets(call, index, name)
+
+
+def test_every_parameter_default_is_relied_on_or_listed():
+    """Each parameter with a default, of a function or method some hyqa call
+    reaches, is left out by some hyqa call other than the function's own
+    (one that passes * or ** may leave it out). A default every call
+    overrides restates the caller's value, which can drift from it, so the
+    parameter must become required, or RELIED_OUTSIDE names the caller
+    outside hyqa that leaves it out; RELIED_OUTSIDE lists exactly those,
+    so no entry goes stale. The CLI counts as a caller."""
+    assert _defaults_no_call(_leaves_out) == sorted(RELIED_OUTSIDE)
 
 
 def _defined_names(tree) -> set[str]:

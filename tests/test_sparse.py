@@ -225,7 +225,7 @@ class TestLoadErrors:
     def saved(self, small_index, tmp_path):
         path = tmp_path / "idx.hyqa"
         small_index[0].save(path)
-        _, meta, arrays = container.load(path)
+        meta, arrays = container.load(path, "sparse")
         return path, meta, dict(arrays)
 
     def test_old_varint_layout(self, saved):

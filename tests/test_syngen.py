@@ -80,35 +80,35 @@ class TestDecodeTarget:
         passage = make_passage("Covid spreads fast. Masks help a lot.")
         start = passage.text.index("Masks")
         ex = QAExample("p1", "what helps", "Masks", (start, start + 5))
-        decoded = decode_generation_target(passage, encode_generation_target(passage, ex).serialize())
+        decoded = decode_generation_target(passage, encode_generation_target(passage, ex).serialize(), _sentence_terms(passage.text))
         assert decoded == ex
 
     def test_first_matching_sentence_wins(self):
         # Both sentences start "masks" and end "lot".
         passage = make_passage("Masks help a lot. Masks block a lot.")
-        decoded = decode_generation_target(passage, "masks lot [SEP] help [SEP] what")
+        decoded = decode_generation_target(passage, "masks lot [SEP] help [SEP] what", _sentence_terms(passage.text))
         assert decoded.answer_span[0] < passage.text.index(".")
 
     def test_answer_not_found_is_rejection(self):
         passage = make_passage("Masks help a lot.")
-        result = decode_generation_target(passage, "masks lot [SEP] vaccines [SEP] what")
+        result = decode_generation_target(passage, "masks lot [SEP] vaccines [SEP] what", _sentence_terms(passage.text))
         assert result == DecodeRejection("answer-not-found")
 
     def test_unmatched_sentence_is_rejection(self):
         passage = make_passage("Masks help a lot.")
-        result = decode_generation_target(passage, "covid spreads [SEP] masks [SEP] what")
+        result = decode_generation_target(passage, "covid spreads [SEP] masks [SEP] what", _sentence_terms(passage.text))
         assert result == DecodeRejection("sentence-not-found")
 
     def test_malformed_serialization_errors(self):
         passage = make_passage("Masks help a lot.")
         with pytest.raises(ValueError):
-            decode_generation_target(passage, "masks lot [SEP] only one sep")
+            decode_generation_target(passage, "masks lot [SEP] only one sep", _sentence_terms(passage.text))
         with pytest.raises(ValueError):
-            decode_generation_target(passage, "a b c [SEP] x [SEP] q")
+            decode_generation_target(passage, "a b c [SEP] x [SEP] q", _sentence_terms(passage.text))
 
     def test_decoded_answer_slices_from_passage(self):
         passage = make_passage("The COVID-19 vaccine works well.")
-        decoded = decode_generation_target(passage, "the well [SEP] covid 19 [SEP] what works")
+        decoded = decode_generation_target(passage, "the well [SEP] covid 19 [SEP] what works", _sentence_terms(passage.text))
         s, e = decoded.answer_span
         assert passage.text[s:e] == decoded.answer == "COVID-19"
 
@@ -130,15 +130,6 @@ class TestSampler:
         masses = np.array([0.25, 0.25, 0.25, 0.25])
         seen = {sample_top_p_top_k(masses, SamplerConfig(p=1.0, k=4), rng) for _ in range(200)}
         assert seen == {0, 1, 2, 3}
-
-    def test_nucleus_fixture_frequencies(self):
-        rng = np.random.default_rng(2)
-        masses = np.array([0.5, 0.3, 0.15, 0.05])
-        config = SamplerConfig(p=0.75, k=3)
-        counts = Counter(sample_top_p_top_k(masses, config, rng) for _ in range(100_000))
-        assert set(counts) == {0, 1}
-        assert counts[0] / 100_000 == pytest.approx(0.625, abs=0.01)
-        assert counts[1] / 100_000 == pytest.approx(0.375, abs=0.01)
 
     def test_mass_ties_break_by_index(self):
         rng = np.random.default_rng(3)
@@ -200,7 +191,7 @@ class TestSamplerProperties:
         lm = NgramLM(order=3).fit(candidate_targets(passage, np.random.default_rng(1)))
         config = SamplerConfig(seed=3)
         result = generate_examples(passage, lm, n=30, config=config)
-        rng = np.random.default_rng(config.seed)
+        rng, sentences = np.random.default_rng(config.seed), _sentence_terms(passage.text)
         examples, discards = [], Counter()
         for _ in range(30):
             tokens = []
@@ -210,7 +201,7 @@ class TestSamplerProperties:
                     break
                 tokens.append(tok)
             try:
-                decoded = decode_generation_target(passage, " ".join(tokens))
+                decoded = decode_generation_target(passage, " ".join(tokens), sentences)
             except ValueError:
                 discards["malformed"] += 1
                 continue
@@ -366,7 +357,7 @@ def set_rows(lm, probs):
 def model_of_masses(probs):
     """An NgramLM holding the given rows of masses, whose every state leads
     back to row 0."""
-    lm = NgramLM()
+    lm = NgramLM(order=3)
     lm.vocab = [f"t{i}" for i in range(len(probs[0]))]
     lm._ids = {t: i for i, t in enumerate(lm.vocab)}
     lm._suffix = np.zeros(len(probs), dtype=np.intp)
@@ -571,9 +562,9 @@ class TestGenerate:
 
     def test_model_without_fitted_rows_raises(self):
         passage = make_passage("Masks help a lot.")
-        for lm in (NgramLM(), NgramLM().fit([])):
+        for lm in (NgramLM(order=3), NgramLM(order=3).fit([])):
             with pytest.raises(ValueError, match="no fitted rows"):
-                generate_examples(passage, lm, n=3)
+                generate_examples(passage, lm, n=3, config=SamplerConfig())
 
     def test_fixed_seed_identical_output(self):
         passage = make_passage(
@@ -630,9 +621,12 @@ class TestSegmentOnce:
         "covid spreads [SEP] masks [SEP] what",
     ])
     def test_given_sentences_decode_as_segmenting(self, serialized):
+        # A model fit on one sequence samples it: generate_examples decodes
+        # it against the sentences given, or against its own segmentation.
         passage = make_passage(self.PASSAGE)
-        given = decode_generation_target(passage, serialized, _sentence_terms(passage.text))
-        assert given == decode_generation_target(passage, serialized)
+        lm = NgramLM(order=3).fit([[*serialized.split(), EOS_TOKEN]])
+        given = generate_examples(passage, lm, 1, SamplerConfig(), sentences=_sentence_terms(passage.text))
+        assert given == generate_examples(passage, lm, 1, SamplerConfig())
 
 
 class TestGenerateCorpus:
@@ -752,7 +746,7 @@ class TestRoundtripFilter:
             roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), passages)
 
     def test_logits_longer_than_the_passage_refused_as_the_reader_refuses(self):
-        from hyqa.pipeline import answer_question
+        from hyqa.pipeline import PipelineConfig, answer_question
         from hyqa.scored import ScoredPassage
 
         class FourTokens:
@@ -764,7 +758,7 @@ class TestRoundtripFilter:
         with pytest.raises(ValueError, match=message):
             roundtrip_filter([QAExample("p", "which words", "words", (4, 9))], FourTokens(), FilterConfig(0.0), texts)
         with pytest.raises(ValueError, match=message):
-            answer_question("which words", lambda q, k: [ScoredPassage("p", 1.0, "sparse")], FourTokens(), texts)
+            answer_question("which words", lambda q, k: [ScoredPassage("p", 1.0, "sparse")], FourTokens(), texts, PipelineConfig())
 
 
 FILTER_WORDS = ["masks", "block", "droplets", "indoors", "astronomy", "Masks,", "(block)", "stars"]
@@ -857,7 +851,7 @@ class TestBlockedRoundtripFilter:
         assert calls == []
 
     def test_no_span_band_wider_than_a_block(self, monkeypatch):
-        from hyqa.pipeline import evaluate_run, make_sparse_retriever
+        from hyqa.pipeline import PipelineConfig, evaluate_run, make_sparse_retriever
 
         examples, texts = filter_inputs(4, 2 * _FILTER_BLOCK + 5, 8, 5)
         rows_per_call, real = [], syngen.best_span_each
@@ -868,7 +862,7 @@ class TestBlockedRoundtripFilter:
         assert max(rows_per_call) <= _FILTER_BLOCK
         golds = [GoldSet(f"q{i}", " ".join(FILTER_WORDS[i : i + 3]), ("x",)) for i in range(5)]
         index = build_sparse_index([Passage(pid, pid, text, len(tokenize(text))) for pid, text in texts.items()])
-        report = evaluate_run(golds, make_sparse_retriever(index), LexicalScorer(), texts)
+        report = evaluate_run(golds, make_sparse_retriever(index), LexicalScorer(), texts, PipelineConfig())
         assert len(report.per_query) == len(golds)
 
 
@@ -888,7 +882,7 @@ def mine_one(question, answer):
     the example."""
     index, texts = mining_fixture()
     passages = {pid: make_passage(t, pid) for pid, t in texts.items()}
-    result = build_ir_training_set([QAExample("c", question, answer, (0, 1))], index, passages)
+    result = build_ir_training_set([QAExample("c", question, answer, (0, 1))], index, passages, depth=100)
     assert len(result.instances) + result.dropped == 1
     return result.instances[0].hard_negatives[0].id if result.instances else None
 
@@ -913,7 +907,7 @@ class TestBuildTrainingSet:
             QAExample("a", "what is a common covid symptom", "Fever", (0, 5)),
             QAExample("b", "what do covid symptom lists include", "fatigue", (33, 40)),
         ]
-        result = build_ir_training_set(examples, index, passages)
+        result = build_ir_training_set(examples, index, passages, depth=100)
         assert len(result.instances) == 2
         assert result.dropped == 0
         for inst in result.instances:
@@ -924,7 +918,7 @@ class TestBuildTrainingSet:
         passages = {pid: make_passage(t, pid) for pid, t in texts.items()}
         index = build_sparse_index(list(passages.values()))
         examples = [QAExample("a", "covid", "Covid", (0, 5))]
-        result = build_ir_training_set(examples, index, passages)
+        result = build_ir_training_set(examples, index, passages, depth=100)
         assert result.instances == []
         assert result.dropped == 1
 
@@ -932,7 +926,7 @@ class TestBuildTrainingSet:
         index, texts = mining_fixture()
         passages = {pid: make_passage(t, pid) for pid, t in texts.items()}
         with pytest.raises(KeyError):
-            build_ir_training_set([QAExample("zz", "q", "a", (0, 1))], index, passages)
+            build_ir_training_set([QAExample("zz", "q", "a", (0, 1))], index, passages, depth=100)
 
     @pytest.mark.parametrize("depth", [0, -3])
     def test_depth_below_one_is_refused_first(self, depth):
@@ -1011,19 +1005,19 @@ class TestBlockedMining:
         monkeypatch.setattr(
             syngen, "sparse_top_k_each", lambda index, texts, k: blocks.append(len(texts)) or real(index, texts, k)
         )
-        build_ir_training_set(examples, index, passages)
+        build_ir_training_set(examples, index, passages, depth=100)
         assert blocks == [_MINE_BLOCK, _MINE_BLOCK, 3]
         blocks.clear()
         with pytest.raises(KeyError, match="example passage 'zz' not in passage map"):
-            build_ir_training_set(examples + [QAExample("zz", "q", "a", (0, 1))], index, passages)
+            build_ir_training_set(examples + [QAExample("zz", "q", "a", (0, 1))], index, passages, depth=100)
         assert blocks == []
 
 
 class TestNgramLM:
     def test_never_fitted_next_is_a_value_error(self):
         with pytest.raises(ValueError, match="not fitted"):
-            NgramLM().next([])
-        assert NgramLM().fit([]).next([]).tolist() == [1.0]
+            NgramLM(order=3).next([])
+        assert NgramLM(order=3).fit([]).next([]).tolist() == [1.0]
 
     def test_masses_sum_to_one(self):
         lm = NgramLM(order=2).fit([["a", "b", "c"], ["a", "c"]])
