@@ -135,9 +135,24 @@ def _check_indexed(index_path, ids, passages_path, passages: dict) -> None:
         raise ValueError(f"{index_path} indexes passage {missing!r}, which {passages_path} does not hold")
 
 
-def _retriever(args, passages):
-    """The retriever the flags name; with passages (the --passages file's
-    id -> text, or None), an index holding a passage they lack is refused."""
+def _config(cls, args, *fields):
+    """cls built from the flags of its `fields`, each flag the field's name
+    after "--" with dashes for underscores; a value cls refuses is named by
+    its flag, not its field."""
+    try:
+        return cls(**{name: getattr(args, name) for name in fields})
+    except ValueError as e:
+        message = str(e)
+        name = next((name for name in fields if message.startswith(f"{name} ")), None)
+        if name is None:
+            raise
+        raise ValueError(f"--{name.replace('_', '-')}{message[len(name):]}") from None
+
+
+def _retriever(args, passages, fusion: FusionConfig):
+    """The retriever the flags name, fusing at `fusion` in hybrid mode; with
+    passages (the --passages file's id -> text, or None), an index holding a
+    passage they lack is refused."""
     sparse_index = SparseIndex.load(args.sparse) if args.sparse else None
     dense_index = DenseIndex.load(args.dense) if args.dense else None
     if passages is not None:
@@ -155,7 +170,6 @@ def _retriever(args, passages):
         return make_dense_retriever(dense_index, enc)
     if sparse_index is None or dense_index is None or enc is None:
         raise ValueError("hybrid retrieval requires --sparse, --dense and --encoder")
-    fusion = FusionConfig(pool_size=args.pool_size, weight=args.weight)
     return make_hybrid_retriever(sparse_index, dense_index, enc, fusion)
 
 
@@ -275,7 +289,9 @@ def cmd_mine_negatives(args):
 
 
 def cmd_retrieve(args):
-    retriever = _retriever(args, None)
+    if args.k < 1:
+        raise ValueError("-k must be >= 1")
+    retriever = _retriever(args, None, _config(FusionConfig, args, "pool_size", "weight"))
     results = retriever(args.query, args.k)
     for sp in results:
         print(json.dumps({"passage_id": sp.passage_id, "score": sp.score, "provenance": sp.provenance}))
@@ -284,14 +300,10 @@ def cmd_retrieve(args):
 def cmd_answer(args):
     if args.top < 1:
         raise ValueError("--top must be >= 1")
+    fusion = _config(FusionConfig, args, "pool_size", "weight")
+    config = _config(PipelineConfig, args, "K", "ir_weight", "max_answer_len", "normalization")
     passages = {p.id: p.text for p in _load_passages(args.passages)}
-    retriever = _retriever(args, passages)
-    config = PipelineConfig(
-        K=args.K,
-        ir_weight=args.ir_weight,
-        max_answer_len=args.max_answer_len,
-        normalization=args.normalization,
-    )
+    retriever = _retriever(args, passages, fusion)
     candidates = answer_question(args.question, retriever, _scorer(args, passages), passages, config)
     for c in candidates[: args.top]:
         print(
@@ -309,10 +321,11 @@ def cmd_answer(args):
 
 
 def cmd_evaluate(args):
+    fusion = _config(FusionConfig, args, "pool_size", "weight")
+    config = _config(PipelineConfig, args, "K", "ir_weight")
     passages = {p.id: p.text for p in _load_passages(args.passages)}
     golds = load_gold_jsonl(_read_lines(args.golds), args.golds)
-    retriever = _retriever(args, passages)
-    config = PipelineConfig(K=args.K, ir_weight=args.ir_weight)
+    retriever = _retriever(args, passages, fusion)
     report = evaluate_run(golds, retriever, _scorer(args, passages, golds), passages, config)
     path = _out_path(args, "report.json")
     with open(path, "w") as f:
@@ -322,8 +335,9 @@ def cmd_evaluate(args):
 
 
 def cmd_tune_fusion(args):
-    if args.pool_size < 1:
-        raise ValueError("--pool-size must be >= 1")
+    if args.k < 1:
+        raise ValueError("-k must be >= 1")
+    pool_size = _config(FusionConfig, args, "pool_size").pool_size
     passages = {p.id: p.text for p in _load_passages(args.passages)}
     golds = load_gold_jsonl(_read_lines(args.golds), args.golds)
     sparse_index, dense_index = SparseIndex.load(args.sparse), DenseIndex.load(args.dense)
@@ -331,9 +345,9 @@ def cmd_tune_fusion(args):
     _check_indexed(args.dense, dense_index.ids, args.passages, passages)
     sparse = make_sparse_retriever(sparse_index)
     dense = make_dense_retriever(dense_index, DualEncoder.load(args.encoder))
-    sparse_runs = {g.query_id: sparse(g.question, args.pool_size) for g in golds}
-    dense_runs = {g.query_id: dense(g.question, args.pool_size) for g in golds}
-    w, metric = tune_weight(golds, sparse_runs, dense_runs, passages, k=args.k, pool_size=args.pool_size)
+    sparse_runs = {g.query_id: sparse(g.question, pool_size) for g in golds}
+    dense_runs = {g.query_id: dense(g.question, pool_size) for g in golds}
+    w, metric = tune_weight(golds, sparse_runs, dense_runs, passages, k=args.k, pool_size=pool_size)
     path = _out_path(args, "fusion_weight.json")
     with open(path, "w") as f:
         json.dump({"weight": w, f"match@{args.k}": metric}, f, sort_keys=True, indent=2)

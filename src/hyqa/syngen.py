@@ -14,15 +14,22 @@ every nucleus: over the fitted rows of a chunk of models for generation,
 and over one row, every column an entry, for the public
 sample_top_p_top_k. One path, _sentence_terms, gives each sentence's terms
 to target encoding, candidate targets and decoding.
+
+generate_corpus, roundtrip_filter and build_ir_training_set run their
+block loops through one splitter, _sharded: contiguous shards of whole
+blocks, one per usable CPU, all but the first in forked processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -78,6 +85,96 @@ _FILTER_BLOCK = 128
 # each question's matched passages, so the block bounds mining's memory as
 # _FILTER_BLOCK bounds the filter's.
 _MINE_BLOCK = 128
+
+_T = TypeVar("_T")
+
+
+def _sharded(n: int, block: int, work: Callable[[int, int], _T]) -> list[_T]:
+    """work(lo, hi) over contiguous shards of range(n), their results in
+    shard order.
+
+    There is one shard per usable CPU (os.sched_getaffinity), each a whole
+    number of `block`s and at least one, so every block holds the items a
+    serial loop over range(0, n, block) gives it. Shard 0 runs here; each
+    other shard runs in an os.fork child, which sends back only its pickled
+    result, or its exception, through a pipe. With one usable CPU, fewer
+    than two blocks, or no os.fork or os.sched_getaffinity (off Linux),
+    work(0, n) runs here as the one shard.
+
+    A stage's `work` reads only its own shard's items and state that no
+    shard writes, and its blocks are the serial loop's, so no result
+    depends on the split. The first exception in shard order is raised,
+    which is the one a serial loop raises first; an exception a child
+    cannot pickle, or a child that dies, is a RuntimeError. Every child is
+    reaped before this returns or raises.
+    """
+    blocks = -(-n // block)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    shards = min(cpus, blocks)
+    if shards < 2:
+        return [work(0, n)]
+    bounds = [min(n, s * blocks // shards * block) for s in range(shards + 1)]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in shard order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _send(write, work, lo, hi)
+            os.close(write)
+            children.append((pid, read))
+        results = [work(bounds[0], bounds[1])]
+        results += [_receive(pid, read) for pid, read in children]
+        return results
+    finally:
+        # A child whose result was read has exited or is exiting, so the
+        # kill stops only those left running by an exception here.
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send(write: int, work: Callable[[int, int], _T], lo: int, hi: int) -> NoReturn:
+    """In a forked child: write the pickled (True, work(lo, hi)), or
+    (False, its exception), to the pipe `write`, then exit without running
+    any of the parent's exit handlers."""
+    status = 1
+    try:
+        try:
+            reply = (True, work(lo, hi))
+        except Exception as e:
+            reply = (False, e)
+        data = memoryview(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(write, data) :]
+        # The end of file reaches the parent now, not once this process's
+        # memory has been torn down.
+        os.close(write)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid: int, read: int):
+    """The result child `pid` sent through the pipe `read`; its exception
+    is raised here."""
+    chunks = []
+    while chunk := os.read(read, 1 << 20):
+        chunks.append(chunk)
+    try:
+        ok, value = pickle.loads(b"".join(chunks))
+    except Exception:
+        raise RuntimeError(f"shard process {pid} ended without a readable result") from None
+    if not ok:
+        raise value
+    return value
 
 
 @dataclass(frozen=True)
@@ -431,30 +528,46 @@ def generate_corpus(
     for its targets and its decoding. The models of each run of
     _NUCLEUS_CHUNK passages are compiled in one array pass (_compile, the
     pass NgramLM.fit makes for one model) and have their nuclei selected in
-    another.
+    another. The runs are split into shards, one per usable CPU
+    (_sharded); as no passage's draws depend on another's, the examples,
+    joined in passage order, and the discards are those of one loop.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+
+    def generate(lo: int, hi: int) -> GenerationResult:
+        shard = GenerationResult(examples=[])
+        for first in range(lo, hi, _NUCLEUS_CHUNK):
+            chunk = []
+            for i in range(first, min(first + _NUCLEUS_CHUNK, hi)):
+                rng = np.random.default_rng(seed ^ (i + 1))
+                sentences = _sentence_terms(passages[i].text)
+                targets = candidate_targets(passages[i], rng, sentences=sentences)
+                if targets:
+                    chunk.append((passages[i], targets, sentences, replace(sampler, seed=int(rng.integers(0, 2**31)))))
+            if not chunk:
+                continue
+            lms = [NgramLM(order=3) for _ in chunk]
+            _compile(lms, [targets for _, targets, _, _ in chunk])
+            _select_nuclei(lms, sampler)
+            for (passage, _, sentences, config), lm in zip(chunk, lms):
+                result = generate_examples(passage, lm, n=n, config=config, sentences=sentences)
+                shard.examples.extend(result.examples)
+                _add_discards(shard.discards, result.discards)
+        return shard
+
     total = GenerationResult(examples=[])
-    for first in range(0, len(passages), _NUCLEUS_CHUNK):
-        chunk = []
-        for i in range(first, min(first + _NUCLEUS_CHUNK, len(passages))):
-            rng = np.random.default_rng(seed ^ (i + 1))
-            sentences = _sentence_terms(passages[i].text)
-            targets = candidate_targets(passages[i], rng, sentences=sentences)
-            if targets:
-                chunk.append((passages[i], targets, sentences, replace(sampler, seed=int(rng.integers(0, 2**31)))))
-        if not chunk:
-            continue
-        lms = [NgramLM(order=3) for _ in chunk]
-        _compile(lms, [targets for _, targets, _, _ in chunk])
-        _select_nuclei(lms, sampler)
-        for (passage, _, sentences, config), lm in zip(chunk, lms):
-            result = generate_examples(passage, lm, n=n, config=config, sentences=sentences)
-            total.examples.extend(result.examples)
-            for reason, count in result.discards.items():
-                total.discards[reason] = total.discards.get(reason, 0) + count
+    for shard in _sharded(len(passages), _NUCLEUS_CHUNK, generate):
+        total.examples.extend(shard.examples)
+        _add_discards(total.discards, shard.discards)
     return total
+
+
+def _add_discards(total: dict[str, int], discards: dict[str, int]) -> None:
+    """Add `discards` into `total`, a reason first seen here last, so the
+    reasons of sums taken in passage order keep first-seen order."""
+    for reason, count in discards.items():
+        total[reason] = total.get(reason, 0) + count
 
 
 @dataclass
@@ -482,29 +595,37 @@ def roundtrip_filter(
     dropped and tallied, not fatal; an example whose passage is not in
     `passage_texts` is a KeyError, and one whose .logits cover more tokens
     than its passage has is the reader's ValueError (mrc.logit_rows).
+
+    The blocks are split into shards, one per usable CPU (_sharded), each
+    of which sends back its examples' scores only; the kept examples are
+    then picked here from `examples` itself, so they are the caller's
+    objects. An error is the one the first failing block raises, with the
+    example's index in `examples`.
     """
-    result = FilterResult(kept=[], scores=[])
-    for lo in range(0, len(examples), _FILTER_BLOCK):
-        block = examples[lo : lo + _FILTER_BLOCK]
-        for i, ex in enumerate(block, start=lo):
-            if ex.passage_id not in passage_texts:
-                raise KeyError(f"example passage {ex.passage_id!r} not in passage map (example {i})")
-        ids = [ex.passage_id for ex in block]
-        texts = [passage_texts[pid] for pid in ids]
-        rows, scored = logit_rows(scorer, [ex.question for ex in block], ids, texts)
-        read, rows = rows.nonempty()
-        scores = np.full(len(block), -np.inf)
-        if read.size:
-            scores[read] = best_span_each(rows, MAX_ANSWER_LEN)[2]
-        for ex, ok, score in zip(block, scored.tolist(), scores.tolist()):
-            if not ok:
-                result.scores.append(None)
-                result.missing += 1
-            else:
-                result.scores.append(score)
-                if score >= config.threshold:
-                    result.kept.append(ex)
-    return result
+
+    def score(lo: int, hi: int) -> list[Optional[float]]:
+        shard: list[Optional[float]] = []
+        for first in range(lo, hi, _FILTER_BLOCK):
+            block = examples[first : min(first + _FILTER_BLOCK, hi)]
+            for i, ex in enumerate(block, start=first):
+                if ex.passage_id not in passage_texts:
+                    raise KeyError(f"example passage {ex.passage_id!r} not in passage map (example {i})")
+            ids = [ex.passage_id for ex in block]
+            texts = [passage_texts[pid] for pid in ids]
+            rows, scored = logit_rows(scorer, [ex.question for ex in block], ids, texts)
+            read, rows = rows.nonempty()
+            scores = np.full(len(block), -np.inf)
+            if read.size:
+                scores[read] = best_span_each(rows, MAX_ANSWER_LEN)[2]
+            shard += [s if ok else None for ok, s in zip(scored.tolist(), scores.tolist())]
+        return shard
+
+    scores = list(chain.from_iterable(_sharded(len(examples), _FILTER_BLOCK, score)))
+    return FilterResult(
+        kept=[ex for ex, s in zip(examples, scores) if s is not None and s >= config.threshold],
+        scores=scores,
+        missing=sum(s is None for s in scores),
+    )
 
 
 def filtered_records(examples: Sequence[QAExample], result: FilterResult) -> list[dict]:
@@ -558,37 +679,46 @@ def build_ir_training_set(
     negative cannot be mined are dropped and tallied. Every example's
     passage is looked up before any scoring; the questions are then ranked
     _MINE_BLOCK at a time with one sparse_top_k_each. Each candidate
-    passage's text is normalized once per call, at its first test. A depth
-    below 1 is a ValueError, raised first."""
+    passage's text is normalized once per shard, at its first test. A depth
+    below 1 is a ValueError, raised first.
+
+    The blocks are split into shards, one per usable CPU (_sharded), each
+    of which sends back its examples' negative passage ids only; the
+    instances are then built here from `passages` itself."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     for ex in examples:
         if ex.passage_id not in passages:
             raise KeyError(f"example passage {ex.passage_id!r} not in passage map")
-    haystacks: dict[str, str] = {}
 
-    def haystack(passage_id: str) -> str:
-        hay = haystacks.get(passage_id)
-        if hay is None:
-            hay = haystacks[passage_id] = _haystack(passages[passage_id].text)
-        return hay
+    def mine(lo: int, hi: int) -> list[Optional[str]]:
+        haystacks: dict[str, str] = {}
+
+        def haystack(passage_id: str) -> str:
+            hay = haystacks.get(passage_id)
+            if hay is None:
+                hay = haystacks[passage_id] = _haystack(passages[passage_id].text)
+            return hay
+
+        shard: list[Optional[str]] = []
+        for first in range(lo, hi, _MINE_BLOCK):
+            block = examples[first : min(first + _MINE_BLOCK, hi)]
+            ranked = sparse_top_k_each(index, [ex.question for ex in block], depth)
+            shard += [_first_negative(top, ex.answer, index, haystack, ex.passage_id) for ex, (top, _) in zip(block, ranked)]
+        return shard
 
     result = TrainingSetResult(instances=[])
-    for lo in range(0, len(examples), _MINE_BLOCK):
-        block = examples[lo : lo + _MINE_BLOCK]
-        ranked = sparse_top_k_each(index, [ex.question for ex in block], depth)
-        for ex, (top, _) in zip(block, ranked):
-            neg_id = _first_negative(top, ex.answer, index, haystack, ex.passage_id)
-            if neg_id is None:
-                result.dropped += 1
-                continue
-            result.instances.append(
-                IRTrainInstance(
-                    question=ex.question,
-                    positive=passages[ex.passage_id],
-                    hard_negatives=(passages[neg_id],),
-                )
+    for ex, neg_id in zip(examples, chain.from_iterable(_sharded(len(examples), _MINE_BLOCK, mine))):
+        if neg_id is None:
+            result.dropped += 1
+            continue
+        result.instances.append(
+            IRTrainInstance(
+                question=ex.question,
+                positive=passages[ex.passage_id],
+                hard_negatives=(passages[neg_id],),
             )
+        )
     return result
 
 

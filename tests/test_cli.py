@@ -661,6 +661,39 @@ class TestErrorHandling:
         assert capsys.readouterr().err == "error [tune-fusion]: --pool-size must be >= 1\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            pytest.param("retrieve", "--pool-size", 0, "--pool-size must be >= 1", id="retrieve --pool-size"),
+            pytest.param("retrieve", "--weight", 2, "--weight must lie in [0, 1]", id="retrieve --weight"),
+            pytest.param("retrieve", "-k", 0, "-k must be >= 1", id="retrieve -k"),
+            pytest.param("answer", "--pool-size", 0, "--pool-size must be >= 1", id="answer --pool-size"),
+            pytest.param("answer", "--weight", 2, "--weight must lie in [0, 1]", id="answer --weight"),
+            pytest.param("answer", "--K", 0, "--K must be >= 1", id="answer --K"),
+            pytest.param("answer", "--ir-weight", 2, "--ir-weight must lie in [0, 1]", id="answer --ir-weight"),
+            pytest.param("answer", "--max-answer-len", 0, "--max-answer-len must be >= 1", id="answer --max-answer-len"),
+            pytest.param("evaluate", "--pool-size", 0, "--pool-size must be >= 1", id="evaluate --pool-size"),
+            pytest.param("evaluate", "--weight", 2, "--weight must lie in [0, 1]", id="evaluate --weight"),
+            pytest.param("evaluate", "--K", 0, "--K must be >= 1", id="evaluate --K"),
+            pytest.param("evaluate", "--ir-weight", 2, "--ir-weight must lie in [0, 1]", id="evaluate --ir-weight"),
+            pytest.param("tune-fusion", "-k", 0, "-k must be >= 1", id="tune-fusion -k"),
+        ],
+    )
+    def test_bad_flag_is_refused_by_name_before_reading(self, tmp_path, capsys, command, flag, value, message):
+        # Every input named is absent, so a refusal after any read would
+        # name a missing file instead.
+        absent, index = tmp_path / "absent.jsonl", tmp_path / "absent.hyqa"
+        argv = {
+            "retrieve": ["--query", "x"],
+            "answer": ["--question", "x", "--passages", absent],
+            "evaluate": ["--golds", absent, "--passages", absent],
+            "tune-fusion": ["--golds", absent, "--passages", absent],
+        }[command]
+        argv += [a for name in ("--sparse", "--dense", "--encoder") for a in (name, index)]
+        assert run(["--output-dir", tmp_path / "o", command, *argv, flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error [{command}]: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["answer", "evaluate", "tune-fusion"])
     def test_passages_lacking_an_indexed_passage_are_refused(self, trained, tmp_path, capsys, command):
         _, out = trained

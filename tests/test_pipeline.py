@@ -489,6 +489,48 @@ class TestRunAdaptation:
         assert len(hybrid("what does the otter eat", 3)) == 3
 
 
+@pytest.mark.usefixtures("small_blocks")
+class TestShardedAdaptation:
+    """run_adaptation with its generate, filter and mine stages split into
+    shards, one per usable CPU (syngen._sharded), on blocks small enough
+    for adaptation_corpus() to span several."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_every_file_equals_the_one_shard_run(self, tmp_path, monkeypatch, usable_cpus, cpus):
+        usable_cpus(1)
+        run_adaptation(adaptation_corpus(), small_config(), output_dir=tmp_path / "serial")
+        usable_cpus(cpus)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        run_adaptation(adaptation_corpus(), small_config(), output_dir=tmp_path / "sharded")
+        assert len(forks) == 3 * (cpus - 1)  # each of the three stages
+        serial = {path.name: path.read_bytes() for path in sorted((tmp_path / "serial").iterdir())}
+        sharded = {path.name: path.read_bytes() for path in sorted((tmp_path / "sharded").iterdir())}
+        assert len(serial) == 7
+        assert sharded == serial
+
+    def test_failing_child_names_the_stage(self, monkeypatch, usable_cpus):
+        # Six generation passages in blocks of 2: with three CPUs the ibex
+        # passage, the last, is generated in the second child.
+        generate = hyqa.syngen.generate_examples
+
+        def refuse_ibex(passage, *args, **kwargs):
+            if "ibex" in passage.text:
+                raise ValueError(f"no examples for {passage.id!r}")
+            return generate(passage, *args, **kwargs)
+
+        monkeypatch.setattr(hyqa.syngen, "generate_examples", refuse_ibex)
+        raised = []
+        for cpus in (1, 3):
+            usable_cpus(cpus)
+            with pytest.raises(RuntimeError, match="^adaptation failed at stage 'generate': no examples for") as caught:
+                run_adaptation(adaptation_corpus(), small_config())
+            raised.append((str(caught.value), type(caught.value.__cause__), str(caught.value.__cause__)))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert raised[0] == raised[1]
+
+
 class TestHybridRetriever:
     """make_hybrid_retriever against the list path it replaces:
     fuse(sparse_search(pool), dense_search(pool))[:k]."""

@@ -1,4 +1,5 @@
 import copy
+import os
 from collections import Counter
 from itertools import accumulate
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from hyqa.corpus import Document, Passage, chunk_generation_passages, tokenize
 from hyqa.evalkit import GoldSet, answer_test
-from hyqa.mrc import MAX_ANSWER_LEN, LexicalScorer, ScorerConfig, SpanLogits, answerability
+from hyqa.mrc import MAX_ANSWER_LEN, ExternalLogits, LexicalScorer, ScorerConfig, SpanLogits, answerability
 from hyqa.sparse import build_sparse_index, sparse_top_k_each
 from hyqa.syngen import (
     EOS_TOKEN,
@@ -822,9 +823,10 @@ class TestBlockedRoundtripFilter:
         assert result.kept == [ex for ex, v in zip(examples, expected) if v is not None and v >= threshold]
         assert result.missing == expected.count(None)
 
-    def test_terms_once_per_distinct_question_and_once_per_example(self, monkeypatch):
+    def test_terms_once_per_distinct_question_and_once_per_example(self, monkeypatch, usable_cpus):
         import hyqa.mrc
 
+        usable_cpus(1)  # the blocks all run in this process, which counts the calls
         examples, texts = filter_inputs(3, 2 * _FILTER_BLOCK + 5, 8, 5)
         calls, real = [], hyqa.mrc.terms
         monkeypatch.setattr(hyqa.mrc, "terms", lambda text: calls.append(text) or real(text))
@@ -850,9 +852,10 @@ class TestBlockedRoundtripFilter:
         roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), texts)
         assert calls == []
 
-    def test_no_span_band_wider_than_a_block(self, monkeypatch):
+    def test_no_span_band_wider_than_a_block(self, monkeypatch, usable_cpus):
         from hyqa.pipeline import PipelineConfig, evaluate_run, make_sparse_retriever
 
+        usable_cpus(1)  # the blocks all run in this process, which counts the calls
         examples, texts = filter_inputs(4, 2 * _FILTER_BLOCK + 5, 8, 5)
         rows_per_call, real = [], syngen.best_span_each
         monkeypatch.setattr(syngen, "best_span_each", lambda rows, L: rows_per_call.append(len(rows.n)) or real(rows, L))
@@ -998,7 +1001,8 @@ class TestBlockedMining:
         assert result.dropped == dropped > 0
         assert len(normalized) <= len(passages) < len(examples)
 
-    def test_ranks_blocks_after_checking_every_passage(self, monkeypatch):
+    def test_ranks_blocks_after_checking_every_passage(self, monkeypatch, usable_cpus):
+        usable_cpus(1)  # the blocks all run in this process, which counts the calls
         examples, passages = mining_inputs(3, 2 * _MINE_BLOCK + 3)
         index = build_sparse_index(list(passages.values()))
         blocks, real = [], syngen.sparse_top_k_each
@@ -1011,6 +1015,138 @@ class TestBlockedMining:
         with pytest.raises(KeyError, match="example passage 'zz' not in passage map"):
             build_ir_training_set(examples + [QAExample("zz", "q", "a", (0, 1))], index, passages, depth=100)
         assert blocks == []
+
+
+def counted_forks(monkeypatch):
+    forks, fork = [], syngen.os.fork
+    monkeypatch.setattr(syngen.os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def external_logits(examples, texts, unscored):
+    """ExternalLogits holding TableScorer's logits for every example whose
+    passage is not in `unscored`, so the others have none."""
+    table = TableScorer(unscored)
+    records = {
+        (ex.question, ex.passage_id): table.logits(ex.question, ex.passage_id, texts[ex.passage_id])
+        for ex in examples
+        if ex.passage_id not in unscored
+    }
+    return ExternalLogits.from_records(records.items())
+
+
+class TestShardsAreInvisible:
+    """Each sharded stage equals its one-shard run, field for field, on one,
+    two and three usable CPUs."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_generate_corpus(self, small_blocks, usable_cpus, monkeypatch, cpus):
+        texts = TestGenerateCorpus.TEXTS
+        passages = [make_passage(texts[i % len(texts)], f"p{i}") for i in range(11)]
+        usable_cpus(1)
+        serial = generate_corpus(passages, 6, SamplerConfig(p=0.9, k=5), seed=3)
+        usable_cpus(cpus)
+        forks = counted_forks(monkeypatch)
+        sharded = generate_corpus(passages, 6, SamplerConfig(p=0.9, k=5), seed=3)
+        assert len(forks) == cpus - 1
+        assert sharded.examples == serial.examples
+        assert list(sharded.discards.items()) == list(serial.discards.items())
+        assert len(serial.examples) > 5 and len(serial.discards) > 2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["lexical", "external"])
+    def test_roundtrip_filter(self, small_blocks, usable_cpus, monkeypatch, cpus, kind):
+        examples, texts = filter_inputs(5, 20, 9, 4)
+        scorer = LexicalScorer() if kind == "lexical" else external_logits(examples, texts, {"p0", "p4"})
+        usable_cpus(1)
+        serial = roundtrip_filter(examples, scorer, FilterConfig(1.0), texts)
+        usable_cpus(cpus)
+        forks = counted_forks(monkeypatch)
+        sharded = roundtrip_filter(examples, scorer, FilterConfig(1.0), texts)
+        assert len(forks) == cpus - 1
+        assert [None if v is None else v.hex() for v in sharded.scores] == [
+            None if v is None else v.hex() for v in serial.scores
+        ]
+        assert sharded.missing == serial.missing
+        assert sharded.missing > 0 if kind == "external" else sharded.missing == 0
+        # The kept examples are the caller's own objects, in input order.
+        kept = {id(ex) for ex in sharded.kept}
+        assert sharded.kept == [ex for ex in examples if id(ex) in kept] == serial.kept
+        assert 0 < len(sharded.kept) < len(examples)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_build_ir_training_set(self, small_blocks, usable_cpus, monkeypatch, cpus):
+        examples, passages = mining_inputs(6, 20)
+        index = build_sparse_index(list(passages.values()))
+        usable_cpus(1)
+        serial = build_ir_training_set(examples, index, passages, depth=5)
+        usable_cpus(cpus)
+        forks = counted_forks(monkeypatch)
+        sharded = build_ir_training_set(examples, index, passages, depth=5)
+        assert len(forks) == cpus - 1
+        assert sharded == serial
+        assert sharded.dropped > 0
+        # Each instance holds the caller's own passages.
+        for inst in sharded.instances:
+            assert inst.positive is passages[inst.positive.id]
+            assert inst.hard_negatives[0] is passages[inst.hard_negatives[0].id]
+
+
+class TestFailingShards:
+    """An exception in any shard reaches the caller as the one-shard run
+    raises it, and no child process is left behind."""
+
+    @pytest.mark.parametrize("missing", [[15], [15, 18], [1, 15], [13, 8]])
+    def test_first_failing_example_is_raised(self, small_blocks, usable_cpus, missing):
+        # Three shards of 20 examples in blocks of 3: examples 0-5, 6-11
+        # and 12-19. Shard 0 runs in this process, the others in children.
+        examples, texts = filter_inputs(5, 20, 9, 4)
+        for i in missing:
+            examples[i] = QAExample("absent", examples[i].question, "x", (0, 1))
+        raised = []
+        for cpus in (1, 3):
+            usable_cpus(cpus)
+            with pytest.raises(KeyError) as caught:
+                roundtrip_filter(examples, LexicalScorer(), FilterConfig(1.0), texts)
+            raised.append((type(caught.value), str(caught.value)))
+            assert_no_child_left()
+        assert raised[0] == raised[1]
+        assert f"(example {min(missing)})" in raised[0][1]
+
+    def test_a_child_that_dies_is_a_runtime_error(self, small_blocks, usable_cpus, monkeypatch):
+        examples, passages = mining_inputs(6, 20)
+        index = build_sparse_index(list(passages.values()))
+        parent, rank = os.getpid(), syngen.sparse_top_k_each
+        monkeypatch.setattr(
+            syngen, "sparse_top_k_each", lambda *a: os._exit(3) if os.getpid() != parent else rank(*a)
+        )
+        usable_cpus(2)
+        with pytest.raises(RuntimeError, match=r"^shard process \d+ ended without a readable result$"):
+            build_ir_training_set(examples, index, passages, depth=5)
+        assert_no_child_left()
+
+    def test_an_exception_that_cannot_be_pickled_is_a_runtime_error(self, small_blocks, usable_cpus, monkeypatch):
+        class Local(Exception):  # a class pickle cannot find by name
+            pass
+
+        passages = [make_passage(TestGenerateCorpus.TEXTS[0], f"p{i}") for i in range(6)]
+        parent, candidates = os.getpid(), syngen.candidate_targets
+
+        def targets(passage, rng, **kw):
+            if os.getpid() != parent:
+                raise Local("unpicklable")
+            return candidates(passage, rng, **kw)
+
+        monkeypatch.setattr(syngen, "candidate_targets", targets)
+        usable_cpus(3)
+        with pytest.raises(RuntimeError, match="ended without a readable result"):
+            generate_corpus(passages, 2, SamplerConfig(), seed=0)
+        assert_no_child_left()
 
 
 class TestNgramLM:
