@@ -15,9 +15,9 @@ and over one row, every column an entry, for the public
 sample_top_p_top_k. One path, _sentence_terms, gives each sentence's terms
 to target encoding, candidate targets and decoding.
 
-generate_corpus, roundtrip_filter and build_ir_training_set run their
-block loops through one splitter, _sharded: contiguous shards of whole
-blocks, one per usable CPU, all but the first in forked processes.
+generate_corpus and build_ir_training_set run their block loops through
+one splitter, _sharded: contiguous shards of whole blocks, one per usable
+CPU, all but the first in forked processes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -98,8 +99,10 @@ def _sharded(n: int, block: int, work: Callable[[int, int], _T]) -> list[_T]:
     serial loop over range(0, n, block) gives it. Shard 0 runs here; each
     other shard runs in an os.fork child, which sends back only its pickled
     result, or its exception, through a pipe. With one usable CPU, fewer
-    than two blocks, or no os.fork or os.sched_getaffinity (off Linux),
-    work(0, n) runs here as the one shard.
+    than two blocks, no os.fork or os.sched_getaffinity (off Linux), or
+    another Python thread running in this process, work(0, n) runs here as
+    the one shard: a lock another thread holds at the fork would stay held
+    in the child for good.
 
     A stage's `work` reads only its own shard's items and state that no
     shard writes, and its blocks are the serial loop's, so no result
@@ -111,7 +114,7 @@ def _sharded(n: int, block: int, work: Callable[[int, int], _T]) -> list[_T]:
     blocks = -(-n // block)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
     shards = min(cpus, blocks)
-    if shards < 2:
+    if shards < 2 or threading.active_count() > 1:
         return [work(0, n)]
     bounds = [min(n, s * blocks // shards * block) for s in range(shards + 1)]
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in shard order
@@ -595,37 +598,29 @@ def roundtrip_filter(
     dropped and tallied, not fatal; an example whose passage is not in
     `passage_texts` is a KeyError, and one whose .logits cover more tokens
     than its passage has is the reader's ValueError (mrc.logit_rows).
-
-    The blocks are split into shards, one per usable CPU (_sharded), each
-    of which sends back its examples' scores only; the kept examples are
-    then picked here from `examples` itself, so they are the caller's
-    objects. An error is the one the first failing block raises, with the
-    example's index in `examples`.
     """
-
-    def score(lo: int, hi: int) -> list[Optional[float]]:
-        shard: list[Optional[float]] = []
-        for first in range(lo, hi, _FILTER_BLOCK):
-            block = examples[first : min(first + _FILTER_BLOCK, hi)]
-            for i, ex in enumerate(block, start=first):
-                if ex.passage_id not in passage_texts:
-                    raise KeyError(f"example passage {ex.passage_id!r} not in passage map (example {i})")
-            ids = [ex.passage_id for ex in block]
-            texts = [passage_texts[pid] for pid in ids]
-            rows, scored = logit_rows(scorer, [ex.question for ex in block], ids, texts)
-            read, rows = rows.nonempty()
-            scores = np.full(len(block), -np.inf)
-            if read.size:
-                scores[read] = best_span_each(rows, MAX_ANSWER_LEN)[2]
-            shard += [s if ok else None for ok, s in zip(scored.tolist(), scores.tolist())]
-        return shard
-
-    scores = list(chain.from_iterable(_sharded(len(examples), _FILTER_BLOCK, score)))
-    return FilterResult(
-        kept=[ex for ex, s in zip(examples, scores) if s is not None and s >= config.threshold],
-        scores=scores,
-        missing=sum(s is None for s in scores),
-    )
+    result = FilterResult(kept=[], scores=[])
+    for lo in range(0, len(examples), _FILTER_BLOCK):
+        block = examples[lo : lo + _FILTER_BLOCK]
+        for i, ex in enumerate(block, start=lo):
+            if ex.passage_id not in passage_texts:
+                raise KeyError(f"example passage {ex.passage_id!r} not in passage map (example {i})")
+        ids = [ex.passage_id for ex in block]
+        texts = [passage_texts[pid] for pid in ids]
+        rows, scored = logit_rows(scorer, [ex.question for ex in block], ids, texts)
+        read, rows = rows.nonempty()
+        scores = np.full(len(block), -np.inf)
+        if read.size:
+            scores[read] = best_span_each(rows, MAX_ANSWER_LEN)[2]
+        for ex, ok, score in zip(block, scored.tolist(), scores.tolist()):
+            if not ok:
+                result.scores.append(None)
+                result.missing += 1
+            else:
+                result.scores.append(score)
+                if score >= config.threshold:
+                    result.kept.append(ex)
+    return result
 
 
 def filtered_records(examples: Sequence[QAExample], result: FilterResult) -> list[dict]:

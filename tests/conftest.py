@@ -45,7 +45,6 @@ def usable_cpus(monkeypatch):
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Blocks of 2 passages and of 3 examples in the sharded syngen stages,
-    so small inputs span several shards."""
+    generate and mine, so small inputs span several shards."""
     monkeypatch.setattr(syngen, "_NUCLEUS_CHUNK", 2)
-    monkeypatch.setattr(syngen, "_FILTER_BLOCK", 3)
     monkeypatch.setattr(syngen, "_MINE_BLOCK", 3)

@@ -491,9 +491,9 @@ class TestRunAdaptation:
 
 @pytest.mark.usefixtures("small_blocks")
 class TestShardedAdaptation:
-    """run_adaptation with its generate, filter and mine stages split into
-    shards, one per usable CPU (syngen._sharded), on blocks small enough
-    for adaptation_corpus() to span several."""
+    """run_adaptation with its generate and mine stages split into shards,
+    one per usable CPU (syngen._sharded), on blocks small enough for
+    adaptation_corpus() to span several."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_every_file_equals_the_one_shard_run(self, tmp_path, monkeypatch, usable_cpus, cpus):
@@ -503,7 +503,7 @@ class TestShardedAdaptation:
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         run_adaptation(adaptation_corpus(), small_config(), output_dir=tmp_path / "sharded")
-        assert len(forks) == 3 * (cpus - 1)  # each of the three stages
+        assert len(forks) == 2 * (cpus - 1)  # generate and mine
         serial = {path.name: path.read_bytes() for path in sorted((tmp_path / "serial").iterdir())}
         sharded = {path.name: path.read_bytes() for path in sorted((tmp_path / "sharded").iterdir())}
         assert len(serial) == 7

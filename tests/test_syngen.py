@@ -1,5 +1,6 @@
 import copy
 import os
+import threading
 from collections import Counter
 from itertools import accumulate
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyqa.corpus import Document, Passage, chunk_generation_passages, tokenize
 from hyqa.evalkit import GoldSet, answer_test
-from hyqa.mrc import MAX_ANSWER_LEN, ExternalLogits, LexicalScorer, ScorerConfig, SpanLogits, answerability
+from hyqa.mrc import MAX_ANSWER_LEN, LexicalScorer, ScorerConfig, SpanLogits, answerability
 from hyqa.sparse import build_sparse_index, sparse_top_k_each
 from hyqa.syngen import (
     EOS_TOKEN,
@@ -823,10 +824,9 @@ class TestBlockedRoundtripFilter:
         assert result.kept == [ex for ex, v in zip(examples, expected) if v is not None and v >= threshold]
         assert result.missing == expected.count(None)
 
-    def test_terms_once_per_distinct_question_and_once_per_example(self, monkeypatch, usable_cpus):
+    def test_terms_once_per_distinct_question_and_once_per_example(self, monkeypatch):
         import hyqa.mrc
 
-        usable_cpus(1)  # the blocks all run in this process, which counts the calls
         examples, texts = filter_inputs(3, 2 * _FILTER_BLOCK + 5, 8, 5)
         calls, real = [], hyqa.mrc.terms
         monkeypatch.setattr(hyqa.mrc, "terms", lambda text: calls.append(text) or real(text))
@@ -852,10 +852,9 @@ class TestBlockedRoundtripFilter:
         roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), texts)
         assert calls == []
 
-    def test_no_span_band_wider_than_a_block(self, monkeypatch, usable_cpus):
+    def test_no_span_band_wider_than_a_block(self, monkeypatch):
         from hyqa.pipeline import PipelineConfig, evaluate_run, make_sparse_retriever
 
-        usable_cpus(1)  # the blocks all run in this process, which counts the calls
         examples, texts = filter_inputs(4, 2 * _FILTER_BLOCK + 5, 8, 5)
         rows_per_call, real = [], syngen.best_span_each
         monkeypatch.setattr(syngen, "best_span_each", lambda rows, L: rows_per_call.append(len(rows.n)) or real(rows, L))
@@ -978,10 +977,12 @@ class TestBlockedMining:
         assert result.dropped == dropped > 0
 
     @pytest.mark.parametrize("seed, depth", [(4, 100), (5, 2)])
-    def test_equals_answer_test_reference_normalizing_each_passage_once(self, seed, depth, monkeypatch):
+    def test_equals_answer_test_reference_normalizing_each_passage_once(self, seed, depth, monkeypatch, usable_cpus):
         """Each negative is the first ranked passage, the example's own
         excluded, that evalkit.answer_test finds without the answer; each
-        passage text is normalized at most once per call."""
+        passage text is normalized at most once per shard, and on one
+        usable CPU the call is one shard."""
+        usable_cpus(1)  # the blocks all run in this process, which counts the calls
         examples, passages = mining_inputs(seed, 2 * _MINE_BLOCK + 3)
         examples.append(QAExample("p0", "alpha beta", "the", (0, 1)))  # normalizes to empty: matches nothing
         index = build_sparse_index(list(passages.values()))
@@ -1028,21 +1029,9 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def external_logits(examples, texts, unscored):
-    """ExternalLogits holding TableScorer's logits for every example whose
-    passage is not in `unscored`, so the others have none."""
-    table = TableScorer(unscored)
-    records = {
-        (ex.question, ex.passage_id): table.logits(ex.question, ex.passage_id, texts[ex.passage_id])
-        for ex in examples
-        if ex.passage_id not in unscored
-    }
-    return ExternalLogits.from_records(records.items())
-
-
 class TestShardsAreInvisible:
-    """Each sharded stage equals its one-shard run, field for field, on one,
-    two and three usable CPUs."""
+    """Each sharded stage, generate and mine, equals its one-shard run
+    field for field, on one, two and three usable CPUs."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_generate_corpus(self, small_blocks, usable_cpus, monkeypatch, cpus):
@@ -1057,27 +1046,6 @@ class TestShardsAreInvisible:
         assert sharded.examples == serial.examples
         assert list(sharded.discards.items()) == list(serial.discards.items())
         assert len(serial.examples) > 5 and len(serial.discards) > 2
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["lexical", "external"])
-    def test_roundtrip_filter(self, small_blocks, usable_cpus, monkeypatch, cpus, kind):
-        examples, texts = filter_inputs(5, 20, 9, 4)
-        scorer = LexicalScorer() if kind == "lexical" else external_logits(examples, texts, {"p0", "p4"})
-        usable_cpus(1)
-        serial = roundtrip_filter(examples, scorer, FilterConfig(1.0), texts)
-        usable_cpus(cpus)
-        forks = counted_forks(monkeypatch)
-        sharded = roundtrip_filter(examples, scorer, FilterConfig(1.0), texts)
-        assert len(forks) == cpus - 1
-        assert [None if v is None else v.hex() for v in sharded.scores] == [
-            None if v is None else v.hex() for v in serial.scores
-        ]
-        assert sharded.missing == serial.missing
-        assert sharded.missing > 0 if kind == "external" else sharded.missing == 0
-        # The kept examples are the caller's own objects, in input order.
-        kept = {id(ex) for ex in sharded.kept}
-        assert sharded.kept == [ex for ex in examples if id(ex) in kept] == serial.kept
-        assert 0 < len(sharded.kept) < len(examples)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_build_ir_training_set(self, small_blocks, usable_cpus, monkeypatch, cpus):
@@ -1096,27 +1064,54 @@ class TestShardsAreInvisible:
             assert inst.positive is passages[inst.positive.id]
             assert inst.hard_negatives[0] is passages[inst.hard_negatives[0].id]
 
+    def test_no_fork_while_another_thread_runs(self, small_blocks, usable_cpus, monkeypatch):
+        # A lock the other thread held at a fork would never be released in
+        # the child, so the stage runs in this process.
+        examples, passages = mining_inputs(6, 20)
+        index = build_sparse_index(list(passages.values()))
+        usable_cpus(1)
+        serial = build_ir_training_set(examples, index, passages, depth=5)
+        usable_cpus(3)
+        forks = counted_forks(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            threaded = build_ir_training_set(examples, index, passages, depth=5)
+        finally:
+            release.set()
+            other.join()
+        assert forks == []
+        assert threaded == serial
+        assert build_ir_training_set(examples, index, passages, depth=5) == serial
+        assert len(forks) == 2  # the thread is gone, so the stage is split again
+
 
 class TestFailingShards:
     """An exception in any shard reaches the caller as the one-shard run
     raises it, and no child process is left behind."""
 
-    @pytest.mark.parametrize("missing", [[15], [15, 18], [1, 15], [13, 8]])
-    def test_first_failing_example_is_raised(self, small_blocks, usable_cpus, missing):
-        # Three shards of 20 examples in blocks of 3: examples 0-5, 6-11
-        # and 12-19. Shard 0 runs in this process, the others in children.
-        examples, texts = filter_inputs(5, 20, 9, 4)
-        for i in missing:
-            examples[i] = QAExample("absent", examples[i].question, "x", (0, 1))
+    @pytest.mark.parametrize("refused", [[9], [9, 11], [1, 9], [10, 5]])
+    def test_first_failing_passage_is_raised(self, small_blocks, usable_cpus, monkeypatch, refused):
+        # Three shards of 12 passages in blocks of 2: passages 0-3, 4-7 and
+        # 8-11. Shard 0 runs in this process, the others in children.
+        passages = [make_passage(TestGenerateCorpus.TEXTS[0], f"p{i}") for i in range(12)]
+        generate = syngen.generate_examples
+
+        def refuse(passage, *args, **kwargs):
+            if int(passage.id[1:]) in refused:
+                raise ValueError(f"no examples for {passage.id!r}")
+            return generate(passage, *args, **kwargs)
+
+        monkeypatch.setattr(syngen, "generate_examples", refuse)
         raised = []
         for cpus in (1, 3):
             usable_cpus(cpus)
-            with pytest.raises(KeyError) as caught:
-                roundtrip_filter(examples, LexicalScorer(), FilterConfig(1.0), texts)
+            with pytest.raises(ValueError) as caught:
+                generate_corpus(passages, 2, SamplerConfig(), seed=0)
             raised.append((type(caught.value), str(caught.value)))
             assert_no_child_left()
-        assert raised[0] == raised[1]
-        assert f"(example {min(missing)})" in raised[0][1]
+        assert raised[0] == raised[1] == (ValueError, f"no examples for 'p{min(refused)}'")
 
     def test_a_child_that_dies_is_a_runtime_error(self, small_blocks, usable_cpus, monkeypatch):
         examples, passages = mining_inputs(6, 20)
