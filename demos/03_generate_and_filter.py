@@ -43,7 +43,7 @@ def main():
     generated = result.examples
     for pid in passages:
         print(f"{pid}: {sum(ex.passage_id == pid for ex in generated)} examples")
-    print(f"discards {result.discards}")
+    print(f"discards {dict(result.discards)}")
 
     kept = roundtrip_filter(
         generated, LexicalScorer(), FilterConfig(threshold=1.0), TEXTS

@@ -149,16 +149,23 @@ def _config(cls, args, *fields):
         raise ValueError(f"--{name.replace('_', '-')}{message[len(name):]}") from None
 
 
-def _retriever(args, passages, fusion: FusionConfig):
-    """The retriever the flags name, fusing at `fusion` in hybrid mode; with
-    passages (the --passages file's id -> text, or None), an index holding a
-    passage they lack is refused."""
+def _artifacts(args, passages):
+    """The --sparse index, --dense index and --encoder, each None when its
+    flag is absent, loaded in that order; with passages (the --passages
+    file's id -> text, or None), an index holding a passage they lack is
+    refused before the encoder is loaded."""
     sparse_index = SparseIndex.load(args.sparse) if args.sparse else None
     dense_index = DenseIndex.load(args.dense) if args.dense else None
     if passages is not None:
         _check_indexed(args.sparse, sparse_index.doc_ids if sparse_index else (), args.passages, passages)
         _check_indexed(args.dense, dense_index.ids if dense_index else (), args.passages, passages)
-    enc = DualEncoder.load(args.encoder) if args.encoder else None
+    return sparse_index, dense_index, DualEncoder.load(args.encoder) if args.encoder else None
+
+
+def _retriever(args, passages, fusion: FusionConfig):
+    """The retriever the flags name (_artifacts), fusing at `fusion` in
+    hybrid mode."""
+    sparse_index, dense_index, enc = _artifacts(args, passages)
     mode = args.mode or ("hybrid" if sparse_index and dense_index else "sparse" if sparse_index else "dense")
     if mode == "sparse":
         if sparse_index is None:
@@ -195,8 +202,8 @@ def cmd_chunk(args):
 
 
 def cmd_index_sparse(args):
-    passages = _load_passages(args.passages)
-    index = build_sparse_index(passages, BM25Params(k1=args.k1, b=args.b))
+    params = _config(BM25Params, args, "k1", "b")
+    index = build_sparse_index(_load_passages(args.passages), params)
     path = _out_path(args, "sparse.hyqa")
     index.save(path)
     print(f"indexed {index.N} passages, {len(index.terms)} terms -> {path}")
@@ -218,6 +225,13 @@ def cmd_encode(args):
 
 
 def cmd_train_encoder(args):
+    config = TrainConfig(
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        warmup_steps=args.warmup,
+        seed=args.seed,
+    )
     passages = {p.id: p for p in _load_passages(args.passages)}
 
     def passage(pid):
@@ -236,13 +250,6 @@ def cmd_train_encoder(args):
         return IRTrainInstance(question, passage(positive_id), tuple(map(passage, negative_ids)))
 
     instances = _load_jsonl(args.instances, instance)
-    config = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        warmup_steps=args.warmup,
-        seed=args.seed,
-    )
     trained, trace = train_encoder(list(passages.values()), instances, args.dim, config)
     path = _out_path(args, "encoder.hyqa")
     trained.save(path)
@@ -251,8 +258,8 @@ def cmd_train_encoder(args):
 
 
 def cmd_generate(args):
-    passages = _load_passages(args.passages)
-    result = generate_corpus(passages, args.n, SamplerConfig(p=args.p, k=args.k), args.seed)
+    sampler = _config(SamplerConfig, args, "p", "k")
+    result = generate_corpus(_load_passages(args.passages), args.n, sampler, args.seed)
     path = _out_path(args, "synthetic_raw.jsonl")
     write_jsonl(path, map(example_to_record, result.examples))
     summary = _out_path(args, "generation_summary.json")
@@ -262,9 +269,10 @@ def cmd_generate(args):
 
 
 def cmd_filter(args):
+    config = _config(FilterConfig, args, "threshold")
     passages = {p.id: p.text for p in _load_passages(args.passages)}
     examples = _load_jsonl(args.examples, example_from_record)
-    result = roundtrip_filter(examples, _scorer(args, passages), FilterConfig(threshold=args.threshold), passages)
+    result = roundtrip_filter(examples, _scorer(args, passages), config, passages)
     path = _out_path(args, "synthetic_filtered.jsonl")
     write_jsonl(path, filtered_records(examples, result))
     print(f"kept {len(result.kept)}/{len(examples)} at t={args.threshold} ({result.missing} missing logits) -> {path}")
@@ -275,6 +283,7 @@ def cmd_mine_negatives(args):
         raise ValueError("--depth must be >= 1")
     passages = {p.id: p for p in _load_passages(args.passages)}
     index = SparseIndex.load(args.index)
+    _check_indexed(args.index, index.doc_ids, args.passages, passages)
     examples = _load_jsonl(args.examples, example_from_record)
     result = build_ir_training_set(examples, index, passages, depth=args.depth)
     path = _out_path(args, "train_instances.jsonl")
@@ -301,7 +310,7 @@ def cmd_answer(args):
     if args.top < 1:
         raise ValueError("--top must be >= 1")
     fusion = _config(FusionConfig, args, "pool_size", "weight")
-    config = _config(PipelineConfig, args, "K", "ir_weight", "max_answer_len", "normalization")
+    config = _config(PipelineConfig, args, "K", "ir_weight")
     passages = {p.id: p.text for p in _load_passages(args.passages)}
     retriever = _retriever(args, passages, fusion)
     candidates = answer_question(args.question, retriever, _scorer(args, passages), passages, config)
@@ -340,11 +349,9 @@ def cmd_tune_fusion(args):
     pool_size = _config(FusionConfig, args, "pool_size").pool_size
     passages = {p.id: p.text for p in _load_passages(args.passages)}
     golds = load_gold_jsonl(_read_lines(args.golds), args.golds)
-    sparse_index, dense_index = SparseIndex.load(args.sparse), DenseIndex.load(args.dense)
-    _check_indexed(args.sparse, sparse_index.doc_ids, args.passages, passages)
-    _check_indexed(args.dense, dense_index.ids, args.passages, passages)
+    sparse_index, dense_index, enc = _artifacts(args, passages)
     sparse = make_sparse_retriever(sparse_index)
-    dense = make_dense_retriever(dense_index, DualEncoder.load(args.encoder))
+    dense = make_dense_retriever(dense_index, enc)
     sparse_runs = {g.query_id: sparse(g.question, pool_size) for g in golds}
     dense_runs = {g.query_id: dense(g.question, pool_size) for g in golds}
     w, metric = tune_weight(golds, sparse_runs, dense_runs, passages, k=args.k, pool_size=pool_size)
@@ -479,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passages", required=True)
     p.add_argument("--K", type=int, default=pipeline.K)
     p.add_argument("--ir-weight", type=float, default=pipeline.ir_weight)
-    p.add_argument("--max-answer-len", type=int, default=pipeline.max_answer_len)
-    p.add_argument("--normalization", choices=["minmax", "softmax"], default=pipeline.normalization)
     p.add_argument("--logits")
     p.add_argument("--top", type=int, default=5)
     p.set_defaults(func=cmd_answer)

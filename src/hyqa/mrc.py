@@ -138,7 +138,7 @@ class SpanScore:
     score: float
 
 
-MAX_ANSWER_LEN = 30  # the default longest answer span, in tokens
+MAX_ANSWER_LEN = 30  # the longest answer span the reader and the filter read, in tokens
 
 
 @dataclass(frozen=True)

@@ -86,18 +86,12 @@ Retriever = Callable[[str, int], list[ScoredPassage]]
 class PipelineConfig:
     K: int = K_HYBRID
     ir_weight: float = 0.7
-    max_answer_len: int = MAX_ANSWER_LEN
-    normalization: str = "minmax"  # or "softmax"
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.max_answer_len < 1:
-            raise ValueError("max_answer_len must be >= 1")
         if not 0.0 <= self.ir_weight <= 1.0:
             raise ValueError("ir_weight must lie in [0, 1]")
-        if self.normalization not in ("minmax", "softmax"):
-            raise ValueError("normalization must be 'minmax' or 'softmax'")
 
 
 @dataclass(frozen=True)
@@ -139,13 +133,6 @@ def _ranked(retriever: Retriever, question: str, k: int) -> tuple[list[str], np.
     return [sp.passage_id for sp in retrieved], np.array([sp.score for sp in retrieved], dtype=np.float64)
 
 
-def _normalize(scores: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "softmax":
-        exp = np.exp(scores - scores.max())
-        return exp / exp.sum()
-    return minmax_normalize(scores)
-
-
 class _Reading(NamedTuple):
     """The passages read for one question, one entry per passage in
     retrieval order, and `order`, the entries by descending combined score
@@ -185,12 +172,12 @@ def _read(
         return None
     read_list = read.tolist()
     ids = [ids[i] for i in read_list]
-    starts, ends, span_scores = best_span_each(rows, config.max_answer_len)
+    starts, ends, span_scores = best_span_each(rows, MAX_ANSWER_LEN)
     ir = ir_scores[read]
     w = config.ir_weight
     # Elementwise f64: the same IEEE operations as w * ir + (1 - w) * mrc on
     # each candidate's floats.
-    combined = w * _normalize(ir, config.normalization) + (1 - w) * _normalize(span_scores, config.normalization)
+    combined = w * minmax_normalize(ir) + (1 - w) * minmax_normalize(span_scores)
     order = np.lexsort((id_ranks(ids), -combined))
     return _Reading(ids, [texts[i] for i in read_list], ir, starts, ends, span_scores, combined, order)
 
@@ -202,16 +189,17 @@ def answer_question(
     passage_texts: dict[str, str],
     config: PipelineConfig,
 ) -> list[AnswerCandidate]:
-    """Retrieve top-K passages, take each passage's best span and score,
-    normalize IR and span scores over the candidate pool, and rank by their
-    convex combination (ties by ascending passage id).
+    """Retrieve top-K passages, take each passage's best span of at most
+    mrc.MAX_ANSWER_LEN tokens and its score, min-max normalize IR and span
+    scores over the candidate pool, and rank by their convex combination
+    (ties by ascending passage id).
 
     The K passages are read as one array (the reading kernel, _read):
     mrc.logit_rows scores the question with each passage (in one pass when
     the scorer has logits_pairs), a passage that is unscored or has no
     tokens is skipped, mrc.best_span_each finds each other row's best span,
     its first maximum in (s asc, e asc) order, from a sliding maximum of
-    the end logits over the passages' sum(n) tokens and the max_answer_len
+    the end logits over the passages' sum(n) tokens and the MAX_ANSWER_LEN
     cells of one start per passage, and the answers returned are cut with
     mrc.cut_answers, one token-offset pass over their passages' texts. The
     IR scores are the retriever's .ranked arrays when it has them. Records
@@ -345,9 +333,9 @@ def train_encoder(
 @dataclass(frozen=True)
 class AdaptationConfig:
     """Settings of run_adaptation. `seed` overrides `sampler.seed` and `train.seed`;
-    the roundtrip filter scores spans of up to mrc.MAX_ANSWER_LEN tokens. A
-    negative seed, or a size or count below 1, is a ValueError here, before
-    any stage runs."""
+    the roundtrip filter, like the reader, scores spans of up to
+    mrc.MAX_ANSWER_LEN tokens. A negative seed, or a size or count below 1,
+    is a ValueError here, before any stage runs."""
 
     seed: int = 0
     retrieval_max_words: int = RETRIEVAL_MAX_WORDS

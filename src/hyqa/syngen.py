@@ -28,6 +28,7 @@ import pickle
 import signal
 import threading
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, NoReturn, Optional, Sequence, TypeVar
@@ -452,7 +453,7 @@ def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
 @dataclass
 class GenerationResult:
     examples: list[QAExample]
-    discards: dict[str, int] = field(default_factory=dict)
+    discards: Counter[str] = field(default_factory=Counter)
 
 
 def generate_examples(
@@ -509,7 +510,7 @@ def generate_examples(
         if isinstance(decoded, QAExample) and (decoded.question, decoded.answer) in seen:
             decoded = DecodeRejection("duplicate")
         if isinstance(decoded, DecodeRejection):
-            result.discards[decoded.reason] = result.discards.get(decoded.reason, 0) + 1
+            result.discards[decoded.reason] += 1
             continue
         seen.add((decoded.question, decoded.answer))
         result.examples.append(decoded)
@@ -527,13 +528,14 @@ def generate_corpus(
 
     Passage i draws from its own RNG seeded with seed ^ (i + 1); the
     sampler's own seed is ignored. Passages without targets are skipped;
-    discards are summed over all passages. Each passage is segmented once,
-    for its targets and its decoding. The models of each run of
-    _NUCLEUS_CHUNK passages are compiled in one array pass (_compile, the
-    pass NgramLM.fit makes for one model) and have their nuclei selected in
-    another. The runs are split into shards, one per usable CPU
-    (_sharded); as no passage's draws depend on another's, the examples,
-    joined in passage order, and the discards are those of one loop.
+    discards are summed over all passages, reasons in first-seen order.
+    Each passage is segmented once, for its targets and its decoding. The
+    models of each run of _NUCLEUS_CHUNK passages are compiled in one array
+    pass (_compile, the pass NgramLM.fit makes for one model) and have their
+    nuclei selected in another. The runs are split into shards, one per
+    usable CPU (_sharded); as no passage's draws depend on another's, the
+    examples, joined in passage order, and the discards are those of one
+    loop.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -556,21 +558,14 @@ def generate_corpus(
             for (passage, _, sentences, config), lm in zip(chunk, lms):
                 result = generate_examples(passage, lm, n=n, config=config, sentences=sentences)
                 shard.examples.extend(result.examples)
-                _add_discards(shard.discards, result.discards)
+                shard.discards.update(result.discards)
         return shard
 
     total = GenerationResult(examples=[])
     for shard in _sharded(len(passages), _NUCLEUS_CHUNK, generate):
         total.examples.extend(shard.examples)
-        _add_discards(total.discards, shard.discards)
+        total.discards.update(shard.discards)
     return total
-
-
-def _add_discards(total: dict[str, int], discards: dict[str, int]) -> None:
-    """Add `discards` into `total`, a reason first seen here last, so the
-    reasons of sums taken in passage order keep first-seen order."""
-    for reason, count in discards.items():
-        total[reason] = total.get(reason, 0) + count
 
 
 @dataclass

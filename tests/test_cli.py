@@ -166,16 +166,11 @@ class TestRetrievalCommands:
             "--question", "what does the otter eat",
             "--K", 4,
         ]
-        lengths = []
-        # The default, then --max-answer-len 1: every answer is then one token.
-        for extra in ([], ["--max-answer-len", 1]):
-            assert run(argv + extra) == 0
-            rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
-            assert rows
-            assert {"answer", "passage_id", "combined"} <= set(rows[0])
-            lengths.append({len(tokenize(r["answer"])) for r in rows})
-        assert max(lengths[0]) > 1
-        assert lengths[1] == {1}
+        assert run(argv) == 0
+        rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert rows
+        assert {"answer", "passage_id", "combined"} <= set(rows[0])
+        assert max(len(tokenize(r["answer"])) for r in rows) > 1
 
     def test_retrieve_scores_independent_of_hash_seed(self, workspace):
         # Sparse scores sum term contributions in sorted term order, not in
@@ -256,10 +251,7 @@ _STAGE_DEFAULTS = [
     (["filter", "--examples", "e", "--passages", "p"], {"threshold": FilterConfig().threshold}),
     (["mine-negatives", "--examples", "e", "--passages", "p", "--index", "i"], {"depth": _ADAPTATION.negative_depth}),
     (["retrieve", "--query", "q"], _RETRIEVAL),
-    (
-        ["answer", "--question", "q", "--passages", "p"],
-        {**_READING, "max_answer_len": _PIPELINE.max_answer_len, "normalization": _PIPELINE.normalization},
-    ),
+    (["answer", "--question", "q", "--passages", "p"], _READING),
     (["evaluate", "--golds", "g", "--passages", "p"], _READING),
     (
         ["tune-fusion", "--golds", "g", "--passages", "p", "--sparse", "s", "--dense", "d", "--encoder", "e"],
@@ -290,7 +282,7 @@ class TestErrorHandling:
         _, out = workspace
         target = out / "bad-k1"
         assert run(["--output-dir", target, "index-sparse", "--passages", out / "passages_retrieval.jsonl", "--k1", k1]) == 1
-        assert capsys.readouterr().err == "error [index-sparse]: k1 must be finite and positive\n"
+        assert capsys.readouterr().err == "error [index-sparse]: --k1 must be finite and positive\n"
         assert not (target / "sparse.hyqa").exists()
 
     def test_chunk_refuses_zero_max_units(self, tmp_path, capsys):
@@ -379,6 +371,18 @@ class TestErrorHandling:
         config.write_text(json.dumps({"k1": 2.0, "pool_sise": 5, "seeed": 3}))
         assert run(["--config", config, "retrieve", "--query", "x"]) == 1
         assert capsys.readouterr().err == f"error [config]: {config}: 'pool_sise' names no hyqa option\n"
+
+    @pytest.mark.parametrize("key, flag", [("max_answer_len", "--max-answer-len"), ("normalization", "--normalization")])
+    def test_reader_settings_are_no_options(self, tmp_path, capsys, key, flag):
+        # The reader's longest span and its min-max normalization are fixed,
+        # so neither a --config key nor a flag sets them.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 1}))
+        assert run(["--config", config, "answer", "--question", "x", "--passages", tmp_path / "absent.jsonl"]) == 1
+        assert capsys.readouterr().err == f"error [config]: {config}: {key!r} names no hyqa option\n"
+        with pytest.raises(SystemExit):
+            parse_args(["answer", "--question", "x", "--passages", "p", flag, "1"])
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", ["{not json", "[1, 2]", None])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, content):
@@ -671,30 +675,44 @@ class TestErrorHandling:
             pytest.param("answer", "--weight", 2, "--weight must lie in [0, 1]", id="answer --weight"),
             pytest.param("answer", "--K", 0, "--K must be >= 1", id="answer --K"),
             pytest.param("answer", "--ir-weight", 2, "--ir-weight must lie in [0, 1]", id="answer --ir-weight"),
-            pytest.param("answer", "--max-answer-len", 0, "--max-answer-len must be >= 1", id="answer --max-answer-len"),
             pytest.param("evaluate", "--pool-size", 0, "--pool-size must be >= 1", id="evaluate --pool-size"),
             pytest.param("evaluate", "--weight", 2, "--weight must lie in [0, 1]", id="evaluate --weight"),
             pytest.param("evaluate", "--K", 0, "--K must be >= 1", id="evaluate --K"),
             pytest.param("evaluate", "--ir-weight", 2, "--ir-weight must lie in [0, 1]", id="evaluate --ir-weight"),
             pytest.param("tune-fusion", "-k", 0, "-k must be >= 1", id="tune-fusion -k"),
+            pytest.param("index-sparse", "--k1", 0, "--k1 must be finite and positive", id="index-sparse --k1"),
+            pytest.param("index-sparse", "--b", 2, "--b must lie in [0, 1]", id="index-sparse --b"),
+            pytest.param("generate", "--p", 0, "--p must lie in (0, 1]", id="generate --p"),
+            pytest.param("generate", "--k", 0, "--k must be >= 1", id="generate --k"),
+            pytest.param("filter", "--threshold", "nan", "--threshold must be a number, not NaN", id="filter --threshold"),
+            # TrainConfig's fields are not named as its flags are, so these
+            # refusals name the field.
+            pytest.param("train-encoder", "--lr", 0, "learning_rate must be finite and positive", id="train-encoder --lr"),
+            pytest.param("train-encoder", "--epochs", -1, "epochs must be non-negative", id="train-encoder --epochs"),
+            pytest.param("train-encoder", "--batch-size", 0, "batch_size must be >= 1", id="train-encoder --batch-size"),
+            pytest.param("train-encoder", "--warmup", -1, "warmup_steps must be non-negative", id="train-encoder --warmup"),
         ],
     )
     def test_bad_flag_is_refused_by_name_before_reading(self, tmp_path, capsys, command, flag, value, message):
         # Every input named is absent, so a refusal after any read would
         # name a missing file instead.
         absent, index = tmp_path / "absent.jsonl", tmp_path / "absent.hyqa"
+        indexes = [a for name in ("--sparse", "--dense", "--encoder") for a in (name, index)]
         argv = {
-            "retrieve": ["--query", "x"],
-            "answer": ["--question", "x", "--passages", absent],
-            "evaluate": ["--golds", absent, "--passages", absent],
-            "tune-fusion": ["--golds", absent, "--passages", absent],
+            "retrieve": ["--query", "x", *indexes],
+            "answer": ["--question", "x", "--passages", absent, *indexes],
+            "evaluate": ["--golds", absent, "--passages", absent, *indexes],
+            "tune-fusion": ["--golds", absent, "--passages", absent, *indexes],
+            "index-sparse": ["--passages", absent],
+            "generate": ["--passages", absent],
+            "filter": ["--examples", absent, "--passages", absent],
+            "train-encoder": ["--instances", absent, "--passages", absent],
         }[command]
-        argv += [a for name in ("--sparse", "--dense", "--encoder") for a in (name, index)]
         assert run(["--output-dir", tmp_path / "o", command, *argv, flag, value]) == 1
         assert capsys.readouterr() == ("", f"error [{command}]: {message}\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["answer", "evaluate", "tune-fusion"])
+    @pytest.mark.parametrize("command", ["answer", "evaluate", "tune-fusion", "mine-negatives"])
     def test_passages_lacking_an_indexed_passage_are_refused(self, trained, tmp_path, capsys, command):
         _, out = trained
         first, second = (out / "passages_retrieval.jsonl").read_text().splitlines()[:2]
@@ -702,10 +720,18 @@ class TestErrorHandling:
         passages.write_text(first + "\n")
         golds = tmp_path / "golds.jsonl"
         golds.write_text(json.dumps({"question": "what does the otter eat", "answers": ["shellfish"]}) + "\n")
+        # An example on the one passage whose question ranks the others.
+        text = json.loads(first)["text"]
+        start = text.index("eats ") + len("eats ")
+        answer = text[start:].split()[0]
+        example = QAExample(json.loads(first)["id"], "what does it eat during the season", answer, (start, start + len(answer)))
+        examples = tmp_path / "examples.jsonl"
+        examples.write_text(json.dumps(example_to_record(example)) + "\n")
         indexes = ["--sparse", out / "sparse.hyqa", "--dense", out / "dense.hyqa", "--encoder", out / "encoder.hyqa"]
-        args = {"answer": ["--question", "what does the otter eat"], "evaluate": ["--golds", golds],
-                "tune-fusion": ["--golds", golds]}[command]
-        assert run(["--output-dir", tmp_path / "o", command, "--passages", passages, *indexes, *args]) == 1
+        args = {"answer": [*indexes, "--question", "what does the otter eat"], "evaluate": [*indexes, "--golds", golds],
+                "tune-fusion": [*indexes, "--golds", golds],
+                "mine-negatives": ["--index", out / "sparse.hyqa", "--examples", examples]}[command]
+        assert run(["--output-dir", tmp_path / "o", command, "--passages", passages, *args]) == 1
         missing = json.loads(second)["id"]
         assert capsys.readouterr() == (
             "", f"error [{command}]: {out / 'sparse.hyqa'} indexes passage {missing!r}, which {passages} does not hold\n"

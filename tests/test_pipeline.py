@@ -16,7 +16,7 @@ from hyqa.corpus import Document, tokenize
 from hyqa.encoder import TrainConfig
 from hyqa.evalkit import GoldSet
 from hyqa.fusion import minmax_normalize
-from hyqa.mrc import LexicalScorer, ScorerConfig, SpanLogits, best_spans
+from hyqa.mrc import MAX_ANSWER_LEN, LexicalScorer, ScorerConfig, SpanLogits, best_spans
 from hyqa.pipeline import (
     K_HYBRID,
     AdaptationConfig,
@@ -100,11 +100,6 @@ class TestAnswerQuestion:
         candidates = answer_question("q", fixed_retriever([]), TableScorer({}), PASSAGE_TEXTS, PipelineConfig())
         assert candidates == []
 
-    def test_softmax_normalization_preserves_ranking_shape(self):
-        config = PipelineConfig(K=3, ir_weight=0.0, normalization="softmax")
-        candidates = answer_question("q", fixed_retriever(self.retrieved()), TableScorer(self.logit_table()), PASSAGE_TEXTS, config)
-        assert candidates[0].passage_id == "p2"
-
     def test_depth_constants(self):
         assert K_HYBRID == 40
         assert PipelineConfig().K == 40
@@ -113,10 +108,6 @@ class TestAnswerQuestion:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             PipelineConfig(ir_weight=1.5)
-        with pytest.raises(ValueError):
-            PipelineConfig(normalization="zscore")
-        with pytest.raises(ValueError, match="max_answer_len"):
-            PipelineConfig(max_answer_len=0)
 
     def test_logits_longer_than_passage_name_it(self):
         table = self.logit_table()
@@ -147,20 +138,14 @@ def loop_reference(question, retriever, scorer, passage_texts, config):
         logits = scorer.logits(question, sp.passage_id, text)
         if logits is None or logits.n == 0:
             continue
-        spans = best_spans(logits, ScorerConfig(max_answer_len=config.max_answer_len, top_n=1))
+        spans = best_spans(logits, ScorerConfig(max_answer_len=MAX_ANSWER_LEN, top_n=1))
         tokens = tokenize(text)
         raw.append((sp, spans[0], text[tokens[spans[0].s - 1].start : tokens[spans[0].e - 1].end]))
     if not raw:
         return []
 
-    def normalize(scores):
-        if config.normalization == "softmax":
-            exp = np.exp(np.asarray(scores, dtype=np.float64) - max(scores))
-            return list(exp / exp.sum())
-        return minmax_normalize(scores).tolist()
-
-    ir_norm = normalize([sp.score for sp, _, _ in raw])
-    mrc_norm = normalize([span.score for _, span, _ in raw])
+    ir_norm = minmax_normalize([sp.score for sp, _, _ in raw]).tolist()
+    mrc_norm = minmax_normalize([span.score for _, span, _ in raw]).tolist()
     w = config.ir_weight
     rows = [
         (answer, sp.passage_id, span.s, span.e, span.score.hex(), sp.score.hex(), span.score.hex(),
@@ -207,8 +192,6 @@ def reading_cases(draw):
     config = PipelineConfig(
         K=k,
         ir_weight=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
-        max_answer_len=draw(st.integers(1, 60)),
-        normalization=draw(st.sampled_from(["minmax", "softmax"])),
     )
     return retrieved, texts, table, config
 
@@ -244,8 +227,6 @@ def lexical_cases(draw):
     config = PipelineConfig(
         K=k,
         ir_weight=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
-        max_answer_len=draw(st.integers(1, 60)),
-        normalization=draw(st.sampled_from(["minmax", "softmax"])),
     )
     return question, retrieved, texts, LexicalScorer(), config
 
@@ -709,8 +690,6 @@ def ranked_cases(draw):
     config = PipelineConfig(
         K=draw(st.integers(1, 50)),
         ir_weight=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
-        max_answer_len=draw(st.integers(1, 10)),
-        normalization=draw(st.sampled_from(["minmax", "softmax"])),
     )
     return retriever, scorer, texts, golds, config
 
