@@ -135,18 +135,20 @@ def _check_indexed(index_path, ids, passages_path, passages: dict) -> None:
         raise ValueError(f"{index_path} indexes passage {missing!r}, which {passages_path} does not hold")
 
 
-def _config(cls, args, *fields):
-    """cls built from the flags of its `fields`, each flag the field's name
-    after "--" with dashes for underscores; a value cls refuses is named by
-    its flag, not its field."""
+def _config(cls, args, *fields, **renamed):
+    """cls built from the flags of its `fields`, whose dests are the fields'
+    names, and of `renamed`, which maps a field to its flag's dest; a flag
+    left unset (None) keeps the field's default. A value cls refuses is
+    named by its flag ("--" and the dest with dashes), not its field."""
+    dests = {name: name for name in fields} | renamed
     try:
-        return cls(**{name: getattr(args, name) for name in fields})
+        return cls(**{name: getattr(args, dest) for name, dest in dests.items() if getattr(args, dest) is not None})
     except ValueError as e:
         message = str(e)
-        name = next((name for name in fields if message.startswith(f"{name} ")), None)
+        name = next((name for name in dests if message.startswith(f"{name} ")), None)
         if name is None:
             raise
-        raise ValueError(f"--{name.replace('_', '-')}{message[len(name):]}") from None
+        raise ValueError(f"--{dests[name].replace('_', '-')}{message[len(name):]}") from None
 
 
 def _artifacts(args, passages):
@@ -188,11 +190,9 @@ def cmd_ingest(args):
 
 
 def cmd_chunk(args):
-    retrieval, adaptation = args.mode == "retrieval", AdaptationConfig()
-    budget = adaptation.retrieval_max_words if retrieval else adaptation.generation_max_tokens
-    max_units = budget if args.max_units is None else args.max_units
-    if max_units < 1:
-        raise ValueError("--max-units must be >= 1")
+    retrieval = args.mode == "retrieval"
+    budget = "retrieval_max_words" if retrieval else "generation_max_tokens"
+    max_units = getattr(_config(AdaptationConfig, args, **{budget: "max_units"}), budget)
     docs = ingest_documents(_read_lines(args.input), args.input)
     chunker = chunk_retrieval_passages if retrieval else chunk_generation_passages
     passages = [p for doc in docs for p in chunker(doc, max_units)]
@@ -225,13 +225,8 @@ def cmd_encode(args):
 
 
 def cmd_train_encoder(args):
-    config = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        warmup_steps=args.warmup,
-        seed=args.seed,
-    )
+    config = _config(TrainConfig, args, "epochs", "batch_size", "seed", learning_rate="lr", warmup_steps="warmup")
+    dim = _config(AdaptationConfig, args, embedding_dim="dim").embedding_dim
     passages = {p.id: p for p in _load_passages(args.passages)}
 
     def passage(pid):
@@ -250,7 +245,7 @@ def cmd_train_encoder(args):
         return IRTrainInstance(question, passage(positive_id), tuple(map(passage, negative_ids)))
 
     instances = _load_jsonl(args.instances, instance)
-    trained, trace = train_encoder(list(passages.values()), instances, args.dim, config)
+    trained, trace = train_encoder(list(passages.values()), instances, dim, config)
     path = _out_path(args, "encoder.hyqa")
     trained.save(path)
     loss = f"loss {trace[0]:.4f} -> {trace[-1]:.4f}" if trace else "no epochs run"
@@ -258,8 +253,9 @@ def cmd_train_encoder(args):
 
 
 def cmd_generate(args):
+    n = _config(AdaptationConfig, args, examples_per_passage="n").examples_per_passage
     sampler = _config(SamplerConfig, args, "p", "k")
-    result = generate_corpus(_load_passages(args.passages), args.n, sampler, args.seed)
+    result = generate_corpus(_load_passages(args.passages), n, sampler, args.seed)
     path = _out_path(args, "synthetic_raw.jsonl")
     write_jsonl(path, map(example_to_record, result.examples))
     summary = _out_path(args, "generation_summary.json")
@@ -279,13 +275,12 @@ def cmd_filter(args):
 
 
 def cmd_mine_negatives(args):
-    if args.depth < 1:
-        raise ValueError("--depth must be >= 1")
+    depth = _config(AdaptationConfig, args, negative_depth="depth").negative_depth
     passages = {p.id: p for p in _load_passages(args.passages)}
     index = SparseIndex.load(args.index)
     _check_indexed(args.index, index.doc_ids, args.passages, passages)
     examples = _load_jsonl(args.examples, example_from_record)
-    result = build_ir_training_set(examples, index, passages, depth=args.depth)
+    result = build_ir_training_set(examples, index, passages, depth=depth)
     path = _out_path(args, "train_instances.jsonl")
     write_jsonl(
         path,
@@ -540,17 +535,44 @@ def _read_json_object(path: str) -> dict:
     return values
 
 
+# A flag's type -> what its --config value must be, and the types of the
+# JSON numbers it takes (JSON's true and false are bools, not ints).
+_KINDS = {int: ("an integer", (int,)), float: ("a number", (int, float)), str: ("a string", ())}
+
+
+def _config_value(path: str, key: str, value, action: argparse.Action):
+    """The --config file's value for `key`, parsed as its flag's value on the
+    command line is: a string through the flag's type, a JSON number only
+    for an int or float flag (an integer only for an int one; a bool is
+    neither), null only where the flag's default is None, and the result one
+    of the flag's choices. Anything else raises ValueError naming the file
+    and the key."""
+    if value is None and action.default is None:
+        return None
+    kind = action.type or str
+    name, numbers = _KINDS[kind]
+    try:
+        if not isinstance(value, str) and type(value) not in numbers:
+            raise ValueError
+        parsed = kind(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{path}: {key!r} is {json.dumps(value)}, not {name}") from None
+    if action.choices is not None and parsed not in action.choices:
+        choices = ", ".join(map(json.dumps, action.choices))
+        raise ValueError(f"{path}: {key!r} is {json.dumps(value)}, not one of {choices}")
+    return parsed
+
+
 def parse_args(argv) -> argparse.Namespace:
     """Parse the command line. A --config file supplies defaults for the
-    global flags and the chosen subcommand's flags, and a key of it that
-    names no option of hyqa or of any subcommand is refused; --seed falls
-    back to $HYQA_SEED. A negative seed is refused here, naming where it
-    came from."""
+    global flags and the chosen subcommand's flags, each value parsed as
+    its flag's (_config_value), and a key of it that names no option of
+    hyqa or of any subcommand is refused; --seed falls back to $HYQA_SEED.
+    A negative seed is refused here, naming where it came from."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         config = _read_json_object(args.config)
-        values = {key.replace("-", "_"): value for key, value in config.items()}
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         options = {a.dest for p in (parser, *subparsers.choices.values()) for a in p._actions if a.option_strings}
         unknown = next((key for key in config if key.replace("-", "_") not in options), None)
@@ -559,8 +581,12 @@ def parse_args(argv) -> argparse.Namespace:
         # Each value that names an option of the global or chosen parser
         # becomes its default, so an explicit flag still wins.
         for p in (parser, subparsers.choices[args.command]):
-            dests = {action.dest for action in p._actions}
-            p.set_defaults(**{key: value for key, value in values.items() if key in dests})
+            actions = {action.dest: action for action in p._actions}
+            p.set_defaults(**{
+                dest: _config_value(args.config, key, value, actions[dest])
+                for key, value in config.items()
+                if (dest := key.replace("-", "_")) in actions
+            })
         args = parser.parse_args(argv)
     if args.seed is None:
         try:

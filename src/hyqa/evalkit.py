@@ -22,6 +22,7 @@ __all__ = [
     "normalize_answer",
     "exact_match",
     "token_f1",
+    "haystack",
     "answer_test",
     "first_match_rank",
     "match_at_k",
@@ -101,17 +102,24 @@ def token_f1(prediction: str, golds: Iterable[str]) -> float:
     return max(_f1_single(prediction, g) for g in golds)
 
 
-def answer_test(answers: Iterable[str]) -> Callable[[str], bool]:
-    """A test of whether a passage text contains any of `answers` as a
-    contiguous normalized token subsequence.
+def haystack(text: str) -> str:
+    """The text as answer_test searches it: normalized, between single spaces."""
+    return f" {normalize_answer(text)} "
+
+
+def answer_test(answers: Iterable[str], haystack_of: Callable[[str], str] = haystack) -> Callable[[str], bool]:
+    """A test of whether a passage contains any of `answers` as a contiguous
+    normalized token subsequence; it searches haystack_of(passage), by
+    default the passage text's haystack. This one rule serves Match@k and
+    hard-negative mining, as in DPR (Karpukhin et al., 2020).
 
     normalize_answer joins tokens with single spaces, so " a " in " p " on
     the normalized strings matches exactly whole-token windows. An answer
     that normalizes to empty matches nothing."""
     needles = [f" {a} " for a in map(normalize_answer, answers) if a]
 
-    def contains(text: str) -> bool:
-        hay = f" {normalize_answer(text)} "
+    def contains(passage: str) -> bool:
+        hay = haystack_of(passage)
         return any(n in hay for n in needles)
 
     return contains

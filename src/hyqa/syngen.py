@@ -37,7 +37,7 @@ import numpy as np
 
 from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds
 from .encoder import IRTrainInstance
-from .evalkit import normalize_answer
+from .evalkit import answer_test, haystack as _haystack
 from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows
 from .sparse import SparseIndex, sparse_top_k_each
 
@@ -629,25 +629,14 @@ def filtered_records(examples: Sequence[QAExample], result: FilterResult) -> lis
     ]
 
 
-def _first_negative(
-    ranked: np.ndarray, answer: str, index: SparseIndex, haystack: Callable[[str], str], exclude_id: str
-) -> Optional[str]:
+def _first_negative(ranked: np.ndarray, index: SparseIndex, contains: Callable[[str], bool], exclude_id: str) -> Optional[str]:
     """The first of the `ranked` passage indices, other than exclude_id,
-    whose text does not contain the normalized answer, as
-    evalkit.answer_test tests it: `haystack(passage_id)` is the passage's
-    normalized text between single spaces, where the answer, normalized
-    and between single spaces, matches exactly whole-token windows."""
-    needle = normalize_answer(answer)
-    needle = f" {needle} " if needle else None
+    whose passage id `contains` (an evalkit.answer_test) refuses."""
     for i in ranked.tolist():
         passage_id = index.doc_ids[i]
-        if passage_id != exclude_id and (needle is None or needle not in haystack(passage_id)):
+        if passage_id != exclude_id and not contains(passage_id):
             return passage_id
     return None
-
-
-def _haystack(text: str) -> str:
-    return f" {normalize_answer(text)} "
 
 
 @dataclass
@@ -665,8 +654,8 @@ def build_ir_training_set(
     """One training instance per example: positive = source passage, one
     mined hard negative, the highest-BM25-ranked passage among the
     question's top `depth`, other than the example's own, whose text does
-    not contain the normalized answer (_first_negative). Examples whose
-    negative cannot be mined are dropped and tallied. Every example's
+    not contain the answer (evalkit.answer_test, _first_negative). Examples
+    whose negative cannot be mined are dropped and tallied. Every example's
     passage is looked up before any scoring; the questions are then ranked
     _MINE_BLOCK at a time with one sparse_top_k_each. Each candidate
     passage's text is normalized once per shard, at its first test. A depth
@@ -694,7 +683,10 @@ def build_ir_training_set(
         for first in range(lo, hi, _MINE_BLOCK):
             block = examples[first : min(first + _MINE_BLOCK, hi)]
             ranked = sparse_top_k_each(index, [ex.question for ex in block], depth)
-            shard += [_first_negative(top, ex.answer, index, haystack, ex.passage_id) for ex, (top, _) in zip(block, ranked)]
+            shard += [
+                _first_negative(top, index, answer_test([ex.answer], haystack), ex.passage_id)
+                for ex, (top, _) in zip(block, ranked)
+            ]
         return shard
 
     result = TrainingSetResult(instances=[])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hyqa
-from hyqa.cli import main, parse_args
+from hyqa.cli import build_parser, main, parse_args
 from hyqa.corpus import ingest_documents, tokenize
 from hyqa.encoder import TrainConfig
 from hyqa.fusion import FusionConfig
@@ -266,16 +267,73 @@ def test_stage_flags_default_to_the_library_defaults(argv, defaults):
     assert {name: getattr(args, name) for name in defaults} == defaults
 
 
+def refusal(command, flag, value, message):
+    return pytest.param(command, flag, value, message, id=f"{command} {flag}")
+
+
+# Each numeric flag of each subcommand with a value it refuses, and the
+# refusal (test_bad_flag_is_refused_by_name_before_reading); a scan of the
+# parser (test_every_numeric_flag_has_a_refusal_case) keeps it complete.
+_FLAG_REFUSALS = [
+    refusal("chunk", "--max-units", 0, "--max-units must be >= 1"),
+    refusal("retrieve", "--pool-size", 0, "--pool-size must be >= 1"),
+    refusal("retrieve", "--weight", 2, "--weight must lie in [0, 1]"),
+    refusal("retrieve", "-k", 0, "-k must be >= 1"),
+    refusal("answer", "--pool-size", 0, "--pool-size must be >= 1"),
+    refusal("answer", "--weight", 2, "--weight must lie in [0, 1]"),
+    refusal("answer", "--K", 0, "--K must be >= 1"),
+    refusal("answer", "--ir-weight", 2, "--ir-weight must lie in [0, 1]"),
+    refusal("answer", "--top", 0, "--top must be >= 1"),
+    pytest.param("answer", "--top", -1, "--top must be >= 1", id="answer --top -1"),
+    refusal("evaluate", "--pool-size", 0, "--pool-size must be >= 1"),
+    refusal("evaluate", "--weight", 2, "--weight must lie in [0, 1]"),
+    refusal("evaluate", "--K", 0, "--K must be >= 1"),
+    refusal("evaluate", "--ir-weight", 2, "--ir-weight must lie in [0, 1]"),
+    refusal("tune-fusion", "-k", 0, "-k must be >= 1"),
+    refusal("tune-fusion", "--pool-size", 0, "--pool-size must be >= 1"),
+    refusal("index-sparse", "--k1", 0, "--k1 must be finite and positive"),
+    refusal("index-sparse", "--b", 2, "--b must lie in [0, 1]"),
+    refusal("generate", "--n", 0, "--n must be >= 1"),
+    refusal("generate", "--p", 0, "--p must lie in (0, 1]"),
+    refusal("generate", "--k", 0, "--k must be >= 1"),
+    refusal("filter", "--threshold", "nan", "--threshold must be a number, not NaN"),
+    refusal("mine-negatives", "--depth", 0, "--depth must be >= 1"),
+    refusal("train-encoder", "--lr", 0, "--lr must be finite and positive"),
+    refusal("train-encoder", "--epochs", -1, "--epochs must be non-negative"),
+    refusal("train-encoder", "--batch-size", 0, "--batch-size must be >= 1"),
+    refusal("train-encoder", "--warmup", -1, "--warmup must be non-negative"),
+    refusal("train-encoder", "--dim", 0, "--dim must be >= 1"),
+]
+
+# Numeric flags with no case in _FLAG_REFUSALS, each with the reason.
+_REFUSED_ELSEWHERE = {
+    "hyqa --seed": "a global flag, refused while parsing as error [config] "
+    "(test_negative_seed_is_refused_where_it_is_parsed)",
+}
+
+
+def test_every_numeric_flag_has_a_refusal_case():
+    """Each int or float option of hyqa and of every subcommand has a case
+    in _FLAG_REFUSALS or a reason in _REFUSED_ELSEWHERE, and each case and
+    reason names such an option, so a numeric flag added later is refused
+    by name before reading, or says why not."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    numeric = {
+        f"{command} {action.option_strings[0]}"
+        for command, p in [("hyqa", parser), *subparsers.choices.items()]
+        for action in p._actions
+        if action.type in (int, float)
+    }
+    cases = {f"{case.values[0]} {case.values[1]}" for case in _FLAG_REFUSALS}
+    assert cases.isdisjoint(_REFUSED_ELSEWHERE)
+    assert cases | _REFUSED_ELSEWHERE.keys() == numeric
+
+
 class TestErrorHandling:
     def test_missing_input_exits_nonzero(self, tmp_path, capsys):
         assert run(["--output-dir", tmp_path, "index-sparse", "--passages", tmp_path / "absent.jsonl"]) == 1
         assert "error [index-sparse]" in capsys.readouterr().err
-
-    def test_generate_rejects_n_below_one(self, workspace, capsys):
-        _, out = workspace
-        gen = out / "passages_generation.jsonl"
-        assert run(["--output-dir", out / "zero", "generate", "--passages", gen, "--n", 0]) == 1
-        assert capsys.readouterr().err == "error [generate]: n must be >= 1\n"
 
     @pytest.mark.parametrize("k1", ["nan", "inf"])
     def test_index_sparse_refuses_non_finite_k1(self, workspace, k1, capsys):
@@ -284,21 +342,6 @@ class TestErrorHandling:
         assert run(["--output-dir", target, "index-sparse", "--passages", out / "passages_retrieval.jsonl", "--k1", k1]) == 1
         assert capsys.readouterr().err == "error [index-sparse]: --k1 must be finite and positive\n"
         assert not (target / "sparse.hyqa").exists()
-
-    def test_chunk_refuses_zero_max_units(self, tmp_path, capsys):
-        # Refused before the input is read: the file does not exist.
-        assert run(["--output-dir", tmp_path / "o", "chunk", "--input", tmp_path / "absent.jsonl", "--max-units", 0]) == 1
-        assert capsys.readouterr().err == "error [chunk]: --max-units must be >= 1\n"
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("top", [0, -1])
-    def test_answer_refuses_top_below_one(self, workspace, capsys, top):
-        _, out = workspace
-        assert run([
-            "answer", "--sparse", out / "sparse.hyqa", "--passages", out / "passages_retrieval.jsonl",
-            "--question", "what does the otter eat", "--top", top,
-        ]) == 1
-        assert capsys.readouterr() == ("", "error [answer]: --top must be >= 1\n")
 
     def test_train_encoder_with_no_epochs(self, trained, tmp_path, capsys):
         _, out = trained
@@ -310,16 +353,6 @@ class TestErrorHandling:
         ]) == 0
         count = len(instances.read_text().splitlines())
         assert capsys.readouterr().out == f"trained on {count} instances; no epochs run; saved {tmp_path / 'o' / 'encoder.hyqa'}\n"
-
-    def test_train_encoder_refuses_a_width_below_one(self, trained, tmp_path, capsys):
-        _, out = trained
-        capsys.readouterr()
-        assert run([
-            "--output-dir", tmp_path / "o", "train-encoder", "--instances", out / "train_instances.jsonl",
-            "--passages", out / "passages_generation.jsonl", "--dim", 0,
-        ]) == 1
-        assert capsys.readouterr() == ("", "error [train-encoder]: d must be >= 1\n")
-        assert not (tmp_path / "o" / "encoder.hyqa").exists()
 
     def test_retrieve_without_index(self, capsys):
         assert run(["retrieve", "--mode", "sparse", "--query", "x"]) == 1
@@ -371,6 +404,34 @@ class TestErrorHandling:
         config.write_text(json.dumps({"k1": 2.0, "pool_sise": 5, "seeed": 3}))
         assert run(["--config", config, "retrieve", "--query", "x"]) == 1
         assert capsys.readouterr().err == f"error [config]: {config}: 'pool_sise' names no hyqa option\n"
+
+    @pytest.mark.parametrize(
+        "command, values, reason",
+        [
+            (["retrieve", "--query", "x"], {"k": 2.5}, "'k' is 2.5, not an integer"),
+            (["answer", "--question", "x", "--passages", "p"], {"K": True}, "'K' is true, not an integer"),
+            (["answer", "--question", "x", "--passages", "p"], {"top": "x"}, "'top' is \"x\", not an integer"),
+            (["train-encoder", "--instances", "i", "--passages", "p"], {"lr": False}, "'lr' is false, not a number"),
+            (["chunk", "--input", "d"], {"mode": "bogus"}, "'mode' is \"bogus\", not one of \"retrieval\", \"generation\""),
+            (["retrieve", "--query", "x"], {"mode": "bogus"}, "'mode' is \"bogus\", not one of \"sparse\", \"dense\", \"hybrid\""),
+            (["retrieve", "--query", "x"], {"pool-size": None}, "'pool-size' is null, not an integer"),
+            (["ingest", "--input", "d"], {"output_dir": 3}, "'output_dir' is 3, not a string"),
+        ],
+        ids=["float-for-int", "bool-for-int", "word-for-int", "bool-for-float", "chunk-choice", "retrieve-choice",
+             "null", "number-for-string"],
+    )
+    def test_config_value_is_parsed_as_its_flag_is(self, tmp_path, capsys, command, values, reason):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        assert run(["--config", config, "--output-dir", tmp_path / "o", *command]) == 1
+        assert capsys.readouterr() == ("", f"error [config]: {config}: {reason}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_values_take_their_flags_types(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"weight": 1, "k": "3", "mode": None, "seed": None, "max-units": None}))
+        args = parse_args(["--config", str(config), "retrieve", "--query", "x"])
+        assert (args.weight, type(args.weight), args.k, args.mode) == (1.0, float, 3, None)
 
     @pytest.mark.parametrize("key, flag", [("max_answer_len", "--max-answer-len"), ("normalization", "--normalization")])
     def test_reader_settings_are_no_options(self, tmp_path, capsys, key, flag):
@@ -650,49 +711,7 @@ class TestErrorHandling:
         assert run(["--config", config, "dump", "--index", tmp_path / "x.hyqa"]) == 1
         assert capsys.readouterr().err == f"error [config]: {config}: {reason} on line 2\n"
 
-    def test_mine_negatives_refuses_depth_below_one_before_reading(self, tmp_path, capsys):
-        absent = tmp_path / "absent.jsonl"
-        argv = ["--examples", absent, "--passages", absent, "--index", tmp_path / "absent.hyqa", "--depth", 0]
-        assert run(["--output-dir", tmp_path / "o", "mine-negatives", *argv]) == 1
-        assert capsys.readouterr().err == "error [mine-negatives]: --depth must be >= 1\n"
-        assert not (tmp_path / "o").exists()
-
-    def test_tune_fusion_refuses_pool_size_below_one_before_reading(self, tmp_path, capsys):
-        absent = tmp_path / "absent.jsonl"
-        argv = ["--golds", absent, "--passages", absent, "--pool-size", 0]
-        argv += [a for flag in ("--sparse", "--dense", "--encoder") for a in (flag, tmp_path / "absent.hyqa")]
-        assert run(["--output-dir", tmp_path / "o", "tune-fusion", *argv]) == 1
-        assert capsys.readouterr().err == "error [tune-fusion]: --pool-size must be >= 1\n"
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "command, flag, value, message",
-        [
-            pytest.param("retrieve", "--pool-size", 0, "--pool-size must be >= 1", id="retrieve --pool-size"),
-            pytest.param("retrieve", "--weight", 2, "--weight must lie in [0, 1]", id="retrieve --weight"),
-            pytest.param("retrieve", "-k", 0, "-k must be >= 1", id="retrieve -k"),
-            pytest.param("answer", "--pool-size", 0, "--pool-size must be >= 1", id="answer --pool-size"),
-            pytest.param("answer", "--weight", 2, "--weight must lie in [0, 1]", id="answer --weight"),
-            pytest.param("answer", "--K", 0, "--K must be >= 1", id="answer --K"),
-            pytest.param("answer", "--ir-weight", 2, "--ir-weight must lie in [0, 1]", id="answer --ir-weight"),
-            pytest.param("evaluate", "--pool-size", 0, "--pool-size must be >= 1", id="evaluate --pool-size"),
-            pytest.param("evaluate", "--weight", 2, "--weight must lie in [0, 1]", id="evaluate --weight"),
-            pytest.param("evaluate", "--K", 0, "--K must be >= 1", id="evaluate --K"),
-            pytest.param("evaluate", "--ir-weight", 2, "--ir-weight must lie in [0, 1]", id="evaluate --ir-weight"),
-            pytest.param("tune-fusion", "-k", 0, "-k must be >= 1", id="tune-fusion -k"),
-            pytest.param("index-sparse", "--k1", 0, "--k1 must be finite and positive", id="index-sparse --k1"),
-            pytest.param("index-sparse", "--b", 2, "--b must lie in [0, 1]", id="index-sparse --b"),
-            pytest.param("generate", "--p", 0, "--p must lie in (0, 1]", id="generate --p"),
-            pytest.param("generate", "--k", 0, "--k must be >= 1", id="generate --k"),
-            pytest.param("filter", "--threshold", "nan", "--threshold must be a number, not NaN", id="filter --threshold"),
-            # TrainConfig's fields are not named as its flags are, so these
-            # refusals name the field.
-            pytest.param("train-encoder", "--lr", 0, "learning_rate must be finite and positive", id="train-encoder --lr"),
-            pytest.param("train-encoder", "--epochs", -1, "epochs must be non-negative", id="train-encoder --epochs"),
-            pytest.param("train-encoder", "--batch-size", 0, "batch_size must be >= 1", id="train-encoder --batch-size"),
-            pytest.param("train-encoder", "--warmup", -1, "warmup_steps must be non-negative", id="train-encoder --warmup"),
-        ],
-    )
+    @pytest.mark.parametrize("command, flag, value, message", _FLAG_REFUSALS)
     def test_bad_flag_is_refused_by_name_before_reading(self, tmp_path, capsys, command, flag, value, message):
         # Every input named is absent, so a refusal after any read would
         # name a missing file instead.
@@ -703,9 +722,11 @@ class TestErrorHandling:
             "answer": ["--question", "x", "--passages", absent, *indexes],
             "evaluate": ["--golds", absent, "--passages", absent, *indexes],
             "tune-fusion": ["--golds", absent, "--passages", absent, *indexes],
+            "chunk": ["--input", absent],
             "index-sparse": ["--passages", absent],
             "generate": ["--passages", absent],
             "filter": ["--examples", absent, "--passages", absent],
+            "mine-negatives": ["--examples", absent, "--passages", absent, "--index", index],
             "train-encoder": ["--instances", absent, "--passages", absent],
         }[command]
         assert run(["--output-dir", tmp_path / "o", command, *argv, flag, value]) == 1
