@@ -567,7 +567,8 @@ def parse_args(argv) -> argparse.Namespace:
     """Parse the command line. A --config file supplies defaults for the
     global flags and the chosen subcommand's flags, each value parsed as
     its flag's (_config_value), and a key of it that names no option of
-    hyqa or of any subcommand is refused; --seed falls back to $HYQA_SEED.
+    hyqa or of any subcommand, or names --help or --config, is refused;
+    --seed falls back to $HYQA_SEED.
     A negative seed is refused here, naming where it came from."""
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -575,6 +576,7 @@ def parse_args(argv) -> argparse.Namespace:
         config = _read_json_object(args.config)
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         options = {a.dest for p in (parser, *subparsers.choices.values()) for a in p._actions if a.option_strings}
+        options -= {"help", "config"}
         unknown = next((key for key in config if key.replace("-", "_") not in options), None)
         if unknown is not None:
             raise ValueError(f"{args.config}: {unknown!r} names no hyqa option")

@@ -46,7 +46,6 @@ import math
 import mmap
 import os
 import re
-import secrets
 import struct
 import traceback
 from typing import Any, Callable
@@ -72,7 +71,7 @@ def save(path, kind: str, meta: dict[str, Any], arrays: dict[str, np.ndarray]) -
     """Write the container to a new file beside path, then rename it onto
     path. The new file has the mode `open(path, "wb")` gives a new file; a
     save that raises leaves path as it was and removes its own file."""
-    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".hyqa-{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".hyqa-{os.urandom(8).hex()}.tmp")
     f = open(tmp, "xb")
     try:
         with f:

@@ -18,14 +18,17 @@ products call, `csr_matvecs` and (as a CSR matrix's transpose is the CSC
 matrix over the same arrays) `csc_matvecs`, with the arguments they pass,
 so each product has the bits of the `csr_array` one without its per-call
 set-up, and pooling reads the table rows in place instead of gathering
-them. scipy.sparse is imported on a bag's first product, so reading never
-loads it. The kernels sum each text, and each touched row, in stored order
-from 0.0, so both are bit for bit the per-text `table[ids].mean(axis=0)`
-and the per-token scatter they replace (tests/test_scipy_order.py pins
-this). (At d = 1 they can differ in the last bits: numpy sums a single
-column pairwise.) One text pools without a bag: one `np.add.reduce` over
-its rows, divided by its length, which is the reduction and divide that
-`.mean(axis=0)` runs.
+them. The kernels' compiled module is loaded alone, from its file, on a
+bag's first product (`_kernels`), and reading never loads it: importing it
+by name runs the scipy.sparse package first, ~15 MB and ~0.15-0.2 s,
+where loading it alone costs ~0.2 MB and ~1 ms. The kernels sum each text,
+and each touched row, in stored order from 0.0, so both are bit for bit
+the per-text `table[ids].mean(axis=0)` and the per-token scatter they
+replace (tests/test_scipy_order.py pins this, and that the file loaded is
+the one scipy.sparse imports). (At d = 1 they can differ in the last
+bits: numpy sums a single column pairwise.) One text pools without a bag:
+one `np.add.reduce` over its rows, divided by its length, which is the
+reduction and divide that `.mean(axis=0)` runs.
 
 A training step runs one forward pass: `loss_gradient` returns the gradient
 with the loss it differentiates, and the step updates only the embedding
@@ -55,8 +58,13 @@ lifetime; it is neither saved nor compared.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
@@ -232,14 +240,42 @@ def _token_ids(encoder: DualEncoder, text: str) -> np.ndarray:
     return ids[ids >= 0]
 
 
+@cache
+def _kernels():
+    """The compiled module that scipy.sparse takes its kernels from, loaded
+    on its own from its file in scipy's install: importing it by name would
+    first run the whole scipy.sparse package. `find_spec` finds the
+    top-level scipy package without importing it. Unless scipy.sparse has
+    loaded the module already, it is registered under its own name, so a
+    later import of scipy.sparse uses it. A kernel file that is missing or
+    fails to load is an ImportError naming its path."""
+    name = "scipy.sparse._sparsetools"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    base = os.path.join(scipy.submodule_search_locations[0], "sparse", "_sparsetools")
+    candidates = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, candidates), None)
+    if path is None:
+        raise ImportError(f"scipy's sparse kernels are missing: no file {' or '.join(candidates)}")
+    try:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as e:
+        raise ImportError(f"cannot load scipy's sparse kernels from {path}: {e}") from e
+    sys.modules.setdefault(name, module)
+    return module
+
+
 class _TokenBag:
     """The token ids of a batch of texts as the arrays of two CSR matrices
     of ones, each text's tokens in order: `indptr`, the one index pointer;
     `ids`, each token's table row (text x table), and `slot`, each token's
     index into `rows`, the touched rows ascending (text x touched row);
     `ones`, the data; and `lens` (each text's token count, at least 1, as a
-    column). Its products call scipy's CSR kernels directly, as
-    `csr_array @ X` and `csr_array.T @ X` do. Bags are built by
+    column). Its products call scipy's CSR kernels (`_kernels`) directly,
+    as `csr_array @ X` and `csr_array.T @ X` do. Bags are built by
     _token_bags."""
 
     def __init__(self, indptr, ids, rows, slot, ones, lens):
@@ -249,12 +285,12 @@ class _TokenBag:
         """Each text's mean token embedding; zeros for a text without tokens.
         The kernel reads the table rows in place, so a token id outside the
         table is refused first."""
-        from scipy.sparse._sparsetools import csr_matvecs  # imported here, so reading never loads scipy
-
         if len(self.rows) and (self.rows[0] < 0 or self.rows[-1] >= len(table)):
             raise IndexError(f"token ids {self.rows[0]}..{self.rows[-1]} do not all index a table of {len(table)} rows")
         out = np.zeros((len(self.lens), table.shape[1]))
-        csr_matvecs(len(self.lens), len(table), out.shape[1], self.indptr, self.ids, self.ones, table.ravel(), out.ravel())
+        _kernels().csr_matvecs(
+            len(self.lens), len(table), out.shape[1], self.indptr, self.ids, self.ones, table.ravel(), out.ravel()
+        )
         out /= self.lens
         return out
 
@@ -262,11 +298,11 @@ class _TokenBag:
         """Gradient of the touched table rows from the gradient of each
         text's mean, which spreads evenly over the text's tokens. A CSR
         matrix's transpose is the CSC matrix over the same arrays."""
-        from scipy.sparse._sparsetools import csc_matvecs
-
         out = np.zeros((len(self.rows), g_means.shape[1]))
-        csc_matvecs(len(self.rows), len(self.lens), out.shape[1], self.indptr, self.slot, self.ones,
-                    (g_means / self.lens).ravel(), out.ravel())
+        _kernels().csc_matvecs(
+            len(self.rows), len(self.lens), out.shape[1], self.indptr, self.slot, self.ones,
+            (g_means / self.lens).ravel(), out.ravel(),
+        )
         return out
 
 

@@ -404,6 +404,11 @@ class TestErrorHandling:
         config.write_text(json.dumps({"k1": 2.0, "pool_sise": 5, "seeed": 3}))
         assert run(["--config", config, "retrieve", "--query", "x"]) == 1
         assert capsys.readouterr().err == f"error [config]: {config}: 'pool_sise' names no hyqa option\n"
+        # --help and --config are options, but no file sets them.
+        for key in ("help", "config"):
+            config.write_text(json.dumps({"k1": 2.0, key: "other.json"}))
+            assert run(["--config", config, "retrieve", "--query", "x"]) == 1
+            assert capsys.readouterr().err == f"error [config]: {config}: {key!r} names no hyqa option\n"
 
     @pytest.mark.parametrize(
         "command, values, reason",

@@ -1,5 +1,8 @@
+import importlib.machinery
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -422,13 +425,58 @@ def test_token_bag_refuses_an_id_outside_the_table(ids):
         bag.means(np.ones((12, 3)))
 
 
+@pytest.mark.parametrize("contents", [None, b"not a shared object"], ids=["missing", "unloadable"])
+def test_kernel_file_that_is_missing_or_fails_to_load_is_an_import_error(tmp_path, monkeypatch, contents):
+    # A scipy install whose sparse kernels are absent or broken: no fallback.
+    (tmp_path / "sparse").mkdir()
+    kernels = tmp_path / "sparse" / "_sparsetools.so"
+    if contents is not None:
+        kernels.write_bytes(contents)
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy if name == "scipy" else None)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".so"])
+    with pytest.raises(ImportError, match=re.escape(str(kernels))):
+        encoder_module._kernels.__wrapped__()
+
+
 def test_pipeline_and_cli_import_without_scipy():
-    # The token bag imports scipy's kernels on its first product, so reading
-    # loads no scipy module at all.
+    # Importing hyqa loads no scipy module and no hashlib (numpy.random
+    # loads hashlib on its first use, so training does), and training loads
+    # scipy's sparse kernels alone, without the scipy.sparse package. A later
+    # import of the package takes the same kernels, with the same bits.
     env = {**os.environ, "PYTHONPATH": str(Path(hyqa.__file__).parents[1])}
-    code = "import sys, hyqa.pipeline, hyqa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True)
-    assert proc.stdout == "[]\n"
+    code = """if True:
+        import sys
+        import numpy as np
+        import hyqa.cli, hyqa.pipeline
+        import hyqa.encoder as e
+        from hyqa.corpus import Passage
+
+        assert not [m for m in sys.modules if m.startswith(("scipy", "hashlib"))]
+        words = ["alpha", "beta", "gamma", "delta", "epsilon"]
+        texts = ["alpha beta gamma", "delta beta", "epsilon"]
+        passages = [Passage(f"p{i}", "d", text, len(text.split())) for i, text in enumerate(texts)]
+        instances = [
+            e.IRTrainInstance("alpha beta", passages[0], (passages[1],)),
+            e.IRTrainInstance("delta gamma", passages[1], (passages[2],)),
+        ]
+        encoder = e.DualEncoder.create(words, d=3, seed=0)
+        trained, _ = e.train(encoder, instances, e.TrainConfig(epochs=1, batch_size=2))
+        assert sorted(m for m in sys.modules if m.startswith("scipy")) == ["scipy.sparse._sparsetools"]
+
+        import scipy.sparse
+        from scipy.sparse import _sparsetools
+        assert _sparsetools is e._kernels()
+        ((bag, _, _),) = e._plan(e._train_set(trained, instances), np.arange(2), np.array([0, 2]))
+        table = trained.params["q_emb"]
+        ones = scipy.sparse.csr_array((bag.ones, bag.ids, bag.indptr), shape=(len(bag.lens), len(table)))
+        assert (ones @ table / bag.lens).tobytes() == bag.means(table).tobytes()
+        print("ok")
+    """
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.stdout == "ok\n"
 
 
 def dense_update_train(encoder, instances, config):

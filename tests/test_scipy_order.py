@@ -5,13 +5,18 @@ replaced. They call the kernels behind `csr_array @ X` and `csr_array.T @ X`,
 `csr_matvecs` and `csc_matvecs`, directly, without building a matrix. A
 scipy release that reorders or fuses these sums, or renames, re-signs or
 reorders those kernels, fails here instead of silently changing (or
-breaking) trained encoders. (BM25 scoring sums with np.bincount instead;
-tests/test_bincount_order.py pins its order.)
+breaking) trained encoders. The encoder loads the kernels' module from its
+file without importing scipy.sparse; the first test checks that it loads
+the file scipy.sparse imports, so these pins cover what training calls.
+(BM25 scoring sums with np.bincount instead; tests/test_bincount_order.py
+pins its order.)
 """
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import _sparsetools, csr_array
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+
+from hyqa.encoder import _kernels
 
 # Magnitudes far apart, so that each order of addition rounds differently.
 VALUES = np.array([
@@ -22,6 +27,10 @@ VALUES = np.array([
     [1e-3, 2.0, -1e20],
     [-1.0, 5.0, 0.7],
 ])
+
+
+def test_encoder_loads_the_kernels_scipy_sparse_imports():
+    assert _kernels().__file__ == _sparsetools.__file__
 
 
 def left_to_right(terms):
