@@ -39,7 +39,7 @@ def main():
     passages = {pid: passage(pid, text) for pid, text in TEXTS.items()}
     index = build_sparse_index(list(passages.values()))
 
-    result = generate_corpus(list(passages.values()), n=6, sampler=SamplerConfig(), seed=0)
+    result = generate_corpus(list(passages.values()), n=6, sampler=SamplerConfig(seed=0))
     generated = result.examples
     for pid in passages:
         print(f"{pid}: {sum(ex.passage_id == pid for ex in generated)} examples")

@@ -254,8 +254,8 @@ def cmd_train_encoder(args):
 
 def cmd_generate(args):
     n = _config(AdaptationConfig, args, examples_per_passage="n").examples_per_passage
-    sampler = _config(SamplerConfig, args, "p", "k")
-    result = generate_corpus(_load_passages(args.passages), n, sampler, args.seed)
+    sampler = _config(SamplerConfig, args, "p", "k", "seed")
+    result = generate_corpus(_load_passages(args.passages), n, sampler)
     path = _out_path(args, "synthetic_raw.jsonl")
     write_jsonl(path, map(example_to_record, result.examples))
     summary = _out_path(args, "generation_summary.json")
@@ -317,7 +317,7 @@ def cmd_answer(args):
                     "passage_id": c.passage_id,
                     "combined": c.combined,
                     "ir_score": c.ir_score,
-                    "mrc_score": c.mrc_score,
+                    "mrc_score": c.span.score,
                 },
                 sort_keys=True,
             )

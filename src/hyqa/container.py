@@ -72,7 +72,10 @@ def save(path, kind: str, meta: dict[str, Any], arrays: dict[str, np.ndarray]) -
     path. The new file has the mode `open(path, "wb")` gives a new file; a
     save that raises leaves path as it was and removes its own file."""
     tmp = os.path.join(os.path.dirname(os.fspath(path)), f".hyqa-{os.urandom(8).hex()}.tmp")
-    f = open(tmp, "xb")
+    try:
+        f = open(tmp, "xb")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
     try:
         with f:
             _write(f, kind, meta, arrays)

@@ -245,10 +245,11 @@ def _kernels():
     """The compiled module that scipy.sparse takes its kernels from, loaded
     on its own from its file in scipy's install: importing it by name would
     first run the whole scipy.sparse package. `find_spec` finds the
-    top-level scipy package without importing it. Unless scipy.sparse has
-    loaded the module already, it is registered under its own name, so a
-    later import of scipy.sparse uses it. A kernel file that is missing or
-    fails to load is an ImportError naming its path."""
+    top-level scipy package without importing it. Loading an extension
+    module registers it in sys.modules; that entry is put back as it was,
+    so a later import of scipy.sparse loads the module itself and sets it
+    as the package's attribute. A kernel file that is missing or fails to
+    load is an ImportError naming its path."""
     name = "scipy.sparse._sparsetools"
     scipy = importlib.util.find_spec("scipy")
     if scipy is None or not scipy.submodule_search_locations:
@@ -258,13 +259,18 @@ def _kernels():
     path = next(filter(os.path.isfile, candidates), None)
     if path is None:
         raise ImportError(f"scipy's sparse kernels are missing: no file {' or '.join(candidates)}")
+    loaded = sys.modules.get(name)
     try:
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     except ImportError as e:
         raise ImportError(f"cannot load scipy's sparse kernels from {path}: {e}") from e
-    sys.modules.setdefault(name, module)
+    finally:
+        if loaded is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = loaded
     return module
 
 

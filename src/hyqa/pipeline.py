@@ -100,7 +100,6 @@ class AnswerCandidate:
     passage_id: str
     span: SpanScore
     ir_score: float
-    mrc_score: float
     combined: float
 
 
@@ -212,7 +211,7 @@ def answer_question(
         return []
     order = reading.order
     return [
-        AnswerCandidate(text, pid, SpanScore(s, e, span), ir, span, combined)
+        AnswerCandidate(text, pid, SpanScore(s, e, span), ir, combined)
         for text, pid, s, e, span, ir, combined in zip(
             reading.answers(len(order)),
             [reading.ids[i] for i in order.tolist()],
@@ -332,18 +331,18 @@ def train_encoder(
 
 @dataclass(frozen=True)
 class AdaptationConfig:
-    """Settings of run_adaptation. `seed` overrides `sampler.seed` and `train.seed`;
-    the roundtrip filter, like the reader, scores spans of up to
-    mrc.MAX_ANSWER_LEN tokens. A negative seed, or a size or count below 1,
-    is a ValueError here, before any stage runs."""
+    """Settings of run_adaptation. `seed` is the generation sampler's seed
+    and overrides `train.seed`. Generation samples at SamplerConfig's
+    default p and k and both BM25 indexes use BM25Params' default k1 and b;
+    the manifest records all four. The roundtrip filter, like the reader,
+    scores spans of up to mrc.MAX_ANSWER_LEN tokens. A negative seed, or a
+    size or count below 1, is a ValueError here, before any stage runs."""
 
     seed: int = 0
     retrieval_max_words: int = RETRIEVAL_MAX_WORDS
     generation_max_tokens: int = 288
     examples_per_passage: int = 5
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     filter: FilterConfig = field(default_factory=lambda: FilterConfig(threshold=1.0))
-    bm25: BM25Params = field(default_factory=BM25Params)
     train: TrainConfig = TrainConfig()
     embedding_dim: int = 64
     negative_depth: int = 100
@@ -381,6 +380,7 @@ def run_adaptation(
     retrieval passages. All randomness flows from config.seed; the
     manifest records counts at every stage.
     """
+    bm25, sampler = BM25Params(), SamplerConfig(seed=config.seed)
     stage = "chunk"
     try:
         retrieval_passages: list[Passage] = []
@@ -390,11 +390,11 @@ def run_adaptation(
             generation_passages.extend(chunk_generation_passages(doc, config.generation_max_tokens))
 
         stage = "index-sparse"
-        sparse_index = build_sparse_index(retrieval_passages, config.bm25)
-        gen_index = build_sparse_index(generation_passages, config.bm25)
+        sparse_index = build_sparse_index(retrieval_passages, bm25)
+        gen_index = build_sparse_index(generation_passages, bm25)
 
         stage = "generate"
-        generated = generate_corpus(generation_passages, config.examples_per_passage, config.sampler, config.seed)
+        generated = generate_corpus(generation_passages, config.examples_per_passage, sampler)
         examples = generated.examples
 
         stage = "filter"
@@ -425,9 +425,9 @@ def run_adaptation(
             "retrieval_max_words": config.retrieval_max_words,
             "generation_max_tokens": config.generation_max_tokens,
             "examples_per_passage": config.examples_per_passage,
-            "sampler": {"p": config.sampler.p, "k": config.sampler.k},
+            "sampler": {"p": sampler.p, "k": sampler.k},
             "filter_threshold": config.filter.threshold,
-            "bm25": {"k1": config.bm25.k1, "b": config.bm25.b},
+            "bm25": {"k1": bm25.k1, "b": bm25.b},
             "train": asdict(train_config),
             "embedding_dim": config.embedding_dim,
             "negative_depth": config.negative_depth,

@@ -521,13 +521,12 @@ def generate_corpus(
     passages: Sequence[Passage],
     n: int,
     sampler: SamplerConfig,
-    seed: int,
 ) -> GenerationResult:
     """Generation stage over a passage list: fit the bundled n-gram model on
     each passage's candidate targets and sample n sequences from it.
 
-    Passage i draws from its own RNG seeded with seed ^ (i + 1); the
-    sampler's own seed is ignored. Passages without targets are skipped;
+    Passage i draws its targets and its own sampler's seed from an RNG
+    seeded with sampler.seed ^ (i + 1). Passages without targets are skipped;
     discards are summed over all passages, reasons in first-seen order.
     Each passage is segmented once, for its targets and its decoding. The
     models of each run of _NUCLEUS_CHUNK passages are compiled in one array
@@ -545,7 +544,7 @@ def generate_corpus(
         for first in range(lo, hi, _NUCLEUS_CHUNK):
             chunk = []
             for i in range(first, min(first + _NUCLEUS_CHUNK, hi)):
-                rng = np.random.default_rng(seed ^ (i + 1))
+                rng = np.random.default_rng(sampler.seed ^ (i + 1))
                 sentences = _sentence_terms(passages[i].text)
                 targets = candidate_targets(passages[i], rng, sentences=sentences)
                 if targets:

@@ -366,6 +366,15 @@ class TestMapping:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["x.hyqa"]
 
+    def test_a_save_into_a_missing_directory_names_the_path(self, tmp_path):
+        # Not the temp file the save would have written first.
+        path = tmp_path / "nodir" / "x.hyqa"
+        with pytest.raises(FileNotFoundError) as caught:
+            save(path, "k", {}, {"a": np.arange(3)})
+        assert caught.value.filename == str(path)
+        assert str(caught.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
+        assert os.listdir(tmp_path) == []
+
     def test_save_writes_each_array_without_copying_it(self, tmp_path):
         table = np.zeros((1024, 256))
         tracemalloc.start()

@@ -148,8 +148,7 @@ def loop_reference(question, retriever, scorer, passage_texts, config):
     mrc_norm = minmax_normalize([span.score for _, span, _ in raw]).tolist()
     w = config.ir_weight
     rows = [
-        (answer, sp.passage_id, span.s, span.e, span.score.hex(), sp.score.hex(), span.score.hex(),
-         w * ir + (1 - w) * mrc)
+        (answer, sp.passage_id, span.s, span.e, span.score.hex(), sp.score.hex(), w * ir + (1 - w) * mrc)
         for (sp, span, answer), ir, mrc in zip(raw, ir_norm, mrc_norm)
     ]
     rows.sort(key=lambda r: (-r[-1], r[1]))
@@ -158,8 +157,7 @@ def loop_reference(question, retriever, scorer, passage_texts, config):
 
 def candidate_rows(candidates):
     return [
-        (c.text, c.passage_id, c.span.s, c.span.e, c.span.score.hex(), c.ir_score.hex(), c.mrc_score.hex(),
-         c.combined.hex())
+        (c.text, c.passage_id, c.span.s, c.span.e, c.span.score.hex(), c.ir_score.hex(), c.combined.hex())
         for c in candidates
     ]
 
@@ -407,6 +405,16 @@ class TestRunAdaptation:
             assert (tmp_path / name).exists(), name
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["counts"]["documents"] == 6
+
+    def test_manifest_records_the_default_stage_settings(self):
+        # The sampler and BM25 settings are the defaults; the seed is the
+        # trainer's too.
+        config = small_config(seed=5)
+        recorded = run_adaptation(adaptation_corpus(), replace(config, train=replace(config.train, seed=0))).manifest["config"]
+        assert recorded["sampler"] == {"p": 0.95, "k": 10}
+        assert recorded["bm25"] == {"k1": 1.2, "b": 0.75}
+        assert recorded["filter_threshold"] == 1.0
+        assert recorded["seed"] == recorded["train"]["seed"] == 5
 
     def test_rerun_byte_identical_outputs(self, tmp_path):
         run_adaptation(adaptation_corpus(), small_config(), output_dir=tmp_path / "a")

@@ -612,7 +612,7 @@ class TestSegmentOnce:
         calls = []
         segment = syngen.segment_sentences
         monkeypatch.setattr(syngen, "segment_sentences", lambda text: calls.append(text) or segment(text))
-        result = generate_corpus(passages, 6, SamplerConfig(), seed=3)
+        result = generate_corpus(passages, 6, SamplerConfig(seed=3))
         assert calls == [p.text for p in passages]
         assert len(result.examples) + sum(result.discards.values()) == 12
 
@@ -642,7 +642,7 @@ class TestGenerateCorpus:
         # More passages than one nucleus chunk, so a chunk boundary is crossed.
         count = _NUCLEUS_CHUNK + len(self.TEXTS) + 1
         passages = [make_passage(self.TEXTS[i % len(self.TEXTS)], f"p{i}") for i in range(count)]
-        result = generate_corpus(passages, 4, SamplerConfig(p=0.9, k=5), seed=11)
+        result = generate_corpus(passages, 4, SamplerConfig(p=0.9, k=5, seed=11))
         expected, discards = [], Counter()
         for i, passage in enumerate(passages):
             rng = np.random.default_rng(11 ^ (i + 1))
@@ -658,17 +658,17 @@ class TestGenerateCorpus:
         with_targets = sum(1 for p in passages if p.text != "Hi.")  # "Hi." has no targets
         assert len(result.examples) + sum(result.discards.values()) == 4 * with_targets
 
-    def test_sampler_seed_ignored(self):
+    def test_the_sampler_seed_decides_the_examples(self):
         passages = [make_passage(self.TEXTS[0])]
-        a = generate_corpus(passages, 5, SamplerConfig(seed=1), seed=2)
-        b = generate_corpus(passages, 5, SamplerConfig(seed=99), seed=2)
-        assert a.examples == b.examples
+        a = generate_corpus(passages, 5, SamplerConfig(seed=2))
+        assert generate_corpus(passages, 5, SamplerConfig(seed=2)).examples == a.examples
+        assert generate_corpus(passages, 5, SamplerConfig(seed=99)).examples != a.examples
 
     @pytest.mark.parametrize("n, texts", [(0, ["Hi."]), (0, []), (-3, []), (0, TEXTS)])
     def test_rejects_n_below_one_before_any_passage(self, n, texts):
         passages = [make_passage(text, f"p{i}") for i, text in enumerate(texts)]
         with pytest.raises(ValueError, match="n must be >= 1"):
-            generate_corpus(passages, n, SamplerConfig(), seed=0)
+            generate_corpus(passages, n, SamplerConfig(seed=0))
 
 
 class TestExampleRecord:
@@ -1038,10 +1038,10 @@ class TestShardsAreInvisible:
         texts = TestGenerateCorpus.TEXTS
         passages = [make_passage(texts[i % len(texts)], f"p{i}") for i in range(11)]
         usable_cpus(1)
-        serial = generate_corpus(passages, 6, SamplerConfig(p=0.9, k=5), seed=3)
+        serial = generate_corpus(passages, 6, SamplerConfig(p=0.9, k=5, seed=3))
         usable_cpus(cpus)
         forks = counted_forks(monkeypatch)
-        sharded = generate_corpus(passages, 6, SamplerConfig(p=0.9, k=5), seed=3)
+        sharded = generate_corpus(passages, 6, SamplerConfig(p=0.9, k=5, seed=3))
         assert len(forks) == cpus - 1
         assert sharded.examples == serial.examples
         assert list(sharded.discards.items()) == list(serial.discards.items())
@@ -1108,7 +1108,7 @@ class TestFailingShards:
         for cpus in (1, 3):
             usable_cpus(cpus)
             with pytest.raises(ValueError) as caught:
-                generate_corpus(passages, 2, SamplerConfig(), seed=0)
+                generate_corpus(passages, 2, SamplerConfig(seed=0))
             raised.append((type(caught.value), str(caught.value)))
             assert_no_child_left()
         assert raised[0] == raised[1] == (ValueError, f"no examples for 'p{min(refused)}'")
@@ -1140,7 +1140,7 @@ class TestFailingShards:
         monkeypatch.setattr(syngen, "candidate_targets", targets)
         usable_cpus(3)
         with pytest.raises(RuntimeError, match="ended without a readable result"):
-            generate_corpus(passages, 2, SamplerConfig(), seed=0)
+            generate_corpus(passages, 2, SamplerConfig(seed=0))
         assert_no_child_left()
 
 
