@@ -28,7 +28,7 @@ from .corpus import (
     write_jsonl,
 )
 from .dense_index import DenseIndex
-from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage
+from .encoder import DualEncoder, IRTrainInstance, TrainConfig
 from .evalkit import load_gold_jsonl, paired_t_test
 from .fusion import FusionConfig, tune_weight
 from .mrc import ExternalLogits, LexicalScorer
@@ -217,11 +217,10 @@ def cmd_index_dense(args):
 
 
 def cmd_encode(args):
-    passages = _load_passages(args.passages)
-    enc = DualEncoder.load(args.encoder)
+    index = index_dense(DualEncoder.load(args.encoder), _load_passages(args.passages))
     path = _out_path(args, "embeddings.jsonl")
-    write_jsonl(path, ({"id": p.id, "vector": encode_passage(enc, p.text).tolist()} for p in passages))
-    print(f"exported {len(passages)} embeddings -> {path}")
+    write_jsonl(path, ({"id": pid, "vector": row} for pid, row in zip(index.ids, index.matrix.tolist())))
+    print(f"exported {index.n} embeddings -> {path}")
 
 
 def cmd_train_encoder(args):

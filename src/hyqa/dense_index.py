@@ -154,6 +154,8 @@ def build_ivf_index(index: DenseIndex, C: int, n_probe: int, seed: int = 0) -> I
         raise ValueError(f"C={C} must lie in [1, N={index.n}]")
     if not 1 <= n_probe <= C:
         raise ValueError(f"n_probe={n_probe} must lie in [1, C={C}]")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     centroids, assignment = _kmeans(index.matrix, C, seed)
     return IVFIndex(index, centroids, assignment, n_probe)
 

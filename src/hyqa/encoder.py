@@ -115,6 +115,8 @@ class DualEncoder:
     def create(cls, vocab: Sequence[str], d: int, seed: int) -> "DualEncoder":
         if d < 1:
             raise ValueError("d must be >= 1")
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         rng = np.random.default_rng(seed)
         v = len(vocab)
         scale = 1.0 / np.sqrt(d)
@@ -228,6 +230,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _token_ids(encoder: DualEncoder, text: str) -> np.ndarray:

@@ -244,6 +244,8 @@ class SamplerConfig:
             raise ValueError("p must lie in (0, 1]")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -365,24 +367,21 @@ def _check_masses(row_of: np.ndarray, indptr: np.ndarray, masses: np.ndarray) ->
 
 
 def _nuclei(
-    indptr: np.ndarray, tokens: np.ndarray, masses: np.ndarray, widths: np.ndarray, config: SamplerConfig
+    indptr: np.ndarray, tokens: np.ndarray, masses: np.ndarray, config: SamplerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nucleus of every row of a CSR of distributions in one array pass.
     Row r lists its entries, token ids `tokens` in ascending order with
-    `masses`, over a vocabulary of widths[r] tokens; a token without an
-    entry has zero mass. Each row is validated, its entries ranked by
-    (-mass, token id), its k first kept, and the smallest prefix of them
-    with cumulative mass >= p kept. Returns the rows' nucleus ids and CDFs,
-    flat, and each row's nucleus size.
+    `masses`. Each row is validated, its entries ranked by (-mass, token
+    id), its top min(k, listed) kept, and those cut at the first entry
+    whose cumulative mass reaches p (all of them if none does), so a
+    nucleus holds only tokens its row lists. Returns the rows' nucleus ids
+    and CDFs, flat, and each row's nucleus size.
 
-    The ranking is a stable argsort of the row's dense masses: a row whose
-    entries stay below p takes zero-mass tokens in ascending id order, up to
-    min(k, its vocabulary), as a dense row would. A row's CDF is the
-    cumulative sum of its renormalized masses divided by its last entry, as
-    Generator.choice(nucleus, p=weights) builds it; each nucleus is
-    renormalized by a row sum over a contiguous copy of its masses, which
-    numpy adds as it adds a 1-D array. A draw is one uniform and one CDF
-    search, the comparisons that choice makes."""
+    A row's CDF is the cumulative sum of its renormalized masses divided by
+    its last entry, as Generator.choice(nucleus, p=weights) builds it; each
+    nucleus is renormalized by a row sum over a contiguous copy of its
+    masses, which numpy adds as it adds a 1-D array. A draw is one uniform
+    and one CDF search, the comparisons that choice makes."""
     lens = np.diff(indptr)
     row_of = np.repeat(np.arange(len(lens)), lens)
     _check_masses(row_of, indptr, masses)
@@ -398,14 +397,7 @@ def _nuclei(
     order[cells] = tokens[ranked[top]]
     kept[cells] = masses[ranked[top]]
     count = np.count_nonzero(np.cumsum(kept, axis=1) < config.p - 1e-12, axis=1)
-    cut = np.where(count < kept_len, count + 1, np.minimum(config.k, widths))
-    if cut.max(initial=0) > order.shape[1]:
-        pad = ((0, 0), (0, cut.max() - order.shape[1]))
-        order, kept = np.pad(order, pad), np.pad(kept, pad)
-        for row in np.flatnonzero(cut > kept_len).tolist():
-            listed = set(tokens[indptr[row] : indptr[row + 1]].tolist())
-            unlisted = [t for t in range(cut[row]) if t not in listed]
-            order[row, kept_len[row] : cut[row]] = unlisted[: cut[row] - kept_len[row]]
+    cut = np.minimum(count + 1, kept_len)
     cdf = np.zeros_like(kept)
     for width in np.unique(cut).tolist():
         rows = np.flatnonzero(cut == width)
@@ -428,8 +420,7 @@ def sample_top_p_top_k(masses: np.ndarray, config: SamplerConfig, rng: np.random
     masses = np.asarray(masses, dtype=np.float64).reshape(-1)
     if masses.size == 0:
         raise ValueError("empty distribution")
-    width = np.array([masses.size])
-    ids, cdf, _ = _nuclei(np.array([0, masses.size]), np.arange(masses.size), masses, width, config)
+    ids, cdf, _ = _nuclei(np.array([0, masses.size]), np.arange(masses.size), masses, config)
     return ids.tolist()[bisect_right(cdf.tolist(), rng.random())]
 
 
@@ -440,7 +431,7 @@ def _select_nuclei(lms: Sequence["NgramLM"], config: SamplerConfig) -> None:
     next rows, shared by the models of one call, and the model's own row
     offsets."""
     rows = _Rows(lms)
-    ids, cdf, cut = _nuclei(rows.indptr, rows.tokens, rows.masses, rows.widths, config)
+    ids, cdf, cut = _nuclei(rows.indptr, rows.tokens, rows.masses, config)
     source = np.repeat(np.arange(len(cut)), cut)
     nxt = rows.step(source, ids) - rows.base[source]
     ids, cdf, nxt = ids.tolist(), cdf.tolist(), nxt.tolist()
@@ -823,7 +814,6 @@ class _Rows:
         self.indptr[1:] += np.repeat(np.cumsum([0, *sizes[:-1]]), heights)
         self.tokens = np.concatenate([lm._tokens for lm in lms])
         self.masses = np.concatenate([lm._masses for lm in lms])
-        self.widths = np.repeat([len(lm.vocab) for lm in lms], heights)
         self.suffix = np.concatenate([lm._suffix for lm in lms]) + self.base
         # A key numbers a (row, token) pair; a column past every vocabulary
         # holds each model's padding marker.

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyqa
@@ -125,15 +126,20 @@ class TestSynthesisChain:
             assert rec["answerability"] >= 0.5
 
     def test_encode_exports_jsonl(self, trained, capsys):
+        from hyqa.dense_index import DenseIndex
+
         _, out = trained
         assert run([
             "--output-dir", out, "encode",
             "--passages", out / "passages_retrieval.jsonl",
             "--encoder", out / "encoder.hyqa",
         ]) == 0
-        lines = (out / "embeddings.jsonl").read_text().strip().splitlines()
-        rec = json.loads(lines[0])
-        assert "id" in rec and len(rec["vector"]) == 16
+        records = [json.loads(line) for line in (out / "embeddings.jsonl").read_text().splitlines()]
+        assert len(records[0]["vector"]) == 16
+        # The f32-rounded rows that index-dense stores, row for row.
+        index = DenseIndex.load(out / "dense.hyqa")
+        assert [r["id"] for r in records] == index.ids
+        assert [r["vector"] for r in records] == index.matrix.tolist()
 
 
 class TestRetrievalCommands:
@@ -797,6 +803,21 @@ class TestErrorHandling:
         argv = [tmp_path / a if a.endswith((".jsonl", ".hyqa")) else a for a in args]
         assert run(["--output-dir", tmp_path / "o", command, "--passages", passages, *argv]) == 1
         assert capsys.readouterr().err == f"error [{command}]: {passages} line 2: duplicate passage id 'a#0'\n"
+        assert not (tmp_path / "o" / output).exists()
+
+    @pytest.mark.parametrize("command, output", [("index-dense", "dense.hyqa"), ("encode", "embeddings.jsonl")])
+    def test_non_finite_embedding_is_refused(self, tmp_path, capsys, command, output):
+        from hyqa.corpus import Passage, passage_to_record
+        from hyqa.encoder import DualEncoder
+
+        encoder = DualEncoder.create(["alpha", "beta"], d=4, seed=0)
+        encoder.params["p_emb"][:] = np.nan
+        encoder.save(tmp_path / "encoder.hyqa")
+        passages = tmp_path / "passages.jsonl"
+        passages.write_text(json.dumps(passage_to_record(Passage("p1", "p", "Alpha beta.", 2))) + "\n")
+        assert run(["--output-dir", tmp_path / "o", command, "--passages", passages,
+                    "--encoder", tmp_path / "encoder.hyqa"]) == 1
+        assert capsys.readouterr() == ("", f"error [{command}]: non-finite embedding for passage 'p1'\n")
         assert not (tmp_path / "o" / output).exists()
 
     def test_index_dense_on_empty_passages(self, tmp_path, capsys):

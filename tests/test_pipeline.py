@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import hyqa
 from hyqa.corpus import Document, tokenize
-from hyqa.encoder import TrainConfig
+from hyqa.dense_index import build_dense_index, build_ivf_index
+from hyqa.encoder import DualEncoder, TrainConfig
 from hyqa.evalkit import GoldSet
 from hyqa.fusion import minmax_normalize
 from hyqa.mrc import MAX_ANSWER_LEN, LexicalScorer, ScorerConfig, SpanLogits, best_spans
@@ -29,6 +30,7 @@ from hyqa.pipeline import (
     run_adaptation,
 )
 from hyqa.scored import ScoredPassage
+from hyqa.syngen import SamplerConfig
 
 
 class TableScorer:
@@ -463,6 +465,18 @@ class TestRunAdaptation:
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             AdaptationConfig(seed=-1)
         assert AdaptationConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: SamplerConfig(seed=seed),
+        lambda seed: TrainConfig(seed=seed),
+        lambda seed: DualEncoder.create(["alpha"], d=2, seed=seed),
+        lambda seed: build_ivf_index(build_dense_index(["a"], np.ones((1, 2))), C=1, n_probe=1, seed=seed),
+    ], ids=["SamplerConfig", "TrainConfig", "DualEncoder.create", "build_ivf_index"])
+    def test_negative_seed_is_refused_where_it_is_set(self, make):
+        # In AdaptationConfig's wording, not numpy's from the first draw.
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            make(-1)
+        make(0)
 
     def test_adapted_retrievers_answer_their_topics(self):
         result = run_adaptation(adaptation_corpus(), small_config())

@@ -1,6 +1,7 @@
 import copy
 import os
 import threading
+from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
 
@@ -399,6 +400,13 @@ def assert_nuclei_match(lms, config):
     return longest
 
 
+# Target sequences over a small vocabulary holding the padding marker and
+# EOS, empty sequences included.
+target_lists = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "d", EOS_TOKEN, "<s>"]), max_size=8), min_size=1, max_size=6
+)
+
+
 # Count rows with ties and zeros; every row has some mass. A model is 1-6
 # rows of one width; a chunk mixes widths.
 count_rows = st.integers(1, 25).flatmap(
@@ -429,16 +437,35 @@ class TestChunkedNuclei:
         ids, _, _, offsets = narrow._nuclei[1.0, 30]
         assert ids[offsets[0] : offsets[1]] == [0, 1]
 
-    def test_row_below_p_takes_unlisted_tokens_by_id(self):
-        # Two listed tokens whose mass stays under p: as in a dense row,
-        # the nucleus goes on into the zero-mass tokens, lowest id first,
-        # up to k.
-        short = model_of_masses([[0.0, 0.5, 0.0, 0.5 - 1e-7, 0.0]])
-        for k in (3, 4, 30):
+    def test_row_below_p_keeps_only_its_listed_tokens(self):
+        # Two listed tokens whose mass stays under p: the nucleus ends at
+        # the row's last listed token, and draws through it are those of
+        # the public sampler on the same dense masses, whose zero-mass
+        # tail is never drawn.
+        dense = [0.0, 0.5, 0.0, 0.5 - 1e-7, 0.0]
+        short = model_of_masses([dense])
+        for k in (2, 3, 4, 30):
             config = SamplerConfig(p=1.0, k=k)
-            assert_nuclei_match([short, model_of([[1, 2, 0]])], config)
-            ids, _, _, offsets = short._nuclei[1.0, k]
-            assert ids[offsets[0] : offsets[1]] == [1, 3, 0, 2, 4][:k]
+            _select_nuclei([short, model_of([[1, 2, 0]])], config)
+            ids, cdf, _, offsets = short._nuclei[1.0, k]
+            lo, hi = offsets[0], offsets[1]
+            assert ids[lo:hi] == [1, 3]
+            compiled, public = np.random.default_rng(k), np.random.default_rng(k)
+            draws = [ids[bisect_right(cdf, compiled.random(), lo, hi)] for _ in range(10_000)]
+            assert draws == [sample_top_p_top_k(np.array(dense), config, public) for _ in range(10_000)]
+            assert len(set(draws)) == 2
+
+    @given(target_lists, st.integers(1, 4), sampler_configs)
+    def test_a_nucleus_holds_only_listed_tokens(self, sequences, order, config):
+        lm = NgramLM(order=order).fit(sequences)
+        _select_nuclei([lm], config)
+        ids, cdf, _, offsets = lm._nuclei[config.p, config.k]
+        for row in range(len(lm._indptr) - 1):
+            lo, hi = offsets[row], offsets[row + 1]
+            listed = lm._tokens[lm._indptr[row] : lm._indptr[row + 1]].tolist()
+            assert hi > lo and set(ids[lo:hi]) <= set(listed)
+            assert all(a <= b for a, b in zip(cdf[lo : hi - 1], cdf[lo + 1 : hi]))
+            assert cdf[hi - 1] == 1.0
 
     def test_columns_bounded_by_the_widest_vocabulary_not_k(self):
         models = [model_of([[1, 2, 3], [0, 1, 0]]), model_of([[4, 4]])]
@@ -454,13 +481,6 @@ class TestChunkedNuclei:
             _select_nuclei([model_of([[1, 2]]), model_of_masses(bad)], SamplerConfig())
         with pytest.raises(ValueError, match=message):
             sample_top_p_top_k(np.array(bad[-1]), SamplerConfig(), np.random.default_rng(0))
-
-
-# Target sequences over a small vocabulary holding the padding marker and
-# EOS, empty sequences included.
-target_lists = st.lists(
-    st.lists(st.sampled_from(["a", "b", "c", "d", EOS_TOKEN, "<s>"]), max_size=8), min_size=1, max_size=6
-)
 
 
 def assert_equals_dense_oracle(lm, sequences, config):
