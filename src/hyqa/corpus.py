@@ -27,19 +27,29 @@ and the encoder vocabulary are both read from it, and built one after the
 other over the same passages they share one table (see token_table). The
 reader's mrc.LexicalScorer interns apart: each text on its
 first read, against ids it gives in first-seen order.
+
+sharded is the one splitter of a loop over blocks of items: contiguous
+shards of whole blocks, one per usable CPU, all but the first in forked
+processes. token_table interns through it, and so do
+syngen.generate_corpus and syngen.build_ir_training_set. A table's ids are
+ranks in its sorted terms, so no table depends on the split.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import os
+import pickle
 import re
+import signal
+import threading
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, count
 from pathlib import Path
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, NoReturn, Optional, TypeVar
 
 import numpy as np
 
@@ -57,6 +67,7 @@ __all__ = [
     "terms",
     "TokenTable",
     "token_table",
+    "sharded",
     "chunk_retrieval_passages",
     "chunk_generation_passages",
     "passage_to_record",
@@ -275,6 +286,97 @@ def terms(text: str) -> list[str]:
     return _word_bytes(text).decode("ascii").split()
 
 
+def sharded(n: int, block: int, work: Callable[[int, int], T]) -> list[T]:
+    """work(lo, hi) over contiguous shards of range(n), their results in
+    shard order.
+
+    There is one shard per usable CPU (os.sched_getaffinity), each a whole
+    number of `block`s and at least one, so every block holds the items a
+    serial loop over range(0, n, block) gives it. Shard 0 runs here; each
+    other shard runs in an os.fork child, which sends back only its pickled
+    result, or its exception, through a pipe. With one usable CPU, fewer
+    than two blocks, no os.fork or os.sched_getaffinity (off Linux), or
+    another Python thread running in this process, work(0, n) runs here as
+    the one shard: a lock another thread holds at the fork would stay held
+    in the child for good.
+
+    A stage's `work` (token_table's interning, syngen's generate and
+    mine) reads only its own shard's items and state that no shard
+    writes, and its blocks are the serial loop's, so no result depends on
+    the split. The first exception in shard order is raised, which is the
+    one a serial loop raises first; an exception a child cannot pickle, or
+    a child that dies, is a RuntimeError. Every child is reaped before
+    this returns or raises.
+    """
+    blocks = -(-n // block)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    shards = min(cpus, blocks)
+    if shards < 2 or threading.active_count() > 1:
+        return [work(0, n)]
+    bounds = [min(n, s * blocks // shards * block) for s in range(shards + 1)]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in shard order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _send(write, work, lo, hi)
+            os.close(write)
+            children.append((pid, read))
+        results = [work(bounds[0], bounds[1])]
+        results += [_receive(pid, read) for pid, read in children]
+        return results
+    finally:
+        # A child whose result was read has exited or is exiting, so the
+        # kill stops only those left running by an exception here.
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send(write: int, work: Callable[[int, int], T], lo: int, hi: int) -> NoReturn:
+    """In a forked child: write the pickled (True, work(lo, hi)), or
+    (False, its exception), to the pipe `write`, then exit without running
+    any of the parent's exit handlers."""
+    status = 1
+    try:
+        try:
+            reply = (True, work(lo, hi))
+        except Exception as e:
+            reply = (False, e)
+        data = memoryview(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(write, data) :]
+        # The end of file reaches the parent now, not once this process's
+        # memory has been torn down.
+        os.close(write)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid: int, read: int):
+    """The result child `pid` sent through the pipe `read`; its exception
+    is raised here."""
+    chunks = []
+    while chunk := os.read(read, 1 << 20):
+        chunks.append(chunk)
+    try:
+        ok, value = pickle.loads(b"".join(chunks))
+    except Exception:
+        raise RuntimeError(f"shard process {pid} ended without a readable result") from None
+    if not ok:
+        raise value
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class TokenTable:
     """The terms of a sequence of texts, interned: `terms` (sorted,
@@ -292,6 +394,11 @@ class TokenTable:
         """The term ids of text j's tokens, in order, as a view of `ids`."""
         return self.ids[self.offsets[j] : self.offsets[j + 1]]
 
+
+# Texts token_table interns per block: it splits only an input of two
+# blocks or more (sharded), and a 2-shard run of two blocks measured no
+# slower than one process.
+_INTERN_BLOCK = 1024
 
 # The last table built and its texts, {"last": (texts, table)}; see
 # token_table. dict.pop reads and empties it in one step.
@@ -311,11 +418,48 @@ def token_table(texts: Iterable[str]) -> TokenTable:
     threads never take a table with another call's texts, since the slot
     is read and emptied in one step. The slot holds at most one table
     (about 4 bytes per token) and references to its texts, until the next
-    call."""
+    call.
+
+    The texts are interned in contiguous shards of whole blocks of
+    _INTERN_BLOCK texts, one per usable CPU (sharded). Each shard sorts
+    its own distinct terms and ranks its tokens in them; the shards' terms
+    are then merged and their ranks mapped to ranks in the merged terms.
+    A term's id is its rank among all the distinct terms, whichever text
+    saw it first, so no table depends on the split: its terms, ids and
+    offsets, their dtypes and read-only flags are a one-process table's.
+    With one usable CPU, fewer than two blocks of texts, another Python
+    thread running, or off Linux, the call runs in this process. There is
+    no setting for this."""
     texts = tuple(texts)
     held = _last_table.pop("last", None)
     if held is not None and len(held[0]) == len(texts) and all(map(operator.is_, held[0], texts)):
         return held[1]
+    shards = sharded(len(texts), _INTERN_BLOCK, lambda lo, hi: _intern(texts[lo:hi]))
+    if len(shards) == 1:
+        table_terms, ids, lengths = shards[0]
+    else:
+        # Each shard's ids are ranks in its own sorted terms, and a term's
+        # id is its rank in their sorted union. sorted merges the shards'
+        # sorted runs in linear time, and dict.fromkeys drops the repeats.
+        rank = dict.fromkeys(sorted(chain.from_iterable(shard_terms for shard_terms, _, _ in shards)))
+        table_terms = list(rank)
+        rank.update(zip(table_terms, range(len(table_terms))))
+        ids = np.concatenate([
+            np.fromiter(map(rank.__getitem__, shard_terms), dtype=np.int32, count=len(shard_terms)).take(shard_ids)
+            for shard_terms, shard_ids, _ in shards
+        ])
+        lengths = list(chain.from_iterable(shard_lengths for _, _, shard_lengths in shards))
+    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    ids.flags.writeable = offsets.flags.writeable = False
+    table = TokenTable(table_terms, offsets, ids)
+    _last_table["last"] = (texts, table)
+    return table
+
+
+def _intern(texts: tuple[str, ...]) -> tuple[list[str], np.ndarray, list[int]]:
+    """The sorted distinct terms of texts, every token of every text in
+    order as its int32 rank in them, and each text's token count."""
     lengths: list[int] = []
 
     def text_terms(text: str) -> list[str]:
@@ -329,17 +473,11 @@ def token_table(texts: Iterable[str]) -> TokenTable:
     # texts are never held at once.
     term_ids: defaultdict[str, int] = defaultdict(count().__next__)
     first_seen = np.fromiter(map(term_ids.__getitem__, chain.from_iterable(map(text_terms, texts))), dtype=np.int32)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
     surfaces = list(term_ids)
     order = sorted(range(len(surfaces)), key=surfaces.__getitem__)
     rank = np.empty(len(surfaces), dtype=np.int32)
     rank[order] = np.arange(len(surfaces), dtype=np.int32)
-    ids = rank[first_seen]
-    ids.flags.writeable = offsets.flags.writeable = False
-    table = TokenTable([surfaces[i] for i in order], offsets, ids)
-    _last_table["last"] = (texts, table)
-    return table
+    return [surfaces[i] for i in order], rank[first_seen], lengths
 
 
 # Words per window when _last_cut scans back from a passage's word limit:

@@ -16,26 +16,22 @@ sample_top_p_top_k. One path, _sentence_terms, gives each sentence's terms
 to target encoding, candidate targets and decoding.
 
 generate_corpus and build_ir_training_set run their block loops through
-one splitter, _sharded: contiguous shards of whole blocks, one per usable
-CPU, all but the first in forked processes.
+the one splitter, corpus.sharded: contiguous shards of whole blocks, one
+per usable CPU, all but the first in forked processes.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, NoReturn, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Passage, TokenSpan, segment_sentences, terms, token_bounds
+from .corpus import Passage, TokenSpan, segment_sentences, sharded, terms, token_bounds
 from .encoder import IRTrainInstance
 from .evalkit import answer_test, haystack as _haystack
 from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows
@@ -87,98 +83,6 @@ _FILTER_BLOCK = 128
 # each question's matched passages, so the block bounds mining's memory as
 # _FILTER_BLOCK bounds the filter's.
 _MINE_BLOCK = 128
-
-_T = TypeVar("_T")
-
-
-def _sharded(n: int, block: int, work: Callable[[int, int], _T]) -> list[_T]:
-    """work(lo, hi) over contiguous shards of range(n), their results in
-    shard order.
-
-    There is one shard per usable CPU (os.sched_getaffinity), each a whole
-    number of `block`s and at least one, so every block holds the items a
-    serial loop over range(0, n, block) gives it. Shard 0 runs here; each
-    other shard runs in an os.fork child, which sends back only its pickled
-    result, or its exception, through a pipe. With one usable CPU, fewer
-    than two blocks, no os.fork or os.sched_getaffinity (off Linux), or
-    another Python thread running in this process, work(0, n) runs here as
-    the one shard: a lock another thread holds at the fork would stay held
-    in the child for good.
-
-    A stage's `work` reads only its own shard's items and state that no
-    shard writes, and its blocks are the serial loop's, so no result
-    depends on the split. The first exception in shard order is raised,
-    which is the one a serial loop raises first; an exception a child
-    cannot pickle, or a child that dies, is a RuntimeError. Every child is
-    reaped before this returns or raises.
-    """
-    blocks = -(-n // block)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    shards = min(cpus, blocks)
-    if shards < 2 or threading.active_count() > 1:
-        return [work(0, n)]
-    bounds = [min(n, s * blocks // shards * block) for s in range(shards + 1)]
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in shard order
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                os.close(read)
-                _send(write, work, lo, hi)
-            os.close(write)
-            children.append((pid, read))
-        results = [work(bounds[0], bounds[1])]
-        results += [_receive(pid, read) for pid, read in children]
-        return results
-    finally:
-        # A child whose result was read has exited or is exiting, so the
-        # kill stops only those left running by an exception here.
-        for pid, read in children:
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _send(write: int, work: Callable[[int, int], _T], lo: int, hi: int) -> NoReturn:
-    """In a forked child: write the pickled (True, work(lo, hi)), or
-    (False, its exception), to the pipe `write`, then exit without running
-    any of the parent's exit handlers."""
-    status = 1
-    try:
-        try:
-            reply = (True, work(lo, hi))
-        except Exception as e:
-            reply = (False, e)
-        data = memoryview(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
-        while data:
-            data = data[os.write(write, data) :]
-        # The end of file reaches the parent now, not once this process's
-        # memory has been torn down.
-        os.close(write)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(pid: int, read: int):
-    """The result child `pid` sent through the pipe `read`; its exception
-    is raised here."""
-    chunks = []
-    while chunk := os.read(read, 1 << 20):
-        chunks.append(chunk)
-    try:
-        ok, value = pickle.loads(b"".join(chunks))
-    except Exception:
-        raise RuntimeError(f"shard process {pid} ended without a readable result") from None
-    if not ok:
-        raise value
-    return value
 
 
 @dataclass(frozen=True)
@@ -523,9 +427,9 @@ def generate_corpus(
     models of each run of _NUCLEUS_CHUNK passages are compiled in one array
     pass (_compile, the pass NgramLM.fit makes for one model) and have their
     nuclei selected in another. The runs are split into shards, one per
-    usable CPU (_sharded); as no passage's draws depend on another's, the
-    examples, joined in passage order, and the discards are those of one
-    loop.
+    usable CPU (corpus.sharded); as no passage's draws depend on
+    another's, the examples, joined in passage order, and the discards are
+    those of one loop.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -552,7 +456,7 @@ def generate_corpus(
         return shard
 
     total = GenerationResult(examples=[])
-    for shard in _sharded(len(passages), _NUCLEUS_CHUNK, generate):
+    for shard in sharded(len(passages), _NUCLEUS_CHUNK, generate):
         total.examples.extend(shard.examples)
         total.discards.update(shard.discards)
     return total
@@ -651,9 +555,10 @@ def build_ir_training_set(
     passage's text is normalized once per shard, at its first test. A depth
     below 1 is a ValueError, raised first.
 
-    The blocks are split into shards, one per usable CPU (_sharded), each
-    of which sends back its examples' negative passage ids only; the
-    instances are then built here from `passages` itself."""
+    The blocks are split into shards, one per usable CPU
+    (corpus.sharded), each of which sends back its examples' negative
+    passage ids only; the instances are then built here from `passages`
+    itself."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     for ex in examples:
@@ -680,7 +585,7 @@ def build_ir_training_set(
         return shard
 
     result = TrainingSetResult(instances=[])
-    for ex, neg_id in zip(examples, chain.from_iterable(_sharded(len(examples), _MINE_BLOCK, mine))):
+    for ex, neg_id in zip(examples, chain.from_iterable(sharded(len(examples), _MINE_BLOCK, mine))):
         if neg_id is None:
             result.dropped += 1
             continue

@@ -21,7 +21,8 @@ def _empty_token_table_slot():
 @pytest.fixture(autouse=True)
 def _no_child_process_left():
     """Fail a test that leaves a child process unreaped, running or exited,
-    such as a shard of a stage split by syngen._sharded."""
+    such as a shard of token_table, generate or mine, which corpus.sharded
+    splits."""
     yield
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)
@@ -34,7 +35,8 @@ def _no_child_process_left():
 @pytest.fixture
 def usable_cpus(monkeypatch):
     """Set how many CPUs os.sched_getaffinity reports usable, and so into
-    how many shards syngen._sharded splits a stage."""
+    how many shards corpus.sharded splits token_table, generate and
+    mine."""
 
     def set_usable(n: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -43,8 +45,23 @@ def usable_cpus(monkeypatch):
 
 
 @pytest.fixture
+def count_forks(monkeypatch):
+    """count_forks() returns a list that gets one entry for each os.fork
+    from then on."""
+
+    def start() -> list:
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    return start
+
+
+@pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of 2 passages and of 3 examples in the sharded syngen stages,
-    generate and mine, so small inputs span several shards."""
+    """Blocks of 2 texts in token_table's interning, and of 2 passages and
+    3 examples in the sharded syngen stages, generate and mine, so small
+    inputs span several shards."""
+    monkeypatch.setattr(corpus, "_INTERN_BLOCK", 2)
     monkeypatch.setattr(syngen, "_NUCLEUS_CHUNK", 2)
     monkeypatch.setattr(syngen, "_MINE_BLOCK", 3)

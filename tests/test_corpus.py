@@ -1,12 +1,13 @@
 import gc
 import json
 import operator
+import os
 import re
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyqa import corpus
@@ -33,6 +34,7 @@ from hyqa.corpus import (
 )
 from hyqa.dense_index import build_dense_index
 from hyqa.encoder import DualEncoder, encode_passage
+from hyqa.pipeline import index_dense
 from hyqa.sparse import build_sparse_index
 
 
@@ -429,6 +431,116 @@ class TestTokenTableHandOff:
         build_artifacts(tmp_path / "separate", sparse_first, separated=True)
         for name in ("sparse.hyqa", "encoder.hyqa", "dense.hyqa"):
             assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "separate" / name).read_bytes(), name
+
+
+def assert_same_table(table, expected):
+    """Field for field: terms, ids and offsets, their dtypes and flags."""
+    assert table.terms == expected.terms
+    assert table.ids.dtype == expected.ids.dtype == np.int32
+    assert table.offsets.dtype == expected.offsets.dtype == np.int64
+    assert table.ids.tolist() == expected.ids.tolist()
+    assert table.offsets.tolist() == expected.offsets.tolist()
+    for array in (table.ids, table.offsets, expected.ids, expected.offsets):
+        assert not array.flags.writeable
+
+
+def fresh_table(texts):
+    """token_table(texts), interned again rather than taken from the slot."""
+    corpus._last_table.clear()
+    return token_table(texts)
+
+
+# Blocks of 2 texts: with three usable CPUs, shards of texts 0-1, 2-3 and 4-6.
+_SHARD_CASES = {
+    "no tokens": ["", "- -", "?!", "", "\xa0", "...", "()"],
+    # "zebra" is in the last shard only, "the" and "\u212a" (no term) in every one.
+    "first and last": ["the Alpha", "the \u212a", "Beta the", "the alpha beta", "\u212a the", "zebra the", "the"],
+    "new terms in every shard": ["one two", "three", "two one", "four", "", "five one", "six"],
+}
+
+
+class TestShardedTokenTable:
+    """token_table interned in shards, one per usable CPU
+    (corpus.sharded), equals its one-process table."""
+
+    @pytest.mark.parametrize("case", _SHARD_CASES)
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_the_one_shard_table(self, small_blocks, usable_cpus, count_forks, case, cpus):
+        texts = _SHARD_CASES[case]
+        usable_cpus(1)
+        serial = fresh_table(texts)
+        usable_cpus(cpus)
+        forks = count_forks()
+        assert_same_table(fresh_table(texts), serial)
+        assert len(forks) == cpus - 1
+
+    def test_no_texts(self, small_blocks, usable_cpus, count_forks):
+        usable_cpus(3)
+        forks = count_forks()
+        table = fresh_table([])
+        assert table.terms == [] and table.ids.tolist() == [] and table.offsets.tolist() == [0]
+        assert table.ids.dtype == np.int32 and table.offsets.dtype == np.int64
+        assert forks == []
+
+    @given(st.lists(_table_texts, max_size=12), st.integers(1, 3))
+    @settings(max_examples=40)
+    def test_any_texts_on_any_cpus(self, texts, cpus):
+        # Fixtures last a whole test, not one example, so each example
+        # patches its own CPU count and block.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_INTERN_BLOCK", 2)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            serial = fresh_table(texts)
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            forks, fork = [], os.fork
+            patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+            assert_same_table(fresh_table(texts), serial)
+        assert len(forks) == max(0, min(cpus, -(-len(texts) // 2)) - 1)
+
+    def test_artifacts_equal_the_one_shard_build(self, tmp_path, small_blocks, usable_cpus, count_forks):
+        passages = [Passage(f"p{i}", "d", text, len(terms(text))) for i, text in enumerate(_SHARD_CASES["first and last"])]
+        built = {}
+        for cpus in (1, 3):
+            usable_cpus(cpus)
+            forks = count_forks()
+            out = tmp_path / str(cpus)
+            out.mkdir()
+            build_sparse_index(passages).save(out / "sparse.hyqa")
+            model = DualEncoder.from_texts([p.text for p in passages], d=4, seed=1)
+            model.save(out / "encoder.hyqa")
+            index_dense(model, passages).save(out / "dense.hyqa")
+            # BM25 and the vocabulary share one sharded pass.
+            assert len(forks) == cpus - 1
+            built[cpus] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert len(built[1]) == 3 and built[3] == built[1]
+
+    def test_adapt_sized_tables_stay_in_one_process(self, usable_cpus, count_forks):
+        usable_cpus(3)
+        forks = count_forks()
+        table = token_table([f"text {i} of the adaptation corpus" for i in range(500)])
+        assert forks == [] and len(table.offsets) == 501
+
+    def test_a_failing_shard_raises_as_one_process_does(self, small_blocks, usable_cpus, monkeypatch):
+        # Text 3 lies in the second of three shards, in a child process.
+        texts = _SHARD_CASES["first and last"]
+
+        def refuse_fourth(text):
+            if text is texts[3]:
+                raise ValueError(f"cannot intern {text!r}")
+            return terms(text)
+
+        monkeypatch.setattr(corpus, "terms", refuse_fourth)
+        raised = []
+        for cpus in (1, 3):
+            usable_cpus(cpus)
+            token_table(["an unrelated text"])  # fills the slot
+            with pytest.raises(ValueError) as caught:
+                token_table(texts)
+            raised.append((type(caught.value), str(caught.value)))
+            assert corpus._last_table == {}
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert raised[0] == raised[1] == (ValueError, "cannot intern 'the alpha beta'")
 
 
 class TestWordCount:

@@ -494,19 +494,20 @@ class TestRunAdaptation:
 
 @pytest.mark.usefixtures("small_blocks")
 class TestShardedAdaptation:
-    """run_adaptation with its generate and mine stages split into shards,
-    one per usable CPU (syngen._sharded), on blocks small enough for
-    adaptation_corpus() to span several."""
+    """run_adaptation with its token tables and its generate and mine
+    stages split into shards, one per usable CPU (corpus.sharded), on
+    blocks small enough for adaptation_corpus() to span several."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_every_file_equals_the_one_shard_run(self, tmp_path, monkeypatch, usable_cpus, cpus):
+    def test_every_file_equals_the_one_shard_run(self, tmp_path, usable_cpus, count_forks, cpus):
         usable_cpus(1)
         run_adaptation(adaptation_corpus(), small_config(), output_dir=tmp_path / "serial")
         usable_cpus(cpus)
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        forks = count_forks()
         run_adaptation(adaptation_corpus(), small_config(), output_dir=tmp_path / "sharded")
-        assert len(forks) == 2 * (cpus - 1)  # generate and mine
+        # generate, mine, and interning the retrieval passages and the
+        # generation passages (one table for their BM25 index and the vocabulary)
+        assert len(forks) == 4 * (cpus - 1)
         serial = {path.name: path.read_bytes() for path in sorted((tmp_path / "serial").iterdir())}
         sharded = {path.name: path.read_bytes() for path in sorted((tmp_path / "sharded").iterdir())}
         assert len(serial) == 7

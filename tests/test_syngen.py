@@ -1038,12 +1038,6 @@ class TestBlockedMining:
         assert blocks == []
 
 
-def counted_forks(monkeypatch):
-    forks, fork = [], syngen.os.fork
-    monkeypatch.setattr(syngen.os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1054,13 +1048,13 @@ class TestShardsAreInvisible:
     field for field, on one, two and three usable CPUs."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_generate_corpus(self, small_blocks, usable_cpus, monkeypatch, cpus):
+    def test_generate_corpus(self, small_blocks, usable_cpus, count_forks, cpus):
         texts = TestGenerateCorpus.TEXTS
         passages = [make_passage(texts[i % len(texts)], f"p{i}") for i in range(11)]
         usable_cpus(1)
         serial = generate_corpus(passages, 6, SamplerConfig(p=0.9, k=5, seed=3))
         usable_cpus(cpus)
-        forks = counted_forks(monkeypatch)
+        forks = count_forks()
         sharded = generate_corpus(passages, 6, SamplerConfig(p=0.9, k=5, seed=3))
         assert len(forks) == cpus - 1
         assert sharded.examples == serial.examples
@@ -1068,13 +1062,13 @@ class TestShardsAreInvisible:
         assert len(serial.examples) > 5 and len(serial.discards) > 2
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_build_ir_training_set(self, small_blocks, usable_cpus, monkeypatch, cpus):
+    def test_build_ir_training_set(self, small_blocks, usable_cpus, count_forks, cpus):
         examples, passages = mining_inputs(6, 20)
         index = build_sparse_index(list(passages.values()))
         usable_cpus(1)
         serial = build_ir_training_set(examples, index, passages, depth=5)
         usable_cpus(cpus)
-        forks = counted_forks(monkeypatch)
+        forks = count_forks()
         sharded = build_ir_training_set(examples, index, passages, depth=5)
         assert len(forks) == cpus - 1
         assert sharded == serial
@@ -1084,7 +1078,7 @@ class TestShardsAreInvisible:
             assert inst.positive is passages[inst.positive.id]
             assert inst.hard_negatives[0] is passages[inst.hard_negatives[0].id]
 
-    def test_no_fork_while_another_thread_runs(self, small_blocks, usable_cpus, monkeypatch):
+    def test_no_fork_while_another_thread_runs(self, small_blocks, usable_cpus, count_forks):
         # A lock the other thread held at a fork would never be released in
         # the child, so the stage runs in this process.
         examples, passages = mining_inputs(6, 20)
@@ -1092,7 +1086,7 @@ class TestShardsAreInvisible:
         usable_cpus(1)
         serial = build_ir_training_set(examples, index, passages, depth=5)
         usable_cpus(3)
-        forks = counted_forks(monkeypatch)
+        forks = count_forks()
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
