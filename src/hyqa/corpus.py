@@ -363,13 +363,11 @@ def _send(write: int, work: Callable[[int, int], T], lo: int, hi: int) -> NoRetu
 
 
 def _receive(pid: int, read: int):
-    """The result child `pid` sent through the pipe `read`; its exception
-    is raised here."""
-    chunks = []
-    while chunk := os.read(read, 1 << 20):
-        chunks.append(chunk)
+    """The result child `pid` sent through the pipe `read`, unpickled as it
+    is read rather than from a copy of all its bytes; its exception is
+    raised here."""
     try:
-        ok, value = pickle.loads(b"".join(chunks))
+        ok, value = pickle.load(open(read, "rb", closefd=False))
     except Exception:
         raise RuntimeError(f"shard process {pid} ended without a readable result") from None
     if not ok:

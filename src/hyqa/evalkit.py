@@ -128,13 +128,17 @@ def answer_test(answers: Iterable[str], haystack_of: Callable[[str], str] = hays
 def first_match_rank(passage_ids: Sequence[str], gold: GoldSet, depth: int, passage_texts: dict[str, str]) -> int:
     """0-based rank of the first of the top `depth` passage ids whose text
     contains a gold answer (see answer_test), or `depth` if none does;
-    Match@k for k <= depth is then rank < k."""
+    Match@k for k <= depth is then rank < k. A passage scanned before the
+    first match that passage_texts lacks is a KeyError naming it."""
     if depth < 1:
         raise ValueError("k must be >= 1")
     contains = answer_test(gold.answers)
-    for rank, passage_id in enumerate(passage_ids[:depth]):
-        if contains(passage_texts[passage_id]):
-            return rank
+    try:
+        for rank, passage_id in enumerate(passage_ids[:depth]):
+            if contains(passage_texts[passage_id]):
+                return rank
+    except KeyError as e:
+        raise KeyError(f"retrieved passage {e.args[0]!r} not in passage_texts") from None
     return depth
 
 

@@ -160,13 +160,13 @@ def span_score(logits: SpanLogits, s: int, e: int) -> float:
 
 
 def _padded_end(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The window width, min(max_answer_len, the longest n); every row's end
-    logits 1..n, each row followed by width - 1 cells of -inf so that no
-    window of width cells from a row's token reaches the next row; and the
-    position of each token in that layout: row k's tokens sit
+    """The window width, min(max_answer_len, max(1, the longest n)); every
+    row's end logits 1..n, each row followed by width - 1 cells of -inf so
+    that no window of width cells from a row's token reaches the next row;
+    and the position of each token in that layout: row k's tokens sit
     k * (width - 1) cells past their position among all rows' tokens."""
     n = rows.n
-    width = min(max_answer_len, int(n.max()))
+    width = min(max_answer_len, int(n.max(initial=1)))
     window = np.arange(len(rows.end)) + np.repeat(np.arange(len(n)) * (width - 1), n)
     end = np.full(len(rows.end) + len(n) * (width - 1), -np.inf)
     end[window] = rows.end
@@ -189,8 +189,6 @@ def best_spans(logits: SpanLogits, config: ScorerConfig = ScorerConfig()) -> lis
     """All spans of length <= max_answer_len scored; top_n by descending
     score, ties by (ascending s, ascending e)."""
     n = logits.n
-    if n == 0:
-        return []
     end, window, width = _padded_end(stack_logits([logits]), config.max_answer_len)
     # cells[s - 1, j] scores the span (s, s + j); a span past n scores -inf,
     # so the row-major order of the cells is the (s asc, e asc) tie order.
@@ -211,7 +209,8 @@ def best_span_each(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np
     over the padded end logits; the cells of one start per row are then
     built as best_spans builds them, to find the first end that reaches the
     row's best. The working set is O(sum(n) + rows * width) float64 values.
-    A row with n = 0, or a max_answer_len below 1, is a ValueError.
+    No rows give three empty arrays (s and e intp, score float64). A row
+    with n = 0, or a max_answer_len below 1, is a ValueError.
     """
     if max_answer_len < 1:
         raise ValueError("max_answer_len must be >= 1")

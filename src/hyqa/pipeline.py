@@ -5,10 +5,12 @@ Every run is a deterministic function of its inputs and one seed; the
 adaptation run writes a JSON manifest recording config and stage counts so
 results can be reproduced and audited.
 
-The read path moves arrays: each make_*_retriever retriever ranks its
-index's rows, .ranked(question, k) gives their passage ids and scores, and
-one reading kernel (_read) turns those into best spans, combined scores and
-their order. Records (ScoredPassage, SpanScore, AnswerCandidate) are built
+The read path moves arrays: a Retriever ranks an index's rows,
+.ranked(question, k) gives their passage ids and scores, and one reading
+kernel (_read) turns those into best spans, combined scores and their
+order. Every make_*_retriever returns a Retriever, and so does any other
+ranker of rows over an id list, wrapped as Retriever(ids, rows,
+provenance). Records (ScoredPassage, SpanScore, AnswerCandidate) are built
 only where a public function returns them; evaluate_run builds none.
 
 Each adaptation stage is one function, called both by `run_adaptation`
@@ -77,10 +79,6 @@ __all__ = [
 
 K_HYBRID = 40  # retrieval depth for fused sparse+dense retrieval
 
-# A retriever may also have .ranked(question, k), its result as passage ids
-# and a score array; the read path takes that when it is there (_ranked).
-Retriever = Callable[[str, int], list[ScoredPassage]]
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -103,10 +101,14 @@ class AnswerCandidate:
     combined: float
 
 
-class _RankedRetriever:
-    """A Retriever over an index's ids and a ranker of its top k rows and
-    their scores: ranked(question, k) gives those rows' ids and scores, and
-    calling it their records. Both refuse a non-finite score alike."""
+class Retriever:
+    """The one retriever type answer_question and evaluate_run take: an
+    index's ids and `rows`, where rows(question, k) gives the positions in
+    ids of the top k passages, best first, and their float64 scores.
+    ranked(question, k) gives those passages' ids and scores, and calling
+    it their ScoredPassage records; both refuse a non-finite score alike.
+    Each make_*_retriever builds one, and any other ranker of rows over an
+    id list fits the same way."""
 
     def __init__(self, ids: Sequence[str], rows: Callable[[str, int], tuple[np.ndarray, np.ndarray]], provenance: str):
         self._ids = ids
@@ -123,13 +125,9 @@ class _RankedRetriever:
         return ranked_passages(self._ids, *self._rows(question, k), self._provenance)
 
 
-def _ranked(retriever: Retriever, question: str, k: int) -> tuple[list[str], np.ndarray]:
-    """The retriever's ranked ids and scores: its own arrays when it has
-    .ranked, else those of the records it returns."""
-    if hasattr(retriever, "ranked"):
-        return retriever.ranked(question, k)
-    retrieved = retriever(question, k)
-    return [sp.passage_id for sp in retrieved], np.array([sp.score for sp in retrieved], dtype=np.float64)
+def _check_retriever(retriever) -> None:
+    if not isinstance(retriever, Retriever):
+        raise TypeError(f"retriever must be a pipeline.Retriever(ids, rows, provenance), not {type(retriever).__name__}")
 
 
 class _Reading(NamedTuple):
@@ -164,7 +162,10 @@ def _read(
 ) -> Optional[_Reading]:
     """The reading kernel: the best span of each retrieved passage, its
     combined score, and their order; None when no passage can be read."""
-    texts = [passage_texts[pid] for pid in ids]
+    try:
+        texts = [passage_texts[pid] for pid in ids]
+    except KeyError as e:
+        raise KeyError(f"retrieved passage {e.args[0]!r} not in passage_texts") from None
     rows, _ = logit_rows(scorer, [question] * len(ids), ids, texts)
     read, rows = rows.nonempty()
     if not read.size:
@@ -201,12 +202,14 @@ def answer_question(
     the end logits over the passages' sum(n) tokens and the MAX_ANSWER_LEN
     cells of one start per passage, and the answers returned are cut with
     mrc.cut_answers, one token-offset pass over their passages' texts. The
-    IR scores are the retriever's .ranked arrays when it has them. Records
-    are built only for the candidates returned.
-    A .logits row longer than its passage's token count is a ValueError
-    (mrc.logit_rows).
+    IR scores are the retriever's .ranked arrays. Records are built only
+    for the candidates returned.
+    A retriever that is not a Retriever is a TypeError; a retrieved passage
+    missing from passage_texts is a KeyError; a .logits row longer than its
+    passage's token count is a ValueError (mrc.logit_rows).
     """
-    reading = _read(question, *_ranked(retriever, question, config.K), scorer, passage_texts, config)
+    _check_retriever(retriever)
+    reading = _read(question, *retriever.ranked(question, config.K), scorer, passage_texts, config)
     if reading is None:
         return []
     order = reading.order
@@ -234,14 +237,17 @@ def evaluate_run(
 ) -> MetricReport:
     """Retrieval Match@k plus end-to-end Top-1/Top-5 F1, with per-query
     rows for significance testing. A repeated query id, an empty match_ks
-    or a k below 1 is a ValueError, the last two even without golds.
+    or a k below 1 is a ValueError, the last two even without golds; a
+    retriever that is not a Retriever is a TypeError, even without golds.
 
     Each question is retrieved once, at depth max(max(match_ks), K), as
-    the retriever's id and score arrays (.ranked, or its records when it
-    has none). Match@k scans those ids; the first K are read by the
-    reading kernel that answer_question uses, and only the top 5 answers
-    are cut and scored, one token F1 each. No per-passage record is built.
+    the retriever's .ranked id and score arrays. Match@k scans those ids;
+    the first K are read by the reading kernel that answer_question uses,
+    and only the top 5 answers are cut and scored, one token F1 each. No
+    per-passage record is built. A retrieved passage missing from
+    passage_texts is a KeyError.
     """
+    _check_retriever(retriever)
     if not match_ks:
         raise ValueError("match_ks must hold at least one k")
     if min(match_ks) < 1:
@@ -255,7 +261,7 @@ def evaluate_run(
     for gold in golds:
         if gold.query_id in report.per_query:
             raise ValueError(f"duplicate query id {gold.query_id!r}")
-        ids, scores = _ranked(retriever, gold.question, depth)
+        ids, scores = retriever.ranked(gold.question, depth)
         rank = first_match_rank(ids, gold, deepest, passage_texts)
         row: dict[str, float] = {f"match@{k}": int(rank < k) for k in match_ks}
         reading = _read(gold.question, ids[: config.K], scores[: config.K], scorer, passage_texts, config)
@@ -270,13 +276,13 @@ def evaluate_run(
 
 
 def make_sparse_retriever(index: SparseIndex) -> Retriever:
-    """sparse_search as a Retriever, with .ranked."""
-    return _RankedRetriever(index.doc_ids, lambda q, k: sparse_top_k_each(index, [q], k)[0], "sparse")
+    """sparse_search as a Retriever."""
+    return Retriever(index.doc_ids, lambda q, k: sparse_top_k_each(index, [q], k)[0], "sparse")
 
 
 def make_dense_retriever(index: DenseIndex, encoder: DualEncoder) -> Retriever:
-    """dense_search of the encoded question as a Retriever, with .ranked."""
-    return _RankedRetriever(index.ids, lambda q, k: dense_top_k(index, encode_query(encoder, q), k), "dense")
+    """dense_search of the encoded question as a Retriever."""
+    return Retriever(index.ids, lambda q, k: dense_top_k(index, encode_query(encoder, q), k), "dense")
 
 
 def make_hybrid_retriever(
@@ -286,9 +292,9 @@ def make_hybrid_retriever(
     fusion_config: FusionConfig,
 ) -> Retriever:
     """fuse(sparse_search(...), dense_search(...), fusion_config)[:k] at
-    pool_size, computed on arrays, as a Retriever with .ranked: passages
-    are rows of one id space, the sparse index's passages and then the ids
-    only the dense index has.
+    pool_size, computed on arrays, as a Retriever: passages are rows of one
+    id space, the sparse index's passages and then the ids only the dense
+    index has.
 
     Fusion reads each pool as a set, so each side's pool is selected
     unsorted (top_set) and one question sorts once, for its final top k."""
@@ -307,7 +313,7 @@ def make_hybrid_retriever(
             dense_to_row[dense_pool], dense[dense_pool], w, id_rank, k,
         )
 
-    return _RankedRetriever(ids, rows, "fused")
+    return Retriever(ids, rows, "fused")
 
 
 def index_dense(encoder: DualEncoder, passages: Sequence[Passage]) -> DenseIndex:

@@ -499,8 +499,7 @@ def roundtrip_filter(
         rows, scored = logit_rows(scorer, [ex.question for ex in block], ids, texts)
         read, rows = rows.nonempty()
         scores = np.full(len(block), -np.inf)
-        if read.size:
-            scores[read] = best_span_each(rows, MAX_ANSWER_LEN)[2]
+        scores[read] = best_span_each(rows, MAX_ANSWER_LEN)[2]
         for ex, ok, score in zip(block, scored.tolist(), scores.tolist()):
             if not ok:
                 result.scores.append(None)

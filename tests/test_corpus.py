@@ -543,6 +543,18 @@ class TestShardedTokenTable:
         assert raised[0] == raised[1] == (ValueError, "cannot intern 'the alpha beta'")
 
 
+class TestShardedResults:
+    def test_a_result_larger_than_a_pipe_buffer_arrives_whole(self, usable_cpus, count_forks):
+        # The second shard runs in a child and sends back 5.6 MB, more than
+        # a pipe holds (64 KB on Linux) and more than one 1 MB read.
+        usable_cpus(2)
+        forks = count_forks()
+        size = 700_000
+        results = corpus.sharded(2, 1, lambda lo, hi: np.arange(lo * size, hi * size, dtype=np.int64))
+        assert len(forks) == 1 and results[1].nbytes == 5_600_000
+        assert np.array_equal(np.concatenate(results), np.arange(2 * size))
+
+
 class TestWordCount:
     @given(st.text())
     @example("\u212a and \u0130 (KELVIN SIGN, DOTTED CAPITAL I) in \u0130stanbul at 5\u212a")

@@ -163,6 +163,12 @@ class TestFirstMatchRank:
         with pytest.raises(ValueError):
             first_match_rank(run, gold, 0, texts)
 
+    def test_missing_passage_text_is_named(self):
+        # p1 holds no answer, so the scan reaches p2, which has no text.
+        with pytest.raises(KeyError, match="^\"retrieved passage 'p2' not in passage_texts\"$"):
+            first_match_rank(["p1", "p2"], GoldSet("q", "q", ("answer",)), 2, {"p1": "no"})
+        assert first_match_rank(["p1", "p2"], GoldSet("q", "q", ("no",)), 2, {"p1": "no"}) == 0
+
 
 class TestTopNF1:
     def test_best_of_first_n(self):

@@ -219,6 +219,17 @@ class TestBestSpanEach:
         with pytest.raises(ValueError, match=f"^logit row {position} has no tokens"):
             best_span_each(rows, 30)
 
+    @pytest.mark.parametrize("rows", [stack_logits([]), LogitRows(*[np.zeros(0)] * 4, np.zeros(0, dtype=np.intp))],
+                             ids=["stacked", "built"])
+    def test_no_rows_give_three_empty_arrays(self, rows):
+        s, e, scores = best_span_each(rows, 30)
+        assert (s.shape, e.shape, scores.shape) == ((0,), (0,), (0,))
+        assert (s.dtype, e.dtype, scores.dtype) == (np.intp, np.intp, np.float64)
+
+    def test_rows_left_by_nonempty_of_empty_rows(self):
+        read, rows = stack_logits([SpanLogits((0.0,), (0.0,))] * 3).nonempty()
+        assert read.tolist() == [] and [a.tolist() for a in best_span_each(rows, 30)] == [[], [], []]
+
     @pytest.mark.parametrize("max_len", [0, -1, -3])
     def test_width_below_one_is_refused(self, max_len):
         rows = stack_logits([SpanLogits((0.0, 1.0, 2.0), (0.0, 2.0, 1.0))])

@@ -15,13 +15,14 @@ import hyqa
 from hyqa.corpus import Document, tokenize
 from hyqa.dense_index import build_dense_index, build_ivf_index
 from hyqa.encoder import DualEncoder, TrainConfig
-from hyqa.evalkit import GoldSet
+from hyqa.evalkit import GoldSet, first_match_rank, token_f1
 from hyqa.fusion import minmax_normalize
 from hyqa.mrc import MAX_ANSWER_LEN, LexicalScorer, ScorerConfig, SpanLogits, best_spans
 from hyqa.pipeline import (
     K_HYBRID,
     AdaptationConfig,
     PipelineConfig,
+    Retriever,
     answer_question,
     evaluate_run,
     make_dense_retriever,
@@ -44,7 +45,11 @@ class TableScorer:
 
 
 def fixed_retriever(results):
-    return lambda question, k: results[:k]
+    """A Retriever that ranks the records' passages in their order, with
+    their scores."""
+    ids = [r.passage_id for r in results]
+    scores = np.array([r.score for r in results], dtype=np.float64)
+    return Retriever(ids, lambda question, k: (np.arange(min(k, len(ids))), scores[:k]), "sparse")
 
 
 PASSAGE_TEXTS = {
@@ -718,22 +723,27 @@ def ranked_cases(draw):
 
 
 def assert_ranked_equals_records(retriever, scorer, texts, golds, config):
-    """answer_question and evaluate_run through the retriever's .ranked
-    arrays equal their results through its ScoredPassage records."""
-    records = lambda q, k: retriever(q, k)  # noqa: E731 - a plain callable, without .ranked
-    for gold in golds:
-        ids, scores = retriever.ranked(gold.question, config.K)
-        assert [(pid, float(s).hex()) for pid, s in zip(ids, scores)] == [
-            (r.passage_id, r.score.hex()) for r in retriever(gold.question, config.K)
-        ]
-        assert candidate_rows(answer_question(gold.question, retriever, scorer, texts, config)) == candidate_rows(
-            answer_question(gold.question, records, scorer, texts, config)
-        )
+    """The retriever's .ranked arrays equal its ScoredPassage records, id
+    for id and score bit for bit, at the depths answer_question and
+    evaluate_run read; and each of evaluate_run's per-query rows is the
+    one that answer_question's candidates and the ranked ids give."""
     match_ks = (1, 5, 20)
-    got = evaluate_run(golds, retriever, scorer, texts, config, match_ks)
-    expected = evaluate_run(golds, records, scorer, texts, config, match_ks)
-    assert got.per_query == expected.per_query
-    assert got.to_json().encode() == expected.to_json().encode()
+    depth = max(max(match_ks), config.K)
+    report = evaluate_run(golds, retriever, scorer, texts, config, match_ks)
+    for gold in golds:
+        for k in (config.K, depth):
+            ids, scores = retriever.ranked(gold.question, k)
+            assert [(pid, float(s).hex()) for pid, s in zip(ids, scores)] == [
+                (r.passage_id, r.score.hex()) for r in retriever(gold.question, k)
+            ]
+        rank = first_match_rank(retriever.ranked(gold.question, depth)[0], gold, max(match_ks), texts)
+        top5 = answer_question(gold.question, retriever, scorer, texts, config)[:5]
+        f1 = [token_f1(c.text, gold.answers) for c in top5]
+        assert report.per_query[gold.query_id] == {
+            **{f"match@{k}": int(rank < k) for k in match_ks},
+            "top1_f1": f1[0] if f1 else 0.0,
+            "top5_f1": max(f1, default=0.0),
+        }
 
 
 class TestRankedMatchesRecords:
@@ -799,5 +809,81 @@ class TestEvaluateRunBuildsNoRecords:
         with pytest.raises(ValueError, match="^non-finite score for passage 'p[0-9]'$") as raised:
             evaluate_run(golds, retriever, LexicalScorer(), texts, PipelineConfig())
         with pytest.raises(ValueError) as by_records:
-            evaluate_run(golds, lambda q, k: retriever(q, k), LexicalScorer(), texts, PipelineConfig())
+            retriever("alpha", 3)
         assert str(raised.value) == str(by_records.value)
+
+
+class TestOneRetrieverType:
+    """answer_question and evaluate_run read a pipeline.Retriever's .ranked
+    arrays, and refuse any other retriever."""
+
+    RECORDS = [ScoredPassage("p1", 2.0, "sparse"), ScoredPassage("p2", 1.0, "sparse")]
+    REFUSED = r"^retriever must be a pipeline\.Retriever\(ids, rows, provenance\), not \w+$"
+
+    class HasRanked:
+        """Not a Retriever, though it has .ranked and is callable."""
+
+        def ranked(self, question, k):
+            return ["p1", "p2"][:k], np.array([2.0, 1.0])[:k]
+
+        def __call__(self, question, k):
+            return TestOneRetrieverType.RECORDS[:k]
+
+    @pytest.mark.parametrize("kind", ["plain callable", "object with .ranked"])
+    @pytest.mark.parametrize("read", ["answer_question", "evaluate_run"])
+    def test_any_other_retriever_is_refused(self, kind, read):
+        retriever = (lambda q, k: self.RECORDS[:k]) if kind == "plain callable" else self.HasRanked()
+        with pytest.raises(TypeError, match=self.REFUSED):
+            if read == "answer_question":
+                answer_question("alpha", retriever, LexicalScorer(), PASSAGE_TEXTS, PipelineConfig())
+            else:
+                golds = [GoldSet("q", "alpha", ("beta",))]
+                evaluate_run(golds, retriever, LexicalScorer(), PASSAGE_TEXTS, PipelineConfig())
+
+    def test_refused_even_without_golds(self):
+        with pytest.raises(TypeError, match=self.REFUSED):
+            evaluate_run([], lambda q, k: [], LexicalScorer(), {}, PipelineConfig())
+
+    def test_a_custom_ranker_plugs_in(self):
+        # Any ranker of rows over an id list: here the passages in reverse
+        # id order, each scored by its row.
+        ids = sorted(PASSAGE_TEXTS)
+
+        def reverse(question, k):
+            rows = np.arange(len(ids))[::-1][:k]
+            return rows, rows.astype(np.float64)
+
+        retriever = Retriever(ids, reverse, "custom")
+        assert retriever.ranked("q", 2)[0] == ["p3", "p2"]
+        assert [(r.passage_id, r.score, r.provenance) for r in retriever("q", 2)] == [
+            ("p3", 2.0, "custom"), ("p2", 1.0, "custom"),
+        ]
+        config = PipelineConfig(K=3, ir_weight=1.0)
+        candidates = answer_question("delta", retriever, LexicalScorer(), PASSAGE_TEXTS, config)
+        assert [(c.passage_id, c.ir_score) for c in candidates] == [("p3", 2.0), ("p2", 1.0), ("p1", 0.0)]
+
+
+class TestMissingPassageText:
+    """A retrieved passage id that passage_texts lacks is a KeyError that
+    names the passage and passage_texts."""
+
+    MISSING = "^\"retrieved passage 'p2' not in passage_texts\"$"
+
+    def retriever(self):
+        return make_sparse_retriever(ranked_indexes({"p1": "alpha beta", "p2": "alpha gamma"})[0])
+
+    def test_answer_question(self):
+        with pytest.raises(KeyError, match=self.MISSING):
+            answer_question("alpha", self.retriever(), LexicalScorer(), {"p1": "alpha beta"}, PipelineConfig())
+
+    def test_evaluate_run(self):
+        golds = [GoldSet("q", "alpha", ("nowhere",))]
+        with pytest.raises(KeyError, match=self.MISSING):
+            evaluate_run(golds, self.retriever(), LexicalScorer(), {"p1": "alpha beta"}, PipelineConfig())
+
+    def test_evaluate_run_reading_past_the_match_depth(self):
+        # Match@1 stops at p1, which holds the answer; the reader then
+        # reads p2.
+        golds = [GoldSet("q", "alpha", ("beta",))]
+        with pytest.raises(KeyError, match=self.MISSING):
+            evaluate_run(golds, self.retriever(), LexicalScorer(), {"p1": "alpha beta"}, PipelineConfig(), match_ks=(1,))

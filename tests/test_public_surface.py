@@ -215,8 +215,9 @@ def _calls(trees, functions) -> list[tuple[tuple, tuple, object]]:
     function in `functions`. A name is resolved through the module's own
     definitions and its relative imports; Class(...) and cls(...) in a
     classmethod call Class.__init__; self.m, cls.m and Class.m call that
-    class's m, and super().m its hyqa bases' m; any other obj.m calls every
-    hyqa method named m. A reference
+    class's m, and super().m its hyqa bases' m; m of a module bound by an
+    import statement (pickle.load, np.save) calls no hyqa method; any other
+    obj.m calls every hyqa method named m. A reference
     that is not a call hands the function on, so it counts as a call that
     may set every parameter (None)."""
     classes = {(stem, owner) for stem, owner, _ in functions if owner}
@@ -227,6 +228,12 @@ def _calls(trees, functions) -> list[tuple[tuple, tuple, object]]:
     found = []
     for stem, tree in trees.items():
         names, modules = _relative_imports(tree)
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        }
         parents = {
             (stem, node.name): [names.get(b.id, (stem, b.id)) for b in node.bases if isinstance(b, ast.Name)]
             for node in tree.body
@@ -248,6 +255,8 @@ def _calls(trees, functions) -> list[tuple[tuple, tuple, object]]:
             base = getattr(expr.value, "id", None)
             if base in modules:
                 return [(modules[base], None, expr.attr)]
+            if base in imported:
+                return []
             if base in ("self", "cls") and owner:
                 return [(stem, owner, expr.attr)]
             if base in names and names[base] in classes:

@@ -768,8 +768,7 @@ class TestRoundtripFilter:
             roundtrip_filter(examples, LexicalScorer(), FilterConfig(0.0), passages)
 
     def test_logits_longer_than_the_passage_refused_as_the_reader_refuses(self):
-        from hyqa.pipeline import PipelineConfig, answer_question
-        from hyqa.scored import ScoredPassage
+        from hyqa.pipeline import PipelineConfig, Retriever, answer_question
 
         class FourTokens:
             def logits(self, question, pid, text):
@@ -779,8 +778,9 @@ class TestRoundtripFilter:
         message = "^logits for passage 'p' cover 4 tokens, more than the passage has$"
         with pytest.raises(ValueError, match=message):
             roundtrip_filter([QAExample("p", "which words", "words", (4, 9))], FourTokens(), FilterConfig(0.0), texts)
+        retriever = Retriever(["p"], lambda q, k: (np.arange(1), np.ones(1)), "sparse")
         with pytest.raises(ValueError, match=message):
-            answer_question("which words", lambda q, k: [ScoredPassage("p", 1.0, "sparse")], FourTokens(), texts, PipelineConfig())
+            answer_question("which words", retriever, FourTokens(), texts, PipelineConfig())
 
 
 FILTER_WORDS = ["masks", "block", "droplets", "indoors", "astronomy", "Masks,", "(block)", "stars"]
