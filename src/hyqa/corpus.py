@@ -296,9 +296,9 @@ def sharded(n: int, block: int, work: Callable[[int, int], T]) -> list[T]:
     other shard runs in an os.fork child, which sends back only its pickled
     result, or its exception, through a pipe. With one usable CPU, fewer
     than two blocks, no os.fork or os.sched_getaffinity (off Linux), or
-    another Python thread running in this process, work(0, n) runs here as
-    the one shard: a lock another thread holds at the fork would stay held
-    in the child for good.
+    another Python thread running in this process, there is one shard, so
+    nothing is forked and work(0, n) runs here: a lock another thread holds
+    at the fork would stay held in the child for good.
 
     A stage's `work` (token_table's interning, syngen's generate and
     mine) reads only its own shard's items and state that no shard
@@ -310,9 +310,7 @@ def sharded(n: int, block: int, work: Callable[[int, int], T]) -> list[T]:
     """
     blocks = -(-n // block)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    shards = min(cpus, blocks)
-    if shards < 2 or threading.active_count() > 1:
-        return [work(0, n)]
+    shards = 1 if threading.active_count() > 1 else max(1, min(cpus, blocks))
     bounds = [min(n, s * blocks // shards * block) for s in range(shards + 1)]
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in shard order
     try:

@@ -61,9 +61,10 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
@@ -77,6 +78,7 @@ __all__ = [
     "DualEncoder",
     "IRTrainInstance",
     "TrainConfig",
+    "int_fields",
     "encode_query",
     "encode_passage",
     "similarity",
@@ -213,7 +215,8 @@ class IRTrainInstance:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD settings; the defaults are sized for the desk-scale towers here."""
+    """SGD settings; the defaults are sized for the desk-scale towers here.
+    Each count and the seed must be an integer, not a bool (int_fields)."""
 
     learning_rate: float = 0.05
     epochs: int = 6
@@ -222,6 +225,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        int_fields(self)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
         if self.epochs < 0:
@@ -232,6 +236,18 @@ class TrainConfig:
             raise ValueError("warmup_steps must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+
+def int_fields(config) -> list[str]:
+    """The names of the dataclass `config`'s int fields, in order. A bool in
+    one of them, or any value that is not a numbers.Integral, is a
+    ValueError that starts with the field's name."""
+    names = [f.name for f in fields(config) if f.type in (int, "int")]
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    return names
 
 
 def _token_ids(encoder: DualEncoder, text: str) -> np.ndarray:

@@ -188,11 +188,16 @@ def _left_sum(values: Iterable[float]) -> float:
 
 
 def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTestResult:
-    """Two-sided paired t-test; p-value via the regularized incomplete beta."""
+    """Two-sided paired t-test; p-value via the regularized incomplete beta.
+    Lists of unequal length, a NaN or infinite score (the message names the
+    first such pair's index), or fewer than two pairs are a ValueError."""
     from scipy.special import betainc  # imported here, its one user, as it costs ~18.6 MB and ~0.2 s
 
     if len(scores_a) != len(scores_b):
         raise ValueError("paired t-test requires equal-length score lists")
+    for i, pair in enumerate(zip(scores_a, scores_b)):
+        if not all(map(math.isfinite, pair)):
+            raise ValueError(f"paired t-test requires finite scores; pair {i} is ({pair[0]!r}, {pair[1]!r})")
     n = len(scores_a)
     if n < 2:
         raise ValueError("paired t-test requires n >= 2")

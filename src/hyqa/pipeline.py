@@ -44,7 +44,7 @@ from .corpus import (
     write_jsonl,
 )
 from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_top_k
-from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, encode_query, train
+from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, encode_query, int_fields, train
 from .evalkit import GoldSet, MetricReport, first_match_rank, token_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
 from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, cut_answers, logit_rows
@@ -253,8 +253,6 @@ def evaluate_run(
     if min(match_ks) < 1:
         raise ValueError("every k in match_ks must be >= 1")
     report = MetricReport(query_count=len(golds))
-    if not golds:
-        return report
     sums: dict[str, float] = {}
     deepest = max(match_ks)
     depth = max(deepest, config.K)
@@ -339,10 +337,13 @@ def train_encoder(
 class AdaptationConfig:
     """Settings of run_adaptation. `seed` is the generation sampler's seed
     and overrides `train.seed`. Generation samples at SamplerConfig's
-    default p and k and both BM25 indexes use BM25Params' default k1 and b;
-    the manifest records all four. The roundtrip filter, like the reader,
-    scores spans of up to mrc.MAX_ANSWER_LEN tokens. A negative seed, or a
-    size or count below 1, is a ValueError here, before any stage runs."""
+    default p and k and both BM25 indexes use BM25Params' default k1 and b.
+    The manifest records every field (`filter` as its threshold, under
+    "filter_threshold") and those four. The roundtrip filter, like the
+    reader, scores spans of up to mrc.MAX_ANSWER_LEN tokens. A seed, size or
+    count that is a bool or not an integer (encoder.int_fields), a negative
+    seed, or a size or count below 1, is a ValueError here, before any
+    stage runs."""
 
     seed: int = 0
     retrieval_max_words: int = RETRIEVAL_MAX_WORDS
@@ -354,11 +355,10 @@ class AdaptationConfig:
     negative_depth: int = 100
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        for name in ("retrieval_max_words", "generation_max_tokens", "examples_per_passage", "embedding_dim", "negative_depth"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name in int_fields(self):
+            least = 0 if name == "seed" else 1
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -383,8 +383,10 @@ def run_adaptation(
 
     Stages: chunk -> generate synthetic examples -> roundtrip-filter ->
     mine hard negatives -> train the dual encoder -> embed and index the
-    retrieval passages. All randomness flows from config.seed; the
-    manifest records counts at every stage.
+    retrieval passages. All randomness flows from config.seed. The
+    manifest's "config" is the config that ran, as dataclasses.asdict
+    gives it (with train.seed set to config.seed), plus the sampler's p
+    and k and the BM25 parameters; its "counts" hold each stage's counts.
     """
     bm25, sampler = BM25Params(), SamplerConfig(seed=config.seed)
     stage = "chunk"
@@ -425,19 +427,10 @@ def run_adaptation(
     except Exception as e:
         raise RuntimeError(f"adaptation failed at stage {stage!r}: {e}") from e
 
+    recorded = asdict(replace(config, train=train_config))
+    recorded["filter_threshold"] = recorded.pop("filter")["threshold"]
     manifest = {
-        "config": {
-            "seed": config.seed,
-            "retrieval_max_words": config.retrieval_max_words,
-            "generation_max_tokens": config.generation_max_tokens,
-            "examples_per_passage": config.examples_per_passage,
-            "sampler": {"p": sampler.p, "k": sampler.k},
-            "filter_threshold": config.filter.threshold,
-            "bm25": {"k1": bm25.k1, "b": bm25.b},
-            "train": asdict(train_config),
-            "embedding_dim": config.embedding_dim,
-            "negative_depth": config.negative_depth,
-        },
+        "config": {**recorded, "sampler": {"p": sampler.p, "k": sampler.k}, "bm25": asdict(bm25)},
         "counts": {
             "documents": len(documents),
             "retrieval_passages": len(retrieval_passages),

@@ -11,10 +11,20 @@ import pytest
 import hyqa
 from hyqa.cli import build_parser, main, parse_args
 from hyqa.corpus import ingest_documents, tokenize
-from hyqa.encoder import TrainConfig
+from hyqa.dense_index import DenseIndex
+from hyqa.encoder import DualEncoder, TrainConfig
+from hyqa.evalkit import GoldSet
 from hyqa.fusion import FusionConfig
-from hyqa.pipeline import AdaptationConfig, PipelineConfig, run_adaptation
-from hyqa.sparse import BM25Params
+from hyqa.mrc import ExternalLogits
+from hyqa.pipeline import (
+    AdaptationConfig,
+    PipelineConfig,
+    evaluate_run,
+    make_dense_retriever,
+    make_sparse_retriever,
+    run_adaptation,
+)
+from hyqa.sparse import BM25Params, SparseIndex
 from hyqa.syngen import FilterConfig, QAExample, SamplerConfig, example_to_record
 
 
@@ -164,6 +174,30 @@ class TestRetrievalCommands:
         assert len(rows) == 3
         assert all(r["provenance"] == "fused" for r in rows)
 
+    @pytest.mark.parametrize("flags", [[], ["--sparse", "sparse.hyqa", "--mode", "dense"]], ids=["auto", "mode"])
+    def test_retrieve_dense(self, trained, capsys, flags):
+        _, out = trained
+        query = "what does the otter eat"
+        dense, encoder = out / "dense.hyqa", out / "encoder.hyqa"
+        flags = [out / flag if flag.endswith(".hyqa") else flag for flag in flags]
+        assert run(["retrieve", "--dense", dense, "--encoder", encoder, *flags, "--query", query, "-k", 3]) == 0
+        rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        expected = make_dense_retriever(DenseIndex.load(dense), DualEncoder.load(encoder))(query, 3)
+        assert len(expected) == 3
+        assert rows == [{"passage_id": sp.passage_id, "score": sp.score, "provenance": "dense"} for sp in expected]
+
+    @pytest.mark.parametrize("mode, artifacts, message", [
+        ("dense", ["--dense", "dense.hyqa"], "dense retrieval requires --dense and --encoder"),
+        ("hybrid", ["--sparse", "sparse.hyqa", "--encoder", "encoder.hyqa"],
+         "hybrid retrieval requires --sparse, --dense and --encoder"),
+    ])
+    def test_retrieve_mode_without_its_artifacts(self, trained, capsys, mode, artifacts, message):
+        _, out = trained
+        artifacts = [out / a if a.endswith(".hyqa") else a for a in artifacts]
+        assert run(["retrieve", "--mode", mode, *artifacts, "--query", "what does the otter eat"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error [retrieve]: {message}\n")
+
     def test_answer(self, trained, capsys):
         _, out = trained
         argv = [
@@ -238,6 +272,97 @@ class TestRetrievalCommands:
         tuned = json.loads((out / "fusion_weight.json").read_text())
         assert 0.0 <= tuned["weight"] <= 1.0
         assert tuned["match@5"] == 1.0
+
+
+def peak_record(question_id: str, passage: dict, word: str, height: float) -> dict:
+    """A logits record for the passage record whose rows are 0 but for
+    `height` at the first token `word` in both start and end, so its best
+    span is that token and scores 2 * height."""
+    tokens = [t.surface for t in tokenize(passage["text"])]
+    row = [0.0] * (len(tokens) + 1)
+    row[tokens.index(word) + 1] = height
+    return {"question_id": question_id, "passage_id": passage["id"], "start": row, "end": row}
+
+
+def read_passages(path) -> dict[str, dict]:
+    return {rec["id"]: rec for rec in map(json.loads, Path(path).read_text().splitlines())}
+
+
+class TestExternalLogits:
+    """The --logits paths that read the file, not only refuse it."""
+
+    def test_evaluate_writes_the_library_report(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        passages = read_passages(out / "passages_retrieval.jsonl")
+        golds = [GoldSet("q1", "what does the otter eat", ("shellfish",)),
+                 GoldSet("q2", "what does the camel eat", ("thornbush",))]
+        (tmp_path / "golds.jsonl").write_text("".join(
+            json.dumps({"id": g.query_id, "question": g.question, "answers": list(g.answers)}) + "\n" for g in golds
+        ))
+        # Rows for some retrieved passages only; the others are not read.
+        records = [
+            peak_record("q1", passages["doc1#0"], "shellfish", 4.0),
+            peak_record("q1", passages["doc0#0"], "rodents", 1.0),
+            peak_record("q2", passages["doc2#0"], "deserts", 3.0),
+        ]
+        (tmp_path / "logits.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run([
+            "--output-dir", tmp_path / "eval", "evaluate",
+            "--sparse", out / "sparse.hyqa",
+            "--golds", tmp_path / "golds.jsonl",
+            "--passages", out / "passages_retrieval.jsonl",
+            "--logits", tmp_path / "logits.jsonl",
+            "--K", 4,
+        ]) == 0
+        scorer = ExternalLogits.from_records(map(ExternalLogits.parse_record, records), {g.question: g.query_id for g in golds})
+        retriever = make_sparse_retriever(SparseIndex.load(out / "sparse.hyqa"))
+        texts = {pid: rec["text"] for pid, rec in passages.items()}
+        report = evaluate_run(golds, retriever, scorer, texts, PipelineConfig(K=4))
+        assert (tmp_path / "eval" / "report.json").read_text() == report.to_json() + "\n"
+        assert report.per_query["q1"]["top1_f1"] == 1.0 and report.per_query["q2"]["top1_f1"] == 0.0
+
+    def test_answer_prints_the_span_the_logits_peak_on_first(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        passages = read_passages(out / "passages_retrieval.jsonl")
+        question = "what does the otter eat"
+        logits = tmp_path / "logits.jsonl"
+        logits.write_text("".join(json.dumps(r) + "\n" for r in (
+            peak_record(question, passages["doc1#0"], "shellfish", 4.0),
+            peak_record(question, passages["doc0#0"], "rodents", 1.0),
+        )))
+        assert run([
+            "answer", "--sparse", out / "sparse.hyqa", "--passages", out / "passages_retrieval.jsonl",
+            "--question", question, "--logits", logits, "--K", 4,
+        ]) == 0
+        rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert [(r["answer"], r["passage_id"], r["mrc_score"]) for r in rows] == [
+            ("shellfish", "doc1#0", 8.0), ("rodents", "doc0#0", 2.0)
+        ]
+
+    def test_filter_keeps_the_examples_scoring_at_least_the_threshold(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        passages = read_passages(out / "passages_generation.jsonl")
+        # Questions are their own ids: filter reads no golds.
+        cases = [("which food", "doc1#0", "shellfish", 3.0), ("where", "doc0#0", "cliffs", 2.5),
+                 ("which place", "doc2#0", "deserts", 2.0), ("unscored", "doc3#0", "krill", None)]
+        examples, records = [], []
+        for question, pid, word, height in cases:
+            start = passages[pid]["text"].index(word)
+            examples.append(QAExample(pid, question, word, (start, start + len(word))))
+            if height is not None:
+                records.append(peak_record(question, passages[pid], word.lower(), height))
+        (tmp_path / "examples.jsonl").write_text("".join(json.dumps(example_to_record(ex)) + "\n" for ex in examples))
+        (tmp_path / "logits.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run([
+            "--output-dir", tmp_path / "o", "filter",
+            "--examples", tmp_path / "examples.jsonl",
+            "--passages", out / "passages_generation.jsonl",
+            "--logits", tmp_path / "logits.jsonl",
+            "--threshold", 5.0,
+        ]) == 0
+        assert "kept 2/4 at t=5.0 (1 missing logits)" in capsys.readouterr().out
+        kept = [json.loads(l) for l in (tmp_path / "o" / "synthetic_filtered.jsonl").read_text().splitlines()]
+        assert kept == [example_to_record(examples[0], answerability=6.0), example_to_record(examples[1], answerability=5.0)]
 
 
 _FUSION, _PIPELINE, _ADAPTATION, _SAMPLER = FusionConfig(), PipelineConfig(), AdaptationConfig(), SamplerConfig()

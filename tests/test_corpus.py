@@ -3,6 +3,7 @@ import json
 import operator
 import os
 import re
+import threading
 import weakref
 
 import numpy as np
@@ -544,6 +545,26 @@ class TestShardedTokenTable:
 
 
 class TestShardedResults:
+    @pytest.mark.parametrize("case", ["one CPU", "one block", "no items", "another thread", "no os.fork"])
+    def test_one_shard_runs_here_and_forks_nothing(self, usable_cpus, count_forks, monkeypatch, case):
+        usable_cpus(1 if case == "one CPU" else 2)
+        forks = count_forks()
+        if case == "no os.fork":
+            monkeypatch.delattr(os, "fork")
+        n = {"one block": 3, "no items": 0}.get(case, 8)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if case == "another thread":
+            thread.start()
+        try:
+            results = corpus.sharded(n, 4, lambda lo, hi: (os.getpid(), lo, hi))
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join()
+        assert results == [(os.getpid(), 0, n)]
+        assert forks == []
+
     def test_a_result_larger_than_a_pipe_buffer_arrives_whole(self, usable_cpus, count_forks):
         # The second shard runs in a child and sends back 5.6 MB, more than
         # a pipe holds (64 KB on Linux) and more than one 1 MB read.

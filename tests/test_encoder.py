@@ -809,6 +809,15 @@ class TestPersistence:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^non-finite score for passage 'p1'$"):
             make_dense_retriever(index_dense(loaded, passages[1:]), loaded).ranked("gamma", 1)
 
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "warmup_steps", "seed"])
+    @pytest.mark.parametrize("value", [1.5, True, "3"], ids=["float", "bool", "str"])
+    def test_count_that_is_not_an_integer_is_refused(self, name, value):
+        # A bool is an int to Python, but the manifest would record it as
+        # true; a numpy integer is accepted.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(value))}$"):
+            TrainConfig(**{name: value})
+        assert getattr(TrainConfig(**{name: np.int64(2)}), name) == 2
+
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
     def test_learning_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match="^learning_rate must be finite and positive$"):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -237,6 +238,16 @@ class TestPairedTTest:
             assert result.p_value == pytest.approx(
                 quadrature_p_value(result.t, result.df), abs=1e-6
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_score_is_refused_naming_its_pair(self, bad, side):
+        a, b = [1.0, 2.0, bad, 4.0, bad], [0.0, 1.0, 1.0, 2.0, 2.0]
+        if side == "b":
+            a, b = b, a
+        shown = f"({a[2]!r}, {b[2]!r})"
+        with pytest.raises(ValueError, match=f"^paired t-test requires finite scores; pair 2 is {re.escape(shown)}$"):
+            paired_t_test(a, b)
 
     def test_degenerate_zero_variance(self):
         result = paired_t_test([1.0, 2.0, 3.0], [0.0, 1.0, 2.0])

@@ -1,9 +1,10 @@
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from hyqa.pipeline import (
     run_adaptation,
 )
 from hyqa.scored import ScoredPassage
-from hyqa.syngen import SamplerConfig
+from hyqa.syngen import FilterConfig, SamplerConfig
 
 
 class TableScorer:
@@ -464,6 +465,27 @@ class TestRunAdaptation:
         # The config refuses it when built, so no stage of run_adaptation runs.
         with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
             AdaptationConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name",
+        ["seed", "retrieval_max_words", "generation_max_tokens", "examples_per_passage", "embedding_dim", "negative_depth"],
+    )
+    @pytest.mark.parametrize("value", [1.5, True, "3"], ids=["float", "bool", "str"])
+    def test_setting_that_is_not_an_integer_is_refused_before_any_stage(self, name, value):
+        # The config refuses it when built, not the first stage that uses it
+        # (mine-negatives for negative_depth, train-encoder for embedding_dim).
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(value))}$"):
+            AdaptationConfig(**{name: value})
+
+    def test_manifest_config_is_the_config_that_ran(self):
+        # Every field is recorded, so one added later is recorded too.
+        config = replace(small_config(seed=3), examples_per_passage=4, negative_depth=50, filter=FilterConfig(0.5))
+        recorded = run_adaptation(adaptation_corpus(), config).manifest["config"]
+        names = {f.name for f in fields(AdaptationConfig)} - {"filter", "train"}
+        assert set(recorded) == names | {"filter_threshold", "train", "sampler", "bm25"}
+        assert {name: recorded[name] for name in names} == {name: getattr(config, name) for name in names}
+        assert recorded["train"] == asdict(config.train)
+        assert recorded["filter_threshold"] == 0.5
 
     def test_negative_seed_is_refused_before_any_stage(self):
         # In the CLI's --seed wording, not numpy's from the generate stage.
