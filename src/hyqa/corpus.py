@@ -33,6 +33,9 @@ shards of whole blocks, one per usable CPU, all but the first in forked
 processes. token_table interns through it, and so do
 syngen.generate_corpus and syngen.build_ir_training_set. A table's ids are
 ranks in its sorted terms, so no table depends on the split.
+
+check_counts is the one check of every config's integer fields: each
+config's __post_init__ calls it once.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import signal
 import threading
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, count
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn, Optional, TypeVar
@@ -58,6 +61,7 @@ __all__ = [
     "TokenSpan",
     "Passage",
     "IngestError",
+    "check_counts",
     "read_jsonl",
     "write_jsonl",
     "ingest_documents",
@@ -87,6 +91,28 @@ class IngestError(ValueError):
         super().__init__(f"{where}: {reason}")
         self.line_no = line_no
         self.source = source
+
+
+def check_counts(config, zero: tuple[str, ...] = ("seed",)) -> None:
+    """Check each int field of the dataclass `config` and store it as an
+    int, so a numpy integer is held (and recorded) as one. A bool, or a
+    value with no __index__, is a ValueError "<field> must be an integer,
+    not <value>"; a value below the field's least, 0 for a field named in
+    `zero` and 1 for any other, is "<field> must be >= <least>"."""
+    for f in fields(config):
+        if f.type not in (int, "int"):
+            continue
+        value = getattr(config, f.name)
+        try:
+            number = None if isinstance(value, bool) else operator.index(value)
+        except TypeError:
+            number = None
+        if number is None:
+            raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        least = 0 if f.name in zero else 1
+        if number < least:
+            raise ValueError(f"{f.name} must be >= {least}")
+        object.__setattr__(config, f.name, number)
 
 
 def read_jsonl(lines: Iterable[str], from_record: Callable[[dict], T], source: Optional[str] = None) -> list[T]:

@@ -61,10 +61,9 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
@@ -72,13 +71,12 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import container
-from .corpus import Passage, TokenTable, terms, token_table
+from .corpus import Passage, TokenTable, check_counts, terms, token_table
 
 __all__ = [
     "DualEncoder",
     "IRTrainInstance",
     "TrainConfig",
-    "int_fields",
     "encode_query",
     "encode_passage",
     "similarity",
@@ -216,7 +214,8 @@ class IRTrainInstance:
 @dataclass(frozen=True)
 class TrainConfig:
     """SGD settings; the defaults are sized for the desk-scale towers here.
-    Each count and the seed must be an integer, not a bool (int_fields)."""
+    Each count and the seed must be an integer, not a bool; batch_size must
+    be >= 1 and the others >= 0 (corpus.check_counts)."""
 
     learning_rate: float = 0.05
     epochs: int = 6
@@ -225,29 +224,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        int_fields(self)
+        check_counts(self, zero=("epochs", "warmup_steps", "seed"))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-
-def int_fields(config) -> list[str]:
-    """The names of the dataclass `config`'s int fields, in order. A bool in
-    one of them, or any value that is not a numbers.Integral, is a
-    ValueError that starts with the field's name."""
-    names = [f.name for f in fields(config) if f.type in (int, "int")]
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-    return names
 
 
 def _token_ids(encoder: DualEncoder, text: str) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import check_counts
 from .evalkit import GoldSet, match_at_k
 from .scored import ScoredPassage, id_ranks, ranked_passages, top_k
 
@@ -26,8 +27,7 @@ class FusionConfig:
     weight: float = 0.5
 
     def __post_init__(self):
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
+        check_counts(self)
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
 

@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import read_jsonl, terms, token_bounds
+from .corpus import check_counts, read_jsonl, terms, token_bounds
 from .scored import top_k
 
 __all__ = [
@@ -147,10 +147,7 @@ class ScorerConfig:
     top_n: int = 10
 
     def __post_init__(self):
-        if self.max_answer_len < 1:
-            raise ValueError("max_answer_len must be >= 1")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
+        check_counts(self)
 
 
 def span_score(logits: SpanLogits, s: int, e: int) -> float:

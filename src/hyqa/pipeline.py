@@ -28,6 +28,7 @@ and by the CLI subcommand of the same name:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -38,13 +39,14 @@ from .corpus import (
     RETRIEVAL_MAX_WORDS,
     Document,
     Passage,
+    check_counts,
     chunk_generation_passages,
     chunk_retrieval_passages,
     passage_to_record,
     write_jsonl,
 )
 from .dense_index import DenseIndex, build_dense_index, dense_scores, dense_top_k
-from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, encode_query, int_fields, train
+from .encoder import DualEncoder, IRTrainInstance, TrainConfig, encode_passage, encode_query, train
 from .evalkit import GoldSet, MetricReport, first_match_rank, token_f1
 from .fusion import FusionConfig, fuse_top_k, minmax_normalize, shared_rows
 from .mrc import MAX_ANSWER_LEN, LexicalScorer, SpanScore, best_span_each, cut_answers, logit_rows
@@ -86,8 +88,7 @@ class PipelineConfig:
     ir_weight: float = 0.7
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        check_counts(self)
         if not 0.0 <= self.ir_weight <= 1.0:
             raise ValueError("ir_weight must lie in [0, 1]")
 
@@ -341,9 +342,9 @@ class AdaptationConfig:
     The manifest records every field (`filter` as its threshold, under
     "filter_threshold") and those four. The roundtrip filter, like the
     reader, scores spans of up to mrc.MAX_ANSWER_LEN tokens. A seed, size or
-    count that is a bool or not an integer (encoder.int_fields), a negative
-    seed, or a size or count below 1, is a ValueError here, before any
-    stage runs."""
+    count that is a bool or not an integer, a negative seed, or a size or
+    count below 1, is a ValueError here, before any stage runs
+    (corpus.check_counts); a numpy integer is stored as an int."""
 
     seed: int = 0
     retrieval_max_words: int = RETRIEVAL_MAX_WORDS
@@ -355,10 +356,7 @@ class AdaptationConfig:
     negative_depth: int = 100
 
     def __post_init__(self):
-        for name in int_fields(self):
-            least = 0 if name == "seed" else 1
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+        check_counts(self)
 
 
 @dataclass
@@ -387,6 +385,8 @@ def run_adaptation(
     manifest's "config" is the config that ran, as dataclasses.asdict
     gives it (with train.seed set to config.seed), plus the sampler's p
     and k and the BM25 parameters; its "counts" hold each stage's counts.
+    The manifest is built, and the run written to output_dir, under stage
+    "persist".
     """
     bm25, sampler = BM25Params(), SamplerConfig(seed=config.seed)
     stage = "chunk"
@@ -424,52 +424,59 @@ def run_adaptation(
 
         stage = "index-dense"
         dense = index_dense(trained, retrieval_passages)
+
+        stage = "persist"
+        recorded = asdict(replace(config, train=train_config))
+        recorded["filter_threshold"] = recorded.pop("filter")["threshold"]
+        manifest = {
+            "config": {**recorded, "sampler": {"p": sampler.p, "k": sampler.k}, "bm25": asdict(bm25)},
+            "counts": {
+                "documents": len(documents),
+                "retrieval_passages": len(retrieval_passages),
+                "generation_passages": len(generation_passages),
+                "generated_examples": len(examples),
+                "generation_discards": dict(sorted(generated.discards.items())),
+                "kept_after_filter": len(filtered.kept),
+                "filter_missing_logits": filtered.missing,
+                "train_instances": len(training_set.instances),
+                "dropped_no_negative": training_set.dropped,
+                "vocab_size": len(trained.vocab),
+            },
+            "loss_trace": [round(x, 10) for x in trace],
+        }
+
+        result = AdaptationResult(
+            encoder=trained,
+            sparse_index=sparse_index,
+            dense_index=dense,
+            retrieval_passages=retrieval_passages,
+            generation_passages=generation_passages,
+            examples=examples,
+            filtered=filtered.kept,
+            loss_trace=trace,
+            manifest=manifest,
+        )
+        if output_dir is not None:
+            _persist(result, filtered, Path(output_dir))
     except Exception as e:
         raise RuntimeError(f"adaptation failed at stage {stage!r}: {e}") from e
-
-    recorded = asdict(replace(config, train=train_config))
-    recorded["filter_threshold"] = recorded.pop("filter")["threshold"]
-    manifest = {
-        "config": {**recorded, "sampler": {"p": sampler.p, "k": sampler.k}, "bm25": asdict(bm25)},
-        "counts": {
-            "documents": len(documents),
-            "retrieval_passages": len(retrieval_passages),
-            "generation_passages": len(generation_passages),
-            "generated_examples": len(examples),
-            "generation_discards": dict(sorted(generated.discards.items())),
-            "kept_after_filter": len(filtered.kept),
-            "filter_missing_logits": filtered.missing,
-            "train_instances": len(training_set.instances),
-            "dropped_no_negative": training_set.dropped,
-            "vocab_size": len(trained.vocab),
-        },
-        "loss_trace": [round(x, 10) for x in trace],
-    }
-
-    result = AdaptationResult(
-        encoder=trained,
-        sparse_index=sparse_index,
-        dense_index=dense,
-        retrieval_passages=retrieval_passages,
-        generation_passages=generation_passages,
-        examples=examples,
-        filtered=filtered.kept,
-        loss_trace=trace,
-        manifest=manifest,
-    )
-    if output_dir is not None:
-        _persist(result, filtered, Path(output_dir))
     return result
 
 
 def _persist(result: AdaptationResult, filtered: FilterResult, out: Path) -> None:
+    """Write the run's seven files. The manifest is serialized before any
+    file is written, an older manifest.json is removed, and the new one is
+    written last, to a new file renamed onto manifest.json: so a
+    manifest.json is only ever whole and beside a complete run."""
+    manifest = json.dumps(result.manifest, sort_keys=True, indent=2) + "\n"
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     write_jsonl(out / "retrieval_passages.jsonl", map(passage_to_record, result.retrieval_passages))
     write_jsonl(out / "generation_passages.jsonl", map(passage_to_record, result.generation_passages))
     write_jsonl(out / "synthetic_examples.jsonl", filtered_records(result.examples, filtered))
     result.sparse_index.save(out / "sparse.hyqa")
     result.dense_index.save(out / "dense.hyqa")
     result.encoder.save(out / "encoder.hyqa")
-    with open(out / "manifest.json", "w") as f:
-        json.dump(result.manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
+    tmp = out / f".manifest-{os.urandom(8).hex()}.tmp"
+    tmp.write_text(manifest)
+    os.replace(tmp, out / "manifest.json")

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Passage, TokenSpan, segment_sentences, sharded, terms, token_bounds
+from .corpus import Passage, TokenSpan, check_counts, segment_sentences, sharded, terms, token_bounds
 from .encoder import IRTrainInstance
 from .evalkit import answer_test, haystack as _haystack
 from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows
@@ -144,12 +144,9 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_counts(self)
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

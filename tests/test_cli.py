@@ -430,9 +430,9 @@ _FLAG_REFUSALS = [
     refusal("filter", "--threshold", "nan", "--threshold must be a number, not NaN"),
     refusal("mine-negatives", "--depth", 0, "--depth must be >= 1"),
     refusal("train-encoder", "--lr", 0, "--lr must be finite and positive"),
-    refusal("train-encoder", "--epochs", -1, "--epochs must be non-negative"),
+    refusal("train-encoder", "--epochs", -1, "--epochs must be >= 0"),
     refusal("train-encoder", "--batch-size", 0, "--batch-size must be >= 1"),
-    refusal("train-encoder", "--warmup", -1, "--warmup must be non-negative"),
+    refusal("train-encoder", "--warmup", -1, "--warmup must be >= 0"),
     refusal("train-encoder", "--dim", 0, "--dim must be >= 1"),
 ]
 

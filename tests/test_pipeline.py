@@ -1,10 +1,12 @@
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +377,56 @@ def small_config(seed=0):
     )
 
 
+def exported_configs():
+    """Every dataclass named *Config in a hyqa module's __all__."""
+    found = {}
+    for module in pkgutil.iter_modules(hyqa.__path__):
+        module = importlib.import_module(f"hyqa.{module.name}")
+        for name in getattr(module, "__all__", ()):
+            if name.endswith("Config") and is_dataclass(getattr(module, name)):
+                found[name] = getattr(module, name)
+    return [found[name] for name in sorted(found)]
+
+
+# The counts whose least is 0; every other count's least is 1.
+ZERO_LEAST = {"AdaptationConfig.seed", "SamplerConfig.seed", "TrainConfig.epochs", "TrainConfig.warmup_steps", "TrainConfig.seed"}
+COUNTS = {
+    f"{cls.__name__}.{f.name}": (cls, f.name)
+    for cls in exported_configs()
+    for f in fields(cls)
+    if f.type in (int, "int")
+}
+
+
+class TestEveryConfigCount:
+    def test_the_counts_of_six_configs_are_found(self):
+        assert {cls.__name__ for cls, _ in COUNTS.values()} == {
+            "AdaptationConfig", "FusionConfig", "PipelineConfig", "SamplerConfig", "ScorerConfig", "TrainConfig",
+        }
+        assert ZERO_LEAST <= COUNTS.keys()
+
+    @pytest.mark.parametrize("count", sorted(COUNTS))
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_value_that_is_not_an_integer_is_refused_by_name(self, count, value):
+        cls, name = COUNTS[count]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(value))}$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("count", sorted(COUNTS))
+    def test_value_below_the_least_is_refused(self, count):
+        cls, name = COUNTS[count]
+        least = 0 if count in ZERO_LEAST else 1
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}$"):
+            cls(**{name: least - 1})
+
+    @pytest.mark.parametrize("count", sorted(COUNTS))
+    def test_numpy_integer_is_stored_as_an_int(self, count):
+        cls, name = COUNTS[count]
+        least = 0 if count in ZERO_LEAST else 1
+        stored = getattr(cls(**{name: np.int64(least)}), name)
+        assert type(stored) is int and stored == least
+
+
 class TestRunAdaptation:
     def test_stage_counts_consistent(self):
         result = run_adaptation(adaptation_corpus(), small_config())
@@ -456,6 +508,42 @@ class TestRunAdaptation:
         docs = [Document(id="d", title="", body="")]
         with pytest.raises(RuntimeError, match="stage"):
             run_adaptation(docs, small_config())
+
+    def test_numpy_integer_seed_runs_as_its_int(self, tmp_path):
+        # The config stores the seed as an int, so the manifest is written
+        # and every file is the bytes seed=1 writes.
+        config = AdaptationConfig(seed=np.int64(1))
+        assert type(config.seed) is int
+        run_adaptation(adaptation_corpus(), config, tmp_path / "numpy")
+        run_adaptation(adaptation_corpus(), AdaptationConfig(seed=1), tmp_path / "int")
+        written = {path.name: path.read_bytes() for path in sorted((tmp_path / "int").iterdir())}
+        assert len(written) == 7
+        assert {path.name: path.read_bytes() for path in sorted((tmp_path / "numpy").iterdir())} == written
+
+    def test_manifest_that_cannot_be_serialized_writes_nothing(self, tmp_path):
+        # No config converts a numpy float, and json cannot write one: the
+        # manifest is serialized before any file is written.
+        config = small_config()
+        config = replace(config, train=replace(config.train, learning_rate=np.float32(0.05)))
+        message = "^adaptation failed at stage 'persist': Object of type float32 is not JSON serializable$"
+        with pytest.raises(RuntimeError, match=message):
+            run_adaptation(adaptation_corpus(), config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # A rerun into the same directory that fails part way removes the
+        # first run's manifest, which no longer describes the files beside it.
+        run_adaptation(adaptation_corpus(), small_config(), tmp_path)
+        assert (tmp_path / "manifest.json").exists()
+
+        def full(self, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(DualEncoder, "save", full)
+        with pytest.raises(RuntimeError, match="^adaptation failed at stage 'persist': disk full$"):
+            run_adaptation(adaptation_corpus(), small_config(), tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
+        assert [path.name for path in tmp_path.iterdir() if path.name.startswith(".")] == []
 
     @pytest.mark.parametrize(
         "name", ["retrieval_max_words", "generation_max_tokens", "examples_per_passage", "embedding_dim", "negative_depth"]
