@@ -34,13 +34,16 @@ processes. token_table interns through it, and so do
 syngen.generate_corpus and syngen.build_ir_training_set. A table's ids are
 ranks in its sorted terms, so no table depends on the split.
 
-check_counts is the one check of every config's integer fields: each
-config's __post_init__ calls it once.
+check_count is the one check of a count: an integer, not a bool, at
+least its least, returned as an int. check_counts applies it to every int
+field of a config, and stores each float field as a float; each config's
+__post_init__ calls it once.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 import os
 import pickle
@@ -61,6 +64,7 @@ __all__ = [
     "TokenSpan",
     "Passage",
     "IngestError",
+    "check_count",
     "check_counts",
     "read_jsonl",
     "write_jsonl",
@@ -93,26 +97,39 @@ class IngestError(ValueError):
         self.source = source
 
 
+def check_count(name: str, value, least: int = 1) -> int:
+    """`value` as an int, so a numpy integer becomes one. A bool, or a
+    value with no __index__, is a ValueError "<name> must be an integer,
+    not <value>"; a value below `least` is "<name> must be >= <least>"."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if number < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return number
+
+
 def check_counts(config, zero: tuple[str, ...] = ("seed",)) -> None:
-    """Check each int field of the dataclass `config` and store it as an
-    int, so a numpy integer is held (and recorded) as one. A bool, or a
-    value with no __index__, is a ValueError "<field> must be an integer,
-    not <value>"; a value below the field's least, 0 for a field named in
-    `zero` and 1 for any other, is "<field> must be >= <least>"."""
+    """Check each int and float field of the dataclass `config` and store
+    it as an int or a float, so a numpy number is held (and recorded) as
+    one. An int field is check_count's, with least 0 for a field named in
+    `zero` and 1 for any other; a float field that is a bool or not a real
+    number is a ValueError "<field> must be a number, not <value>". Range
+    checks of float fields are the config's own."""
     for f in fields(config):
-        if f.type not in (int, "int"):
-            continue
         value = getattr(config, f.name)
-        try:
-            number = None if isinstance(value, bool) else operator.index(value)
-        except TypeError:
-            number = None
-        if number is None:
-            raise ValueError(f"{f.name} must be an integer, not {value!r}")
-        least = 0 if f.name in zero else 1
-        if number < least:
-            raise ValueError(f"{f.name} must be >= {least}")
-        object.__setattr__(config, f.name, number)
+        if f.type in (int, "int"):
+            value = check_count(f.name, value, 0 if f.name in zero else 1)
+        elif f.type in (float, "float"):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, not {value!r}")
+            value = float(value)
+        else:
+            continue
+        object.__setattr__(config, f.name, value)
 
 
 def read_jsonl(lines: Iterable[str], from_record: Callable[[dict], T], source: Optional[str] = None) -> list[T]:
@@ -546,8 +563,7 @@ def _chunk(doc: Document, max_units: int) -> list[Passage]:
     never segmented. With no cut before that word, the first sentence is
     over the budget: it runs to the first cut after it, and is split at
     every max_units-th word into hard-split pieces, the first from s."""
-    if max_units < 1:
-        raise ValueError("max_units must be >= 1")
+    max_units = check_count("max_units", max_units)
     body = doc.body
     starts = token_bounds(body)[0]
     end = len(body.rstrip())

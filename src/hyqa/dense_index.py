@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import container
+from .corpus import check_count
 from .scored import ScoredPassage, check_distinct, id_ranks, ranked_passages, top_k
 
 __all__ = ["DenseIndex", "IVFIndex", "build_dense_index", "dense_scores", "dense_top_k", "dense_search", "build_ivf_index", "ivf_search"]
@@ -83,11 +84,6 @@ def _query(index: DenseIndex, q_emb: np.ndarray) -> np.ndarray:
     return q
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
-
 def dense_scores(index: DenseIndex, q_emb: np.ndarray) -> np.ndarray:
     """The query's inner product with every row, in row order."""
     q = _query(index, q_emb)
@@ -98,7 +94,7 @@ def dense_scores(index: DenseIndex, q_emb: np.ndarray) -> np.ndarray:
 
 def dense_top_k(index: DenseIndex, q_emb: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """dense_search as row and score arrays."""
-    _check_k(k)
+    k = check_count("k", k)
     scores = dense_scores(index, q_emb)
     top = top_k(scores, index.id_rank, k)
     return top, scores[top]
@@ -154,15 +150,14 @@ def build_ivf_index(index: DenseIndex, C: int, n_probe: int, seed: int = 0) -> I
         raise ValueError(f"C={C} must lie in [1, N={index.n}]")
     if not 1 <= n_probe <= C:
         raise ValueError(f"n_probe={n_probe} must lie in [1, C={C}]")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    seed = check_count("seed", seed, least=0)
     centroids, assignment = _kmeans(index.matrix, C, seed)
     return IVFIndex(index, centroids, assignment, n_probe)
 
 
 def ivf_search(ivf: IVFIndex, q_emb: np.ndarray, k: int, n_probe: int | None = None) -> list[ScoredPassage]:
     index = ivf.base
-    _check_k(k)
+    k = check_count("k", k)
     q = _query(index, q_emb)
     probes = ivf.n_probe if n_probe is None else n_probe
     if probes < 1:

@@ -1,9 +1,10 @@
 """Dual-encoder retrieval model with exact gradients.
 
-Each tower is an embedding table followed by an affine projection: the text
+Each tower is an embedding table followed by a linear projection: the text
 is tokenized, in-vocabulary token embeddings are mean-pooled, and the mean
-passes through a d x d projection with bias. Query/passage similarity is
-the raw dot product of the two tower outputs. Training minimizes the
+passes through a d x d projection, with no bias. Query/passage similarity
+is the raw dot product of the two tower outputs, (W_q m_q) . (W_p m_p), as
+in DPR: no term of it depends on one side alone. Training minimizes the
 negative log-likelihood of the positive passage against in-batch negatives
 (every question in a mini-batch sees its own hard negatives plus the other
 questions' positives and hard negatives), with plain SGD and linear warmup.
@@ -71,7 +72,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import container
-from .corpus import Passage, TokenTable, check_counts, terms, token_table
+from .corpus import Passage, TokenTable, check_count, check_counts, terms, token_table
 
 __all__ = [
     "DualEncoder",
@@ -86,7 +87,7 @@ __all__ = [
     "train",
 ]
 
-_PARAM_NAMES = ("q_emb", "q_proj", "q_bias", "p_emb", "p_proj", "p_bias")
+_PARAM_NAMES = ("q_emb", "q_proj", "p_emb", "p_proj")
 # Training steps whose batches train plans in one _plan pass: enough to
 # amortize its numpy calls, few enough that the plans held at once (a few
 # arrays over the block's tokens) stay small.
@@ -113,20 +114,15 @@ class DualEncoder:
 
     @classmethod
     def create(cls, vocab: Sequence[str], d: int, seed: int) -> "DualEncoder":
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
+        d, seed = check_count("d", d), check_count("seed", seed, least=0)
         rng = np.random.default_rng(seed)
         v = len(vocab)
         scale = 1.0 / np.sqrt(d)
         params = {
             "q_emb": rng.normal(0.0, scale, size=(v, d)),
             "q_proj": rng.normal(0.0, scale, size=(d, d)),
-            "q_bias": np.zeros(d),
             "p_emb": rng.normal(0.0, scale, size=(v, d)),
             "p_proj": rng.normal(0.0, scale, size=(d, d)),
-            "p_bias": np.zeros(d),
         }
         return cls(vocab={t: i for i, t in enumerate(vocab)}, params=params, d=d)
 
@@ -166,8 +162,10 @@ class DualEncoder:
     def load(cls, path) -> "DualEncoder":
         """A saved encoder. A vocabulary that repeats a term, a parameter
         array that is missing or whose shape does not fit the vocabulary and
-        d, or a projection or bias holding a NaN or an infinity, is a
-        ContainerError naming the file (and the term or the array). The
+        d, an array that is not one of the four parameters (the tower
+        biases of older files among them, which would change every score if
+        dropped silently), or a projection holding a NaN or an infinity, is
+        a ContainerError naming the file (and the term or the array). The
         V x d embedding tables are most of the file, so they are not
         scanned, which would add a full pass to every load; a non-finite
         table entry is refused where it is used: build_dense_index refuses
@@ -186,11 +184,13 @@ class DualEncoder:
         vocab = dict(zip(words, range(len(words))))
         if len(vocab) != len(words):
             raise ValueError(f"vocabulary repeats the term {next(t for i, t in enumerate(words) if vocab[t] != i)!r}")
-        shapes = {"emb": (len(words), d), "proj": (d, d), "bias": (d,)}
+        if odd := sorted(arrays.keys() ^ set(_PARAM_NAMES)):
+            name = odd[0]
+            raise ValueError(f"array {name!r} is not an encoder parameter; retrain the encoder"
+                             if name in arrays else f"missing array {name!r}")
+        shapes = {"emb": (len(words), d), "proj": (d, d)}
         for name in _PARAM_NAMES:
-            array = arrays.get(name)
-            if array is None:
-                raise ValueError(f"missing array {name!r}")
+            array = arrays[name]
             shape = shapes[name[2:]]
             if array.shape != shape:
                 raise ValueError(f"array {name!r} has shape {array.shape}, not {shape}")
@@ -215,7 +215,8 @@ class IRTrainInstance:
 class TrainConfig:
     """SGD settings; the defaults are sized for the desk-scale towers here.
     Each count and the seed must be an integer, not a bool; batch_size must
-    be >= 1 and the others >= 0 (corpus.check_counts)."""
+    be >= 1 and the others >= 0, and learning_rate is stored as a float
+    (corpus.check_counts)."""
 
     learning_rate: float = 0.05
     epochs: int = 6
@@ -429,7 +430,7 @@ def _planned_batches(
 
 
 def _project(encoder: DualEncoder, means: np.ndarray, side: str) -> np.ndarray:
-    return means @ encoder.params[f"{side}_proj"].T + encoder.params[f"{side}_bias"]
+    return means @ encoder.params[f"{side}_proj"].T
 
 
 def _pool(encoder: DualEncoder, text: str, side: str) -> np.ndarray:
@@ -516,11 +517,9 @@ def loss_gradient(
         ("q", g_logits @ p_out, q_mean, q_bag),
         ("p", g_logits.T @ q_out, p_mean, p_bag),
     ):
-        emb, proj, bias = f"{side}_emb", f"{side}_proj", f"{side}_bias"
+        emb, proj = f"{side}_emb", f"{side}_proj"
         rows[emb], grads[emb] = bag.rows, bag.rows_gradient(g_out @ encoder.params[proj])
-        # Kept as a sum with zeros: 0.0 + -0.0 is 0.0, so these are the old bits.
-        grads[proj] = np.zeros(encoder.params[proj].shape) + g_out.T @ means
-        grads[bias] = np.zeros(encoder.params[bias].shape) + g_out.sum(axis=0)
+        grads[proj] = g_out.T @ means
     if touched:
         return Gradient(grads, float(losses.mean()), rows)
     for name, ids in rows.items():

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .corpus import read_jsonl
+from .corpus import check_count, read_jsonl
 from .scored import ScoredPassage
 
 __all__ = [
@@ -130,8 +130,7 @@ def first_match_rank(passage_ids: Sequence[str], gold: GoldSet, depth: int, pass
     contains a gold answer (see answer_test), or `depth` if none does;
     Match@k for k <= depth is then rank < k. A passage scanned before the
     first match that passage_texts lacks is a KeyError naming it."""
-    if depth < 1:
-        raise ValueError("k must be >= 1")
+    depth = check_count("k", depth)
     contains = answer_test(gold.answers)
     try:
         for rank, passage_id in enumerate(passage_ids[:depth]):

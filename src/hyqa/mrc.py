@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import check_counts, read_jsonl, terms, token_bounds
+from .corpus import check_count, check_counts, read_jsonl, terms, token_bounds
 from .scored import top_k
 
 __all__ = [
@@ -209,8 +209,7 @@ def best_span_each(rows: LogitRows, max_answer_len: int) -> tuple[np.ndarray, np
     No rows give three empty arrays (s and e intp, score float64). A row
     with n = 0, or a max_answer_len below 1, is a ValueError.
     """
-    if max_answer_len < 1:
-        raise ValueError("max_answer_len must be >= 1")
+    max_answer_len = check_count("max_answer_len", max_answer_len)
     n = rows.n
     empty = np.flatnonzero(n == 0)
     if empty.size:

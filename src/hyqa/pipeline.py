@@ -39,6 +39,7 @@ from .corpus import (
     RETRIEVAL_MAX_WORDS,
     Document,
     Passage,
+    check_count,
     check_counts,
     chunk_generation_passages,
     chunk_retrieval_passages,
@@ -301,8 +302,7 @@ def make_hybrid_retriever(
     pool, w = fusion_config.pool_size, fusion_config.weight
 
     def rows(question: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = check_count("k", k)
         hits, sparse_scores = sparse_hits_each(sparse_index, [question])[0]
         sparse_pool = top_set(sparse_scores, sparse_index.id_rank[hits], pool)
         dense = dense_scores(dense_index, encode_query(encoder, question))
@@ -328,9 +328,16 @@ def train_encoder(
     config: TrainConfig,
 ) -> tuple[DualEncoder, list[float]]:
     """Train-encoder stage: an encoder whose vocabulary is the passages'
-    terms (seeded by config.seed), trained on the instances; returns
-    encoder.train's (trained copy, per-epoch mean loss)."""
+    terms, trained on the instances; returns encoder.train's (trained copy,
+    per-epoch mean loss). Training starts from tied towers, as DPR's two
+    encoders start from one checkpoint: p_emb is a copy of q_emb (drawn by
+    from_texts, seeded by config.seed) and both projections are the
+    identity. So an untrained score is the dot product of two mean-pooled
+    rows of one random table, which keeps the terms the texts share; towers
+    drawn apart score at chance."""
     encoder = DualEncoder.from_texts([p.text for p in passages], d=d, seed=config.seed)
+    params = encoder.params
+    params["p_emb"], params["q_proj"], params["p_proj"] = params["q_emb"].copy(), np.eye(d), np.eye(d)
     return train(encoder, instances, config)
 
 
@@ -341,10 +348,13 @@ class AdaptationConfig:
     default p and k and both BM25 indexes use BM25Params' default k1 and b.
     The manifest records every field (`filter` as its threshold, under
     "filter_threshold") and those four. The roundtrip filter, like the
-    reader, scores spans of up to mrc.MAX_ANSWER_LEN tokens. A seed, size or
+    reader, scores spans of up to mrc.MAX_ANSWER_LEN tokens. The dense
+    encoder, of width embedding_dim, trains from tied towers
+    (train_encoder), scored by the plain inner product. A seed, size or
     count that is a bool or not an integer, a negative seed, or a size or
     count below 1, is a ValueError here, before any stage runs
-    (corpus.check_counts); a numpy integer is stored as an int."""
+    (corpus.check_counts); a numpy integer is stored as an int, and a
+    float setting (train.learning_rate, filter.threshold) as a float."""
 
     seed: int = 0
     retrieval_max_words: int = RETRIEVAL_MAX_WORDS

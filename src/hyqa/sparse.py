@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import container
-from .corpus import Passage, terms, token_table
+from .corpus import Passage, check_count, check_counts, terms, token_table
 from .scored import ScoredPassage, check_distinct, id_ranks, ranked_passages, top_k
 
 __all__ = ["BM25Params", "SparseIndex", "build_sparse_index", "sparse_hits_each", "sparse_top_k_each", "sparse_search"]
@@ -49,6 +49,7 @@ class BM25Params:
     b: float = 0.75
 
     def __post_init__(self):
+        check_counts(self)
         if not (math.isfinite(self.k1) and self.k1 > 0):
             raise ValueError("k1 must be finite and positive")
         if not 0.0 <= self.b <= 1.0:
@@ -209,8 +210,7 @@ def sparse_hits_each(index: SparseIndex, query_texts: Sequence[str]) -> list[tup
 
 def sparse_top_k_each(index: SparseIndex, query_texts: Sequence[str], k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """sparse_search of each query as index and score arrays, scored as one block (sparse_hits_each)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_count("k", k)
     ranked = []
     for hits, hit_scores in sparse_hits_each(index, query_texts):
         top = top_k(hit_scores, index.id_rank[hits], k)

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Passage, TokenSpan, check_counts, segment_sentences, sharded, terms, token_bounds
+from .corpus import Passage, TokenSpan, check_count, check_counts, segment_sentences, sharded, terms, token_bounds
 from .encoder import IRTrainInstance
 from .evalkit import answer_test, haystack as _haystack
 from .mrc import MAX_ANSWER_LEN, best_span_each, logit_rows
@@ -154,6 +154,7 @@ class FilterConfig:
     threshold: float = 7.0
 
     def __post_init__(self):
+        check_counts(self)
         if math.isnan(self.threshold):
             raise ValueError("threshold must be a number, not NaN")
 
@@ -371,8 +372,7 @@ def generate_examples(
     its terms, which decode_generation_target reads; when omitted, the
     passage is segmented here.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
     if len(lm._indptr) < 2:
         raise ValueError("the n-gram model has no fitted rows: fit it on at least one sequence")
     if (config.p, config.k) not in lm._nuclei:
@@ -428,8 +428,7 @@ def generate_corpus(
     another's, the examples, joined in passage order, and the discards are
     those of one loop.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
 
     def generate(lo: int, hi: int) -> GenerationResult:
         shard = GenerationResult(examples=[])
@@ -555,8 +554,7 @@ def build_ir_training_set(
     (corpus.sharded), each of which sends back its examples' negative
     passage ids only; the instances are then built here from `passages`
     itself."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = check_count("depth", depth)
     for ex in examples:
         if ex.passage_id not in passages:
             raise KeyError(f"example passage {ex.passage_id!r} not in passage map")
@@ -655,9 +653,7 @@ class NgramLM:
     """
 
     def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
+        self.order = check_count("order", order)
         self.vocab: list[str] = []
         self._ids: dict[str, int] = {}  # token -> column, the padding marker included
         self._indptr = np.zeros(1, dtype=np.intp)

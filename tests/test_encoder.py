@@ -62,10 +62,10 @@ def random_batch(rng, encoder, size=2, negatives=1):
 
 
 class TestEncode:
-    def test_all_oov_is_bias_only(self):
+    def test_all_oov_is_zeros(self):
         enc = small_encoder()
         out = encode_query(enc, "xyzzy qwerty")
-        np.testing.assert_allclose(out, enc.params["q_bias"])
+        np.testing.assert_array_equal(out, np.zeros(enc.d))
 
     def test_identical_texts_identical_embeddings(self):
         enc = small_encoder()
@@ -114,10 +114,8 @@ class TestEncode:
 def mean_reference(encoder, text, side):
     """One text's tower output as table[ids].mean(axis=0), projected."""
     ids = [encoder.vocab[t] for t in terms(text) if t in encoder.vocab]
-    proj, bias = encoder.params[f"{side}_proj"], encoder.params[f"{side}_bias"]
-    if not ids:
-        return bias
-    return (encoder.params[f"{side}_emb"][ids].mean(axis=0)[None] @ proj.T + bias)[0]
+    mean = encoder.params[f"{side}_emb"][ids].mean(axis=0) if ids else np.zeros(encoder.d)
+    return (mean[None] @ encoder.params[f"{side}_proj"].T)[0]
 
 
 class TestOneTextPooling:
@@ -133,15 +131,12 @@ class TestOneTextPooling:
     @example(3, 2, "xyzzy qwerty")
     def test_bit_equal_to_mean_reference(self, d, seed, text):
         enc = DualEncoder.create(VOCAB, d=d, seed=seed)
-        rng = np.random.default_rng(seed)
-        enc.params["q_bias"] = rng.normal(size=d)
-        enc.params["p_bias"] = rng.normal(size=d)
         for encode, side in ((encode_query, "q"), (encode_passage, "p")):
             out = encode(enc, text)
             assert out.shape == (d,) and out.dtype == np.float64
             assert out.tobytes() == mean_reference(enc, text, side).tobytes()
             if not any(t in enc.vocab for t in terms(text)):
-                assert out.tobytes() == enc.params[f"{side}_bias"].tobytes()
+                np.testing.assert_array_equal(out, np.zeros(d))
 
 
 class TestSimilarity:
@@ -236,8 +231,7 @@ class TestBatchLoss:
 
     def test_shift_invariance_of_softmax(self):
         # Adding a constant to every similarity in a logit row leaves the
-        # loss unchanged; shifting the passage bias shifts all similarities
-        # of a question by q-dependent amounts, so verify on raw sims.
+        # loss unchanged.
         base = nll_from_sims(2.0, [1.0, 0.0])
         shifted = nll_from_sims(2.0 + 5.0, [6.0, 5.0])
         assert base == pytest.approx(shifted, abs=1e-12)
@@ -256,7 +250,7 @@ def loop_loss_gradient(enc, batch):
     means, outs = {}, {}
     for side in "qp":
         means[side] = np.stack([params[f"{side}_emb"][t].mean(axis=0) if t else np.zeros(d) for t in toks[side]])
-        outs[side] = means[side] @ params[f"{side}_proj"].T + params[f"{side}_bias"]
+        outs[side] = means[side] @ params[f"{side}_proj"].T
     logits = outs["q"] @ outs["p"].T
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -267,7 +261,6 @@ def loop_loss_gradient(enc, batch):
     grads = {name: np.zeros_like(value) for name, value in params.items()}
     for side, g_out in (("q", g_logits @ outs["p"]), ("p", g_logits.T @ outs["q"])):
         grads[f"{side}_proj"] += g_out.T @ means[side]
-        grads[f"{side}_bias"] += g_out.sum(axis=0)
         g_mean = g_out @ params[f"{side}_proj"]
         for row, idxs in enumerate(toks[side]):
             for i in idxs:
@@ -333,7 +326,7 @@ class TestGradient:
         enc = small_encoder(d=4, seed=7)
         batch = random_batch(np.random.default_rng(7), enc, size=3, negatives=2)
         grads = loss_gradient(enc, batch)
-        assert list(grads) == ["q_emb", "q_proj", "q_bias", "p_emb", "p_proj", "p_bias"]
+        assert list(grads) == ["q_emb", "q_proj", "p_emb", "p_proj"]
         assert grads.loss == batch_loss(enc, batch)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -734,7 +727,7 @@ class TestPersistence:
         loaded = DualEncoder.load(tmp_path / "enc.hyqa")
         assert loaded == enc and enc == loaded  # the held table is not compared
         changed = enc.copy()
-        changed.params["p_bias"][0] += 1.0
+        changed.params["p_proj"][0, 0] += 1.0
         assert changed != enc
         assert DualEncoder.from_texts(["alpha beta"], d=4, seed=3) != enc
         assert enc != "encoder"
@@ -742,14 +735,16 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "damage, message",
         [
-            (lambda meta, arrays: arrays.pop("q_bias"), "missing array 'q_bias'"),
+            (lambda meta, arrays: arrays.pop("q_proj"), "missing array 'q_proj'"),
             (lambda meta, arrays: arrays.update(q_emb=arrays["q_emb"][:-1]),
              f"array 'q_emb' has shape ({len(VOCAB) - 1}, 4), not ({len(VOCAB)}, 4)"),
             (lambda meta, arrays: arrays["p_proj"].__setitem__((1, 2), np.nan), "array 'p_proj' holds a non-finite value"),
-            (lambda meta, arrays: arrays["q_bias"].__setitem__(3, -np.inf), "array 'q_bias' holds a non-finite value"),
+            (lambda meta, arrays: arrays["q_proj"].__setitem__((3, 0), -np.inf), "array 'q_proj' holds a non-finite value"),
             (lambda meta, arrays: meta.update(d=5), f"array 'q_emb' has shape ({len(VOCAB)}, 4), not ({len(VOCAB)}, 5)"),
+            (lambda meta, arrays: arrays.update(q_bias=np.zeros(4)),
+             "array 'q_bias' is not an encoder parameter; retrain the encoder"),
         ],
-        ids=["missing", "short-table", "nan", "inf", "meta-d"],
+        ids=["missing", "short-table", "nan", "inf", "meta-d", "old-bias"],
     )
     def test_load_refuses_a_damaged_file(self, tmp_path, damage, message):
         enc = small_encoder(d=4)

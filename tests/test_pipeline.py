@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyqa
-from hyqa.corpus import Document, tokenize
-from hyqa.dense_index import build_dense_index, build_ivf_index
-from hyqa.encoder import DualEncoder, TrainConfig
+from hyqa import pipeline
+from hyqa.corpus import Document, chunk_retrieval_passages, tokenize
+from hyqa.dense_index import build_dense_index, build_ivf_index, dense_search, dense_top_k, ivf_search
+from hyqa.encoder import DualEncoder, IRTrainInstance, TrainConfig
 from hyqa.evalkit import GoldSet, first_match_rank, token_f1
-from hyqa.fusion import minmax_normalize
-from hyqa.mrc import MAX_ANSWER_LEN, LexicalScorer, ScorerConfig, SpanLogits, best_spans
+from hyqa.fusion import FusionConfig, minmax_normalize
+from hyqa.mrc import MAX_ANSWER_LEN, LexicalScorer, ScorerConfig, SpanLogits, best_span_each, best_spans, stack_logits
 from hyqa.pipeline import (
     K_HYBRID,
     AdaptationConfig,
@@ -32,9 +33,18 @@ from hyqa.pipeline import (
     make_hybrid_retriever,
     make_sparse_retriever,
     run_adaptation,
+    train_encoder,
 )
 from hyqa.scored import ScoredPassage
-from hyqa.syngen import FilterConfig, SamplerConfig
+from hyqa.sparse import BM25Params, build_sparse_index, sparse_search
+from hyqa.syngen import (
+    FilterConfig,
+    NgramLM,
+    SamplerConfig,
+    build_ir_training_set,
+    generate_corpus,
+    generate_examples,
+)
 
 
 class TableScorer:
@@ -427,6 +437,92 @@ class TestEveryConfigCount:
         assert type(stored) is int and stored == least
 
 
+# Every float field of an exported *Config dataclass, and BM25Params'.
+NUMBERS = {
+    f"{cls.__name__}.{f.name}": (cls, f.name, f.default)
+    for cls in [*exported_configs(), BM25Params]
+    for f in fields(cls)
+    if f.type in (float, "float")
+}
+
+
+class TestEveryConfigNumber:
+    def test_the_numbers_of_six_configs_are_found(self):
+        assert {cls.__name__ for cls, _, _ in NUMBERS.values()} == {
+            "BM25Params", "FilterConfig", "FusionConfig", "PipelineConfig", "SamplerConfig", "TrainConfig",
+        }
+
+    @pytest.mark.parametrize("number", sorted(NUMBERS))
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "str", "none"])
+    def test_value_that_is_not_a_number_is_refused_by_name(self, number, value):
+        cls, name, _ = NUMBERS[number]
+        with pytest.raises(ValueError, match=f"^{name} must be a number, not {re.escape(repr(value))}$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("number", sorted(NUMBERS))
+    def test_numpy_float_is_stored_as_a_float(self, number):
+        cls, name, default = NUMBERS[number]
+        stored = getattr(cls(**{name: np.float32(default)}), name)
+        assert type(stored) is float and stored == float(np.float32(default))
+
+
+def count_arguments():
+    """A call of each public function that takes a count argument, with the
+    name its refusal gives the count."""
+    doc = Document(id="d", title="", body="Alpha beta gamma. Beta delta.")
+    passages = chunk_retrieval_passages(doc)
+    sparse = build_sparse_index(passages)
+    dense = build_dense_index(["a", "b"], np.eye(2))
+    hybrid = make_hybrid_retriever(sparse, dense, DualEncoder.from_texts([p.text for p in passages], d=2, seed=0), FusionConfig())
+    gold = GoldSet("q", "beta", ("beta",))
+    return {
+        "chunk_retrieval_passages": ("max_units", lambda v: chunk_retrieval_passages(doc, v)),
+        "sparse_search": ("k", lambda v: sparse_search(sparse, "beta", v)),
+        "sparse retriever": ("k", lambda v: make_sparse_retriever(sparse).ranked("beta", v)),
+        "hybrid retriever": ("k", lambda v: hybrid.ranked("beta", v)),
+        "dense_top_k": ("k", lambda v: dense_top_k(dense, np.ones(2), v)),
+        "dense_search": ("k", lambda v: dense_search(dense, np.ones(2), v)),
+        "ivf_search": ("k", lambda v: ivf_search(build_ivf_index(dense, 1, 1), np.ones(2), v)),
+        "build_ivf_index seed": ("seed", lambda v: build_ivf_index(dense, 1, 1, seed=v)),
+        "first_match_rank": ("k", lambda v: first_match_rank(["a"], gold, v, {"a": "beta"})),
+        "best_span_each": ("max_answer_len", lambda v: best_span_each(stack_logits([SpanLogits([0.0, 1.0], [0.0, 1.0])]), v)),
+        "DualEncoder.create d": ("d", lambda v: DualEncoder.create(["beta"], d=v, seed=0)),
+        "DualEncoder.create seed": ("seed", lambda v: DualEncoder.create(["beta"], d=2, seed=v)),
+        "generate_examples": ("n", lambda v: generate_examples(passages[0], NgramLM(3), v, SamplerConfig())),
+        "generate_corpus": ("n", lambda v: generate_corpus(passages, v, SamplerConfig())),
+        "build_ir_training_set": ("depth", lambda v: build_ir_training_set([], sparse, {}, v)),
+        "NgramLM": ("order", NgramLM),
+    }
+
+
+COUNT_ARGUMENTS = count_arguments()
+
+
+@pytest.mark.parametrize("call", sorted(COUNT_ARGUMENTS))
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+def test_count_argument_that_is_not_an_integer_is_refused_by_name(call, value):
+    name, run = COUNT_ARGUMENTS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(value))}$"):
+        run(value)
+
+
+class TestTrainEncoder:
+    def test_starts_from_tied_towers(self):
+        passages = [p for doc in adaptation_corpus() for p in chunk_retrieval_passages(doc)]
+        question = "Which animal eats krill?"
+        instance = IRTrainInstance(question, passages[3], (passages[0],))
+        encoder, trace = train_encoder(passages, [instance], 8, TrainConfig(epochs=0, seed=3))
+        assert trace == []
+        params = encoder.params
+        assert sorted(params) == ["p_emb", "p_proj", "q_emb", "q_proj"]
+        np.testing.assert_array_equal(params["p_emb"], params["q_emb"])
+        assert not np.shares_memory(params["p_emb"], params["q_emb"])
+        np.testing.assert_array_equal(params["q_proj"], np.eye(8))
+        np.testing.assert_array_equal(params["p_proj"], np.eye(8))
+        drawn = DualEncoder.from_texts([p.text for p in passages], d=8, seed=3)
+        np.testing.assert_array_equal(params["q_emb"], drawn.params["q_emb"])
+
+
 class TestRunAdaptation:
     def test_stage_counts_consistent(self):
         result = run_adaptation(adaptation_corpus(), small_config())
@@ -520,15 +616,28 @@ class TestRunAdaptation:
         assert len(written) == 7
         assert {path.name: path.read_bytes() for path in sorted((tmp_path / "numpy").iterdir())} == written
 
-    def test_manifest_that_cannot_be_serialized_writes_nothing(self, tmp_path):
-        # No config converts a numpy float, and json cannot write one: the
+    def test_manifest_that_cannot_be_serialized_writes_nothing(self, tmp_path, monkeypatch):
+        # A loss trace of numpy floats, which json cannot write: the
         # manifest is serialized before any file is written.
+        def float32_trace(*args):
+            encoder, trace = train(*args)
+            return encoder, [np.float32(x) for x in trace]
+
+        train = pipeline.train_encoder
+        monkeypatch.setattr(pipeline, "train_encoder", float32_trace)
         config = small_config()
-        config = replace(config, train=replace(config.train, learning_rate=np.float32(0.05)))
         message = "^adaptation failed at stage 'persist': Object of type float32 is not JSON serializable$"
         with pytest.raises(RuntimeError, match=message):
             run_adaptation(adaptation_corpus(), config, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_numpy_float_learning_rate_runs_as_its_float(self, tmp_path):
+        config = small_config()
+        config = replace(config, train=replace(config.train, learning_rate=np.float32(0.05)))
+        assert type(config.train.learning_rate) is float
+        run_adaptation(adaptation_corpus(), config, tmp_path)
+        recorded = json.loads((tmp_path / "manifest.json").read_text())["config"]["train"]["learning_rate"]
+        assert recorded == float(np.float32(0.05))
 
     def test_failed_write_leaves_no_manifest(self, tmp_path, monkeypatch):
         # A rerun into the same directory that fails part way removes the
